@@ -22,10 +22,11 @@ with open(HERE / "toy.arpa") as handle:
 print(f"parsed a {model.order}-gram model, "
       f"{[len(t) for t in model.tables]} entries per order")
 
-fst, state_map = build_g(model)
+fst, _ = build_g(model)
+(final,) = fst.finals
 print(f"compiled graph: {fst.num_states()} states, {fst.num_arcs()} arcs")
-print(f"start state {state_map.start} is the <s> history; "
-      f"state {state_map.final} is final\n")
+print(f"start state {fst.initial} is the <s> history; "
+      f"state {final} is final\n")
 
 sentences = [
     ["wo", "chaxun", "liuliang"],
@@ -34,7 +35,7 @@ sentences = [
     [],                  # the empty sentence also has a probability
 ]
 for sentence in sentences:
-    by_graph = graph_score(fst, state_map, sentence)
+    by_graph = graph_score(fst, sentence)
     by_tables = oracle_score(model, sentence)
     print(f"{' '.join(sentence) or '(empty)':28s} "
           f"graph {by_graph:+.6f}   oracle {by_tables:+.6f}   "

@@ -1,23 +1,23 @@
 """gboost: grammar graphs from ARPA models, plus similar-pair word boosting."""
 
 from gboost.arpa import NGramModel, oracle_score, parse_arpa, write_arpa
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup, collect_arcs,
+from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
                             compute_enhanced_weight, enhance, load_pairs_config)
 from gboost.errors import (FormatError, GboostError, InvariantError, NoPathError)
 from gboost.evaluate import (EvalReport, RankingCase, grid_tsv, load_cases,
                              run_ranking, sweep)
 from gboost.fst import (Arc, FstDiff, SymbolTable, Wfst, apply_diff, diff,
                         path_weight, read_text, write_text)
-from gboost.graph import HistoryStateMap, build_g, graph_score
+from gboost.graph import build_g, graph_score
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arc", "EnhanceConfig", "EvalReport", "FormatError", "FstDiff",
-    "GboostError", "HistoryStateMap", "InvariantError", "NGramModel",
-    "NoPathError", "RankingCase", "SimilarPairGroup", "SymbolTable", "Wfst",
-    "apply_diff", "build_g", "collect_arcs", "compute_enhanced_weight",
-    "diff", "enhance", "graph_score", "grid_tsv", "load_cases",
-    "load_pairs_config", "oracle_score", "parse_arpa", "path_weight",
-    "read_text", "run_ranking", "sweep", "write_arpa", "write_text",
+    "GboostError", "InvariantError", "NGramModel", "NoPathError",
+    "RankingCase", "SimilarPairGroup", "SymbolTable", "Wfst", "apply_diff",
+    "build_g", "compute_enhanced_weight", "diff", "enhance", "graph_score",
+    "grid_tsv", "load_cases", "load_pairs_config", "oracle_score",
+    "parse_arpa", "path_weight", "read_text", "run_ranking", "sweep",
+    "write_arpa", "write_text",
 ]

@@ -58,9 +58,9 @@ def parse_arpa(stream: TextIO) -> NGramModel:
     """Parse an ARPA model, converting log10 values to natural log.
 
     Enforces: header counts match section contents, every k-gram's
-    (k-1)-word history has its own entry, log probabilities are <= 0,
-    back-off weights are finite, <s> is never predicted and </s> never
-    appears as context.
+    (k-1)-word history has its own entry, log probabilities are finite
+    and <= 0 (the unused <s> unigram may be -inf), back-off weights are
+    finite, <s> is never predicted and </s> never appears as context.
     """
     counts: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], NGram]] = {}
@@ -113,6 +113,9 @@ def parse_arpa(stream: TextIO) -> NGramModel:
         words = tuple(fields[1:k + 1])
         if logprob > 0.0:
             raise FormatError(f"log probability above zero for {' '.join(words)!r}", line=lineno)
+        if not math.isfinite(logprob) and words != (BOS,):  # <s> is never predicted
+            raise FormatError(f"non-finite log probability for {' '.join(words)!r}",
+                              line=lineno)
         if backoff is not None and not math.isfinite(backoff):
             raise FormatError(f"non-finite back-off for {' '.join(words)!r}", line=lineno)
         if k > 1 and words[-1] == BOS:

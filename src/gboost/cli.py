@@ -24,7 +24,7 @@ from gboost.errors import FormatError, GboostError, NoPathError
 from gboost.evaluate import PROXY_NOTE, grid_tsv, load_cases, run_ranking, sweep
 from gboost.fst import (FstDiff, SymbolTable, WEIGHT_FMT, diff, read_text,
                         write_text)
-from gboost.graph import HistoryStateMap, build_g, graph_score
+from gboost.graph import build_g, graph_score
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,14 +92,6 @@ def _symbols_to_text(symbols):
     return buf.getvalue()
 
 
-def _state_map_for(g) -> graph.HistoryStateMap:
-    # Graphs loaded from disk carry their start state on line 1 and their
-    # final states in the final lines; the history index is not needed for
-    # scoring.
-    final = next(iter(g.finals), -1)
-    return HistoryStateMap(states={}, start=g.initial, final=final)
-
-
 def format_diff(delta: FstDiff, symbols: SymbolTable,
                 negate: bool = False) -> str:
     """Render a diff as prefixed FST text lines.
@@ -158,13 +150,12 @@ def _cmd_score(args) -> int:
     negate = _negate(args)
     _require_files(args.fst, args.syms, args.text)
     g = _load_graph(args.fst, args.syms, negate)
-    state_map = _state_map_for(g)
     sign = -1.0 if negate else 1.0
     out_lines = []
     for line in Path(args.text).read_text().splitlines():
         words = line.split()
         try:
-            score = graph_score(g, state_map, words)
+            score = graph_score(g, words)
         except NoPathError:
             score = -math.inf
         out_lines.append(f"{WEIGHT_FMT % (sign * score)}\t{' '.join(words)}")
@@ -180,13 +171,12 @@ def _cmd_eval(args) -> int:
     negate = _negate(args)
     _require_files(args.fst, args.syms, args.cases, args.pairs)
     g = _load_graph(args.fst, args.syms, negate)
-    state_map = _state_map_for(g)
     cases = load_cases(Path(args.cases).read_text())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if not args.pairs:
-        report = run_ranking(g, state_map, cases)
+        report = run_ranking(g, cases)
         _atomic_write(out_dir / "report.json", report.to_json())
         _atomic_write(out_dir / "report.tsv",
                       f"# {PROXY_NOTE}\nerror_rate\t{report.error_rate:.2f}\n")
@@ -197,7 +187,7 @@ def _cmd_eval(args) -> int:
         if args.theta_list else [config.theta]
     chnum_list = [int(x) for x in args.chnum_list.split(",")] \
         if args.chnum_list else [config.max_predictors]
-    grid = sweep(g, state_map, config, theta_list, chnum_list, cases)
+    grid = sweep(g, config, theta_list, chnum_list, cases)
     _atomic_write(out_dir / "grid.tsv", grid_tsv(grid, theta_list, chnum_list))
     for (theta, chnum), report in grid.items():
         name = f"cell_theta{theta:g}_chnum{chnum}.json"

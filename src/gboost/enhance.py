@@ -113,14 +113,25 @@ def load_pairs_config(text: str) -> EnhanceConfig:
         if not isinstance(raw, dict):
             raise FormatError(f"group {i} must be a JSON object")
         try:
-            predictors = [str(w) for w in raw["predictors"]]
-            targets = [str(w) for w in raw["targets"]]
+            predictors, targets = raw["predictors"], raw["targets"]
         except KeyError as exc:
             raise FormatError(f"group {i} is missing key {exc}") from None
-        frequencies = {str(w): int(c) for w, c in raw.get("frequencies", {}).items()}
-        new_words = frozenset(str(w) for w in raw.get("new_words", []))
-        groups.append(SimilarPairGroup(predictors=predictors, targets=targets,
-                                       frequencies=frequencies, new_words=new_words))
+        new_words = raw.get("new_words", [])
+        frequencies = raw.get("frequencies", {})
+        for key, value in (("predictors", predictors), ("targets", targets),
+                           ("new_words", new_words)):
+            if not isinstance(value, list):
+                raise FormatError(f"group {i} '{key}' must be a list")
+        if not isinstance(frequencies, dict):
+            raise FormatError(f"group {i} 'frequencies' must be a JSON object")
+        for word, count in frequencies.items():
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise FormatError(f"group {i} count of {word!r} must be an integer, "
+                                  f"got {count!r}")
+        groups.append(SimilarPairGroup(predictors=[str(w) for w in predictors],
+                                       targets=[str(w) for w in targets],
+                                       frequencies=frequencies,
+                                       new_words=frozenset(str(w) for w in new_words)))
     return EnhanceConfig(theta=theta, max_predictors=max_predictors, groups=groups)
 
 
@@ -141,26 +152,17 @@ def compute_enhanced_weight(w_y: float, f_x: int | None, f_y: int, theta: float)
     return (w_y + math.log(f_x / (f_x + f_y))) + theta
 
 
-def collect_arcs(fst: Wfst, word: str) -> list[Arc]:
-    """All arcs whose input label is ``word``, in (state id, arc index) order."""
-    label = fst.symbols.label(word)
-    found = []
-    for state in fst.states():
-        for (target, ilabel, olabel, weight) in fst.raw_arcs(state):
-            if ilabel == label:
-                found.append(Arc(state, target, ilabel, olabel, weight))
-    return found
-
-
 def _scan(fst: Wfst, predictor_labels: set[int], target_labels: set[int]):
-    # One pass over the whole graph: predictor arc lists plus the positions
-    # of existing target-word arcs, keyed by (source, target state, label).
-    predictor_arcs: dict[int, list[Arc]] = {label: [] for label in predictor_labels}
+    # One pass over the whole graph: (source, target state, weight) of each
+    # predictor arc, plus the positions of existing target-word arcs, keyed
+    # by (source, target state, label).
+    predictor_arcs: dict[int, list[tuple[int, int, float]]] = {
+        label: [] for label in predictor_labels}
     slots: dict[tuple[int, int, int], int] = {}
     for state in fst.states():
-        for pos, (target, ilabel, olabel, weight) in enumerate(fst.raw_arcs(state)):
+        for pos, (target, ilabel, olabel, weight) in enumerate(fst.arcs(state)):
             if ilabel in predictor_labels:
-                predictor_arcs[ilabel].append(Arc(state, target, ilabel, olabel, weight))
+                predictor_arcs[ilabel].append((state, target, weight))
             if ilabel in target_labels and ilabel == olabel:
                 slots[(state, target, ilabel)] = pos
     return predictor_arcs, slots
@@ -202,22 +204,22 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
             f_x = None if group.is_new(target) else group.frequencies[target]
             for predictor in group.predictors[:config.max_predictors]:
                 f_y = group.frequencies[predictor]
-                for arc in predictor_arcs[symbols.label(predictor)]:
-                    candidate = compute_enhanced_weight(arc.weight, f_x, f_y, config.theta)
-                    if candidate > arc.weight:
+                for source, dest, w_y in predictor_arcs[symbols.label(predictor)]:
+                    candidate = compute_enhanced_weight(w_y, f_x, f_y, config.theta)
+                    if candidate > w_y:
                         overshoot += 1
-                    key = (arc.source, arc.target, x_label)
+                    key = (source, dest, x_label)
                     pos = slots.get(key)
                     if pos is None:
-                        pos = fst.add_arc(arc.source, arc.target, x_label, x_label, candidate)
+                        pos = fst.add_arc(source, dest, x_label, x_label, candidate)
                         slots[key] = pos
                         added[key] = None
                     else:
-                        current = fst.raw_arcs(arc.source)[pos][3]
+                        current = fst.arcs(source)[pos][3]
                         if key not in original_weight and key not in added:
                             original_weight[key] = current
                         if candidate > current:
-                            fst.set_arc_weight(arc.source, pos, candidate)
+                            fst.set_arc_weight(source, pos, candidate)
 
     if overshoot:
         log.warning("%d candidate arcs exceed their predictor's weight "
@@ -226,11 +228,11 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     delta = FstDiff()
     for key in added:
         source, target, label = key
-        weight = fst.raw_arcs(source)[slots[key]][3]
+        weight = fst.arcs(source)[slots[key]][3]
         delta.added_arcs.append(Arc(source, target, label, label, weight))
     for key, before in original_weight.items():
         source, target, label = key
-        weight = fst.raw_arcs(source)[slots[key]][3]
+        weight = fst.arcs(source)[slots[key]][3]
         if weight != before:
             delta.reweighted_arcs.append((Arc(source, target, label, label, before),
                                           Arc(source, target, label, label, weight)))

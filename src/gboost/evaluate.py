@@ -6,7 +6,9 @@ sentence against competitor sentences that differ only at designated focus
 positions. A case counts as an error when any competitor scores at least
 as high as the reference (ties lose, pessimistically). The resulting
 focus-token error rate is a proxy measure and is labeled as such in every
-report.
+report. Sentences are scored with :func:`gboost.graph.graph_score`, that is
+with failure back-off semantics: a word arc is always taken when one
+exists, as in the ARPA back-off recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from gboost.enhance import EnhanceConfig, enhance
 from gboost.errors import FormatError, GboostError, InvariantError, NoPathError
 from gboost.fst import Wfst
-from gboost.graph import HistoryStateMap, graph_score
+from gboost.graph import graph_score
 
 PROXY_NOTE = "focus-token error rate (LM-only ranking proxy)"
 
@@ -75,15 +77,6 @@ class EvalReport:
             return 0.0
         return 100.0 * self.num_errors / len(self.results)
 
-    def score_table(self) -> list[tuple[float | None, float | None]]:
-        table = []
-        for r in self.results:
-            best = None
-            if r.best_competitor is not None:
-                best = r.competitor_scores[r.best_competitor]
-            table.append((r.reference_score, best))
-        return table
-
     def to_json(self) -> str:
         payload = {
             "metric": PROXY_NOTE,
@@ -134,21 +127,20 @@ def load_cases(text: str) -> list[RankingCase]:
     return cases
 
 
-def _try_score(fst: Wfst, state_map: HistoryStateMap, sentence: Sequence[str]) -> float | None:
+def _try_score(fst: Wfst, sentence: Sequence[str]) -> float | None:
     try:
-        return graph_score(fst, state_map, sentence)
+        return graph_score(fst, sentence)
     except NoPathError:
         return None
 
 
-def run_ranking(fst: Wfst, state_map: HistoryStateMap,
-                cases: Sequence[RankingCase]) -> EvalReport:
+def run_ranking(fst: Wfst, cases: Sequence[RankingCase]) -> EvalReport:
     """Score every case; sentences with no path lose automatically."""
     results = []
     for case in cases:
         case.validate()
-        ref = _try_score(fst, state_map, case.reference)
-        comp_scores = [_try_score(fst, state_map, c) for c in case.competitors]
+        ref = _try_score(fst, case.reference)
+        comp_scores = [_try_score(fst, c) for c in case.competitors]
         best = None
         for i, score in enumerate(comp_scores):
             if score is None:
@@ -164,8 +156,8 @@ def run_ranking(fst: Wfst, state_map: HistoryStateMap,
     return EvalReport(results=results)
 
 
-def sweep(fst: Wfst, state_map: HistoryStateMap, config: EnhanceConfig,
-          theta_list: Sequence[float], chnum_list: Sequence[int],
+def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
+          chnum_list: Sequence[int],
           cases: Sequence[RankingCase]) -> dict[tuple[float, int], EvalReport | None]:
     """Grid of ranking reports over enhancement scale and predictor count.
 
@@ -182,7 +174,7 @@ def sweep(fst: Wfst, state_map: HistoryStateMap, config: EnhanceConfig,
             cell_config = replace(config, theta=theta, max_predictors=chnum)
             try:
                 enhance(cell_fst, cell_config)
-                grid[(theta, chnum)] = run_ranking(cell_fst, state_map, cases)
+                grid[(theta, chnum)] = run_ranking(cell_fst, cases)
             except GboostError:
                 grid[(theta, chnum)] = None
     return grid

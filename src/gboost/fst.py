@@ -210,22 +210,14 @@ class Wfst:
             return len(self._arcs[state])
         return sum(len(a) for a in self._arcs)
 
-    def arcs(self, state: int) -> list[Arc]:
-        """Outgoing arcs of ``state`` in insertion order."""
-        self._check_state(state)
-        return [Arc(state, t, i, o, w) for (t, i, o, w) in self._arcs[state]]
+    def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+        """Live (target, ilabel, olabel, weight) tuples of ``state``.
 
-    def raw_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
-        """Live (target, ilabel, olabel, weight) tuples of a state.
-
-        Fast path for whole-graph scans; treat the list as read-only.
+        Insertion order; treat the list as read-only. This is the fast path
+        for whole-graph scans, so ``state`` is not range-checked: take it
+        from :meth:`states` or from an arc target.
         """
         return self._arcs[state]
-
-    def all_arcs(self) -> Iterator[Arc]:
-        for s, arcs in enumerate(self._arcs):
-            for (t, i, o, w) in arcs:
-                yield Arc(s, t, i, o, w)
 
     def set_arc_weight(self, state: int, arc_index: int, weight: float) -> None:
         if not math.isfinite(weight):
@@ -243,11 +235,11 @@ class Wfst:
             self._ilabel_index[state] = index
         return index
 
-    def arcs_matching(self, state: int, ilabel: int) -> list[Arc]:
-        """Arcs leaving ``state`` whose input label is ``ilabel``."""
+    def arcs_matching(self, state: int, ilabel: int) -> list[tuple[int, int, int, float]]:
+        """Arcs of ``state`` (as in :meth:`arcs`) whose input label is ``ilabel``."""
         self._check_state(state)
         arcs = self._arcs[state]
-        return [Arc(state, *arcs[pos]) for pos in self._state_index(state).get(ilabel, ())]
+        return [arcs[pos] for pos in self._state_index(state).get(ilabel, ())]
 
     def copy(self) -> "Wfst":
         new = Wfst.__new__(Wfst)
@@ -283,10 +275,10 @@ def _epsilon_closure(fst: Wfst, frontier: dict[int, float]) -> dict[int, float]:
         changed = False
         for state in list(frontier):
             base = frontier[state]
-            for arc in fst.arcs_matching(state, EPSILON_LABEL):
-                cand = base + arc.weight
-                if cand > frontier.get(arc.target, -math.inf):
-                    frontier[arc.target] = cand
+            for target, _, _, weight in fst.arcs_matching(state, EPSILON_LABEL):
+                cand = base + weight
+                if cand > frontier.get(target, -math.inf):
+                    frontier[target] = cand
                     changed = True
         if not changed:
             return frontier
@@ -298,6 +290,12 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
 
     The input is a sequence of symbols (or integer labels); epsilon arcs in
     the graph consume no input. Parallel paths resolve to the maximum total.
+
+    Back-off semantics: best path over epsilon arcs. A back-off arc
+    competes with a word arc even where the word arc exists, which is what
+    a Viterbi decoder over an epsilon back-off graph sees. On a grammar
+    graph this can exceed :func:`gboost.graph.graph_score`, which uses
+    failure semantics.
     """
     if fst.initial is None:
         raise InvariantError("graph has no initial state")
@@ -306,10 +304,10 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
     for label in labels:
         advanced: dict[int, float] = {}
         for state, weight in frontier.items():
-            for arc in fst.arcs_matching(state, label):
-                cand = weight + arc.weight
-                if cand > advanced.get(arc.target, -math.inf):
-                    advanced[arc.target] = cand
+            for target, _, _, arc_weight in fst.arcs_matching(state, label):
+                cand = weight + arc_weight
+                if cand > advanced.get(target, -math.inf):
+                    advanced[target] = cand
         if not advanced:
             return None
         frontier = _epsilon_closure(fst, advanced)
@@ -330,43 +328,23 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
 
 def _arc_groups(fst: Wfst, state: int) -> dict[tuple[int, int, int], list[float]]:
     groups: dict[tuple[int, int, int], list[float]] = {}
-    for (t, i, o, w) in fst._arcs[state]:
+    for (t, i, o, w) in fst.arcs(state):
         groups.setdefault((t, i, o), []).append(w)
     return groups
 
 
-def _remap_states(fst: Wfst, state_map: dict[int, int], min_states: int) -> Wfst:
-    size = max([min_states] + [s + 1 for s in state_map.values()])
-    new = Wfst(fst.symbols)
-    for _ in range(size):
-        new.add_state()
-    remap = lambda s: state_map.get(s, s)
-    for state in fst.states():
-        for (t, i, o, w) in fst._arcs[state]:
-            new.add_arc(remap(state), remap(t), i, o, w)
-    for state, weight in fst.finals.items():
-        new.set_final(remap(state), weight)
-    if fst.initial is not None:
-        new.set_initial(remap(fst.initial))
-    return new
-
-
-def diff(before: Wfst, after: Wfst, state_map: dict[int, int] | None = None) -> FstDiff:
+def diff(before: Wfst, after: Wfst) -> FstDiff:
     """Exact arc-for-arc delta turning ``before`` into ``after``.
 
-    Both graphs must share a symbol table and have the same state count,
-    unless ``state_map`` declares how ``before`` state ids map onto ``after``
-    ids. Arcs agreeing on (target, ilabel, olabel) are matched by sorted
-    weight; surplus arcs become additions or removals.
+    Both graphs must share a symbol table and have the same state count.
+    Arcs agreeing on (target, ilabel, olabel) are matched by sorted weight;
+    surplus arcs become additions or removals.
     """
     if before.symbols != after.symbols:
         raise InvariantError("graphs do not share a symbol table")
-    if state_map is not None:
-        before = _remap_states(before, state_map, after.num_states())
     if before.num_states() != after.num_states():
         raise InvariantError(
-            f"state counts differ ({before.num_states()} vs {after.num_states()}) "
-            "and no state map was given")
+            f"state counts differ ({before.num_states()} vs {after.num_states()})")
     if before.initial != after.initial:
         raise InvariantError("initial states do not correspond")
 
@@ -445,13 +423,13 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
 
     def emit_state(state: int) -> None:
         sym = fst.symbols.symbol
-        for (t, i, o, w) in fst._arcs[state]:
+        for (t, i, o, w) in fst.arcs(state):
             stream.write(f"{state} {t} {sym(i)} {sym(o)} {WEIGHT_FMT % (sign * w)}\n")
         final = fst.final_weight(state)
         if final is not None:
             stream.write(f"{state} {WEIGHT_FMT % (sign * final)}\n")
 
-    if not fst._arcs[fst.initial] and fst.final_weight(fst.initial) is None:
+    if not fst.arcs(fst.initial) and fst.final_weight(fst.initial) is None:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
     emit_state(fst.initial)
     for state in fst.states():

@@ -15,7 +15,7 @@ for models that lack some suffix entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from gboost.arpa import BOS, EOS, NGramModel
@@ -24,14 +24,7 @@ from gboost.fst import EPSILON_LABEL, Wfst
 
 History = tuple[str, ...]
 
-
-@dataclass
-class HistoryStateMap:
-    """Where each word history lives in the graph."""
-
-    states: dict[History, int]
-    start: int
-    final: int
+_WEIGHT = itemgetter(3)  # weight field of an arc tuple
 
 
 def _context_histories(model: NGramModel) -> list[History]:
@@ -44,12 +37,14 @@ def _context_histories(model: NGramModel) -> list[History]:
     return list(seen)
 
 
-def build_g(model: NGramModel) -> tuple[Wfst, HistoryStateMap]:
+def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
     """Build the grammar graph for a parsed back-off model.
 
-    Returns the graph plus the history-to-state map. The graph's symbol
-    table is a copy of the model's vocabulary, so later mutation (new-word
-    insertion) leaves the model untouched.
+    Returns the graph plus the history-to-state dict. The start state is
+    ``fst.initial`` and the single final state is the one key of
+    ``fst.finals``. The graph's symbol table is a copy of the model's
+    vocabulary, so later mutation (new-word insertion) leaves the model
+    untouched.
     """
     fst = Wfst(model.vocab.copy())
     states: dict[History, int] = {}
@@ -91,18 +86,22 @@ def build_g(model: NGramModel) -> tuple[Wfst, HistoryStateMap]:
 
     start, _ = hop((BOS,))
     fst.set_initial(start)
-    return fst, HistoryStateMap(states=states, start=start, final=final)
+    return fst, states
 
 
-def graph_score(fst: Wfst, state_map: HistoryStateMap, sentence: Sequence[str]) -> float:
-    """Score a sentence by greedy traversal from the start state.
+def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
+    """Score a sentence by greedy traversal from ``fst.initial``.
 
-    At each step the arc with the sentence's next word is taken if one
-    exists (the highest-weighted one when several share the label);
-    otherwise the epsilon arc is followed, its weight added, and the word
-    retried. The sentence is implicitly closed with </s> and the final
-    weight added.
+    Back-off semantics: failure. At each step the arc with the sentence's
+    next word is taken whenever one exists (the highest-weighted one when
+    several share the label); only otherwise is the epsilon arc followed,
+    its weight added, and the word retried. This is the back-off recursion
+    of the ARPA model, unlike :func:`gboost.fst.path_weight`, which lets
+    back-off paths compete with word arcs. The sentence is implicitly closed
+    with </s> and the final weight added.
     """
+    if fst.initial is None:
+        raise InvariantError("graph has no initial state")
     symbols = fst.symbols
     labels = []
     for position, word in enumerate(sentence):
@@ -112,24 +111,24 @@ def graph_score(fst: Wfst, state_map: HistoryStateMap, sentence: Sequence[str]) 
         labels.append(symbols.label(word))
     labels.append(symbols.label(EOS))
 
+    arcs_matching = fst.arcs_matching
+    max_backoffs = fst.num_states() + 1
     total = 0.0
-    state = state_map.start
+    state = fst.initial
     for position, word_label in enumerate(labels):
-        for _ in range(fst.num_states() + 1):
-            matches = fst.arcs_matching(state, word_label)
+        for _ in range(max_backoffs):
+            matches = arcs_matching(state, word_label)
             if matches:
-                best = max(matches, key=lambda arc: arc.weight)
-                total += best.weight
-                state = best.target
+                state, _, _, weight = max(matches, key=_WEIGHT)
+                total += weight
                 break
-            fallbacks = fst.arcs_matching(state, EPSILON_LABEL)
+            fallbacks = arcs_matching(state, EPSILON_LABEL)
             if not fallbacks:
                 word = symbols.symbol(word_label)
                 raise NoPathError(f"word {word!r} at position {position} is unreachable",
                                   word=word, position=position)
-            fallback = max(fallbacks, key=lambda arc: arc.weight)
-            total += fallback.weight
-            state = fallback.target
+            state, _, _, weight = max(fallbacks, key=_WEIGHT)
+            total += weight
         else:
             raise InvariantError("epsilon cycle encountered while backing off")
 

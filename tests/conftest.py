@@ -93,13 +93,13 @@ def telecom_model(telecom_arpa):
 
 @pytest.fixture(scope="session")
 def _telecom_compiled(telecom_model):
-    return build_g(telecom_model)
+    fst, _ = build_g(telecom_model)
+    return fst
 
 
 @pytest.fixture
 def telecom_graph(_telecom_compiled):
-    fst, state_map = _telecom_compiled
-    return fst.copy(), state_map
+    return _telecom_compiled.copy()
 
 
 # -- out-of-language fixture: English-like tokens in the host-word graph ----

@@ -26,12 +26,12 @@ def enumerate_path_weights(fst, labels, max_epsilon_run=20):
             final = fst.final_weight(state)
             if final is not None:
                 totals.append(acc + final)
-        for arc in fst.arcs(state):
-            if arc.ilabel == 0:
+        for target, ilabel, _, weight in fst.arcs(state):
+            if ilabel == 0:
                 if eps_run < max_epsilon_run:
-                    walk(arc.target, pos, eps_run + 1, acc + arc.weight)
-            elif pos < len(labels) and arc.ilabel == labels[pos]:
-                walk(arc.target, pos + 1, 0, acc + arc.weight)
+                    walk(target, pos, eps_run + 1, acc + weight)
+            elif pos < len(labels) and ilabel == labels[pos]:
+                walk(target, pos + 1, 0, acc + weight)
 
     walk(fst.initial, 0, 0, 0.0)
     return totals
@@ -99,6 +99,6 @@ def graphs_equal(a, b):
     if a.finals != b.finals:
         return False
     for state in a.states():
-        if Counter(a.raw_arcs(state)) != Counter(b.raw_arcs(state)):
+        if Counter(a.arcs(state)) != Counter(b.arcs(state)):
             return False
     return True

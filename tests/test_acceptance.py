@@ -18,7 +18,7 @@ from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
 from gboost.errors import NoPathError
 from gboost.evaluate import run_ranking
 from gboost.fst import SymbolTable, Wfst, path_weight
-from gboost.graph import HistoryStateMap, graph_score
+from gboost.graph import graph_score
 
 
 @contextlib.contextmanager
@@ -47,18 +47,18 @@ def timed(fn):
 
 def test_c2_oracle_equivalence(telecom_model, telecom_graph):
     with criterion(2, "graph/oracle score equivalence"):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         start = time.perf_counter()
         for length in range(4):  # exhaustive over all sentences up to length 3
             for sentence in itertools.product(toylm.TELECOM_WORDS, repeat=length):
                 expected = oracle_score(telecom_model, sentence)
-                got = graph_score(fst, state_map, sentence)
+                got = graph_score(fst, sentence)
                 assert abs(got - expected) <= 1e-9, sentence
         rng = random.Random(1001)
         for _ in range(200):
             sentence = rng.choices(toylm.TELECOM_WORDS, k=rng.randint(4, 9))
             expected = oracle_score(telecom_model, sentence)
-            got = graph_score(fst, state_map, sentence)
+            got = graph_score(fst, sentence)
             assert abs(got - expected) <= 1e-9, sentence
         assert time.perf_counter() - start < 5.0
 
@@ -105,16 +105,16 @@ def test_c4_parallel_arc_replay(fst_factory):
 
 def test_c5_isolation_and_safety(telecom_graph, ool_config):
     with criterion(5, "untouched-path score invariance"):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         controls = toylm.toy_corpus(toylm.TELECOM_WORDS, 500, seed=41, max_len=7)
-        before = [graph_score(fst, state_map, s) for s in controls]
+        before = [graph_score(fst, s) for s in controls]
         _, delta = enhance(fst, ool_config)
         target_labels = {fst.symbols.label(t)
                          for g in ool_config.groups for t in g.targets}
         touched = {a.ilabel for a in delta.added_arcs}
         touched |= {a.ilabel for a, _ in delta.reweighted_arcs}
         assert touched <= target_labels  # control paths cannot cross the diff
-        after = [graph_score(fst, state_map, s) for s in controls]
+        after = [graph_score(fst, s) for s in controls]
         assert before == after  # bit-identical, not approximate
 
 
@@ -190,21 +190,20 @@ def test_c6_randomized_enhancer_properties():
             # Raising or adding arcs can only raise the best accepting path;
             # sentences that avoid the target words must not move at all.
             fst = random_backoff_graph(rng, VOCAB)
-            state_map = HistoryStateMap(states={}, start=fst.initial, final=-1)
             config = random_config(rng, VOCAB, fresh_token_stream())
             target_words = {t for g in config.groups for t in g.targets}
             safe_vocab = [w for w in VOCAB if w not in target_words]
             sentences = [rng.choices(VOCAB, k=rng.randint(1, 4)) for _ in range(3)]
             controls = [rng.choices(safe_vocab, k=rng.randint(1, 4)) for _ in range(2)]
             best_before = [path_weight(fst, [*s, "</s>"]) for s in sentences]
-            greedy_before = [try_score(fst, state_map, s) for s in controls]
+            greedy_before = [try_score(fst, s) for s in controls]
             enhance(fst, config)
             for sentence, old in zip(sentences, best_before):
                 new = path_weight(fst, [*sentence, "</s>"])
                 if old is not None:
                     assert new is not None and new >= old - 1e-12
             for sentence, old in zip(controls, greedy_before):
-                assert try_score(fst, state_map, sentence) == old
+                assert try_score(fst, sentence) == old
 
         rng = random.Random(60602)
         for _ in range(cases):  # idempotence
@@ -241,17 +240,17 @@ def test_c6_randomized_enhancer_properties():
         assert time.perf_counter() - start < 30.0
 
 
-def try_score(fst, state_map, sentence):
+def try_score(fst, sentence):
     try:
-        return graph_score(fst, state_map, sentence)
+        return graph_score(fst, sentence)
     except NoPathError:
         return None
 
 
 def test_c7_directional_error_rate_trend(telecom_graph, ool_config, ool_cases):
     with criterion(7, "baseline 100% and non-increasing trend in theta"):
-        base_fst, state_map = telecom_graph
-        baseline = run_ranking(base_fst, state_map, ool_cases)
+        base_fst = telecom_graph
+        baseline = run_ranking(base_fst, ool_cases)
         assert baseline.error_rate == 100.0
 
         rates = []
@@ -259,7 +258,7 @@ def test_c7_directional_error_rate_trend(telecom_graph, ool_config, ool_cases):
             fst = base_fst.copy()
             enhance(fst, dataclasses.replace(ool_config, theta=theta,
                                              max_predictors=3))
-            rates.append(run_ranking(fst, state_map, ool_cases).error_rate)
+            rates.append(run_ranking(fst, ool_cases).error_rate)
         assert all(a >= b for a, b in zip(rates, rates[1:])), rates
 
 

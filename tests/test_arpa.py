@@ -84,6 +84,12 @@ class TestParse:
         text = UNIGRAM_ONLY.replace(f"{LOG10_E_INV}\tb", "0.1\tb")
         with pytest.raises(FormatError, match="above zero"):
             parse(text)
+        for bad in ("nan", "-inf", "inf"):
+            with pytest.raises(FormatError, match="line 7"):
+                parse(UNIGRAM_ONLY.replace(f"{LOG10_E_INV}\tb", f"{bad}\tb"))
+        # The <s> unigram's probability is never used, so -inf is fine there.
+        model = parse(UNIGRAM_ONLY.replace("-99\t<s>", "-inf\t<s>"))
+        assert model.logprob((BOS,)) == -math.inf
 
     def test_bos_never_predicted(self):
         unigrams = {BOS: ("-99", "-0.5"), "a": ("-0.5", "-0.1"), EOS: ("-0.9", None)}

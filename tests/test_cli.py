@@ -66,6 +66,14 @@ class TestBuildG:
         assert code == 2
         assert "format" in capsys.readouterr().err
 
+    def test_non_finite_logprob_is_format_error(self, workdir, capsys):
+        (workdir / "nan.arpa").write_text(
+            "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\nnan\ta\n-1\t</s>\n\n\\end\\\n")
+        code = run("build-g", "--arpa", workdir / "nan.arpa",
+                   "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
+        assert code == 2
+        assert "line 6" in capsys.readouterr().err
+
 
 class TestScore:
     def test_scores_match_oracle(self, workdir, telecom_model, capsys):
@@ -121,11 +129,21 @@ class TestEnhanceCommand:
 
     def test_malformed_pairs_json_is_format_error(self, workdir):
         fst_path, syms_path = build(workdir)
-        (workdir / "broken.json").write_text("{nope")
-        code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
-                   "--pairs", workdir / "broken.json",
-                   "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms")
-        assert code == 2
+        group = PAIRS["groups"][0]
+        bad_groups = [
+            dict(group, frequencies=["liuliang", 54]),
+            dict(group, frequencies={"liuliang": "many", "taocan": 41}),
+            dict(group, predictors=7),
+            dict(group, targets="wifi"),
+            dict(group, new_words=None),
+        ]
+        texts = ["{nope"] + [json.dumps(dict(PAIRS, groups=[g])) for g in bad_groups]
+        for text in texts:
+            (workdir / "broken.json").write_text(text)
+            code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                       "--pairs", workdir / "broken.json",
+                       "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms")
+            assert code == 2, text
 
     def test_file_pipeline_matches_in_memory(self, workdir):
         fst_path, syms_path = build(workdir)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import toylm
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup, collect_arcs,
+from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
                             compute_enhanced_weight, enhance, load_pairs_config)
 from gboost.errors import FormatError, InvariantError
 from gboost.fst import diff as structural_diff
@@ -81,13 +81,17 @@ class TestComputeEnhancedWeight:
 
 
 class TestCollectArcs:
+    """Which predictor arcs donate candidates, and in what order."""
+
     def test_single_donor_arc(self, donor_graph):
-        arcs = collect_arcs(donor_graph, "a")
-        assert len(arcs) == 1
-        assert (arcs[0].source, arcs[0].target, arcs[0].weight) == (0, 1, 0.5)
+        config = one_pair_config("a", "nova", {"a": 95}, new=True)
+        _, delta = enhance(donor_graph, config)
+        assert [(a.source, a.target, a.weight) for a in delta.added_arcs] == [(0, 1, 0.5)]
 
     def test_word_without_arcs_yields_empty_list(self, donor_graph):
-        assert collect_arcs(donor_graph, "c") == []
+        config = one_pair_config("c", "nova", {"c": 5}, new=True)
+        _, delta = enhance(donor_graph, config)
+        assert delta.is_empty()
 
     def test_order_is_state_then_arc_index(self, fst_factory):
         fst = fst_factory(
@@ -95,14 +99,16 @@ class TestCollectArcs:
             [(1, 0, "a", "a", -1.0), (0, 1, "b", "b", -2.0), (0, 0, "a", "a", -3.0)],
             {1: 0.0},
         )
-        arcs = collect_arcs(fst, "a")
-        assert [(a.source, a.weight) for a in arcs] == [(0, -3.0), (1, -1.0)]
+        _, delta = enhance(fst, one_pair_config("a", "nova", {"a": 9}, new=True))
+        assert [(a.source, a.weight) for a in delta.added_arcs] == [(0, -3.0), (1, -1.0)]
 
     def test_fixture_counts_match_arpa_entries(self, telecom_arpa, telecom_graph):
-        fst, _ = telecom_graph
+        fst = telecom_graph
         for word in ("liuliang", "wo", "huafei"):
-            assert len(collect_arcs(fst, word)) == \
-                oracles.count_ngrams_ending_in(telecom_arpa, word)
+            label = fst.symbols.label(word)
+            found = sum(1 for state in fst.states()
+                        for (_, ilabel, _, _) in fst.arcs(state) if ilabel == label)
+            assert found == oracles.count_ngrams_ending_in(telecom_arpa, word)
 
 
 class TestEnhance:
@@ -219,7 +225,7 @@ class TestEnhance:
         assert any("exceed" in rec.message for rec in caplog.records)
 
     def test_non_target_arcs_untouched(self, telecom_graph, ool_config):
-        fst, _ = telecom_graph
+        fst = telecom_graph
         before = fst.copy()
         _, delta = enhance(fst, ool_config)
         target_labels = {fst.symbols.label(t)
@@ -229,20 +235,20 @@ class TestEnhance:
         for old, new in delta.reweighted_arcs:
             assert old.ilabel in target_labels
         for state in before.states():
-            before_rest = [a for a in before.raw_arcs(state) if a[1] not in target_labels]
-            after_rest = [a for a in fst.raw_arcs(state) if a[1] not in target_labels]
+            before_rest = [a for a in before.arcs(state) if a[1] not in target_labels]
+            after_rest = [a for a in fst.arcs(state) if a[1] not in target_labels]
             assert before_rest == after_rest
 
     def test_monotone_scores_on_fixture(self, telecom_graph, ool_config):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         sentences = toylm.toy_corpus(toylm.TELECOM_WORDS, 80, seed=17, max_len=5)
-        before_scores = [graph_score(fst, state_map, s) for s in sentences]
+        before_scores = [graph_score(fst, s) for s in sentences]
         enhance(fst, ool_config)
         for sentence, before in zip(sentences, before_scores):
-            assert graph_score(fst, state_map, sentence) >= before - 1e-12
+            assert graph_score(fst, sentence) >= before - 1e-12
 
     def test_idempotent(self, telecom_graph, ool_config):
-        fst, _ = telecom_graph
+        fst = telecom_graph
         enhance(fst, ool_config)
         snapshot = fst.copy()
         _, second = enhance(fst, ool_config)
@@ -250,7 +256,7 @@ class TestEnhance:
         assert oracles.graphs_equal(snapshot, fst)
 
     def test_returned_diff_matches_structural_diff(self, telecom_graph, ool_config):
-        fst, _ = telecom_graph
+        fst = telecom_graph
         before = fst.copy()
         _, delta = enhance(fst, ool_config)
         before.symbols = fst.symbols.copy()  # new words extend the table
@@ -262,7 +268,7 @@ class TestEnhance:
     def test_theta_offset_appears_verbatim_in_new_arcs(self, telecom_graph, ool_config):
         import dataclasses
 
-        base_fst, _ = telecom_graph
+        base_fst = telecom_graph
         runs = {}
         for theta in (0.0, 2.0):
             fst = base_fst.copy()
@@ -276,7 +282,7 @@ class TestEnhance:
     def test_predictor_prefix_grows_coverage(self, telecom_graph, ool_config):
         import dataclasses
 
-        base_fst, _ = telecom_graph
+        base_fst = telecom_graph
         slots = {}
         for chnum in (1, 2, 3):
             fst = base_fst.copy()
@@ -286,7 +292,7 @@ class TestEnhance:
         assert slots[1] <= slots[2] <= slots[3]
 
     def test_final_weights_never_modified(self, telecom_graph, ool_config):
-        fst, _ = telecom_graph
+        fst = telecom_graph
         finals_before = dict(fst.finals)
         enhance(fst, ool_config)
         assert fst.finals == finals_before

@@ -31,8 +31,8 @@ ngram 1=6
 
 @pytest.fixture
 def ranking_graph():
-    model = parse_arpa(io.StringIO(RANKING_ARPA))
-    return build_g(model)
+    fst, _ = build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
+    return fst
 
 
 def case(reference, focus, *alternatives):
@@ -66,73 +66,73 @@ class TestRankingCase:
 
 class TestRunRanking:
     def test_error_rate_counts_losses(self, ranking_graph):
-        fst, state_map = ranking_graph
+        fst = ranking_graph
         cases = [
             case(["common"], 0, "rare"),       # reference wins
             case(["middling"], 0, "rare"),     # reference wins
             case(["rare"], 0, "common"),       # reference loses
         ]
-        report = run_ranking(fst, state_map, cases)
+        report = run_ranking(fst, cases)
         assert report.num_errors == 1
         assert report.error_rate == pytest.approx(100.0 / 3.0, abs=1e-9)
         assert [r.error for r in report.results] == [False, False, True]
 
     def test_ties_count_as_errors(self, ranking_graph):
-        fst, state_map = ranking_graph
-        report = run_ranking(fst, state_map, [case(["middling"], 0, "tied")])
+        fst = ranking_graph
+        report = run_ranking(fst, [case(["middling"], 0, "tied")])
         assert report.results[0].error
         assert report.results[0].winner == "competitor:0"
 
     def test_unscoreable_reference_is_an_automatic_error(self, ranking_graph):
-        fst, state_map = ranking_graph
-        report = run_ranking(fst, state_map, [case(["ghostword"], 0, "common")])
+        fst = ranking_graph
+        report = run_ranking(fst, [case(["ghostword"], 0, "common")])
         assert report.results[0].reference_score is None
         assert report.results[0].error
 
     def test_unscoreable_competitor_loses(self, ranking_graph):
-        fst, state_map = ranking_graph
-        report = run_ranking(fst, state_map, [case(["common"], 0, "ghostword")])
+        fst = ranking_graph
+        report = run_ranking(fst, [case(["common"], 0, "ghostword")])
         assert report.results[0].competitor_scores == [None]
         assert not report.results[0].error
         assert report.results[0].winner == "reference"
 
     def test_baseline_graph_fails_all_new_word_cases(self, telecom_graph, ool_cases):
-        fst, state_map = telecom_graph
-        report = run_ranking(fst, state_map, ool_cases)
+        fst = telecom_graph
+        report = run_ranking(fst, ool_cases)
         assert report.error_rate == 100.0
         assert all(r.reference_score is None for r in report.results)
 
     def test_reference_scores_rise_with_theta(self, telecom_graph, ool_config,
                                               ool_cases):
-        base_fst, state_map = telecom_graph
+        base_fst = telecom_graph
         previous = None
         for theta in (-4.0, -2.0, 0.0, 2.0, 4.0):
             fst = base_fst.copy()
             enhance(fst, dataclasses.replace(ool_config, theta=theta))
-            report = run_ranking(fst, state_map, ool_cases)
+            report = run_ranking(fst, ool_cases)
             scores = [r.reference_score for r in report.results]
             assert all(s is not None for s in scores)
             if previous is not None:
                 assert all(now > before for now, before in zip(scores, previous))
             previous = scores
 
-    def test_score_table_pairs_reference_with_best_competitor(self, ranking_graph):
-        fst, state_map = ranking_graph
-        report = run_ranking(fst, state_map,
-                             [case(["middling"], 0, "rare", "common")])
-        ((ref, best),) = report.score_table()
-        assert ref == graph_score(fst, state_map, ["middling"])
-        assert best == graph_score(fst, state_map, ["common"])
+    def test_results_pair_reference_with_best_competitor(self, ranking_graph):
+        fst = ranking_graph
+        report = run_ranking(fst, [case(["middling"], 0, "rare", "common")])
+        (result,) = report.results
+        assert result.reference_score == graph_score(fst, ["middling"])
+        assert result.best_competitor == 1
+        assert result.competitor_scores[1] == graph_score(fst, ["common"])
 
 
 class TestControlSetStability:
     def test_untouched_sentences_score_bit_identically(self, telecom_graph,
                                                        ool_config):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         controls = toylm.toy_corpus(toylm.TELECOM_WORDS, 50, seed=23, max_len=6)
-        before = [graph_score(fst, state_map, s) for s in controls]
+        before = [graph_score(fst, s) for s in controls]
         enhance(fst, ool_config)
-        after = [graph_score(fst, state_map, s) for s in controls]
+        after = [graph_score(fst, s) for s in controls]
         assert before == after  # exact float equality, not approx
 
 
@@ -141,34 +141,34 @@ class TestSweep:
     chnums = [1, 2, 3, 4, 5]
 
     def test_grid_has_all_cells(self, telecom_graph, ool_config, ool_cases):
-        fst, state_map = telecom_graph
-        grid = sweep(fst, state_map, ool_config, self.thetas, self.chnums, ool_cases)
+        fst = telecom_graph
+        grid = sweep(fst, ool_config, self.thetas, self.chnums, ool_cases)
         assert len(grid) == 25
         assert all(report is not None for report in grid.values())
 
     def test_single_cell_equals_direct_run(self, telecom_graph, ool_config,
                                            ool_cases):
-        fst, state_map = telecom_graph
-        grid = sweep(fst, state_map, ool_config, [1.0], [2], ool_cases)
+        fst = telecom_graph
+        grid = sweep(fst, ool_config, [1.0], [2], ool_cases)
         direct_fst = fst.copy()
         enhance(direct_fst, dataclasses.replace(ool_config, theta=1.0,
                                                 max_predictors=2))
-        direct = run_ranking(direct_fst, state_map, ool_cases)
+        direct = run_ranking(direct_fst, ool_cases)
         assert grid[(1.0, 2)].to_json() == direct.to_json()
 
     def test_sweep_leaves_baseline_untouched(self, telecom_graph, ool_config,
                                              ool_cases):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         arcs_before = fst.num_arcs()
-        sweep(fst, state_map, ool_config, [2.0], [1], ool_cases)
+        sweep(fst, ool_config, [2.0], [1], ool_cases)
         assert fst.num_arcs() == arcs_before
         assert "wifi" not in fst.symbols
 
     def test_repeat_runs_are_byte_identical(self, telecom_graph, ool_config,
                                             ool_cases):
-        fst, state_map = telecom_graph
-        first = sweep(fst, state_map, ool_config, self.thetas[:3], [1, 3], ool_cases)
-        second = sweep(fst, state_map, ool_config, self.thetas[:3], [1, 3], ool_cases)
+        fst = telecom_graph
+        first = sweep(fst, ool_config, self.thetas[:3], [1, 3], ool_cases)
+        second = sweep(fst, ool_config, self.thetas[:3], [1, 3], ool_cases)
         assert grid_tsv(first, self.thetas[:3], [1, 3]) == \
             grid_tsv(second, self.thetas[:3], [1, 3])
         for key, report in first.items():
@@ -176,25 +176,25 @@ class TestSweep:
 
     def test_error_rate_non_increasing_in_theta(self, telecom_graph, ool_config,
                                                 ool_cases):
-        fst, state_map = telecom_graph
-        grid = sweep(fst, state_map, ool_config, self.thetas, [3], ool_cases)
+        fst = telecom_graph
+        grid = sweep(fst, ool_config, self.thetas, [3], ool_cases)
         rates = [grid[(theta, 3)].error_rate for theta in self.thetas]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_failed_cell_is_marked(self, telecom_graph, ool_config, ool_cases):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         bad = dataclasses.replace(
             ool_config,
             groups=ool_config.groups + [dataclasses.replace(
                 ool_config.groups[0], predictors=["missingword"])])
-        grid = sweep(fst, state_map, bad, [0.0], [1], ool_cases)
+        grid = sweep(fst, bad, [0.0], [1], ool_cases)
         assert grid[(0.0, 1)] is None
         assert "failed" in grid_tsv(grid, [0.0], [1])
 
     def test_empty_axes_rejected(self, telecom_graph, ool_config, ool_cases):
-        fst, state_map = telecom_graph
+        fst = telecom_graph
         with pytest.raises(InvariantError):
-            sweep(fst, state_map, ool_config, [], [1], ool_cases)
+            sweep(fst, ool_config, [], [1], ool_cases)
 
 
 class TestGridTsv:

@@ -71,14 +71,14 @@ class TestWfstBasics:
         fst.add_state()
         fst.add_arc(0, 0, 2, 2, -1.0)
         fst.add_arc(0, 0, 1, 1, -2.0)
-        assert [a.ilabel for a in fst.arcs(0)] == [2, 1]
+        assert [ilabel for (_, ilabel, _, _) in fst.arcs(0)] == [2, 1]
 
     def test_arcs_matching_tracks_mutation(self):
         fst = Wfst(SymbolTable(["a"]))
         fst.add_state()
         assert fst.arcs_matching(0, 1) == []
         fst.add_arc(0, 0, 1, 1, -1.0)
-        assert len(fst.arcs_matching(0, 1)) == 1
+        assert fst.arcs_matching(0, 1) == [(0, 1, 1, -1.0)]
 
     def test_copy_is_independent(self):
         fst = Wfst(SymbolTable(["a"]))
@@ -172,10 +172,10 @@ def accepted_input(fst, rng, max_steps=40):
             arcs = fst.arcs(state)
             if not arcs:
                 break
-            arc = rng.choice(arcs)
-            if arc.ilabel != 0:
-                labels.append(arc.ilabel)
-            state = arc.target
+            target, ilabel, _, _ = rng.choice(arcs)
+            if ilabel != 0:
+                labels.append(ilabel)
+            state = target
 
 
 def perturb(fst, rng):
@@ -188,7 +188,7 @@ def perturb(fst, rng):
                         rng.randint(1, 3), rng.randint(1, 3), round(rng.uniform(-4, 4), 6))
         elif choice < 0.6:
             state = rng.randrange(out.num_states())
-            arcs = out.raw_arcs(state)
+            arcs = out.arcs(state)
             if arcs:
                 arcs.pop(rng.randrange(len(arcs)))
                 out._ilabel_index[state] = None
@@ -235,13 +235,11 @@ class TestDiff:
         with pytest.raises(InvariantError, match="symbol table"):
             diff(two_path_acceptor, other)
 
-    def test_state_count_mismatch_needs_map(self, two_path_acceptor):
+    def test_state_count_mismatch_rejected(self, two_path_acceptor):
         other = two_path_acceptor.copy()
         other.add_state()
         with pytest.raises(InvariantError, match="state count"):
             diff(two_path_acceptor, other)
-        delta = diff(two_path_acceptor, other, state_map={0: 0, 1: 1, 2: 2})
-        assert delta.is_empty()
 
     def test_replay_reproduces_target(self, random_graph_factory):
         rng = random.Random(4242)
