@@ -72,6 +72,17 @@ def _negate(args) -> bool:
     return convention == "cost"
 
 
+def _number_list(text: str | None, flag: str, kind) -> list | None:
+    """Values of a comma-separated list flag, or None if it was not given."""
+    if not text:
+        return None
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma-separated list of {kind.__name__} "
+                         f"values, got {text!r}") from None
+
+
 def _load_graph(fst_path, syms_path, negate):
     with open(syms_path) as handle:
         symbols = SymbolTable.read(handle)
@@ -170,6 +181,8 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     negate = _negate(args)
     _require_files(args.fst, args.syms, args.cases, args.pairs)
+    theta_list = _number_list(args.theta_list, "--theta-list", float)
+    chnum_list = _number_list(args.chnum_list, "--chnum-list", int)
     g = _load_graph(args.fst, args.syms, negate)
     cases = load_cases(Path(args.cases).read_text())
     out_dir = Path(args.out)
@@ -183,10 +196,8 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
 
     config = load_pairs_config(Path(args.pairs).read_text())
-    theta_list = [float(x) for x in args.theta_list.split(",")] \
-        if args.theta_list else [config.theta]
-    chnum_list = [int(x) for x in args.chnum_list.split(",")] \
-        if args.chnum_list else [config.max_predictors]
+    theta_list = theta_list or [config.theta]
+    chnum_list = chnum_list or [config.max_predictors]
     grid = sweep(g, config, theta_list, chnum_list, cases)
     _atomic_write(out_dir / "grid.tsv", grid_tsv(grid, theta_list, chnum_list))
     for (theta, chnum), report in grid.items():

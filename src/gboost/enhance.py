@@ -13,6 +13,9 @@ term is dropped and the candidate is w_predictor + theta. Candidates land
 as parallel arcs when the target has no arc in that slot, and otherwise
 raise the existing arc's weight to the maximum of old and new. Epsilon
 (back-off) arcs carry no word and never participate.
+
+The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
+unmodified graph, then written by :func:`~gboost.fst.apply_diff`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import Arc, FstDiff, SymbolTable, Wfst
+from gboost.fst import Arc, FstDiff, SymbolTable, Wfst, apply_diff
 
 log = logging.getLogger(__name__)
 
@@ -90,22 +93,36 @@ class EnhanceConfig:
                 + ", ".join(sorted(both)))
 
 
+def _word_list(value, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else FormatError naming ``what``."""
+    if not isinstance(value, list) or not all(type(w) is str for w in value):
+        raise FormatError(f"{what} must be a list of strings")
+    return value
+
+
 def load_pairs_config(text: str) -> EnhanceConfig:
     """Parse the similar-pairs JSON config."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"pairs config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("pairs config must be a JSON object")
     try:
-        theta = float(data["theta"])
-        max_predictors = int(data["max_predictors"])
+        theta, max_predictors = data["theta"], data["max_predictors"]
         raw_groups = data["groups"]
     except KeyError as exc:
         raise FormatError(f"pairs config is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"pairs config has a bad value: {exc}") from None
+    # Exact type checks: JSON true and false load as bool, a subclass of int.
+    if type(theta) not in (int, float):
+        raise FormatError(f"pairs config 'theta' must be a number, got {theta!r}")
+    try:
+        theta = float(theta)
+    except OverflowError:
+        raise FormatError(f"pairs config 'theta' is out of range: {theta}") from None
+    if type(max_predictors) is not int:
+        raise FormatError("pairs config 'max_predictors' must be an integer, "
+                          f"got {max_predictors!r}")
     if not isinstance(raw_groups, list):
         raise FormatError("pairs config 'groups' must be a list")
     groups = []
@@ -120,18 +137,16 @@ def load_pairs_config(text: str) -> EnhanceConfig:
         frequencies = raw.get("frequencies", {})
         for key, value in (("predictors", predictors), ("targets", targets),
                            ("new_words", new_words)):
-            if not isinstance(value, list):
-                raise FormatError(f"group {i} '{key}' must be a list")
+            _word_list(value, f"group {i} '{key}'")
         if not isinstance(frequencies, dict):
             raise FormatError(f"group {i} 'frequencies' must be a JSON object")
         for word, count in frequencies.items():
-            if not isinstance(count, int) or isinstance(count, bool):
+            if type(count) is not int:
                 raise FormatError(f"group {i} count of {word!r} must be an integer, "
                                   f"got {count!r}")
-        groups.append(SimilarPairGroup(predictors=[str(w) for w in predictors],
-                                       targets=[str(w) for w in targets],
+        groups.append(SimilarPairGroup(predictors=predictors, targets=targets,
                                        frequencies=frequencies,
-                                       new_words=frozenset(str(w) for w in new_words)))
+                                       new_words=frozenset(new_words)))
     return EnhanceConfig(theta=theta, max_predictors=max_predictors, groups=groups)
 
 
@@ -154,18 +169,18 @@ def compute_enhanced_weight(w_y: float, f_x: int | None, f_y: int, theta: float)
 
 def _scan(fst: Wfst, predictor_labels: set[int], target_labels: set[int]):
     # One pass over the whole graph: (source, target state, weight) of each
-    # predictor arc, plus the positions of existing target-word arcs, keyed
-    # by (source, target state, label).
+    # predictor arc, plus the weight of each existing target-word arc keyed
+    # by (source, target state, label); the last of parallel arcs wins.
     predictor_arcs: dict[int, list[tuple[int, int, float]]] = {
         label: [] for label in predictor_labels}
-    slots: dict[tuple[int, int, int], int] = {}
+    existing: dict[tuple[int, int, int], float] = {}
     for state in fst.states():
-        for pos, (target, ilabel, olabel, weight) in enumerate(fst.arcs(state)):
+        for target, ilabel, olabel, weight in fst.arcs(state):
             if ilabel in predictor_labels:
                 predictor_arcs[ilabel].append((state, target, weight))
             if ilabel in target_labels and ilabel == olabel:
-                slots[(state, target, ilabel)] = pos
-    return predictor_arcs, slots
+                existing[(state, target, ilabel)] = weight
+    return predictor_arcs, existing
 
 
 def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
@@ -174,9 +189,9 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     Per group, each target gains candidate arcs from the first
     ``max_predictors`` predictors, one candidate per predictor arc in the
     pre-enhancement graph. A slot (source state, destination state, word)
-    is created if absent, and raised to the candidate weight if the
-    candidate is higher; it is never lowered, so repeating a run changes
-    nothing. Only target-word arcs are touched.
+    is created if absent, and raised to its best candidate's weight if that
+    is higher; it is never lowered, so repeating a run changes nothing.
+    Only target-word arcs are touched, and only once the whole diff exists.
     """
     symbols = fst.symbols
     config.validate(symbols)
@@ -187,17 +202,17 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     existing_target_labels = {symbols.label(t)
                               for g in config.groups
                               for t in g.targets if t in symbols}
-    predictor_arcs, slots = _scan(fst, predictor_labels, existing_target_labels)
+    predictor_arcs, existing = _scan(fst, predictor_labels, existing_target_labels)
 
+    # Planning needs the labels of new words.
     for group in config.groups:
         for target in group.targets:
             if group.is_new(target) and target not in symbols:
                 symbols.add(target)
 
-    original_weight: dict[tuple[int, int, int], float] = {}
-    added: dict[tuple[int, int, int], None] = {}
+    # Best candidate per slot, in order of first candidate.
+    best: dict[tuple[int, int, int], float] = {}
     overshoot = 0
-
     for group in config.groups:
         for target in group.targets:
             x_label = symbols.label(target)
@@ -209,31 +224,19 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
                     if candidate > w_y:
                         overshoot += 1
                     key = (source, dest, x_label)
-                    pos = slots.get(key)
-                    if pos is None:
-                        pos = fst.add_arc(source, dest, x_label, x_label, candidate)
-                        slots[key] = pos
-                        added[key] = None
-                    else:
-                        current = fst.arcs(source)[pos][3]
-                        if key not in original_weight and key not in added:
-                            original_weight[key] = current
-                        if candidate > current:
-                            fst.set_arc_weight(source, pos, candidate)
+                    if candidate > best.setdefault(key, candidate):
+                        best[key] = candidate
 
     if overshoot:
         log.warning("%d candidate arcs exceed their predictor's weight "
                     "(log term plus theta is positive)", overshoot)
 
     delta = FstDiff()
-    for key in added:
-        source, target, label = key
-        weight = fst.arcs(source)[slots[key]][3]
-        delta.added_arcs.append(Arc(source, target, label, label, weight))
-    for key, before in original_weight.items():
-        source, target, label = key
-        weight = fst.arcs(source)[slots[key]][3]
-        if weight != before:
-            delta.reweighted_arcs.append((Arc(source, target, label, label, before),
-                                          Arc(source, target, label, label, weight)))
-    return fst, delta
+    for (source, dest, label), weight in best.items():
+        before = existing.get((source, dest, label))
+        if before is None:
+            delta.added_arcs.append(Arc(source, dest, label, label, weight))
+        elif weight > before:
+            delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
+                                          Arc(source, dest, label, label, weight)))
+    return apply_diff(fst, delta), delta

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from gboost.enhance import EnhanceConfig, enhance
+from gboost.enhance import EnhanceConfig, _word_list, enhance
 from gboost.errors import FormatError, GboostError, InvariantError, NoPathError
 from gboost.fst import Wfst
 from gboost.graph import graph_score
@@ -101,7 +101,7 @@ def load_cases(text: str) -> list[RankingCase]:
     """Parse the cases JSON file (a list of reference/focus/competitors objects)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"cases file is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise FormatError("cases file must be a JSON list")
@@ -110,15 +110,20 @@ def load_cases(text: str) -> list[RankingCase]:
         if not isinstance(raw, dict):
             raise FormatError(f"case {i} must be a JSON object")
         try:
-            case = RankingCase(
-                reference=[str(w) for w in raw["reference"]],
-                focus=[int(x) for x in raw["focus"]],
-                competitors=[[str(w) for w in comp] for comp in raw["competitors"]],
-            )
+            reference, focus = raw["reference"], raw["focus"]
+            competitors = raw["competitors"]
         except KeyError as exc:
             raise FormatError(f"case {i} is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"case {i} has a bad value: {exc}") from None
+        if not isinstance(focus, list) or not all(type(x) is int for x in focus):
+            raise FormatError(f"case {i} 'focus' must be a list of integers, got {focus!r}")
+        if not isinstance(competitors, list):
+            raise FormatError(f"case {i} 'competitors' must be a list")
+        case = RankingCase(
+            reference=_word_list(reference, f"case {i} 'reference'"),
+            focus=focus,
+            competitors=[_word_list(comp, f"case {i} competitor {c}")
+                         for c, comp in enumerate(competitors)],
+        )
         try:
             case.validate()
         except InvariantError as exc:

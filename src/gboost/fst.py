@@ -192,18 +192,16 @@ class Wfst:
     # -- arcs -----------------------------------------------------------
 
     def add_arc(self, source: int, target: int, ilabel: int, olabel: int,
-                weight: float) -> int:
-        """Append an arc, returning its index in the source state's list."""
+                weight: float) -> None:
+        """Append an arc to the source state's list."""
         self._check_state(source)
         self._check_state(target)
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
         if not math.isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
-        arcs = self._arcs[source]
-        arcs.append((target, ilabel, olabel, weight))
+        self._arcs[source].append((target, ilabel, olabel, weight))
         self._ilabel_index[source] = None
-        return len(arcs) - 1
 
     def num_arcs(self, state: int | None = None) -> int:
         if state is not None:
@@ -218,12 +216,6 @@ class Wfst:
         from :meth:`states` or from an arc target.
         """
         return self._arcs[state]
-
-    def set_arc_weight(self, state: int, arc_index: int, weight: float) -> None:
-        if not math.isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
-        t, i, o, _ = self._arcs[state][arc_index]
-        self._arcs[state][arc_index] = (t, i, o, weight)
 
     def _state_index(self, state: int) -> dict[int, list[int]]:
         # ilabel -> arc indices, built per state on first use.
@@ -377,25 +369,34 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
 
 
 def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
-    """Replay a diff onto ``fst`` in place (removals, reweights, additions)."""
+    """Replay a diff onto ``fst`` in place (removals, reweights, additions).
+
+    :func:`gboost.enhance.enhance` writes through here too. Source states
+    must exist, a reweight may change only the weight, and new weights must
+    be finite, else InvariantError. A reweight edits the last arc equal to
+    its old arc: the one whose weight enhancement reads for a slot.
+    """
+    # An Arc without its source is the tuple a state's arc list stores.
     for arc in delta.removed_arcs:
-        arcs = fst._arcs[arc.source]
+        fst._check_state(arc.source)
         try:
-            arcs.remove((arc.target, arc.ilabel, arc.olabel, arc.weight))
+            fst._arcs[arc.source].remove(arc[1:])
         except ValueError:
             raise InvariantError(f"cannot remove missing arc {arc}") from None
         fst._ilabel_index[arc.source] = None
     for old, new in delta.reweighted_arcs:
+        fst._check_state(old.source)
+        if old[:4] != new[:4]:
+            raise InvariantError(f"a reweight may change only the weight: {old} -> {new}")
+        if not math.isfinite(new.weight):
+            raise InvariantError(f"arc weight must be finite, got {new.weight}")
         arcs = fst._arcs[old.source]
-        key = (old.target, old.ilabel, old.olabel, old.weight)
         try:
-            pos = arcs.index(key)
+            pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
-        arcs[pos] = (new.target, new.ilabel, new.olabel, new.weight)
+        arcs[pos] = new[1:]
     for arc in delta.added_arcs:
-        while arc.source >= fst.num_states() or arc.target >= fst.num_states():
-            fst.add_state()
         fst.add_arc(arc.source, arc.target, arc.ilabel, arc.olabel, arc.weight)
     for state, _, after_weight in delta.final_changes:
         if after_weight is None:

@@ -136,8 +136,16 @@ class TestEnhanceCommand:
             dict(group, predictors=7),
             dict(group, targets="wifi"),
             dict(group, new_words=None),
+            dict(group, predictors=["liuliang", 5]),
+            dict(group, targets=[None]),
+            dict(group, new_words=["wifi", 7]),
         ]
+        bad_tops = [dict(PAIRS, max_predictors=2.7), dict(PAIRS, max_predictors="3"),
+                    dict(PAIRS, max_predictors=True), dict(PAIRS, theta="0.5"),
+                    dict(PAIRS, theta=False)]
         texts = ["{nope"] + [json.dumps(dict(PAIRS, groups=[g])) for g in bad_groups]
+        texts += [json.dumps(top) for top in bad_tops]
+        texts.append('{"theta": ' + "1" * 5000 + ', "max_predictors": 2, "groups": []}')
         for text in texts:
             (workdir / "broken.json").write_text(text)
             code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
@@ -188,6 +196,17 @@ class TestEvalCommand:
         assert len(cells) == 6
         cell = json.loads((workdir / "sweepout" / "cell_theta2_chnum2.json").read_text())
         assert cell["num_cases"] == 2
+
+    def test_malformed_sweep_list_is_usage_error(self, workdir, capsys):
+        fst_path, syms_path = build(workdir)
+        for flag, value in [("--theta-list", "abc"), ("--theta-list", "1,,3"),
+                            ("--chnum-list", "1.5"), ("--chnum-list", "1,,3"),
+                            ("--chnum-list", "abc")]:
+            code = run("eval", "--fst", fst_path, "--syms", syms_path,
+                       "--cases", workdir / "cases.json", "--pairs", workdir / "pairs.json",
+                       f"{flag}={value}", "--out", workdir / "sweepout")
+            assert code == 1, (flag, value)
+            assert flag in capsys.readouterr().err
 
 
 class TestDiffFst:

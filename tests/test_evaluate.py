@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 
 import pytest
 
@@ -224,14 +225,26 @@ class TestCasesFile:
         assert len(cases[0].competitors) == 2
 
     def test_rejects_bad_json(self):
-        with pytest.raises(FormatError, match="JSON"):
-            load_cases("[")
+        for text in ["[", "[" + "1" * 5000 + "]"]:
+            with pytest.raises(FormatError, match="JSON"):
+                load_cases(text)
 
     def test_rejects_missing_keys(self):
         with pytest.raises(FormatError, match="focus"):
             load_cases('[{"reference": ["a"], "competitors": []}]')
 
     def test_validation_failures_surface_as_format_errors(self):
-        text = '[{"reference": ["a", "b"], "focus": [0], "competitors": [["a"]]}]'
-        with pytest.raises(FormatError, match="case 0"):
-            load_cases(text)
+        bad = [
+            {"reference": ["a", "b"], "focus": [0], "competitors": [["a"]]},
+            {"reference": "ab", "focus": [1], "competitors": [["a", "X"]]},
+            {"reference": ["a", "b"], "focus": [1], "competitors": ["aX"]},
+            {"reference": ["a"], "focus": [0], "competitors": "X"},
+            {"reference": ["a", 5], "focus": [1], "competitors": [["a", "X"]]},
+            {"reference": ["a", "b"], "focus": [1], "competitors": [["a", None]]},
+            {"reference": ["a", "b"], "focus": [1.9], "competitors": [["a", "X"]]},
+            {"reference": ["a", "b"], "focus": [True], "competitors": [["a", "X"]]},
+            {"reference": ["a", "b"], "focus": "1", "competitors": [["a", "X"]]},
+        ]
+        for case in bad:
+            with pytest.raises(FormatError, match="case 0"):
+                load_cases(json.dumps([case]))

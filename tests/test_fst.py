@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import (EPSILON, SymbolTable, Wfst, apply_diff, diff,
-                        path_weight, read_text, write_text)
+from gboost.fst import (EPSILON, Arc, FstDiff, SymbolTable, Wfst, apply_diff,
+                        diff, path_weight, read_text, write_text)
 
 
 class TestSymbolTable:
@@ -194,9 +194,10 @@ def perturb(fst, rng):
                 out._ilabel_index[state] = None
         elif choice < 0.85:
             state = rng.randrange(out.num_states())
-            if out.num_arcs(state):
-                out.set_arc_weight(state, rng.randrange(out.num_arcs(state)),
-                                   round(rng.uniform(-4, 4), 6))
+            arcs = out.arcs(state)
+            if arcs:
+                pos = rng.randrange(len(arcs))
+                arcs[pos] = arcs[pos][:3] + (round(rng.uniform(-4, 4), 6),)
         else:
             out.set_final(rng.randrange(out.num_states()), round(rng.uniform(-1, 1), 6))
     return out
@@ -209,7 +210,8 @@ class TestDiff:
 
     def test_single_weight_perturbation(self, two_path_acceptor):
         other = two_path_acceptor.copy()
-        other.set_arc_weight(0, 0, 0.5 + 1e-6)
+        arcs = other.arcs(0)
+        arcs[0] = arcs[0][:3] + (0.5 + 1e-6,)
         delta = diff(two_path_acceptor, other)
         assert delta.added_arcs == [] and delta.removed_arcs == []
         assert len(delta.reweighted_arcs) == 1
@@ -240,6 +242,21 @@ class TestDiff:
         other.add_state()
         with pytest.raises(InvariantError, match="state count"):
             diff(two_path_acceptor, other)
+
+    def test_apply_diff_rejects_malformed_entries(self, two_path_acceptor):
+        fst = two_path_acceptor
+        a, x, c = (fst.symbols.label(s) for s in "axc")
+        fst.add_arc(2, 0, c, c, 1.0)  # source -1 would name the last state
+        deltas = [
+            FstDiff(removed_arcs=[Arc(7, 1, a, x, 0.5)]),
+            FstDiff(removed_arcs=[Arc(-1, 0, c, c, 1.0)]),
+            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1, a, x, math.nan))]),
+            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 2, a, x, 0.5))]),
+            FstDiff(added_arcs=[Arc(7, 1, a, x, 0.5)]),
+        ]
+        for delta in deltas:
+            with pytest.raises(InvariantError):
+                apply_diff(fst.copy(), delta)
 
     def test_replay_reproduces_target(self, random_graph_factory):
         rng = random.Random(4242)
