@@ -183,6 +183,10 @@ def _cmd_eval(args) -> int:
     _require_files(args.fst, args.syms, args.cases, args.pairs)
     theta_list = _number_list(args.theta_list, "--theta-list", float)
     chnum_list = _number_list(args.chnum_list, "--chnum-list", int)
+    if theta_list and not all(map(math.isfinite, theta_list)):
+        raise UsageError(f"--theta-list values must be finite, got {args.theta_list!r}")
+    if chnum_list and min(chnum_list) < 1:
+        raise UsageError(f"--chnum-list values must be at least 1, got {args.chnum_list!r}")
     g = _load_graph(args.fst, args.syms, negate)
     cases = load_cases(Path(args.cases).read_text())
     out_dir = Path(args.out)

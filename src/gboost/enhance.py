@@ -120,6 +120,8 @@ def load_pairs_config(text: str) -> EnhanceConfig:
         theta = float(theta)
     except OverflowError:
         raise FormatError(f"pairs config 'theta' is out of range: {theta}") from None
+    if not math.isfinite(theta):  # JSON NaN, Infinity and -Infinity load as floats
+        raise FormatError(f"pairs config 'theta' must be finite, got {theta}")
     if type(max_predictors) is not int:
         raise FormatError("pairs config 'max_predictors' must be an integer, "
                           f"got {max_predictors!r}")

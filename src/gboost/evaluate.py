@@ -167,14 +167,15 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
     """Grid of ranking reports over enhancement scale and predictor count.
 
     Every cell re-enhances a private copy of the pristine baseline graph,
-    so cells are independent of each other and of evaluation order. A cell
-    whose enhancement fails is recorded as None.
+    so cells are independent of each other and of evaluation order. A value
+    repeated in either list is swept once. A cell whose enhancement fails
+    is recorded as None.
     """
     if not theta_list or not chnum_list:
         raise InvariantError("theta and predictor-count lists must be non-empty")
     grid: dict[tuple[float, int], EvalReport | None] = {}
-    for theta in theta_list:
-        for chnum in chnum_list:
+    for theta in dict.fromkeys(theta_list):
+        for chnum in dict.fromkeys(chnum_list):
             cell_fst = fst.copy()
             cell_config = replace(config, theta=theta, max_predictors=chnum)
             try:
@@ -187,10 +188,14 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
 
 def grid_tsv(grid: dict[tuple[float, int], EvalReport | None],
              theta_list: Sequence[float], chnum_list: Sequence[int]) -> str:
-    """Render the sweep as a TSV table, rows theta, columns predictor count."""
+    """Render the sweep as a TSV table, rows theta, columns predictor count.
+
+    Each distinct value gets one row or column, in first-seen order.
+    """
+    chnum_list = list(dict.fromkeys(chnum_list))
     lines = ["# " + PROXY_NOTE]
     lines.append("theta\\chnum\t" + "\t".join(str(k) for k in chnum_list))
-    for theta in theta_list:
+    for theta in dict.fromkeys(theta_list):
         row = [f"{theta:g}"]
         for chnum in chnum_list:
             report = grid.get((theta, chnum))

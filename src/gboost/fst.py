@@ -146,8 +146,16 @@ class FstDiff:
 class Wfst:
     """A weighted FST: dense integer states, per-state outgoing arc lists.
 
-    Arc lists preserve insertion order. The graph is single-writer; once
-    construction or enhancement is done it can be read from many threads.
+    Arc lists preserve insertion order. Each state also has a best-arc
+    table, ``{ilabel: arc}``, built on first use by :meth:`best_arcs`: for
+    each input label it holds the highest-weight arc tuple, the first in
+    arc order among equal weights. Every edit of a state's arcs resets its
+    table (``add_arc``, and removals and reweights in :func:`apply_diff`),
+    and :meth:`copy` starts with none built. Code that edits the list from
+    :meth:`arcs` directly must call :meth:`_reset_best` itself.
+
+    The graph is single-writer; once construction or enhancement is done
+    it can be read from many threads.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
@@ -155,7 +163,8 @@ class Wfst:
         # Per-state arcs as (target, ilabel, olabel, weight) tuples. Kept
         # compact on purpose: graphs run to millions of arcs.
         self._arcs: list[list[tuple[int, int, int, float]]] = []
-        self._ilabel_index: list[dict[int, list[int]] | None] = []
+        # Per-state best-arc tables; None until best_arcs builds one.
+        self._best: list[dict[int, tuple[int, int, int, float]] | None] = []
         self.initial: int | None = None
         self.finals: dict[int, float] = {}
 
@@ -163,7 +172,7 @@ class Wfst:
 
     def add_state(self) -> int:
         self._arcs.append([])
-        self._ilabel_index.append(None)
+        self._best.append(None)
         return len(self._arcs) - 1
 
     def num_states(self) -> int:
@@ -201,7 +210,7 @@ class Wfst:
         if not math.isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
         self._arcs[source].append((target, ilabel, olabel, weight))
-        self._ilabel_index[source] = None
+        self._best[source] = None
 
     def num_arcs(self, state: int | None = None) -> int:
         if state is not None:
@@ -217,27 +226,37 @@ class Wfst:
         """
         return self._arcs[state]
 
-    def _state_index(self, state: int) -> dict[int, list[int]]:
-        # ilabel -> arc indices, built per state on first use.
-        index = self._ilabel_index[state]
-        if index is None:
-            index = {}
-            for pos, (_, ilabel, _, _) in enumerate(self._arcs[state]):
-                index.setdefault(ilabel, []).append(pos)
-            self._ilabel_index[state] = index
-        return index
+    def best_arcs(self, state: int) -> dict[int, tuple[int, int, int, float]]:
+        """The best-arc table of ``state``: input label -> arc tuple.
+
+        Each label maps to its highest-weight arc, the first in arc order
+        among equal weights. Built on first use and kept until the state's
+        arcs change. Read-only, and unchecked like :meth:`arcs`.
+        """
+        table = self._best[state]
+        if table is None:
+            table = {}
+            for arc in self._arcs[state]:
+                held = table.get(arc[1])
+                if held is None or arc[3] > held[3]:
+                    table[arc[1]] = arc
+            self._best[state] = table
+        return table
+
+    def _reset_best(self, state: int) -> None:
+        # Drop the state's best-arc table after an edit of its arcs.
+        self._best[state] = None
 
     def arcs_matching(self, state: int, ilabel: int) -> list[tuple[int, int, int, float]]:
         """Arcs of ``state`` (as in :meth:`arcs`) whose input label is ``ilabel``."""
         self._check_state(state)
-        arcs = self._arcs[state]
-        return [arcs[pos] for pos in self._state_index(state).get(ilabel, ())]
+        return [arc for arc in self._arcs[state] if arc[1] == ilabel]
 
     def copy(self) -> "Wfst":
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
         new._arcs = [list(a) for a in self._arcs]
-        new._ilabel_index = [None] * len(self._arcs)
+        new._best = [None] * len(self._arcs)
         new.initial = self.initial
         new.finals = dict(self.finals)
         return new
@@ -383,7 +402,7 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
             fst._arcs[arc.source].remove(arc[1:])
         except ValueError:
             raise InvariantError(f"cannot remove missing arc {arc}") from None
-        fst._ilabel_index[arc.source] = None
+        fst._reset_best(arc.source)
     for old, new in delta.reweighted_arcs:
         fst._check_state(old.source)
         if old[:4] != new[:4]:
@@ -396,6 +415,7 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
+        fst._reset_best(old.source)
     for arc in delta.added_arcs:
         fst.add_arc(arc.source, arc.target, arc.ilabel, arc.olabel, arc.weight)
     for state, _, after_weight in delta.final_changes:

@@ -15,7 +15,6 @@ for models that lack some suffix entries.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 from gboost.arpa import BOS, EOS, NGramModel
@@ -23,8 +22,6 @@ from gboost.errors import InvariantError, NoPathError
 from gboost.fst import EPSILON_LABEL, Wfst
 
 History = tuple[str, ...]
-
-_WEIGHT = itemgetter(3)  # weight field of an arc tuple
 
 
 def _context_histories(model: NGramModel) -> list[History]:
@@ -93,12 +90,19 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     """Score a sentence by greedy traversal from ``fst.initial``.
 
     Back-off semantics: failure. At each step the arc with the sentence's
-    next word is taken whenever one exists (the highest-weighted one when
-    several share the label); only otherwise is the epsilon arc followed,
-    its weight added, and the word retried. This is the back-off recursion
-    of the ARPA model, unlike :func:`gboost.fst.path_weight`, which lets
-    back-off paths compete with word arcs. The sentence is implicitly closed
-    with </s> and the final weight added.
+    next word is taken whenever one exists; only otherwise is the epsilon
+    arc followed, its weight added, and the word retried. This is the
+    back-off recursion of the ARPA model, unlike
+    :func:`gboost.fst.path_weight`, which lets back-off paths compete with
+    word arcs. The sentence is implicitly closed with </s> and the final
+    weight added.
+
+    Each step is one lookup in the state's best-arc table
+    (:meth:`gboost.fst.Wfst.best_arcs`), plus one for ``<eps>`` on a miss.
+    Where several arcs share a label the table holds the highest-weighted
+    one, the first in arc order among equal weights. Tables are built on a
+    state's first visit and reset whenever its arcs change, so scores
+    always follow the current arcs.
     """
     if fst.initial is None:
         raise InvariantError("graph has no initial state")
@@ -111,23 +115,24 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
         labels.append(symbols.label(word))
     labels.append(symbols.label(EOS))
 
-    arcs_matching = fst.arcs_matching
+    best_arcs = fst.best_arcs
     max_backoffs = fst.num_states() + 1
     total = 0.0
     state = fst.initial
     for position, word_label in enumerate(labels):
         for _ in range(max_backoffs):
-            matches = arcs_matching(state, word_label)
-            if matches:
-                state, _, _, weight = max(matches, key=_WEIGHT)
+            table = best_arcs(state)
+            arc = table.get(word_label)
+            if arc is not None:
+                state, _, _, weight = arc
                 total += weight
                 break
-            fallbacks = arcs_matching(state, EPSILON_LABEL)
-            if not fallbacks:
+            arc = table.get(EPSILON_LABEL)
+            if arc is None:
                 word = symbols.symbol(word_label)
                 raise NoPathError(f"word {word!r} at position {position} is unreachable",
                                   word=word, position=position)
-            state, _, _, weight = max(fallbacks, key=_WEIGHT)
+            state, _, _, weight = arc
             total += weight
         else:
             raise InvariantError("epsilon cycle encountered while backing off")

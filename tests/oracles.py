@@ -42,6 +42,41 @@ def best_path_weight(fst, labels, max_epsilon_run=20):
     return max(totals) if totals else None
 
 
+def greedy_score(fst, sentence, max_backoffs=20):
+    """Failure-semantics sentence score by scanning whole arc lists.
+
+    At each state the first of the highest-weighted arcs carrying the next
+    word is taken; without one, the same pick among epsilon arcs is
+    followed and the word retried. The sentence is closed with </s>.
+    Returns None where no arc and no back-off reads a word, or where the
+    sentence ends in a non-final state.
+    """
+
+    def first_best(state, label):
+        found = None
+        for arc in fst.arcs(state):
+            if arc[1] == label and (found is None or arc[3] > found[3]):
+                found = arc
+        return found
+
+    labels = [fst.symbols.label(word) for word in [*sentence, EOS]]
+    state, total = fst.initial, 0.0
+    for label in labels:
+        for _ in range(max_backoffs):
+            arc = first_best(state, label)
+            if arc is not None:
+                break
+            arc = first_best(state, 0)
+            if arc is None:
+                return None
+            state, total = arc[0], total + arc[3]
+        else:
+            return None
+        state, total = arc[0], total + arc[3]
+    final = fst.final_weight(state)
+    return None if final is None else total + final
+
+
 def read_arpa_tables(arpa_text):
     """Minimal ARPA reader: {order: {ngram tuple: (log10 prob, log10 bow)}}."""
     tables = {}

@@ -1,10 +1,12 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+import gboost.evaluate
 from gboost.arpa import oracle_score
 from gboost.cli import main
 from gboost.enhance import enhance, load_pairs_config
@@ -143,6 +145,8 @@ class TestEnhanceCommand:
         bad_tops = [dict(PAIRS, max_predictors=2.7), dict(PAIRS, max_predictors="3"),
                     dict(PAIRS, max_predictors=True), dict(PAIRS, theta="0.5"),
                     dict(PAIRS, theta=False)]
+        # json.dumps writes these as the literals NaN, Infinity and -Infinity.
+        bad_tops += [dict(PAIRS, theta=v) for v in (math.nan, math.inf, -math.inf)]
         texts = ["{nope"] + [json.dumps(dict(PAIRS, groups=[g])) for g in bad_groups]
         texts += [json.dumps(top) for top in bad_tops]
         texts.append('{"theta": ' + "1" * 5000 + ', "max_predictors": 2, "groups": []}')
@@ -201,12 +205,34 @@ class TestEvalCommand:
         fst_path, syms_path = build(workdir)
         for flag, value in [("--theta-list", "abc"), ("--theta-list", "1,,3"),
                             ("--chnum-list", "1.5"), ("--chnum-list", "1,,3"),
-                            ("--chnum-list", "abc")]:
+                            ("--chnum-list", "abc"), ("--theta-list", "nan,inf"),
+                            ("--chnum-list", "0,-1")]:
             code = run("eval", "--fst", fst_path, "--syms", syms_path,
                        "--cases", workdir / "cases.json", "--pairs", workdir / "pairs.json",
                        f"{flag}={value}", "--out", workdir / "sweepout")
             assert code == 1, (flag, value)
             assert flag in capsys.readouterr().err
+
+    def test_repeated_sweep_values_run_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counting_enhance(fst, config):
+            calls.append((config.theta, config.max_predictors))
+            return enhance(fst, config)
+
+        monkeypatch.setattr(gboost.evaluate, "enhance", counting_enhance)
+        fst_path, syms_path = build(workdir)
+        code = run("eval", "--fst", fst_path, "--syms", syms_path,
+                   "--cases", workdir / "cases.json", "--pairs", workdir / "pairs.json",
+                   "--theta-list=0,0", "--chnum-list=1,1", "--out", workdir / "sweepout")
+        assert code == 0
+        assert calls == [(0.0, 1)]
+        grid = (workdir / "sweepout" / "grid.tsv").read_text().splitlines()
+        header, row = grid[1:]
+        assert header == "theta\\chnum\t1"
+        assert row.split("\t")[0] == "0" and len(row.split("\t")) == 2
+        cells = [p.name for p in (workdir / "sweepout").glob("cell_*.json")]
+        assert cells == ["cell_theta0_chnum1.json"]
 
 
 class TestDiffFst:

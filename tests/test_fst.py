@@ -191,13 +191,14 @@ def perturb(fst, rng):
             arcs = out.arcs(state)
             if arcs:
                 arcs.pop(rng.randrange(len(arcs)))
-                out._ilabel_index[state] = None
+                out._reset_best(state)
         elif choice < 0.85:
             state = rng.randrange(out.num_states())
             arcs = out.arcs(state)
             if arcs:
                 pos = rng.randrange(len(arcs))
                 arcs[pos] = arcs[pos][:3] + (round(rng.uniform(-4, 4), 6),)
+                out._reset_best(state)
         else:
             out.set_final(rng.randrange(out.num_states()), round(rng.uniform(-1, 1), 6))
     return out

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+import oracles
 import toylm
 from gboost.arpa import BOS, EOS, oracle_score, parse_arpa
+from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON, EPSILON_LABEL, Wfst, path_weight
+from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff, path_weight
 from gboost.graph import build_g, graph_score
+from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 LN10 = math.log(10.0)
 
@@ -188,6 +191,71 @@ class TestGraphScore:
         fst.add_arc(start, states[("a",)], a, a, better)
         assert graph_score(fst, ["a"]) == pytest.approx(
             baseline + 1.0, abs=1e-12)
+
+    def test_best_arc_table_follows_mutation(self, fst_factory):
+        # State 0 reads "a" to state 1 or backs off to state 2; both end
+        # with </s>, at -1.0 from state 1 and -3.0 from state 2.
+        fst = fst_factory(
+            ["a", EOS],
+            [(0, 1, "a", "a", -2.0), (0, 2, EPSILON, EPSILON, -0.5),
+             (1, 3, EOS, EOS, -1.0), (2, 3, EOS, EOS, -3.0)],
+            {3: 0.0},
+        )
+        a = fst.symbols.label("a")
+        assert graph_score(fst, ["a"]) == -2.0 + -1.0
+        assert graph_score(fst, []) == -0.5 + -3.0
+        fst.add_arc(0, 2, a, a, -1.0)  # a higher parallel arc
+        assert graph_score(fst, ["a"]) == -1.0 + -3.0
+        apply_diff(fst, FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, -2.0),
+                                                  Arc(0, 1, a, a, -0.5))]))
+        assert graph_score(fst, ["a"]) == -0.5 + -1.0
+        apply_diff(fst, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
+        assert graph_score(fst, ["a"]) == -1.0 + -3.0
+        dup = fst.copy()
+        assert graph_score(dup, ["a"]) == -1.0 + -3.0
+        dup.add_arc(0, 1, a, a, 0.0)
+        assert graph_score(dup, ["a"]) == 0.0 + -1.0
+        assert graph_score(fst, ["a"]) == -1.0 + -3.0
+
+    def test_equal_weight_arcs_resolve_to_first_inserted(self, fst_factory):
+        ends = [(1, 3, EOS, EOS, -1.0), (2, 3, EOS, EOS, -2.0)]
+        to_1, to_2 = (0, 1, "a", "a", -1.0), (0, 2, "a", "a", -1.0)
+        first_1 = fst_factory(["a", EOS], [to_1, to_2, *ends], {3: 0.0})
+        first_2 = fst_factory(["a", EOS], [to_2, to_1, *ends], {3: 0.0})
+        assert graph_score(first_1, ["a"]) == -1.0 + -1.0
+        assert graph_score(first_2, ["a"]) == -1.0 + -2.0
+
+    def test_matches_greedy_reference_on_random_graphs(self):
+        rng = random.Random(150604940)
+        parallel = 0
+        for _ in range(300):
+            fst = random_backoff_graph(rng, VOCAB)
+            final = fst.num_states() - 1  # random_backoff_graph adds it last
+            for _ in range(3):  # plant equal-weight word arcs to other states
+                state = rng.randrange(final)
+                word_arcs = [arc for arc in fst.arcs(state)
+                             if arc[1] not in (EPSILON_LABEL, fst.symbols.label(EOS))]
+                if word_arcs:
+                    _, label, _, weight = rng.choice(word_arcs)
+                    fst.add_arc(state, rng.randrange(final), label, label, weight)
+            config = random_config(rng, VOCAB, fresh_token_stream())
+            self._assert_greedy_scores(fst, rng, VOCAB)
+            enhance(fst, config)  # adds parallel target arcs
+            words = VOCAB + [t for g in config.groups for t in g.targets]
+            self._assert_greedy_scores(fst, rng, words)
+            parallel += sum(len(fst.arcs_matching(state, fst.symbols.label(word))) > 1
+                            for state in fst.states() for word in words)
+        assert parallel > 300
+
+    @staticmethod
+    def _assert_greedy_scores(fst, rng, words):
+        for _ in range(8):
+            sentence = rng.choices(words, k=rng.randint(0, 5))
+            try:
+                score = graph_score(fst, sentence)
+            except NoPathError:
+                score = None
+            assert score == oracles.greedy_score(fst, sentence), sentence
 
     def test_failure_semantics_differs_from_best_path(self, fst_factory):
         # Context state 0 has its own arc for "a", lower than backing off
