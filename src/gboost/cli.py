@@ -181,6 +181,8 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     negate = _negate(args)
     _require_files(args.fst, args.syms, args.cases, args.pairs)
+    if not args.pairs and (args.theta_list or args.chnum_list):
+        raise UsageError("--theta-list and --chnum-list need --pairs, which enables sweeping")
     theta_list = _number_list(args.theta_list, "--theta-list", float)
     chnum_list = _number_list(args.chnum_list, "--chnum-list", int)
     if theta_list and not all(map(math.isfinite, theta_list)):

@@ -152,37 +152,32 @@ def load_pairs_config(text: str) -> EnhanceConfig:
     return EnhanceConfig(theta=theta, max_predictors=max_predictors, groups=groups)
 
 
+def _log_ratio(f_x: int | None, f_y: int) -> float:
+    # ln(f_x / (f_x + f_y)), the frequency term of the candidate weight.
+    # A new word (f_x None) gets -0.0: adding it leaves every float as it
+    # is, -0.0 included, so its candidates come out as w_y + theta exactly.
+    if f_y <= 0:
+        raise InvariantError(f"predictor frequency must be positive, got {f_y}")
+    if f_x is None:
+        return -0.0
+    if f_x <= 0:
+        raise InvariantError(
+            f"target frequency must be positive, got {f_x}; a zero-count word must "
+            "be declared new or given a pseudo-count")
+    return math.log(f_x / (f_x + f_y))
+
+
+def _candidate(w_y: float, log_ratio: float, theta: float) -> float:
+    return (w_y + log_ratio) + theta
+
+
 def compute_enhanced_weight(w_y: float, f_x: int | None, f_y: int, theta: float) -> float:
     """Candidate weight for a target arc borrowed from a predictor arc.
 
     ``f_x`` is the target's training count, or None for a new word (the log
     term is dropped). ``f_y`` is the predictor's count and must be positive.
     """
-    if f_y <= 0:
-        raise InvariantError(f"predictor frequency must be positive, got {f_y}")
-    if f_x is None:
-        return w_y + theta
-    if f_x <= 0:
-        raise InvariantError(
-            f"target frequency must be positive, got {f_x}; a zero-count word must "
-            "be declared new or given a pseudo-count")
-    return (w_y + math.log(f_x / (f_x + f_y))) + theta
-
-
-def _scan(fst: Wfst, predictor_labels: set[int], target_labels: set[int]):
-    # One pass over the whole graph: (source, target state, weight) of each
-    # predictor arc, plus the weight of each existing target-word arc keyed
-    # by (source, target state, label); the last of parallel arcs wins.
-    predictor_arcs: dict[int, list[tuple[int, int, float]]] = {
-        label: [] for label in predictor_labels}
-    existing: dict[tuple[int, int, int], float] = {}
-    for state in fst.states():
-        for target, ilabel, olabel, weight in fst.arcs(state):
-            if ilabel in predictor_labels:
-                predictor_arcs[ilabel].append((state, target, weight))
-            if ilabel in target_labels and ilabel == olabel:
-                existing[(state, target, ilabel)] = weight
-    return predictor_arcs, existing
+    return _candidate(w_y, _log_ratio(f_x, f_y), theta)
 
 
 def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
@@ -201,10 +196,16 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     predictor_labels = {symbols.label(w)
                         for g in config.groups
                         for w in g.predictors[:config.max_predictors]}
-    existing_target_labels = {symbols.label(t)
-                              for g in config.groups
-                              for t in g.targets if t in symbols}
-    predictor_arcs, existing = _scan(fst, predictor_labels, existing_target_labels)
+    target_labels = {symbols.label(t)
+                     for g in config.groups
+                     for t in g.targets if t in symbols}
+    # One memoized scan of the unmodified graph: a sweep's cells share it.
+    found = fst.scan(predictor_labels | target_labels)
+    # The weight of each existing target slot (source, destination, word);
+    # the last of parallel arcs wins.
+    existing = {(source, arc[0], label): arc[3]
+                for label in target_labels
+                for source, arc in found[label] if arc[2] == label}
 
     # Planning needs the labels of new words.
     for group in config.groups:
@@ -213,6 +214,7 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
                 symbols.add(target)
 
     # Best candidate per slot, in order of first candidate.
+    theta = config.theta
     best: dict[tuple[int, int, int], float] = {}
     overshoot = 0
     for group in config.groups:
@@ -220,9 +222,9 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
             x_label = symbols.label(target)
             f_x = None if group.is_new(target) else group.frequencies[target]
             for predictor in group.predictors[:config.max_predictors]:
-                f_y = group.frequencies[predictor]
-                for source, dest, w_y in predictor_arcs[symbols.label(predictor)]:
-                    candidate = compute_enhanced_weight(w_y, f_x, f_y, config.theta)
+                log_ratio = _log_ratio(f_x, group.frequencies[predictor])
+                for source, (dest, _, _, w_y) in found[symbols.label(predictor)]:
+                    candidate = _candidate(w_y, log_ratio, theta)
                     if candidate > w_y:
                         overshoot += 1
                     key = (source, dest, x_label)

@@ -167,9 +167,13 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
     """Grid of ranking reports over enhancement scale and predictor count.
 
     Every cell re-enhances a private copy of the pristine baseline graph,
-    so cells are independent of each other and of evaluation order. A value
-    repeated in either list is swept once. A cell whose enhancement fails
-    is recorded as None.
+    so cells are independent of each other and of evaluation order. The
+    copies are copy-on-write (:meth:`~gboost.fst.Wfst.copy`): a cell clones
+    only the states its enhancement writes, and shares the baseline's other
+    arc lists, their best-arc tables and its memoized label scans, so cells
+    with the same predictor count scan the graph once. A value repeated in
+    either list is swept once. A cell whose enhancement fails is recorded
+    as None.
     """
     if not theta_list or not chnum_list:
         raise InvariantError("theta and predictor-count lists must be non-empty")

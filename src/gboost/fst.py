@@ -143,37 +143,63 @@ class FstDiff:
                 + len(self.reweighted_arcs) + len(self.final_changes))
 
 
+# scan() results: input label -> (source state, arc tuple) pairs.
+_Found = dict[int, list[tuple[int, tuple[int, int, int, float]]]]
+
+
+class _ArcList(list):
+    """One state's arcs, with its best-arc table in ``best`` (None until built)."""
+
+    __slots__ = ("best",)
+
+
 class Wfst:
     """A weighted FST: dense integer states, per-state outgoing arc lists.
 
-    Arc lists preserve insertion order. Each state also has a best-arc
-    table, ``{ilabel: arc}``, built on first use by :meth:`best_arcs`: for
-    each input label it holds the highest-weight arc tuple, the first in
-    arc order among equal weights. Every edit of a state's arcs resets its
-    table (``add_arc``, and removals and reweights in :func:`apply_diff`),
-    and :meth:`copy` starts with none built. Code that edits the list from
-    :meth:`arcs` directly must call :meth:`_reset_best` itself.
+    Arc lists preserve insertion order. Each list also carries the state's
+    best-arc table, ``{ilabel: arc}``, built on first use by
+    :meth:`best_arcs`: for each input label it holds the highest-weight arc
+    tuple, the first in arc order among equal weights.
 
-    The graph is single-writer; once construction or enhancement is done
-    it can be read from many threads.
+    :meth:`copy` is copy-on-write. The copy shares every arc list with the
+    original, and after a copy neither graph owns the shared lists. The
+    first write to a state clones that state's list, so edits never reach
+    another graph. A table lives on its list, so a table built through one
+    graph serves every graph sharing the list. :meth:`scan` results are
+    memoized per label set; copies share the memo until they write.
+
+    Every arc edit goes through ``_writable(state)``: it clones a shared
+    list, resets the state's table and drops the scan memo. ``add_arc`` and
+    :func:`apply_diff` use it; code that edits arc lists must too.
+
+    The graph is single-writer, and taking a copy counts as a write of the
+    original; once construction or enhancement is done it can be read from
+    many threads.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
         self.symbols = symbols if symbols is not None else SymbolTable()
         # Per-state arcs as (target, ilabel, olabel, weight) tuples. Kept
         # compact on purpose: graphs run to millions of arcs.
-        self._arcs: list[list[tuple[int, int, int, float]]] = []
-        # Per-state best-arc tables; None until best_arcs builds one.
-        self._best: list[dict[int, tuple[int, int, int, float]] | None] = []
+        self._arcs: list[_ArcList] = []
+        # States whose lists this graph owns; None while it owns them all,
+        # which is true until its first copy.
+        self._owned: set[int] | None = None
+        # scan() results by label set, shared with copies; None after a write.
+        self._scans: dict[frozenset[int], _Found] | None = None
         self.initial: int | None = None
         self.finals: dict[int, float] = {}
 
     # -- states ---------------------------------------------------------
 
     def add_state(self) -> int:
-        self._arcs.append([])
-        self._best.append(None)
-        return len(self._arcs) - 1
+        arcs = _ArcList()
+        arcs.best = None
+        self._arcs.append(arcs)
+        state = len(self._arcs) - 1
+        if self._owned is not None:
+            self._owned.add(state)
+        return state
 
     def num_states(self) -> int:
         return len(self._arcs)
@@ -200,17 +226,33 @@ class Wfst:
 
     # -- arcs -----------------------------------------------------------
 
+    def _writable(self, state: int) -> _ArcList:
+        # The only way to an arc list that may be edited. Checks the state,
+        # clones a list this graph does not own, resets the state's table
+        # and drops the scan memo.
+        lists = self._arcs
+        if not 0 <= state < len(lists):
+            raise InvariantError(f"unknown state id: {state}")
+        arcs = lists[state]
+        owned = self._owned
+        if owned is not None and state not in owned:
+            arcs = lists[state] = _ArcList(arcs)
+            owned.add(state)
+        arcs.best = None
+        self._scans = None
+        return arcs
+
     def add_arc(self, source: int, target: int, ilabel: int, olabel: int,
                 weight: float) -> None:
         """Append an arc to the source state's list."""
-        self._check_state(source)
-        self._check_state(target)
+        arcs = self._writable(source)
+        if not 0 <= target < len(self._arcs):  # _check_state, without a call per arc
+            raise InvariantError(f"unknown state id: {target}")
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
         if not math.isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
-        self._arcs[source].append((target, ilabel, olabel, weight))
-        self._best[source] = None
+        arcs.append((target, ilabel, olabel, weight))
 
     def num_arcs(self, state: int | None = None) -> int:
         if state is not None:
@@ -220,9 +262,11 @@ class Wfst:
     def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
         """Live (target, ilabel, olabel, weight) tuples of ``state``.
 
-        Insertion order; treat the list as read-only. This is the fast path
-        for whole-graph scans, so ``state`` is not range-checked: take it
-        from :meth:`states` or from an arc target.
+        Insertion order. The list may be shared with copies of the graph:
+        editing it corrupts every graph that shares it, along with its
+        best-arc table and the scan memo, so treat it as read-only. This is
+        the fast path for whole-graph scans, so ``state`` is not
+        range-checked: take it from :meth:`states` or from an arc target.
         """
         return self._arcs[state]
 
@@ -230,33 +274,61 @@ class Wfst:
         """The best-arc table of ``state``: input label -> arc tuple.
 
         Each label maps to its highest-weight arc, the first in arc order
-        among equal weights. Built on first use and kept until the state's
-        arcs change. Read-only, and unchecked like :meth:`arcs`.
+        among equal weights. Built on first use and kept on the arc list
+        until the state's arcs change. Read-only, and unchecked like
+        :meth:`arcs`.
         """
-        table = self._best[state]
+        arcs = self._arcs[state]
+        table = arcs.best
         if table is None:
             table = {}
-            for arc in self._arcs[state]:
+            for arc in arcs:
                 held = table.get(arc[1])
                 if held is None or arc[3] > held[3]:
                     table[arc[1]] = arc
-            self._best[state] = table
+            arcs.best = table
         return table
-
-    def _reset_best(self, state: int) -> None:
-        # Drop the state's best-arc table after an edit of its arcs.
-        self._best[state] = None
 
     def arcs_matching(self, state: int, ilabel: int) -> list[tuple[int, int, int, float]]:
         """Arcs of ``state`` (as in :meth:`arcs`) whose input label is ``ilabel``."""
         self._check_state(state)
         return [arc for arc in self._arcs[state] if arc[1] == ilabel]
 
+    def scan(self, labels: Iterable[int]) -> _Found:
+        """Arcs whose input label is in ``labels``, grouped by that label.
+
+        Each label maps to its ``(source, arc)`` pairs in state and arc
+        order, an empty list if it has none. The result is memoized per
+        label set and shared with copies until the graph's arcs change:
+        treat it as read-only.
+        """
+        key = frozenset(labels)
+        if self._scans is None:
+            self._scans = {}
+        found = self._scans.get(key)
+        if found is None:
+            found = self._scans[key] = self._scan(key)
+        return found
+
+    def _scan(self, labels: frozenset[int]) -> _Found:
+        # The whole-graph pass behind scan().
+        found: _Found = {label: [] for label in labels}
+        for state, arcs in enumerate(self._arcs):
+            for arc in arcs:
+                if arc[1] in labels:
+                    found[arc[1]].append((state, arc))
+        return found
+
     def copy(self) -> "Wfst":
+        """A copy that shares this graph's arc lists until either writes one."""
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
-        new._arcs = [list(a) for a in self._arcs]
-        new._best = [None] * len(self._arcs)
+        new._arcs = self._arcs.copy()
+        self._owned = set()
+        new._owned = set()
+        if self._scans is None:
+            self._scans = {}
+        new._scans = self._scans
         new.initial = self.initial
         new.finals = dict(self.finals)
         return new
@@ -397,27 +469,23 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     """
     # An Arc without its source is the tuple a state's arc list stores.
     for arc in delta.removed_arcs:
-        fst._check_state(arc.source)
         try:
-            fst._arcs[arc.source].remove(arc[1:])
+            fst._writable(arc.source).remove(arc[1:])
         except ValueError:
             raise InvariantError(f"cannot remove missing arc {arc}") from None
-        fst._reset_best(arc.source)
     for old, new in delta.reweighted_arcs:
-        fst._check_state(old.source)
+        arcs = fst._writable(old.source)
         if old[:4] != new[:4]:
             raise InvariantError(f"a reweight may change only the weight: {old} -> {new}")
         if not math.isfinite(new.weight):
             raise InvariantError(f"arc weight must be finite, got {new.weight}")
-        arcs = fst._arcs[old.source]
         try:
             pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
-        fst._reset_best(old.source)
     for arc in delta.added_arcs:
-        fst.add_arc(arc.source, arc.target, arc.ilabel, arc.olabel, arc.weight)
+        fst.add_arc(*arc)  # an Arc's fields are add_arc's parameters, in order
     for state, _, after_weight in delta.final_changes:
         if after_weight is None:
             fst.finals.pop(state, None)
@@ -481,7 +549,10 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
-            fst.set_final(state, sign * weight)
+            try:
+                fst.set_final(state, sign * weight)
+            except InvariantError as exc:  # nan or infinite weight
+                raise FormatError(str(exc), line=lineno) from None
         elif len(fields) == 5:
             src_text, dst_text, isym, osym, weight_text = fields
             try:
@@ -491,11 +562,10 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
             try:
-                ilabel = symbols.label(isym)
-                olabel = symbols.label(osym)
-            except InvariantError as exc:
+                fst.add_arc(src, dst, symbols.label(isym), symbols.label(osym),
+                            sign * weight)
+            except InvariantError as exc:  # unknown symbol, nan or infinite weight
                 raise FormatError(str(exc), line=lineno) from None
-            fst.add_arc(src, dst, ilabel, olabel, sign * weight)
         else:
             raise FormatError(
                 f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)

@@ -73,6 +73,20 @@ def random_graph_factory():
     return random_graph
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Label sets of the whole-graph scans that Wfst runs during the test."""
+    log = []
+    real_scan = Wfst._scan
+
+    def counting_scan(fst, labels):
+        log.append(labels)
+        return real_scan(fst, labels)
+
+    monkeypatch.setattr(Wfst, "_scan", counting_scan)
+    return log
+
+
 # -- shared toy language model over a 10-word vocabulary --------------------
 #
 # The corpus draws from the first nine words only, leaving one word with

@@ -78,6 +78,19 @@ class TestBuildG:
 
 
 class TestScore:
+    def test_non_finite_weight_is_format_error(self, workdir, capsys):
+        fst_path, syms_path = build(workdir)
+        text = fst_path.read_text()
+        line = len(text.splitlines()) + 1
+        (workdir / "s.txt").write_text("wo de\n")
+        for record in ("1 nan", "1 inf", "1 -inf",
+                       "0 1 wo wo nan", "0 1 wo wo inf", "0 1 wo wo -inf"):
+            (workdir / "bad.fst").write_text(f"{text}{record}\n")
+            code = run("score", "--fst", workdir / "bad.fst", "--syms", syms_path,
+                       "--text", workdir / "s.txt", "--out", workdir / "scores.txt")
+            assert code == 2, record
+            assert f"line {line}" in capsys.readouterr().err, record
+
     def test_scores_match_oracle(self, workdir, telecom_model, capsys):
         fst_path, syms_path = build(workdir)
         sentences = ["wo chaxun liuliang", "huafei", ""]
@@ -233,6 +246,30 @@ class TestEvalCommand:
         assert row.split("\t")[0] == "0" and len(row.split("\t")) == 2
         cells = [p.name for p in (workdir / "sweepout").glob("cell_*.json")]
         assert cells == ["cell_theta0_chnum1.json"]
+
+    def test_repeated_chnum_scans_once(self, workdir, scans):
+        fst_path, syms_path = build(workdir)
+        code = run("eval", "--fst", fst_path, "--syms", syms_path,
+                   "--cases", workdir / "cases.json", "--pairs", workdir / "pairs.json",
+                   "--theta-list=-1,1", "--chnum-list=1,1", "--out", workdir / "sweepout")
+        assert code == 0
+        assert len(scans) == 1
+        cells = sorted(p.name for p in (workdir / "sweepout").glob("cell_*.json"))
+        assert cells == ["cell_theta-1_chnum1.json", "cell_theta1_chnum1.json"]
+
+    def test_sweep_lists_without_pairs_are_usage_errors(self, workdir, capsys):
+        fst_path, syms_path = build(workdir)
+        (workdir / "empty.fst").write_text("")  # loading it would be a format error
+        for flags in (["--theta-list=1,2", "--chnum-list=3"], ["--theta-list=1,2"],
+                      ["--chnum-list=3"]):
+            for fst in (fst_path, workdir / "empty.fst"):
+                code = run("eval", "--fst", fst, "--syms", syms_path,
+                           "--cases", workdir / "cases.json", *flags,
+                           "--out", workdir / "out")
+                assert code == 1, (flags, fst)
+                err = capsys.readouterr().err
+                assert "--theta-list" in err and "--chnum-list" in err and "--pairs" in err
+        assert not (workdir / "out").exists()
 
 
 class TestDiffFst:

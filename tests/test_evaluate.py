@@ -157,6 +157,19 @@ class TestSweep:
         direct = run_ranking(direct_fst, ool_cases)
         assert grid[(1.0, 2)].to_json() == direct.to_json()
 
+    def test_cells_share_one_scan_per_predictor_count(self, telecom_model, ool_config,
+                                                      ool_cases, scans):
+        thetas, chnums = [-4.0, -2.0, 0.0, 2.0], [1, 2, 3]
+        fst, _ = build_g(telecom_model)
+        grid = sweep(fst, ool_config, thetas, chnums, ool_cases)
+        assert len(scans) == 3 and len(set(scans)) == 3
+        for (theta, chnum), report in grid.items():
+            fresh, _ = build_g(telecom_model)
+            enhance(fresh, dataclasses.replace(ool_config, theta=theta,
+                                               max_predictors=chnum))
+            assert report.to_json() == run_ranking(fresh, ool_cases).to_json()
+        assert len(grid) == 12
+
     def test_sweep_leaves_baseline_untouched(self, telecom_graph, ool_config,
                                              ool_cases):
         fst = telecom_graph

@@ -92,6 +92,88 @@ class TestWfstBasics:
         assert "b" not in fst.symbols
 
 
+def text_of(fst):
+    buf = io.StringIO()
+    write_text(fst, buf)
+    return buf.getvalue()
+
+
+def random_edit(fst, rng):
+    """One random arc edit of ``fst``: an add_arc call or a one-entry diff."""
+    n = fst.num_states()
+    new_arc = Arc(rng.randrange(n), rng.randrange(n), rng.randint(1, 3), rng.randint(1, 3),
+                  round(rng.uniform(-4, 4), 6))
+    state = rng.randrange(n)
+    choice = rng.random()
+    if choice < 0.3 or not fst.arcs(state):
+        return "add_arc", new_arc
+    if choice < 0.5:
+        return "apply_diff", FstDiff(added_arcs=[new_arc])
+    old = Arc(state, *rng.choice(fst.arcs(state)))
+    if choice < 0.75:
+        return "apply_diff", FstDiff(removed_arcs=[old])
+    new = old._replace(weight=round(rng.uniform(-4, 4), 6))
+    return "apply_diff", FstDiff(reweighted_arcs=[(old, new)])
+
+
+def replay(fst, edit):
+    kind, arg = edit
+    if kind == "add_arc":
+        fst.add_arc(*arg)
+    else:
+        apply_diff(fst, arg)
+
+
+class TestCopyOnWrite:
+    def test_copies_stay_independent(self, random_graph_factory):
+        """Each graph sees its own edits only, through text, tables and scans.
+
+        A copy is taken after four edits and a copy of that copy after
+        eight; then all three graphs are edited in turn. After every edit
+        each graph must equal a fresh read of the base text with that
+        graph's own edits replayed. Every graph's tables and scan are read
+        after every edit, so a later write that skips the clone, the table
+        reset or the memo drop shows.
+        """
+        labels = {1, 2}
+        for seed in range(40):
+            rng = random.Random(seed)
+            base = random_graph_factory(seed, n_states=6, n_arcs=20, n_symbols=3)
+            base.set_final(base.initial, 0.0)  # stays writable when its arcs go
+            base_text, symbols = text_of(base), base.symbols
+            graphs = [read_text(io.StringIO(base_text), symbols)]
+            edits = [[]]
+            for step in range(30):
+                if step in (4, 8):
+                    graphs.append(graphs[-1].copy())
+                    edits.append(list(edits[-1]))
+                which = rng.randrange(len(graphs))
+                edit = random_edit(graphs[which], rng)
+                replay(graphs[which], edit)
+                edits[which].append(edit)
+                for fst, log in zip(graphs, edits):
+                    reference = read_text(io.StringIO(base_text), symbols)
+                    for done in log:
+                        replay(reference, done)
+                    assert text_of(fst) == text_of(reference), (seed, step)
+                    assert ([fst.best_arcs(s) for s in fst.states()]
+                            == [reference.best_arcs(s) for s in reference.states()])
+                    assert fst.scan(labels) == reference.scan(labels), (seed, step)
+
+    def test_scan_groups_matching_arcs_in_order(self, two_path_acceptor):
+        fst = two_path_acceptor
+        a, b, c = (fst.symbols.label(s) for s in "abc")
+        found = fst.scan([c, a])
+        assert found == {a: [(0, (1, a, fst.symbols.label("x"), 0.5))],
+                         c: [(1, (2, c, fst.symbols.label("z"), 2.5))]}
+        assert fst.scan({a, c}) is found
+        assert fst.copy().scan({a, c}) is found
+        fst.add_arc(0, 2, b, b, -1.0)
+        assert fst.scan({a, c}) is not found
+        assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
+                                     (0, (2, b, b, -1.0))]}
+
+
 class TestPathWeight:
     def test_two_path_acceptor_scores_ac(self, two_path_acceptor):
         assert path_weight(two_path_acceptor, ["a", "c"]) == 6.5
@@ -188,17 +270,15 @@ def perturb(fst, rng):
                         rng.randint(1, 3), rng.randint(1, 3), round(rng.uniform(-4, 4), 6))
         elif choice < 0.6:
             state = rng.randrange(out.num_states())
-            arcs = out.arcs(state)
+            arcs = out._writable(state)
             if arcs:
                 arcs.pop(rng.randrange(len(arcs)))
-                out._reset_best(state)
         elif choice < 0.85:
             state = rng.randrange(out.num_states())
-            arcs = out.arcs(state)
+            arcs = out._writable(state)
             if arcs:
                 pos = rng.randrange(len(arcs))
                 arcs[pos] = arcs[pos][:3] + (round(rng.uniform(-4, 4), 6),)
-                out._reset_best(state)
         else:
             out.set_final(rng.randrange(out.num_states()), round(rng.uniform(-1, 1), 6))
     return out
@@ -211,7 +291,7 @@ class TestDiff:
 
     def test_single_weight_perturbation(self, two_path_acceptor):
         other = two_path_acceptor.copy()
-        arcs = other.arcs(0)
+        arcs = other._writable(0)
         arcs[0] = arcs[0][:3] + (0.5 + 1e-6,)
         delta = diff(two_path_acceptor, other)
         assert delta.added_arcs == [] and delta.removed_arcs == []
