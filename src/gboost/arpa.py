@@ -67,24 +67,29 @@ def parse_arpa(stream: TextIO) -> NGramModel:
     section = None  # None: preamble, 0: \data\, k>0: \k-grams:
     saw_end = False
 
+    isfinite = math.isfinite
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or saw_end:
             continue
-        if line == "\\data\\":
-            section = 0
-            continue
-        if line == "\\end\\":
-            saw_end = True
-            continue
-        match = _SECTION_RE.match(line)
-        if match:
-            k = int(match.group(1))
-            if k not in counts:
-                raise FormatError(f"section \\{k}-grams: not declared in \\data\\", line=lineno)
-            section = k
-            tables.setdefault(k, {})
-            continue
+        if line[0] == "\\":  # markers and section headers; anything else falls through
+            if line == "\\data\\":
+                section = 0
+                continue
+            if line == "\\end\\":
+                saw_end = True
+                continue
+            match = _SECTION_RE.match(line)
+            if match:
+                k = int(match.group(1))
+                if k not in counts:
+                    raise FormatError(f"section \\{k}-grams: not declared in \\data\\",
+                                      line=lineno)
+                section = k
+                table = tables.setdefault(k, {})
+                # Only orders below the highest may carry a back-off field.
+                with_backoff = k + 2 if k < max(counts) else None
+                continue
         if section == 0:
             match = _NGRAM_COUNT_RE.match(line)
             if not match:
@@ -98,7 +103,7 @@ def parse_arpa(stream: TextIO) -> NGramModel:
         fields = line.split()
         if len(fields) == k + 1:
             backoff = None
-        elif len(fields) == k + 2 and k < max(counts):
+        elif len(fields) == with_backoff:
             try:
                 backoff = float(fields[-1]) * LN10
             except ValueError:
@@ -113,19 +118,19 @@ def parse_arpa(stream: TextIO) -> NGramModel:
         words = tuple(fields[1:k + 1])
         if logprob > 0.0:
             raise FormatError(f"log probability above zero for {' '.join(words)!r}", line=lineno)
-        if not math.isfinite(logprob) and words != (BOS,):  # <s> is never predicted
+        if not isfinite(logprob) and words != (BOS,):  # <s> is never predicted
             raise FormatError(f"non-finite log probability for {' '.join(words)!r}",
                               line=lineno)
-        if backoff is not None and not math.isfinite(backoff):
+        if backoff is not None and not isfinite(backoff):
             raise FormatError(f"non-finite back-off for {' '.join(words)!r}", line=lineno)
         if k > 1 and words[-1] == BOS:
             raise FormatError(f"{BOS} may appear only as context: {' '.join(words)!r}", line=lineno)
         if EOS in words[:-1]:
             raise FormatError(f"{EOS} may appear only as the predicted word: "
                               f"{' '.join(words)!r}", line=lineno)
-        if words in tables[k]:
+        if words in table:
             raise FormatError(f"duplicate {k}-gram: {' '.join(words)!r}", line=lineno)
-        tables[k][words] = NGram(logprob, backoff)
+        table[words] = NGram(logprob, backoff)
 
     if not saw_end:
         raise FormatError("missing \\end\\ marker")

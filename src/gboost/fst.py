@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from gboost.errors import FormatError, InvariantError
@@ -170,7 +171,10 @@ class Wfst:
 
     Every arc edit goes through ``_writable(state)``: it clones a shared
     list, resets the state's table and drops the scan memo. ``add_arc`` and
-    :func:`apply_diff` use it; code that edits arc lists must too.
+    :func:`apply_diff` use it; code that edits arc lists must too. The one
+    exception is a builder filling a fresh graph's new lists, as
+    :func:`read_text` and :func:`gboost.graph.build_g` do, through
+    ``_add_states``.
 
     The graph is single-writer, and taking a copy counts as a write of the
     original; once construction or enhancement is done it can be read from
@@ -193,13 +197,27 @@ class Wfst:
     # -- states ---------------------------------------------------------
 
     def add_state(self) -> int:
-        arcs = _ArcList()
-        arcs.best = None
-        self._arcs.append(arcs)
-        state = len(self._arcs) - 1
+        self._add_states(1)
+        return len(self._arcs) - 1
+
+    def _add_states(self, count: int,
+                    filled: dict[int, _ArcList] | None = None) -> list[_ArcList]:
+        # Bulk fill: appends `count` states and returns their arc lists,
+        # taking filled[i] as the list of the i-th new state where given.
+        # Builders of a fresh graph append arc tuples to the lists directly
+        # and check each arc themselves.
+        fresh = []
+        for i in range(count):
+            arcs = filled.get(i) if filled else None
+            if arcs is None:
+                arcs = _ArcList()
+                arcs.best = None
+            fresh.append(arcs)
+        start = len(self._arcs)
+        self._arcs += fresh
         if self._owned is not None:
-            self._owned.add(state)
-        return state
+            self._owned.update(range(start, start + count))
+        return fresh
 
     def num_states(self) -> int:
         return len(self._arcs)
@@ -409,9 +427,10 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
 # Structural diff
 
 
-def _arc_groups(fst: Wfst, state: int) -> dict[tuple[int, int, int], list[float]]:
+def _arc_groups(arcs: list[tuple[int, int, int, float]]
+                ) -> dict[tuple[int, int, int], list[float]]:
     groups: dict[tuple[int, int, int], list[float]] = {}
-    for (t, i, o, w) in fst.arcs(state):
+    for (t, i, o, w) in arcs:
         groups.setdefault((t, i, o), []).append(w)
     return groups
 
@@ -432,9 +451,11 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
         raise InvariantError("initial states do not correspond")
 
     out = FstDiff()
-    for state in before.states():
-        b_groups = _arc_groups(before, state)
-        a_groups = _arc_groups(after, state)
+    for state, (b_arcs, a_arcs) in enumerate(zip(before._arcs, after._arcs)):
+        if b_arcs == a_arcs:  # equal lists match arc for arc: nothing to report
+            continue
+        b_groups = _arc_groups(b_arcs)
+        a_groups = _arc_groups(a_arcs)
         keys = list(b_groups)
         keys += [k for k in a_groups if k not in b_groups]
         for key in keys:
@@ -451,11 +472,12 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
             for w in a_weights[shared:]:
                 out.added_arcs.append(Arc(state, t, i, o, w))
 
-    for state in before.states():
-        bw = before.final_weight(state)
-        aw = after.final_weight(state)
-        if bw != aw:
-            out.final_changes.append((state, bw, aw))
+    if before.finals != after.finals:
+        for state in before.states():
+            bw = before.final_weight(state)
+            aw = after.final_weight(state)
+            if bw != aw:
+                out.final_changes.append((state, bw, aw))
     return out
 
 
@@ -484,8 +506,24 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
+    # Additions are checked one by one, as add_arc would, then appended per
+    # source state in delta order through one _writable call each.
+    num_states = fst.num_states()
+    added: dict[int, list[tuple[int, int, int, float]]] = {}
     for arc in delta.added_arcs:
-        fst.add_arc(*arc)  # an Arc's fields are add_arc's parameters, in order
+        source, target, ilabel, olabel, weight = arc
+        if not 0 <= target < num_states:
+            raise InvariantError(f"unknown state id: {target}")
+        if ilabel < 0 or olabel < 0:
+            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
+        if not math.isfinite(weight):
+            raise InvariantError(f"arc weight must be finite, got {weight}")
+        arcs = added.get(source)
+        if arcs is None:
+            arcs = added[source] = []
+        arcs.append(arc[1:])
+    for source, arcs in added.items():
+        fst._writable(source).extend(arcs)
     for state, _, after_weight in delta.final_changes:
         if after_weight is None:
             fst.finals.pop(state, None)
@@ -496,82 +534,136 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
 
 # ---------------------------------------------------------------------------
 # Text format
-#
-# One record per line, whitespace separated:
-#   arc lines    src dst isym osym weight
-#   final lines  state weight
-# Line 1's src names the initial state. Weights print with 9 significant
-# digits; ``negate=True`` flips weight signs on the way in or out (cost
-# convention).
 
 
 def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
-    if fst.initial is None:
+    """Write ``fst`` as text, one record per line, fields separated by spaces.
+
+    An arc is ``src dst isym osym weight`` and a final state ``state
+    weight``, with symbols from ``fst.symbols``. The initial state's records
+    come first, so :func:`read_text` finds it on line 1; then every other
+    state in id order, each with its arcs in list order and then its final
+    weight, if it has one. Weights print as ``"%.9g" % w``. With ``negate``
+    the file holds costs: each weight is printed as ``"%.9g" % (-1.0 * w)``.
+
+    InvariantError if the graph has no initial state, if that state has
+    neither arcs nor a final weight (the file would not name it), or if an
+    arc carries a label the symbol table lacks.
+    """
+    initial = fst.initial
+    if initial is None:
         raise InvariantError("graph has no initial state")
-    sign = -1.0 if negate else 1.0
-
-    def emit_state(state: int) -> None:
-        sym = fst.symbols.symbol
-        for (t, i, o, w) in fst.arcs(state):
-            stream.write(f"{state} {t} {sym(i)} {sym(o)} {WEIGHT_FMT % (sign * w)}\n")
-        final = fst.final_weight(state)
-        if final is not None:
-            stream.write(f"{state} {WEIGHT_FMT % (sign * final)}\n")
-
-    if not fst.arcs(fst.initial) and fst.final_weight(fst.initial) is None:
+    lists = fst._arcs
+    finals = fst.finals
+    if not lists[initial] and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
-    emit_state(fst.initial)
-    for state in fst.states():
-        if state != fst.initial:
-            emit_state(state)
+    sign = -1.0 if negate else 1.0
+    symbol = fst.symbols._lab2sym
+    write = stream.write
+    for state in chain((initial,), range(initial), range(initial + 1, len(lists))):
+        arc_fmt = f"{state} %s %s %s {WEIGHT_FMT}\n"
+        try:
+            text = "".join([arc_fmt % (t, symbol[i], symbol[o], sign * w)
+                             for t, i, o, w in lists[state]])
+        except KeyError as exc:
+            raise InvariantError(f"unknown label: {exc.args[0]}") from None
+        final = finals.get(state)
+        if final is not None:
+            text += f"{state} {WEIGHT_FMT % (sign * final)}\n"
+        write(text)
 
 
 def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfst:
-    fst = Wfst(symbols)
+    """Read a graph written by :func:`write_text`, labelled by ``symbols``.
+
+    One record per non-blank line, fields separated by any whitespace: an
+    arc is ``src dst isym osym weight`` and a final state ``state weight``.
+    The first record's first field names the initial state. Each state's
+    arcs keep their order in the file, even when split over several blocks;
+    a state's last final record wins. With ``negate`` the file holds costs
+    and every weight is negated on the way in.
+
+    State ids are dense: the graph gets every state from 0 up to the
+    largest id named. Each record names at most two states, so an id at or
+    above twice the number of records is rejected before any state is
+    allocated. Every malformed record is a FormatError at its line: a wrong
+    field count, a bad number, a negative or out-of-bound state id, an
+    unknown symbol (named in the message) or a non-finite weight.
+    """
     sign = -1.0 if negate else 1.0
+    label_of = symbols._sym2lab.get
+    isfinite = math.isfinite
+    by_source: dict[int, _ArcList] = {}
+    finals: dict[int, float] = {}
+    initial = None
+    records = 0
+    top = top_line = 0  # the largest state id, and the first line naming it
+    source_text = arcs = None  # the last arc line's source, and its list
 
-    def ensure(state_id: int, lineno: int) -> int:
-        if state_id < 0:
-            raise FormatError(f"unknown state id: {state_id}", line=lineno)
-        while fst.num_states() <= state_id:
-            fst.add_state()
-        return state_id
+    def new_top(state: int, lineno: int) -> None:
+        # `state` is outside 0..top: negative, or the largest id yet.
+        nonlocal top, top_line
+        if state < 0:
+            raise FormatError(f"unknown state id: {state}", line=lineno)
+        top, top_line = state, lineno
 
-    first = True
     for lineno, line in enumerate(stream, start=1):
         fields = line.split()
-        if not fields:
-            continue
-        if len(fields) == 2:
-            state_text, weight_text = fields
-            try:
-                state = ensure(int(state_text), lineno)
-                weight = float(weight_text)
-            except ValueError:
-                raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
-            try:
-                fst.set_final(state, sign * weight)
-            except InvariantError as exc:  # nan or infinite weight
-                raise FormatError(str(exc), line=lineno) from None
-        elif len(fields) == 5:
-            src_text, dst_text, isym, osym, weight_text = fields
-            try:
-                src = ensure(int(src_text), lineno)
-                dst = ensure(int(dst_text), lineno)
-                weight = float(weight_text)
-            except ValueError:
-                raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
-            try:
-                fst.add_arc(src, dst, symbols.label(isym), symbols.label(osym),
-                            sign * weight)
-            except InvariantError as exc:  # unknown symbol, nan or infinite weight
-                raise FormatError(str(exc), line=lineno) from None
-        else:
-            raise FormatError(
-                f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)
-        if first:
-            fst.set_initial(int(fields[0]))
-            first = False
-    if first:
+        count = len(fields)
+        try:
+            if count == 5:
+                if fields[0] != source_text:
+                    source = int(fields[0])
+                    if not 0 <= source <= top:
+                        new_top(source, lineno)
+                    arcs = by_source.get(source)
+                    if arcs is None:
+                        arcs = by_source[source] = _ArcList()
+                        arcs.best = None
+                        if initial is None:
+                            initial = source
+                    source_text = fields[0]
+                _, target_text, isym, osym, weight_text = fields
+                target = int(target_text)
+                if not 0 <= target <= top:
+                    new_top(target, lineno)
+                weight = sign * float(weight_text)
+                ilabel = label_of(isym)
+                if ilabel is None:
+                    raise FormatError(f"unknown symbol: {isym!r}", line=lineno)
+                olabel = ilabel if osym == isym else label_of(osym)
+                if olabel is None:
+                    raise FormatError(f"unknown symbol: {osym!r}", line=lineno)
+                if not isfinite(weight):
+                    raise FormatError(f"arc weight must be finite, got {weight}", line=lineno)
+                arcs.append((target, ilabel, olabel, weight))
+            elif count == 2:
+                state = int(fields[0])
+                if not 0 <= state <= top:
+                    new_top(state, lineno)
+                weight = sign * float(fields[1])
+                if not isfinite(weight):
+                    raise FormatError(f"final weight must be finite, got {weight}",
+                                      line=lineno)
+                finals[state] = weight
+                if initial is None:
+                    initial = state
+            elif count:
+                raise FormatError(
+                    f"expected 2 or 5 fields, got {count}: {line.strip()!r}", line=lineno)
+            else:
+                continue
+        except ValueError:
+            kind = "arc" if count == 5 else "final"
+            raise FormatError(f"bad {kind} line: {line.strip()!r}", line=lineno) from None
+        records += 1
+    if initial is None:
         raise FormatError("empty FST file")
+    if top >= 2 * records:
+        raise FormatError(f"state id {top} is at or above twice the number of records "
+                          f"({records})", line=top_line)
+    fst = Wfst(symbols)
+    fst._add_states(top + 1, by_source)
+    fst.finals = finals
+    fst.initial = initial
     return fst

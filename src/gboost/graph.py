@@ -15,6 +15,7 @@ for models that lack some suffix entries.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Sequence
 
 from gboost.arpa import BOS, EOS, NGramModel
@@ -44,10 +45,12 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
     untouched.
     """
     fst = Wfst(model.vocab.copy())
-    states: dict[History, int] = {}
-    for history in _context_histories(model):
-        states[history] = fst.add_state()
-    final = fst.add_state()
+    histories = _context_histories(model)
+    states: dict[History, int] = dict(zip(histories, range(len(histories))))
+    # A fresh graph's lists are filled directly. Each arc is checked for a
+    # finite weight, the one add_arc check that can fail here.
+    lists = fst._add_states(len(histories) + 1)
+    final = len(histories)
     fst.set_final(final, 0.0)
 
     def hop(history: History) -> tuple[int, float]:
@@ -66,20 +69,24 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
             word = words[-1]
             if word == BOS:
                 continue  # never predicted; its back-off is handled below
-            source = states[words[:-1]]
             if word == EOS:
-                fst.add_arc(source, final, eos_label, eos_label, entry.logprob)
-                continue
-            dest_history = words if len(words) < model.order else words[1:]
-            dest, fold = hop(dest_history)
-            fst.add_arc(source, dest, label(word), label(word), entry.logprob + fold)
+                dest, word_label, weight = final, eos_label, entry.logprob
+            else:
+                dest, fold = hop(words if k < model.order else words[1:])
+                word_label = label(word)
+                weight = entry.logprob + fold
+            if not isfinite(weight):
+                raise InvariantError(f"arc weight must be finite, got {weight}")
+            lists[states[words[:-1]]].append((dest, word_label, word_label, weight))
 
     for history, state in states.items():
         if not history:
             continue
         dest, fold = hop(history[1:])
-        fst.add_arc(state, dest, EPSILON_LABEL, EPSILON_LABEL,
-                    model.backoff(history) + fold)
+        weight = model.backoff(history) + fold
+        if not isfinite(weight):
+            raise InvariantError(f"arc weight must be finite, got {weight}")
+        lists[state].append((dest, EPSILON_LABEL, EPSILON_LABEL, weight))
 
     start, _ = hop((BOS,))
     fst.set_initial(start)
@@ -107,12 +114,13 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     if fst.initial is None:
         raise InvariantError("graph has no initial state")
     symbols = fst.symbols
-    labels = []
-    for position, word in enumerate(sentence):
-        if word not in symbols:
-            raise NoPathError(f"word {word!r} at position {position} is not in the graph",
-                              word=word, position=position)
-        labels.append(symbols.label(word))
+    label_of = symbols._sym2lab.get
+    labels = [label_of(word) for word in sentence]
+    if None in labels:
+        position = labels.index(None)
+        word = sentence[position]
+        raise NoPathError(f"word {word!r} at position {position} is not in the graph",
+                          word=word, position=position)
     labels.append(symbols.label(EOS))
 
     best_arcs = fst.best_arcs

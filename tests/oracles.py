@@ -9,6 +9,9 @@ can disagree when the library is wrong.
 import math
 from collections import Counter
 
+from gboost.errors import FormatError, InvariantError
+from gboost.fst import Arc, FstDiff, WEIGHT_FMT, Wfst
+
 BOS = "<s>"
 EOS = "</s>"
 
@@ -137,3 +140,132 @@ def graphs_equal(a, b):
         if Counter(a.arcs(state)) != Counter(b.arcs(state)):
             return False
     return True
+
+
+# -- graph text and diff, one arc at a time ---------------------------------
+#
+# The line-by-line reader, per-arc writer and grouping diff that the bulk
+# versions in gboost.fst replaced. They go through the graph's public
+# methods only, so each call checks what it writes.
+
+
+def read_text_by_line(stream, symbols, negate=False):
+    """Graph text read one line and one add_arc call at a time."""
+    fst = Wfst(symbols)
+    sign = -1.0 if negate else 1.0
+
+    def ensure(state_id, lineno):
+        if state_id < 0:
+            raise FormatError(f"unknown state id: {state_id}", line=lineno)
+        while fst.num_states() <= state_id:
+            fst.add_state()
+        return state_id
+
+    first = True
+    for lineno, line in enumerate(stream, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) == 2:
+            state_text, weight_text = fields
+            try:
+                state = ensure(int(state_text), lineno)
+                weight = float(weight_text)
+            except ValueError:
+                raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
+            try:
+                fst.set_final(state, sign * weight)
+            except InvariantError as exc:
+                raise FormatError(str(exc), line=lineno) from None
+        elif len(fields) == 5:
+            src_text, dst_text, isym, osym, weight_text = fields
+            try:
+                src = ensure(int(src_text), lineno)
+                dst = ensure(int(dst_text), lineno)
+                weight = float(weight_text)
+            except ValueError:
+                raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
+            try:
+                fst.add_arc(src, dst, symbols.label(isym), symbols.label(osym),
+                            sign * weight)
+            except InvariantError as exc:
+                raise FormatError(str(exc), line=lineno) from None
+        else:
+            raise FormatError(
+                f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)
+        if first:
+            fst.set_initial(int(fields[0]))
+            first = False
+    if first:
+        raise FormatError("empty FST file")
+    return fst
+
+
+def write_text_by_arc(fst, stream, negate=False):
+    """Graph text written one line per arc, initial state first."""
+    if fst.initial is None:
+        raise InvariantError("graph has no initial state")
+    sign = -1.0 if negate else 1.0
+
+    def emit_state(state):
+        sym = fst.symbols.symbol
+        for (t, i, o, w) in fst.arcs(state):
+            stream.write(f"{state} {t} {sym(i)} {sym(o)} {WEIGHT_FMT % (sign * w)}\n")
+        final = fst.final_weight(state)
+        if final is not None:
+            stream.write(f"{state} {WEIGHT_FMT % (sign * final)}\n")
+
+    if not fst.arcs(fst.initial) and fst.final_weight(fst.initial) is None:
+        raise InvariantError("initial state has no arcs and is not final; nothing to write")
+    emit_state(fst.initial)
+    for state in fst.states():
+        if state != fst.initial:
+            emit_state(state)
+
+
+def diff_by_groups(before, after):
+    """Arc delta from grouping every state's arcs by (target, ilabel, olabel).
+
+    Within a group, weights are matched in sorted order; surplus weights
+    become additions or removals.
+    """
+    if before.symbols != after.symbols:
+        raise InvariantError("graphs do not share a symbol table")
+    if before.num_states() != after.num_states():
+        raise InvariantError(
+            f"state counts differ ({before.num_states()} vs {after.num_states()})")
+    if before.initial != after.initial:
+        raise InvariantError("initial states do not correspond")
+
+    def groups(fst, state):
+        out = {}
+        for (t, i, o, w) in fst.arcs(state):
+            out.setdefault((t, i, o), []).append(w)
+        return out
+
+    out = FstDiff()
+    for state in before.states():
+        b_groups = groups(before, state)
+        a_groups = groups(after, state)
+        keys = list(b_groups)
+        keys += [k for k in a_groups if k not in b_groups]
+        for key in keys:
+            t, i, o = key
+            b_weights = sorted(b_groups.get(key, ()))
+            a_weights = sorted(a_groups.get(key, ()))
+            shared = min(len(b_weights), len(a_weights))
+            for bw, aw in zip(b_weights, a_weights):
+                if bw != aw:
+                    out.reweighted_arcs.append(
+                        (Arc(state, t, i, o, bw), Arc(state, t, i, o, aw)))
+            for w in b_weights[shared:]:
+                out.removed_arcs.append(Arc(state, t, i, o, w))
+            for w in a_weights[shared:]:
+                out.added_arcs.append(Arc(state, t, i, o, w))
+
+    for state in before.states():
+        bw = before.final_weight(state)
+        aw = after.final_weight(state)
+        if bw != aw:
+            out.final_changes.append((state, bw, aw))
+    return out

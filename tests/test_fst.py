@@ -3,11 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import (EPSILON, Arc, FstDiff, SymbolTable, Wfst, apply_diff,
+from gboost.fst import (EPSILON, WEIGHT_FMT, Arc, FstDiff, SymbolTable, Wfst, apply_diff,
                         diff, path_weight, read_text, write_text)
 
 
@@ -358,6 +358,36 @@ class TestDiff:
         replayed = apply_diff(a.copy(), diff(a, b))
         assert oracles.graphs_equal(replayed, b)
 
+    def test_diff_matches_grouping_reference(self, random_graph_factory):
+        """The equal-list fast path changes no entry of the grouping diff.
+
+        Pairs: a graph and its edited copy (untouched lists shared), both
+        ways; a fresh read of the copy (equal lists, none shared); a plain
+        copy; a copy with one state's arcs reversed (unequal lists, equal
+        groups).
+        """
+        rng = random.Random(6174)
+        for seed in range(40):
+            a = random_graph_factory(seed, n_states=12, n_arcs=60, n_symbols=3,
+                                     epsilon_arcs=3)
+            b = perturb(a, rng)
+            fresh_b = read_text(io.StringIO(text_of(b)), b.symbols)
+            reversed_a = a.copy()
+            reversed_a._writable(seed % 12).reverse()
+            for before, after in ((a, b), (b, a), (a, fresh_b), (fresh_b, b),
+                                  (a, a.copy()), (a, reversed_a)):
+                assert diff(before, after) == oracles.diff_by_groups(before, after), seed
+
+    def test_apply_diff_appends_additions_in_delta_order(self, two_path_acceptor):
+        a, b, c = (two_path_acceptor.symbols.label(s) for s in "abc")
+        added = [Arc(0, 2, a, a, -1.0), Arc(1, 0, b, b, -2.0), Arc(0, 1, c, c, -3.0),
+                 Arc(1, 1, a, a, -4.0), Arc(0, 2, a, a, -1.0)]
+        by_arc = two_path_acceptor.copy()
+        for arc in added:
+            by_arc.add_arc(*arc)
+        applied = apply_diff(two_path_acceptor.copy(), FstDiff(added_arcs=added))
+        assert text_of(applied) == text_of(by_arc)
+
     def test_empty_diff_iff_equal(self, random_graph_factory):
         a = random_graph_factory(5, n_states=10, n_arcs=40, n_symbols=3)
         assert diff(a, a.copy()).is_empty()
@@ -441,6 +471,100 @@ class TestTextFormat:
         with pytest.raises(FormatError, match="empty"):
             read_text(io.StringIO(""), two_path_acceptor.symbols)
 
+    def test_state_ids_are_bounded_by_the_record_count(self, monkeypatch):
+        symbols = SymbolTable(["a"])
+        allocated = []
+        real = Wfst._add_states
+        monkeypatch.setattr(Wfst, "_add_states", lambda fst, count, filled=None: real(
+            fst, allocated.append(count) or count, filled))
+        with pytest.raises(FormatError, match="line 1: state id 1000000000"):
+            read_text(io.StringIO("0 1000000000 a a -1\n"), symbols)
+        with pytest.raises(FormatError, match="line 3: state id 6"):
+            read_text(io.StringIO("0 1 a a -1\n1 0\n1 6 a a -1\n"), symbols)
+        assert allocated == []
+        gappy = read_text(io.StringIO("0 3 a a -1\n3 0\n"), symbols)
+        assert allocated == [4] and gappy.num_states() == 4
+        assert gappy.arcs(0) == [(3, 1, 1, -1.0)] and gappy.finals == {3: 0.0}
+
+    def test_reader_matches_line_by_line_reference(self, random_graph_factory):
+        rng = random.Random(5150)
+        for seed in range(30):
+            fst = random_graph_factory(seed, n_states=15, n_arcs=60, n_symbols=4,
+                                       epsilon_arcs=5)
+            for _ in range(6):  # parallel arcs, some exact duplicates
+                state = rng.randrange(15)
+                target, ilabel, olabel, weight = rng.choice(fst.arcs(state))
+                if rng.random() < 0.5:
+                    weight = round(rng.uniform(-5, 5), 6)
+                fst.add_arc(state, target, ilabel, olabel, weight)
+            for negate in (False, True):
+                text = scrambled_text(fst, negate, rng)
+                got = read_text(io.StringIO(text), fst.symbols, negate=negate)
+                want = oracles.read_text_by_line(io.StringIO(text), fst.symbols,
+                                                 negate=negate)
+                assert contents(got) == contents(want), (seed, negate)
+                assert contents(got) == contents(fst), (seed, negate)
+
+    def test_writer_matches_per_arc_reference(self, random_graph_factory):
+        rng = random.Random(8128)
+        for seed in range(20):
+            fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4)
+            fst.add_arc(3, 4, 1, 2, 0.0)
+            fst.add_arc(3, 4, 1, 2, -0.0)
+            fst.set_final(5, -0.0)
+            fst.set_initial(seed % 19)  # a state with arcs, not always 0
+            for graph in (fst, perturb(fst, rng)):
+                for negate in (False, True):
+                    want = io.StringIO()
+                    oracles.write_text_by_arc(graph, want, negate=negate)
+                    got = io.StringIO()
+                    write_text(graph, got, negate=negate)
+                    assert got.getvalue() == want.getvalue(), (seed, negate)
+
+
+def contents(fst):
+    """Everything a graph file records: state count, initial, finals, arcs."""
+    return (fst.num_states(), fst.initial, fst.finals,
+            [list(fst.arcs(state)) for state in fst.states()])
+
+
+def scrambled_text(fst, negate, rng):
+    """Text of ``fst`` that read_text must take, laid out unlike write_text.
+
+    The initial state's records come first and the other states follow in
+    random order. Each final record sits at a random place among its
+    state's arcs, some states' arcs are split into two blocks (the second
+    at the end), and lines get blank neighbours, tab or multi-space
+    separators and surrounding whitespace.
+    """
+    sign = -1.0 if negate else 1.0
+    sym = fst.symbols.symbol
+
+    def weight(w):
+        return WEIGHT_FMT % (sign * w)
+
+    others = [s for s in fst.states() if s != fst.initial]
+    rng.shuffle(others)
+    blocks, tails = [], []
+    for state in [fst.initial] + others:
+        records = [[state, t, sym(i), sym(o), weight(w)] for t, i, o, w in fst.arcs(state)]
+        if state in fst.finals:
+            records.insert(rng.randint(0, len(records)), [state, weight(fst.finals[state])])
+        if len(records) > 2 and state != fst.initial and rng.random() < 0.3:
+            cut = rng.randint(1, len(records) - 1)
+            records, tail = records[:cut], records[cut:]
+            tails.append(tail)
+        blocks.append(records)
+    lines = []
+    for records in blocks + tails:
+        for record in records:
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "  ", "\t"]))
+            separator = rng.choice([" ", "\t", "  ", " \t "])
+            lines.append(rng.choice(["", " ", "\t"]) + separator.join(map(str, record))
+                         + rng.choice(["", " ", "\t"]))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
 
 @given(st.lists(st.floats(min_value=-20, max_value=5), min_size=1, max_size=6),
        st.floats(min_value=-5, max_value=5))
@@ -455,3 +579,56 @@ def test_chain_path_weight_matches_sum(weights, final_weight):
     fst.set_initial(0)
     total = path_weight(fst, ["a"] * len(weights))
     assert total == pytest.approx(sum(weights) + final_weight, abs=1e-12)
+
+
+# -- text parsers under fuzzing ----------------------------------------------
+
+_ID = st.sampled_from(["0", "1", "2", "3", "01", "-1", "x", ""])
+_SYMBOL = st.sampled_from(["a", "b", "<eps>", "zz"])
+_WEIGHT = st.sampled_from(["-0.5", "-0", "2.5e-3", "1_0", "1e999", "nan", "-inf", "w"])
+_RECORD = st.one_of(st.tuples(_ID, _ID, _SYMBOL, _SYMBOL, _WEIGHT), st.tuples(_ID, _WEIGHT),
+                    st.lists(st.one_of(_ID, _SYMBOL, _WEIGHT), max_size=6))
+_LINE = st.builds(lambda fields, sep: sep.join(fields),
+                  _RECORD, st.sampled_from([" ", "\t", "  "]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_LINE, max_size=10).map("\n".join))
+@example("0 1 a b nan")
+@example("0\t1  a b 1e999\n1 0")
+@example("0 1 a a -0.5\n1 -inf")
+@example("0 1 a zz -1")
+@example("2 0 b a -1\n0 1 a a 1_0\n0 3")
+def test_reader_agrees_with_reference_or_rejects(text):
+    """Same graph, or the same FormatError, as the line-by-line reader.
+
+    Except for the state bound, which only the bulk reader has: there the
+    reference must have read a graph with that many states.
+    """
+    symbols = SymbolTable(["a", "b"])
+    results = []
+    for read in (read_text, oracles.read_text_by_line):
+        try:
+            results.append(contents(read(io.StringIO(text), symbols)))
+        except FormatError as exc:
+            results.append(str(exc))
+    got, want = results
+    if isinstance(got, str) and "twice the number of records" in got:
+        records = sum(1 for line in text.splitlines() if line.strip())
+        assert not isinstance(want, str) and want[0] > 2 * records
+    else:
+        assert got == want
+
+
+_GRAPHISH = st.text(alphabet="0123456789 \t\n-.eabinf<>ps_", max_size=300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=200), _GRAPHISH))
+def test_text_parsers_raise_only_format_errors(text):
+    for parse in (lambda stream: read_text(stream, SymbolTable(["a", "b"])),
+                  SymbolTable.read):
+        try:
+            parse(io.StringIO(text))
+        except FormatError:
+            pass

@@ -287,6 +287,11 @@ class TestGraphScore:
         assert info.value.word == "zzz"
         assert info.value.position == 1
 
+    def test_first_of_several_unknown_words_is_reported(self, telecom_graph):
+        with pytest.raises(NoPathError) as info:
+            graph_score(telecom_graph, ["wo", "yyy", "de", "zzz"])
+        assert (info.value.word, info.value.position) == ("yyy", 1)
+
     def test_suffix_gap_backoff_is_folded(self):
         model = parse(SUFFIX_GAP)
         fst, states = build_g(model)
