@@ -1,4 +1,4 @@
-"""ARPA back-off n-gram models: parsing, re-emission, and oracle scoring.
+"""ARPA back-off n-gram models: parsing and oracle scoring.
 
 ARPA files store log10 probabilities; everything here converts to natural
 log once at parse time so the rest of the toolkit works in one unit.
@@ -54,13 +54,26 @@ _NGRAM_COUNT_RE = re.compile(r"ngram\s+(\d+)\s*=\s*(\d+)$")
 _SECTION_RE = re.compile(r"\\(\d+)-grams:$")
 
 
+def _declared_order(counts: dict[int, int], lineno: int | None = None) -> int:
+    """The model order N, once the \\data\\ counts are known to cover 1..N."""
+    if not counts:
+        raise FormatError("missing \\data\\ header")
+    order = max(counts)
+    if min(counts) != 1 or order != len(counts):
+        raise FormatError(f"\\data\\ must declare orders 1..N; got {len(counts)} "
+                          f"from {min(counts)} to {order}", line=lineno)
+    return order
+
+
 def parse_arpa(stream: TextIO) -> NGramModel:
     """Parse an ARPA model, converting log10 values to natural log.
 
-    Enforces: header counts match section contents, every k-gram's
-    (k-1)-word history has its own entry, log probabilities are finite
-    and <= 0 (the unused <s> unigram may be -inf), back-off weights are
-    finite, <s> is never predicted and </s> never appears as context.
+    Enforces: the \\data\\ header declares each order 1..N once (checked
+    before any per-order work, so a huge declared order costs nothing),
+    its counts match section contents, every k-gram's (k-1)-word history
+    has its own entry, log probabilities are finite and <= 0 (the unused
+    <s> unigram may be -inf), back-off weights are finite, <s> is never
+    predicted and </s> never appears as context.
     """
     counts: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], NGram]] = {}
@@ -88,13 +101,16 @@ def parse_arpa(stream: TextIO) -> NGramModel:
                 section = k
                 table = tables.setdefault(k, {})
                 # Only orders below the highest may carry a back-off field.
-                with_backoff = k + 2 if k < max(counts) else None
+                with_backoff = k + 2 if k < _declared_order(counts, lineno) else None
                 continue
         if section == 0:
             match = _NGRAM_COUNT_RE.match(line)
             if not match:
                 raise FormatError(f"bad count line in \\data\\: {line!r}", line=lineno)
-            counts[int(match.group(1))] = int(match.group(2))
+            k = int(match.group(1))
+            if k in counts:
+                raise FormatError(f"order {k} declared twice in \\data\\", line=lineno)
+            counts[k] = int(match.group(2))
             continue
         if section is None:
             raise FormatError(f"content before \\data\\: {line!r}", line=lineno)
@@ -134,9 +150,7 @@ def parse_arpa(stream: TextIO) -> NGramModel:
 
     if not saw_end:
         raise FormatError("missing \\end\\ marker")
-    if not counts:
-        raise FormatError("missing \\data\\ header")
-    order = max(counts)
+    order = _declared_order(counts)
     for k in range(1, order + 1):
         declared = counts.get(k, 0)
         got = len(tables.get(k, {}))
@@ -155,21 +169,6 @@ def parse_arpa(stream: TextIO) -> NGramModel:
 
     vocab = SymbolTable(word for (word,) in table_list[0])
     return NGramModel(order=order, tables=table_list, vocab=vocab)
-
-
-def write_arpa(model: NGramModel, stream: TextIO) -> None:
-    """Emit the model back out in ARPA text form (log10 values)."""
-    stream.write("\\data\\\n")
-    for k in range(1, model.order + 1):
-        stream.write(f"ngram {k}={len(model.tables[k - 1])}\n")
-    for k in range(1, model.order + 1):
-        stream.write(f"\n\\{k}-grams:\n")
-        for words, entry in model.tables[k - 1].items():
-            line = f"{entry.logprob / LN10:.9g}\t{' '.join(words)}"
-            if entry.backoff is not None:
-                line += f"\t{entry.backoff / LN10:.9g}"
-            stream.write(line + "\n")
-    stream.write("\n\\end\\\n")
 
 
 def _map_oov(model: NGramModel, words: Sequence[str]) -> list[str]:

@@ -164,7 +164,11 @@ def _log_ratio(f_x: int | None, f_y: int) -> float:
         raise InvariantError(
             f"target frequency must be positive, got {f_x}; a zero-count word must "
             "be declared new or given a pseudo-count")
-    return math.log(f_x / (f_x + f_y))
+    ratio = f_x / (f_x + f_y)
+    if not ratio:  # only a count beyond float range can push it to zero
+        raise InvariantError("frequency ratio underflows: predictor count too large "
+                             "against the target's")
+    return math.log(ratio)
 
 
 def _candidate(w_y: float, log_ratio: float, theta: float) -> float:

@@ -8,7 +8,9 @@ as high as the reference (ties lose, pessimistically). The resulting
 focus-token error rate is a proxy measure and is labeled as such in every
 report. Sentences are scored with :func:`gboost.graph.graph_score`, that is
 with failure back-off semantics: a word arc is always taken when one
-exists, as in the ARPA back-off recursion.
+exists, as in the ARPA back-off recursion. On a graph with ``<unk>``, a
+word missing from the graph scores as ``<unk>`` instead of losing its
+case automatically.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ PROXY_NOTE = "focus-token error rate (LM-only ranking proxy)"
 
 @dataclass
 class RankingCase:
+    """A reference and competitors differing only at ``focus``; checked on construction."""
+
     reference: list[str]
     focus: list[int]
     competitors: list[list[str]]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.focus:
@@ -118,17 +125,14 @@ def load_cases(text: str) -> list[RankingCase]:
             raise FormatError(f"case {i} 'focus' must be a list of integers, got {focus!r}")
         if not isinstance(competitors, list):
             raise FormatError(f"case {i} 'competitors' must be a list")
-        case = RankingCase(
-            reference=_word_list(reference, f"case {i} 'reference'"),
-            focus=focus,
-            competitors=[_word_list(comp, f"case {i} competitor {c}")
-                         for c, comp in enumerate(competitors)],
-        )
+        reference = _word_list(reference, f"case {i} 'reference'")
+        competitors = [_word_list(comp, f"case {i} competitor {c}")
+                       for c, comp in enumerate(competitors)]
         try:
-            case.validate()
+            cases.append(RankingCase(reference=reference, focus=focus,
+                                     competitors=competitors))
         except InvariantError as exc:
             raise FormatError(f"case {i}: {exc}") from None
-        cases.append(case)
     return cases
 
 
@@ -143,7 +147,6 @@ def run_ranking(fst: Wfst, cases: Sequence[RankingCase]) -> EvalReport:
     """Score every case; sentences with no path lose automatically."""
     results = []
     for case in cases:
-        case.validate()
         ref = _try_score(fst, case.reference)
         comp_scores = [_try_score(fst, c) for c in case.competitors]
         best = None

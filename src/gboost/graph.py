@@ -7,6 +7,9 @@ predicting </s> run into a dedicated final state. Sentence boundaries live
 inside the graph: the start state is the <s> history, so scores from
 :func:`graph_score` match :func:`gboost.arpa.oracle_score` exactly.
 
+Scores use failure semantics: an epsilon arc is followed only when the
+state has no arc for the next word, as in the ARPA back-off recursion.
+
 Histories whose suffix is not itself a context have no state of their own;
 the back-off weights they would contribute are folded into the arcs that
 jump past them, which keeps scores identical to the oracle recursion even
@@ -18,7 +21,7 @@ from __future__ import annotations
 from math import isfinite
 from typing import Sequence
 
-from gboost.arpa import BOS, EOS, NGramModel
+from gboost.arpa import BOS, EOS, UNK, NGramModel
 from gboost.errors import InvariantError, NoPathError
 from gboost.fst import EPSILON_LABEL, Wfst
 
@@ -99,10 +102,15 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     Back-off semantics: failure. At each step the arc with the sentence's
     next word is taken whenever one exists; only otherwise is the epsilon
     arc followed, its weight added, and the word retried. This is the
-    back-off recursion of the ARPA model, unlike
-    :func:`gboost.fst.path_weight`, which lets back-off paths compete with
-    word arcs. The sentence is implicitly closed with </s> and the final
-    weight added.
+    back-off recursion of the ARPA model, and the only back-off semantics
+    the library scores with. The sentence is implicitly closed with </s>
+    and the final weight added.
+
+    A word missing from the symbol table, or the word ``<eps>``, scores as
+    ``<unk>`` when the graph has that symbol, as
+    :func:`gboost.arpa.oracle_score` does; without ``<unk>`` it raises
+    NoPathError. So on a model with ``<unk>`` a new word not yet in the
+    graph gets the ``<unk>`` probability.
 
     Each step is one lookup in the state's best-arc table
     (:meth:`gboost.fst.Wfst.best_arcs`), plus one for ``<eps>`` on a miss.
@@ -115,7 +123,9 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
         raise InvariantError("graph has no initial state")
     symbols = fst.symbols
     label_of = symbols._sym2lab.get
-    labels = [label_of(word) for word in sentence]
+    unk = label_of(UNK)  # None when the graph has no <unk>
+    # Label 0 is <eps>, never a word: it resolves like a missing word.
+    labels = [label_of(word, unk) or unk for word in sentence]
     if None in labels:
         position = labels.index(None)
         word = sentence[position]

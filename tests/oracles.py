@@ -4,13 +4,20 @@ Nothing here imports gboost internals beyond the public data they verify;
 the scoring logic is written separately on purpose (brute-force search,
 log10-space recursion over a freshly parsed ARPA file) so the two routes
 can disagree when the library is wrong.
+
+:func:`path_weight` is the best-path (epsilon) reading of a back-off
+graph, where a back-off arc competes with a word arc even where the word
+arc exists, as in a Viterbi decoder. The library scores with failure
+semantics only (:func:`gboost.graph.graph_score`); the tests use this
+reference to pin where the two readings differ.
 """
 
 import math
 from collections import Counter
+from typing import Sequence
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import Arc, FstDiff, WEIGHT_FMT, Wfst
+from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst
 
 BOS = "<s>"
 EOS = "</s>"
@@ -78,6 +85,83 @@ def greedy_score(fst, sentence, max_backoffs=20):
         state, total = arc[0], total + arc[3]
     final = fst.final_weight(state)
     return None if final is None else total + final
+
+
+# -- best-path (epsilon) semantics ------------------------------------------
+
+
+def arcs_matching(fst: Wfst, state: int, ilabel: int) -> list[tuple[int, int, int, float]]:
+    """Arcs of ``state`` (as in :meth:`Wfst.arcs`) whose input label is ``ilabel``."""
+    if not 0 <= state < fst.num_states():
+        raise InvariantError(f"unknown state id: {state}")
+    return [arc for arc in fst.arcs(state) if arc[1] == ilabel]
+
+
+def _resolve_labels(fst: Wfst, input_seq: Sequence[str | int]) -> list[int]:
+    labels = []
+    for item in input_seq:
+        label = fst.symbols.label(item) if isinstance(item, str) else int(item)
+        if label == EPSILON_LABEL:
+            raise InvariantError("epsilon is not permitted in the input sequence")
+        # Unknown integer labels get the same treatment as unknown symbols.
+        fst.symbols.symbol(label)
+        labels.append(label)
+    return labels
+
+
+def _epsilon_closure(fst: Wfst, frontier: dict[int, float]) -> dict[int, float]:
+    # Max-plus relaxation over epsilon arcs. Backoff graphs have acyclic
+    # epsilon chains, so this converges quickly; a still-improving pass after
+    # num_states rounds means a positive-weight epsilon cycle.
+    for _ in range(fst.num_states() + 1):
+        changed = False
+        for state in list(frontier):
+            base = frontier[state]
+            for target, _, _, weight in arcs_matching(fst, state, EPSILON_LABEL):
+                cand = base + weight
+                if cand > frontier.get(target, -math.inf):
+                    frontier[target] = cand
+                    changed = True
+        if not changed:
+            return frontier
+    raise InvariantError("epsilon cycle with positive weight; path weights diverge")
+
+
+def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
+    """Max-over-paths weight of ``input_seq``, or None if no path accepts.
+
+    The input is a sequence of symbols (or integer labels); epsilon arcs in
+    the graph consume no input. Parallel paths resolve to the maximum total.
+
+    Back-off semantics: best path over epsilon arcs. A back-off arc
+    competes with a word arc even where the word arc exists, which is what
+    a Viterbi decoder over an epsilon back-off graph sees. On a grammar
+    graph this can exceed :func:`gboost.graph.graph_score`, which uses
+    failure semantics.
+    """
+    if fst.initial is None:
+        raise InvariantError("graph has no initial state")
+    labels = _resolve_labels(fst, input_seq)
+    frontier = _epsilon_closure(fst, {fst.initial: 0.0})
+    for label in labels:
+        advanced: dict[int, float] = {}
+        for state, weight in frontier.items():
+            for target, _, _, arc_weight in arcs_matching(fst, state, label):
+                cand = weight + arc_weight
+                if cand > advanced.get(target, -math.inf):
+                    advanced[target] = cand
+        if not advanced:
+            return None
+        frontier = _epsilon_closure(fst, advanced)
+    best = None
+    for state, weight in frontier.items():
+        final = fst.final_weight(state)
+        if final is None:
+            continue
+        total = weight + final
+        if best is None or total > best:
+            best = total
+    return best
 
 
 def read_arpa_tables(arpa_text):

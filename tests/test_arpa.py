@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import toylm
-from gboost.arpa import (BOS, EOS, conditional_logprob, oracle_score,
-                         parse_arpa, write_arpa)
-from gboost.errors import FormatError, InvariantError
+from gboost.arpa import BOS, EOS, conditional_logprob, oracle_score, parse_arpa
+from gboost.errors import FormatError, GboostError, InvariantError, NoPathError
+from gboost.graph import build_g, graph_score
+from toylm import write_arpa
 
 LOG10_E_INV = "-0.43429448190325176"  # log10 of 1/e
 
@@ -65,6 +67,15 @@ class TestParse:
         text = text.replace("ngram 1=2", "ngram 1=3")
         with pytest.raises(FormatError, match="declares 3"):
             parse(text)
+
+    @pytest.mark.parametrize("header", [
+        "ngram 0=0", "ngram 3000000=0", "ngram 99999999999999999999=0",
+        "ngram 1=0\nngram 3=0", "ngram 1=0\nngram 1=0"],
+        ids=["zero", "huge", "20-digit", "gap", "twice"])
+    def test_declared_orders_must_be_one_to_n(self, header):
+        # Rejected from the header alone: a huge order allocates nothing.
+        with pytest.raises(FormatError, match="order"):
+            parse(f"\\data\\\n{header}\n\\end\\\n")
 
     def test_missing_history_rejected(self):
         unigrams = {BOS: ("-99", "-0.5"), "a": ("-0.5", None), EOS: ("-0.9", None)}
@@ -209,3 +220,71 @@ class TestWriteArpa:
         for sentence in (["wo"], ["chaxun", "liuliang"], []):
             assert oracle_score(again, sentence) == pytest.approx(
                 oracle_score(telecom_model, sentence), abs=1e-6)
+
+
+# -- parser under fuzzing -----------------------------------------------------
+#
+# Arbitrary text, lines built from ARPA pieces (zero and huge orders among
+# them) and small edits of a valid bigram model with <unk>. The parser may
+# raise only FormatError; a model it accepts must compile, or fail with a
+# GboostError, and the graph must then score like the oracle.
+
+NEAR_VALID_LINES = mini_arpa(
+    {BOS: ("-99", "-0.3"), "a": ("-0.5", "-0.2"), "b": ("-0.6", "-0.1"),
+     "<unk>": ("-1", None), EOS: ("-0.9", None)},
+    {(BOS, "a"): "-0.3", ("a", "b"): "-0.4", ("b", EOS): "-0.5", ("a", "<unk>"): "-0.45"},
+).splitlines()
+_ORDER = st.sampled_from(["0", "1", "2", "3", "3000000", "99999999999999999999", "x"])
+_FIELD = st.sampled_from(["-99", "-0.5", "0", "0.5", "-inf", "nan", "1e999", "x",
+                          BOS, EOS, "<unk>", "a", "b", "a b"])
+_ARPA_LINE = st.one_of(
+    st.sampled_from(["\\data\\", "\\end\\", ""]),
+    st.builds("ngram {}={}".format, _ORDER, _ORDER),
+    st.builds("\\{}-grams:".format, _ORDER),
+    st.lists(_FIELD, min_size=1, max_size=4).map("\t".join),
+)
+
+
+@st.composite
+def near_valid_arpa(draw):
+    lines = list(NEAR_VALID_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "copy", "swap", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "copy":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = draw(_ARPA_LINE)
+    return "\n".join(lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.text(max_size=100), st.lists(_ARPA_LINE, max_size=12).map("\n".join),
+                 near_valid_arpa()))
+@example("\\data\\\nngram 0=0\n\\end\\\n")
+@example("\\data\\\nngram 99999999999999999999=0\n\\end\\\n")
+@example("\n".join(NEAR_VALID_LINES))
+def test_parser_raises_only_format_errors(text):
+    try:
+        model = parse(text)
+    except FormatError:
+        return
+    try:
+        fst, _ = build_g(model)
+    except GboostError:
+        return
+    for sentence in ([], ["a"], ["b", "a", "zzz"], ["<unk>", "b"]):
+        try:
+            want = oracle_score(model, sentence)
+        except InvariantError:
+            want = None
+        try:
+            got = graph_score(fst, sentence)
+        except NoPathError:
+            got = None
+        assert got == (want if want is None else pytest.approx(want, abs=1e-9)), sentence

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import gboost.evaluate
-from gboost.arpa import oracle_score
+from gboost.arpa import oracle_score, parse_arpa
 from gboost.cli import main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.fst import read_text, write_text
@@ -113,6 +113,21 @@ class TestScore:
                    "--text", workdir / "sents.txt")
         assert code == 0
         assert capsys.readouterr().out.startswith("-inf\t")
+
+    def test_unknown_word_scores_as_unk(self, workdir, capsys):
+        (workdir / "unk.arpa").write_text(
+            "\\data\\\nngram 1=4\nngram 2=1\n\n\\1-grams:\n-99\t<s>\n-0.5\ta\n"
+            "-0.9\t</s>\n-1\t<unk>\n\n\\2-grams:\n-0.3\t<s> a\n\n\\end\\\n")
+        assert run("build-g", "--arpa", workdir / "unk.arpa", "--out-fst", workdir / "u.fst",
+                   "--out-syms", workdir / "u.syms") == 0
+        (workdir / "sents.txt").write_text("a zzz\n")
+        code = run("score", "--fst", workdir / "u.fst", "--syms", workdir / "u.syms",
+                   "--text", workdir / "sents.txt")
+        assert code == 0
+        score_text, _, echoed = capsys.readouterr().out.rstrip("\n").partition("\t")
+        model = parse_arpa(io.StringIO((workdir / "unk.arpa").read_text()))
+        assert echoed == "a zzz"
+        assert float(score_text) == pytest.approx(oracle_score(model, ["a", "zzz"]), abs=1e-6)
 
 
 class TestEnhanceCommand:
@@ -333,6 +348,39 @@ class TestWeightConventions:
                    "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    # Each command line reads one malformed file, BAD; the other names are
+    # good inputs from the workdir.
+    BUILD = ["build-g", "--arpa", "BAD", "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]
+    SCORE = ["score", "--text", "TEXT"]
+
+    @pytest.mark.parametrize("text, argv", [
+        ("\\data\\\nngram 0=0\n\\end\\\n", BUILD),
+        ("\\data\\\nngram 3000000=0\n\\end\\\n", BUILD),
+        ("\\data\\\nngram 99999999999999999999=0\n\\end\\\n", BUILD),
+        ("0 1 wo wo\n", SCORE + ["--fst", "BAD", "--syms", "SYMS"]),
+        ("<eps>\t0\nwo\tx\n", SCORE + ["--fst", "FST", "--syms", "BAD"]),
+        ('{"theta": "high", "max_predictors": 1, "groups": []}',
+         ["enhance", "--in-fst", "FST", "--in-syms", "SYMS", "--pairs", "BAD",
+          "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]),
+        ('[{"reference": "wo", "focus": [0], "competitors": []}]',
+         ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
+    ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
+            "symbols", "pairs", "cases"])
+    def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
+        fst_path, syms_path = build(workdir)
+        (workdir / "bad").write_text(text)
+        (workdir / "sents.txt").write_text("wo de\n")
+        names = {"BAD": workdir / "bad", "FST": fst_path, "SYMS": syms_path,
+                 "TEXT": workdir / "sents.txt", "OUT": workdir / "out",
+                 "OUT.fst": workdir / "out.fst", "OUT.syms": workdir / "out.syms"}
+        code = run(*[names.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("gboost: input format error:")
+        assert "Traceback" not in err
 
 
 class TestUsage:

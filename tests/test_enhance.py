@@ -1,16 +1,19 @@
+import io
+import json
 import logging
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import toylm
+from gboost.arpa import parse_arpa
 from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
                             compute_enhanced_weight, enhance, load_pairs_config)
-from gboost.errors import FormatError, InvariantError
+from gboost.errors import FormatError, GboostError, InvariantError
 from gboost.fst import diff as structural_diff
-from gboost.graph import graph_score
+from gboost.graph import build_g, graph_score
 
 
 def one_pair_config(predictor, target, frequencies=None, new=False, theta=0.0,
@@ -331,3 +334,57 @@ class TestPairsConfigFile:
     def test_rejects_non_object(self):
         with pytest.raises(FormatError, match="object"):
             load_pairs_config('[1, 2]')
+
+
+# -- config parser under fuzzing ----------------------------------------------
+#
+# Arbitrary text and JSON, and valid configs with fields dropped or replaced.
+# Loading may raise only FormatError, and enhancing a small graph with a
+# loaded config only GboostError.
+
+FUZZ_ARPA = ("\\data\\\nngram 1=5\n\n\\1-grams:\n-99\t<s>\n-0.5\ta\n-0.6\tb\n"
+             "-1.3\tc\n-0.9\t</s>\n\n\\end\\\n")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400)
+    | st.floats() | st.sampled_from(["a", "b", "c", "new", "<eps>", ""]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["a", "b", "c", "new"]), inner,
+                                     max_size=3)),
+    max_leaves=6)
+VALID_PAIRS = {"theta": 0.5, "max_predictors": 2,
+               "groups": [{"predictors": ["a", "b"], "targets": ["c", "new"],
+                           "frequencies": {"a": 95, "b": 40, "c": 5},
+                           "new_words": ["new"]}]}
+
+
+@st.composite
+def near_valid_pairs(draw):
+    config = json.loads(json.dumps(VALID_PAIRS))
+    group = config["groups"][0]
+    for _ in range(draw(st.integers(1, 2))):
+        frequencies = group.get("frequencies")
+        places = [config, group] + ([frequencies] if isinstance(frequencies, dict) else [])
+        where = draw(st.sampled_from(places))
+        key = draw(st.sampled_from(sorted(where) + ["new"]))
+        if draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(JSON_VALUES)
+    return json.dumps(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(max_size=60), JSON_VALUES.map(json.dumps), near_valid_pairs()))
+@example(json.dumps(VALID_PAIRS))
+@example(json.dumps(dict(VALID_PAIRS, groups=[dict(
+    VALID_PAIRS["groups"][0], frequencies={"a": 95, "b": 10**330, "c": 5})])))
+def test_pairs_config_raises_only_gboost_errors(text):
+    try:
+        config = load_pairs_config(text)
+    except FormatError:
+        return
+    fst, _ = build_g(parse_arpa(io.StringIO(FUZZ_ARPA)))
+    try:
+        enhance(fst, config)
+    except GboostError:
+        pass

@@ -3,14 +3,16 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import toylm
 from gboost.arpa import parse_arpa
 from gboost.enhance import enhance
-from gboost.errors import FormatError, InvariantError
+from gboost.errors import FormatError, GboostError, InvariantError
 from gboost.evaluate import (EvalReport, RankingCase, grid_tsv, load_cases,
                              run_ranking, sweep)
 from gboost.graph import build_g, graph_score
+from test_enhance import JSON_VALUES
 
 # Unigram-only model with transparent word probabilities: common beats
 # middling beats rare, and "tied" shares its probability with "middling".
@@ -48,14 +50,14 @@ def case(reference, focus, *alternatives):
 
 class TestRankingCase:
     def test_non_focus_mismatch_rejected(self):
-        bad = RankingCase(reference=["a", "b"], focus=[1],
-                          competitors=[["x", "c"]])
         with pytest.raises(InvariantError, match="non-focus"):
+            bad = RankingCase(reference=["a", "b"], focus=[1],
+                              competitors=[["x", "c"]])
             bad.validate()
 
     def test_length_mismatch_rejected(self):
-        bad = RankingCase(reference=["a", "b"], focus=[1], competitors=[["a"]])
         with pytest.raises(InvariantError, match="words"):
+            bad = RankingCase(reference=["a", "b"], focus=[1], competitors=[["a"]])
             bad.validate()
 
     def test_focus_required_and_in_range(self):
@@ -261,3 +263,42 @@ class TestCasesFile:
         for case in bad:
             with pytest.raises(FormatError, match="case 0"):
                 load_cases(json.dumps([case]))
+
+
+# -- cases parser under fuzzing -----------------------------------------------
+#
+# Arbitrary text and JSON, and valid case lists with fields dropped or
+# replaced. Loading may raise only FormatError, and ranking loaded cases
+# only GboostError.
+
+VALID_CASE = {"reference": ["common", "rare"], "focus": [1],
+              "competitors": [["common", "tied"], ["common", "zzz"]]}
+
+
+@st.composite
+def near_valid_cases(draw):
+    cases = [json.loads(json.dumps(VALID_CASE)) for _ in range(draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(1, 2))):
+        case = draw(st.sampled_from(cases))
+        key = draw(st.sampled_from(sorted(case)))
+        if draw(st.booleans()):
+            case.pop(key, None)
+        else:
+            case[key] = draw(JSON_VALUES | st.lists(st.sampled_from(["common", 0, 1, -1]),
+                                                    max_size=3))
+    return json.dumps(cases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(max_size=60), JSON_VALUES.map(json.dumps), near_valid_cases()))
+@example(json.dumps([VALID_CASE]))
+def test_cases_file_raises_only_gboost_errors(text):
+    try:
+        cases = load_cases(text)
+    except FormatError:
+        return
+    fst, _ = build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
+    try:
+        run_ranking(fst, cases)
+    except GboostError:
+        pass

@@ -6,11 +6,12 @@ import pytest
 
 import oracles
 import toylm
-from gboost.arpa import BOS, EOS, oracle_score, parse_arpa
+from gboost.arpa import BOS, EOS, UNK, oracle_score, parse_arpa
 from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff, path_weight
+from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff
 from gboost.graph import build_g, graph_score
+from oracles import arcs_matching, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 LN10 = math.log(10.0)
@@ -113,7 +114,7 @@ class TestBuildG:
         model = parse(SMALL_BIGRAM)
         fst, states = build_g(model)
         a = fst.symbols.label("a")
-        ((target, _, _, weight),) = fst.arcs_matching(states[(BOS,)], a)
+        ((target, _, _, weight),) = arcs_matching(fst, states[(BOS,)], a)
         assert weight == model.logprob((BOS, "a"))
         assert target == states[("a",)]
 
@@ -132,7 +133,7 @@ class TestBuildG:
         fst, states = build_g(telecom_model)
         (final,) = fst.finals
         for state in fst.states():
-            epsilon_arcs = fst.arcs_matching(state, EPSILON_LABEL)
+            epsilon_arcs = arcs_matching(fst, state, EPSILON_LABEL)
             if state in (states[()], final):
                 assert epsilon_arcs == []
             else:
@@ -187,7 +188,7 @@ class TestGraphScore:
         baseline = graph_score(fst, ["a"])
         a = fst.symbols.label("a")
         start = fst.initial
-        better = fst.arcs_matching(start, a)[0][3] + 1.0
+        better = arcs_matching(fst, start, a)[0][3] + 1.0
         fst.add_arc(start, states[("a",)], a, a, better)
         assert graph_score(fst, ["a"]) == pytest.approx(
             baseline + 1.0, abs=1e-12)
@@ -243,7 +244,7 @@ class TestGraphScore:
             enhance(fst, config)  # adds parallel target arcs
             words = VOCAB + [t for g in config.groups for t in g.targets]
             self._assert_greedy_scores(fst, rng, words)
-            parallel += sum(len(fst.arcs_matching(state, fst.symbols.label(word))) > 1
+            parallel += sum(len(arcs_matching(fst, state, fst.symbols.label(word))) > 1
                             for state in fst.states() for word in words)
         assert parallel > 300
 
@@ -287,6 +288,29 @@ class TestGraphScore:
         assert info.value.word == "zzz"
         assert info.value.position == 1
 
+    def test_unknown_words_score_as_unk_like_the_oracle(self):
+        """c2-style parity on random toy models that have <unk>.
+
+        Each model leaves one vocabulary word out of its corpus, so no
+        history exhausts its lower-order mass, and trains <unk> as a word.
+        """
+        rng = random.Random(303)
+        oov = ["zzz", "wifi", "UNK", EPSILON]
+        for seed in range(8):
+            words = rng.sample(toylm.TELECOM_WORDS, 6)
+            corpus = toylm.toy_corpus(words[:-1] + [UNK], 60, seed=seed)
+            model = parse(toylm.train_arpa(corpus, vocab=words + [UNK],
+                                           order=rng.choice([2, 3])))
+            fst, _ = build_g(model)
+            for _ in range(40):
+                sentence = rng.choices(words + [UNK] + oov, k=rng.randint(0, 6))
+                assert graph_score(fst, sentence) == pytest.approx(
+                    oracle_score(model, sentence), abs=1e-9), (seed, sentence)
+
+    def test_epsilon_is_not_a_word(self, telecom_graph):
+        with pytest.raises(NoPathError, match="position 1"):
+            graph_score(telecom_graph, ["wo", EPSILON, "de"])
+
     def test_first_of_several_unknown_words_is_reported(self, telecom_graph):
         with pytest.raises(NoPathError) as info:
             graph_score(telecom_graph, ["wo", "yyy", "de", "zzz"])
@@ -305,7 +329,7 @@ class TestGraphScore:
         model = parse(SUFFIX_GAP)
         fst, states = build_g(model)
         c = fst.symbols.label("c")
-        ((target, _, _, weight),) = fst.arcs_matching(states[("a", "b")], c)
+        ((target, _, _, weight),) = arcs_matching(fst, states[("a", "b")], c)
         folded = model.logprob(("a", "b", "c")) + (-0.22 * LN10)
         assert weight == pytest.approx(folded, abs=1e-12)
         assert target == states[("c",)]

@@ -1,13 +1,17 @@
-"""Seeded toy corpora and a tiny count-based back-off estimator.
+"""Seeded toy corpora, a tiny count-based back-off estimator, an ARPA writer.
 
 Fixture-only machinery: emits ARPA text for the tests. Unigrams are
 add-one smoothed, higher orders absolute-discounted with Katz-style
 back-off weights, so each history's distribution sums to one.
+:func:`write_arpa` re-emits a parsed model, for round-trip tests.
 """
 
 import math
 import random
 from collections import Counter
+from typing import TextIO
+
+from gboost.arpa import NGramModel
 
 BOS = "<s>"
 EOS = "</s>"
@@ -93,3 +97,18 @@ def train_arpa(sentences, vocab, order=3, discount=0.8):
             lines.append(line)
     lines += ["", "\\end\\", ""]
     return "\n".join(lines)
+
+
+def write_arpa(model: NGramModel, stream: TextIO) -> None:
+    """Emit the model back out in ARPA text form (log10 values)."""
+    stream.write("\\data\\\n")
+    for k in range(1, model.order + 1):
+        stream.write(f"ngram {k}={len(model.tables[k - 1])}\n")
+    for k in range(1, model.order + 1):
+        stream.write(f"\n\\{k}-grams:\n")
+        for words, entry in model.tables[k - 1].items():
+            line = f"{entry.logprob / LN10:.9g}\t{' '.join(words)}"
+            if entry.backoff is not None:
+                line += f"\t{entry.backoff / LN10:.9g}"
+            stream.write(line + "\n")
+    stream.write("\n\\end\\\n")
