@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO
 
-from gboost.errors import FormatError, InvariantError
+from gboost.errors import FormatError, InvariantError, NoPathError
 from gboost.fst import SymbolTable
 
 LN10 = math.log(10.0)
@@ -207,9 +207,15 @@ def oracle_score(model: NGramModel, sentence: Sequence[str]) -> float:
     """Natural-log probability of a sentence, wrapped in <s> ... </s>.
 
     Out-of-vocabulary words map to <unk> when the model has one and are an
-    error otherwise.
+    error otherwise. <s> is never predicted, so a sentence that contains it
+    raises NoPathError naming its first position, as
+    :func:`gboost.graph.graph_score` does.
     """
     words = _map_oov(model, sentence)
+    if BOS in words:
+        position = words.index(BOS)
+        raise NoPathError(f"word {BOS!r} at position {position} is never predicted",
+                          word=BOS, position=position)
     seq = [BOS] + words + [EOS]
     total = 0.0
     for i in range(1, len(seq)):

@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import Arc, FstDiff, SymbolTable, Wfst, apply_diff
+from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, apply_diff
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +47,11 @@ class SimilarPairGroup:
             raise InvariantError("similar-pair group has no predictor words")
         if not self.targets:
             raise InvariantError("similar-pair group has no target words")
+        # <eps> labels the back-off arcs: as a predictor it would copy them
+        # as word arcs, as a target it would add label-0 arcs beside them.
+        for role, words in (("predictor", self.predictors), ("target", self.targets)):
+            if EPSILON in words:
+                raise InvariantError(f"{EPSILON!r} is not a word and cannot be a {role}")
         for word in self.predictors:
             if word not in symbols:
                 raise InvariantError(f"predictor word not in vocabulary: {word!r}")

@@ -94,6 +94,7 @@ class SymbolTable:
     def read(cls, stream: TextIO) -> "SymbolTable":
         """Parse a ``symbol<TAB>label`` file. ``<eps> 0`` must come first."""
         table = cls()
+        first = True
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
@@ -105,12 +106,14 @@ class SymbolTable:
                 lab = int(lab_text)
             except ValueError:
                 raise FormatError(f"bad label {lab_text!r}", line=lineno) from None
-            if lineno == 1:
+            if first:
                 if sym != EPSILON or lab != EPSILON_LABEL:
                     raise FormatError(f"first entry must be '{EPSILON} 0'", line=lineno)
+                first = False
                 continue
             if sym == EPSILON or lab == EPSILON_LABEL:
-                raise FormatError(f"'{EPSILON}'/0 may appear only on line 1", line=lineno)
+                raise FormatError(f"'{EPSILON}'/0 may appear only as the first entry",
+                                  line=lineno)
             try:
                 table.add(sym, lab)
             except InvariantError as exc:

@@ -1,15 +1,20 @@
+import gc
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
+import gboost.cli
 import gboost.evaluate
+import toylm
 from gboost.arpa import oracle_score, parse_arpa
-from gboost.cli import main
+from gboost.cli import UsageError, main
 from gboost.enhance import enhance, load_pairs_config
+from gboost.errors import FormatError, InvariantError
 from gboost.fst import read_text, write_text
 
 PAIRS = {
@@ -157,6 +162,21 @@ class TestEnhanceCommand:
         assert "nosuchword" in capsys.readouterr().err
         assert not (workdir / "g2.fst").exists()
 
+    @pytest.mark.parametrize("role", ["predictor", "target"])
+    def test_epsilon_in_pairs_is_invariant_error(self, workdir, capsys, role):
+        fst_path, syms_path = build(workdir)
+        group = {"predictors": ["liuliang"], "targets": ["wifi"],
+                 "frequencies": {"liuliang": 54, "<eps>": 10}, "new_words": ["wifi"]}
+        group[role + "s"] = ["<eps>"]
+        (workdir / "bad.json").write_text(json.dumps(dict(PAIRS, groups=[group])))
+        code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "bad.json",
+                   "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'<eps>'" in err and role in err
+        assert not (workdir / "g2.fst").exists()
+
     def test_malformed_pairs_json_is_format_error(self, workdir):
         fst_path, syms_path = build(workdir)
         group = PAIRS["groups"][0]
@@ -234,12 +254,15 @@ class TestEvalCommand:
         for flag, value in [("--theta-list", "abc"), ("--theta-list", "1,,3"),
                             ("--chnum-list", "1.5"), ("--chnum-list", "1,,3"),
                             ("--chnum-list", "abc"), ("--theta-list", "nan,inf"),
-                            ("--chnum-list", "0,-1")]:
+                            ("--chnum-list", "0,-1"), ("--theta-list", "-3,-3.0000001")]:
             code = run("eval", "--fst", fst_path, "--syms", syms_path,
                        "--cases", workdir / "cases.json", "--pairs", workdir / "pairs.json",
                        f"{flag}={value}", "--out", workdir / "sweepout")
             assert code == 1, (flag, value)
-            assert flag in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert flag in err
+        assert "-3.0 and -3.0000001" in err
+        assert not (workdir / "sweepout").exists()
 
     def test_repeated_sweep_values_run_once(self, workdir, monkeypatch):
         calls = []
@@ -381,6 +404,72 @@ class TestMalformedInputs:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("gboost: input format error:")
         assert "Traceback" not in err
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("raised, code", [
+        (None, 0), (UsageError("u"), 1), (OSError("o"), 1), (FormatError("f"), 2),
+        (InvariantError("i"), 3), (RuntimeError("r"), None),
+    ], ids=["ok", "usage", "os", "format", "invariant", "uncaught"])
+    def test_command_runs_paused_and_restores_state(self, monkeypatch, capsys,
+                                                    enabled, raised, code):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return 0
+
+        monkeypatch.setattr(gboost.cli, "_cmd_score", command)
+        argv = ["score", "--fst", "g.fst", "--syms", "g.syms", "--text", "t.txt"]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, workdir):
+        """A command leaves the same cyclic garbage for small and large inputs.
+
+        Commands run with the collector paused, so a per-sentence or
+        per-case reference cycle would pile up until the command ends.
+        """
+        fst_path, syms_path = build(workdir)
+        rng = random.Random(5)
+        words = toylm.TELECOM_WORDS + ["wifi"]
+        sentences = [" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(500)]
+
+        def score(n):
+            (workdir / "s.txt").write_text("\n".join(sentences[:n]) + "\n")
+            return ["score", "--fst", fst_path, "--syms", syms_path,
+                    "--text", workdir / "s.txt", "--out", workdir / "scores.txt"]
+
+        def evaluate(n):
+            (workdir / "c.json").write_text(json.dumps((CASES * n)[:n]))
+            return ["eval", "--fst", fst_path, "--syms", syms_path,
+                    "--cases", workdir / "c.json", "--pairs", workdir / "pairs.json",
+                    "--theta-list=-1,1", "--chnum-list=1,2", "--out", workdir / "out"]
+
+        def garbage(argv):
+            gc.collect()
+            gc.disable()
+            try:
+                assert run(*argv) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        for command, small, large in ((score, 50, 500), (evaluate, 2, 20)):
+            garbage(command(small))  # warm: lazy imports and caches
+            assert garbage(command(small)) == garbage(command(large)), command.__name__
 
 
 class TestUsage:

@@ -189,6 +189,22 @@ class TestEnhance:
         with pytest.raises(InvariantError, match="ghost"):
             enhance(donor_graph, config)
 
+    @pytest.mark.parametrize("predictor, target, new, role", [
+        ("<eps>", "c", False, "predictor"),
+        ("a", "<eps>", False, "target"),
+        ("a", "<eps>", True, "target"),
+    ])
+    def test_epsilon_is_neither_predictor_nor_target(self, donor_graph, predictor,
+                                                     target, new, role):
+        # <eps> labels back-off arcs: as a predictor it would copy them as
+        # target-word arcs, as a target it would add label-0 arcs.
+        config = one_pair_config(predictor, target, {"a": 95, "c": 5, "<eps>": 50},
+                                 new=new)
+        before = donor_graph.copy()
+        with pytest.raises(InvariantError, match=f"'<eps>'.* {role}"):
+            enhance(donor_graph, config)
+        assert oracles.graphs_equal(before, donor_graph)
+
     def test_new_marked_word_already_in_table_is_reused(self, donor_graph):
         # A rerun finds its own insertions; they are reused, not duplicated.
         config = one_pair_config("a", "nova", {"a": 95}, new=True)

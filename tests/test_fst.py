@@ -51,6 +51,17 @@ class TestSymbolTable:
     def test_read_requires_epsilon_first(self):
         with pytest.raises(FormatError, match="line 1"):
             SymbolTable.read(io.StringIO("a\t1\n<eps>\t0\n"))
+        with pytest.raises(FormatError, match="line 2: '<eps>'/0"):
+            SymbolTable.read(io.StringIO("<eps>\t0\n<eps>\t0\n"))
+        # The first record, not physical line 1, must be <eps> 0.
+        with pytest.raises(FormatError, match="line 2: first entry"):
+            SymbolTable.read(io.StringIO("\nfoo\t1\n"))
+        with pytest.raises(FormatError, match="line 4: '<eps>'/0"):
+            SymbolTable.read(io.StringIO("\n<eps>\t0\n\n<eps>\t0\n"))
+
+    def test_read_skips_leading_blank_lines(self):
+        table = SymbolTable.read(io.StringIO("\n<eps>\t0\na\t1\n"))
+        assert table == SymbolTable(["a"])
 
 
 class TestWfstBasics:

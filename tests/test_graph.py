@@ -293,9 +293,18 @@ class TestGraphScore:
 
         Each model leaves one vocabulary word out of its corpus, so no
         history exhausts its lower-order mass, and trains <unk> as a word.
+        <s> is never predicted: both scorers reject it at the same position.
         """
+
+        def outcome(scorer, model, sentence):
+            try:
+                return pytest.approx(scorer(model, sentence), abs=1e-9)
+            except NoPathError as exc:
+                return (exc.word, exc.position)
+
         rng = random.Random(303)
-        oov = ["zzz", "wifi", "UNK", EPSILON]
+        oov = ["zzz", "wifi", "UNK", EPSILON, BOS]
+        rejected = 0
         for seed in range(8):
             words = rng.sample(toylm.TELECOM_WORDS, 6)
             corpus = toylm.toy_corpus(words[:-1] + [UNK], 60, seed=seed)
@@ -304,8 +313,17 @@ class TestGraphScore:
             fst, _ = build_g(model)
             for _ in range(40):
                 sentence = rng.choices(words + [UNK] + oov, k=rng.randint(0, 6))
-                assert graph_score(fst, sentence) == pytest.approx(
-                    oracle_score(model, sentence), abs=1e-9), (seed, sentence)
+                want = outcome(oracle_score, model, sentence)
+                assert outcome(graph_score, fst, sentence) == want, (seed, sentence)
+                rejected += isinstance(want, tuple)
+        assert rejected > 0
+
+    def test_sentence_start_is_never_predicted(self, telecom_graph, telecom_model):
+        sentence = ["wo", BOS, "de"]
+        for scorer, model in ((graph_score, telecom_graph), (oracle_score, telecom_model)):
+            with pytest.raises(NoPathError) as info:
+                scorer(model, sentence)
+            assert (info.value.word, info.value.position) == (BOS, 1)
 
     def test_epsilon_is_not_a_word(self, telecom_graph):
         with pytest.raises(NoPathError, match="position 1"):
