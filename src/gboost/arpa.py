@@ -74,9 +74,17 @@ def parse_arpa(stream: TextIO) -> NGramModel:
     has its own entry, log probabilities are finite and <= 0 (the unused
     <s> unigram may be -inf), back-off weights are finite, <s> is never
     predicted and </s> never appears as context.
+
+    Each distinct word is one ``str`` object, shared by every n-gram key
+    that names it and by the vocabulary: a large model names each word in
+    many n-grams, and shared words also hash from their cached value and
+    compare by identity.
     """
     counts: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], NGram]] = {}
+    shared: dict[str, str] = {}  # word -> its one str object
+    # NGram(logprob, backoff) without the Python-level __new__ of a NamedTuple.
+    new_ngram = tuple.__new__
     section = None  # None: preamble, 0: \data\, k>0: \k-grams:
     saw_end = False
 
@@ -131,7 +139,8 @@ def parse_arpa(stream: TextIO) -> NGramModel:
             logprob = float(fields[0]) * LN10
         except ValueError:
             raise FormatError(f"bad log probability in {line!r}", line=lineno) from None
-        words = tuple(fields[1:k + 1])
+        names = fields[1:k + 1]
+        words = tuple(map(shared.setdefault, names, names))
         if logprob > 0.0:
             raise FormatError(f"log probability above zero for {' '.join(words)!r}", line=lineno)
         if not isfinite(logprob) and words != (BOS,):  # <s> is never predicted
@@ -146,7 +155,7 @@ def parse_arpa(stream: TextIO) -> NGramModel:
                               f"{' '.join(words)!r}", line=lineno)
         if words in table:
             raise FormatError(f"duplicate {k}-gram: {' '.join(words)!r}", line=lineno)
-        table[words] = NGram(logprob, backoff)
+        table[words] = new_ngram(NGram, (logprob, backoff))
 
     if not saw_end:
         raise FormatError("missing \\end\\ marker")
@@ -207,15 +216,16 @@ def oracle_score(model: NGramModel, sentence: Sequence[str]) -> float:
     """Natural-log probability of a sentence, wrapped in <s> ... </s>.
 
     Out-of-vocabulary words map to <unk> when the model has one and are an
-    error otherwise. <s> is never predicted, so a sentence that contains it
-    raises NoPathError naming its first position, as
-    :func:`gboost.graph.graph_score` does.
+    error otherwise. <s> is never predicted and </s> only ends a sentence,
+    so a sentence that contains either raises NoPathError naming the first
+    position holding one, as :func:`gboost.graph.graph_score` does.
     """
     words = _map_oov(model, sentence)
-    if BOS in words:
-        position = words.index(BOS)
-        raise NoPathError(f"word {BOS!r} at position {position} is never predicted",
-                          word=BOS, position=position)
+    if BOS in words or EOS in words:
+        position, word = next((i, w) for i, w in enumerate(words) if w in (BOS, EOS))
+        reason = "is never predicted" if word == BOS else "may only end the sentence"
+        raise NoPathError(f"word {word!r} at position {position} {reason}",
+                          word=word, position=position)
     seq = [BOS] + words + [EOS]
     total = 0.0
     for i in range(1, len(seq)):

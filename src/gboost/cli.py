@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 invariant
 violation (vocabulary mismatches, bad configs, broken graphs). Output
-files are written atomically (temp file then rename). The --weights flag
+files are written atomically: into a temp file beside the target, renamed
+onto it on success and removed on any failure. Graph and symbol files are
+streamed into the temp file, never built whole in memory, and ``build-g``
+frees the parsed model before it writes the graph. The --weights flag
 (default from $GBOOST_WEIGHTS) selects between log-probability files and
 cost-convention files, whose weights are negated on read and write.
 
@@ -22,19 +25,20 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import logging
 import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from gboost.arpa import parse_arpa
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, GboostError, NoPathError
 from gboost.evaluate import PROXY_NOTE, grid_tsv, load_cases, run_ranking, sweep
-from gboost.fst import (FstDiff, SymbolTable, WEIGHT_FMT, diff, read_text,
+from gboost.fst import (FstDiff, SymbolTable, WEIGHT_FMT, Wfst, diff, read_text,
                         write_text)
 from gboost.graph import build_g, graph_score
 
@@ -58,16 +62,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text handle on a temp file beside ``path``, renamed onto it on success.
+
+    If the body raises, the temp file is removed and ``path`` is untouched.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str | Path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _require_files(*paths: str) -> None:
@@ -103,16 +117,12 @@ def _load_graph(fst_path, syms_path, negate):
     return g
 
 
-def _graph_to_text(g, negate):
-    buf = io.StringIO()
-    write_text(g, buf, negate=negate)
-    return buf.getvalue()
-
-
-def _symbols_to_text(symbols):
-    buf = io.StringIO()
-    symbols.write(buf)
-    return buf.getvalue()
+def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
+    # Streamed into the temp files: the text is never held whole in memory.
+    with _atomic_open(fst_path) as handle:
+        write_text(g, handle, negate=negate)
+    with _atomic_open(syms_path) as handle:
+        g.symbols.write(handle)
 
 
 def format_diff(delta: FstDiff, symbols: SymbolTable,
@@ -145,14 +155,20 @@ def format_diff(delta: FstDiff, symbols: SymbolTable,
 # -- subcommands ------------------------------------------------------------
 
 
+def _compile(arpa_path: str) -> Wfst:
+    # Only the graph outlives this call: the parsed model and the
+    # history-to-state map are freed before the graph is written.
+    with open(arpa_path) as handle:
+        model = parse_arpa(handle)
+    g, _ = build_g(model)
+    return g
+
+
 def _cmd_build_g(args) -> int:
     negate = _negate(args)
     _require_files(args.arpa)
-    with open(args.arpa) as handle:
-        model = parse_arpa(handle)
-    g, _ = build_g(model)
-    _atomic_write(args.out_fst, _graph_to_text(g, negate))
-    _atomic_write(args.out_syms, _symbols_to_text(g.symbols))
+    g = _compile(args.arpa)
+    _write_graph(g, args.out_fst, args.out_syms, negate)
     return EXIT_OK
 
 
@@ -162,8 +178,7 @@ def _cmd_enhance(args) -> int:
     g = _load_graph(args.in_fst, args.in_syms, negate)
     config = load_pairs_config(Path(args.pairs).read_text())
     _, delta = enhance(g, config)
-    _atomic_write(args.out_fst, _graph_to_text(g, negate))
-    _atomic_write(args.out_syms, _symbols_to_text(g.symbols))
+    _write_graph(g, args.out_fst, args.out_syms, negate)
     if args.diff:
         _atomic_write(args.diff, format_diff(delta, g.symbols, negate))
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from gboost.errors import FormatError, InvariantError
@@ -354,6 +355,9 @@ class Wfst:
 # Structural diff
 
 
+_arc_key = itemgetter(0, 1, 2)  # (target, ilabel, olabel) of an arc tuple
+
+
 def _arc_groups(arcs: list[tuple[int, int, int, float]]
                 ) -> dict[tuple[int, int, int], list[float]]:
     groups: dict[tuple[int, int, int], list[float]] = {}
@@ -362,12 +366,29 @@ def _arc_groups(arcs: list[tuple[int, int, int, float]]
     return groups
 
 
+def _appended(before: list, after: list) -> list | None:
+    # The arcs `after` appends to `before`, if it is `before` plus a suffix
+    # whose (target, ilabel, olabel) keys are pairwise distinct and absent
+    # from `before`: then grouping would report exactly the suffix, in
+    # order, as additions. None for any other change.
+    size = len(before)
+    if len(after) <= size or after[:size] != before:
+        return None
+    suffix = after[size:]
+    keys = set(map(_arc_key, suffix))
+    if len(keys) != len(suffix) or not keys.isdisjoint(map(_arc_key, before)):
+        return None
+    return suffix
+
+
 def diff(before: Wfst, after: Wfst) -> FstDiff:
     """Exact arc-for-arc delta turning ``before`` into ``after``.
 
     Both graphs must share a symbol table and have the same state count.
     Arcs agreeing on (target, ilabel, olabel) are matched by sorted weight;
-    surplus arcs become additions or removals.
+    surplus arcs become additions or removals. A state whose arcs are only
+    appended to, each under a new key, as :func:`gboost.enhance.enhance`
+    appends them, skips the grouping: its new arcs are its additions.
     """
     if before.symbols != after.symbols:
         raise InvariantError("graphs do not share a symbol table")
@@ -380,6 +401,10 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     out = FstDiff()
     for state, (b_arcs, a_arcs) in enumerate(zip(before._arcs, after._arcs)):
         if b_arcs == a_arcs:  # equal lists match arc for arc: nothing to report
+            continue
+        suffix = _appended(b_arcs, a_arcs)
+        if suffix is not None:
+            out.added_arcs += [Arc(state, *arc) for arc in suffix]
             continue
         b_groups = _arc_groups(b_arcs)
         a_groups = _arc_groups(a_arcs)
@@ -516,23 +541,36 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     allocated. Every malformed record is a FormatError at its line: a wrong
     field count, a bad number, a negative or out-of-bound state id, an
     unknown symbol (named in the message) or a non-finite weight.
+
+    Each state id is one ``int`` object, shared by every arc target, the
+    initial state and the final-weight keys that name it, as in a graph
+    built in memory. An id text is converted and range-checked the first
+    time it is seen; after that it costs one dict lookup.
     """
     sign = -1.0 if negate else 1.0
     label_of = symbols._sym2lab.get
     isfinite = math.isfinite
     by_source: dict[int, _ArcList] = {}
     finals: dict[int, float] = {}
+    ids: dict[str, int] = {}  # id text -> its state's one int
     initial = None
     records = 0
     top = top_line = 0  # the largest state id, and the first line naming it
     source_text = arcs = None  # the last arc line's source, and its list
 
-    def new_top(state: int, lineno: int) -> None:
-        # `state` is outside 0..top: negative, or the largest id yet.
+    def state_id(text: str, lineno: int) -> int:
+        # First sight of an id text: convert, range-check and share it.
         nonlocal top, top_line
-        if state < 0:
-            raise FormatError(f"unknown state id: {state}", line=lineno)
-        top, top_line = state, lineno
+        state = int(text)
+        if not 0 <= state <= top:
+            if state < 0:
+                raise FormatError(f"unknown state id: {state}", line=lineno)
+            top, top_line = state, lineno
+        canonical = str(state)
+        if canonical != text:  # "07" or "+7" shares the int of "7"
+            state = ids.setdefault(canonical, state)
+        ids[text] = state
+        return state
 
     for lineno, line in enumerate(stream, start=1):
         fields = line.split()
@@ -540,20 +578,20 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
         try:
             if count == 5:
                 if fields[0] != source_text:
-                    source = int(fields[0])
-                    if not 0 <= source <= top:
-                        new_top(source, lineno)
+                    source_text = fields[0]
+                    source = ids.get(source_text)
+                    if source is None:
+                        source = state_id(source_text, lineno)
                     arcs = by_source.get(source)
                     if arcs is None:
                         arcs = by_source[source] = _ArcList()
                         arcs.best = None
                         if initial is None:
                             initial = source
-                    source_text = fields[0]
                 _, target_text, isym, osym, weight_text = fields
-                target = int(target_text)
-                if not 0 <= target <= top:
-                    new_top(target, lineno)
+                target = ids.get(target_text)
+                if target is None:
+                    target = state_id(target_text, lineno)
                 weight = sign * float(weight_text)
                 ilabel = label_of(isym)
                 if ilabel is None:
@@ -565,9 +603,9 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                     raise FormatError(f"arc weight must be finite, got {weight}", line=lineno)
                 arcs.append((target, ilabel, olabel, weight))
             elif count == 2:
-                state = int(fields[0])
-                if not 0 <= state <= top:
-                    new_top(state, lineno)
+                state = ids.get(fields[0])
+                if state is None:
+                    state = state_id(fields[0], lineno)
                 weight = sign * float(fields[1])
                 if not isfinite(weight):
                     raise FormatError(f"final weight must be finite, got {weight}",

@@ -56,17 +56,23 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
     final = len(histories)
     fst.set_final(final, 0.0)
 
+    tables = model.tables
+
     def hop(history: History) -> tuple[int, float]:
         # Longest suffix of `history` that has a state, folding in the
-        # back-off weights of the skipped (state-less) histories.
+        # back-off weights of the skipped (state-less) histories. A skipped
+        # history is never empty nor of the top order, so this is
+        # model.backoff inline; an absent weight adds nothing.
         fold = 0.0
         while history not in states:
-            fold += model.backoff(history)
+            entry = tables[len(history) - 1].get(history)
+            if entry is not None and entry.backoff is not None:
+                fold += entry.backoff
             history = history[1:]
         return states[history], fold
 
-    label = fst.symbols.label
-    eos_label = label(EOS)
+    label_of = fst.symbols._sym2lab.get
+    eos_label = fst.symbols.label(EOS)
     for k in range(1, model.order + 1):
         for words, entry in model.tables[k - 1].items():
             word = words[-1]
@@ -76,7 +82,9 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
                 dest, word_label, weight = final, eos_label, entry.logprob
             else:
                 dest, fold = hop(words if k < model.order else words[1:])
-                word_label = label(word)
+                word_label = label_of(word)
+                if word_label is None:
+                    raise InvariantError(f"unknown symbol: {word!r}")
                 weight = entry.logprob + fold
             if not isfinite(weight):
                 raise InvariantError(f"arc weight must be finite, got {weight}")
@@ -110,7 +118,10 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     ``<unk>`` when the graph has that symbol, as
     :func:`gboost.arpa.oracle_score` does; without ``<unk>`` it raises
     NoPathError. So on a model with ``<unk>`` a new word not yet in the
-    graph gets the ``<unk>`` probability.
+    graph gets the ``<unk>`` probability. The words ``<s>`` and ``</s>``
+    inside a sentence raise NoPathError at the first position holding
+    either, as in the oracle: ``<s>`` is never predicted, and ``</s>`` only
+    ends a sentence.
 
     Each step is one lookup in the state's best-arc table
     (:meth:`gboost.fst.Wfst.best_arcs`), plus one for ``<eps>`` on a miss.
@@ -131,15 +142,25 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
         word = sentence[position]
         raise NoPathError(f"word {word!r} at position {position} is not in the graph",
                           word=word, position=position)
-    labels.append(symbols.label(EOS))
+    eos = symbols.label(EOS)
+    # </s> only closes a sentence. Inside one, the words before it are
+    # walked first, so that an earlier <s> is reported first, as the oracle
+    # does, and then NoPathError names its position.
+    early_end = labels.index(eos) if eos in labels else None
+    if early_end is None:
+        labels.append(eos)
+    else:
+        del labels[early_end:]
 
-    best_arcs = fst.best_arcs
-    max_backoffs = fst.num_states() + 1
+    lists = fst._arcs
+    max_backoffs = len(lists) + 1
     total = 0.0
     state = fst.initial
     for position, word_label in enumerate(labels):
         for _ in range(max_backoffs):
-            table = best_arcs(state)
+            table = lists[state].best
+            if table is None:
+                table = fst.best_arcs(state)
             arc = table.get(word_label)
             if arc is not None:
                 state, _, _, weight = arc
@@ -155,6 +176,9 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
         else:
             raise InvariantError("epsilon cycle encountered while backing off")
 
+    if early_end is not None:
+        raise NoPathError(f"word {EOS!r} at position {early_end} may only end the sentence",
+                          word=EOS, position=early_end)
     final = fst.final_weight(state)
     if final is None:
         raise InvariantError(f"sentence ended in non-final state {state}")

@@ -9,6 +9,7 @@ import oracles
 import toylm
 from gboost.arpa import BOS, EOS, conditional_logprob, oracle_score, parse_arpa
 from gboost.errors import FormatError, GboostError, InvariantError, NoPathError
+from gboost.fst import EPSILON
 from gboost.graph import build_g, graph_score
 from toylm import write_arpa
 
@@ -144,6 +145,15 @@ class TestParse:
                     assert math.isfinite(entry.backoff)
                 if k > 1:
                     assert gram[:-1] in telecom_model.tables[k - 2]
+
+    def test_each_word_is_one_shared_string(self, telecom_model):
+        """Every n-gram key and the vocabulary hold a word's unigram string."""
+        unigram = {word: word for (word,) in telecom_model.tables[0]}
+        for table in telecom_model.tables[1:]:
+            for gram in table:
+                assert all(word is unigram[word] for word in gram), gram
+        assert all(word is unigram[word] for word, _ in telecom_model.vocab.items()
+                   if word != EPSILON)
 
 
 def model_table(model, k):

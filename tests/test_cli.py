@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -16,6 +17,7 @@ from gboost.cli import UsageError, main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, InvariantError
 from gboost.fst import read_text, write_text
+from gboost.graph import build_g
 
 PAIRS = {
     "theta": 0.5,
@@ -80,6 +82,40 @@ class TestBuildG:
                    "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
         assert code == 2
         assert "line 6" in capsys.readouterr().err
+
+    def test_model_is_freed_before_the_graph_is_written(self, workdir, monkeypatch):
+        models = []
+
+        def parse(handle):
+            model = parse_arpa(handle)
+            models.append(weakref.ref(model))
+            return model
+
+        def write(fst, stream, negate=False):
+            assert [ref() for ref in models] == [None]
+            write_text(fst, stream, negate=negate)
+
+        monkeypatch.setattr(gboost.cli, "parse_arpa", parse)
+        monkeypatch.setattr(gboost.cli, "write_text", write)
+        build(workdir)
+        assert len(models) == 1
+
+    def test_failed_graph_write_leaves_no_file(self, workdir, monkeypatch, capsys):
+        """A write that fails mid-stream removes its temp file; no output appears."""
+
+        def broken(model):
+            fst, states = build_g(model)
+            last = fst.num_states() - 1
+            fst.add_arc(last, 0, 10_000, 10_000, -1.0)  # a label the table lacks
+            return fst, states
+
+        monkeypatch.setattr(gboost.cli, "build_g", broken)
+        code = run("build-g", "--arpa", workdir / "m.arpa",
+                   "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
+        assert code == 3
+        assert "unknown label: 10000" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["cases.json", "m.arpa",
+                                                             "pairs.json"]
 
 
 class TestScore:

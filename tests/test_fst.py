@@ -390,6 +390,29 @@ class TestDiff:
                                   (a, a.copy()), (a, reversed_a)):
                 assert diff(before, after) == oracles.diff_by_groups(before, after), seed
 
+    @pytest.mark.parametrize("state, appended, fast", [
+        (0, [(2, "c", "c", -1.0), (1, "c", "c", -2.0)], True),  # new, distinct keys
+        (2, [(0, "a", "a", 1.0)], True),  # appended to an empty list
+        (0, [(2, "c", "c", -1.0), (2, "c", "c", -3.0)], False),  # repeated key
+        (0, [(1, "a", "x", -2.0)], False),  # key already in before
+    ])
+    def test_appended_arcs_match_grouping_reference(self, two_path_acceptor, state,
+                                                    appended, fast):
+        """An append-only state takes the fast path only under new, distinct keys.
+
+        A repeated or reused key must group: its weights match in sorted
+        order, so the additions (and a reweight) differ from the suffix.
+        """
+        before = two_path_acceptor
+        label = before.symbols.label
+        suffix = [Arc(state, t, label(i), label(o), w) for t, i, o, w in appended]
+        after = before.copy()
+        for arc in suffix:
+            after.add_arc(*arc)
+        delta = diff(before, after)
+        assert delta == oracles.diff_by_groups(before, after)
+        assert (delta == FstDiff(added_arcs=suffix)) == fast
+
     def test_apply_diff_appends_additions_in_delta_order(self, two_path_acceptor):
         a, b, c = (two_path_acceptor.symbols.label(s) for s in "abc")
         added = [Arc(0, 2, a, a, -1.0), Arc(1, 0, b, b, -2.0), Arc(0, 1, c, c, -3.0),
@@ -439,6 +462,24 @@ class TestTextFormat:
         second = io.StringIO()
         write_text(again, second)
         assert first.getvalue() == second.getvalue()
+
+    def test_read_shares_one_int_per_state_id(self, random_graph_factory):
+        """Arc targets, the initial state and final keys share each id's int.
+
+        Ids from 257 up are not CPython's cached small ints, and a
+        non-canonical id text such as "0300" still shares the int of "300".
+        """
+        fst = random_graph_factory(13, n_states=400, n_arcs=2000)
+        text = text_of(fst)
+        text += "0300 0 sym0 sym0 -1\n300 0300 sym1 sym1 -2\n0399 0.5\n"
+        again = read_text(io.StringIO(text), fst.symbols)
+        objects: dict[int, set[int]] = {}
+        named = [again.initial, *again.finals]
+        named += [arc[0] for state in again.states() for arc in again.arcs(state)]
+        for state in named:
+            objects.setdefault(state, set()).add(id(state))
+        assert max(objects) >= 399 and 300 in objects
+        assert all(len(ids) == 1 for ids in objects.values())
 
     def test_large_roundtrip_has_empty_diff(self, random_graph_factory):
         fst = random_graph_factory(12, n_states=500, n_arcs=10_000)

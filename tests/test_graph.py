@@ -293,7 +293,8 @@ class TestGraphScore:
 
         Each model leaves one vocabulary word out of its corpus, so no
         history exhausts its lower-order mass, and trains <unk> as a word.
-        <s> is never predicted: both scorers reject it at the same position.
+        <s> is never predicted and </s> only ends a sentence: both scorers
+        reject the first of them at the same position.
         """
 
         def outcome(scorer, model, sentence):
@@ -303,8 +304,8 @@ class TestGraphScore:
                 return (exc.word, exc.position)
 
         rng = random.Random(303)
-        oov = ["zzz", "wifi", "UNK", EPSILON, BOS]
-        rejected = 0
+        oov = ["zzz", "wifi", "UNK", EPSILON, BOS, EOS]
+        rejected = set()
         for seed in range(8):
             words = rng.sample(toylm.TELECOM_WORDS, 6)
             corpus = toylm.toy_corpus(words[:-1] + [UNK], 60, seed=seed)
@@ -315,8 +316,9 @@ class TestGraphScore:
                 sentence = rng.choices(words + [UNK] + oov, k=rng.randint(0, 6))
                 want = outcome(oracle_score, model, sentence)
                 assert outcome(graph_score, fst, sentence) == want, (seed, sentence)
-                rejected += isinstance(want, tuple)
-        assert rejected > 0
+                if isinstance(want, tuple):
+                    rejected.add(want[0])
+        assert rejected == {BOS, EOS}
 
     def test_sentence_start_is_never_predicted(self, telecom_graph, telecom_model):
         sentence = ["wo", BOS, "de"]
@@ -324,6 +326,20 @@ class TestGraphScore:
             with pytest.raises(NoPathError) as info:
                 scorer(model, sentence)
             assert (info.value.word, info.value.position) == (BOS, 1)
+
+    @pytest.mark.parametrize("sentence, want", [
+        (["wo", EOS, "de"], (EOS, 1)),
+        ([EOS], (EOS, 0)),
+        (["wo", EOS], (EOS, 1)),
+        (["wo", EOS, BOS], (EOS, 1)),
+        (["wo", BOS, EOS], (BOS, 1)),
+    ])
+    def test_sentence_end_only_closes_a_sentence(self, telecom_graph, telecom_model,
+                                                 sentence, want):
+        for scorer, model in ((graph_score, telecom_graph), (oracle_score, telecom_model)):
+            with pytest.raises(NoPathError) as info:
+                scorer(model, sentence)
+            assert (info.value.word, info.value.position) == want
 
     def test_epsilon_is_not_a_word(self, telecom_graph):
         with pytest.raises(NoPathError, match="position 1"):
