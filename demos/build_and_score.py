@@ -22,7 +22,7 @@ with open(HERE / "toy.arpa") as handle:
 print(f"parsed a {model.order}-gram model, "
       f"{[len(t) for t in model.tables]} entries per order")
 
-fst, _ = build_g(model)
+fst = build_g(model)
 (final,) = fst.finals
 print(f"compiled graph: {fst.num_states()} states, {fst.num_arcs()} arcs")
 print(f"start state {fst.initial} is the <s> history; "

@@ -1,8 +1,7 @@
 """gboost: grammar graphs from ARPA models, plus similar-pair word boosting."""
 
 from gboost.arpa import NGramModel, oracle_score, parse_arpa
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
-                            compute_enhanced_weight, enhance, load_pairs_config)
+from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance, load_pairs_config
 from gboost.errors import (FormatError, GboostError, InvariantError, NoPathError)
 from gboost.evaluate import (EvalReport, RankingCase, grid_tsv, load_cases,
                              run_ranking, sweep)
@@ -16,7 +15,7 @@ __all__ = [
     "Arc", "EnhanceConfig", "EvalReport", "FormatError", "FstDiff",
     "GboostError", "InvariantError", "NGramModel", "NoPathError",
     "RankingCase", "SimilarPairGroup", "SymbolTable", "Wfst", "apply_diff",
-    "build_g", "compute_enhanced_weight", "diff", "enhance", "graph_score",
-    "grid_tsv", "load_cases", "load_pairs_config", "oracle_score",
-    "parse_arpa", "read_text", "run_ranking", "sweep", "write_text",
+    "build_g", "diff", "enhance", "graph_score", "grid_tsv", "load_cases",
+    "load_pairs_config", "oracle_score", "parse_arpa", "read_text",
+    "run_ranking", "sweep", "write_text",
 ]

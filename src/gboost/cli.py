@@ -10,15 +10,18 @@ frees the parsed model before it writes the graph. The --weights flag
 cost-convention files, whose weights are negated on read and write.
 
 Each command runs with Python's cyclic garbage collector paused, and the
-collector's state on entry comes back on every exit path. A graph's heap
-is hundreds of thousands of container objects that form no reference
-cycles (arc tuples, per-state lists, best-arc tables), so the collections
+collector's state on entry comes back on every exit path. A graph keeps
+its arcs in arrays, not objects (see :mod:`gboost.fst`), but a command
+still allocates hundreds of thousands of container objects that form no
+reference cycles: the parsed model's n-gram tuples, and the arc tuples
+and best-arc tables that scoring and enhancement build. The collections
 their allocation triggers traverse them and free nothing: on the
-benchmark's inputs they took about a sixth of an ``eval`` sweep. A
-command leaves a few hundred objects of cyclic garbage however large its
-input (mostly the argument parser), which the first collection after it
-frees. Library functions leave the collector alone: a program that calls
-them owns its process's collector.
+benchmark's inputs, with the collector running, they took about a tenth
+of ``build-g``'s parse and compile and of an ``eval`` sweep. A command
+leaves a few hundred objects of cyclic garbage however large its input
+(mostly the argument parser), which the first collection after it frees.
+Library functions leave the collector alone: a program that calls them
+owns its process's collector.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -156,12 +159,10 @@ def format_diff(delta: FstDiff, symbols: SymbolTable,
 
 
 def _compile(arpa_path: str) -> Wfst:
-    # Only the graph outlives this call: the parsed model and the
-    # history-to-state map are freed before the graph is written.
+    # Only the graph outlives this call: the parsed model is freed before
+    # the graph is written.
     with open(arpa_path) as handle:
-        model = parse_arpa(handle)
-    g, _ = build_g(model)
-    return g
+        return build_g(parse_arpa(handle))
 
 
 def _cmd_build_g(args) -> int:
@@ -189,19 +190,19 @@ def _cmd_score(args) -> int:
     _require_files(args.fst, args.syms, args.text)
     g = _load_graph(args.fst, args.syms, negate)
     sign = -1.0 if negate else 1.0
-    out_lines = []
-    for line in Path(args.text).read_text().splitlines():
-        words = line.split()
-        try:
-            score = graph_score(g, words)
-        except NoPathError:
-            score = -math.inf
-        out_lines.append(f"{WEIGHT_FMT % (sign * score)}\t{' '.join(words)}")
-    text = "".join(line + "\n" for line in out_lines)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    # Streamed line by line into the output's temp file, or to stdout.
+    with open(args.text) as lines, \
+            (_atomic_open(args.out) if args.out else nullcontext(sys.stdout)) as out:
+        for line in lines:
+            # str.splitlines also breaks at \v, \f and a few other separators
+            # that file iteration keeps inside a line; each piece is a sentence.
+            for sentence in line.splitlines():
+                words = sentence.split()
+                try:
+                    score = graph_score(g, words)
+                except NoPathError:
+                    score = -math.inf
+                out.write(f"{WEIGHT_FMT % (sign * score)}\t{' '.join(words)}\n")
     return EXIT_OK
 
 

@@ -180,15 +180,6 @@ def _candidate(w_y: float, log_ratio: float, theta: float) -> float:
     return (w_y + log_ratio) + theta
 
 
-def compute_enhanced_weight(w_y: float, f_x: int | None, f_y: int, theta: float) -> float:
-    """Candidate weight for a target arc borrowed from a predictor arc.
-
-    ``f_x`` is the target's training count, or None for a new word (the log
-    term is dropped). ``f_y`` is the predictor's count and must be positive.
-    """
-    return _candidate(w_y, _log_ratio(f_x, f_y), theta)
-
-
 def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     """Apply similar-pair enhancement in place, returning (graph, diff).
 

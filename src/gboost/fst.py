@@ -1,18 +1,32 @@
-"""Mutable weighted FSTs with text serialization and structural diffing.
+"""Weighted FSTs stored as shared arc columns, with text I/O and structural diffing.
 
 Weights are natural-log probabilities throughout: larger means more likely,
 and the weight of a path is the sum of its arc weights plus the final weight
 of the state where it ends.  Cost-style (negated) files are handled at I/O
 time only, via the ``negate`` flag of :func:`read_text` / :func:`write_text`.
+
+Storage. A graph that :func:`read_text` or :func:`gboost.graph.build_g`
+builds holds its arcs in columns, grouped by source state (compressed
+sparse rows): per-state offsets into one stdlib ``array`` each of targets,
+input labels and output labels (C ``int``) and of weights (C ``double``).
+That is about 20 bytes per arc and no Python object per arc. Columns are
+never written once built, so every copy of a graph shares them, along with
+the best-arc tables built over them. An arc edit moves its state into the
+graph's overlay: a list of ``(target, ilabel, olabel, weight)`` tuples of
+the state's own, which then replaces the state's column arcs in that graph
+only. State ids and labels must fit the C ``int`` columns.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from struct import Struct
+from typing import Iterable, NamedTuple, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
@@ -21,6 +35,9 @@ EPSILON_LABEL = 0
 
 # Fixed print format for weights, 9 significant digits.
 WEIGHT_FMT = "%.9g"
+
+# The largest state id or label a column holds.
+ID_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
 
 
 class SymbolTable:
@@ -48,7 +65,8 @@ class SymbolTable:
         """Add a new symbol, returning its label.
 
         Labels are assigned sequentially unless given explicitly. Duplicate
-        symbols or labels raise, keeping the table bijective.
+        symbols or labels raise, keeping the table bijective, and so does a
+        label outside ``0..ID_MAX``.
         """
         if symbol in self._sym2lab:
             raise InvariantError(f"symbol already in table: {symbol!r}")
@@ -58,8 +76,8 @@ class SymbolTable:
             label = self._next
         if label in self._lab2sym:
             raise InvariantError(f"label already in table: {label}")
-        if label < 0:
-            raise InvariantError(f"labels must be non-negative, got {label}")
+        if not 0 <= label <= ID_MAX:
+            raise InvariantError(f"labels must be in 0..{ID_MAX}, got {label}")
         self._sym2lab[symbol] = label
         self._lab2sym[label] = symbol
         return label
@@ -75,10 +93,6 @@ class SymbolTable:
             return self._lab2sym[label]
         except KeyError:
             raise InvariantError(f"unknown label: {label}") from None
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        """(symbol, label) pairs in insertion order."""
-        return iter(self._sym2lab.items())
 
     def copy(self) -> "SymbolTable":
         new = SymbolTable.__new__(SymbolTable)
@@ -132,53 +146,102 @@ class Arc(NamedTuple):
 
 @dataclass
 class FstDiff:
-    """Exact structural delta between two graphs sharing a symbol table."""
+    """Exact structural delta between two graphs sharing a symbol table.
+
+    An empty delta equals ``FstDiff()``.
+    """
 
     added_arcs: list[Arc] = field(default_factory=list)
     removed_arcs: list[Arc] = field(default_factory=list)
     reweighted_arcs: list[tuple[Arc, Arc]] = field(default_factory=list)
     final_changes: list[tuple[int, float | None, float | None]] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.added_arcs or self.removed_arcs
-                    or self.reweighted_arcs or self.final_changes)
-
-    def num_changes(self) -> int:
-        return (len(self.added_arcs) + len(self.removed_arcs)
-                + len(self.reweighted_arcs) + len(self.final_changes))
-
 
 # scan() results: input label -> (source state, arc tuple) pairs.
 _Found = dict[int, list[tuple[int, tuple[int, int, int, float]]]]
 
 
-class _ArcList(list):
-    """One state's arcs, with its best-arc table in ``best`` (None until built)."""
+class _Columns:
+    """A built graph's arcs, grouped by source state: CSR over stdlib arrays.
 
-    __slots__ = ("best",)
+    State ``s`` owns entries ``offsets[s]`` up to ``offsets[s + 1]`` of
+    the four arc columns, in arc order. ``best[s]`` is the best-arc table
+    of those arcs and ``tuples[s]`` their list of arc tuples, each None
+    until first asked for. Neither the columns nor what is built from them
+    ever change, so all copies of a graph share them: a sweep's cells, say,
+    which write the same states over and over.
+    """
+
+    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best", "tuples")
+
+    def __init__(self, offsets: array, targets: array, ilabels: array, olabels: array,
+                 weights: array):
+        self.offsets = offsets
+        self.targets = targets
+        self.ilabels = ilabels
+        self.olabels = olabels
+        self.weights = weights
+        self.best: list[dict | None] = [None] * (len(offsets) - 1)
+        self.tuples: list[list | None] = [None] * (len(offsets) - 1)
+
+    def slices(self, state: int) -> tuple[array, array, array, array]:
+        """Targets, input labels, output labels and weights of ``state``'s arcs."""
+        start, end = self.offsets[state], self.offsets[state + 1]
+        return (self.targets[start:end], self.ilabels[start:end],
+                self.olabels[start:end], self.weights[start:end])
+
+    def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+        arcs = self.tuples[state]
+        if arcs is None:
+            arcs = self.tuples[state] = list(zip(*self.slices(state)))
+        return arcs
+
+    def views(self) -> tuple[array, memoryview, memoryview, memoryview, memoryview]:
+        """The offsets, then a view of each arc column, which slices without copying."""
+        return (self.offsets, memoryview(self.targets), memoryview(self.ilabels),
+                memoryview(self.olabels), memoryview(self.weights))
+
+
+def _best_table(arcs: Iterable[tuple[int, int, int, float]]
+                ) -> dict[int, tuple[int, int, int, float]]:
+    table: dict[int, tuple[int, int, int, float]] = {}
+    for arc in arcs:
+        held = table.get(arc[1])
+        if held is None or arc[3] > held[3]:
+            table[arc[1]] = arc
+    return table
 
 
 class Wfst:
-    """A weighted FST: dense integer states, per-state outgoing arc lists.
+    """A weighted FST: dense integer states, each with an ordered arc sequence.
 
-    Arc lists preserve insertion order. Each list also carries the state's
-    best-arc table, ``{ilabel: arc}``, built on first use by
-    :meth:`best_arcs`: for each input label it holds the highest-weight arc
-    tuple, the first in arc order among equal weights.
+    A built graph's arcs live in shared, never-written columns (see the
+    module docstring); a graph from :meth:`add_state` and :meth:`add_arc`
+    has none. ``_lists[s]`` is None while state ``s`` reads its arcs from
+    the columns, and otherwise the state's overlay list of arc tuples:
+    every state that was written, and every state added after the build.
 
-    :meth:`copy` is copy-on-write. The copy shares every arc list with the
-    original, and after a copy neither graph owns the shared lists. The
-    first write to a state clones that state's list, so edits never reach
-    another graph. A table lives on its list, so a table built through one
-    graph serves every graph sharing the list. :meth:`scan` results are
-    memoized per label set; copies share the memo until they write.
+    Each state has a best-arc table, ``{ilabel: arc}``, built on first use
+    by :meth:`best_arcs`: for each input label it holds the highest-weight
+    arc tuple, the first in arc order among equal weights. A column state's
+    table is built once beside the columns and shared by every copy.
+    ``_tables[s]`` is the table this graph last used for state ``s``, or
+    None, so that scoring finds a state's table with one list lookup.
 
-    Every arc edit goes through ``_writable(state)``: it clones a shared
-    list, resets the state's table and drops the scan memo. ``add_arc`` and
-    :func:`apply_diff` use it; code that edits arc lists must too. The one
-    exception is a builder filling a fresh graph's new lists, as
-    :func:`read_text` and :func:`gboost.graph.build_g` do, through
-    ``_add_states``.
+    :meth:`copy` is copy-on-write. It shares the columns and copies the
+    per-state overlay map and table list, so the copy shares every overlay
+    list too, and after a copy neither graph owns the shared lists. The
+    first write to a state gives that graph a list of its own: a fresh list
+    of the state's column arcs, or a clone of a shared list. So edits never
+    reach another graph, and a table built through one graph for a state it
+    has not written serves every copy that has not written the state
+    either. :meth:`scan` results are memoized per label set; copies share
+    the memo until they write.
+
+    Every arc edit goes through ``_writable(state)``: it moves the state
+    into the overlay, clones a shared list, resets the graph's table for
+    the state and drops the scan memo. ``add_arc`` and :func:`apply_diff` use it; code
+    that edits arc lists must too.
 
     The graph is single-writer, and taking a copy counts as a write of the
     original; once construction or enhancement is done it can be read from
@@ -187,11 +250,14 @@ class Wfst:
 
     def __init__(self, symbols: SymbolTable | None = None):
         self.symbols = symbols if symbols is not None else SymbolTable()
-        # Per-state arcs as (target, ilabel, olabel, weight) tuples. Kept
-        # compact on purpose: graphs run to millions of arcs.
-        self._arcs: list[_ArcList] = []
-        # States whose lists this graph owns; None while it owns them all,
-        # which is true until its first copy.
+        self._columns = _Columns(array("q", [0]), array("i"), array("i"), array("i"),
+                                 array("d"))
+        # Per state: None while its arcs are the columns', else its overlay list.
+        self._lists: list[list | None] = []
+        # Per state: the best-arc table this graph last used, or None.
+        self._tables: list[dict | None] = []
+        # States whose overlay lists this graph owns; None while it owns
+        # them all, which is true until its first copy.
         self._owned: set[int] | None = None
         # scan() results by label set, shared with copies; None after a write.
         self._scans: dict[frozenset[int], _Found] | None = None
@@ -201,36 +267,21 @@ class Wfst:
     # -- states ---------------------------------------------------------
 
     def add_state(self) -> int:
-        self._add_states(1)
-        return len(self._arcs) - 1
-
-    def _add_states(self, count: int,
-                    filled: dict[int, _ArcList] | None = None) -> list[_ArcList]:
-        # Bulk fill: appends `count` states and returns their arc lists,
-        # taking filled[i] as the list of the i-th new state where given.
-        # Builders of a fresh graph append arc tuples to the lists directly
-        # and check each arc themselves.
-        fresh = []
-        for i in range(count):
-            arcs = filled.get(i) if filled else None
-            if arcs is None:
-                arcs = _ArcList()
-                arcs.best = None
-            fresh.append(arcs)
-        start = len(self._arcs)
-        self._arcs += fresh
+        state = len(self._lists)
+        self._lists.append([])
+        self._tables.append(None)
         if self._owned is not None:
-            self._owned.update(range(start, start + count))
-        return fresh
+            self._owned.add(state)
+        return state
 
     def num_states(self) -> int:
-        return len(self._arcs)
+        return len(self._lists)
 
     def states(self) -> range:
-        return range(len(self._arcs))
+        return range(len(self._lists))
 
     def _check_state(self, state: int) -> None:
-        if not 0 <= state < len(self._arcs):
+        if not 0 <= state < len(self._lists):
             raise InvariantError(f"unknown state id: {state}")
 
     def set_initial(self, state: int) -> None:
@@ -248,27 +299,28 @@ class Wfst:
 
     # -- arcs -----------------------------------------------------------
 
-    def _writable(self, state: int) -> _ArcList:
+    def _writable(self, state: int) -> list:
         # The only way to an arc list that may be edited. Checks the state,
-        # clones a list this graph does not own, resets the state's table
-        # and drops the scan memo.
-        lists = self._arcs
+        # moves a column state into the overlay, clones a list this graph
+        # does not own, resets the state's table and drops the scan memo.
+        lists = self._lists
         if not 0 <= state < len(lists):
             raise InvariantError(f"unknown state id: {state}")
         arcs = lists[state]
         owned = self._owned
-        if owned is not None and state not in owned:
-            arcs = lists[state] = _ArcList(arcs)
-            owned.add(state)
-        arcs.best = None
+        if arcs is None or (owned is not None and state not in owned):
+            arcs = lists[state] = list(self.arcs(state))
+            if owned is not None:
+                owned.add(state)
+        self._tables[state] = None
         self._scans = None
         return arcs
 
     def add_arc(self, source: int, target: int, ilabel: int, olabel: int,
                 weight: float) -> None:
-        """Append an arc to the source state's list."""
+        """Append an arc to the source state's arcs."""
         arcs = self._writable(source)
-        if not 0 <= target < len(self._arcs):  # _check_state, without a call per arc
+        if not 0 <= target < len(self._lists):  # _check_state, without a call per arc
             raise InvariantError(f"unknown state id: {target}")
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
@@ -277,38 +329,51 @@ class Wfst:
         arcs.append((target, ilabel, olabel, weight))
 
     def num_arcs(self, state: int | None = None) -> int:
-        if state is not None:
-            return len(self._arcs[state])
-        return sum(len(a) for a in self._arcs)
+        if state is None:
+            return sum(map(self.num_arcs, self.states()))
+        arcs = self._lists[state]
+        if arcs is None:
+            offsets = self._columns.offsets
+            return offsets[state + 1] - offsets[state]
+        return len(arcs)
 
     def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
-        """Live (target, ilabel, olabel, weight) tuples of ``state``.
+        """The (target, ilabel, olabel, weight) tuples of ``state``, in order.
 
-        Insertion order. The list may be shared with copies of the graph:
-        editing it corrupts every graph that shares it, along with its
-        best-arc table and the scan memo, so treat it as read-only. This is
-        the fast path for whole-graph scans, so ``state`` is not
-        range-checked: take it from :meth:`states` or from an arc target.
+        For a state whose arcs are in the columns, a list built on first use
+        and kept beside them; for a written state, its live overlay list.
+        Either may be shared with copies of the graph: editing it corrupts
+        every graph that shares it, along with its best-arc table and the
+        scan memo, so treat the result as read-only. This is the path for
+        whole-graph scans, so ``state`` is not range-checked: take it from
+        :meth:`states` or from an arc target.
         """
-        return self._arcs[state]
+        arcs = self._lists[state]
+        return self._columns.arcs(state) if arcs is None else arcs
 
     def best_arcs(self, state: int) -> dict[int, tuple[int, int, int, float]]:
         """The best-arc table of ``state``: input label -> arc tuple.
 
         Each label maps to its highest-weight arc, the first in arc order
-        among equal weights. Built on first use and kept on the arc list
-        until the state's arcs change. Read-only, and unchecked like
-        :meth:`arcs`.
+        among equal weights. Built on first use and kept until the state's
+        arcs change. Read-only, and unchecked like :meth:`arcs`.
         """
-        arcs = self._arcs[state]
-        table = arcs.best
+        table = self._tables[state]
         if table is None:
-            table = {}
-            for arc in arcs:
-                held = table.get(arc[1])
-                if held is None or arc[3] > held[3]:
-                    table[arc[1]] = arc
-            arcs.best = table
+            arcs = self._lists[state]
+            if arcs is None:
+                shared = self._columns.best
+                table = shared[state]
+                if table is None:
+                    columns = self._columns.slices(state)
+                    ilabels = columns[1]
+                    table = dict(zip(ilabels, zip(*columns)))
+                    if len(table) < len(ilabels):  # a label on several arcs: pick per label
+                        table = _best_table(zip(*columns))
+                    shared[state] = table
+            else:
+                table = _best_table(arcs)
+            self._tables[state] = table
         return table
 
     def scan(self, labels: Iterable[int]) -> _Found:
@@ -328,19 +393,40 @@ class Wfst:
         return found
 
     def _scan(self, labels: frozenset[int]) -> _Found:
-        # The whole-graph pass behind scan().
+        # The whole-graph pass behind scan(): the column arcs of unwritten
+        # states, then the overlay lists, then each label's pairs put in
+        # state order (a stable sort, so arc order holds within a state).
         found: _Found = {label: [] for label in labels}
-        for state, arcs in enumerate(self._arcs):
-            for arc in arcs:
-                if arc[1] in labels:
-                    found[arc[1]].append((state, arc))
+        lists = self._lists
+        columns = self._columns
+        offsets, targets, olabels, weights = (columns.offsets, columns.targets,
+                                              columns.olabels, columns.weights)
+        ilabels = columns.ilabels
+        for pos in compress(count(), map(labels.__contains__, ilabels)):
+            state = bisect_right(offsets, pos) - 1
+            if lists[state] is None:
+                ilabel = ilabels[pos]
+                found[ilabel].append(
+                    (state, (targets[pos], ilabel, olabels[pos], weights[pos])))
+        overlaid = False
+        for state, arcs in enumerate(lists):
+            if arcs is not None:
+                for arc in arcs:
+                    if arc[1] in labels:
+                        found[arc[1]].append((state, arc))
+                        overlaid = True
+        if overlaid:
+            for pairs in found.values():
+                pairs.sort(key=itemgetter(0))
         return found
 
     def copy(self) -> "Wfst":
-        """A copy that shares this graph's arc lists until either writes one."""
+        """A copy that shares this graph's arcs until either writes a state."""
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
-        new._arcs = self._arcs.copy()
+        new._columns = self._columns
+        new._lists = self._lists.copy()
+        new._tables = self._tables.copy()
         self._owned = set()
         new._owned = set()
         if self._scans is None:
@@ -349,6 +435,45 @@ class Wfst:
         new.initial = self.initial
         new.finals = dict(self.finals)
         return new
+
+
+def _from_columns(symbols: SymbolTable, offsets: array, targets: array, ilabels: array,
+                  olabels: array, weights: array) -> Wfst:
+    """A fresh graph over arc columns grouped by source, as :class:`_Columns` holds them.
+
+    The caller has checked every value: targets below the state count,
+    labels non-negative, weights finite.
+    """
+    fst = Wfst(symbols)
+    fst._columns = _Columns(offsets, targets, ilabels, olabels, weights)
+    fst._lists = [None] * (len(offsets) - 1)
+    fst._tables = [None] * (len(offsets) - 1)
+    return fst
+
+
+# One arc as read_text packs it: target, ilabel, olabel (C int) and weight
+# (C double). Packing a record costs a third of four array appends.
+_ARC = Struct("iiid")
+
+
+def _unpack(records: bytearray) -> tuple[array, array, array, array]:
+    # The target, ilabel, olabel and weight columns of packed _ARC records:
+    # strided views, each copied out in one pass. A record's double is its
+    # last, aligned, field.
+    ints, doubles = (memoryview(records).cast(code) for code in "id")
+    int_stride, double_stride = _ARC.size // ints.itemsize, _ARC.size // doubles.itemsize
+    targets, ilabels, olabels = (array("i", ints[field::int_stride].tobytes())
+                                 for field in range(3))
+    weights = array("d", doubles[double_stride - 1::double_stride].tobytes())
+    return targets, ilabels, olabels, weights
+
+
+def _gather(column: array, pieces: list[list[int]]) -> array:
+    # The column's [start, end) pieces, concatenated in order.
+    out = array(column.typecode)
+    for start, end in pieces:
+        out += column[start:end]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +506,41 @@ def _appended(before: list, after: list) -> list | None:
     return suffix
 
 
+def _maybe_changed(before: Wfst, after: Wfst) -> list[int]:
+    # The states whose arcs may differ, in order. Skipped: one overlay list
+    # shared by a copy, shared columns, and runs of column states with
+    # equal arc counts whose arcs compare equal, one slice per column for
+    # the whole run.
+    b_lists, a_lists = before._lists, after._lists
+    if before._columns is after._columns:
+        return [state for state, (b, a) in enumerate(zip(b_lists, a_lists)) if b is not a]
+    b_offsets, *b_views = before._columns.views()
+    a_offsets, *a_views = after._columns.views()
+    changed: list[int] = []
+    first = None  # the first state of the current run
+
+    def end_run(stop: int) -> None:
+        b_start, b_end, a_start = b_offsets[first], b_offsets[stop], a_offsets[first]
+        a_end = a_start + b_end - b_start
+        if any(b[b_start:b_end] != a[a_start:a_end] for b, a in zip(b_views, a_views)):
+            changed.extend(range(first, stop))
+
+    for state, (b_arcs, a_arcs) in enumerate(zip(b_lists, a_lists)):
+        if (b_arcs is None and a_arcs is None and b_offsets[state + 1] - b_offsets[state]
+                == a_offsets[state + 1] - a_offsets[state]):
+            if first is None:
+                first = state
+            continue
+        if first is not None:
+            end_run(state)
+            first = None
+        if b_arcs is None or b_arcs is not a_arcs:
+            changed.append(state)
+    if first is not None:
+        end_run(len(b_lists))
+    return changed
+
+
 def diff(before: Wfst, after: Wfst) -> FstDiff:
     """Exact arc-for-arc delta turning ``before`` into ``after``.
 
@@ -399,7 +559,8 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
         raise InvariantError("initial states do not correspond")
 
     out = FstDiff()
-    for state, (b_arcs, a_arcs) in enumerate(zip(before._arcs, after._arcs)):
+    for state in _maybe_changed(before, after):
+        b_arcs, a_arcs = before.arcs(state), after.arcs(state)
         if b_arcs == a_arcs:  # equal lists match arc for arc: nothing to report
             continue
         suffix = _appended(b_arcs, a_arcs)
@@ -505,18 +666,33 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     initial = fst.initial
     if initial is None:
         raise InvariantError("graph has no initial state")
-    lists = fst._arcs
     finals = fst.finals
-    if not lists[initial] and initial not in finals:
+    if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
     sign = -1.0 if negate else 1.0
-    symbol = fst.symbols._lab2sym
+    symbol = fst.symbols._lab2sym.__getitem__
+    lists = fst._lists
+    offsets, targets, ilabels, olabels, weights = fst._columns.views()
     write = stream.write
+    rows, at = None, -1  # column rows from column entry `at` on
     for state in chain((initial,), range(initial), range(initial + 1, len(lists))):
         arc_fmt = f"{state} %s %s %s {WEIGHT_FMT}\n"
+        arcs = lists[state]
         try:
-            text = "".join([arc_fmt % (t, symbol[i], symbol[o], sign * w)
-                             for t, i, o, w in lists[state]])
+            if arcs is None:
+                # Consecutive column states share one pass over the columns.
+                start = offsets[state]
+                if start != at:
+                    state_weights = weights[start:]
+                    if negate:  # 1.0 * w is w, bit for bit: only costs multiply
+                        state_weights = map(sign.__mul__, state_weights)
+                    rows = zip(targets[start:], map(symbol, ilabels[start:]),
+                               map(symbol, olabels[start:]), state_weights)
+                at = offsets[state + 1]
+                text = "".join(map(arc_fmt.__mod__, islice(rows, at - start)))
+            else:
+                text = "".join([arc_fmt % (t, symbol(i), symbol(o), sign * w)
+                                 for t, i, o, w in arcs])
         except KeyError as exc:
             raise InvariantError(f"unknown label: {exc.args[0]}") from None
         final = finals.get(state)
@@ -536,39 +712,46 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     and every weight is negated on the way in.
 
     State ids are dense: the graph gets every state from 0 up to the
-    largest id named. Each record names at most two states, so an id at or
-    above twice the number of records is rejected before any state is
-    allocated. Every malformed record is a FormatError at its line: a wrong
-    field count, a bad number, a negative or out-of-bound state id, an
+    largest id named. An arc names two states and a final state one, so an
+    id at or above twice the number of arcs and final states is rejected
+    before any state is allocated. Final states, not final records, count:
+    a state's repeated final records are one record in the file
+    :func:`write_text` makes of the graph, which must read back too.
+
+    Every malformed record is a FormatError at its line: a wrong field
+    count, a bad number, a negative state id or one above ``ID_MAX``, an
     unknown symbol (named in the message) or a non-finite weight.
 
-    Each state id is one ``int`` object, shared by every arc target, the
-    initial state and the final-weight keys that name it, as in a graph
-    built in memory. An id text is converted and range-checked the first
-    time it is seen; after that it costs one dict lookup.
+    Each arc is packed into a byte record as it is read. At the end the
+    records are split into the columns, and each run of arc lines from one
+    source is gathered to its state: neither the read nor the graph holds a
+    Python object per arc. An id text is converted and range-checked the
+    first time it is seen; after that it costs one dict lookup.
     """
     sign = -1.0 if negate else 1.0
     label_of = symbols._sym2lab.get
     isfinite = math.isfinite
-    by_source: dict[int, _ArcList] = {}
+    records = bytearray()  # the arcs, packed one _ARC record each
+    pack = _ARC.pack
+    arcs = 0
+    runs: list[tuple[int, int]] = []  # (source, first arc) per run of arc lines
     finals: dict[int, float] = {}
-    ids: dict[str, int] = {}  # id text -> its state's one int
+    ids: dict[str, int] = {}  # id text -> state id
     initial = None
-    records = 0
     top = top_line = 0  # the largest state id, and the first line naming it
-    source_text = arcs = None  # the last arc line's source, and its list
+    source_text = None  # the last arc line's source
 
     def state_id(text: str, lineno: int) -> int:
-        # First sight of an id text: convert, range-check and share it.
+        # First sight of an id text: convert and range-check it.
         nonlocal top, top_line
         state = int(text)
         if not 0 <= state <= top:
             if state < 0:
                 raise FormatError(f"unknown state id: {state}", line=lineno)
+            if state > ID_MAX:
+                raise FormatError(f"state id {state} is above the largest a graph "
+                                  f"holds ({ID_MAX})", line=lineno)
             top, top_line = state, lineno
-        canonical = str(state)
-        if canonical != text:  # "07" or "+7" shares the int of "7"
-            state = ids.setdefault(canonical, state)
         ids[text] = state
         return state
 
@@ -582,12 +765,9 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                     source = ids.get(source_text)
                     if source is None:
                         source = state_id(source_text, lineno)
-                    arcs = by_source.get(source)
-                    if arcs is None:
-                        arcs = by_source[source] = _ArcList()
-                        arcs.best = None
-                        if initial is None:
-                            initial = source
+                    runs.append((source, arcs))
+                    if initial is None:
+                        initial = source
                 _, target_text, isym, osym, weight_text = fields
                 target = ids.get(target_text)
                 if target is None:
@@ -601,7 +781,8 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                     raise FormatError(f"unknown symbol: {osym!r}", line=lineno)
                 if not isfinite(weight):
                     raise FormatError(f"arc weight must be finite, got {weight}", line=lineno)
-                arcs.append((target, ilabel, olabel, weight))
+                records += pack(target, ilabel, olabel, weight)
+                arcs += 1
             elif count == 2:
                 state = ids.get(fields[0])
                 if state is None:
@@ -616,19 +797,36 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
             elif count:
                 raise FormatError(
                     f"expected 2 or 5 fields, got {count}: {line.strip()!r}", line=lineno)
-            else:
-                continue
         except ValueError:
             kind = "arc" if count == 5 else "final"
             raise FormatError(f"bad {kind} line: {line.strip()!r}", line=lineno) from None
-        records += 1
     if initial is None:
         raise FormatError("empty FST file")
-    if top >= 2 * records:
-        raise FormatError(f"state id {top} is at or above twice the number of records "
-                          f"({records})", line=top_line)
-    fst = Wfst(symbols)
-    fst._add_states(top + 1, by_source)
+    named = arcs + len(finals)
+    if top >= 2 * named:
+        raise FormatError(f"state id {top} is at or above twice the number of arcs and "
+                          f"final states ({named})", line=top_line)
+    del ids
+    targets, ilabels, olabels, weights = _unpack(records)
+    del records
+    # Gather each source's runs, in file order, as its state's arcs.
+    ends = [start for _, start in runs[1:]]
+    ends.append(arcs)
+    spans = sorted(((source, start, end) for (source, start), end in zip(runs, ends)),
+                   key=itemgetter(0))
+    counts = [0] * (top + 1)
+    pieces: list[list[int]] = []  # column ranges in gathered order, adjacent ones merged
+    for source, start, end in spans:
+        counts[source] += end - start
+        if pieces and pieces[-1][1] == start:
+            pieces[-1][1] = end
+        else:
+            pieces.append([start, end])
+    if len(pieces) > 1:
+        targets, ilabels, olabels, weights = (
+            _gather(column, pieces) for column in (targets, ilabels, olabels, weights))
+    fst = _from_columns(symbols, array("q", accumulate(counts, initial=0)),
+                        targets, ilabels, olabels, weights)
     fst.finals = finals
     fst.initial = initial
     return fst

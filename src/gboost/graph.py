@@ -18,44 +18,52 @@ for models that lack some suffix entries.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
+from itertools import accumulate
 from math import isfinite
+from operator import itemgetter
 from typing import Sequence
 
 from gboost.arpa import BOS, EOS, UNK, NGramModel
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON_LABEL, Wfst
+from gboost.fst import EPSILON_LABEL, Wfst, _from_columns
 
 History = tuple[str, ...]
 
+_context = itemgetter(slice(None, -1))  # an n-gram's history
 
-def _context_histories(model: NGramModel) -> list[History]:
-    seen: dict[History, None] = {(): None}
-    for k in range(2, model.order + 1):
-        for words in model.tables[k - 1]:
-            seen.setdefault(words[:-1], None)
+
+def _word_arc_counts(model: NGramModel) -> Counter[History]:
+    # Every history that is a context, in state order, with its number of
+    # word arcs: one per n-gram it is the context of, bar the unigram <s>.
+    # parse_arpa admits <s> nowhere else but in a context.
+    unigrams = model.tables[0]
+    counts = Counter({(): len(unigrams) - ((BOS,) in unigrams)})
+    for table in model.tables[1:]:
+        counts.update(map(_context, table))
     if model.order >= 2:
-        seen.setdefault((BOS,), None)  # dedicated start state
-    return list(seen)
+        counts.setdefault((BOS,), 0)  # dedicated start state
+    return counts
 
 
-def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
+def build_g(model: NGramModel) -> Wfst:
     """Build the grammar graph for a parsed back-off model.
 
-    Returns the graph plus the history-to-state dict. The start state is
-    ``fst.initial`` and the single final state is the one key of
-    ``fst.finals``. The graph's symbol table is a copy of the model's
-    vocabulary, so later mutation (new-word insertion) leaves the model
-    untouched.
-    """
-    fst = Wfst(model.vocab.copy())
-    histories = _context_histories(model)
-    states: dict[History, int] = dict(zip(histories, range(len(histories))))
-    # A fresh graph's lists are filled directly. Each arc is checked for a
-    # finite weight, the one add_arc check that can fail here.
-    lists = fst._add_states(len(histories) + 1)
-    final = len(histories)
-    fst.set_final(final, 0.0)
+    The start state is ``fst.initial`` and the single final state is the
+    one key of ``fst.finals``. The graph's symbol table is a copy of the
+    model's vocabulary, so later mutation (new-word insertion) leaves the
+    model untouched.
 
+    States are numbered in the order of the model's contexts: the empty
+    history first, then the contexts of each order's n-grams as they first
+    occur, then ``(<s>,)`` if it is not yet a context, then the final
+    state. Each state's arcs are its word arcs in n-gram order, lowest
+    order first, then its back-off arc.
+    """
+    word_arcs = _word_arc_counts(model)
+    states: dict[History, int] = dict(zip(word_arcs, range(len(word_arcs))))
+    final = len(states)
     tables = model.tables
 
     def hop(history: History) -> tuple[int, float]:
@@ -71,12 +79,27 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
             history = history[1:]
         return states[history], fold
 
-    label_of = fst.symbols._sym2lab.get
-    eos_label = fst.symbols.label(EOS)
+    # The arcs come in n-gram order. Each is put in the next free column
+    # slot of its source, a counting sort that keeps every state's arcs in
+    # the order they come. Each arc is checked for a finite weight, the
+    # one add_arc check that can fail here.
+    counts = [arcs + (history != ()) for history, arcs in word_arcs.items()]  # + back-off
+    counts.append(0)  # the final state
+    offsets = array("q", accumulate(counts, initial=0))
+    free = offsets.tolist()
+    size = offsets[-1]
+    targets = array("i", [0]) * size
+    labels = array("i", [0]) * size
+    weights = array("d", [0.0]) * size
+    symbols = model.vocab.copy()
+    label_of = symbols._sym2lab.get
+    eos_label = symbols.label(EOS)
     for k in range(1, model.order + 1):
-        for words, entry in model.tables[k - 1].items():
+        for words, entry in tables[k - 1].items():
             word = words[-1]
             if word == BOS:
+                if k > 1:  # no slot was counted for it
+                    raise InvariantError(f"{BOS} may appear only as context: {words}")
                 continue  # never predicted; its back-off is handled below
             if word == EOS:
                 dest, word_label, weight = final, eos_label, entry.logprob
@@ -88,7 +111,12 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
                 weight = entry.logprob + fold
             if not isfinite(weight):
                 raise InvariantError(f"arc weight must be finite, got {weight}")
-            lists[states[words[:-1]]].append((dest, word_label, word_label, weight))
+            state = states[words[:-1]]
+            slot = free[state]
+            free[state] = slot + 1
+            targets[slot] = dest
+            labels[slot] = word_label
+            weights[slot] = weight
 
     for history, state in states.items():
         if not history:
@@ -97,11 +125,16 @@ def build_g(model: NGramModel) -> tuple[Wfst, dict[History, int]]:
         weight = model.backoff(history) + fold
         if not isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
-        lists[state].append((dest, EPSILON_LABEL, EPSILON_LABEL, weight))
+        slot = free[state]
+        targets[slot] = dest
+        labels[slot] = EPSILON_LABEL
+        weights[slot] = weight
 
-    start, _ = hop((BOS,))
-    fst.set_initial(start)
-    return fst, states
+    # Word and back-off arcs are acceptor arcs: one label column serves both.
+    fst = _from_columns(symbols, offsets, targets, labels, labels, weights)
+    fst.set_final(final, 0.0)
+    fst.set_initial(hop((BOS,))[0])
+    return fst
 
 
 def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
@@ -152,13 +185,13 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     else:
         del labels[early_end:]
 
-    lists = fst._arcs
-    max_backoffs = len(lists) + 1
+    tables = fst._tables
+    max_backoffs = len(tables) + 1
     total = 0.0
     state = fst.initial
     for position, word_label in enumerate(labels):
         for _ in range(max_backoffs):
-            table = lists[state].best
+            table = tables[state]
             if table is None:
                 table = fst.best_arcs(state)
             arc = table.get(word_label)

@@ -107,8 +107,7 @@ def telecom_model(telecom_arpa):
 
 @pytest.fixture(scope="session")
 def _telecom_compiled(telecom_model):
-    fst, _ = build_g(telecom_model)
-    return fst
+    return build_g(telecom_model)
 
 
 @pytest.fixture

@@ -214,6 +214,45 @@ def count_ngrams_ending_in(arpa_text, word):
     return sum(1 for k in tables for gram in tables[k] if gram[-1] == word)
 
 
+def history_states(model):
+    """The history -> state map of ``build_g(model)``, rebuilt from its numbering.
+
+    The empty history is state 0; then come the context of every n-gram
+    of order 2 and up, in table order as first seen, and then ``(<s>,)``
+    if the model has bigrams and it is no context yet.
+    """
+    states = {(): 0}
+    for table in model.tables[1:]:
+        for gram in table:
+            states.setdefault(gram[:-1], len(states))
+    if model.order >= 2:
+        states.setdefault((BOS,), len(states))
+    return states
+
+
+def compute_enhanced_weight(w_y, f_x, f_y, theta):
+    """The paper's candidate weight, ``w_y + ln(f_x / (f_x + f_y)) + theta``.
+
+    ``f_x`` is the target's training count, or None for a new word, whose
+    candidate drops the log term. Summed left to right, as
+    :func:`gboost.enhance.enhance` sums it, so the library matches it bit
+    for bit.
+    """
+    if f_x is None:
+        return w_y + theta
+    return (w_y + math.log(f_x / (f_x + f_y))) + theta
+
+
+def scan_by_arc(fst, labels):
+    """What :meth:`Wfst.scan` returns, from every state's arcs in order."""
+    found = {label: [] for label in labels}
+    for state in fst.states():
+        for arc in fst.arcs(state):
+            if arc[1] in found:
+                found[arc[1]].append((state, arc))
+    return found
+
+
 def graphs_equal(a, b):
     """Order-insensitive structural equality of two graphs."""
     if a.num_states() != b.num_states() or a.initial != b.initial:

@@ -13,13 +13,12 @@ import time
 
 import toylm
 from gboost.arpa import oracle_score
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
-                            compute_enhanced_weight, enhance)
+from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.errors import NoPathError
 from gboost.evaluate import run_ranking
-from gboost.fst import SymbolTable, Wfst
+from gboost.fst import FstDiff, SymbolTable, Wfst
 from gboost.graph import graph_score
-from oracles import path_weight
+from oracles import compute_enhanced_weight, path_weight
 
 
 @contextlib.contextmanager
@@ -212,7 +211,7 @@ def test_c6_randomized_enhancer_properties():
             config = random_config(rng, VOCAB, fresh_token_stream())
             enhance(fst, config)
             _, second = enhance(fst, config)
-            assert second.is_empty()
+            assert second == FstDiff()
 
         rng = random.Random(60603)
         for _ in range(cases):  # rank preservation across target frequencies
@@ -325,5 +324,5 @@ def test_c8_enhancement_speed_at_scale():
         start = time.perf_counter()
         _, delta = enhance(fst, config)
         elapsed = time.perf_counter() - start
-        assert delta.num_changes() > 0
+        assert delta != FstDiff()
         assert elapsed < 5.0, f"enhancement took {elapsed:.2f}s"

@@ -152,7 +152,7 @@ class TestParse:
         for table in telecom_model.tables[1:]:
             for gram in table:
                 assert all(word is unigram[word] for word in gram), gram
-        assert all(word is unigram[word] for word, _ in telecom_model.vocab.items()
+        assert all(word is unigram[word] for word in telecom_model.vocab._sym2lab
                    if word != EPSILON)
 
 
@@ -285,7 +285,7 @@ def test_parser_raises_only_format_errors(text):
     except FormatError:
         return
     try:
-        fst, _ = build_g(model)
+        fst = build_g(model)
     except GboostError:
         return
     for sentence in ([], ["a"], ["b", "a", "zzz"], ["<unk>", "b"]):

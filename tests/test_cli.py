@@ -104,10 +104,10 @@ class TestBuildG:
         """A write that fails mid-stream removes its temp file; no output appears."""
 
         def broken(model):
-            fst, states = build_g(model)
+            fst = build_g(model)
             last = fst.num_states() - 1
             fst.add_arc(last, 0, 10_000, 10_000, -1.0)  # a label the table lacks
-            return fst, states
+            return fst
 
         monkeypatch.setattr(gboost.cli, "build_g", broken)
         code = run("build-g", "--arpa", workdir / "m.arpa",
@@ -169,6 +169,43 @@ class TestScore:
         model = parse_arpa(io.StringIO((workdir / "unk.arpa").read_text()))
         assert echoed == "a zzz"
         assert float(score_text) == pytest.approx(oracle_score(model, ["a", "zzz"]), abs=1e-6)
+
+
+    def test_failure_mid_run_leaves_no_output(self, workdir, monkeypatch, capsys):
+        """Scores stream into the temp file, which a failure removes."""
+        fst_path, syms_path = build(workdir)
+        (workdir / "sents.txt").write_text("wo\nde\nwo de\nde wo\n")
+        argv = ["score", "--fst", fst_path, "--syms", syms_path,
+                "--text", workdir / "sents.txt", "--out", workdir / "scores.txt"]
+        assert run(*argv) == 0
+        good = (workdir / "scores.txt").read_text()
+        assert len(good.splitlines()) == 4
+        (workdir / "scores.txt").unlink()
+        real = gboost.cli.graph_score
+        calls = []
+
+        def failing(g, words):
+            calls.append(words)
+            if len(calls) == 3:
+                raise InvariantError("broken graph")
+            return real(g, words)
+
+        monkeypatch.setattr(gboost.cli, "graph_score", failing)
+        assert run(*argv) == 3
+        assert "broken graph" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "cases.json", "g.fst", "m.arpa", "pairs.json", "sents.txt", "w.syms"]
+
+    def test_sentences_split_as_by_splitlines(self, workdir, capsys):
+        """A sentence ends wherever str.splitlines would end it, not only at newlines."""
+        fst_path, syms_path = build(workdir)
+        text = "wo de\x0cde\r\nwo\u2028\n\nde wo"
+        (workdir / "sents.txt").write_bytes(text.encode())
+        assert run("score", "--fst", fst_path, "--syms", syms_path,
+                   "--text", workdir / "sents.txt") == 0
+        echoed = [line.partition("\t")[2] for line in capsys.readouterr().out.splitlines()]
+        assert echoed == ["wo de", "de", "wo", "", "", "de wo"]
 
 
 class TestEnhanceCommand:
@@ -421,13 +458,14 @@ class TestMalformedInputs:
         ("\\data\\\nngram 99999999999999999999=0\n\\end\\\n", BUILD),
         ("0 1 wo wo\n", SCORE + ["--fst", "BAD", "--syms", "SYMS"]),
         ("<eps>\t0\nwo\tx\n", SCORE + ["--fst", "FST", "--syms", "BAD"]),
+        ("<eps>\t0\nwo\t3000000000\n", SCORE + ["--fst", "FST", "--syms", "BAD"]),
         ('{"theta": "high", "max_predictors": 1, "groups": []}',
          ["enhance", "--in-fst", "FST", "--in-syms", "SYMS", "--pairs", "BAD",
           "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]),
         ('[{"reference": "wo", "focus": [0], "competitors": []}]',
          ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
-            "symbols", "pairs", "cases"])
+            "symbols", "symbols-label-beyond-int", "pairs", "cases"])
     def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
         fst_path, syms_path = build(workdir)
         (workdir / "bad").write_text(text)

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import toylm
 from gboost.arpa import parse_arpa
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup,
-                            compute_enhanced_weight, enhance, load_pairs_config)
+from gboost.enhance import (EnhanceConfig, SimilarPairGroup, _candidate, _log_ratio,
+                            enhance, load_pairs_config)
 from gboost.errors import FormatError, GboostError, InvariantError
-from gboost.fst import diff as structural_diff
+from gboost.fst import FstDiff, diff as structural_diff
 from gboost.graph import build_g, graph_score
+from oracles import compute_enhanced_weight
 
 
 def one_pair_config(predictor, target, frequencies=None, new=False, theta=0.0,
@@ -55,11 +56,11 @@ class TestComputeEnhancedWeight:
 
     def test_zero_count_target_rejected(self):
         with pytest.raises(InvariantError, match="declared new"):
-            compute_enhanced_weight(-1.0, 0, 10, 0.0)
+            _log_ratio(0, 10)
 
     def test_non_positive_predictor_count_rejected(self):
         with pytest.raises(InvariantError, match="predictor frequency"):
-            compute_enhanced_weight(-1.0, 5, 0, 0.0)
+            _log_ratio(5, 0)
 
     @given(w_y=st.floats(-20, 0), f_y=st.integers(1, 10**6), theta=st.floats(-4, 4),
            f_hi=st.integers(2, 10**6), gap=st.integers(1, 10**5))
@@ -67,20 +68,23 @@ class TestComputeEnhancedWeight:
         f_lo = max(1, f_hi - gap)
         if f_lo == f_hi:
             f_hi += 1
-        high = compute_enhanced_weight(w_y, f_hi, f_y, theta)
-        low = compute_enhanced_weight(w_y, f_lo, f_y, theta)
+        high = _candidate(w_y, _log_ratio(f_hi, f_y), theta)
+        low = _candidate(w_y, _log_ratio(f_lo, f_y), theta)
         assert high > low
 
     @given(w_y=st.floats(-20, 0), f_x=st.integers(1, 10**6),
            f_y=st.integers(1, 10**6), theta=st.floats(-8, 8))
     def test_theta_shift_is_exact(self, w_y, f_x, f_y, theta):
-        base = compute_enhanced_weight(w_y, f_x, f_y, 0.0)
-        assert compute_enhanced_weight(w_y, f_x, f_y, theta) == base + theta
+        """The library's candidate is the reference formula, bit for bit."""
+        base = _candidate(w_y, _log_ratio(f_x, f_y), 0.0)
+        got = _candidate(w_y, _log_ratio(f_x, f_y), theta)
+        assert got == compute_enhanced_weight(w_y, f_x, f_y, theta) == base + theta
 
     def test_theta_shift_exact_for_new_words(self):
         for theta in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            base = compute_enhanced_weight(-2.25, None, 10, 0.0)
-            assert compute_enhanced_weight(-2.25, None, 10, theta) == base + theta
+            base = _candidate(-2.25, _log_ratio(None, 10), 0.0)
+            got = _candidate(-2.25, _log_ratio(None, 10), theta)
+            assert got == compute_enhanced_weight(-2.25, None, 10, theta) == base + theta
 
 
 class TestCollectArcs:
@@ -94,7 +98,7 @@ class TestCollectArcs:
     def test_word_without_arcs_yields_empty_list(self, donor_graph):
         config = one_pair_config("c", "nova", {"c": 5}, new=True)
         _, delta = enhance(donor_graph, config)
-        assert delta.is_empty()
+        assert delta == FstDiff()
 
     def test_order_is_state_then_arc_index(self, fst_factory):
         fst = fst_factory(
@@ -140,7 +144,7 @@ class TestEnhance:
         before = donor_graph.copy()
         _, delta = enhance(donor_graph, EnhanceConfig(theta=0.0, max_predictors=1,
                                                       groups=[]))
-        assert delta.is_empty()
+        assert delta == FstDiff()
         assert oracles.graphs_equal(before, donor_graph)
 
     def test_shared_slot_takes_max_of_candidates(self, fst_factory):
@@ -181,7 +185,7 @@ class TestEnhance:
         before = fst.copy()
         config = one_pair_config("a", "c", {"a": 90, "c": 10}, theta=-3.0)
         _, delta = enhance(fst, config)
-        assert delta.is_empty()
+        assert delta == FstDiff()
         assert oracles.graphs_equal(before, fst)
 
     def test_unknown_predictor_named_in_error(self, donor_graph):
@@ -211,7 +215,7 @@ class TestEnhance:
         enhance(donor_graph, config)
         snapshot = donor_graph.copy()
         _, second = enhance(donor_graph, config)
-        assert second.is_empty()
+        assert second == FstDiff()
         assert oracles.graphs_equal(snapshot, donor_graph)
 
     def test_existing_target_missing_from_vocabulary_rejected(self, donor_graph):
@@ -271,7 +275,7 @@ class TestEnhance:
         enhance(fst, ool_config)
         snapshot = fst.copy()
         _, second = enhance(fst, ool_config)
-        assert second.is_empty()
+        assert second == FstDiff()
         assert oracles.graphs_equal(snapshot, fst)
 
     def test_returned_diff_matches_structural_diff(self, telecom_graph, ool_config):
@@ -399,7 +403,7 @@ def test_pairs_config_raises_only_gboost_errors(text):
         config = load_pairs_config(text)
     except FormatError:
         return
-    fst, _ = build_g(parse_arpa(io.StringIO(FUZZ_ARPA)))
+    fst = build_g(parse_arpa(io.StringIO(FUZZ_ARPA)))
     try:
         enhance(fst, config)
     except GboostError:

@@ -34,8 +34,7 @@ ngram 1=6
 
 @pytest.fixture
 def ranking_graph():
-    fst, _ = build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
-    return fst
+    return build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
 
 
 def case(reference, focus, *alternatives):
@@ -162,11 +161,11 @@ class TestSweep:
     def test_cells_share_one_scan_per_predictor_count(self, telecom_model, ool_config,
                                                       ool_cases, scans):
         thetas, chnums = [-4.0, -2.0, 0.0, 2.0], [1, 2, 3]
-        fst, _ = build_g(telecom_model)
+        fst = build_g(telecom_model)
         grid = sweep(fst, ool_config, thetas, chnums, ool_cases)
         assert len(scans) == 3 and len(set(scans)) == 3
         for (theta, chnum), report in grid.items():
-            fresh, _ = build_g(telecom_model)
+            fresh = build_g(telecom_model)
             enhance(fresh, dataclasses.replace(ool_config, theta=theta,
                                                max_predictors=chnum))
             assert report.to_json() == run_ranking(fresh, ool_cases).to_json()
@@ -297,7 +296,7 @@ def test_cases_file_raises_only_gboost_errors(text):
         cases = load_cases(text)
     except FormatError:
         return
-    fst, _ = build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
+    fst = build_g(parse_arpa(io.StringIO(RANKING_ARPA)))
     try:
         run_ranking(fst, cases)
     except GboostError:

@@ -11,7 +11,7 @@ from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
 from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff
 from gboost.graph import build_g, graph_score
-from oracles import arcs_matching, path_weight
+from oracles import arcs_matching, history_states, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 LN10 = math.log(10.0)
@@ -88,7 +88,8 @@ ngram 3=2
 
 class TestBuildG:
     def test_unigram_only_shape(self):
-        fst, states = build_g(parse(UNIGRAM_ONLY))
+        model = parse(UNIGRAM_ONLY)
+        fst, states = build_g(model), history_states(model)
         assert fst.num_states() == 2  # root plus final
         assert fst.initial == states[()]
         assert fst.num_arcs() == 4  # a, b, c, plus </s>; nothing for <s>
@@ -98,7 +99,7 @@ class TestBuildG:
 
     def test_bigram_state_count(self):
         model = parse(SMALL_BIGRAM)
-        fst, states = build_g(model)
+        fst, states = build_g(model), history_states(model)
         histories = {gram[:-1] for gram in model.tables[1]}
         assert fst.num_states() == 1 + len(histories) + 1
         assert fst.initial == states[(BOS,)]
@@ -107,12 +108,12 @@ class TestBuildG:
         corpus = toylm.toy_corpus(toylm.TELECOM_WORDS[:-1], 120, seed=11)
         model = parse(toylm.train_arpa(corpus, vocab=toylm.TELECOM_WORDS, order=2))
         distinct = {gram[0] for gram in model.tables[1]}
-        fst, _ = build_g(model)
+        fst = build_g(model)
         assert fst.num_states() == 1 + len(distinct) + 1
 
     def test_word_arcs_carry_entry_logprobs(self):
         model = parse(SMALL_BIGRAM)
-        fst, states = build_g(model)
+        fst, states = build_g(model), history_states(model)
         a = fst.symbols.label("a")
         ((target, _, _, weight),) = arcs_matching(fst, states[(BOS,)], a)
         assert weight == model.logprob((BOS, "a"))
@@ -120,7 +121,7 @@ class TestBuildG:
 
     def test_eos_arcs_terminate_in_final(self):
         model = parse(SMALL_BIGRAM)
-        fst, _ = build_g(model)
+        fst = build_g(model)
         eos = fst.symbols.label(EOS)
         (final,) = fst.finals
         for state in fst.states():
@@ -130,7 +131,7 @@ class TestBuildG:
         assert not fst.arcs(final)
 
     def test_backoff_arc_uniqueness(self, telecom_model):
-        fst, states = build_g(telecom_model)
+        fst, states = build_g(telecom_model), history_states(telecom_model)
         (final,) = fst.finals
         for state in fst.states():
             epsilon_arcs = arcs_matching(fst, state, EPSILON_LABEL)
@@ -150,7 +151,7 @@ class TestBuildG:
                 seen.add(ilabel)
 
     def test_graph_symbols_are_a_private_copy(self, telecom_model):
-        fst, _ = build_g(telecom_model)
+        fst = build_g(telecom_model)
         fst.symbols.add("fresh-word")
         assert "fresh-word" not in telecom_model.vocab
 
@@ -167,7 +168,7 @@ class TestGraphScore:
 
     def test_matches_oracle_on_bigram_model(self):
         model = parse(SMALL_BIGRAM)
-        fst, _ = build_g(model)
+        fst = build_g(model)
         rng = random.Random(5)
         for _ in range(60):
             sentence = rng.choices(["a", "b"], k=rng.randint(0, 5))
@@ -179,12 +180,12 @@ class TestGraphScore:
         text = ("\\data\\\nngram 1=3\nngram 2=2\n\n\\1-grams:\n" + unigrams
                 + "\n\n\\2-grams:\n-0.25\t<s> </s>\n-0.6\ta </s>\n\n\\end\\\n")
         model = parse(text)
-        fst, _ = build_g(model)
+        fst = build_g(model)
         assert graph_score(fst, []) == model.logprob((BOS, EOS))
 
     def test_duplicate_label_arcs_resolve_to_max(self):
         model = parse(SMALL_BIGRAM)
-        fst, states = build_g(model)
+        fst, states = build_g(model), history_states(model)
         baseline = graph_score(fst, ["a"])
         a = fst.symbols.label("a")
         start = fst.initial
@@ -311,7 +312,7 @@ class TestGraphScore:
             corpus = toylm.toy_corpus(words[:-1] + [UNK], 60, seed=seed)
             model = parse(toylm.train_arpa(corpus, vocab=words + [UNK],
                                            order=rng.choice([2, 3])))
-            fst, _ = build_g(model)
+            fst = build_g(model)
             for _ in range(40):
                 sentence = rng.choices(words + [UNK] + oov, k=rng.randint(0, 6))
                 want = outcome(oracle_score, model, sentence)
@@ -352,7 +353,7 @@ class TestGraphScore:
 
     def test_suffix_gap_backoff_is_folded(self):
         model = parse(SUFFIX_GAP)
-        fst, states = build_g(model)
+        fst, states = build_g(model), history_states(model)
         assert ("b", "c") not in states
         for sentence in (["a", "b", "c"], ["a", "b", "c", "a"], ["b", "c"],
                          ["a", "b"], ["c"]):
@@ -361,7 +362,7 @@ class TestGraphScore:
 
     def test_trigram_arc_weight_includes_folded_backoff(self):
         model = parse(SUFFIX_GAP)
-        fst, states = build_g(model)
+        fst, states = build_g(model), history_states(model)
         c = fst.symbols.label("c")
         ((target, _, _, weight),) = arcs_matching(fst, states[("a", "b")], c)
         folded = model.logprob(("a", "b", "c")) + (-0.22 * LN10)
