@@ -116,8 +116,7 @@ def _load_graph(fst_path, syms_path, negate):
     with open(syms_path) as handle:
         symbols = SymbolTable.read(handle)
     with open(fst_path) as handle:
-        g = read_text(handle, symbols, negate=negate)
-    return g
+        return read_text(handle, symbols, negate=negate)
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
@@ -252,14 +251,9 @@ def _cmd_eval(args) -> int:
 def _cmd_diff_fst(args) -> int:
     negate = _negate(args)
     _require_files(args.fst_a, args.fst_b, args.syms)
-    with open(args.syms) as handle:
-        symbols = SymbolTable.read(handle)
-    with open(args.fst_a) as handle:
-        before = read_text(handle, symbols, negate=negate)
-    with open(args.fst_b) as handle:
-        after = read_text(handle, symbols, negate=negate)
-    delta = diff(before, after)
-    text = format_diff(delta, symbols, negate)
+    before = _load_graph(args.fst_a, args.syms, negate)
+    after = _load_graph(args.fst_b, args.syms, negate)
+    text = format_diff(diff(before, after), before.symbols, negate)
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -340,7 +334,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"gboost: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         print(f"gboost: input format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except GboostError as exc:

@@ -12,9 +12,9 @@ input labels and output labels (C ``int``) and of weights (C ``double``).
 That is about 20 bytes per arc and no Python object per arc. Columns are
 never written once built, so every copy of a graph shares them, along with
 the best-arc tables built over them. An arc edit moves its state into the
-graph's overlay: a list of ``(target, ilabel, olabel, weight)`` tuples of
-the state's own, which then replaces the state's column arcs in that graph
-only. State ids and labels must fit the C ``int`` columns.
+graph's overlay: a list of ``(target, ilabel, olabel, weight)`` tuples
+that belongs to that graph alone and replaces the state's column arcs
+there. State ids and labels must fit the C ``int`` columns.
 """
 
 from __future__ import annotations
@@ -217,31 +217,29 @@ class Wfst:
 
     A built graph's arcs live in shared, never-written columns (see the
     module docstring); a graph from :meth:`add_state` and :meth:`add_arc`
-    has none. ``_lists[s]`` is None while state ``s`` reads its arcs from
-    the columns, and otherwise the state's overlay list of arc tuples:
-    every state that was written, and every state added after the build.
+    has none. ``_overlay`` maps every state that was written, and every
+    state added after the build, to its overlay list of arc tuples; the
+    other states read their arcs from the columns. The one rule: columns
+    are shared and never written, and every overlay list belongs to
+    exactly one graph.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
     arc tuple, the first in arc order among equal weights. A column state's
     table is built once beside the columns and shared by every copy.
     ``_tables[s]`` is the table this graph last used for state ``s``, or
-    None, so that scoring finds a state's table with one list lookup.
+    None, so that scoring finds a state's table with one list lookup. Its
+    length is the state count.
 
-    :meth:`copy` is copy-on-write. It shares the columns and copies the
-    per-state overlay map and table list, so the copy shares every overlay
-    list too, and after a copy neither graph owns the shared lists. The
-    first write to a state gives that graph a list of its own: a fresh list
-    of the state's column arcs, or a clone of a shared list. So edits never
-    reach another graph, and a table built through one graph for a state it
-    has not written serves every copy that has not written the state
-    either. :meth:`scan` results are memoized per label set; copies share
-    the memo until they write.
+    :meth:`copy` shares the columns, the tables and the :meth:`scan` memo,
+    and clones the overlay lists, so edits never reach another graph. A
+    freshly read graph has an empty overlay, and copying it costs nothing
+    per state.
 
     Every arc edit goes through ``_writable(state)``: it moves the state
-    into the overlay, clones a shared list, resets the graph's table for
-    the state and drops the scan memo. ``add_arc`` and :func:`apply_diff` use it; code
-    that edits arc lists must too.
+    into the overlay, resets the graph's table for the state and drops the
+    scan memo. ``add_arc`` and :func:`apply_diff` use it; code that edits
+    arc lists must too.
 
     The graph is single-writer, and taking a copy counts as a write of the
     original; once construction or enhancement is done it can be read from
@@ -252,13 +250,10 @@ class Wfst:
         self.symbols = symbols if symbols is not None else SymbolTable()
         self._columns = _Columns(array("q", [0]), array("i"), array("i"), array("i"),
                                  array("d"))
-        # Per state: None while its arcs are the columns', else its overlay list.
-        self._lists: list[list | None] = []
+        # The overlay list of each written or added state.
+        self._overlay: dict[int, list[tuple[int, int, int, float]]] = {}
         # Per state: the best-arc table this graph last used, or None.
         self._tables: list[dict | None] = []
-        # States whose overlay lists this graph owns; None while it owns
-        # them all, which is true until its first copy.
-        self._owned: set[int] | None = None
         # scan() results by label set, shared with copies; None after a write.
         self._scans: dict[frozenset[int], _Found] | None = None
         self.initial: int | None = None
@@ -267,21 +262,19 @@ class Wfst:
     # -- states ---------------------------------------------------------
 
     def add_state(self) -> int:
-        state = len(self._lists)
-        self._lists.append([])
+        state = len(self._tables)
         self._tables.append(None)
-        if self._owned is not None:
-            self._owned.add(state)
+        self._overlay[state] = []
         return state
 
     def num_states(self) -> int:
-        return len(self._lists)
+        return len(self._tables)
 
     def states(self) -> range:
-        return range(len(self._lists))
+        return range(len(self._tables))
 
     def _check_state(self, state: int) -> None:
-        if not 0 <= state < len(self._lists):
+        if not 0 <= state < len(self._tables):
             raise InvariantError(f"unknown state id: {state}")
 
     def set_initial(self, state: int) -> None:
@@ -301,17 +294,12 @@ class Wfst:
 
     def _writable(self, state: int) -> list:
         # The only way to an arc list that may be edited. Checks the state,
-        # moves a column state into the overlay, clones a list this graph
-        # does not own, resets the state's table and drops the scan memo.
-        lists = self._lists
-        if not 0 <= state < len(lists):
-            raise InvariantError(f"unknown state id: {state}")
-        arcs = lists[state]
-        owned = self._owned
-        if arcs is None or (owned is not None and state not in owned):
-            arcs = lists[state] = list(self.arcs(state))
-            if owned is not None:
-                owned.add(state)
+        # moves a column state into the overlay, resets the state's table
+        # and drops the scan memo.
+        arcs = self._overlay.get(state)
+        if arcs is None:
+            self._check_state(state)
+            arcs = self._overlay[state] = list(self._columns.arcs(state))
         self._tables[state] = None
         self._scans = None
         return arcs
@@ -320,7 +308,7 @@ class Wfst:
                 weight: float) -> None:
         """Append an arc to the source state's arcs."""
         arcs = self._writable(source)
-        if not 0 <= target < len(self._lists):  # _check_state, without a call per arc
+        if not 0 <= target < len(self._tables):  # _check_state, without a call per arc
             raise InvariantError(f"unknown state id: {target}")
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
@@ -331,7 +319,7 @@ class Wfst:
     def num_arcs(self, state: int | None = None) -> int:
         if state is None:
             return sum(map(self.num_arcs, self.states()))
-        arcs = self._lists[state]
+        arcs = self._overlay.get(state)
         if arcs is None:
             offsets = self._columns.offsets
             return offsets[state + 1] - offsets[state]
@@ -341,14 +329,14 @@ class Wfst:
         """The (target, ilabel, olabel, weight) tuples of ``state``, in order.
 
         For a state whose arcs are in the columns, a list built on first use
-        and kept beside them; for a written state, its live overlay list.
-        Either may be shared with copies of the graph: editing it corrupts
-        every graph that shares it, along with its best-arc table and the
-        scan memo, so treat the result as read-only. This is the path for
-        whole-graph scans, so ``state`` is not range-checked: take it from
-        :meth:`states` or from an arc target.
+        and kept beside them, which every copy of the graph shares; for a
+        written state, this graph's live overlay list. Editing either
+        bypasses the best-arc table and the scan memo, and editing the first
+        corrupts every copy, so treat the result as read-only. This is the
+        path for whole-graph scans, so ``state`` is not range-checked: take
+        it from :meth:`states` or from an arc target.
         """
-        arcs = self._lists[state]
+        arcs = self._overlay.get(state)
         return self._columns.arcs(state) if arcs is None else arcs
 
     def best_arcs(self, state: int) -> dict[int, tuple[int, int, int, float]]:
@@ -360,7 +348,7 @@ class Wfst:
         """
         table = self._tables[state]
         if table is None:
-            arcs = self._lists[state]
+            arcs = self._overlay.get(state)
             if arcs is None:
                 shared = self._columns.best
                 table = shared[state]
@@ -397,38 +385,35 @@ class Wfst:
         # states, then the overlay lists, then each label's pairs put in
         # state order (a stable sort, so arc order holds within a state).
         found: _Found = {label: [] for label in labels}
-        lists = self._lists
+        overlay = self._overlay
         columns = self._columns
         offsets, targets, olabels, weights = (columns.offsets, columns.targets,
                                               columns.olabels, columns.weights)
         ilabels = columns.ilabels
         for pos in compress(count(), map(labels.__contains__, ilabels)):
             state = bisect_right(offsets, pos) - 1
-            if lists[state] is None:
+            if state not in overlay:
                 ilabel = ilabels[pos]
                 found[ilabel].append(
                     (state, (targets[pos], ilabel, olabels[pos], weights[pos])))
         overlaid = False
-        for state, arcs in enumerate(lists):
-            if arcs is not None:
-                for arc in arcs:
-                    if arc[1] in labels:
-                        found[arc[1]].append((state, arc))
-                        overlaid = True
+        for state, arcs in overlay.items():
+            for arc in arcs:
+                if arc[1] in labels:
+                    found[arc[1]].append((state, arc))
+                    overlaid = True
         if overlaid:
             for pairs in found.values():
                 pairs.sort(key=itemgetter(0))
         return found
 
     def copy(self) -> "Wfst":
-        """A copy that shares this graph's arcs until either writes a state."""
+        """A copy with its own overlay lists, sharing the columns, tables and scan memo."""
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
         new._columns = self._columns
-        new._lists = self._lists.copy()
+        new._overlay = {state: arcs.copy() for state, arcs in self._overlay.items()}
         new._tables = self._tables.copy()
-        self._owned = set()
-        new._owned = set()
         if self._scans is None:
             self._scans = {}
         new._scans = self._scans
@@ -446,7 +431,6 @@ def _from_columns(symbols: SymbolTable, offsets: array, targets: array, ilabels:
     """
     fst = Wfst(symbols)
     fst._columns = _Columns(offsets, targets, ilabels, olabels, weights)
-    fst._lists = [None] * (len(offsets) - 1)
     fst._tables = [None] * (len(offsets) - 1)
     return fst
 
@@ -507,13 +491,10 @@ def _appended(before: list, after: list) -> list | None:
 
 
 def _maybe_changed(before: Wfst, after: Wfst) -> list[int]:
-    # The states whose arcs may differ, in order. Skipped: one overlay list
-    # shared by a copy, shared columns, and runs of column states with
-    # equal arc counts whose arcs compare equal, one slice per column for
-    # the whole run.
-    b_lists, a_lists = before._lists, after._lists
-    if before._columns is after._columns:
-        return [state for state, (b, a) in enumerate(zip(b_lists, a_lists)) if b is not a]
+    # The states whose arcs may differ, in order: every state in either
+    # overlay, and every column state but those in runs with equal arc
+    # counts whose arcs compare equal, one slice per column for the run.
+    b_overlay, a_overlay = before._overlay, after._overlay
     b_offsets, *b_views = before._columns.views()
     a_offsets, *a_views = after._columns.views()
     changed: list[int] = []
@@ -525,19 +506,18 @@ def _maybe_changed(before: Wfst, after: Wfst) -> list[int]:
         if any(b[b_start:b_end] != a[a_start:a_end] for b, a in zip(b_views, a_views)):
             changed.extend(range(first, stop))
 
-    for state, (b_arcs, a_arcs) in enumerate(zip(b_lists, a_lists)):
-        if (b_arcs is None and a_arcs is None and b_offsets[state + 1] - b_offsets[state]
-                == a_offsets[state + 1] - a_offsets[state]):
+    for state in before.states():
+        if (state not in b_overlay and state not in a_overlay and b_offsets[state + 1]
+                - b_offsets[state] == a_offsets[state + 1] - a_offsets[state]):
             if first is None:
                 first = state
             continue
         if first is not None:
             end_run(state)
             first = None
-        if b_arcs is None or b_arcs is not a_arcs:
-            changed.append(state)
+        changed.append(state)
     if first is not None:
-        end_run(len(b_lists))
+        end_run(before.num_states())
     return changed
 
 
@@ -649,6 +629,16 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
 # Text format
 
 
+def _has_arc_into(fst: Wfst, state: int) -> bool:
+    # Whether an arc ends in `state`: a column arc of an unwritten state,
+    # or an overlay arc.
+    offsets, overlay = fst._columns.offsets, fst._overlay
+    for pos in compress(count(), map(state.__eq__, fst._columns.targets)):
+        if bisect_right(offsets, pos) - 1 not in overlay:
+            return True
+    return any(arc[0] == state for arcs in overlay.values() for arc in arcs)
+
+
 def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     """Write ``fst`` as text, one record per line, fields separated by spaces.
 
@@ -659,9 +649,10 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     weight, if it has one. Weights print as ``"%.9g" % w``. With ``negate``
     the file holds costs: each weight is printed as ``"%.9g" % (-1.0 * w)``.
 
-    InvariantError if the graph has no initial state, if that state has
-    neither arcs nor a final weight (the file would not name it), or if an
-    arc carries a label the symbol table lacks.
+    InvariantError if the graph has no initial state, if that state or the
+    last state has neither arcs nor a final weight and, for the last, no
+    arc into it either (the file would not name it, and would read back
+    with fewer states), or if an arc carries a label the symbol table lacks.
     """
     initial = fst.initial
     if initial is None:
@@ -669,15 +660,19 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     finals = fst.finals
     if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
+    top = fst.num_states() - 1
+    if not fst.num_arcs(top) and top not in finals and not _has_arc_into(fst, top):
+        raise InvariantError(f"the last state, {top}, has no arcs, is not final and has "
+                             "no arc into it; the file would not name it")
     sign = -1.0 if negate else 1.0
     symbol = fst.symbols._lab2sym.__getitem__
-    lists = fst._lists
+    overlay = fst._overlay
     offsets, targets, ilabels, olabels, weights = fst._columns.views()
     write = stream.write
     rows, at = None, -1  # column rows from column entry `at` on
-    for state in chain((initial,), range(initial), range(initial + 1, len(lists))):
+    for state in chain((initial,), range(initial), range(initial + 1, top + 1)):
         arc_fmt = f"{state} %s %s %s {WEIGHT_FMT}\n"
-        arcs = lists[state]
+        arcs = overlay.get(state)
         try:
             if arcs is None:
                 # Consecutive column states share one pass over the columns.
@@ -725,8 +720,7 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     Each arc is packed into a byte record as it is read. At the end the
     records are split into the columns, and each run of arc lines from one
     source is gathered to its state: neither the read nor the graph holds a
-    Python object per arc. An id text is converted and range-checked the
-    first time it is seen; after that it costs one dict lookup.
+    Python object per arc.
     """
     sign = -1.0 if negate else 1.0
     label_of = symbols._sym2lab.get
@@ -736,24 +730,19 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     arcs = 0
     runs: list[tuple[int, int]] = []  # (source, first arc) per run of arc lines
     finals: dict[int, float] = {}
-    ids: dict[str, int] = {}  # id text -> state id
     initial = None
     top = top_line = 0  # the largest state id, and the first line naming it
     source_text = None  # the last arc line's source
 
-    def state_id(text: str, lineno: int) -> int:
-        # First sight of an id text: convert and range-check it.
+    def new_top(state: int, lineno: int) -> None:
+        # A state id outside 0..top: reject it, or make it the new top.
         nonlocal top, top_line
-        state = int(text)
-        if not 0 <= state <= top:
-            if state < 0:
-                raise FormatError(f"unknown state id: {state}", line=lineno)
-            if state > ID_MAX:
-                raise FormatError(f"state id {state} is above the largest a graph "
-                                  f"holds ({ID_MAX})", line=lineno)
-            top, top_line = state, lineno
-        ids[text] = state
-        return state
+        if state < 0:
+            raise FormatError(f"unknown state id: {state}", line=lineno)
+        if state > ID_MAX:
+            raise FormatError(f"state id {state} is above the largest a graph "
+                              f"holds ({ID_MAX})", line=lineno)
+        top, top_line = state, lineno
 
     for lineno, line in enumerate(stream, start=1):
         fields = line.split()
@@ -762,16 +751,16 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
             if count == 5:
                 if fields[0] != source_text:
                     source_text = fields[0]
-                    source = ids.get(source_text)
-                    if source is None:
-                        source = state_id(source_text, lineno)
+                    source = int(source_text)
+                    if not 0 <= source <= top:
+                        new_top(source, lineno)
                     runs.append((source, arcs))
                     if initial is None:
                         initial = source
                 _, target_text, isym, osym, weight_text = fields
-                target = ids.get(target_text)
-                if target is None:
-                    target = state_id(target_text, lineno)
+                target = int(target_text)
+                if not 0 <= target <= top:
+                    new_top(target, lineno)
                 weight = sign * float(weight_text)
                 ilabel = label_of(isym)
                 if ilabel is None:
@@ -784,9 +773,9 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                 records += pack(target, ilabel, olabel, weight)
                 arcs += 1
             elif count == 2:
-                state = ids.get(fields[0])
-                if state is None:
-                    state = state_id(fields[0], lineno)
+                state = int(fields[0])
+                if not 0 <= state <= top:
+                    new_top(state, lineno)
                 weight = sign * float(fields[1])
                 if not isfinite(weight):
                     raise FormatError(f"final weight must be finite, got {weight}",
@@ -806,7 +795,6 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     if top >= 2 * named:
         raise FormatError(f"state id {top} is at or above twice the number of arcs and "
                           f"final states ({named})", line=top_line)
-    del ids
     targets, ilabels, olabels, weights = _unpack(records)
     del records
     # Gather each source's runs, in file order, as its state's arcs.

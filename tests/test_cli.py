@@ -464,20 +464,28 @@ class TestMalformedInputs:
           "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]),
         ('[{"reference": "wo", "focus": [0], "competitors": []}]',
          ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
+        (b"\\data\\\n\xff\n", BUILD),
+        (b"wo de\n\xff\xfe\n", SCORE[:2] + ["BAD", "--fst", "FST", "--syms", "SYMS",
+                                          "--out", "OUT.txt"]),
+        (b"<eps>\t0\nwo\xff\t1\n", SCORE + ["--fst", "FST", "--syms", "BAD",
+                                           "--out", "OUT.txt"]),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
-            "symbols", "symbols-label-beyond-int", "pairs", "cases"])
+            "symbols", "symbols-label-beyond-int", "pairs", "cases",
+            "arpa-not-utf8", "sentences-not-utf8", "symbols-not-utf8"])
     def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
         fst_path, syms_path = build(workdir)
-        (workdir / "bad").write_text(text)
+        (workdir / "bad").write_bytes(text if isinstance(text, bytes) else text.encode())
         (workdir / "sents.txt").write_text("wo de\n")
         names = {"BAD": workdir / "bad", "FST": fst_path, "SYMS": syms_path,
                  "TEXT": workdir / "sents.txt", "OUT": workdir / "out",
-                 "OUT.fst": workdir / "out.fst", "OUT.syms": workdir / "out.syms"}
+                 "OUT.fst": workdir / "out.fst", "OUT.syms": workdir / "out.syms",
+                 "OUT.txt": workdir / "out.txt"}
         code = run(*[names.get(arg, arg) for arg in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("gboost: input format error:")
         assert "Traceback" not in err
+        assert not any(workdir.glob("*out*"))  # nor a temp file beside an output
 
 
 class TestCollectorPause:

@@ -202,9 +202,10 @@ class TestCopyOnWrite:
         assert right.arcs(written) == base_arcs + [(1, 2, 2, 8.0)]
         assert base.best_arcs(written) is written_table
         assert left.best_arcs(written)[1] == (0, 1, 1, 9.0)
-        # A copy of a written copy shares its overlay list until one writes.
+        # A copy of a written copy gets an equal overlay list of its own.
         grand = left.copy()
-        assert grand.arcs(written) is left.arcs(written)
+        assert grand.arcs(written) == left.arcs(written)
+        assert grand.arcs(written) is not left.arcs(written)
         apply_diff(grand, FstDiff(removed_arcs=[Arc(written, 0, 1, 1, 9.0)]))
         assert grand.arcs(written) == base_arcs
         assert left.arcs(written)[-1] == (0, 1, 1, 9.0)
@@ -570,6 +571,35 @@ class TestTextFormat:
         gappy = read_text(io.StringIO("0 3 a a -1\n3 0\n"), symbols)
         assert allocated == [4] and gappy.num_states() == 4
         assert gappy.arcs(0) == [(3, 1, 1, -1.0)] and gappy.finals == {3: 0.0}
+
+    def test_one_state_id_in_two_spellings(self):
+        symbols = SymbolTable(["a"])
+        chain = [f"{state} {state + 1} a a -1" for state in range(299)]
+        text = "\n".join(chain + ["0299 300 a a -2", "0300 0 a a -3", "300 0.5"]) + "\n"
+        fst = read_text(io.StringIO(text), symbols)
+        assert fst.num_states() == 301
+        assert fst.arcs(299) == [(300, 1, 1, -2.0)] and fst.arcs(300) == [(0, 1, 1, -3.0)]
+        assert fst.finals == {300: 0.5}
+        written = text_of(fst)
+        assert "299 300 a a -2\n300 0 a a -3\n300 0.5\n" in written
+        assert text_of(read_text(io.StringIO(written), symbols)) == written
+
+    def test_last_state_without_a_record_rejected(self, fst_factory):
+        fst = fst_factory("a", [(0, 1, "a", "a", -1.0)], {1: 0.0})
+        fst.add_state()  # state 2: no arcs, not final, no arc into it
+        with pytest.raises(InvariantError, match="last state, 2"):
+            write_text(fst, io.StringIO())
+        fst.add_arc(1, 2, 1, 1, 0.5)  # an arc into it names it in the file
+        assert self.roundtrip(fst).num_states() == 3
+
+    def test_last_state_named_only_by_a_live_arc(self):
+        symbols = SymbolTable(["a"])
+        fst = read_text(io.StringIO("0 1 a a -1\n1 2 a a -1\n1 0\n"), symbols)
+        apply_diff(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
+        with pytest.raises(InvariantError, match="last state, 2"):
+            write_text(fst, io.StringIO())  # its column arc into 2 is gone
+        fst.add_arc(0, 2, 1, 1, -2.0)
+        assert self.roundtrip(fst).arcs(0) == [(1, 1, 1, -1.0), (2, 1, 1, -2.0)]
 
     def test_reader_matches_line_by_line_reference(self, random_graph_factory):
         rng = random.Random(5150)
