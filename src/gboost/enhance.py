@@ -14,6 +14,18 @@ as parallel arcs when the target has no arc in that slot, and otherwise
 raise the existing arc's weight to the maximum of old and new. Epsilon
 (back-off) arcs carry no word and never participate.
 
+Enhancement runs in two steps. The plan does not depend on theta: for
+each slot (source, destination, target word), in order of its first
+candidate, it holds the slot's base, the largest ``w_predictor + ln(...)``
+over its candidates, and the weight of the target's existing arc there, if
+any. Applying adds theta to each base and compares the result with the
+existing weight. That is exact: a float sum is rounded from the exact sum,
+and rounding never decreases with its input, so ``fl(max(a) + theta)``
+equals ``max(fl(a + theta))`` bit for bit, and a sweep over theta can
+share one plan. The plan also keeps each candidate's ``w_predictor`` and
+base, so that the count of candidates whose weight exceeds their
+predictor's (the overshoot warning) is exact at every theta.
+
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
 unmodified graph, then written by :func:`~gboost.fst.apply_diff`.
 """
@@ -24,6 +36,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, lt
+from typing import NamedTuple
+
 from gboost.errors import FormatError, InvariantError
 from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, apply_diff
 
@@ -176,8 +192,86 @@ def _log_ratio(f_x: int | None, f_y: int) -> float:
     return math.log(ratio)
 
 
-def _candidate(w_y: float, log_ratio: float, theta: float) -> float:
-    return (w_y + log_ratio) + theta
+class _Plan(NamedTuple):
+    """What one config does to one graph, at any theta.
+
+    ``added`` holds the slots the target has no arc in, as runs of
+    consecutive slots with one target word: ``(target, sources, dests,
+    bases)``, three lists with one entry per slot. ``raised`` holds the
+    other slots, ``(target, source, dest, base, weight)`` with the existing
+    arc's weight. Both keep the order of each slot's first candidate.
+    ``weights`` and ``bases`` hold every candidate's ``w_y`` and base, in
+    candidate order, for the overshoot count.
+    """
+
+    added: list[tuple[str, list[int], list[int], list[float]]]
+    raised: list[tuple[str, int, int, float, float]]
+    weights: list[float]
+    bases: list[float]
+
+
+def _plan_key(config: EnhanceConfig, symbols: SymbolTable) -> tuple:
+    # Everything a plan depends on besides the arcs: per group, each used
+    # predictor with its label and count, and each target with its label
+    # (None if the table lacks it) and count (None if new). Not theta.
+    label_of = symbols._sym2lab.get
+    prefix = config.max_predictors
+    return ("enhance", tuple(
+        (tuple((p, label_of(p), group.frequencies[p]) for p in group.predictors[:prefix]),
+         tuple((t, label_of(t), None if group.is_new(t) else group.frequencies[t])
+               for t in group.targets))
+        for group in config.groups))
+
+
+def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
+    """Plan ``config`` on ``fst``, whose symbol table need not hold the new words yet."""
+    symbols = fst.symbols
+    label_of = symbols._sym2lab.get
+    prefix = config.max_predictors
+    predictor_labels = {symbols.label(w) for g in config.groups for w in g.predictors[:prefix]}
+    target_labels = {label for g in config.groups for t in g.targets
+                     if (label := label_of(t)) is not None}
+    # One memoized scan of the unmodified graph: a sweep's plans share it.
+    found = fst.scan(predictor_labels | target_labels)
+    # The weight of each existing target slot (source, destination, word);
+    # the last of parallel arcs wins.
+    existing = {(source, arc[0], label): arc[3]
+                for label in target_labels
+                for source, arc in found[label] if arc[2] == label}
+
+    # The best base per slot, in order of first candidate.
+    best: dict[tuple[int, int, str], float] = {}
+    weights: list[float] = []
+    bases: list[float] = []
+    for group in config.groups:
+        for target in group.targets:
+            f_x = None if group.is_new(target) else group.frequencies[target]
+            for predictor in group.predictors[:prefix]:
+                log_ratio = _log_ratio(f_x, group.frequencies[predictor])
+                for source, (dest, _, _, w_y) in found[symbols.label(predictor)]:
+                    base = w_y + log_ratio
+                    weights.append(w_y)
+                    bases.append(base)
+                    key = (source, dest, target)
+                    if base > best.setdefault(key, base):
+                        best[key] = base
+
+    added: list[tuple[str, list[int], list[int], list[float]]] = []
+    raised: list[tuple[str, int, int, float, float]] = []
+    run_target = None
+    for (source, dest, target), base in best.items():
+        label = label_of(target)
+        before = None if label is None else existing.get((source, dest, label))
+        if before is not None:
+            raised.append((target, source, dest, base, before))
+            continue
+        if target != run_target:
+            run_target, run = target, ([], [], [])
+            added.append((target, *run))
+        run[0].append(source)
+        run[1].append(dest)
+        run[2].append(base)
+    return _Plan(added, raised, weights, bases)
 
 
 def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
@@ -189,58 +283,52 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     is created if absent, and raised to its best candidate's weight if that
     is higher; it is never lowered, so repeating a run changes nothing.
     Only target-word arcs are touched, and only once the whole diff exists.
+
+    Plan, then apply. The plan (see the module docstring) is memoized in
+    the graph's :meth:`~gboost.fst.Wfst.memo`, which copies share, keyed by
+    the config without theta; so cells of a sweep that differ only in
+    theta plan once. Applying adds the new words to the graph's own symbol
+    table, resolves each target's label there, and adds theta to each
+    slot's base. Logs one INFO line per call, and a warning when some
+    candidates exceed their predictor's weight.
     """
     symbols = fst.symbols
     config.validate(symbols)
+    key = _plan_key(config, symbols)
+    memo = fst.memo()
+    plan = memo.get(key)
+    reused = plan is not None
+    if plan is None:
+        plan = memo[key] = _plan(fst, config)
 
-    predictor_labels = {symbols.label(w)
-                        for g in config.groups
-                        for w in g.predictors[:config.max_predictors]}
-    target_labels = {symbols.label(t)
-                     for g in config.groups
-                     for t in g.targets if t in symbols}
-    # One memoized scan of the unmodified graph: a sweep's cells share it.
-    found = fst.scan(predictor_labels | target_labels)
-    # The weight of each existing target slot (source, destination, word);
-    # the last of parallel arcs wins.
-    existing = {(source, arc[0], label): arc[3]
-                for label in target_labels
-                for source, arc in found[label] if arc[2] == label}
-
-    # Planning needs the labels of new words.
     for group in config.groups:
         for target in group.targets:
             if group.is_new(target) and target not in symbols:
                 symbols.add(target)
 
-    # Best candidate per slot, in order of first candidate.
     theta = config.theta
-    best: dict[tuple[int, int, int], float] = {}
-    overshoot = 0
-    for group in config.groups:
-        for target in group.targets:
-            x_label = symbols.label(target)
-            f_x = None if group.is_new(target) else group.frequencies[target]
-            for predictor in group.predictors[:config.max_predictors]:
-                log_ratio = _log_ratio(f_x, group.frequencies[predictor])
-                for source, (dest, _, _, w_y) in found[symbols.label(predictor)]:
-                    candidate = _candidate(w_y, log_ratio, theta)
-                    if candidate > w_y:
-                        overshoot += 1
-                    key = (source, dest, x_label)
-                    if candidate > best.setdefault(key, candidate):
-                        best[key] = candidate
-
+    overshoot = sum(map(lt, plan.weights, map(add, plan.bases, repeat(theta))))
     if overshoot:
         log.warning("%d candidate arcs exceed their predictor's weight "
                     "(log term plus theta is positive)", overshoot)
 
     delta = FstDiff()
-    for (source, dest, label), weight in best.items():
-        before = existing.get((source, dest, label))
-        if before is None:
-            delta.added_arcs.append(Arc(source, dest, label, label, weight))
-        elif weight > before:
+    # Built in C, with no bytecode step per arc: zip yields each arc's
+    # fields, and tuple.__new__ (Arc's constructor without its argument
+    # handling) makes the arc.
+    for target, sources, dests, bases in plan.added:
+        labels = repeat(symbols.label(target))
+        delta.added_arcs += map(tuple.__new__, repeat(Arc), zip(
+            sources, dests, labels, labels, map(add, bases, repeat(theta))))
+    for target, source, dest, base, before in plan.raised:
+        weight = base + theta
+        if weight > before:
+            label = symbols.label(target)
             delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
                                           Arc(source, dest, label, label, weight)))
-    return apply_diff(fst, delta), delta
+    apply_diff(fst, delta)
+    log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
+             "%d candidates overshoot; plan %s", theta, config.max_predictors,
+             len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,
+             "reused" if reused else "built")
+    return fst, delta

@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
-from operator import itemgetter
+from operator import is_, itemgetter
 from struct import Struct
 from typing import Iterable, NamedTuple, TextIO
 
@@ -80,6 +80,11 @@ class SymbolTable:
             raise InvariantError(f"labels must be in 0..{ID_MAX}, got {label}")
         self._sym2lab[symbol] = label
         self._lab2sym[label] = symbol
+        if label == self._next:
+            # Every label below _next is taken. Keeping that true here lets a
+            # table read from a file with dense labels, and each copy of it,
+            # add a word without first walking past every label it holds.
+            self._next = label + 1
         return label
 
     def label(self, symbol: str) -> int:
@@ -202,9 +207,13 @@ class _Columns:
                 memoryview(self.olabels), memoryview(self.weights))
 
 
-def _best_table(arcs: Iterable[tuple[int, int, int, float]]
+def _best_table(arcs: Iterable[tuple[int, int, int, float]],
+                table: dict[int, tuple[int, int, int, float]] | None = None
                 ) -> dict[int, tuple[int, int, int, float]]:
-    table: dict[int, tuple[int, int, int, float]] = {}
+    # Folds `arcs`, in order, into `table` (a new one if None): an arc
+    # replaces the held arc of its label only if it weighs strictly more.
+    if table is None:
+        table = {}
     for arc in arcs:
         held = table.get(arc[1])
         if held is None or arc[3] > held[3]:
@@ -231,15 +240,17 @@ class Wfst:
     None, so that scoring finds a state's table with one list lookup. Its
     length is the state count.
 
-    :meth:`copy` shares the columns, the tables and the :meth:`scan` memo,
-    and clones the overlay lists, so edits never reach another graph. A
-    freshly read graph has an empty overlay, and copying it costs nothing
-    per state.
+    ``_memo`` holds what is computed from the arcs alone and is costly to
+    recompute: the :meth:`scan` results, and the enhancement plans of
+    :func:`gboost.enhance.enhance`. :meth:`copy` shares it, along with the
+    columns and the tables, and clones the overlay lists, so edits never
+    reach another graph. A freshly read graph has an empty overlay, and
+    copying it costs nothing per state.
 
     Every arc edit goes through ``_writable(state)``: it moves the state
     into the overlay, resets the graph's table for the state and drops the
-    scan memo. ``add_arc`` and :func:`apply_diff` use it; code that edits
-    arc lists must too.
+    memo, for this graph only. ``add_arc`` and :func:`apply_diff` use it;
+    code that edits arc lists must too.
 
     The graph is single-writer, and taking a copy counts as a write of the
     original; once construction or enhancement is done it can be read from
@@ -254,8 +265,8 @@ class Wfst:
         self._overlay: dict[int, list[tuple[int, int, int, float]]] = {}
         # Per state: the best-arc table this graph last used, or None.
         self._tables: list[dict | None] = []
-        # scan() results by label set, shared with copies; None after a write.
-        self._scans: dict[frozenset[int], _Found] | None = None
+        # Values computed from the arcs, shared with copies; None after a write.
+        self._memo: dict | None = None
         self.initial: int | None = None
         self.finals: dict[int, float] = {}
 
@@ -295,13 +306,14 @@ class Wfst:
     def _writable(self, state: int) -> list:
         # The only way to an arc list that may be edited. Checks the state,
         # moves a column state into the overlay, resets the state's table
-        # and drops the scan memo.
+        # and drops the memo.
         arcs = self._overlay.get(state)
         if arcs is None:
-            self._check_state(state)
-            arcs = self._overlay[state] = list(self._columns.arcs(state))
+            if not 0 <= state < len(self._tables):  # _check_state, inline
+                raise InvariantError(f"unknown state id: {state}")
+            arcs = self._overlay[state] = self._columns.arcs(state).copy()
         self._tables[state] = None
-        self._scans = None
+        self._memo = None
         return arcs
 
     def add_arc(self, source: int, target: int, ilabel: int, olabel: int,
@@ -331,7 +343,7 @@ class Wfst:
         For a state whose arcs are in the columns, a list built on first use
         and kept beside them, which every copy of the graph shares; for a
         written state, this graph's live overlay list. Editing either
-        bypasses the best-arc table and the scan memo, and editing the first
+        bypasses the best-arc table and the memo, and editing the first
         corrupts every copy, so treat the result as read-only. This is the
         path for whole-graph scans, so ``state`` is not range-checked: take
         it from :meth:`states` or from an arc target.
@@ -344,25 +356,54 @@ class Wfst:
 
         Each label maps to its highest-weight arc, the first in arc order
         among equal weights. Built on first use and kept until the state's
-        arcs change. Read-only, and unchecked like :meth:`arcs`.
+        arcs change. A column state's table is built once and shared with
+        every copy. A written state whose arcs are still its column arcs,
+        the same tuples in the same order, with arcs appended after them,
+        as enhancement leaves it, gets a copy of that shared table with the
+        appended arcs folded in; any other written state's table is built
+        from all its arcs. Read-only, and unchecked like :meth:`arcs`.
         """
         table = self._tables[state]
         if table is None:
             arcs = self._overlay.get(state)
             if arcs is None:
-                shared = self._columns.best
-                table = shared[state]
-                if table is None:
-                    columns = self._columns.slices(state)
-                    ilabels = columns[1]
-                    table = dict(zip(ilabels, zip(*columns)))
-                    if len(table) < len(ilabels):  # a label on several arcs: pick per label
-                        table = _best_table(zip(*columns))
-                    shared[state] = table
+                table = self._column_table(state)
             else:
-                table = _best_table(arcs)
+                tuples = self._columns.tuples
+                head = tuples[state] if state < len(tuples) else None  # its column arcs
+                if head and len(arcs) >= len(head) and all(map(is_, head, arcs)):
+                    table = _best_table(islice(arcs, len(head), None),
+                                        self._column_table(state).copy())
+                else:
+                    table = _best_table(arcs)
             self._tables[state] = table
         return table
+
+    def _column_table(self, state: int) -> dict[int, tuple[int, int, int, float]]:
+        # The shared best-arc table of a column state's arcs, built on first use.
+        columns = self._columns
+        table = columns.best[state]
+        if table is None:
+            slices = columns.slices(state)
+            ilabels = slices[1]
+            table = dict(zip(ilabels, zip(*slices)))
+            if len(table) < len(ilabels):  # a label on several arcs: pick per label
+                table = _best_table(zip(*slices))
+            columns.best[state] = table
+        return table
+
+    def memo(self) -> dict:
+        """Values computed from this graph's arcs, shared with its copies.
+
+        Each key names what its value was computed from besides the arcs.
+        A write empties this graph's memo and leaves its copies' alone.
+        :meth:`scan` keys its results by label set;
+        :func:`gboost.enhance.enhance` keeps its plans here too. Treat the
+        values as read-only.
+        """
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     def scan(self, labels: Iterable[int]) -> _Found:
         """Arcs whose input label is in ``labels``, grouped by that label.
@@ -373,11 +414,10 @@ class Wfst:
         treat it as read-only.
         """
         key = frozenset(labels)
-        if self._scans is None:
-            self._scans = {}
-        found = self._scans.get(key)
+        memo = self.memo()
+        found = memo.get(key)
         if found is None:
-            found = self._scans[key] = self._scan(key)
+            found = memo[key] = self._scan(key)
         return found
 
     def _scan(self, labels: frozenset[int]) -> _Found:
@@ -408,15 +448,13 @@ class Wfst:
         return found
 
     def copy(self) -> "Wfst":
-        """A copy with its own overlay lists, sharing the columns, tables and scan memo."""
+        """A copy with its own overlay lists, sharing the columns, tables and memo."""
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
         new._columns = self._columns
         new._overlay = {state: arcs.copy() for state, arcs in self._overlay.items()}
         new._tables = self._tables.copy()
-        if self._scans is None:
-            self._scans = {}
-        new._scans = self._scans
+        new._memo = self.memo()
         new.initial = self.initial
         new.finals = dict(self.finals)
         return new
@@ -602,19 +640,19 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     # Additions are checked one by one, as add_arc would, then appended per
     # source state in delta order through one _writable call each.
     num_states = fst.num_states()
+    isfinite = math.isfinite
     added: dict[int, list[tuple[int, int, int, float]]] = {}
-    for arc in delta.added_arcs:
-        source, target, ilabel, olabel, weight = arc
+    for source, target, ilabel, olabel, weight in delta.added_arcs:
         if not 0 <= target < num_states:
             raise InvariantError(f"unknown state id: {target}")
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
-        if not math.isfinite(weight):
+        if not isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
         arcs = added.get(source)
         if arcs is None:
             arcs = added[source] = []
-        arcs.append(arc[1:])
+        arcs.append((target, ilabel, olabel, weight))
     for source, arcs in added.items():
         fst._writable(source).extend(arcs)
     for state, _, after_weight in delta.final_changes:

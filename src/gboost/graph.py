@@ -157,11 +157,14 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     ends a sentence.
 
     Each step is one lookup in the state's best-arc table
-    (:meth:`gboost.fst.Wfst.best_arcs`), plus one for ``<eps>`` on a miss.
-    Where several arcs share a label the table holds the highest-weighted
-    one, the first in arc order among equal weights. Tables are built on a
-    state's first visit and reset whenever its arcs change, so scores
-    always follow the current arcs.
+    (:meth:`gboost.fst.Wfst.best_arcs`); only on a miss is the table
+    looked up again for ``<eps>`` and back-off hops counted. Where several
+    arcs share a label the table holds the highest-weighted one, the first
+    in arc order among equal weights. Tables are built on a state's first
+    visit and reset whenever its arcs change, so scores always follow the
+    current arcs. A word is looked up in at most one state more than the
+    graph has; a back-off hop after that can only be part of an epsilon
+    cycle, and raises InvariantError.
     """
     if fst.initial is None:
         raise InvariantError("graph has no initial state")
@@ -186,19 +189,18 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
         del labels[early_end:]
 
     tables = fst._tables
+    # A word is looked up in at most this many states; the hop after the
+    # last of them means an epsilon cycle.
     max_backoffs = len(tables) + 1
     total = 0.0
     state = fst.initial
     for position, word_label in enumerate(labels):
-        for _ in range(max_backoffs):
-            table = tables[state]
-            if table is None:
-                table = fst.best_arcs(state)
-            arc = table.get(word_label)
-            if arc is not None:
-                state, _, _, weight = arc
-                total += weight
-                break
+        table = tables[state]
+        if table is None:
+            table = fst.best_arcs(state)
+        arc = table.get(word_label)
+        hops = 0
+        while arc is None:  # back off until a state has the word
             arc = table.get(EPSILON_LABEL)
             if arc is None:
                 word = symbols.symbol(word_label)
@@ -206,8 +208,15 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
                                   word=word, position=position)
             state, _, _, weight = arc
             total += weight
-        else:
-            raise InvariantError("epsilon cycle encountered while backing off")
+            hops += 1
+            if hops == max_backoffs:
+                raise InvariantError("epsilon cycle encountered while backing off")
+            table = tables[state]
+            if table is None:
+                table = fst.best_arcs(state)
+            arc = table.get(word_label)
+        state, _, _, weight = arc
+        total += weight
 
     if early_end is not None:
         raise NoPathError(f"word {EOS!r} at position {early_end} may only end the sentence",

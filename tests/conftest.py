@@ -1,3 +1,4 @@
+import importlib
 import io
 import random
 
@@ -84,6 +85,21 @@ def scans(monkeypatch):
         return real_scan(fst, labels)
 
     monkeypatch.setattr(Wfst, "_scan", counting_scan)
+    return log
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Predictor counts of the enhancement plans built during the test."""
+    log = []
+    module = importlib.import_module("gboost.enhance")  # the package exports a function by that name
+    real_plan = module._plan
+
+    def counting_plan(fst, config):
+        log.append(config.max_predictors)
+        return real_plan(fst, config)
+
+    monkeypatch.setattr(module, "_plan", counting_plan)
     return log
 
 

@@ -243,6 +243,60 @@ def compute_enhanced_weight(w_y, f_x, f_y, theta):
     return (w_y + math.log(f_x / (f_x + f_y))) + theta
 
 
+def enhance_by_candidate(fst, config):
+    """What enhancing ``fst`` with ``config`` writes, one candidate at a time.
+
+    Every predictor arc gives each target a candidate whose weight is
+    :func:`compute_enhanced_weight`, theta included. A slot (source,
+    destination, target) keeps its first highest candidate; slots come in
+    order of their first candidate. A slot the target has no arc in is an
+    addition; otherwise the candidate raises the slot's last parallel arc
+    if it is higher. New words get the labels ``fst``'s symbol table would
+    give them, in config order. Returns ``(delta, overshoot)``, overshoot
+    counting the candidates above their predictor's weight, and leaves
+    ``fst`` untouched. The config must be valid.
+    """
+    symbols = fst.symbols.copy()
+    for group in config.groups:
+        for target in group.targets:
+            if target in group.new_words and target not in symbols:
+                symbols.add(target)
+    target_labels = {symbols.label(t) for g in config.groups for t in g.targets}
+    existing = {}
+    for state in fst.states():
+        for dest, ilabel, olabel, weight in fst.arcs(state):
+            if ilabel in target_labels and olabel == ilabel:
+                existing[(state, dest, ilabel)] = weight
+
+    best = {}
+    overshoot = 0
+    for group in config.groups:
+        for target in group.targets:
+            x = symbols.label(target)
+            f_x = None if target in group.new_words else group.frequencies[target]
+            for predictor in group.predictors[:config.max_predictors]:
+                y, f_y = symbols.label(predictor), group.frequencies[predictor]
+                for state in fst.states():
+                    for dest, ilabel, _, w_y in fst.arcs(state):
+                        if ilabel != y:
+                            continue
+                        weight = compute_enhanced_weight(w_y, f_x, f_y, config.theta)
+                        overshoot += weight > w_y
+                        slot = (state, dest, x)
+                        if slot not in best or weight > best[slot]:
+                            best[slot] = weight
+
+    delta = FstDiff()
+    for (state, dest, x), weight in best.items():
+        before = existing.get((state, dest, x))
+        if before is None:
+            delta.added_arcs.append(Arc(state, dest, x, x, weight))
+        elif weight > before:
+            delta.reweighted_arcs.append((Arc(state, dest, x, x, before),
+                                          Arc(state, dest, x, x, weight)))
+    return delta, overshoot
+
+
 def scan_by_arc(fst, labels):
     """What :meth:`Wfst.scan` returns, from every state's arcs in order."""
     found = {label: [] for label in labels}

@@ -1,22 +1,26 @@
+import dataclasses
 import gc
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 import gboost.cli
 import gboost.evaluate
+import oracles
 import toylm
 from gboost.arpa import oracle_score, parse_arpa
 from gboost.cli import UsageError, main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import read_text, write_text
+from gboost.fst import SymbolTable, read_text, write_text
 from gboost.graph import build_g
 
 PAIRS = {
@@ -381,6 +385,35 @@ class TestEvalCommand:
                 err = capsys.readouterr().err
                 assert "--theta-list" in err and "--chnum-list" in err and "--pairs" in err
         assert not (workdir / "out").exists()
+
+
+    def test_verbose_logs_one_line_per_enhancement(self, workdir):
+        fst_path, syms_path = build(workdir)
+        src = str(Path(gboost.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def enhance_lines(*flags):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gboost.cli", *flags, "eval", "--fst", str(fst_path),
+                 "--syms", str(syms_path), "--cases", str(workdir / "cases.json"),
+                 "--pairs", str(workdir / "pairs.json"), "--theta-list=0,1",
+                 "--chnum-list=2", "--out", str(workdir / "sweepout")],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return [line for line in proc.stderr.splitlines() if "enhance:" in line]
+
+        with syms_path.open() as syms, fst_path.open() as text:
+            fst = read_text(text, SymbolTable.read(syms))
+        expected = []
+        for theta, plan in ((0.0, "built"), (1.0, "reused")):
+            config = dataclasses.replace(load_pairs_config(json.dumps(PAIRS)), theta=theta)
+            delta, overshoot = oracles.enhance_by_candidate(fst, config)
+            expected.append(f"gboost: INFO: enhance: theta {theta:g}, 2 predictors: "
+                            f"{len(delta.added_arcs)} arcs added, 0 raised, {overshoot} "
+                            f"candidates overshoot; plan {plan}")
+        assert enhance_lines("-v") == expected
+        assert enhance_lines() == []
 
 
 class TestDiffFst:

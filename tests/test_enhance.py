@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -9,12 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import toylm
 from gboost.arpa import parse_arpa
-from gboost.enhance import (EnhanceConfig, SimilarPairGroup, _candidate, _log_ratio,
-                            enhance, load_pairs_config)
+from gboost.enhance import (EnhanceConfig, SimilarPairGroup, _log_ratio, enhance,
+                            load_pairs_config)
 from gboost.errors import FormatError, GboostError, InvariantError
-from gboost.fst import FstDiff, diff as structural_diff
+from conftest import make_fst
+from gboost.fst import FstDiff, diff as structural_diff, read_text, write_text
 from gboost.graph import build_g, graph_score
 from oracles import compute_enhanced_weight
+
+
+def candidate(w_y, log_ratio, theta):
+    """A candidate's weight as enhance computes it: the plan's base, then theta."""
+    base = w_y + log_ratio
+    return base + theta
 
 
 def one_pair_config(predictor, target, frequencies=None, new=False, theta=0.0,
@@ -68,22 +76,22 @@ class TestComputeEnhancedWeight:
         f_lo = max(1, f_hi - gap)
         if f_lo == f_hi:
             f_hi += 1
-        high = _candidate(w_y, _log_ratio(f_hi, f_y), theta)
-        low = _candidate(w_y, _log_ratio(f_lo, f_y), theta)
+        high = candidate(w_y, _log_ratio(f_hi, f_y), theta)
+        low = candidate(w_y, _log_ratio(f_lo, f_y), theta)
         assert high > low
 
     @given(w_y=st.floats(-20, 0), f_x=st.integers(1, 10**6),
            f_y=st.integers(1, 10**6), theta=st.floats(-8, 8))
     def test_theta_shift_is_exact(self, w_y, f_x, f_y, theta):
-        """The library's candidate is the reference formula, bit for bit."""
-        base = _candidate(w_y, _log_ratio(f_x, f_y), 0.0)
-        got = _candidate(w_y, _log_ratio(f_x, f_y), theta)
+        """A weight as enhance applies it is the reference formula, bit for bit."""
+        base = candidate(w_y, _log_ratio(f_x, f_y), 0.0)
+        got = candidate(w_y, _log_ratio(f_x, f_y), theta)
         assert got == compute_enhanced_weight(w_y, f_x, f_y, theta) == base + theta
 
     def test_theta_shift_exact_for_new_words(self):
         for theta in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            base = _candidate(-2.25, _log_ratio(None, 10), 0.0)
-            got = _candidate(-2.25, _log_ratio(None, 10), theta)
+            base = candidate(-2.25, _log_ratio(None, 10), 0.0)
+            got = candidate(-2.25, _log_ratio(None, 10), theta)
             assert got == compute_enhanced_weight(-2.25, None, 10, theta) == base + theta
 
 
@@ -319,6 +327,200 @@ class TestEnhance:
         finals_before = dict(fst.finals)
         enhance(fst, ool_config)
         assert fst.finals == finals_before
+
+
+# -- plan and apply ------------------------------------------------------------
+#
+# enhance plans once per config without theta, in the graph's memo, and
+# applies theta per call. Every result must equal the per-candidate
+# reference in tests/oracles.py bit for bit, whether the plan was built or
+# reused.
+
+PLAN_SYMBOLS = ["y0", "y1", "y2", "y3", "x0", "x1"]
+
+
+def logged_enhance(fst, config):
+    """``enhance(fst, config)``'s diff, and the arguments of the INFO line it logs.
+
+    They are theta, the predictor count, arcs added, arcs raised, the
+    overshoot count and whether the plan was "built" or "reused".
+    """
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("gboost.enhance")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        _, delta = enhance(fst, config)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [info] = [r for r in records if r.levelno == logging.INFO]
+    return delta, info.args
+
+
+def bits(delta):
+    """A diff's arcs with each weight as its exact hex string: -0.0 differs from 0.0."""
+    def arc(a):
+        return (*a[:4], a.weight.hex())
+    return ([arc(a) for a in delta.added_arcs],
+            [(arc(old), arc(new)) for old, new in delta.reweighted_arcs],
+            delta.removed_arcs, delta.final_changes)
+
+
+def plan_graph(arcs, columns=True):
+    """A 5-state graph over PLAN_SYMBOLS; with ``columns``, as read from text."""
+    fst = make_fst(PLAN_SYMBOLS, arcs, {0: 0.0, 4: -1.0})
+    if not columns:
+        return fst
+    text = io.StringIO()
+    write_text(fst, text)
+    text.seek(0)
+    return read_text(text, fst.symbols)
+
+
+def plan_config(counts_a, counts_b, theta=0.0, max_predictors=3):
+    """Two groups; x0 and the new word nova are targets of both."""
+    return EnhanceConfig(theta=theta, max_predictors=max_predictors, groups=[
+        SimilarPairGroup(predictors=["y0", "y1", "y2"], targets=["x0", "nova"],
+                         frequencies=dict(zip(["y0", "y1", "y2", "x0"], counts_a)),
+                         new_words=frozenset(["nova"])),
+        SimilarPairGroup(predictors=["y3", "y1"], targets=["x1", "x0", "nova"],
+                         frequencies=dict(zip(["y3", "y1", "x1", "x0"], counts_b)),
+                         new_words=frozenset(["nova"])),
+    ])
+
+
+# Parallel predictor and target arcs in several slots, a tie between two
+# predictors in one slot, a target arc with another output label, and
+# weights at which theta near zero decides raises.
+RAISE_ARCS = [
+    (0, 1, "y0", "y0", -1.0), (0, 1, "x0", "x0", -3.0), (0, 1, "y1", "y1", -1.0),
+    (0, 2, "y3", "y3", -0.5), (0, 2, "x1", "x1", -1.2), (0, 2, "x1", "x1", -4.0),
+    (1, 2, "y2", "y2", 0.0), (1, 2, "x0", "x1", -0.1), (1, 3, "y1", "y1", -2.0),
+    (2, 3, "x0", "x0", 0.25), (2, 3, "y0", "y0", 0.25), (3, 4, "y3", "y3", -0.75),
+    (3, 4, "y1", "y1", -0.75), (3, 0, "<eps>", "<eps>", -0.3),
+]
+
+ARCS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.sampled_from(PLAN_SYMBOLS + ["<eps>"]), st.booleans(),
+                          st.sampled_from([-2.0, -1.0, -0.5, 0.0, -0.0, 0.75])
+                          | st.floats(-6, 6)),
+                max_size=25).map(lambda arcs: [
+                    (s, d, w, w if same else "y0", weight)
+                    for s, d, w, same, weight in arcs])
+COUNTS = st.lists(st.integers(1, 2000), min_size=4, max_size=4)
+THETA = st.sampled_from([0.0, -0.0, 2.0, -4.0]) | st.floats(-8, 8)
+
+
+def check_cells(base, counts_a, counts_b, cells):
+    """Enhance sibling copies of ``base``, one per (theta, chnum) cell, against the reference."""
+    planned = set()
+    for theta, chnum in cells:
+        config = plan_config(counts_a, counts_b, theta, chnum)
+        expected, overshoot = oracles.enhance_by_candidate(base, config)
+        delta, info = logged_enhance(base.copy(), config)
+        assert bits(delta) == bits(expected), (theta, chnum)
+        assert info[1:5] == (chnum, len(expected.added_arcs),
+                             len(expected.reweighted_arcs), overshoot)
+        assert info[5] == ("reused" if chnum in planned else "built")
+        planned.add(chnum)
+
+
+def grown_before(base, word):
+    """A copy of ``base`` whose symbol table gained ``word``."""
+    grown = base.copy()
+    grown.symbols.add(word)
+    return grown
+
+
+class TestPlanAndApply:
+    @settings(max_examples=60, deadline=None)
+    @given(arcs=ARCS, columns=st.booleans(), counts_a=COUNTS, counts_b=COUNTS,
+           cells=st.lists(st.tuples(THETA, st.integers(1, 3)), min_size=1, max_size=6))
+    def test_sibling_copies_match_the_per_candidate_reference(self, arcs, columns,
+                                                              counts_a, counts_b, cells):
+        check_cells(plan_graph(RAISE_ARCS + arcs, columns), counts_a, counts_b, cells)
+
+    def test_raises_and_repeated_targets_match_the_reference(self):
+        """RAISE_ARCS raise x0 and x1 slots from some theta on; the benchmark raises none."""
+        base = plan_graph(RAISE_ARCS)
+        counts_a, counts_b = [90, 80, 70, 60], [50, 40, 30, 20]
+        cells = [(theta, chnum) for theta in (-4.0, -0.0, 0.0, 0.5, 2.0, 6.0)
+                 for chnum in (1, 2, 3)]
+        check_cells(base, counts_a, counts_b, cells)
+        raised = enhance(base.copy(), plan_config(counts_a, counts_b, 2.0))[1]
+        assert {base.symbols.symbol(old.ilabel) for old, _ in raised.reweighted_arcs} \
+            == {"x0", "x1"}
+
+    def test_write_drops_the_plan(self):
+        base = plan_graph(RAISE_ARCS)
+        config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
+        assert logged_enhance(base.copy(), config)[1][5] == "built"
+        assert logged_enhance(base.copy(), config)[1][5] == "reused"
+        base.add_arc(4, 3, base.symbols.label("y2"), base.symbols.label("y2"), -0.25)
+        delta, info = logged_enhance(base.copy(), config)
+        assert info[5] == "built"
+        assert bits(delta) == bits(oracles.enhance_by_candidate(base, config)[0])
+        assert any(arc.source == 4 for arc in delta.added_arcs)
+        written = base.copy()
+        written.add_arc(4, 2, base.symbols.label("y3"), base.symbols.label("y3"), -0.5)
+        assert logged_enhance(written, config)[1][5] == "built"
+        assert logged_enhance(base.copy(), config)[1][5] == "reused"
+
+    @pytest.mark.parametrize("change", ["count", "new word", "prefix", "order"])
+    def test_config_change_builds_a_new_plan(self, change):
+        base = plan_graph(RAISE_ARCS)
+        config = plan_config([9, 8, 7, 6], [5, 4, 3, 2], max_predictors=2)
+        logged_enhance(base.copy(), config)
+        group = config.groups[0]
+        if change == "count":
+            group.frequencies["y1"] += 1
+        elif change == "new word":
+            group.new_words = group.new_words | {"x0"}
+        elif change == "prefix":
+            config.max_predictors = 3
+        else:
+            group.predictors[:2] = group.predictors[1::-1]
+        delta, info = logged_enhance(base.copy(), config)
+        assert info[5] == "built"
+        assert bits(delta) == bits(oracles.enhance_by_candidate(base, config)[0])
+
+    def test_new_word_labels_come_from_each_copys_table(self):
+        base = plan_graph(RAISE_ARCS)
+        config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
+        first = base.copy()
+        logged_enhance(first, config)
+        grown = grown_before(base, "zzz")
+        expected = oracles.enhance_by_candidate(grown, config)[0]
+        delta, info = logged_enhance(grown, config)
+        assert info[5] == "reused"
+        nova = grown.symbols.label("nova")
+        assert nova == first.symbols.label("nova") + 1
+        assert nova in {arc.ilabel for arc in delta.added_arcs}
+        assert bits(delta) == bits(expected)
+        # A table that holds the new word already is planned anew.
+        known = grown_before(base, "nova")
+        expected = oracles.enhance_by_candidate(known, config)[0]
+        delta, info = logged_enhance(known, config)
+        assert info[5] == "built"
+        assert bits(delta) == bits(expected)
+
+    def test_info_line_reports_each_call(self, caplog):
+        base = plan_graph(RAISE_ARCS)
+        config = plan_config([9, 8, 7, 6], [5, 4, 3, 2], theta=2.0, max_predictors=3)
+        with caplog.at_level(logging.INFO, logger="gboost.enhance"):
+            _, delta = enhance(base.copy(), config)
+            enhance(base.copy(), dataclasses.replace(config, theta=-4.0))
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert lines[0] == (f"enhance: theta 2, 3 predictors: {len(delta.added_arcs)} "
+                            f"arcs added, {len(delta.reweighted_arcs)} raised, "
+                            f"{oracles.enhance_by_candidate(base, config)[1]} candidates "
+                            "overshoot; plan built")
+        assert lines[1].startswith("enhance: theta -4, 3 predictors: ")
+        assert lines[1].endswith("; plan reused")
 
 
 class TestPairsConfigFile:

@@ -171,6 +171,16 @@ class TestSweep:
             assert report.to_json() == run_ranking(fresh, ool_cases).to_json()
         assert len(grid) == 12
 
+    def test_cells_share_one_plan_per_predictor_count(self, telecom_model, ool_config,
+                                                      ool_cases, plans, scans):
+        fst = build_g(telecom_model)
+        grid = sweep(fst, ool_config, [-4.0, -2.0, 0.0, 2.0], [1, 2, 3, 2], ool_cases)
+        assert plans == [1, 2, 3]
+        assert len(scans) == 3
+        again = sweep(fst, ool_config, [1.0], [3, 2], ool_cases)
+        assert plans == [1, 2, 3]
+        assert len(grid) == 12 and len(again) == 2
+
     def test_sweep_leaves_baseline_untouched(self, telecom_graph, ool_config,
                                              ool_cases):
         fst = telecom_graph

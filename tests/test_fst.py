@@ -12,7 +12,7 @@ import toylm
 from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
 from gboost.fst import (EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff, SymbolTable, Wfst,
-                        apply_diff, diff, read_text, write_text)
+                        _best_table, apply_diff, diff, read_text, write_text)
 from gboost.graph import build_g
 from oracles import arcs_matching, path_weight
 
@@ -52,6 +52,16 @@ class TestSymbolTable:
         assert buf.getvalue().splitlines()[0] == "<eps>\t0"
         again = SymbolTable.read(io.StringIO(buf.getvalue()))
         assert again == table
+
+    def test_new_words_take_the_lowest_free_labels(self):
+        """Holes first, then past the top: the same in a read table and its copies."""
+        table = SymbolTable.read(io.StringIO("<eps>\t0\na\t1\nb\t2\nc\t5\n"))
+        copy = table.copy()
+        assert [copy.add(w) for w in "wxyz"] == [3, 4, 6, 7]
+        assert [table.add(w) for w in "wx"] == [3, 4]
+        dense = SymbolTable.read(io.StringIO("<eps>\t0\na\t1\nb\t2\n"))
+        assert dense._next == 3  # a copy's first new word searches no taken label
+        assert dense.copy().add("w") == 3
 
     def test_read_requires_epsilon_first(self):
         with pytest.raises(FormatError, match="line 1"):
@@ -229,6 +239,79 @@ class TestCopyOnWrite:
         assert fst.scan({a, c}) is not found
         assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
                                      (0, (2, b, b, -1.0))]}
+
+
+class TestBestArcTables:
+    """A written state's table: the shared column table plus appended arcs, or a rebuild."""
+
+    # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
+    # a label on two arcs with different weights (b).
+    ARCS = [(0, 1, "a", "a", 1.0), (0, 2, "a", "a", 1.0), (0, 1, "b", "b", 0.5),
+            (0, 2, "b", "b", 2.0), (0, 3, "c", "c", -1.0), (1, 3, "a", "a", 0.0),
+            (2, 3, "b", "b", 0.0)]
+    APPEND = [Arc(0, 3, 1, 1, 1.0), Arc(0, 3, 2, 2, 2.5), Arc(0, 1, 3, 3, -1.0),
+              Arc(0, 2, 0, 0, -0.5), Arc(0, 1, 0, 0, -0.5)]
+    EDITS = {
+        # edit name: (diffs applied in turn, whether each table is derived)
+        "append": ([FstDiff(added_arcs=APPEND)], [True]),
+        "append twice": ([FstDiff(added_arcs=APPEND[:2]), FstDiff(added_arcs=APPEND[2:])],
+                         [True, True]),
+        "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False]),
+        "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2, 2.0),
+                                                Arc(0, 2, 2, 2, 0.25))])], [False]),
+        "reweight to the same weight": ([FstDiff(reweighted_arcs=[
+            (Arc(0, 1, 1, 1, 1.0), Arc(0, 1, 1, 1, 1.0))])], [False]),
+        "remove, then append the same arc": (
+            [FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)]),
+             FstDiff(added_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False, False]),
+        "append, then remove": ([FstDiff(added_arcs=APPEND),
+                                 FstDiff(removed_arcs=[Arc(0, 2, 1, 1, 1.0)])],
+                                [True, False]),
+    }
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """Per table built with _best_table: True if it was folded into a copied table."""
+        log = []
+
+        def recording(arcs, table=None):
+            log.append(table is not None)
+            return _best_table(arcs, table)
+
+        monkeypatch.setattr(gboost.fst, "_best_table", recording)
+        return log
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_table_equals_a_full_rebuild(self, fst_factory, derived, edit):
+        source = fst_factory("a b c", self.ARCS, {3: 0.0})
+        base = read_text(io.StringIO(text_of(source)), source.symbols)
+        shared = base.best_arcs(0)
+        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
+        fst, sibling = base.copy(), base.copy()
+        diffs, expected = self.EDITS[edit]
+        derived.clear()
+        for delta in diffs:
+            apply_diff(fst, delta)
+            table = fst.best_arcs(0)
+            assert table == _best_table(fst.arcs(0))
+            assert table is not shared
+        assert derived == expected
+        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
+        assert sibling.best_arcs(0) is shared and base.best_arcs(0) is shared
+
+    def test_tables_follow_random_edits(self, random_graph_factory):
+        for seed in range(20):
+            rng = random.Random(seed)
+            source = random_graph_factory(seed, n_states=6, n_arcs=24, n_symbols=3)
+            base = read_text(io.StringIO(text_of(source)), source.symbols)
+            graphs = [base.copy(), base.copy()]
+            for step in range(25):
+                fst = rng.choice(graphs)
+                replay(fst, random_edit(fst, rng))
+                for fst in graphs + [base]:
+                    for state in fst.states():
+                        assert (fst.best_arcs(state) == _best_table(fst.arcs(state))
+                                ), (seed, step, state)
 
 
 class TestPathWeight:

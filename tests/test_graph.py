@@ -282,6 +282,40 @@ class TestGraphScore:
         with pytest.raises(InvariantError, match="non-final"):
             graph_score(dead_end, [])
 
+    def test_back_off_chain_through_every_state_scores(self, fst_factory):
+        # The word is only at the last state: each word backs off through
+        # every other state, the longest chain without a cycle.
+        n = 30
+        chain = [(s, s + 1, EPSILON, EPSILON, -0.125 * (s + 1)) for s in range(n - 1)]
+        fst = fst_factory(["a", EOS], chain + [(n - 1, 0, "a", "a", -1.5),
+                                               (n - 1, n - 1, EOS, EOS, -0.5)],
+                          {n - 1: -0.25})
+        backoffs = sum(arc[4] for arc in chain)  # eighths: every sum here is exact
+        expected = backoffs + -1.5 + backoffs + -0.5 + -0.25
+        assert graph_score(fst, ["a"]) == expected
+        assert oracles.greedy_score(fst, ["a"], max_backoffs=n) == expected
+
+    def test_epsilon_cycle_raises_after_every_state_is_tried(self, fst_factory):
+        """The word is looked up in one state more than the graph has, then the cycle raises."""
+        fst = fst_factory(["a", "b", EOS], [(0, 1, "b", "b", -1.0),
+                                            (0, 2, EPSILON, EPSILON, -0.5),
+                                            (2, 3, EPSILON, EPSILON, -0.5),
+                                            (3, 2, EPSILON, EPSILON, -0.5)], {1: 0.0})
+        visits = []
+        best_arcs = fst.best_arcs
+
+        def uncached(state):  # every lookup of a state's table goes through here
+            visits.append(state)
+            table = best_arcs(state)
+            fst._tables[state] = None
+            return table
+
+        fst.best_arcs = uncached
+        with pytest.raises(InvariantError, match="^epsilon cycle encountered while "
+                                                 "backing off$"):
+            graph_score(fst, ["a"])
+        assert visits == [0, 2, 3, 2, 3]  # num_states + 1 lookups
+
     def test_unknown_word_raises_no_path_with_position(self, telecom_graph):
         fst = telecom_graph
         with pytest.raises(NoPathError, match="position 1") as info:
