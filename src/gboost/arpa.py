@@ -73,7 +73,7 @@ def parse_arpa(stream: TextIO) -> NGramModel:
     its counts match section contents, every k-gram's (k-1)-word history
     has its own entry, log probabilities are finite and <= 0 (the unused
     <s> unigram may be -inf), back-off weights are finite, <s> is never
-    predicted and </s> never appears as context.
+    predicted, </s> has a unigram entry and never appears as context.
 
     Each distinct word is one ``str`` object, shared by every n-gram key
     that names it and by the vocabulary: a large model names each word in
@@ -168,6 +168,8 @@ def parse_arpa(stream: TextIO) -> NGramModel:
                 f"\\data\\ declares {declared} {k}-grams but section has {got}")
 
     table_list = [tables.get(k, {}) for k in range(1, order + 1)]
+    if (EOS,) not in table_list[0]:  # every sentence ends with it
+        raise FormatError(f"the model has no {EOS} unigram")
     for k in range(2, order + 1):
         lower = table_list[k - 2]
         for words in table_list[k - 1]:

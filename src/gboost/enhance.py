@@ -36,12 +36,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, lt
+from itertools import chain, filterfalse, repeat
+from operator import add, itemgetter, lt
 from typing import NamedTuple
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, apply_diff
+from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, _check_symbol, apply_diff
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,7 @@ class SimilarPairGroup:
                 raise InvariantError(f"predictor {word!r} needs a positive frequency")
         for word in self.targets:
             if self.is_new(word):
+                _check_symbol(word)  # here, before enhance adds any new word
                 # Already present is fine: an earlier run inserted it.
                 continue
             if word not in symbols:
@@ -160,7 +161,11 @@ def load_pairs_config(text: str) -> EnhanceConfig:
         frequencies = raw.get("frequencies", {})
         for key, value in (("predictors", predictors), ("targets", targets),
                            ("new_words", new_words)):
-            _word_list(value, f"group {i} '{key}'")
+            for word in _word_list(value, f"group {i} '{key}'"):
+                try:
+                    _check_symbol(word)  # else the output files could not hold it
+                except InvariantError as exc:
+                    raise FormatError(f"group {i} '{key}': {exc}") from None
         if not isinstance(frequencies, dict):
             raise FormatError(f"group {i} 'frequencies' must be a JSON object")
         for word, count in frequencies.items():
@@ -231,7 +236,7 @@ def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
     predictor_labels = {symbols.label(w) for g in config.groups for w in g.predictors[:prefix]}
     target_labels = {label for g in config.groups for t in g.targets
                      if (label := label_of(t)) is not None}
-    # One memoized scan of the unmodified graph: a sweep's plans share it.
+    # One scan of the unmodified graph finds every predictor and target arc.
     found = fst.scan(predictor_labels | target_labels)
     # The weight of each existing target slot (source, destination, word);
     # the last of parallel arcs wins.
@@ -282,7 +287,9 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     pre-enhancement graph. A slot (source state, destination state, word)
     is created if absent, and raised to its best candidate's weight if that
     is higher; it is never lowered, so repeating a run changes nothing.
-    Only target-word arcs are touched, and only once the whole diff exists.
+    Only target-word arcs are touched, and only once the whole diff exists
+    and every weight in it is known to be finite: a run that fails changes
+    neither the graph nor its symbol table.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
     the graph's :meth:`~gboost.fst.Wfst.memo`, which copies share, keyed by
@@ -301,31 +308,40 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     if plan is None:
         plan = memo[key] = _plan(fst, config)
 
-    for group in config.groups:
-        for target in group.targets:
-            if group.is_new(target) and target not in symbols:
-                symbols.add(target)
-
     theta = config.theta
     overshoot = sum(map(lt, plan.weights, map(add, plan.bases, repeat(theta))))
     if overshoot:
         log.warning("%d candidate arcs exceed their predictor's weight "
                     "(log term plus theta is positive)", overshoot)
 
+    # Every weight to write, checked before the graph or its symbols change,
+    # in the order apply_diff would check them.
+    raised = [(target, source, dest, before, weight)
+              for target, source, dest, base, before in plan.raised
+              if (weight := base + theta) > before]
+    added = [(target, sources, dests, list(map(add, bases, repeat(theta))))
+             for target, sources, dests, bases in plan.added]
+    bad = next(filterfalse(math.isfinite, chain(
+        map(itemgetter(4), raised), chain.from_iterable(map(itemgetter(3), added)))), None)
+    if bad is not None:
+        raise InvariantError(f"arc weight must be finite, got {bad}")
+
+    for group in config.groups:
+        for target in group.targets:
+            if group.is_new(target) and target not in symbols:
+                symbols.add(target)
     delta = FstDiff()
     # Built in C, with no bytecode step per arc: zip yields each arc's
     # fields, and tuple.__new__ (Arc's constructor without its argument
     # handling) makes the arc.
-    for target, sources, dests, bases in plan.added:
+    for target, sources, dests, weights in added:
         labels = repeat(symbols.label(target))
-        delta.added_arcs += map(tuple.__new__, repeat(Arc), zip(
-            sources, dests, labels, labels, map(add, bases, repeat(theta))))
-    for target, source, dest, base, before in plan.raised:
-        weight = base + theta
-        if weight > before:
-            label = symbols.label(target)
-            delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
-                                          Arc(source, dest, label, label, weight)))
+        delta.added_arcs += map(tuple.__new__, repeat(Arc),
+                                zip(sources, dests, labels, labels, weights))
+    for target, source, dest, before, weight in raised:
+        label = symbols.label(target)
+        delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
+                                      Arc(source, dest, label, label, weight)))
     apply_diff(fst, delta)
     log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
              "%d candidates overshoot; plan %s", theta, config.max_predictors,

@@ -172,10 +172,10 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
     Every cell re-enhances a private copy of the pristine baseline graph,
     so cells are independent of each other and of evaluation order. A copy
     (:meth:`~gboost.fst.Wfst.copy`) shares the baseline's arc columns,
-    their best-arc tables and its memo. The memo holds the label scans and
-    the enhancement plans, which do not depend on theta, so cells with the
-    same predictor count share one plan: the first builds it, the others
-    only add theta and write their arcs (see :mod:`gboost.enhance`). A
+    their best-arc tables and its memo. The memo holds the enhancement
+    plans, which do not depend on theta, so cells with the same predictor
+    count share one plan: the first scans the graph and builds it, the
+    others only add theta and write their arcs (see :mod:`gboost.enhance`). A
     cell's enhancement writes states into the copy's own overlay, and each
     written state's best-arc table is the shared one plus the arcs the cell
     appended. A value repeated in either list is swept once. A cell whose

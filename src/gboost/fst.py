@@ -40,6 +40,13 @@ WEIGHT_FMT = "%.9g"
 ID_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
 
 
+def _check_symbol(symbol: str) -> None:
+    # Symbol and graph files split their lines on whitespace.
+    if symbol.split() != [symbol]:
+        raise InvariantError(f"a symbol must be non-empty and hold no whitespace, "
+                             f"got {symbol!r}")
+
+
 class SymbolTable:
     """Bijective symbol <-> label map. Label 0 is reserved for ``<eps>``."""
 
@@ -65,9 +72,11 @@ class SymbolTable:
         """Add a new symbol, returning its label.
 
         Labels are assigned sequentially unless given explicitly. Duplicate
-        symbols or labels raise, keeping the table bijective, and so does a
-        label outside ``0..ID_MAX``.
+        symbols or labels raise, keeping the table bijective, and so do a
+        label outside ``0..ID_MAX`` and a symbol that is empty or holds
+        whitespace, which no symbol or graph file could hold.
         """
+        _check_symbol(symbol)
         if symbol in self._sym2lab:
             raise InvariantError(f"symbol already in table: {symbol!r}")
         if label is None:
@@ -224,13 +233,13 @@ def _best_table(arcs: Iterable[tuple[int, int, int, float]],
 class Wfst:
     """A weighted FST: dense integer states, each with an ordered arc sequence.
 
-    A built graph's arcs live in shared, never-written columns (see the
-    module docstring); a graph from :meth:`add_state` and :meth:`add_arc`
-    has none. ``_overlay`` maps every state that was written, and every
-    state added after the build, to its overlay list of arc tuples; the
-    other states read their arcs from the columns. The one rule: columns
-    are shared and never written, and every overlay list belongs to
-    exactly one graph.
+    A graph is built once, over arc columns (see the module docstring), by
+    :func:`read_text` or :func:`gboost.graph.build_g`, and keeps the state
+    count it was built with. After that its arcs change only through
+    :func:`apply_diff`. ``_overlay`` maps every state that was written to
+    its overlay list of arc tuples; the other states read their arcs from
+    the columns. The one rule: columns are shared and never written, and
+    every overlay list belongs to exactly one graph.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
@@ -240,28 +249,26 @@ class Wfst:
     None, so that scoring finds a state's table with one list lookup. Its
     length is the state count.
 
-    ``_memo`` holds what is computed from the arcs alone and is costly to
-    recompute: the :meth:`scan` results, and the enhancement plans of
-    :func:`gboost.enhance.enhance`. :meth:`copy` shares it, along with the
-    columns and the tables, and clones the overlay lists, so edits never
-    reach another graph. A freshly read graph has an empty overlay, and
-    copying it costs nothing per state.
+    ``_memo`` holds the enhancement plans of :func:`gboost.enhance.enhance`,
+    which are computed from the arcs alone and costly to recompute.
+    :meth:`copy` shares it, along with the columns and the tables, and
+    clones the overlay lists, so edits never reach another graph. A freshly
+    read graph has an empty overlay, and copying it costs nothing per state.
 
     Every arc edit goes through ``_writable(state)``: it moves the state
     into the overlay, resets the graph's table for the state and drops the
-    memo, for this graph only. ``add_arc`` and :func:`apply_diff` use it;
-    code that edits arc lists must too.
+    memo, for this graph only. :func:`apply_diff` uses it; code that edits
+    arc lists must too.
 
     The graph is single-writer, and taking a copy counts as a write of the
-    original; once construction or enhancement is done it can be read from
-    many threads.
+    original; once enhancement is done it can be read from many threads.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
         self.symbols = symbols if symbols is not None else SymbolTable()
         self._columns = _Columns(array("q", [0]), array("i"), array("i"), array("i"),
                                  array("d"))
-        # The overlay list of each written or added state.
+        # The overlay list of each written state.
         self._overlay: dict[int, list[tuple[int, int, int, float]]] = {}
         # Per state: the best-arc table this graph last used, or None.
         self._tables: list[dict | None] = []
@@ -271,12 +278,6 @@ class Wfst:
         self.finals: dict[int, float] = {}
 
     # -- states ---------------------------------------------------------
-
-    def add_state(self) -> int:
-        state = len(self._tables)
-        self._tables.append(None)
-        self._overlay[state] = []
-        return state
 
     def num_states(self) -> int:
         return len(self._tables)
@@ -305,8 +306,8 @@ class Wfst:
 
     def _writable(self, state: int) -> list:
         # The only way to an arc list that may be edited. Checks the state,
-        # moves a column state into the overlay, resets the state's table
-        # and drops the memo.
+        # moves it into the overlay on its first write, resets its table and
+        # drops the memo.
         arcs = self._overlay.get(state)
         if arcs is None:
             if not 0 <= state < len(self._tables):  # _check_state, inline
@@ -315,18 +316,6 @@ class Wfst:
         self._tables[state] = None
         self._memo = None
         return arcs
-
-    def add_arc(self, source: int, target: int, ilabel: int, olabel: int,
-                weight: float) -> None:
-        """Append an arc to the source state's arcs."""
-        arcs = self._writable(source)
-        if not 0 <= target < len(self._tables):  # _check_state, without a call per arc
-            raise InvariantError(f"unknown state id: {target}")
-        if ilabel < 0 or olabel < 0:
-            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
-        if not math.isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
-        arcs.append((target, ilabel, olabel, weight))
 
     def num_arcs(self, state: int | None = None) -> int:
         if state is None:
@@ -344,9 +333,8 @@ class Wfst:
         and kept beside them, which every copy of the graph shares; for a
         written state, this graph's live overlay list. Editing either
         bypasses the best-arc table and the memo, and editing the first
-        corrupts every copy, so treat the result as read-only. This is the
-        path for whole-graph scans, so ``state`` is not range-checked: take
-        it from :meth:`states` or from an arc target.
+        corrupts every copy, so treat the result as read-only. ``state`` is
+        not range-checked: take it from :meth:`states` or from an arc target.
         """
         arcs = self._overlay.get(state)
         return self._columns.arcs(state) if arcs is None else arcs
@@ -369,8 +357,7 @@ class Wfst:
             if arcs is None:
                 table = self._column_table(state)
             else:
-                tuples = self._columns.tuples
-                head = tuples[state] if state < len(tuples) else None  # its column arcs
+                head = self._columns.tuples[state]  # listed by its first write
                 if head and len(arcs) >= len(head) and all(map(is_, head, arcs)):
                     table = _best_table(islice(arcs, len(head), None),
                                         self._column_table(state).copy())
@@ -397,8 +384,7 @@ class Wfst:
 
         Each key names what its value was computed from besides the arcs.
         A write empties this graph's memo and leaves its copies' alone.
-        :meth:`scan` keys its results by label set;
-        :func:`gboost.enhance.enhance` keeps its plans here too. Treat the
+        :func:`gboost.enhance.enhance` keeps its plans here. Treat the
         values as read-only.
         """
         if self._memo is None:
@@ -409,21 +395,12 @@ class Wfst:
         """Arcs whose input label is in ``labels``, grouped by that label.
 
         Each label maps to its ``(source, arc)`` pairs in state and arc
-        order, an empty list if it has none. The result is memoized per
-        label set and shared with copies until the graph's arcs change:
-        treat it as read-only.
+        order, an empty list if it has none. One pass over the whole graph:
+        the column arcs of unwritten states, then the overlay lists, then
+        each label's pairs put in state order (a stable sort, so arc order
+        holds within a state).
         """
-        key = frozenset(labels)
-        memo = self.memo()
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = self._scan(key)
-        return found
-
-    def _scan(self, labels: frozenset[int]) -> _Found:
-        # The whole-graph pass behind scan(): the column arcs of unwritten
-        # states, then the overlay lists, then each label's pairs put in
-        # state order (a stable sort, so arc order holds within a state).
+        labels = frozenset(labels)
         found: _Found = {label: [] for label in labels}
         overlay = self._overlay
         columns = self._columns
@@ -615,10 +592,12 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
 def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     """Replay a diff onto ``fst`` in place (removals, reweights, additions).
 
-    :func:`gboost.enhance.enhance` writes through here too. Source states
-    must exist, a reweight may change only the weight, and new weights must
-    be finite, else InvariantError. A reweight edits the last arc equal to
-    its old arc: the one whose weight enhancement reads for a slot.
+    The one way to change a built graph's arcs; :func:`gboost.enhance.enhance`
+    writes through here too. Source and target states must exist, labels
+    must be non-negative, a reweight may change only the weight, and new
+    weights must be finite, else InvariantError. A reweight edits the last
+    arc equal to its old arc: the one whose weight enhancement reads for a
+    slot.
     """
     # An Arc without its source is the tuple a state's arc list stores.
     for arc in delta.removed_arcs:
@@ -637,8 +616,8 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
-    # Additions are checked one by one, as add_arc would, then appended per
-    # source state in delta order through one _writable call each.
+    # Additions are checked one by one, then appended per source state in
+    # delta order through one _writable call each.
     num_states = fst.num_states()
     isfinite = math.isfinite
     added: dict[int, list[tuple[int, int, int, float]]] = {}

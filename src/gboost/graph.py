@@ -81,8 +81,8 @@ def build_g(model: NGramModel) -> Wfst:
 
     # The arcs come in n-gram order. Each is put in the next free column
     # slot of its source, a counting sort that keeps every state's arcs in
-    # the order they come. Each arc is checked for a finite weight, the
-    # one add_arc check that can fail here.
+    # the order they come. Each arc is checked for a finite weight: of the
+    # checks apply_diff makes on an added arc, the one that can fail here.
     counts = [arcs + (history != ()) for history, arcs in word_arcs.items()]  # + back-off
     counts.append(0)  # the final state
     offsets = array("q", accumulate(counts, initial=0))

@@ -10,20 +10,20 @@ from gboost.enhance import EnhanceConfig, SimilarPairGroup
 from gboost.evaluate import RankingCase
 from gboost.fst import SymbolTable, Wfst
 from gboost.graph import build_g
+from oracles import add_arcs, empty_graph
 
 
-def make_fst(symbols, arcs, finals, initial=0):
-    """Hand-build a graph from (src, dst, isym, osym, weight) tuples."""
+def make_fst(symbols, arcs, finals, initial=0, num_states=None):
+    """Build a graph from (src, dst, isym, osym, weight) tuples, in one apply_diff call.
+
+    ``num_states`` defaults to one more than the largest state named.
+    """
     table = SymbolTable(symbols.split() if isinstance(symbols, str) else symbols)
-    fst = Wfst(table)
-    num_states = 1 + max(
-        [initial]
-        + [max(a[0], a[1]) for a in arcs]
-        + list(finals))
-    for _ in range(num_states):
-        fst.add_state()
-    for src, dst, isym, osym, weight in arcs:
-        fst.add_arc(src, dst, table.label(isym), table.label(osym), weight)
+    if num_states is None:
+        num_states = 1 + max([initial] + [max(a[0], a[1]) for a in arcs] + list(finals))
+    fst = empty_graph(table, num_states)
+    add_arcs(fst, *[(src, dst, table.label(isym), table.label(osym), weight)
+                    for src, dst, isym, osym, weight in arcs])
     for state, weight in finals.items():
         fst.set_final(state, weight)
     fst.set_initial(initial)
@@ -49,20 +49,15 @@ def two_path_acceptor(fst_factory):
 def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0):
     """Seeded random graph with a chain backbone (no isolated states)."""
     rng = random.Random(seed)
-    table = SymbolTable(f"sym{i}" for i in range(n_symbols))
-    fst = Wfst(table)
-    for _ in range(n_states):
-        fst.add_state()
-    for s in range(n_states - 1):
-        fst.add_arc(s, s + 1, rng.randint(1, n_symbols), rng.randint(1, n_symbols),
-                    round(rng.uniform(-5, 5), 6))
-    for _ in range(max(0, n_arcs - (n_states - 1))):
-        fst.add_arc(rng.randrange(n_states), rng.randrange(n_states),
-                    rng.randint(1, n_symbols), rng.randint(1, n_symbols),
-                    round(rng.uniform(-5, 5), 6))
-    for _ in range(epsilon_arcs):
-        fst.add_arc(rng.randrange(n_states), rng.randrange(n_states), 0, 0,
-                    round(rng.uniform(-3, -0.1), 6))
+    fst = empty_graph(SymbolTable(f"sym{i}" for i in range(n_symbols)), n_states)
+    arcs = [(s, s + 1, rng.randint(1, n_symbols), rng.randint(1, n_symbols),
+             round(rng.uniform(-5, 5), 6)) for s in range(n_states - 1)]
+    arcs += [(rng.randrange(n_states), rng.randrange(n_states), rng.randint(1, n_symbols),
+              rng.randint(1, n_symbols), round(rng.uniform(-5, 5), 6))
+             for _ in range(max(0, n_arcs - (n_states - 1)))]
+    arcs += [(rng.randrange(n_states), rng.randrange(n_states), 0, 0,
+              round(rng.uniform(-3, -0.1), 6)) for _ in range(epsilon_arcs)]
+    add_arcs(fst, *arcs)
     for state in rng.sample(range(n_states), max(1, n_states // 10)):
         fst.set_final(state, round(rng.uniform(-2, 2), 6))
     fst.set_initial(0)
@@ -78,13 +73,14 @@ def random_graph_factory():
 def scans(monkeypatch):
     """Label sets of the whole-graph scans that Wfst runs during the test."""
     log = []
-    real_scan = Wfst._scan
+    real_scan = Wfst.scan
 
     def counting_scan(fst, labels):
+        labels = frozenset(labels)
         log.append(labels)
         return real_scan(fst, labels)
 
-    monkeypatch.setattr(Wfst, "_scan", counting_scan)
+    monkeypatch.setattr(Wfst, "scan", counting_scan)
     return log
 
 

@@ -3,7 +3,11 @@
 Nothing here imports gboost internals beyond the public data they verify;
 the scoring logic is written separately on purpose (brute-force search,
 log10-space recursion over a freshly parsed ARPA file) so the two routes
-can disagree when the library is wrong.
+can disagree when the library is wrong. The one exception is
+:func:`empty_graph`: the library builds a graph only from a file or a
+model, so the tests start from an arc-less graph made with its private
+column constructor, and fill and edit it through
+:func:`gboost.fst.apply_diff`.
 
 :func:`path_weight` is the best-path (epsilon) reading of a back-off
 graph, where a back-off arc competes with a word arc even where the word
@@ -13,14 +17,26 @@ reference to pin where the two readings differ.
 """
 
 import math
+from array import array
 from collections import Counter
 from typing import Sequence
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst
+from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst, _from_columns, apply_diff
 
 BOS = "<s>"
 EOS = "</s>"
+
+
+def empty_graph(symbols, num_states):
+    """A graph of ``num_states`` states with no arcs, no finals and no initial state."""
+    columns = (array(code) for code in "iiid")
+    return _from_columns(symbols, array("q", [0]) * (num_states + 1), *columns)
+
+
+def add_arcs(fst, *arcs):
+    """Append ``(source, target, ilabel, olabel, weight)`` arcs through one apply_diff call."""
+    return apply_diff(fst, FstDiff(added_arcs=[Arc(*arc) for arc in arcs]))
 
 
 def enumerate_path_weights(fst, labels, max_epsilon_run=20):
@@ -322,31 +338,43 @@ def graphs_equal(a, b):
 # -- graph text and diff, one arc at a time ---------------------------------
 #
 # The line-by-line reader, per-arc writer and grouping diff that the bulk
-# versions in gboost.fst replaced. They go through the graph's public
-# methods only, so each call checks what it writes.
+# versions in gboost.fst replaced. They write through the graph's public
+# calls only, so each call checks what it writes.
 
 
 def read_text_by_line(stream, symbols, negate=False):
-    """Graph text read one line and one add_arc call at a time."""
-    fst = Wfst(symbols)
+    """Graph text read in two passes, one line and one apply_diff call at a time.
+
+    The first pass takes the state count from the largest state id; the
+    second applies each line in file order, so the first bad line raises.
+    """
+    lines = list(stream)
+    ids = [-1]
+    for line in lines:
+        fields = line.split()
+        for text in {2: fields[:1], 5: fields[:2]}.get(len(fields), ()):
+            try:
+                ids.append(int(text))
+            except ValueError:  # the second pass rejects the line
+                pass
+    fst = empty_graph(symbols, max(ids) + 1)
     sign = -1.0 if negate else 1.0
 
-    def ensure(state_id, lineno):
-        if state_id < 0:
-            raise FormatError(f"unknown state id: {state_id}", line=lineno)
-        while fst.num_states() <= state_id:
-            fst.add_state()
-        return state_id
+    def state_id(text, lineno):
+        state = int(text)
+        if state < 0:
+            raise FormatError(f"unknown state id: {state}", line=lineno)
+        return state
 
     first = True
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) == 2:
             state_text, weight_text = fields
             try:
-                state = ensure(int(state_text), lineno)
+                state = state_id(state_text, lineno)
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
@@ -357,14 +385,14 @@ def read_text_by_line(stream, symbols, negate=False):
         elif len(fields) == 5:
             src_text, dst_text, isym, osym, weight_text = fields
             try:
-                src = ensure(int(src_text), lineno)
-                dst = ensure(int(dst_text), lineno)
+                src = state_id(src_text, lineno)
+                dst = state_id(dst_text, lineno)
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
             try:
-                fst.add_arc(src, dst, symbols.label(isym), symbols.label(osym),
-                            sign * weight)
+                add_arcs(fst, (src, dst, symbols.label(isym), symbols.label(osym),
+                               sign * weight))
             except InvariantError as exc:
                 raise FormatError(str(exc), line=lineno) from None
         else:

@@ -16,9 +16,9 @@ from gboost.arpa import oracle_score
 from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.errors import NoPathError
 from gboost.evaluate import run_ranking
-from gboost.fst import FstDiff, SymbolTable, Wfst
+from gboost.fst import FstDiff, SymbolTable
 from gboost.graph import graph_score
-from oracles import compute_enhanced_weight, path_weight
+from oracles import add_arcs, compute_enhanced_weight, empty_graph, path_weight
 
 
 @contextlib.contextmanager
@@ -125,24 +125,24 @@ def random_backoff_graph(rng, vocab):
     """Small G-shaped graph: word arcs everywhere, epsilon chains to a root."""
     table = SymbolTable(vocab + ["</s>"])
     eos = table.label("</s>")
-    fst = Wfst(table)
-    root = fst.add_state()
-    contexts = [fst.add_state() for _ in range(rng.randint(2, 6))]
-    final = fst.add_state()
-    fst.set_final(final, 0.0)
+    root, contexts = 0, list(range(1, rng.randint(2, 6) + 1))
+    final = len(contexts) + 1
     states = [root] + contexts
 
+    arcs = []
     for word in vocab:
-        fst.add_arc(root, rng.choice(states), table.label(word), table.label(word),
-                    rng.uniform(-6.0, -0.5))
+        arcs.append((root, rng.choice(states), table.label(word), table.label(word),
+                     rng.uniform(-6.0, -0.5)))
     for state in contexts:
         for word in rng.sample(vocab, rng.randint(1, len(vocab) - 1)):
-            fst.add_arc(state, rng.choice(states), table.label(word),
-                        table.label(word), rng.uniform(-6.0, -0.5))
-        fst.add_arc(state, root, 0, 0, rng.uniform(-3.0, -0.1))
+            arcs.append((state, rng.choice(states), table.label(word),
+                         table.label(word), rng.uniform(-6.0, -0.5)))
+        arcs.append((state, root, 0, 0, rng.uniform(-3.0, -0.1)))
         if rng.random() < 0.5:
-            fst.add_arc(state, final, eos, eos, rng.uniform(-6.0, -0.5))
-    fst.add_arc(root, final, eos, eos, rng.uniform(-6.0, -0.5))
+            arcs.append((state, final, eos, eos, rng.uniform(-6.0, -0.5)))
+    arcs.append((root, final, eos, eos, rng.uniform(-6.0, -0.5)))
+    fst = add_arcs(empty_graph(table, final + 1), *arcs)
+    fst.set_final(final, 0.0)
     fst.set_initial(rng.choice(states))
     return fst
 
@@ -269,27 +269,24 @@ def synth_trigram_graph(num_words=10_000, seed=88):
     """Back-off-shaped graph of roughly a million arcs over 10k words."""
     rng = random.Random(seed)
     vocab = [f"w{i:05d}" for i in range(num_words)]
-    table = SymbolTable(vocab)
-    fst = Wfst(table)
-    root = fst.add_state()
-    ctx1 = [fst.add_state() for _ in range(4_000)]
-    ctx2 = [fst.add_state() for _ in range(28_000)]
-    final = fst.add_state()
+    root, ctx1, ctx2, final = 0, list(range(1, 4_001)), list(range(4_001, 32_001)), 32_001
+    fst = empty_graph(SymbolTable(vocab), final + 1)
     fst.set_final(final, 0.0)
 
+    # One apply_diff call per state, so that no more than a state's arcs
+    # are held twice.
     labels = list(range(1, num_words + 1))
-    for label in labels:
-        fst.add_arc(root, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
+    add_arcs(fst, *[(root, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
+                    for label in labels])
     for state in ctx1:
-        for label in rng.sample(labels, 120):
-            fst.add_arc(state, rng.choice(ctx2), label, label, rng.uniform(-9, -1))
-        fst.add_arc(state, root, 0, 0, rng.uniform(-2, -0.1))
+        add_arcs(fst, *[(state, rng.choice(ctx2), label, label, rng.uniform(-9, -1))
+                        for label in rng.sample(labels, 120)],
+                 (state, root, 0, 0, rng.uniform(-2, -0.1)))
     for state in ctx2:
-        for label in rng.sample(labels, 17):
-            fst.add_arc(state, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
-        fst.add_arc(state, rng.choice(ctx1), 0, 0, rng.uniform(-2, -0.1))
-        fst.add_arc(state, final, rng.choice(labels), rng.choice(labels),
-                    rng.uniform(-9, -1))
+        add_arcs(fst, *[(state, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
+                        for label in rng.sample(labels, 17)],
+                 (state, rng.choice(ctx1), 0, 0, rng.uniform(-2, -0.1)),
+                 (state, final, rng.choice(labels), rng.choice(labels), rng.uniform(-9, -1)))
     fst.set_initial(root)
     return fst, vocab
 

@@ -113,6 +113,10 @@ class TestParse:
         with pytest.raises(FormatError, match="</s>"):
             parse(mini_arpa(unigrams, {(EOS, "a"): "-0.2"}))
 
+    def test_eos_unigram_required(self):
+        with pytest.raises(FormatError, match="no </s> unigram"):
+            parse(mini_arpa({BOS: ("-99", None), "a": ("-0.5", None)}))
+
     def test_backoff_on_highest_order_rejected(self):
         text = UNIGRAM_ONLY.replace(f"{LOG10_E_INV}\tb", f"{LOG10_E_INV}\tb\t-0.3")
         with pytest.raises(FormatError):

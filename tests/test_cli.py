@@ -110,8 +110,8 @@ class TestBuildG:
         def broken(model):
             fst = build_g(model)
             last = fst.num_states() - 1
-            fst.add_arc(last, 0, 10_000, 10_000, -1.0)  # a label the table lacks
-            return fst
+            # An arc with a label the table lacks.
+            return oracles.add_arcs(fst, (last, 0, 10_000, 10_000, -1.0))
 
         monkeypatch.setattr(gboost.cli, "build_g", broken)
         code = run("build-g", "--arpa", workdir / "m.arpa",
@@ -484,6 +484,10 @@ class TestMalformedInputs:
     # good inputs from the workdir.
     BUILD = ["build-g", "--arpa", "BAD", "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]
     SCORE = ["score", "--text", "TEXT"]
+    ENHANCE = ["enhance", "--in-fst", "FST", "--in-syms", "SYMS", "--pairs", "BAD",
+               "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]
+    PAIRS = ('{"theta": 0, "max_predictors": 1, "groups": [{"predictors": ["wo"], '
+             '"targets": [%s], "new_words": [%s], "frequencies": {"wo": 5}}]}')
 
     @pytest.mark.parametrize("text, argv", [
         ("\\data\\\nngram 0=0\n\\end\\\n", BUILD),
@@ -492,9 +496,9 @@ class TestMalformedInputs:
         ("0 1 wo wo\n", SCORE + ["--fst", "BAD", "--syms", "SYMS"]),
         ("<eps>\t0\nwo\tx\n", SCORE + ["--fst", "FST", "--syms", "BAD"]),
         ("<eps>\t0\nwo\t3000000000\n", SCORE + ["--fst", "FST", "--syms", "BAD"]),
-        ('{"theta": "high", "max_predictors": 1, "groups": []}',
-         ["enhance", "--in-fst", "FST", "--in-syms", "SYMS", "--pairs", "BAD",
-          "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]),
+        ('{"theta": "high", "max_predictors": 1, "groups": []}', ENHANCE),
+        (PAIRS % ('"new word"', '"new word"'), ENHANCE),
+        (PAIRS % ('""', '""'), ENHANCE),
         ('[{"reference": "wo", "focus": [0], "competitors": []}]',
          ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
         (b"\\data\\\n\xff\n", BUILD),
@@ -502,9 +506,11 @@ class TestMalformedInputs:
                                           "--out", "OUT.txt"]),
         (b"<eps>\t0\nwo\xff\t1\n", SCORE + ["--fst", "FST", "--syms", "BAD",
                                            "--out", "OUT.txt"]),
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-99\t<s>\n-0.5\two\n\n\\end\\\n", BUILD),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
-            "symbols", "symbols-label-beyond-int", "pairs", "cases",
-            "arpa-not-utf8", "sentences-not-utf8", "symbols-not-utf8"])
+            "symbols", "symbols-label-beyond-int", "pairs", "pairs-word-with-space",
+            "pairs-empty-word", "cases", "arpa-not-utf8", "sentences-not-utf8",
+            "symbols-not-utf8", "arpa-without-eos"])
     def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
         fst_path, syms_path = build(workdir)
         (workdir / "bad").write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -16,7 +16,7 @@ from gboost.errors import FormatError, GboostError, InvariantError
 from conftest import make_fst
 from gboost.fst import FstDiff, diff as structural_diff, read_text, write_text
 from gboost.graph import build_g, graph_score
-from oracles import compute_enhanced_weight
+from oracles import add_arcs, compute_enhanced_weight
 
 
 def candidate(w_y, log_ratio, theta):
@@ -147,6 +147,27 @@ class TestEnhance:
         assert "nova" in donor_graph.symbols
         assert len(delta.added_arcs) == 1
         assert delta.added_arcs[0].weight == pytest.approx(0.5 - 1.0, abs=1e-12)
+
+    def test_failed_enhance_leaves_graph_untouched(self, fst_factory):
+        """Every weight is checked before the raise on c and the new word are written."""
+        fst = fst_factory("a c", [(0, 1, "a", "a", -1.0), (0, 1, "c", "c", -50.0),
+                                  (1, 2, "a", "a", 1e308)], {2: 0.0})
+        before = fst.copy()
+        group = SimilarPairGroup(predictors=["a"], targets=["c", "nova"],
+                                 frequencies={"a": 5, "c": 5}, new_words=frozenset(["nova"]))
+        config = EnhanceConfig(theta=1e308, max_predictors=1, groups=[group])
+        with pytest.raises(InvariantError, match="^arc weight must be finite, got inf$"):
+            enhance(fst, config)
+        assert "nova" not in fst.symbols and fst.symbols == before.symbols
+        assert structural_diff(before, fst) == FstDiff()
+        config.theta = 0.0  # the graph is as it was, so the run still works
+        assert len(enhance(fst, config)[1].reweighted_arcs) == 1
+
+    def test_new_word_no_file_can_hold_rejected_before_any_is_added(self, donor_graph):
+        config = one_pair_config("a", ["nova", "new word"], {"a": 95}, new=True)
+        with pytest.raises(InvariantError, match="'new word'"):
+            enhance(donor_graph, config)
+        assert "nova" not in donor_graph.symbols
 
     def test_zero_groups_is_identity(self, donor_graph):
         before = donor_graph.copy()
@@ -460,13 +481,13 @@ class TestPlanAndApply:
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
         assert logged_enhance(base.copy(), config)[1][5] == "built"
         assert logged_enhance(base.copy(), config)[1][5] == "reused"
-        base.add_arc(4, 3, base.symbols.label("y2"), base.symbols.label("y2"), -0.25)
+        add_arcs(base, (4, 3, base.symbols.label("y2"), base.symbols.label("y2"), -0.25))
         delta, info = logged_enhance(base.copy(), config)
         assert info[5] == "built"
         assert bits(delta) == bits(oracles.enhance_by_candidate(base, config)[0])
         assert any(arc.source == 4 for arc in delta.added_arcs)
         written = base.copy()
-        written.add_arc(4, 2, base.symbols.label("y3"), base.symbols.label("y3"), -0.5)
+        add_arcs(written, (4, 2, base.symbols.label("y3"), base.symbols.label("y3"), -0.5))
         assert logged_enhance(written, config)[1][5] == "built"
         assert logged_enhance(base.copy(), config)[1][5] == "reused"
 

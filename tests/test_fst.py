@@ -11,10 +11,10 @@ import oracles
 import toylm
 from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import (EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff, SymbolTable, Wfst,
-                        _best_table, apply_diff, diff, read_text, write_text)
+from gboost.fst import (EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff, SymbolTable, _best_table,
+                        apply_diff, diff, read_text, write_text)
 from gboost.graph import build_g
-from oracles import arcs_matching, path_weight
+from oracles import add_arcs, arcs_matching, empty_graph, path_weight
 
 
 class TestSymbolTable:
@@ -80,46 +80,36 @@ class TestSymbolTable:
         with pytest.raises(InvariantError):
             SymbolTable().add("a", ID_MAX + 1)
 
+    def test_symbol_a_file_cannot_hold_rejected(self):
+        table = SymbolTable(["a"])
+        for bad in ("", "new word", " a", "a\t", "a\nb", "a\u00a0b"):
+            with pytest.raises(InvariantError, match="non-empty and hold no whitespace"):
+                table.add(bad)
+        assert table == SymbolTable(["a"])
+
     def test_read_skips_leading_blank_lines(self):
         table = SymbolTable.read(io.StringIO("\n<eps>\t0\na\t1\n"))
         assert table == SymbolTable(["a"])
 
 
 class TestWfstBasics:
-    def test_arc_weight_must_be_finite(self):
-        fst = Wfst(SymbolTable(["a"]))
-        fst.add_state()
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(InvariantError):
-                fst.add_arc(0, 0, 1, 1, bad)
-
-    def test_arc_states_must_exist(self):
-        fst = Wfst(SymbolTable(["a"]))
-        fst.add_state()
-        with pytest.raises(InvariantError, match="unknown state"):
-            fst.add_arc(0, 5, 1, 1, 0.0)
-
     def test_arcs_preserve_insertion_order(self):
-        fst = Wfst(SymbolTable(["a", "b"]))
-        fst.add_state()
-        fst.add_arc(0, 0, 2, 2, -1.0)
-        fst.add_arc(0, 0, 1, 1, -2.0)
+        fst = empty_graph(SymbolTable(["a", "b"]), 1)
+        add_arcs(fst, (0, 0, 2, 2, -1.0), (0, 0, 1, 1, -2.0))
         assert [ilabel for (_, ilabel, _, _) in fst.arcs(0)] == [2, 1]
 
     def test_arcs_matching_tracks_mutation(self):
-        fst = Wfst(SymbolTable(["a"]))
-        fst.add_state()
+        fst = empty_graph(SymbolTable(["a"]), 1)
         assert arcs_matching(fst, 0, 1) == []
-        fst.add_arc(0, 0, 1, 1, -1.0)
+        add_arcs(fst, (0, 0, 1, 1, -1.0))
         assert arcs_matching(fst, 0, 1) == [(0, 1, 1, -1.0)]
 
     def test_copy_is_independent(self):
-        fst = Wfst(SymbolTable(["a"]))
-        fst.add_state()
-        fst.add_arc(0, 0, 1, 1, -1.0)
+        fst = empty_graph(SymbolTable(["a"]), 1)
+        add_arcs(fst, (0, 0, 1, 1, -1.0))
         fst.set_initial(0)
         dup = fst.copy()
-        dup.add_arc(0, 0, 1, 1, -2.0)
+        add_arcs(dup, (0, 0, 1, 1, -2.0))
         dup.symbols.add("b")
         assert fst.num_arcs() == 1
         assert "b" not in fst.symbols
@@ -132,29 +122,19 @@ def text_of(fst):
 
 
 def random_edit(fst, rng):
-    """One random arc edit of ``fst``: an add_arc call or a one-entry diff."""
+    """One random arc edit of ``fst``, as a one-entry diff."""
     n = fst.num_states()
     new_arc = Arc(rng.randrange(n), rng.randrange(n), rng.randint(1, 3), rng.randint(1, 3),
                   round(rng.uniform(-4, 4), 6))
     state = rng.randrange(n)
     choice = rng.random()
-    if choice < 0.3 or not fst.arcs(state):
-        return "add_arc", new_arc
-    if choice < 0.5:
-        return "apply_diff", FstDiff(added_arcs=[new_arc])
+    if choice < 0.5 or not fst.arcs(state):
+        return FstDiff(added_arcs=[new_arc])
     old = Arc(state, *rng.choice(fst.arcs(state)))
     if choice < 0.75:
-        return "apply_diff", FstDiff(removed_arcs=[old])
+        return FstDiff(removed_arcs=[old])
     new = old._replace(weight=round(rng.uniform(-4, 4), 6))
-    return "apply_diff", FstDiff(reweighted_arcs=[(old, new)])
-
-
-def replay(fst, edit):
-    kind, arg = edit
-    if kind == "add_arc":
-        fst.add_arc(*arg)
-    else:
-        apply_diff(fst, arg)
+    return FstDiff(reweighted_arcs=[(old, new)])
 
 
 class TestCopyOnWrite:
@@ -182,12 +162,12 @@ class TestCopyOnWrite:
                     edits.append(list(edits[-1]))
                 which = rng.randrange(len(graphs))
                 edit = random_edit(graphs[which], rng)
-                replay(graphs[which], edit)
+                apply_diff(graphs[which], edit)
                 edits[which].append(edit)
                 for fst, log in zip(graphs, edits):
                     reference = read_text(io.StringIO(base_text), symbols)
                     for done in log:
-                        replay(reference, done)
+                        apply_diff(reference, done)
                     assert text_of(fst) == text_of(reference), (seed, step)
                     assert ([fst.best_arcs(s) for s in fst.states()]
                             == [reference.best_arcs(s) for s in reference.states()])
@@ -205,8 +185,8 @@ class TestCopyOnWrite:
         table, written_table = left.best_arcs(untouched), right.best_arcs(written)
         assert right.best_arcs(untouched) is table and base.best_arcs(untouched) is table
         assert base.best_arcs(written) is written_table
-        left.add_arc(written, 0, 1, 1, 9.0)
-        right.add_arc(written, 1, 2, 2, 8.0)
+        add_arcs(left, (written, 0, 1, 1, 9.0))
+        add_arcs(right, (written, 1, 2, 2, 8.0))
         assert base.arcs(written) == base_arcs
         assert left.arcs(written) == base_arcs + [(0, 1, 1, 9.0)]
         assert right.arcs(written) == base_arcs + [(1, 2, 2, 8.0)]
@@ -220,7 +200,7 @@ class TestCopyOnWrite:
         assert grand.arcs(written) == base_arcs
         assert left.arcs(written)[-1] == (0, 1, 1, 9.0)
         # The original's own writes reach no copy either.
-        base.add_arc(untouched, 2, 3, 3, 7.0)
+        add_arcs(base, (untouched, 2, 3, 3, 7.0))
         assert all(g.arcs(untouched) == base.arcs(untouched)[:-1]
                    for g in (left, right, grand))
         assert base.best_arcs(untouched) is not table
@@ -233,10 +213,7 @@ class TestCopyOnWrite:
         found = fst.scan([c, a])
         assert found == {a: [(0, (1, a, fst.symbols.label("x"), 0.5))],
                          c: [(1, (2, c, fst.symbols.label("z"), 2.5))]}
-        assert fst.scan({a, c}) is found
-        assert fst.copy().scan({a, c}) is found
-        fst.add_arc(0, 2, b, b, -1.0)
-        assert fst.scan({a, c}) is not found
+        add_arcs(fst, (0, 2, b, b, -1.0))
         assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
                                      (0, (2, b, b, -1.0))]}
 
@@ -307,7 +284,7 @@ class TestBestArcTables:
             graphs = [base.copy(), base.copy()]
             for step in range(25):
                 fst = rng.choice(graphs)
-                replay(fst, random_edit(fst, rng))
+                apply_diff(fst, random_edit(fst, rng))
                 for fst in graphs + [base]:
                     for state in fst.states():
                         assert (fst.best_arcs(state) == _best_table(fst.arcs(state))
@@ -406,8 +383,8 @@ def perturb(fst, rng):
     for _ in range(rng.randint(1, 6)):
         choice = rng.random()
         if choice < 0.35:
-            out.add_arc(rng.randrange(out.num_states()), rng.randrange(out.num_states()),
-                        rng.randint(1, 3), rng.randint(1, 3), round(rng.uniform(-4, 4), 6))
+            add_arcs(out, (rng.randrange(out.num_states()), rng.randrange(out.num_states()),
+                           rng.randint(1, 3), rng.randint(1, 3), round(rng.uniform(-4, 4), 6)))
         elif choice < 0.6:
             state = rng.randrange(out.num_states())
             arcs = out._writable(state)
@@ -442,7 +419,7 @@ class TestDiff:
     def test_added_arc_reported(self, two_path_acceptor):
         other = two_path_acceptor.copy()
         table = other.symbols
-        other.add_arc(0, 1, table.label("c"), table.label("c"), -2.0)
+        add_arcs(other, (0, 1, table.label("c"), table.label("c"), -2.0))
         delta = diff(two_path_acceptor, other)
         assert len(delta.added_arcs) == 1 and delta.added_arcs[0].weight == -2.0
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
@@ -458,22 +435,27 @@ class TestDiff:
         with pytest.raises(InvariantError, match="symbol table"):
             diff(two_path_acceptor, other)
 
-    def test_state_count_mismatch_rejected(self, two_path_acceptor):
-        other = two_path_acceptor.copy()
-        other.add_state()
+    def test_state_count_mismatch_rejected(self, two_path_acceptor, fst_factory):
+        other = fst_factory("a b c x y z", [(0, 1, "a", "x", 0.5), (0, 1, "b", "y", 1.5),
+                                            (1, 2, "c", "z", 2.5)], {2: 3.5}, num_states=4)
         with pytest.raises(InvariantError, match="state count"):
             diff(two_path_acceptor, other)
 
     def test_apply_diff_rejects_malformed_entries(self, two_path_acceptor):
         fst = two_path_acceptor
         a, x, c = (fst.symbols.label(s) for s in "axc")
-        fst.add_arc(2, 0, c, c, 1.0)  # source -1 would name the last state
+        add_arcs(fst, (2, 0, c, c, 1.0))  # source -1 would name the last state
         deltas = [
             FstDiff(removed_arcs=[Arc(7, 1, a, x, 0.5)]),
             FstDiff(removed_arcs=[Arc(-1, 0, c, c, 1.0)]),
             FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1, a, x, math.nan))]),
             FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 2, a, x, 0.5))]),
             FstDiff(added_arcs=[Arc(7, 1, a, x, 0.5)]),
+            FstDiff(added_arcs=[Arc(0, 7, a, x, 0.5)]),
+            FstDiff(added_arcs=[Arc(0, 1, -1, x, 0.5)]),
+            FstDiff(added_arcs=[Arc(0, 1, a, -1, 0.5)]),
+            *(FstDiff(added_arcs=[Arc(0, 1, a, x, bad)])
+              for bad in (math.inf, -math.inf, math.nan)),
         ]
         for delta in deltas:
             with pytest.raises(InvariantError):
@@ -537,9 +519,7 @@ class TestDiff:
         before = two_path_acceptor
         label = before.symbols.label
         suffix = [Arc(state, t, label(i), label(o), w) for t, i, o, w in appended]
-        after = before.copy()
-        for arc in suffix:
-            after.add_arc(*arc)
+        after = add_arcs(before.copy(), *suffix)
         delta = diff(before, after)
         assert delta == oracles.diff_by_groups(before, after)
         assert (delta == FstDiff(added_arcs=suffix)) == fast
@@ -550,7 +530,7 @@ class TestDiff:
                  Arc(1, 1, a, a, -4.0), Arc(0, 2, a, a, -1.0)]
         by_arc = two_path_acceptor.copy()
         for arc in added:
-            by_arc.add_arc(*arc)
+            apply_diff(by_arc, FstDiff(added_arcs=[arc]))
         applied = apply_diff(two_path_acceptor.copy(), FstDiff(added_arcs=added))
         assert text_of(applied) == text_of(by_arc)
 
@@ -668,11 +648,11 @@ class TestTextFormat:
         assert text_of(read_text(io.StringIO(written), symbols)) == written
 
     def test_last_state_without_a_record_rejected(self, fst_factory):
-        fst = fst_factory("a", [(0, 1, "a", "a", -1.0)], {1: 0.0})
-        fst.add_state()  # state 2: no arcs, not final, no arc into it
+        # State 2: no arcs, not final, no arc into it.
+        fst = fst_factory("a", [(0, 1, "a", "a", -1.0)], {1: 0.0}, num_states=3)
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())
-        fst.add_arc(1, 2, 1, 1, 0.5)  # an arc into it names it in the file
+        add_arcs(fst, (1, 2, 1, 1, 0.5))  # an arc into it names it in the file
         assert self.roundtrip(fst).num_states() == 3
 
     def test_last_state_named_only_by_a_live_arc(self):
@@ -681,7 +661,7 @@ class TestTextFormat:
         apply_diff(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())  # its column arc into 2 is gone
-        fst.add_arc(0, 2, 1, 1, -2.0)
+        add_arcs(fst, (0, 2, 1, 1, -2.0))
         assert self.roundtrip(fst).arcs(0) == [(1, 1, 1, -1.0), (2, 1, 1, -2.0)]
 
     def test_reader_matches_line_by_line_reference(self, random_graph_factory):
@@ -694,7 +674,7 @@ class TestTextFormat:
                 target, ilabel, olabel, weight = rng.choice(fst.arcs(state))
                 if rng.random() < 0.5:
                     weight = round(rng.uniform(-5, 5), 6)
-                fst.add_arc(state, target, ilabel, olabel, weight)
+                add_arcs(fst, (state, target, ilabel, olabel, weight))
             for negate in (False, True):
                 text = scrambled_text(fst, negate, rng)
                 got = read_text(io.StringIO(text), fst.symbols, negate=negate)
@@ -707,8 +687,7 @@ class TestTextFormat:
         rng = random.Random(8128)
         for seed in range(20):
             fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4)
-            fst.add_arc(3, 4, 1, 2, 0.0)
-            fst.add_arc(3, 4, 1, 2, -0.0)
+            add_arcs(fst, (3, 4, 1, 2, 0.0), (3, 4, 1, 2, -0.0))
             fst.set_final(5, -0.0)
             fst.set_initial(seed % 19)  # a state with arcs, not always 0
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
@@ -793,12 +772,8 @@ def scrambled_text(fst, negate, rng):
 @given(st.lists(st.floats(min_value=-20, max_value=5), min_size=1, max_size=6),
        st.floats(min_value=-5, max_value=5))
 def test_chain_path_weight_matches_sum(weights, final_weight):
-    table = SymbolTable(["a"])
-    fst = Wfst(table)
-    for _ in range(len(weights) + 1):
-        fst.add_state()
-    for i, w in enumerate(weights):
-        fst.add_arc(i, i + 1, 1, 1, w)
+    fst = empty_graph(SymbolTable(["a"]), len(weights) + 1)
+    add_arcs(fst, *[(i, i + 1, 1, 1, w) for i, w in enumerate(weights)])
     fst.set_final(len(weights), final_weight)
     fst.set_initial(0)
     total = path_weight(fst, ["a"] * len(weights))

@@ -11,7 +11,7 @@ from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
 from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff
 from gboost.graph import build_g, graph_score
-from oracles import arcs_matching, history_states, path_weight
+from oracles import add_arcs, arcs_matching, history_states, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 LN10 = math.log(10.0)
@@ -190,7 +190,7 @@ class TestGraphScore:
         a = fst.symbols.label("a")
         start = fst.initial
         better = arcs_matching(fst, start, a)[0][3] + 1.0
-        fst.add_arc(start, states[("a",)], a, a, better)
+        add_arcs(fst, (start, states[("a",)], a, a, better))
         assert graph_score(fst, ["a"]) == pytest.approx(
             baseline + 1.0, abs=1e-12)
 
@@ -206,7 +206,7 @@ class TestGraphScore:
         a = fst.symbols.label("a")
         assert graph_score(fst, ["a"]) == -2.0 + -1.0
         assert graph_score(fst, []) == -0.5 + -3.0
-        fst.add_arc(0, 2, a, a, -1.0)  # a higher parallel arc
+        add_arcs(fst, (0, 2, a, a, -1.0))  # a higher parallel arc
         assert graph_score(fst, ["a"]) == -1.0 + -3.0
         apply_diff(fst, FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, -2.0),
                                                   Arc(0, 1, a, a, -0.5))]))
@@ -215,7 +215,7 @@ class TestGraphScore:
         assert graph_score(fst, ["a"]) == -1.0 + -3.0
         dup = fst.copy()
         assert graph_score(dup, ["a"]) == -1.0 + -3.0
-        dup.add_arc(0, 1, a, a, 0.0)
+        add_arcs(dup, (0, 1, a, a, 0.0))
         assert graph_score(dup, ["a"]) == 0.0 + -1.0
         assert graph_score(fst, ["a"]) == -1.0 + -3.0
 
@@ -239,7 +239,7 @@ class TestGraphScore:
                              if arc[1] not in (EPSILON_LABEL, fst.symbols.label(EOS))]
                 if word_arcs:
                     _, label, _, weight = rng.choice(word_arcs)
-                    fst.add_arc(state, rng.randrange(final), label, label, weight)
+                    add_arcs(fst, (state, rng.randrange(final), label, label, weight))
             config = random_config(rng, VOCAB, fresh_token_stream())
             self._assert_greedy_scores(fst, rng, VOCAB)
             enhance(fst, config)  # adds parallel target arcs
