@@ -9,6 +9,17 @@ frees the parsed model before it writes the graph. The --weights flag
 (default from $GBOOST_WEIGHTS) selects between log-probability files and
 cost-convention files, whose weights are negated on read and write.
 
+Graph files. ``build-g`` and ``enhance`` write three files per graph: the
+graph text ``--out-fst PATH``, its symbol table ``--out-syms``, and the
+binary companion ``PATH.bin`` (see :mod:`gboost.fst`). Text is the
+interchange format; the companion is derived data, safe to delete, that
+lets a later command skip the text parse. ``enhance``, ``score``,
+``eval`` and ``diff-fst`` load a graph from its companion when it matches
+the text, the --weights convention and the symbol table they read, and
+parse the text otherwise, with the same errors and exit codes either
+way. With -v, each graph load and write logs one line: the file, where
+the graph came from, its state and arc counts and the seconds taken.
+
 Each command runs with Python's cyclic garbage collector paused, and the
 collector's state on entry comes back on every exit path. A graph keeps
 its arcs in arrays, not objects (see :mod:`gboost.fst`), but a command
@@ -35,15 +46,18 @@ import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterator, TextIO
+from time import perf_counter
+from typing import IO, Iterator
 
 from gboost.arpa import parse_arpa
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, GboostError, NoPathError
 from gboost.evaluate import PROXY_NOTE, grid_tsv, load_cases, run_ranking, sweep
-from gboost.fst import (FstDiff, SymbolTable, WEIGHT_FMT, Wfst, diff, read_text,
-                        write_text)
+from gboost.fst import (COMPANION_SUFFIX, FstDiff, SymbolTable, WEIGHT_FMT, Wfst, diff,
+                        load_graph, write_companion, write_text)
 from gboost.graph import build_g, graph_score
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,15 +80,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """A text handle on a temp file beside ``path``, renamed onto it on success.
+def _atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A handle on a temp file beside ``path``, renamed onto it on success.
 
     If the body raises, the temp file is removed and ``path`` is untouched.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, mode) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -115,16 +129,20 @@ def _number_list(text: str | None, flag: str, kind) -> list | None:
 def _load_graph(fst_path, syms_path, negate):
     with open(syms_path) as handle:
         symbols = SymbolTable.read(handle)
-    with open(fst_path) as handle:
-        return read_text(handle, symbols, negate=negate)
+    return load_graph(fst_path, symbols, negate=negate)
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
     # Streamed into the temp files: the text is never held whole in memory.
+    start = perf_counter()
     with _atomic_open(fst_path) as handle:
         write_text(g, handle, negate=negate)
     with _atomic_open(syms_path) as handle:
         g.symbols.write(handle)
+    with _atomic_open(fst_path + COMPANION_SUFFIX, "wb") as handle:
+        write_companion(g, fst_path, handle, negate=negate)
+    log.info("wrote %s and its companion: %d states, %d arcs in %.3f s", fst_path,
+             g.num_states(), g.num_arcs(), perf_counter() - start)
 
 
 def format_diff(delta: FstDiff, symbols: SymbolTable,

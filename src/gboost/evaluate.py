@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Sequence
 
 from gboost.enhance import EnhanceConfig, _word_list, enhance
@@ -85,23 +86,49 @@ class EvalReport:
         return 100.0 * self.num_errors / len(self.results)
 
     def to_json(self) -> str:
-        payload = {
-            "metric": PROXY_NOTE,
-            "error_rate": self.error_rate,
-            "num_cases": len(self.results),
-            "num_errors": self.num_errors,
-            "cases": [
-                {
-                    "reference_score": r.reference_score,
-                    "competitor_scores": r.competitor_scores,
-                    "best_competitor": r.best_competitor,
-                    "error": r.error,
-                    "winner": r.winner,
-                }
-                for r in self.results
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """The report as ``json.dumps(payload, indent=2, sort_keys=True)`` renders it.
+
+        That call runs CPython's pure-Python encoder, the only one that
+        indents. Here one call to the C encoder renders every value, one per
+        line, and the fixed layout is filled in around them.
+        """
+        results = self.results
+        values: list = []
+        for r in results:
+            values.append(r.best_competitor)
+            values += r.competitor_scores
+            values += (r.error, r.reference_score, r.winner)
+        values += (self.error_rate, PROXY_NOTE, len(results), self.num_errors)
+        # Encoded JSON holds no raw newline, so the values split apart again.
+        tokens = iter(json.dumps(values, separators=("\n", ":"))[1:-1].split("\n"))
+        cases = []
+        for r in results:
+            best = next(tokens)
+            scores = list(islice(tokens, len(r.competitor_scores)))
+            error, reference, winner = islice(tokens, 3)
+            cases.append(f"""    {{
+      "best_competitor": {best},
+      "competitor_scores": {_json_list(["        " + score for score in scores], 6)},
+      "error": {error},
+      "reference_score": {reference},
+      "winner": {winner}
+    }}""")
+        error_rate, metric, num_cases, num_errors = tokens
+        return f"""{{
+  "cases": {_json_list(cases, 2)},
+  "error_rate": {error_rate},
+  "metric": {metric},
+  "num_cases": {num_cases},
+  "num_errors": {num_errors}
+}}
+"""
+
+
+def _json_list(lines: list[str], indent: int) -> str:
+    # A list of indented item lines as indent=2 closes it at `indent` spaces.
+    if not lines:
+        return "[]"
+    return "[\n" + ",\n".join(lines) + "\n" + " " * indent + "]"
 
 
 def load_cases(text: str) -> list[RankingCase]:

@@ -15,20 +15,64 @@ the best-arc tables built over them. An arc edit moves its state into the
 graph's overlay: a list of ``(target, ilabel, olabel, weight)`` tuples
 that belongs to that graph alone and replaces the state's column arcs
 there. State ids and labels must fit the C ``int`` columns.
+
+Companion file. Text is the interchange format, and parsing it is the
+largest cost of reading a graph. :func:`write_companion` writes, beside
+a graph's text file ``PATH``, a binary copy ``PATH.bin`` of the graph
+that :func:`read_text` builds from that text, which :func:`load_graph`
+loads in a few array reads. It is derived data, safe to delete. Layout,
+in this machine's byte order and item sizes:
+
+- header (``_HEADER``, little-endian): magic ``gboostG\\x01``; byte order
+  (1 little-endian) and the item sizes of ``q``, ``i`` and ``d`` arrays;
+  the negate flag; the counts of states, arcs, final states, label pairs
+  and symbol-text bytes; the initial state; the SHA-256 of the text file;
+- the offsets (``q``, states + 1), then the targets, input labels and
+  output labels (``i``, one per arc) and the weights (``d``);
+- the final states (``i``) and their weights (``d``), in file order;
+- the labels the arcs use (``i``, ascending), then their symbols, UTF-8,
+  each ended by a newline;
+- the SHA-256 of everything before it.
+
+The weights are those the text reads back to, ``sign * float("%.9g" %
+(sign * w))``, not the graph's own: the text format rounds. The companion
+is used only when its size matches its header, its negate flag the
+reader's, the text still hashes to its stored digest, the payload to its
+own, every count, id and weight passes the checks :func:`read_text`
+makes, and every label the arcs use names the same symbol in the
+reader's table (a larger table qualifies). The key is the content, not
+the path or a timestamp: a text edited in place never reads back as the
+old graph. Any other companion, or none, means the text is parsed.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
-from operator import is_, itemgetter
+from operator import is_, itemgetter, le
 from struct import Struct
-from typing import Iterable, NamedTuple, TextIO
+from time import perf_counter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from gboost.errors import FormatError, InvariantError
+
+try:
+    # The interpreter's own SHA-256, as the random module takes its SHA-512:
+    # hashlib loads OpenSSL, which adds 3.5 MB to a command's resident memory.
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        from hashlib import sha256
+
+log = logging.getLogger(__name__)
 
 EPSILON = "<eps>"
 EPSILON_LABEL = 0
@@ -318,11 +362,12 @@ class Wfst:
         return arcs
 
     def num_arcs(self, state: int | None = None) -> int:
+        offsets = self._columns.offsets
         if state is None:
-            return sum(map(self.num_arcs, self.states()))
+            return offsets[-1] + sum(len(arcs) - offsets[s + 1] + offsets[s]
+                                     for s, arcs in self._overlay.items())
         arcs = self._overlay.get(state)
         if arcs is None:
-            offsets = self._columns.offsets
             return offsets[state + 1] - offsets[state]
         return len(arcs)
 
@@ -834,4 +879,183 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                         targets, ilabels, olabels, weights)
     fst.finals = finals
     fst.initial = initial
+    return fst
+
+
+# ---------------------------------------------------------------------------
+# Companion file
+
+COMPANION_SUFFIX = ".bin"
+
+# magic; byte order (1 little-endian, 0 big-endian), item sizes of the "q",
+# "i" and "d" arrays, negate flag; counts of states, arcs, finals, label
+# pairs and symbol-text bytes; initial state; SHA-256 of the text file.
+_HEADER = Struct("<8s5B3x6q32s")
+_MAGIC = b"gboostG\x01"
+_NATIVE = (sys.byteorder == "little", array("q").itemsize, array("i").itemsize,
+           array("d").itemsize)
+_DIGEST_SIZE = sha256().digest_size
+
+
+class _Fallback(Exception):
+    # Why a companion was not used; its message is the reason.
+    pass
+
+
+def _file_digest(path: str) -> bytes:
+    # Hashed by blocks, so the text is never held whole in memory.
+    digest = sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _pieces(fst: Wfst, index: int) -> Iterator[memoryview | array]:
+    # Arc field `index` (0 target, 1 ilabel, 2 olabel, 3 weight) of every
+    # arc in state order, in pieces: views of the shared column, and each
+    # written state's overlay values in place of its column arcs. Nothing
+    # the size of a column is copied.
+    offsets, *views = fst._columns.views()
+    view, at = views[index], 0
+    for state, arcs in sorted(fst._overlay.items()):
+        yield view[at:offsets[state]]
+        yield array(view.format, map(itemgetter(index), arcs))
+        at = offsets[state + 1]
+    yield view[at:]
+
+
+def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False) -> None:
+    """Write the companion of graph text file ``path`` to ``stream``.
+
+    ``path`` holds what :func:`write_text` wrote of ``fst`` with ``negate``.
+    The companion holds the graph :func:`read_text` builds from that text
+    (see the module docstring for its layout); :func:`load_graph` reads
+    it from ``path + COMPANION_SUFFIX``.
+    """
+    text_digest = _file_digest(path)
+    offsets = fst._columns.offsets
+    if fst._overlay:
+        offsets = array("q", accumulate(map(fst.num_arcs, fst.states()), initial=0))
+    sign = -1.0 if negate else 1.0
+    mod, mul = WEIGHT_FMT.__mod__, sign.__mul__
+
+    def read_back(values: Iterable[float]) -> array:
+        # The weights as the text reads back: "%.9g" rounds.
+        if negate:
+            return array("d", map(mul, map(float, map(mod, map(mul, values)))))
+        return array("d", map(float, map(mod, values)))
+
+    # Finals in file order: the initial state's first, then by id.
+    order = sorted(fst.finals, key=lambda state: (state != fst.initial, state))
+    used: set[int] = set()
+    for piece in chain(_pieces(fst, 1), _pieces(fst, 2)):
+        used.update(piece)
+    labels = sorted(used)
+    names = "".join(fst.symbols.symbol(label) + "\n" for label in labels).encode()
+    header = _HEADER.pack(_MAGIC, *_NATIVE, negate, len(offsets) - 1, offsets[-1],
+                          len(order), len(labels), len(names), fst.initial, text_digest)
+    digest = sha256()
+    for part in chain((header, offsets), _pieces(fst, 0), _pieces(fst, 1), _pieces(fst, 2),
+                      map(read_back, _pieces(fst, 3)),
+                      (array("i", order), read_back(map(fst.finals.__getitem__, order)),
+                       array("i", labels), names)):
+        digest.update(part)
+        stream.write(part)
+    stream.write(digest.digest())
+
+
+def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> Wfst:
+    # The graph in the companion of `path`, or _Fallback with the reason.
+    try:
+        handle = open(path + COMPANION_SUFFIX, "rb")
+    except FileNotFoundError:
+        raise _Fallback("missing") from None
+    try:
+        with handle:
+            header = handle.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise _Fallback("corrupt: shorter than its header")
+            (magic, *native, negated, states, arcs, finals, pairs, names_size, initial,
+             text_digest) = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise _Fallback("corrupt: not a graph companion")
+            if tuple(native) != _NATIVE:
+                raise _Fallback("corrupt: byte order or item sizes differ from this machine's")
+            # Sized against the file before anything is allocated.
+            parts = (("q", states + 1), ("i", arcs), ("i", arcs), ("i", arcs), ("d", arcs),
+                     ("i", finals), ("d", finals), ("i", pairs))
+            size = (_HEADER.size + names_size + _DIGEST_SIZE
+                    + sum(array(code).itemsize * n for code, n in parts))
+            if (min(states, arcs, finals, pairs, names_size) < 0
+                    or os.fstat(handle.fileno()).st_size != size):
+                raise _Fallback("corrupt: its size does not match its header")
+            if negated != negate:
+                raise _Fallback("convention")
+            if _file_digest(path) != text_digest:
+                raise _Fallback("stale")
+            digest = sha256(header)
+            columns = []
+            for code, n in parts:
+                column = array(code)
+                column.fromfile(handle, n)
+                digest.update(column)
+                columns.append(column)
+            names = handle.read(names_size)
+            digest.update(names)
+            if handle.read() != digest.digest():
+                raise _Fallback("corrupt: payload digest mismatch")
+    except (OSError, EOFError) as exc:
+        raise _Fallback(f"corrupt: {exc}") from None
+    offsets, targets, ilabels, olabels, weights, final_states, final_weights, labels = columns
+    # Checked like outside input: read_text's own bounds, every id in
+    # range, every weight finite and every label listed.
+    isfinite = math.isfinite
+    if not (0 < states <= min(ID_MAX + 1, 2 * (arcs + finals)) and 0 <= initial < states
+            and offsets[0] == 0 and offsets[-1] == arcs
+            and all(map(le, offsets, islice(offsets, 1, None)))
+            and (not arcs or 0 <= min(targets) and max(targets) < states)
+            and (not finals or 0 <= min(final_states) and max(final_states) < states)
+            and len(set(final_states)) == finals
+            and all(map(isfinite, weights)) and all(map(isfinite, final_weights))):
+        raise _Fallback("corrupt: a count, state id or weight is out of range")
+    try:
+        names = names.decode().split("\n")
+    except UnicodeDecodeError:
+        raise _Fallback("corrupt: its symbols are not UTF-8") from None
+    used = set(ilabels)
+    if olabels == ilabels:  # an acceptor's, as build_g makes it: one column serves both
+        olabels = ilabels
+    else:
+        used.update(olabels)
+    if names.pop() or len(names) != pairs or not used <= set(labels):
+        raise _Fallback("corrupt: an arc label is not in its label list")
+    symbol = symbols._lab2sym.get
+    if any(symbol(label) != name for label, name in zip(labels, names)):
+        raise _Fallback("symbols")
+    fst = _from_columns(symbols, offsets, targets, ilabels, olabels, weights)
+    fst.finals = dict(zip(final_states, final_weights))
+    fst.initial = initial
+    return fst
+
+
+def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> Wfst:
+    """Read the graph in text file ``path``, labelled by ``symbols``.
+
+    From its companion, ``path + COMPANION_SUFFIX``, when that is valid for
+    this text, convention and symbol table (see the module docstring);
+    otherwise with :func:`read_text`, which raises as it does for any bad
+    text. Logs one INFO line: where the graph came from, and why not from
+    the companion.
+    """
+    start = perf_counter()
+    try:
+        fst = _read_companion(path, symbols, negate)
+        source = "companion"
+    except _Fallback as reason:
+        with open(path) as handle:
+            fst = read_text(handle, symbols, negate=negate)
+        source = f"text (companion {reason})"
+    log.info("read %s from %s: %d states, %d arcs in %.3f s", path, source,
+             fst.num_states(), fst.num_arcs(), perf_counter() - start)
     return fst

@@ -2,9 +2,12 @@ import dataclasses
 import gc
 import io
 import json
+import logging
 import math
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -17,7 +20,7 @@ import gboost.evaluate
 import oracles
 import toylm
 from gboost.arpa import oracle_score, parse_arpa
-from gboost.cli import UsageError, main
+from gboost.cli import WEIGHT_CONVENTIONS, UsageError, main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, InvariantError
 from gboost.fst import SymbolTable, read_text, write_text
@@ -65,6 +68,10 @@ class TestBuildG:
         fst_path, syms_path = build(workdir)
         assert fst_path.exists() and syms_path.exists()
         assert syms_path.read_text().splitlines()[0] == "<eps>\t0"
+        companion = workdir / "g.fst.bin"
+        first = companion.read_bytes()
+        build(workdir)
+        assert companion.read_bytes() == first  # as the text, the same bytes every run
 
     def test_missing_arpa_is_usage_error(self, workdir, capsys):
         code = run("build-g", "--arpa", workdir / "nope.arpa",
@@ -199,7 +206,7 @@ class TestScore:
         assert "broken graph" in capsys.readouterr().err
         assert len(calls) == 3
         assert sorted(p.name for p in workdir.iterdir()) == [
-            "cases.json", "g.fst", "m.arpa", "pairs.json", "sents.txt", "w.syms"]
+            "cases.json", "g.fst", "g.fst.bin", "m.arpa", "pairs.json", "sents.txt", "w.syms"]
 
     def test_sentences_split_as_by_splitlines(self, workdir, capsys):
         """A sentence ends wherever str.splitlines would end it, not only at newlines."""
@@ -298,6 +305,106 @@ class TestEnhanceCommand:
         buf = io.StringIO()
         write_text(g, buf)
         assert (workdir / "g2.fst").read_text() == buf.getvalue()
+
+
+class TestCompanion:
+    SENTENCES = "wo chaxun liuliang\nwifi feiyong\nhuafei de taocan\n\nshouji wifi\n"
+
+    def outputs(self, workdir, conv):
+        """score, a 2x2 eval sweep and diff-fst: their output files, by name."""
+        out = workdir / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        fst, syms = workdir / "g.fst", workdir / "w.syms"
+        for argv in (
+                ["score", "--fst", fst, "--syms", syms, "--text", workdir / "s.txt",
+                 "--out", out / "scores.txt"],
+                ["eval", "--fst", fst, "--syms", syms, "--cases", workdir / "cases.json",
+                 "--pairs", workdir / "pairs.json", "--theta-list=-1,2", "--chnum-list=1,2",
+                 "--out", out / "eval"],
+                ["diff-fst", fst, workdir / "enh.fst", "--syms", workdir / "enh.syms",
+                 "--out", out / "fst.diff"]):
+            assert run(*argv, *conv) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def sources(self, caplog):
+        """Where each graph load since the last call came from."""
+        sources = [r.getMessage().split(" from ", 1)[1].rsplit(": ", 1)[0]
+                   for r in caplog.records if r.getMessage().startswith("read ")]
+        caplog.clear()
+        return sources
+
+    @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
+    def test_outputs_do_not_depend_on_the_companion(self, workdir, caplog, weights):
+        """Present, deleted or stale, a companion changes no output byte."""
+        caplog.set_level(logging.INFO, logger="gboost.fst")
+        conv = ["--weights", weights]
+        fst_path, syms_path = build(workdir, conv)
+        (workdir / "s.txt").write_text(self.SENTENCES)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "enh.fst",
+                   "--out-syms", workdir / "enh.syms", *conv) == 0
+        caplog.clear()
+        present = self.outputs(workdir, conv)
+        assert self.sources(caplog) == ["companion"] * 4
+        for name in ("g.fst.bin", "enh.fst.bin"):
+            (workdir / name).unlink()
+        assert self.outputs(workdir, conv) == present
+        assert self.sources(caplog) == ["text (companion missing)"] * 4
+
+        # Rewrite the base graph and its companion, then edit the text in
+        # place: every arc out of the start state loses 0.5.
+        build(workdir, conv)
+        lines = fst_path.read_text().splitlines()
+        start = lines[0].split()[0]
+        for i, line in enumerate(lines):
+            fields = line.split()
+            if fields[0] == start and len(fields) == 5:
+                fields[4] = repr(float(fields[4]) - 0.5)
+                lines[i] = " ".join(fields)
+        fst_path.write_text("\n".join(lines) + "\n")
+        caplog.clear()
+        stale = self.outputs(workdir, conv)
+        assert self.sources(caplog) == ["text (companion stale)"] * 3 + [
+            "text (companion missing)"]
+        assert stale["scores.txt"] != present["scores.txt"]
+        assert stale["fst.diff"] != present["fst.diff"]
+        (workdir / "g.fst.bin").unlink()
+        assert self.outputs(workdir, conv) == stale
+
+    def test_each_graph_load_and_write_logs_one_line(self, workdir, caplog):
+        caplog.set_level(logging.INFO, logger="gboost")
+        fst_path, syms_path = build(workdir)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "enh.fst",
+                   "--out-syms", workdir / "enh.syms") == 0
+        assert run("diff-fst", fst_path, workdir / "enh.fst",
+                   "--syms", workdir / "enh.syms", "--out", workdir / "fst.diff") == 0
+        (workdir / "g.fst.bin").unlink()
+        (workdir / "s.txt").write_text(self.SENTENCES)
+        assert run("score", "--fst", fst_path, "--syms", syms_path,
+                   "--text", workdir / "s.txt", "--out", workdir / "scores.txt") == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name in ("gboost.cli", "gboost.fst")]
+
+        def shape(fst, syms):
+            with open(fst) as graph, open(syms) as table:
+                fst = read_text(graph, SymbolTable.read(table))
+            return f"{fst.num_states()} states, {fst.num_arcs()} arcs in "
+
+        g, enh = str(fst_path), str(workdir / "enh.fst")
+        base, enhanced = shape(g, syms_path), shape(enh, workdir / "enh.syms")
+        expected = [
+            f"wrote {g} and its companion: {base}",
+            f"read {g} from companion: {base}",
+            f"wrote {enh} and its companion: {enhanced}",
+            f"read {g} from companion: {base}",  # with the enhanced, larger, table
+            f"read {enh} from companion: {enhanced}",
+            f"read {g} from text (companion missing): {base}",
+        ]
+        assert len(lines) == len(expected)
+        for line, start in zip(lines, expected):
+            assert line.startswith(start) and re.search(r" in \d+\.\d{3} s$", line), line
 
 
 class TestEvalCommand:

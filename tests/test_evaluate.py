@@ -9,8 +9,8 @@ import toylm
 from gboost.arpa import parse_arpa
 from gboost.enhance import enhance
 from gboost.errors import FormatError, GboostError, InvariantError
-from gboost.evaluate import (EvalReport, RankingCase, grid_tsv, load_cases,
-                             run_ranking, sweep)
+from gboost.evaluate import (PROXY_NOTE, CaseResult, EvalReport, RankingCase, grid_tsv,
+                             load_cases, run_ranking, sweep)
 from gboost.graph import build_g, graph_score
 from test_enhance import JSON_VALUES
 
@@ -311,3 +311,39 @@ def test_cases_file_raises_only_gboost_errors(text):
         run_ranking(fst, cases)
     except GboostError:
         pass
+
+
+def indent_rendered(report):
+    """The report as the pure-Python encoder lays it out: the reference for to_json."""
+    payload = {
+        "metric": PROXY_NOTE,
+        "error_rate": report.error_rate,
+        "num_cases": len(report.results),
+        "num_errors": report.num_errors,
+        "cases": [{"reference_score": r.reference_score,
+                   "competitor_scores": r.competitor_scores,
+                   "best_competitor": r.best_competitor, "error": r.error,
+                   "winner": r.winner} for r in report.results],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_SCORE = st.one_of(st.none(), st.sampled_from([-0.0, 0.0, -1e-300, -12.5]),
+                   st.floats(allow_nan=False, allow_infinity=True))
+
+
+@st.composite
+def _case_results(draw):
+    scores = draw(st.lists(_SCORE, max_size=4))
+    best = draw(st.one_of(st.none(), st.integers(0, 10)))
+    return CaseResult(reference_score=draw(_SCORE), competitor_scores=scores,
+                      best_competitor=best, error=draw(st.booleans()))
+
+
+@settings(max_examples=200)
+@given(st.lists(_case_results(), max_size=5))
+@example([])
+@example([CaseResult(None, [], None, True), CaseResult(-0.0, [None, -0.0], 1, True)])
+def test_report_json_matches_the_indented_encoder(results):
+    report = EvalReport(results=results)
+    assert report.to_json() == indent_rendered(report)

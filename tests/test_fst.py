@@ -1,7 +1,14 @@
 import gc
+import hashlib
 import io
+import logging
 import math
+import os
 import random
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,10 +18,14 @@ import oracles
 import toylm
 from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import (EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff, SymbolTable, _best_table,
-                        apply_diff, diff, read_text, write_text)
+from gboost.enhance import enhance
+from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
+                        SymbolTable, _HEADER, _best_table, apply_diff, diff, load_graph,
+                        read_text, write_companion, write_text)
 from gboost.graph import build_g
+from conftest import random_graph
 from oracles import add_arcs, arcs_matching, empty_graph, path_weight
+from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 
 class TestSymbolTable:
@@ -837,3 +848,270 @@ def test_text_parsers_raise_only_format_errors(text):
             parse(io.StringIO(text))
         except FormatError:
             pass
+
+
+# -- companion file ------------------------------------------------------------
+
+
+def graph_state(fst):
+    """Everything a loaded graph holds, weights compared bit for bit."""
+    columns = fst._columns
+    return (fst.num_states(), fst.initial, fst.symbols,
+            [(state, weight.hex()) for state, weight in fst.finals.items()],
+            columns.offsets.tolist(), columns.targets.tolist(), columns.ilabels.tolist(),
+            columns.olabels.tolist(), columns.weights.tobytes(), fst._overlay)
+
+
+def save(fst, path, negate=False):
+    """Write ``fst`` to text file ``path`` and its companion beside it, as the CLI does."""
+    with open(path, "w") as handle:
+        write_text(fst, handle, negate=negate)
+    with open(path + COMPANION_SUFFIX, "wb") as handle:
+        write_companion(fst, path, handle, negate=negate)
+
+
+def load(path, symbols, negate=False):
+    """load_graph's graph and the source its log line names."""
+    logger = logging.getLogger("gboost.fst")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    try:
+        fst = load_graph(path, symbols, negate=negate)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [record] = records
+    return fst, record.getMessage().split(" from ", 1)[1].rsplit(": ", 1)[0]
+
+
+def parsed(path, symbols, negate=False):
+    with open(path) as handle:
+        return read_text(handle, symbols, negate=negate)
+
+
+def odd_graph():
+    """-0.0 weights, three final states, initial state 2, one label on several
+    arcs, and an output label that is no arc's input label."""
+    table = SymbolTable(["a", "b", "c"])
+    fst = add_arcs(empty_graph(table, 4), (2, 0, 1, 1, -0.0), (2, 1, 1, 2, 0.1),
+                   (2, 3, 1, 1, -1 / 3), (0, 3, 2, 3, 1e-300), (1, 1, 0, 0, -0.0),
+                   (3, 0, 2, 1, 2.0000000001))
+    for state, weight in ((3, -0.0), (0, 0.7), (2, 1 / 7)):
+        fst.set_final(state, weight)
+    fst.set_initial(2)
+    return fst
+
+
+def enhanced_graph(seed):
+    """A random back-off graph after enhancement: written states in the overlay."""
+    rng = random.Random(seed)
+    fst = random_backoff_graph(rng, VOCAB)
+    enhance(fst, random_config(rng, VOCAB, fresh_token_stream()))
+    return fst
+
+
+_GRAPHS = {
+    "random": lambda seed: random_graph(seed, n_states=30, n_arcs=120, epsilon_arcs=5),
+    "backoff": lambda seed: random_backoff_graph(random.Random(seed), VOCAB),
+    "enhanced": enhanced_graph,
+    "odd": lambda seed: odd_graph(),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_GRAPHS)), st.integers(0, 2 ** 32), st.booleans())
+@example("odd", 0, False)
+@example("odd", 0, True)
+def test_companion_loads_what_read_text_reads(kind, seed, negate):
+    fst = _GRAPHS[kind](seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.fst")
+        save(fst, path, negate)
+        got, source = load(path, fst.symbols, negate)
+        assert source == "companion"
+        assert graph_state(got) == graph_state(parsed(path, fst.symbols, negate))
+
+
+def test_companion_serves_a_larger_symbol_table(tmp_path):
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    larger = fst.symbols.copy()
+    larger.add("d")
+    got, source = load(path, larger)
+    assert source == "companion"
+    assert graph_state(got) == graph_state(parsed(path, larger))
+
+
+@pytest.mark.parametrize("reason", ["missing", "stale", "convention", "symbols"])
+def test_companion_not_used_falls_back_to_the_text(tmp_path, reason):
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    symbols, negate = fst.symbols, False
+    if reason == "missing":
+        os.remove(path + COMPANION_SUFFIX)
+    elif reason == "stale":  # the same graph, one weight printed another way
+        text = Path(path).read_text()
+        assert " 0.1\n" in text
+        with open(path, "w") as handle:
+            handle.write(text.replace(" 0.1\n", " 0.10\n"))
+    elif reason == "convention":
+        negate = True
+    else:
+        symbols = SymbolTable(["b", "a", "c"])
+    got, source = load(path, symbols, negate)
+    assert source == f"text (companion {reason})"
+    assert graph_state(got) == graph_state(parsed(path, symbols, negate))
+
+
+def test_companion_of_a_text_read_text_rejects_is_not_used(tmp_path):
+    """An unknown symbol, or a bad text: load_graph raises what read_text raises."""
+    path = str(tmp_path / "g.fst")
+    # write_text names state 9 by its arc, but read_text bounds state ids
+    # by the record count.
+    sparse = add_arcs(empty_graph(SymbolTable(["a"]), 10), (0, 9, 1, 1, -1.0))
+    sparse.set_initial(0)
+    save(sparse, path)
+    with pytest.raises(FormatError, match="state id 9 is at or above twice"):
+        load_graph(path, SymbolTable(["a"]))
+    fst = odd_graph()
+    save(fst, path)
+    with pytest.raises(FormatError, match="unknown symbol: 'b'"):
+        load_graph(path, SymbolTable(["a"]))
+    with open(path, "a") as handle:
+        handle.write("0 1 a a nan\n")
+    with pytest.raises(FormatError, match="line 10: arc weight must be finite"):
+        load_graph(path, fst.symbols)
+
+
+def sections(data):
+    """Byte ranges of the companion's parts, by name, from its header."""
+    fields = _HEADER.unpack_from(data)
+    states, arcs, finals, pairs, names = fields[6:11]
+    sizes = [("header", _HEADER.size), ("offsets", 8 * (states + 1)), ("targets", 4 * arcs),
+             ("ilabels", 4 * arcs), ("olabels", 4 * arcs), ("weights", 8 * arcs),
+             ("final_states", 4 * finals), ("final_weights", 8 * finals),
+             ("labels", 4 * pairs), ("names", names)]
+    out, at = {}, 0
+    for name, size in sizes:
+        out[name] = (at, at + size)
+        at += size
+    return out
+
+
+def sealed(data):
+    """``data`` with its trailing payload digest made right again."""
+    body = bytes(data[:-32])
+    return body + hashlib.sha256(body).digest()
+
+
+def put(data, name, index, code, value):
+    """Write item ``index`` of section ``name`` as struct ``code``."""
+    start = sections(data)[name][0]
+    struct.pack_into(code, data, start + index * struct.calcsize(code), value)
+
+
+def set_header(data, **fields):
+    names = ("magic", "little", "q_size", "i_size", "d_size", "negate", "states", "arcs",
+             "finals", "pairs", "names", "initial", "text_digest")
+    values = dict(zip(names, _HEADER.unpack_from(data)))
+    values.update(fields)
+    _HEADER.pack_into(data, 0, *values.values())
+
+
+_RANGE, _LABELS = "a count, state id or weight is out of range", "an arc label is not in its label list"
+_BROKEN = {
+    "offsets-start-above-zero": (lambda d: put(d, "offsets", 0, "q", 1), _RANGE),
+    "offsets-decrease": (lambda d: put(d, "offsets", 1, "q", 5), _RANGE),
+    "offsets-end-short": (lambda d: put(d, "offsets", 4, "q", 5), _RANGE),
+    "target-out-of-range": (lambda d: put(d, "targets", 0, "i", 4), _RANGE),
+    "target-negative": (lambda d: put(d, "targets", 2, "i", -1), _RANGE),
+    "nan-weight": (lambda d: put(d, "weights", 3, "d", math.nan), _RANGE),
+    "infinite-final-weight": (lambda d: put(d, "final_weights", 1, "d", -math.inf), _RANGE),
+    "final-state-out-of-range": (lambda d: put(d, "final_states", 0, "i", 4), _RANGE),
+    "final-state-twice": (lambda d: put(d, "final_states", 0, "i", 0), _RANGE),
+    "initial-out-of-range": (lambda d: set_header(d, initial=4), _RANGE),
+    "label-not-listed": (lambda d: put(d, "ilabels", 0, "i", 7), _LABELS),
+    "label-list-short": (lambda d: put(d, "names", 0, "B", ord("\n")), _LABELS),
+    "symbols-not-utf8": (lambda d: put(d, "names", 0, "B", 0xff), "symbols are not UTF-8"),
+    "wrong-item-size": (lambda d: set_header(d, i_size=8), "item sizes differ"),
+    "wrong-byte-order": (lambda d: set_header(d, little=1 - d[8]), "byte order"),
+    "magic": (lambda d: set_header(d, magic=b"gboostG\x02"), "not a graph companion"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN))
+def test_resealed_broken_companion_falls_back(tmp_path, name):
+    """A companion with a correct digest still passes every check or is not used."""
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    data = bytearray(Path(path + COMPANION_SUFFIX).read_bytes())
+    damage, reason = _BROKEN[name]
+    damage(data)
+    Path(path + COMPANION_SUFFIX).write_bytes(sealed(data))
+    got, source = load(path, fst.symbols)
+    assert source.startswith("text (companion corrupt: ") and reason in source
+    assert graph_state(got) == graph_state(parsed(path, fst.symbols))
+
+
+def test_inflated_header_allocates_nothing(tmp_path):
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    data = bytearray(Path(path + COMPANION_SUFFIX).read_bytes())
+    set_header(data, arcs=2 ** 40)
+    Path(path + COMPANION_SUFFIX).write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(gboost.fst._Fallback, match="size does not match"):
+            gboost.fst._read_companion(path, fst.symbols, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+_FUZZ_GRAPH = random_graph(11, n_states=12, n_arcs=40, epsilon_arcs=2)
+_FUZZ_COUNTS = ("states", "arcs", "finals", "pairs", "names")
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.data())
+def test_damaged_companion_loads_as_the_text_reads(data):
+    """Truncated, flipped or inflated: the loader returns read_text's graph, or its error."""
+    fst = _FUZZ_GRAPH
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.fst")
+        save(fst, path)
+        companion = bytearray(Path(path + COMPANION_SUFFIX).read_bytes())
+        damage = data.draw(st.sampled_from(["truncate", "flip", "inflate"]))
+        if damage == "truncate":
+            del companion[data.draw(st.integers(0, len(companion) - 1)):]
+        elif damage == "flip":
+            for at in data.draw(st.sets(st.integers(0, len(companion) - 1), min_size=1,
+                                        max_size=4)):
+                companion[at] ^= data.draw(st.integers(1, 255))
+        else:
+            count = data.draw(st.sampled_from(_FUZZ_COUNTS))
+            set_header(companion, **{count: data.draw(st.sampled_from(
+                [2 ** 40, 2 ** 62, -1, ID_MAX + 1]))})
+        Path(path + COMPANION_SUFFIX).write_bytes(companion)
+        if data.draw(st.booleans()):  # and a bad text
+            with open(path, "a") as handle:
+                handle.write(data.draw(st.sampled_from(["0 1 zz zz 1\n", "3 x\n", "0 1\n"])))
+        try:
+            want = graph_state(parsed(path, fst.symbols))
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                load_graph(path, fst.symbols)
+            assert str(info.value) == str(exc)
+        else:
+            got, source = load(path, fst.symbols)
+            assert source.startswith("text (companion ")
+            assert graph_state(got) == want
