@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 malformed input, 3 invariant
 violation (vocabulary mismatches, bad configs, broken graphs). Output
 files are written atomically: into a temp file beside the target, renamed
 onto it on success and removed on any failure. Graph and symbol files are
-streamed into the temp file, never built whole in memory, and ``build-g``
-frees the parsed model before it writes the graph. The --weights flag
-(default from $GBOOST_WEIGHTS) selects between log-probability files and
+streamed into the temp file, never built whole in memory: a graph's text
+is formatted one block of arcs at a time. ``build-g`` frees the parsed
+model before it writes the graph. The --weights flag (default from
+$GBOOST_WEIGHTS) selects between log-probability files and
 cost-convention files, whose weights are negated on read and write.
 
 Graph files. ``build-g`` and ``enhance`` write three files per graph: the
@@ -18,7 +19,8 @@ lets a later command skip the text parse. ``enhance``, ``score``,
 the text, the --weights convention and the symbol table they read, and
 parse the text otherwise, with the same errors and exit codes either
 way. With -v, each graph load and write logs one line: the file, where
-the graph came from, its state and arc counts and the seconds taken.
+the graph came from, its state and arc counts and the seconds taken; a
+write also splits its seconds into text, symbols and companion.
 
 Each command runs with Python's cyclic garbage collector paused, and the
 collector's state on entry comes back on every exit path. A graph keeps
@@ -133,16 +135,23 @@ def _load_graph(fst_path, syms_path, negate):
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
-    # Streamed into the temp files: the text is never held whole in memory.
+    # Streamed into the temp files, the text one block of arcs at a time:
+    # it is never held whole in memory. The companion dumps the graph the
+    # text reads back to, which write_text returns.
     start = perf_counter()
     with _atomic_open(fst_path) as handle:
-        write_text(g, handle, negate=negate)
+        written = write_text(g, handle, negate=negate)
+    text_done = perf_counter()
     with _atomic_open(syms_path) as handle:
         g.symbols.write(handle)
+    symbols_done = perf_counter()
     with _atomic_open(fst_path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(g, fst_path, handle, negate=negate)
-    log.info("wrote %s and its companion: %d states, %d arcs in %.3f s", fst_path,
-             g.num_states(), g.num_arcs(), perf_counter() - start)
+        write_companion(written, fst_path, handle, negate=negate)
+    end = perf_counter()
+    log.info("wrote %s and its companion: %d states, %d arcs in %.3f s "
+             "(text %.3f s, symbols %.3f s, companion %.3f s)", fst_path,
+             written.num_states(), written.num_arcs(), end - start, text_done - start,
+             symbols_done - text_done, end - symbols_done)
 
 
 def format_diff(delta: FstDiff, symbols: SymbolTable,

@@ -20,29 +20,32 @@ Companion file. Text is the interchange format, and parsing it is the
 largest cost of reading a graph. :func:`write_companion` writes, beside
 a graph's text file ``PATH``, a binary copy ``PATH.bin`` of the graph
 that :func:`read_text` builds from that text, which :func:`load_graph`
-loads in a few array reads. It is derived data, safe to delete. Layout,
-in this machine's byte order and item sizes:
+loads in a few array reads. It is derived data, safe to delete. Layout
+(version 2), in this machine's byte order and item sizes:
 
-- header (``_HEADER``, little-endian): magic ``gboostG\\x01``; byte order
+- header (``_HEADER``, little-endian): magic ``gboostG\\x02``; byte order
   (1 little-endian) and the item sizes of ``q``, ``i`` and ``d`` arrays;
   the negate flag; the counts of states, arcs, final states, label pairs
-  and symbol-text bytes; the initial state; the SHA-256 of the text file;
+  and symbol-text bytes; the initial state; the BLAKE2b-256 of the text
+  file;
 - the offsets (``q``, states + 1), then the targets, input labels and
   output labels (``i``, one per arc) and the weights (``d``);
 - the final states (``i``) and their weights (``d``), in file order;
 - the labels the arcs use (``i``, ascending), then their symbols, UTF-8,
   each ended by a newline;
-- the SHA-256 of everything before it.
+- the BLAKE2b-256 of everything before it.
 
-The weights are those the text reads back to, ``sign * float("%.9g" %
-(sign * w))``, not the graph's own: the text format rounds. The companion
-is used only when its size matches its header, its negate flag the
-reader's, the text still hashes to its stored digest, the payload to its
-own, every count, id and weight passes the checks :func:`read_text`
-makes, and every label the arcs use names the same symbol in the
-reader's table (a larger table qualifies). The key is the content, not
-the path or a timestamp: a text edited in place never reads back as the
-old graph. Any other companion, or none, means the text is parsed.
+The weights are those the text reads back to, not the graph's own: the
+text format rounds. :func:`write_text` parses each weight from the very
+string it printed, ``sign * float(text)``, and returns the graph so read,
+whose columns the companion holds. The companion is used only when its
+size matches its header, its negate flag the reader's, the text still
+hashes to its stored digest, the payload to its own, every count, id and
+weight passes the checks :func:`read_text` makes, and every label the arcs
+use names the same symbol in the reader's table (a larger table
+qualifies). The key is the content, not the path or a timestamp: a text
+edited in place never reads back as the old graph. Any other companion,
+version 1 included, or none, means the text is parsed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
-from operator import is_, itemgetter, le
+from operator import is_, itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
@@ -63,14 +66,12 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 from gboost.errors import FormatError, InvariantError
 
 try:
-    # The interpreter's own SHA-256, as the random module takes its SHA-512:
-    # hashlib loads OpenSSL, which adds 3.5 MB to a command's resident memory.
-    from _sha256 import sha256  # CPython 3.10 and 3.11
+    # The interpreter's own BLAKE2b, which hashes about three times as fast
+    # as its SHA-256; hashlib loads OpenSSL, which adds 3.5 MB to a
+    # command's resident memory.
+    from _blake2 import blake2b
 except ImportError:
-    try:
-        from _sha2 import sha256  # CPython 3.12 on
-    except ImportError:
-        from hashlib import sha256
+    from hashlib import blake2b
 
 log = logging.getLogger(__name__)
 
@@ -691,30 +692,64 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
 # Text format
 
 
-def _has_arc_into(fst: Wfst, state: int) -> bool:
-    # Whether an arc ends in `state`: a column arc of an unwritten state,
-    # or an overlay arc.
-    offsets, overlay = fst._columns.offsets, fst._overlay
-    for pos in compress(count(), map(state.__eq__, fst._columns.targets)):
-        if bisect_right(offsets, pos) - 1 not in overlay:
-            return True
-    return any(arc[0] == state for arcs in overlay.values() for arc in arcs)
+# Arcs per block of write_text: the weight strings of one block at a time
+# are all it holds.
+_BLOCK = 1 << 14
 
 
-def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
-    """Write ``fst`` as text, one record per line, fields separated by spaces.
+def _folded(fst: Wfst) -> tuple[array, array, array, array, array]:
+    # The graph's offsets and arc columns with each overlay list in place of
+    # its state's column arcs, the inverse of _writable: its own columns if
+    # it has no overlay, else fresh ones.
+    columns, overlay = fst._columns, fst._overlay
+    if not overlay:
+        return (columns.offsets, columns.targets, columns.ilabels, columns.olabels,
+                columns.weights)
+    offsets = columns.offsets
+    sources = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
+    counts = list(map(sub, islice(offsets, 1, None), offsets))
+    folded = [array(source.typecode) for source in sources]
+    at = 0
+    for state in sorted(overlay):
+        arcs = overlay[state]
+        counts[state] = len(arcs)
+        for column, source in zip(folded, sources):
+            column += source[at:offsets[state]]
+        for column, values in zip(folded, zip(*arcs)):
+            column.extend(values)
+        at = offsets[state + 1]
+    for column, source in zip(folded, sources):
+        column += source[at:]
+    return (array("q", accumulate(counts, initial=0)), *folded)
 
-    An arc is ``src dst isym osym weight`` and a final state ``state
-    weight``, with symbols from ``fst.symbols``. The initial state's records
-    come first, so :func:`read_text` finds it on line 1; then every other
-    state in id order, each with its arcs in list order and then its final
-    weight, if it has one. Weights print as ``"%.9g" % w``. With ``negate``
-    the file holds costs: each weight is printed as ``"%.9g" % (-1.0 * w)``.
 
-    InvariantError if the graph has no initial state, if that state or the
-    last state has neither arcs nor a final weight and, for the last, no
-    arc into it either (the file would not name it, and would read back
-    with fewer states), or if an arc carries a label the symbol table lacks.
+def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> Wfst:
+    """Write ``fst`` as text; return the graph :func:`read_text` reads back.
+
+    One record per line, fields separated by spaces: an arc is ``src dst
+    isym osym weight`` and a final state ``state weight``, with symbols from
+    ``fst.symbols``. The initial state's records come first, so
+    :func:`read_text` finds it on line 1; then every other state in id
+    order, each with its arcs in list order and then its final weight, if it
+    has one. Weights print as ``"%.9g" % w``. With ``negate`` the file holds
+    costs: each weight is printed as ``"%.9g" % (-1.0 * w)``.
+
+    An overlay is first folded into fresh columns. Weights are then printed
+    one block of ``_BLOCK`` arcs at a time, never all at once, and each
+    string is parsed back, ``sign * float(text)``. The graph returned is the
+    one :func:`read_text` builds from the text, and what
+    :func:`write_companion` dumps: columns only, labelled by ``fst.symbols``
+    itself, with its finals in file order. A caller that wants only the
+    text pays for it too: the parse-back (about 0.03 s per 180k arcs), a
+    weights array of the graph's size and, when the graph has an overlay,
+    folded copies of its other columns.
+
+    InvariantError, before anything is written, if the graph has no initial
+    state, if that state or the last state has neither arcs nor a final
+    weight and, for the last, no arc into it either (the file would not
+    name it), or if the last state's id is at or above twice the number of
+    arcs and final states, which :func:`read_text` refuses; and, while
+    writing, if an arc carries a label the symbol table lacks.
     """
     initial = fst.initial
     if initial is None:
@@ -722,40 +757,59 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     finals = fst.finals
     if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
-    top = fst.num_states() - 1
-    if not fst.num_arcs(top) and top not in finals and not _has_arc_into(fst, top):
+    offsets, targets, ilabels, olabels, weights = _folded(fst)
+    top = len(offsets) - 2
+    if offsets[top] == offsets[top + 1] and top not in finals and top not in targets:
         raise InvariantError(f"the last state, {top}, has no arcs, is not final and has "
                              "no arc into it; the file would not name it")
+    named = offsets[-1] + len(finals)
+    if top >= 2 * named:
+        raise InvariantError(f"the last state, {top}, is at or above twice the number of "
+                             f"arcs and final states ({named}); the file would not read back")
     sign = -1.0 if negate else 1.0
+    mod, mul = WEIGHT_FMT.__mod__, sign.__mul__
     symbol = fst.symbols._lab2sym.__getitem__
-    overlay = fst._overlay
-    offsets, targets, ilabels, olabels, weights = fst._columns.views()
+    views = [memoryview(column) for column in (targets, ilabels, olabels, weights)]
+    parsed = array("d", [0.0]) * len(weights)  # the read-back weights, in column order
+
+    def block(start: int, end: int) -> Iterator[tuple[int, str, str, str]]:
+        # The rows of column entries start..end. Each weight is printed once
+        # and its string parsed back into place.
+        target_view, ilabel_view, olabel_view, weight_view = (
+            view[start:end] for view in views)
+        if negate:  # 1.0 * w is w, bit for bit: only costs multiply
+            texts = list(map(mod, map(mul, weight_view)))
+            parsed[start:end] = array("d", map(mul, map(float, texts)))
+        else:
+            texts = list(map(mod, weight_view))
+            parsed[start:end] = array("d", map(float, texts))
+        return zip(target_view, map(symbol, ilabel_view), map(symbol, olabel_view), texts)
+
+    # File order is three runs of the columns: the initial state's entries,
+    # the states below it, the states above it. Each run is cut into blocks,
+    # and one row iterator runs through them all.
+    first, after = offsets[initial], offsets[initial + 1]
+    runs = ((first, after), (0, first), (after, offsets[-1]))
+    rows = chain.from_iterable(block(at, min(at + _BLOCK, end)) for start, end in runs
+                               for at in range(start, end, _BLOCK))
+    read_finals: dict[int, float] = {}
     write = stream.write
-    rows, at = None, -1  # column rows from column entry `at` on
     for state in chain((initial,), range(initial), range(initial + 1, top + 1)):
-        arc_fmt = f"{state} %s %s %s {WEIGHT_FMT}\n"
-        arcs = overlay.get(state)
         try:
-            if arcs is None:
-                # Consecutive column states share one pass over the columns.
-                start = offsets[state]
-                if start != at:
-                    state_weights = weights[start:]
-                    if negate:  # 1.0 * w is w, bit for bit: only costs multiply
-                        state_weights = map(sign.__mul__, state_weights)
-                    rows = zip(targets[start:], map(symbol, ilabels[start:]),
-                               map(symbol, olabels[start:]), state_weights)
-                at = offsets[state + 1]
-                text = "".join(map(arc_fmt.__mod__, islice(rows, at - start)))
-            else:
-                text = "".join([arc_fmt % (t, symbol(i), symbol(o), sign * w)
-                                 for t, i, o, w in arcs])
+            text = "".join(map(f"{state} %s %s %s %s\n".__mod__,
+                               islice(rows, offsets[state + 1] - offsets[state])))
         except KeyError as exc:
             raise InvariantError(f"unknown label: {exc.args[0]}") from None
         final = finals.get(state)
         if final is not None:
-            text += f"{state} {WEIGHT_FMT % (sign * final)}\n"
+            final_text = mod(sign * final)
+            read_finals[state] = sign * float(final_text)
+            text += f"{state} {final_text}\n"
         write(text)
+    written = _from_columns(fst.symbols, offsets, targets, ilabels, olabels, parsed)
+    written.finals = read_finals
+    written.initial = initial
+    return written
 
 
 def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfst:
@@ -889,12 +943,17 @@ COMPANION_SUFFIX = ".bin"
 
 # magic; byte order (1 little-endian, 0 big-endian), item sizes of the "q",
 # "i" and "d" arrays, negate flag; counts of states, arcs, finals, label
-# pairs and symbol-text bytes; initial state; SHA-256 of the text file.
+# pairs and symbol-text bytes; initial state; BLAKE2b-256 of the text file.
 _HEADER = Struct("<8s5B3x6q32s")
-_MAGIC = b"gboostG\x01"
+_MAGIC = b"gboostG\x02"
 _NATIVE = (sys.byteorder == "little", array("q").itemsize, array("i").itemsize,
            array("d").itemsize)
-_DIGEST_SIZE = sha256().digest_size
+_DIGEST_SIZE = 32
+
+
+def _hash(data: bytes = b""):
+    # A BLAKE2b-256 hash object over `data`: both of the companion's digests.
+    return blake2b(data, digest_size=_DIGEST_SIZE)
 
 
 class _Fallback(Exception):
@@ -904,62 +963,39 @@ class _Fallback(Exception):
 
 def _file_digest(path: str) -> bytes:
     # Hashed by blocks, so the text is never held whole in memory.
-    digest = sha256()
+    digest = _hash()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.digest()
 
 
-def _pieces(fst: Wfst, index: int) -> Iterator[memoryview | array]:
-    # Arc field `index` (0 target, 1 ilabel, 2 olabel, 3 weight) of every
-    # arc in state order, in pieces: views of the shared column, and each
-    # written state's overlay values in place of its column arcs. Nothing
-    # the size of a column is copied.
-    offsets, *views = fst._columns.views()
-    view, at = views[index], 0
-    for state, arcs in sorted(fst._overlay.items()):
-        yield view[at:offsets[state]]
-        yield array(view.format, map(itemgetter(index), arcs))
-        at = offsets[state + 1]
-    yield view[at:]
-
-
 def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False) -> None:
     """Write the companion of graph text file ``path`` to ``stream``.
 
-    ``path`` holds what :func:`write_text` wrote of ``fst`` with ``negate``.
-    The companion holds the graph :func:`read_text` builds from that text
-    (see the module docstring for its layout); :func:`load_graph` reads
-    it from ``path + COMPANION_SUFFIX``.
+    ``fst`` is the graph :func:`write_text` returned when it wrote ``path``
+    with ``negate``: the graph :func:`read_text` builds from that text. This
+    dumps its columns (see the module docstring for the layout), and
+    :func:`load_graph` reads them back from ``path + COMPANION_SUFFIX``.
+    InvariantError if ``fst`` has an overlay, which no such graph has.
     """
-    text_digest = _file_digest(path)
-    offsets = fst._columns.offsets
     if fst._overlay:
-        offsets = array("q", accumulate(map(fst.num_arcs, fst.states()), initial=0))
-    sign = -1.0 if negate else 1.0
-    mod, mul = WEIGHT_FMT.__mod__, sign.__mul__
-
-    def read_back(values: Iterable[float]) -> array:
-        # The weights as the text reads back: "%.9g" rounds.
-        if negate:
-            return array("d", map(mul, map(float, map(mod, map(mul, values)))))
-        return array("d", map(float, map(mod, values)))
-
-    # Finals in file order: the initial state's first, then by id.
-    order = sorted(fst.finals, key=lambda state: (state != fst.initial, state))
-    used: set[int] = set()
-    for piece in chain(_pieces(fst, 1), _pieces(fst, 2)):
-        used.update(piece)
+        raise InvariantError("a companion is written from the graph write_text returns, "
+                             "which has no overlay")
+    text_digest = _file_digest(path)
+    columns, finals = fst._columns, fst.finals
+    used = set(columns.ilabels)
+    if columns.olabels != columns.ilabels:
+        used.update(columns.olabels)
     labels = sorted(used)
     names = "".join(fst.symbols.symbol(label) + "\n" for label in labels).encode()
-    header = _HEADER.pack(_MAGIC, *_NATIVE, negate, len(offsets) - 1, offsets[-1],
-                          len(order), len(labels), len(names), fst.initial, text_digest)
-    digest = sha256()
-    for part in chain((header, offsets), _pieces(fst, 0), _pieces(fst, 1), _pieces(fst, 2),
-                      map(read_back, _pieces(fst, 3)),
-                      (array("i", order), read_back(map(fst.finals.__getitem__, order)),
-                       array("i", labels), names)):
+    header = _HEADER.pack(_MAGIC, *_NATIVE, negate, len(columns.offsets) - 1,
+                          len(columns.weights), len(finals), len(labels), len(names),
+                          fst.initial, text_digest)
+    digest = _hash()
+    for part in (header, columns.offsets, columns.targets, columns.ilabels, columns.olabels,
+                 columns.weights, array("i", finals), array("d", finals.values()),
+                 array("i", labels), names):
         digest.update(part)
         stream.write(part)
     stream.write(digest.digest())
@@ -994,7 +1030,7 @@ def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> Wfst:
                 raise _Fallback("convention")
             if _file_digest(path) != text_digest:
                 raise _Fallback("stale")
-            digest = sha256(header)
+            digest = _hash(header)
             columns = []
             for code, n in parts:
                 column = array(code)

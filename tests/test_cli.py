@@ -104,7 +104,7 @@ class TestBuildG:
 
         def write(fst, stream, negate=False):
             assert [ref() for ref in models] == [None]
-            write_text(fst, stream, negate=negate)
+            return write_text(fst, stream, negate=negate)
 
         monkeypatch.setattr(gboost.cli, "parse_arpa", parse)
         monkeypatch.setattr(gboost.cli, "write_text", write)
@@ -125,6 +125,25 @@ class TestBuildG:
                    "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
         assert code == 3
         assert "unknown label: 10000" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["cases.json", "m.arpa",
+                                                             "pairs.json"]
+
+    def test_graph_read_text_refuses_is_not_written(self, workdir, monkeypatch, capsys):
+        """A graph whose file read_text would refuse leaves no file at all."""
+
+        def sparse(model):
+            # Ten states, one arc 0 -> 9: state 9 is at or above twice the
+            # record count.
+            fst = oracles.add_arcs(oracles.empty_graph(SymbolTable(["a"]), 10),
+                                   (0, 9, 1, 1, -1.0))
+            fst.set_initial(0)
+            return fst
+
+        monkeypatch.setattr(gboost.cli, "build_g", sparse)
+        code = run("build-g", "--arpa", workdir / "m.arpa",
+                   "--out-fst", workdir / "g.fst", "--out-syms", workdir / "w.syms")
+        assert code == 3
+        assert "twice the number of arcs and final states (1)" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == ["cases.json", "m.arpa",
                                                              "pairs.json"]
 
@@ -403,8 +422,18 @@ class TestCompanion:
             f"read {g} from text (companion missing): {base}",
         ]
         assert len(lines) == len(expected)
+        seconds = r"(\d+\.\d{3}) s"
         for line, start in zip(lines, expected):
-            assert line.startswith(start) and re.search(r" in \d+\.\d{3} s$", line), line
+            assert line.startswith(start), line
+            if line.startswith("read "):
+                assert re.search(f" in {seconds}$", line), line
+                continue
+            # A write splits its seconds into text, symbols and companion.
+            match = re.search(f" in {seconds} \\(text {seconds}, symbols {seconds}, "
+                              f"companion {seconds}\\)$", line)
+            assert match, line
+            total, *parts = map(float, match.groups())
+            assert abs(sum(parts) - total) <= 0.0025, line
 
 
 class TestEvalCommand:

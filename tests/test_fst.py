@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import io
 import logging
 import math
@@ -8,6 +7,7 @@ import random
 import struct
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,8 +20,8 @@ from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
 from gboost.enhance import enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
-                        SymbolTable, _HEADER, _best_table, apply_diff, diff, load_graph,
-                        read_text, write_companion, write_text)
+                        SymbolTable, _HEADER, _best_table, _hash, apply_diff, diff,
+                        load_graph, read_text, write_companion, write_text)
 from gboost.graph import build_g
 from conftest import random_graph
 from oracles import add_arcs, arcs_matching, empty_graph, path_weight
@@ -865,9 +865,9 @@ def graph_state(fst):
 def save(fst, path, negate=False):
     """Write ``fst`` to text file ``path`` and its companion beside it, as the CLI does."""
     with open(path, "w") as handle:
-        write_text(fst, handle, negate=negate)
+        written = write_text(fst, handle, negate=negate)
     with open(path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(fst, path, handle, negate=negate)
+        write_companion(written, path, handle, negate=negate)
 
 
 def load(path, symbols, negate=False):
@@ -936,6 +936,93 @@ def test_companion_loads_what_read_text_reads(kind, seed, negate):
         assert graph_state(got) == graph_state(parsed(path, fst.symbols, negate))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GRAPHS)), st.integers(0, 2 ** 32), st.booleans())
+@example("odd", 0, False)
+@example("odd", 0, True)
+def test_write_text_returns_what_read_text_reads(kind, seed, negate):
+    fst = _GRAPHS[kind](seed)
+    buf = io.StringIO()
+    written = write_text(fst, buf, negate=negate)
+    again = read_text(io.StringIO(buf.getvalue()), fst.symbols, negate=negate)
+    assert graph_state(written) == graph_state(again)
+    rewritten = io.StringIO()
+    write_text(written, rewritten, negate=negate)
+    assert rewritten.getvalue() == buf.getvalue()
+
+
+def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
+    """Folding the overlay and parsing the printed weights give the re-read graph's bytes."""
+    fst = enhanced_graph(7)
+    assert fst._overlay
+    for negate in (False, True):
+        first, second = str(tmp_path / "first.fst"), str(tmp_path / "second.fst")
+        save(fst, first, negate)
+        save(parsed(first, fst.symbols, negate), second, negate)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+        assert (Path(first + COMPANION_SUFFIX).read_bytes()
+                == Path(second + COMPANION_SUFFIX).read_bytes())
+
+
+def test_write_text_blocks_keep_column_order(monkeypatch):
+    """Blocks cut anywhere: in a state's arcs, right after the initial state, per arc."""
+    table = SymbolTable(["a", "b", "c"])
+    # Initial state 2 has 3 arcs; state 0 has 7, more than a block of 3.
+    arcs = [(2, 0, 1, 1, -1 / 3), (2, 1, 2, 2, -2 / 3), (2, 3, 3, 3, -1 / 7)]
+    arcs += [(0, k % 4, k % 3 + 1, k % 3 + 1, -k / 9) for k in range(7)]
+    arcs += [(3, 0, 2, 1, 1 / 11)]
+    fst = add_arcs(empty_graph(table, 5), *arcs)
+    fst.set_final(4, -0.25)
+    fst.set_final(2, 1 / 13)
+    fst.set_initial(2)
+    enhanced = fst.copy()
+    add_arcs(enhanced, (1, 4, 3, 3, -5 / 17), (0, 2, 2, 2, -6 / 19))
+    for graph in (fst, enhanced):
+        for negate in (False, True):
+            want = io.StringIO()
+            oracles.write_text_by_arc(graph, want, negate=negate)
+            state = graph_state(read_text(io.StringIO(want.getvalue()), table, negate=negate))
+            for block in (1, 2, 3, 4, 7, 1 << 14):
+                monkeypatch.setattr(gboost.fst, "_BLOCK", block)
+                got = io.StringIO()
+                written = write_text(graph, got, negate=negate)
+                assert got.getvalue() == want.getvalue(), (block, negate)
+                assert graph_state(written) == state, (block, negate)
+
+
+def test_write_text_refuses_what_read_text_refuses():
+    # Nine states and one arc 0 -> 8: the file would name state 8, but
+    # read_text bounds state ids by twice the number of arcs and final
+    # states.
+    sparse = add_arcs(empty_graph(SymbolTable(["a"]), 9), (0, 8, 1, 1, -1.0))
+    sparse.set_initial(0)
+    buf = io.StringIO()
+    with pytest.raises(InvariantError, match="last state, 8, is at or above twice the "
+                                             r"number of arcs and final states \(1\)"):
+        write_text(sparse, buf)
+    assert buf.getvalue() == ""  # refused before a byte is written
+    sparse.set_final(1, 0.0)
+    with pytest.raises(InvariantError, match=r"final states \(2\)"):
+        write_text(sparse, buf)
+    add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4
+    with pytest.raises(InvariantError, match=r"final states \(4\)"):
+        write_text(sparse, buf)
+    assert buf.getvalue() == ""
+    add_arcs(sparse, (1, 1, 1, 1, -3.0))  # five records: ids up to 9 read back
+    written = write_text(sparse, buf)
+    assert graph_state(written) == graph_state(read_text(io.StringIO(buf.getvalue()),
+                                                         sparse.symbols))
+
+
+def test_write_companion_refuses_a_graph_with_an_overlay(tmp_path):
+    fst = enhanced_graph(3)
+    path = str(tmp_path / "g.fst")
+    with open(path, "w") as handle:
+        write_text(fst, handle)
+    with pytest.raises(InvariantError, match="overlay"):
+        write_companion(fst, path, io.BytesIO())
+
+
 def test_companion_serves_a_larger_symbol_table(tmp_path):
     fst = odd_graph()
     path = str(tmp_path / "g.fst")
@@ -972,11 +1059,18 @@ def test_companion_not_used_falls_back_to_the_text(tmp_path, reason):
 def test_companion_of_a_text_read_text_rejects_is_not_used(tmp_path):
     """An unknown symbol, or a bad text: load_graph raises what read_text raises."""
     path = str(tmp_path / "g.fst")
-    # write_text names state 9 by its arc, but read_text bounds state ids
-    # by the record count.
-    sparse = add_arcs(empty_graph(SymbolTable(["a"]), 10), (0, 9, 1, 1, -1.0))
-    sparse.set_initial(0)
-    save(sparse, path)
+    # Ten states and one arc 0 -> 9: write_text refuses this graph, as
+    # read_text bounds state ids by the record count, so its text is written
+    # by the reference writer and its companion, with correct digests, from
+    # the columns themselves. Only the loader's state bound turns it away.
+    sparse = gboost.fst._from_columns(SymbolTable(["a"]), array("q", [0] + [1] * 10),
+                                      array("i", [9]), array("i", [1]), array("i", [1]),
+                                      array("d", [-1.0]))
+    sparse.initial = 0
+    with open(path, "w") as handle:
+        oracles.write_text_by_arc(sparse, handle)
+    with open(path + COMPANION_SUFFIX, "wb") as handle:
+        write_companion(sparse, path, handle)
     with pytest.raises(FormatError, match="state id 9 is at or above twice"):
         load_graph(path, SymbolTable(["a"]))
     fst = odd_graph()
@@ -1007,7 +1101,7 @@ def sections(data):
 def sealed(data):
     """``data`` with its trailing payload digest made right again."""
     body = bytes(data[:-32])
-    return body + hashlib.sha256(body).digest()
+    return body + _hash(body).digest()
 
 
 def put(data, name, index, code, value):
@@ -1041,7 +1135,8 @@ _BROKEN = {
     "symbols-not-utf8": (lambda d: put(d, "names", 0, "B", 0xff), "symbols are not UTF-8"),
     "wrong-item-size": (lambda d: set_header(d, i_size=8), "item sizes differ"),
     "wrong-byte-order": (lambda d: set_header(d, little=1 - d[8]), "byte order"),
-    "magic": (lambda d: set_header(d, magic=b"gboostG\x02"), "not a graph companion"),
+    # The retired version 1: its companions are not used either.
+    "magic": (lambda d: set_header(d, magic=b"gboostG\x01"), "not a graph companion"),
 }
 
 
