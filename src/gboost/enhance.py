@@ -233,11 +233,17 @@ def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
     symbols = fst.symbols
     label_of = symbols._sym2lab.get
     prefix = config.max_predictors
-    predictor_labels = {symbols.label(w) for g in config.groups for w in g.predictors[:prefix]}
     target_labels = {label for g in config.groups for t in g.targets
                      if (label := label_of(t)) is not None}
     # One scan of the unmodified graph finds every predictor and target arc.
-    found = fst.scan(predictor_labels | target_labels)
+    # Predictor prefixes nest, so it looks for every predictor, and the
+    # result, memoized beside the plans, serves every predictor count.
+    labels = frozenset({symbols.label(w) for g in config.groups for w in g.predictors}
+                       | target_labels)
+    memo = fst.memo()
+    found = memo.get(("scan", labels))
+    if found is None:
+        found = memo[("scan", labels)] = fst.scan(labels)
     # The weight of each existing target slot (source, destination, word);
     # the last of parallel arcs wins.
     existing = {(source, arc[0], label): arc[3]
@@ -294,10 +300,13 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     Plan, then apply. The plan (see the module docstring) is memoized in
     the graph's :meth:`~gboost.fst.Wfst.memo`, which copies share, keyed by
     the config without theta; so cells of a sweep that differ only in
-    theta plan once. Applying adds the new words to the graph's own symbol
-    table, resolves each target's label there, and adds theta to each
-    slot's base. Logs one INFO line per call, and a warning when some
-    candidates exceed their predictor's weight.
+    theta plan once. The label scan behind a plan is memoized there too,
+    keyed by its labels, every predictor's and every known target's; so
+    plans that differ only in the predictor count share one scan. Applying
+    adds the new words to the graph's own symbol table, resolves each
+    target's label there, and adds theta to each slot's base. Logs one
+    INFO line per call, and a warning when some candidates exceed their
+    predictor's weight.
     """
     symbols = fst.symbols
     config.validate(symbols)

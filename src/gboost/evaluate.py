@@ -199,14 +199,17 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
     Every cell re-enhances a private copy of the pristine baseline graph,
     so cells are independent of each other and of evaluation order. A copy
     (:meth:`~gboost.fst.Wfst.copy`) shares the baseline's arc columns,
-    their best-arc tables and its memo. The memo holds the enhancement
-    plans, which do not depend on theta, so cells with the same predictor
-    count share one plan: the first scans the graph and builds it, the
-    others only add theta and write their arcs (see :mod:`gboost.enhance`). A
-    cell's enhancement writes states into the copy's own overlay, and each
-    written state's best-arc table is the shared one plus the arcs the cell
-    appended. A value repeated in either list is swept once. A cell whose
-    enhancement fails is recorded as None.
+    every best-arc table built over them so far and its memo. The memo
+    holds the label scan and the enhancement plans, neither of which
+    depends on theta: the first cell scans the graph once for every
+    predictor count, cells with the same predictor count share one plan,
+    and the others only add theta and write their arcs (see
+    :mod:`gboost.enhance`). A cell's added arcs stay pending (see
+    :class:`~gboost.fst.Wfst`): ranking builds the tables of only the
+    states it visits, each written one the shared table plus the cell's
+    arcs there, and no arc is copied into an overlay list. A value repeated
+    in either list is swept once. A cell whose enhancement fails is
+    recorded as None.
     """
     if not theta_list or not chnum_list:
         raise InvariantError("theta and predictor-count lists must be non-empty")

@@ -11,10 +11,14 @@ sparse rows): per-state offsets into one stdlib ``array`` each of targets,
 input labels and output labels (C ``int``) and of weights (C ``double``).
 That is about 20 bytes per arc and no Python object per arc. Columns are
 never written once built, so every copy of a graph shares them, along with
-the best-arc tables built over them. An arc edit moves its state into the
-graph's overlay: a list of ``(target, ilabel, olabel, weight)`` tuples
-that belongs to that graph alone and replaces the state's column arcs
-there. State ids and labels must fit the C ``int`` columns.
+the best-arc tables built over them. A removal or reweight moves its state
+into the graph's overlay: a list of ``(target, ilabel, olabel, weight)``
+tuples that belongs to that graph alone and replaces the state's column
+arcs there. Added arcs first stay pending, sorted by source: a state's
+best-arc table takes them in when it is built, and every other reader of
+arcs first moves them all into the overlay. So a graph that is edited and
+then scored pays only for the states it scores. State ids and labels must
+fit the C ``int`` columns.
 
 Companion file. Text is the interchange format, and parsing it is the
 largest cost of reading a graph. :func:`write_companion` writes, beside
@@ -55,10 +59,10 @@ import math
 import os
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
-from operator import is_, itemgetter, le, sub
+from operator import itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
@@ -283,8 +287,13 @@ class Wfst:
     count it was built with. After that its arcs change only through
     :func:`apply_diff`. ``_overlay`` maps every state that was written to
     its overlay list of arc tuples; the other states read their arcs from
-    the columns. The one rule: columns are shared and never written, and
-    every overlay list belongs to exactly one graph.
+    the columns. ``_pending_sources`` and ``_pending_arcs`` hold the arcs
+    :func:`apply_diff` added and no reader has yet moved into the overlay:
+    their sources in ascending order and, beside them, their arc tuples,
+    in delta order within a state. A state's arcs are its overlay list, or
+    else its column arcs, followed by its pending arcs. The one rule:
+    columns are shared and never written, and every overlay list and
+    pending list belongs to exactly one graph.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
@@ -294,19 +303,25 @@ class Wfst:
     None, so that scoring finds a state's table with one list lookup. Its
     length is the state count.
 
-    ``_memo`` holds the enhancement plans of :func:`gboost.enhance.enhance`,
-    which are computed from the arcs alone and costly to recompute.
-    :meth:`copy` shares it, along with the columns and the tables, and
-    clones the overlay lists, so edits never reach another graph. A freshly
-    read graph has an empty overlay, and copying it costs nothing per state.
+    ``_memo`` holds the enhancement plans of :func:`gboost.enhance.enhance`
+    and the label scans behind them, which are computed from the arcs alone
+    and costly to recompute. :meth:`copy` shares it, along with the columns
+    and their tables, and clones the overlay lists, so edits never reach
+    another graph. A freshly read graph has an empty overlay, and copying
+    it costs one list copy of its state count.
 
-    Every arc edit goes through ``_writable(state)``: it moves the state
-    into the overlay, resets the graph's table for the state and drops the
-    memo, for this graph only. :func:`apply_diff` uses it; code that edits
-    arc lists must too.
+    Every removal and reweight goes through ``_writable(state)``: it moves
+    the state into the overlay, resets the graph's table for the state and
+    drops the memo, for this graph only. Additions do the same through
+    :func:`apply_diff`, except that their arcs stay pending. Every reader
+    of arcs but :meth:`best_arcs` first calls ``_settle``, which appends
+    the pending arcs to their states' overlay lists; so does
+    ``_writable``. Code that edits arc lists must go through ``_writable``.
 
-    The graph is single-writer, and taking a copy counts as a write of the
-    original; once enhancement is done it can be read from many threads.
+    The graph is single-writer, and taking a copy or settling counts as a
+    write of the original. Once enhancement is done it can be read from
+    many threads through :meth:`best_arcs` alone, or through any reader
+    once one call has settled its additions.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
@@ -315,6 +330,9 @@ class Wfst:
                                  array("d"))
         # The overlay list of each written state.
         self._overlay: dict[int, list[tuple[int, int, int, float]]] = {}
+        # Added arcs not yet in the overlay: ascending sources, arcs beside them.
+        self._pending_sources: list[int] = []
+        self._pending_arcs: list[tuple[int, int, int, float]] = []
         # Per state: the best-arc table this graph last used, or None.
         self._tables: list[dict | None] = []
         # Values computed from the arcs, shared with copies; None after a write.
@@ -350,9 +368,10 @@ class Wfst:
     # -- arcs -----------------------------------------------------------
 
     def _writable(self, state: int) -> list:
-        # The only way to an arc list that may be edited. Checks the state,
-        # moves it into the overlay on its first write, resets its table and
-        # drops the memo.
+        # The only way to an arc list that may be edited. Settles the pending
+        # additions, checks the state, moves it into the overlay on its first
+        # write, resets its table and drops the memo.
+        self._settle()
         arcs = self._overlay.get(state)
         if arcs is None:
             if not 0 <= state < len(self._tables):  # _check_state, inline
@@ -362,7 +381,26 @@ class Wfst:
         self._memo = None
         return arcs
 
+    def _settle(self) -> None:
+        # Appends each pending arc to its state's overlay list, one slice of
+        # the pending arcs per state, and leaves nothing pending. The tables
+        # stay: each is None or was built over these very arcs.
+        sources = self._pending_sources
+        if not sources:
+            return
+        arcs, overlay, columns = self._pending_arcs, self._overlay, self._columns
+        end, size = 0, len(sources)
+        while end < size:
+            state = sources[end]
+            start, end = end, bisect_right(sources, state, end)
+            listed = overlay.get(state)
+            if listed is None:
+                listed = overlay[state] = columns.arcs(state).copy()
+            listed += arcs[start:end]
+        self._pending_sources, self._pending_arcs = [], []
+
     def num_arcs(self, state: int | None = None) -> int:
+        self._settle()
         offsets = self._columns.offsets
         if state is None:
             return offsets[-1] + sum(len(arcs) - offsets[s + 1] + offsets[s]
@@ -375,13 +413,15 @@ class Wfst:
     def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
         """The (target, ilabel, olabel, weight) tuples of ``state``, in order.
 
-        For a state whose arcs are in the columns, a list built on first use
-        and kept beside them, which every copy of the graph shares; for a
-        written state, this graph's live overlay list. Editing either
-        bypasses the best-arc table and the memo, and editing the first
-        corrupts every copy, so treat the result as read-only. ``state`` is
-        not range-checked: take it from :meth:`states` or from an arc target.
+        Moves any pending additions into the overlay first. For a state
+        whose arcs are in the columns, a list built on first use and kept
+        beside them, which every copy of the graph shares; for a written
+        state, this graph's live overlay list. Editing either bypasses the
+        best-arc table and the memo, and editing the first corrupts every
+        copy, so treat the result as read-only. ``state`` is not
+        range-checked: take it from :meth:`states` or from an arc target.
         """
+        self._settle()
         arcs = self._overlay.get(state)
         return self._columns.arcs(state) if arcs is None else arcs
 
@@ -391,24 +431,26 @@ class Wfst:
         Each label maps to its highest-weight arc, the first in arc order
         among equal weights. Built on first use and kept until the state's
         arcs change. A column state's table is built once and shared with
-        every copy. A written state whose arcs are still its column arcs,
-        the same tuples in the same order, with arcs appended after them,
-        as enhancement leaves it, gets a copy of that shared table with the
-        appended arcs folded in; any other written state's table is built
-        from all its arcs. Read-only, and unchecked like :meth:`arcs`.
+        every copy. A state with pending additions and no overlay list gets
+        a copy of that shared table with its pending arcs, found by bisect,
+        folded in: a pending arc wins only if it weighs strictly more. Any
+        other written state's table is built from all its arcs. Moves no
+        pending arc into the overlay. Read-only, and unchecked like
+        :meth:`arcs`.
         """
         table = self._tables[state]
         if table is None:
+            sources = self._pending_sources
+            start = bisect_left(sources, state)
+            end = bisect_right(sources, state, start)
+            pending = self._pending_arcs[start:end]
             arcs = self._overlay.get(state)
-            if arcs is None:
-                table = self._column_table(state)
+            if arcs is not None:
+                table = _best_table(chain(arcs, pending))
+            elif pending:
+                table = _best_table(pending, self._column_table(state).copy())
             else:
-                head = self._columns.tuples[state]  # listed by its first write
-                if head and len(arcs) >= len(head) and all(map(is_, head, arcs)):
-                    table = _best_table(islice(arcs, len(head), None),
-                                        self._column_table(state).copy())
-                else:
-                    table = _best_table(arcs)
+                table = self._column_table(state)
             self._tables[state] = table
         return table
 
@@ -430,7 +472,7 @@ class Wfst:
 
         Each key names what its value was computed from besides the arcs.
         A write empties this graph's memo and leaves its copies' alone.
-        :func:`gboost.enhance.enhance` keeps its plans here. Treat the
+        :func:`gboost.enhance.enhance` keeps its plans and label scans here. Treat the
         values as read-only.
         """
         if self._memo is None:
@@ -444,8 +486,10 @@ class Wfst:
         order, an empty list if it has none. One pass over the whole graph:
         the column arcs of unwritten states, then the overlay lists, then
         each label's pairs put in state order (a stable sort, so arc order
-        holds within a state).
+        holds within a state). Moves any pending additions into the overlay
+        first.
         """
+        self._settle()
         labels = frozenset(labels)
         found: _Found = {label: [] for label in labels}
         overlay = self._overlay
@@ -471,12 +515,23 @@ class Wfst:
         return found
 
     def copy(self) -> "Wfst":
-        """A copy with its own overlay lists, sharing the columns, tables and memo."""
+        """A copy with its own overlay lists, sharing the columns, tables and memo.
+
+        Moves this graph's pending additions into its overlay first, and
+        leaves the copy none. The copy starts with every table built so far
+        beside the columns, by this graph or any other copy, and with this
+        graph's tables of its overlay states; so a copy finds the tables of
+        the states it never writes with one list lookup each.
+        """
+        self._settle()
         new = Wfst.__new__(Wfst)
         new.symbols = self.symbols.copy()
         new._columns = self._columns
         new._overlay = {state: arcs.copy() for state, arcs in self._overlay.items()}
-        new._tables = self._tables.copy()
+        new._pending_sources, new._pending_arcs = [], []
+        tables = new._tables = self._columns.best.copy()
+        for state in self._overlay:
+            tables[state] = self._tables[state]
         new._memo = self.memo()
         new.initial = self.initial
         new.finals = dict(self.finals)
@@ -590,6 +645,7 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     surplus arcs become additions or removals. A state whose arcs are only
     appended to, each under a new key, as :func:`gboost.enhance.enhance`
     appends them, skips the grouping: its new arcs are its additions.
+    Moves both graphs' pending additions into their overlays first.
     """
     if before.symbols != after.symbols:
         raise InvariantError("graphs do not share a symbol table")
@@ -599,6 +655,8 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     if before.initial != after.initial:
         raise InvariantError("initial states do not correspond")
 
+    before._settle()
+    after._settle()
     out = FstDiff()
     for state in _maybe_changed(before, after):
         b_arcs, a_arcs = before.arcs(state), after.arcs(state)
@@ -644,6 +702,14 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     weights must be finite, else InvariantError. A reweight edits the last
     arc equal to its old arc: the one whose weight enhancement reads for a
     slot.
+
+    Additions are checked in bulk, column by column. Only when a check
+    fails are they walked one by one, which raises the first error in
+    delta order. Accepted additions stay pending (see :class:`Wfst`): their
+    states' tables are reset and the memo is dropped, but no overlay list
+    is made until a reader other than :meth:`Wfst.best_arcs` asks for arcs,
+    or the next write comes. Additions still pending from an earlier call
+    move into the overlay first.
     """
     # An Arc without its source is the tuple a state's arc list stores.
     for arc in delta.removed_arcs:
@@ -662,30 +728,53 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
-    # Additions are checked one by one, then appended per source state in
-    # delta order through one _writable call each.
-    num_states = fst.num_states()
-    isfinite = math.isfinite
-    added: dict[int, list[tuple[int, int, int, float]]] = {}
-    for source, target, ilabel, olabel, weight in delta.added_arcs:
-        if not 0 <= target < num_states:
-            raise InvariantError(f"unknown state id: {target}")
-        if ilabel < 0 or olabel < 0:
-            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
-        if not isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
-        arcs = added.get(source)
-        if arcs is None:
-            arcs = added[source] = []
-        arcs.append((target, ilabel, olabel, weight))
-    for source, arcs in added.items():
-        fst._writable(source).extend(arcs)
+    if delta.added_arcs:
+        sources, targets, ilabels, olabels, weights = zip(*delta.added_arcs)
+        num_states = fst.num_states()
+        if (min(sources) < 0 or max(sources) >= num_states or min(targets) < 0
+                or max(targets) >= num_states or min(ilabels) < 0 or min(olabels) < 0
+                or not all(map(math.isfinite, weights))):
+            _add_by_arc(fst, delta.added_arcs)  # raises the first error
+        else:
+            # One delta's additions at most are pending: merging a second
+            # into the first would cost the first's size per call.
+            fst._settle()
+            tables = fst._tables
+            for source in sources:
+                tables[source] = None
+            fst._memo = None
+            # In source order by a stable sort, so delta order holds within
+            # a state.
+            arcs = list(zip(targets, ilabels, olabels, weights))
+            order = sorted(range(len(sources)), key=sources.__getitem__)
+            fst._pending_sources = list(map(sources.__getitem__, order))
+            fst._pending_arcs = list(map(arcs.__getitem__, order))
     for state, _, after_weight in delta.final_changes:
         if after_weight is None:
             fst.finals.pop(state, None)
         else:
             fst.set_final(state, after_weight)
     return fst
+
+
+def _add_by_arc(fst: Wfst, added: list[Arc]) -> None:
+    # The additions checked one by one in delta order, then appended per
+    # source state, in order of first appearance, through one _writable
+    # call each. The first bad target, label or weight raises before any
+    # arc lands; a bad source raises once the sources before it have theirs.
+    num_states = fst.num_states()
+    isfinite = math.isfinite
+    by_source: dict[int, list[tuple[int, int, int, float]]] = {}
+    for source, target, ilabel, olabel, weight in added:
+        if not 0 <= target < num_states:
+            raise InvariantError(f"unknown state id: {target}")
+        if ilabel < 0 or olabel < 0:
+            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
+        if not isfinite(weight):
+            raise InvariantError(f"arc weight must be finite, got {weight}")
+        by_source.setdefault(source, []).append((target, ilabel, olabel, weight))
+    for source, arcs in by_source.items():
+        fst._writable(source).extend(arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +789,8 @@ _BLOCK = 1 << 14
 def _folded(fst: Wfst) -> tuple[array, array, array, array, array]:
     # The graph's offsets and arc columns with each overlay list in place of
     # its state's column arcs, the inverse of _writable: its own columns if
-    # it has no overlay, else fresh ones.
+    # it has no overlay, else fresh ones. Pending additions are settled first.
+    fst._settle()
     columns, overlay = fst._columns, fst._overlay
     if not overlay:
         return (columns.offsets, columns.targets, columns.ilabels, columns.olabels,
@@ -977,8 +1067,10 @@ def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False
     with ``negate``: the graph :func:`read_text` builds from that text. This
     dumps its columns (see the module docstring for the layout), and
     :func:`load_graph` reads them back from ``path + COMPANION_SUFFIX``.
-    InvariantError if ``fst`` has an overlay, which no such graph has.
+    InvariantError if ``fst`` has an overlay or pending additions, which
+    no such graph has.
     """
+    fst._settle()
     if fst._overlay:
         raise InvariantError("a companion is written from the graph write_text returns, "
                              "which has no overlay")

@@ -85,6 +85,21 @@ def scans(monkeypatch):
 
 
 @pytest.fixture
+def settles(monkeypatch):
+    """Per call that moved pending additions into the overlay: how many it moved."""
+    log = []
+    real_settle = Wfst._settle
+
+    def counting_settle(fst):
+        if fst._pending_sources:
+            log.append(len(fst._pending_sources))
+        return real_settle(fst)
+
+    monkeypatch.setattr(Wfst, "_settle", counting_settle)
+    return log
+
+
+@pytest.fixture
 def plans(monkeypatch):
     """Predictor counts of the enhancement plans built during the test."""
     log = []

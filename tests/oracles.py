@@ -323,6 +323,39 @@ def scan_by_arc(fst, labels):
     return found
 
 
+def best_arcs_by_arc(fst, state):
+    """What :meth:`Wfst.best_arcs` returns: per input label, the first highest-weight arc."""
+    table = {}
+    for arc in fst.arcs(state):
+        held = table.get(arc[1])
+        if held is None or arc[3] > held[3]:
+            table[arc[1]] = arc
+    return table
+
+
+def apply_diff_by_arc(fst, delta):
+    """A valid diff replayed onto ``fst`` one edit at a time, straight into its overlay.
+
+    Removals, reweights (each of the last equal arc), additions in delta
+    order, then final changes: what :func:`gboost.fst.apply_diff` does to
+    the arcs, with every arc list edited through ``Wfst._writable``, so no
+    addition is ever pending. Returns ``fst``.
+    """
+    for arc in delta.removed_arcs:
+        fst._writable(arc.source).remove(arc[1:])
+    for old, new in delta.reweighted_arcs:
+        arcs = fst._writable(old.source)
+        arcs[len(arcs) - 1 - arcs[::-1].index(old[1:])] = new[1:]
+    for arc in delta.added_arcs:
+        fst._writable(arc.source).append(arc[1:])
+    for state, _, after in delta.final_changes:
+        if after is None:
+            fst.finals.pop(state, None)
+        else:
+            fst.finals[state] = after
+    return fst
+
+
 def graphs_equal(a, b):
     """Order-insensitive structural equality of two graphs."""
     if a.num_states() != b.num_states() or a.initial != b.initial:

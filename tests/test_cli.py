@@ -252,6 +252,24 @@ class TestEnhanceCommand:
         added = [line for line in diff_lines if line.startswith("+ ")]
         assert all(line.split()[3] == "wifi" for line in added)
 
+    def test_added_arcs_settle_once_at_the_write(self, workdir, settles, monkeypatch):
+        fst_path, syms_path = build(workdir)
+        real_write_text = gboost.cli.write_text
+
+        def marked_write_text(*args, **kwargs):
+            settles.append("write_text")
+            return real_write_text(*args, **kwargs)
+
+        monkeypatch.setattr(gboost.cli, "write_text", marked_write_text)
+        code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json",
+                   "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms",
+                   "--diff", workdir / "delta.txt")
+        assert code == 0
+        added = [line for line in (workdir / "delta.txt").read_text().splitlines()
+                 if line.startswith("+ ")]
+        assert added and settles == ["write_text", len(added)]
+
     def test_unknown_predictor_is_invariant_error(self, workdir, capsys):
         fst_path, syms_path = build(workdir)
         bad = dict(PAIRS, groups=[{"predictors": ["nosuchword"], "targets": ["wifi"],

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -230,7 +231,12 @@ class TestCopyOnWrite:
 
 
 class TestBestArcTables:
-    """A written state's table: the shared column table plus appended arcs, or a rebuild."""
+    """A state's table: the shared column table plus its pending arcs, or a rebuild.
+
+    Only a state with pending additions and no overlay list derives its
+    table; once its arcs are in the overlay (any read but best_arcs, or
+    the next write, moves them there) its table is rebuilt from them.
+    """
 
     # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
     # a label on two arcs with different weights (b).
@@ -243,7 +249,7 @@ class TestBestArcTables:
         # edit name: (diffs applied in turn, whether each table is derived)
         "append": ([FstDiff(added_arcs=APPEND)], [True]),
         "append twice": ([FstDiff(added_arcs=APPEND[:2]), FstDiff(added_arcs=APPEND[2:])],
-                         [True, True]),
+                         [True, False]),
         "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False]),
         "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2, 2.0),
                                                 Arc(0, 2, 2, 2, 0.25))])], [False]),
@@ -300,6 +306,181 @@ class TestBestArcTables:
                     for state in fst.states():
                         assert (fst.best_arcs(state) == _best_table(fst.arcs(state))
                                 ), (seed, step, state)
+
+
+class TestPendingAdditions:
+    """Added arcs stay pending until a reader other than best_arcs asks for arcs."""
+
+    # Labels a=1, b=2, c=3. State 0's column arcs: a at 1.0, then b at 0.5.
+    ARCS = [(0, 1, "a", "a", 1.0), (0, 2, "b", "b", 0.5), (1, 2, "a", "a", 0.0)]
+
+    def base(self, fst_factory):
+        source = fst_factory("a b c", self.ARCS, {2: 0.0})
+        return read_text(io.StringIO(text_of(source)), source.symbols)
+
+    def test_pending_tables_keep_the_tie_rule(self, fst_factory):
+        base = self.base(fst_factory)
+        shared = base.best_arcs(0)
+        fst, sibling = base.copy(), base.copy()
+        apply_diff(fst, FstDiff(added_arcs=[
+            Arc(0, 2, 1, 1, 1.0),   # ties the column arc on a: the column arc wins
+            Arc(0, 1, 3, 3, 2.0),   # a label the state lacks
+            Arc(0, 2, 3, 3, 2.0),   # ties the pending arc before it: the first wins
+            Arc(0, 2, 2, 2, 0.75),  # beats the column arc on b
+        ]))
+        table = fst.best_arcs(0)
+        assert fst._pending_sources == [0] * 4 and 0 not in fst._overlay
+        assert table == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.75), 3: (1, 3, 3, 2.0)}
+        assert table[1] is shared[1]  # the column arc itself
+        assert fst.best_arcs(1) is base.best_arcs(1)  # an unwritten state shares
+        # The sibling never sees the edit, and the shared table is unchanged.
+        assert sibling.best_arcs(0) is shared
+        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.5)}
+        assert table == oracles.best_arcs_by_arc(fst, 0)  # settles
+        assert not fst._pending_sources and 0 in fst._overlay
+        assert fst.best_arcs(0) is table  # still valid once settled
+
+    def test_copies_start_with_the_shared_tables(self, fst_factory):
+        base = self.base(fst_factory)
+        table = base.copy().best_arcs(1)  # built through a copy, beside the columns
+        assert base.copy()._tables[1] is table
+        written = base.copy()
+        apply_diff(written, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
+        own = written.best_arcs(0)
+        grand = written.copy()
+        assert grand._tables[0] is own and grand._tables[1] is table
+        apply_diff(grand, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
+        assert grand._tables[1] is None
+        assert grand.best_arcs(1)[2] == (0, 2, 2, 3.0)
+        assert written.best_arcs(1) is table
+
+    @pytest.mark.parametrize("added, message", [
+        # A non-finite weight at arc 2 comes before a bad target at arc 4.
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 2, 2, 2, math.nan), Arc(1, 2, 3, 3, 0.0),
+          Arc(0, 9, 1, 1, 0.0)], "arc weight must be finite, got nan"),
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2, -2, 0.0)], "labels must be non-negative: 2:-2"),
+        # A bad source raises once the sources before it have their arcs.
+        ([Arc(1, 0, 1, 1, 0.5), Arc(5, 0, 1, 1, 0.0), Arc(0, 0, 2, 2, 0.0)],
+         "unknown state id: 5"),
+    ])
+    def test_refused_additions_raise_the_first_error(self, fst_factory, added, message):
+        """A refused delta leaves what replaying it arc by arc leaves, and nothing pending."""
+        base = self.base(fst_factory)
+        pending = Arc(1, 1, 3, 3, -1.0)  # a pending addition from an earlier call
+        removal = Arc(0, 1, 1, 1, 1.0)
+        fst = apply_diff(base.copy(), FstDiff(added_arcs=[pending]))
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            apply_diff(fst, FstDiff(removed_arcs=[removal], added_arcs=added))
+        assert not fst._pending_sources and not fst._pending_arcs
+        expected = oracles.apply_diff_by_arc(base.copy(), FstDiff(
+            added_arcs=[pending], removed_arcs=[removal]))
+        if message.startswith("unknown state id"):
+            oracles.apply_diff_by_arc(expected, FstDiff(added_arcs=added[:1]))
+        assert text_of(fst) == text_of(expected)
+        assert diff(fst, expected) == FstDiff()
+
+
+# Reads compared between a graph edited through apply_diff (additions
+# pending) and the same graph edited one arc at a time into its overlay.
+_READS = ("best_arcs", "arcs", "num_arcs", "scan", "diff", "write_text")
+_WEIGHTS = (-1.0, -0.5, 0.0, 0.5)
+
+
+def _text_or_error(fst):
+    try:
+        return text_of(fst)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def _check_read(read, lazy, eager, base, data):
+    states = lazy.states()
+    if read == "best_arcs":
+        for state in states:
+            assert lazy.best_arcs(state) == oracles.best_arcs_by_arc(eager, state), state
+    elif read == "arcs":
+        state = data.draw(st.sampled_from(states))
+        assert lazy.arcs(state) == eager.arcs(state)
+    elif read == "num_arcs":
+        state = data.draw(st.sampled_from([None, *states]))
+        assert lazy.num_arcs(state) == eager.num_arcs(state)
+    elif read == "scan":
+        labels = data.draw(st.sets(st.sampled_from(sorted(lazy.symbols._lab2sym))))
+        assert lazy.scan(labels) == oracles.scan_by_arc(eager, labels)
+    elif read == "diff":
+        assert diff(base, lazy) == diff(base, eager)
+        assert diff(lazy, eager) == FstDiff()
+    else:
+        assert _text_or_error(lazy) == _text_or_error(eager)
+
+
+def _draw_delta(data, eager):
+    """A valid delta for ``eager``: additions, a removal, a reweight, a final change."""
+    n = eager.num_states()
+    labels = sorted(eager.symbols._lab2sym)
+    added = []
+    for _ in range(data.draw(st.integers(0, 4), label="additions")):
+        source, target = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        own = eager.arcs(source)
+        if own and data.draw(st.booleans(), label="tie an arc the state has"):
+            _, label, olabel, weight = data.draw(st.sampled_from(own))
+        else:
+            label, olabel = (data.draw(st.sampled_from(labels)) for _ in "io")
+            weight = data.draw(st.sampled_from(_WEIGHTS))
+        added.append(Arc(source, target, label, olabel, weight))
+    delta = FstDiff(added_arcs=added)
+    written = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    for state, kind in zip(written, ("remove", "reweight")):
+        if not eager.arcs(state):
+            continue
+        old = Arc(state, *data.draw(st.sampled_from(eager.arcs(state))))
+        if kind == "remove":
+            delta.removed_arcs.append(old)
+        else:
+            new = old._replace(weight=data.draw(st.sampled_from(_WEIGHTS)))
+            delta.reweighted_arcs.append((old, new))
+    if data.draw(st.booleans(), label="final change"):
+        state = data.draw(st.integers(0, n - 1))
+        after = data.draw(st.sampled_from((None, *_WEIGHTS)))
+        delta.final_changes.append((state, eager.finals.get(state), after))
+    return delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("random", "backoff")), st.integers(0, 2 ** 32), st.data())
+def test_lazy_edits_read_as_eager_ones(kind, seed, data):
+    """Edits, reads and copies in any order: every read equals the eager graph's.
+
+    Pairs of graphs start as fresh reads of one text: one edited through
+    apply_diff, the other through oracles.apply_diff_by_arc. Each step
+    edits one pair, copies one pair (a sibling that never sees later
+    edits of the original), or reads every pair; two edits in a row leave
+    additions from both. All reads of all pairs end the run, best_arcs
+    first, so pending states are read before anything settles them.
+    """
+    if kind == "random":
+        source = random_graph(seed, n_states=6, n_arcs=14, n_symbols=3, epsilon_arcs=2)
+    else:
+        source = random_backoff_graph(random.Random(seed), VOCAB[:6])
+    text, symbols = text_of(source), source.symbols
+    base = read_text(io.StringIO(text), symbols)
+    pairs = [(read_text(io.StringIO(text), symbols), read_text(io.StringIO(text), symbols))]
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        step = data.draw(st.sampled_from(("edit", "edit", "copy", "read")))
+        lazy, eager = data.draw(st.sampled_from(pairs))
+        if step == "edit":
+            delta = _draw_delta(data, eager)
+            apply_diff(lazy, delta)
+            oracles.apply_diff_by_arc(eager, delta)
+        elif step == "copy":
+            pairs.append((lazy.copy(), eager.copy()))
+        else:
+            read = data.draw(st.sampled_from(_READS))
+            for lazy, eager in pairs:
+                _check_read(read, lazy, eager, base, data)
+    for read in _READS:
+        for lazy, eager in pairs:
+            _check_read(read, lazy, eager, base, data)
 
 
 class TestPathWeight:
@@ -907,7 +1088,7 @@ def odd_graph():
 
 
 def enhanced_graph(seed):
-    """A random back-off graph after enhancement: written states in the overlay."""
+    """A random back-off graph after enhancement: the arcs it added still pending."""
     rng = random.Random(seed)
     fst = random_backoff_graph(rng, VOCAB)
     enhance(fst, random_config(rng, VOCAB, fresh_token_stream()))
@@ -952,9 +1133,9 @@ def test_write_text_returns_what_read_text_reads(kind, seed, negate):
 
 
 def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
-    """Folding the overlay and parsing the printed weights give the re-read graph's bytes."""
+    """Settling, folding and parsing the printed weights give the re-read graph's bytes."""
     fst = enhanced_graph(7)
-    assert fst._overlay
+    assert fst._pending_sources and fst._overlay
     for negate in (False, True):
         first, second = str(tmp_path / "first.fst"), str(tmp_path / "second.fst")
         save(fst, first, negate)
