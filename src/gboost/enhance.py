@@ -27,7 +27,9 @@ base, so that the count of candidates whose weight exceeds their
 predictor's (the overshoot warning) is exact at every theta.
 
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
-unmodified graph, then written by :func:`~gboost.fst.apply_diff`.
+unmodified graph, then written: the raised arcs by
+:func:`~gboost.fst.apply_diff`, the added arcs straight into the graph's
+pending additions, as the tail of ``apply_diff`` would add them.
 """
 
 from __future__ import annotations
@@ -340,18 +342,27 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
             if group.is_new(target) and target not in symbols:
                 symbols.add(target)
     delta = FstDiff()
-    # Built in C, with no bytecode step per arc: zip yields each arc's
-    # fields, and tuple.__new__ (Arc's constructor without its argument
-    # handling) makes the arc.
-    for target, sources, dests, weights in added:
-        labels = repeat(symbols.label(target))
-        delta.added_arcs += map(tuple.__new__, repeat(Arc),
-                                zip(sources, dests, labels, labels, weights))
     for target, source, dest, before, weight in raised:
         label = symbols.label(target)
         delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
                                       Arc(source, dest, label, label, weight)))
     apply_diff(fst, delta)
+    # The additions go straight to the graph's pending arcs, without the
+    # checks apply_diff makes on a delta: their states come from the
+    # graph's own arcs, their labels from its symbol table, and their
+    # weights were checked above. Built in C, with no bytecode step per
+    # arc: zip yields each arc's fields, and tuple.__new__ (Arc's
+    # constructor without its argument handling) makes the diff's arc.
+    sources: list[int] = []
+    arcs: list[tuple[int, int, int, float]] = []
+    for target, run_sources, dests, weights in added:
+        labels = repeat(symbols.label(target))
+        sources += run_sources
+        arcs += zip(dests, labels, labels, weights)
+        delta.added_arcs += map(tuple.__new__, repeat(Arc),
+                                zip(run_sources, dests, labels, labels, weights))
+    if sources:
+        fst._add_pending(sources, arcs)
     log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,

@@ -65,7 +65,7 @@ from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
@@ -313,10 +313,12 @@ class Wfst:
     Every removal and reweight goes through ``_writable(state)``: it moves
     the state into the overlay, resets the graph's table for the state and
     drops the memo, for this graph only. Additions do the same through
-    :func:`apply_diff`, except that their arcs stay pending. Every reader
-    of arcs but :meth:`best_arcs` first calls ``_settle``, which appends
-    the pending arcs to their states' overlay lists; so does
-    ``_writable``. Code that edits arc lists must go through ``_writable``.
+    ``_add_pending``, the tail of :func:`apply_diff` that
+    :func:`gboost.enhance.enhance` also calls, except that their arcs stay
+    pending. Every reader of arcs but :meth:`best_arcs` first calls
+    ``_settle``, which appends the pending arcs to their states' overlay
+    lists; so does ``_writable``. Code that edits arc lists must go through
+    ``_writable``.
 
     The graph is single-writer, and taking a copy or settling counts as a
     write of the original. Once enhancement is done it can be read from
@@ -398,6 +400,22 @@ class Wfst:
                 listed = overlay[state] = columns.arcs(state).copy()
             listed += arcs[start:end]
         self._pending_sources, self._pending_arcs = [], []
+
+    def _add_pending(self, sources: Sequence[int], arcs: list[tuple[int, int, int, float]]
+                     ) -> None:
+        # Adds arc i, already checked, to state sources[i], pending. Resets
+        # the sources' tables and drops the memo. One call's additions at
+        # most are pending: merging a second into the first would cost the
+        # first's size per call, so earlier ones are settled first. Sorted
+        # by source with a stable sort, so call order holds within a state.
+        self._settle()
+        tables = self._tables
+        for source in sources:
+            tables[source] = None
+        self._memo = None
+        order = sorted(range(len(sources)), key=sources.__getitem__)
+        self._pending_sources = list(map(sources.__getitem__, order))
+        self._pending_arcs = list(map(arcs.__getitem__, order))
 
     def num_arcs(self, state: int | None = None) -> int:
         self._settle()
@@ -736,19 +754,7 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
                 or not all(map(math.isfinite, weights))):
             _add_by_arc(fst, delta.added_arcs)  # raises the first error
         else:
-            # One delta's additions at most are pending: merging a second
-            # into the first would cost the first's size per call.
-            fst._settle()
-            tables = fst._tables
-            for source in sources:
-                tables[source] = None
-            fst._memo = None
-            # In source order by a stable sort, so delta order holds within
-            # a state.
-            arcs = list(zip(targets, ilabels, olabels, weights))
-            order = sorted(range(len(sources)), key=sources.__getitem__)
-            fst._pending_sources = list(map(sources.__getitem__, order))
-            fst._pending_arcs = list(map(arcs.__getitem__, order))
+            fst._add_pending(sources, list(zip(targets, ilabels, olabels, weights)))
     for state, _, after_weight in delta.final_changes:
         if after_weight is None:
             fst.finals.pop(state, None)
@@ -1181,7 +1187,7 @@ def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> Wfst:
         fst = _read_companion(path, symbols, negate)
         source = "companion"
     except _Fallback as reason:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             fst = read_text(handle, symbols, negate=negate)
         source = f"text (companion {reason})"
     log.info("read %s from %s: %d states, %d arcs in %.3f s", path, source,

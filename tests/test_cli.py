@@ -633,6 +633,62 @@ class TestWeightConventions:
         assert "bogus" in capsys.readouterr().err
 
 
+class TestEncoding:
+    # Non-ASCII words in every input: the model, pairs, cases and sentences.
+    WORDS = {"liuliang": "流量", "wifi": "wifi网络"}
+
+    def localise(self, text):
+        for word, replacement in self.WORDS.items():
+            text = text.replace(word, replacement)
+        return text
+
+    def run_all(self, workdir, out, env=None):
+        """build-g, enhance, score (from the graph text) and eval, in a fresh process."""
+        out.mkdir()
+        fst, syms = out / "g.fst", out / "g.syms"
+        commands = [
+            ["build-g", "--arpa", workdir / "m.arpa", "--out-fst", fst, "--out-syms", syms],
+            ["enhance", "--in-fst", fst, "--in-syms", syms, "--pairs", workdir / "pairs.json",
+             "--out-fst", out / "enh.fst", "--out-syms", out / "enh.syms",
+             "--diff", out / "enhance.diff"],
+            ["score", "--fst", fst, "--syms", syms, "--text", workdir / "s.txt",
+             "--out", out / "scores.txt"],
+            ["eval", "--fst", out / "enh.fst", "--syms", out / "enh.syms",
+             "--cases", workdir / "cases.json", "--out", out / "eval"],
+        ]
+        for argv in commands:
+            if argv[0] == "score":
+                (out / "g.fst.bin").unlink()  # so the graph text is read
+            proc = subprocess.run([sys.executable, "-m", "gboost.cli", *map(str, argv)],
+                                  env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_files_are_utf8_under_any_locale(self, workdir, telecom_arpa):
+        """Every text file is read and written as UTF-8, whatever the locale's encoding."""
+        (workdir / "m.arpa").write_text(self.localise(telecom_arpa), encoding="utf-8")
+        for name in ("pairs.json", "cases.json"):
+            path = workdir / name
+            path.write_text(self.localise(path.read_text(encoding="utf-8")), encoding="utf-8")
+        (workdir / "s.txt").write_text("wo 流量\nwifi网络 de\n", encoding="utf-8")
+        src = str(Path(gboost.cli.__file__).parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        utf8 = dict(os.environ, PYTHONPATH=path, PYTHONUTF8="1")
+        # The C locale, without the coercion to C.UTF-8 and UTF-8 mode that
+        # Python would otherwise switch on for it.
+        ascii_env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", LANG="C",
+                         PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        ascii_env.pop("PYTHONIOENCODING", None)
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=ascii_env, capture_output=True, text=True, check=True)
+        if probe.stdout.strip().lower().replace("-", "") == "utf8":
+            pytest.skip("the C locale's encoding is UTF-8 here")
+        expected = self.run_all(workdir, workdir / "utf8", utf8)
+        assert "流量" in expected["scores.txt"].decode("utf-8")
+        assert self.run_all(workdir, workdir / "ascii", ascii_env) == expected
+
+
 class TestMalformedInputs:
     # Each command line reads one malformed file, BAD; the other names are
     # good inputs from the workdir.

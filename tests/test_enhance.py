@@ -437,13 +437,21 @@ THETA = st.sampled_from([0.0, -0.0, 2.0, -4.0]) | st.floats(-8, 8)
 
 
 def check_cells(base, counts_a, counts_b, cells):
-    """Enhance sibling copies of ``base``, one per (theta, chnum) cell, against the reference."""
+    """Enhance sibling copies of ``base``, one per (theta, chnum) cell, against the reference.
+
+    Each copy's arcs, in order, are the reference diff replayed one edit at
+    a time onto another copy.
+    """
     planned = set()
     for theta, chnum in cells:
         config = plan_config(counts_a, counts_b, theta, chnum)
         expected, overshoot = oracles.enhance_by_candidate(base, config)
-        delta, info = logged_enhance(base.copy(), config)
+        enhanced = base.copy()
+        delta, info = logged_enhance(enhanced, config)
         assert bits(delta) == bits(expected), (theta, chnum)
+        replayed = oracles.apply_diff_by_arc(base.copy(), expected)
+        assert [enhanced.arcs(s) for s in base.states()] == [
+            replayed.arcs(s) for s in base.states()], (theta, chnum)
         assert info[1:5] == (chnum, len(expected.added_arcs),
                              len(expected.reweighted_arcs), overshoot)
         assert info[5] == ("reused" if chnum in planned else "built")
