@@ -5,7 +5,7 @@ violation (vocabulary mismatches, bad configs, broken graphs). Output
 files are written atomically: into a temp file beside the target, renamed
 onto it on success and removed on any failure. Graph and symbol files are
 streamed into the temp file, never built whole in memory: a graph's text
-is formatted one block of arcs at a time. ``build-g`` frees the parsed
+is formatted one state's lines at a time. ``build-g`` frees the parsed
 model before it writes the graph. The --weights flag (default from
 $GBOOST_WEIGHTS) selects between log-probability files and
 cost-convention files, whose weights are negated on read and write.
@@ -13,7 +13,9 @@ cost-convention files, whose weights are negated on read and write.
 Graph files. ``build-g`` and ``enhance`` write three files per graph: the
 graph text ``--out-fst PATH``, its symbol table ``--out-syms``, and the
 binary companion ``PATH.bin`` (see :mod:`gboost.fst`). Text is the
-interchange format; the companion is derived data, safe to delete, that
+interchange format, and exact: its weights and those of ``--diff`` lines
+read back bit for bit (see ``gboost.fst.WEIGHT_FMT``); score lines print
+9 significant digits. The companion is derived data, safe to delete, that
 lets a later command skip the text parse. ``enhance``, ``score``,
 ``eval`` and ``diff-fst`` load a graph from its companion when it matches
 the text, the --weights convention and the symbol table they read, and
@@ -25,7 +27,9 @@ write also splits its seconds into text, symbols and companion.
 Text files are read and written as UTF-8, whatever the locale: a file
 that is not UTF-8 exits 2. ``score`` reads its --text in binary, cuts it
 into lines at ``\\n`` bytes, decodes each line and scores each piece
-``str.splitlines`` makes of it. When --text is a regular file of at least
+``str.splitlines`` makes of it; a line that is not UTF-8 is named by its
+number, counted in ``\\n`` bytes, and the offset of its bad byte in the
+file. When --text is a regular file of at least
 twice ``_PARALLEL_MIN_BYTES`` bytes, and this process can fork, runs no
 other thread and may use more than one CPU, ``score`` splits it into byte
 ranges that start just after a ``\\n`` byte, one per CPU but at least
@@ -91,6 +95,10 @@ EXIT_FORMAT = 2
 EXIT_INVARIANT = 3
 
 WEIGHT_CONVENTIONS = ("logprob", "cost")
+
+# Print format of `score` lines, 9 significant digits: unlike graph text,
+# no command reads a score file back, and longer lines cost `score` time.
+SCORE_FMT = "%.9g"
 
 # The fewest bytes of --text per process when `score` splits its input.
 # On the benchmark's seed-1801 inputs with two CPUs, one worker broke even
@@ -182,22 +190,22 @@ def _load_graph(fst_path, syms_path, negate):
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
-    # Streamed into the temp files, the text one block of arcs at a time:
-    # it is never held whole in memory. The companion dumps the graph the
-    # text reads back to, which write_text returns.
+    # Streamed into the temp files: the text is never held whole in memory.
+    # write_text folds g's overlay into its own columns, which the exact
+    # text reads back to and the companion then dumps.
     start = perf_counter()
     with _atomic_open(fst_path) as handle:
-        written = write_text(g, handle, negate=negate)
+        write_text(g, handle, negate=negate)
     text_done = perf_counter()
     with _atomic_open(syms_path) as handle:
         g.symbols.write(handle)
     symbols_done = perf_counter()
     with _atomic_open(fst_path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(written, fst_path, handle, negate=negate)
+        write_companion(g, fst_path, handle, negate=negate)
     end = perf_counter()
     log.info("wrote %s and its companion: %d states, %d arcs in %.3f s "
              "(text %.3f s, symbols %.3f s, companion %.3f s)", fst_path,
-             written.num_states(), written.num_arcs(), end - start, text_done - start,
+             g.num_states(), g.num_arcs(), end - start, text_done - start,
              symbols_done - text_done, end - symbols_done)
 
 
@@ -258,23 +266,44 @@ def _cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _score_lines(g: Wfst, text: BinaryIO, size: float, out: TextIO, sign: float) -> None:
-    # Scores the next `size` bytes of `text`, which end just after a \n
-    # byte, or all the rest if `size` is infinite.
+def _score_lines(g: Wfst, text: BinaryIO, start: int, end: float, out: TextIO,
+                 sign: float) -> None:
+    # Scores bytes start..end of `text`, which is at offset `start`: a range
+    # that ends just after a \n byte, or all the rest if `end` is infinite.
+    at = start
     for line in text:
         # Split at \n bytes, then decoded: a \n byte is never part of a
         # longer UTF-8 character. str.splitlines also breaks at \r, \v, \f
         # and a few other separators; each piece is a sentence.
-        for sentence in line.decode("utf-8").splitlines():
+        try:
+            sentences = line.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(text, at, exc) from None
+        for sentence in sentences:
             words = sentence.split()
             try:
                 score = graph_score(g, words)
             except NoPathError:
                 score = -math.inf
-            out.write(f"{WEIGHT_FMT % (sign * score)}\t{' '.join(words)}\n")
-        size -= len(line)
-        if size <= 0:
+            out.write(f"{SCORE_FMT % (sign * score)}\t{' '.join(words)}\n")
+        at += len(line)
+        if at >= end:
             break
+
+
+def _not_utf8(text: BinaryIO, at: int, exc: UnicodeDecodeError) -> FormatError:
+    # The error for the line at byte `at`, which `exc` could not decode. Its
+    # number, counted in \n bytes, costs a reread of the text up to it;
+    # a text that cannot seek, a pipe say, is named by offset alone.
+    message = f"--text is not UTF-8 at byte offset {at + exc.start}: {exc.reason}"
+    if not text.seekable():
+        return FormatError(message)
+    text.seek(0)
+    newlines = 0
+    while at > 0 and (block := text.read(min(at, 1 << 16))):
+        newlines += block.count(b"\n")
+        at -= len(block)
+    return FormatError(message, line=newlines + 1)
 
 
 def _split_points(text: BinaryIO) -> list[int]:
@@ -325,7 +354,7 @@ def _score_worker(g: Wfst, path: str, start: int, end: int, spool: IO[bytes],
             with open(path, "rb") as text, \
                     open(spool.fileno(), "w", encoding="utf-8", closefd=False) as out:
                 text.seek(start)
-                _score_lines(g, text, end - start, out, sign)
+                _score_lines(g, text, start, end, out, sign)
             code = EXIT_OK
         except BaseException as exc:
             failure = _failure(exc)
@@ -358,7 +387,7 @@ def _score_split(g: Wfst, path: str, text: BinaryIO, cuts: list[int], out: TextI
                 _score_worker(g, path, start, end, spool, sign)
             workers.append((pid, spool))
             running.add(pid)
-        _score_lines(g, text, cuts[1], out, sign)
+        _score_lines(g, text, 0, cuts[1], out, sign)
         for (pid, spool), start, end in zip(workers, cuts[1:], cuts[2:]):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.discard(pid)
@@ -395,7 +424,7 @@ def _cmd_score(args) -> int:
             (_atomic_open(args.out) if args.out else nullcontext(sys.stdout)) as out:
         cuts = _split_points(text)
         if len(cuts) == 2:
-            _score_lines(g, text, math.inf, out, sign)
+            _score_lines(g, text, 0, math.inf, out, sign)
         else:
             start = perf_counter()
             _score_split(g, args.text, text, cuts, out, sign)

@@ -20,12 +20,12 @@ arcs first moves them all into the overlay. So a graph that is edited and
 then scored pays only for the states it scores. State ids and labels must
 fit the C ``int`` columns.
 
-Companion file. Text is the interchange format, and parsing it is the
-largest cost of reading a graph. :func:`write_companion` writes, beside
-a graph's text file ``PATH``, a binary copy ``PATH.bin`` of the graph
-that :func:`read_text` builds from that text, which :func:`load_graph`
-loads in a few array reads. It is derived data, safe to delete. Layout
-(version 2), in this machine's byte order and item sizes:
+Companion file. Text is the interchange format, and exact (see
+``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
+:func:`write_companion` writes, beside a graph's text file ``PATH``, a
+binary copy ``PATH.bin`` of the graph written there, which
+:func:`load_graph` loads in a few array reads. It is derived data, safe to
+delete. Layout (version 2), in this machine's byte order and item sizes:
 
 - header (``_HEADER``, little-endian): magic ``gboostG\\x02``; byte order
   (1 little-endian) and the item sizes of ``q``, ``i`` and ``d`` arrays;
@@ -39,17 +39,16 @@ loads in a few array reads. It is derived data, safe to delete. Layout
   each ended by a newline;
 - the BLAKE2b-256 of everything before it.
 
-The weights are those the text reads back to, not the graph's own: the
-text format rounds. :func:`write_text` parses each weight from the very
-string it printed, ``sign * float(text)``, and returns the graph so read,
-whose columns the companion holds. The companion is used only when its
-size matches its header, its negate flag the reader's, the text still
-hashes to its stored digest, the payload to its own, every count, id and
-weight passes the checks :func:`read_text` makes, and every label the arcs
-use names the same symbol in the reader's table (a larger table
-qualifies). The key is the content, not the path or a timestamp: a text
-edited in place never reads back as the old graph. Any other companion,
-version 1 included, or none, means the text is parsed.
+Both writers first fold the graph's overlay into its own columns, in
+place, so the companion dumps the columns the text was printed from, with
+the finals in file order: what :func:`read_text` builds from that text.
+The companion is used only when its size matches its header, its negate
+flag the reader's, the text still hashes to its stored digest, the payload
+to its own, every count, id and weight passes the checks :func:`read_text`
+makes, and every label the arcs use names the same symbol in the reader's
+table (a larger table qualifies). The key is the content, not the path or
+a timestamp: a text edited in place never reads back as the old graph. Any
+other companion, version 1 included, or none, means the text is parsed.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, NamedTuple, Sequence, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
@@ -82,8 +81,11 @@ log = logging.getLogger(__name__)
 EPSILON = "<eps>"
 EPSILON_LABEL = 0
 
-# Fixed print format for weights, 9 significant digits.
-WEIGHT_FMT = "%.9g"
+# Print format for weights in graph text and diffs. 17 significant digits
+# read back to the very double printed, for every finite weight, -0.0 too
+# (Gay 1990, "Correctly rounded binary-decimal and decimal-binary
+# conversions"): a graph read from its text is the graph written, bit for bit.
+WEIGHT_FMT = "%.17g"
 
 # The largest state id or label a column holds.
 ID_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
@@ -229,13 +231,12 @@ class _Columns:
 
     State ``s`` owns entries ``offsets[s]`` up to ``offsets[s + 1]`` of
     the four arc columns, in arc order. ``best[s]`` is the best-arc table
-    of those arcs and ``tuples[s]`` their list of arc tuples, each None
-    until first asked for. Neither the columns nor what is built from them
-    ever change, so all copies of a graph share them: a sweep's cells, say,
-    which write the same states over and over.
+    of those arcs, None until first asked for. Neither the columns nor the
+    tables ever change, so all copies of a graph share them: a sweep's
+    cells, say, which write the same states over and over.
     """
 
-    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best", "tuples")
+    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best")
 
     def __init__(self, offsets: array, targets: array, ilabels: array, olabels: array,
                  weights: array):
@@ -245,7 +246,6 @@ class _Columns:
         self.olabels = olabels
         self.weights = weights
         self.best: list[dict | None] = [None] * (len(offsets) - 1)
-        self.tuples: list[list | None] = [None] * (len(offsets) - 1)
 
     def slices(self, state: int) -> tuple[array, array, array, array]:
         """Targets, input labels, output labels and weights of ``state``'s arcs."""
@@ -254,10 +254,8 @@ class _Columns:
                 self.olabels[start:end], self.weights[start:end])
 
     def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
-        arcs = self.tuples[state]
-        if arcs is None:
-            arcs = self.tuples[state] = list(zip(*self.slices(state)))
-        return arcs
+        """A new list of ``state``'s arc tuples."""
+        return list(zip(*self.slices(state)))
 
     def views(self) -> tuple[array, memoryview, memoryview, memoryview, memoryview]:
         """The offsets, then a view of each arc column, which slices without copying."""
@@ -318,12 +316,14 @@ class Wfst:
     pending. Every reader of arcs but :meth:`best_arcs` first calls
     ``_settle``, which appends the pending arcs to their states' overlay
     lists; so does ``_writable``. Code that edits arc lists must go through
-    ``_writable``.
+    ``_writable``. Writing a graph to a file first calls ``_fold``, which
+    moves the overlay into new columns of this graph's own, copies keeping
+    theirs, and changes no arc.
 
-    The graph is single-writer, and taking a copy or settling counts as a
-    write of the original. Once enhancement is done it can be read from
-    many threads through :meth:`best_arcs` alone, or through any reader
-    once one call has settled its additions.
+    The graph is single-writer, and taking a copy, settling or folding
+    counts as a write of the original. Once enhancement is done it can be
+    read from many threads through :meth:`best_arcs` alone, or through any
+    reader once one call has settled its additions.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
@@ -378,7 +378,7 @@ class Wfst:
         if arcs is None:
             if not 0 <= state < len(self._tables):  # _check_state, inline
                 raise InvariantError(f"unknown state id: {state}")
-            arcs = self._overlay[state] = self._columns.arcs(state).copy()
+            arcs = self._overlay[state] = self._columns.arcs(state)
         self._tables[state] = None
         self._memo = None
         return arcs
@@ -397,9 +397,38 @@ class Wfst:
             start, end = end, bisect_right(sources, state, end)
             listed = overlay.get(state)
             if listed is None:
-                listed = overlay[state] = columns.arcs(state).copy()
+                listed = overlay[state] = columns.arcs(state)
             listed += arcs[start:end]
         self._pending_sources, self._pending_arcs = [], []
+
+    def _fold(self) -> None:
+        # The inverse of _writable: settles, then moves every overlay list
+        # into new columns, in place of its state's column arcs. No arc
+        # changes, so the tables, which the new columns take, and the memo
+        # stay. Copies keep the old columns.
+        self._settle()
+        overlay = self._overlay
+        if not overlay:
+            return
+        columns = self._columns
+        offsets = columns.offsets
+        sources = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
+        counts = list(map(sub, islice(offsets, 1, None), offsets))
+        folded = [array(source.typecode) for source in sources]
+        at = 0
+        for state in sorted(overlay):
+            arcs = overlay[state]
+            counts[state] = len(arcs)
+            for column, source in zip(folded, sources):
+                column += source[at:offsets[state]]
+            for column, values in zip(folded, zip(*arcs)):
+                column.extend(values)
+            at = offsets[state + 1]
+        for column, source in zip(folded, sources):
+            column += source[at:]
+        self._columns = _Columns(array("q", accumulate(counts, initial=0)), *folded)
+        self._columns.best = self._tables.copy()
+        self._overlay = {}
 
     def _add_pending(self, sources: Sequence[int], arcs: list[tuple[int, int, int, float]]
                      ) -> None:
@@ -432,12 +461,10 @@ class Wfst:
         """The (target, ilabel, olabel, weight) tuples of ``state``, in order.
 
         Moves any pending additions into the overlay first. For a state
-        whose arcs are in the columns, a list built on first use and kept
-        beside them, which every copy of the graph shares; for a written
-        state, this graph's live overlay list. Editing either bypasses the
-        best-arc table and the memo, and editing the first corrupts every
-        copy, so treat the result as read-only. ``state`` is not
-        range-checked: take it from :meth:`states` or from an arc target.
+        whose arcs are in the columns, a new list; for a written state,
+        this graph's live overlay list, whose editing bypasses the best-arc
+        table and the memo, so treat the result as read-only. ``state`` is
+        not range-checked: take it from :meth:`states` or from an arc target.
         """
         self._settle()
         arcs = self._overlay.get(state)
@@ -787,58 +814,21 @@ def _add_by_arc(fst: Wfst, added: list[Arc]) -> None:
 # Text format
 
 
-# Arcs per block of write_text: the weight strings of one block at a time
-# are all it holds.
-_BLOCK = 1 << 14
-
-
-def _folded(fst: Wfst) -> tuple[array, array, array, array, array]:
-    # The graph's offsets and arc columns with each overlay list in place of
-    # its state's column arcs, the inverse of _writable: its own columns if
-    # it has no overlay, else fresh ones. Pending additions are settled first.
-    fst._settle()
-    columns, overlay = fst._columns, fst._overlay
-    if not overlay:
-        return (columns.offsets, columns.targets, columns.ilabels, columns.olabels,
-                columns.weights)
-    offsets = columns.offsets
-    sources = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
-    counts = list(map(sub, islice(offsets, 1, None), offsets))
-    folded = [array(source.typecode) for source in sources]
-    at = 0
-    for state in sorted(overlay):
-        arcs = overlay[state]
-        counts[state] = len(arcs)
-        for column, source in zip(folded, sources):
-            column += source[at:offsets[state]]
-        for column, values in zip(folded, zip(*arcs)):
-            column.extend(values)
-        at = offsets[state + 1]
-    for column, source in zip(folded, sources):
-        column += source[at:]
-    return (array("q", accumulate(counts, initial=0)), *folded)
-
-
-def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> Wfst:
-    """Write ``fst`` as text; return the graph :func:`read_text` reads back.
+def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
+    """Write ``fst`` as text.
 
     One record per line, fields separated by spaces: an arc is ``src dst
     isym osym weight`` and a final state ``state weight``, with symbols from
     ``fst.symbols``. The initial state's records come first, so
     :func:`read_text` finds it on line 1; then every other state in id
     order, each with its arcs in list order and then its final weight, if it
-    has one. Weights print as ``"%.9g" % w``. With ``negate`` the file holds
-    costs: each weight is printed as ``"%.9g" % (-1.0 * w)``.
+    has one. Weights print as ``WEIGHT_FMT % w``, 17 significant digits,
+    which :func:`read_text` reads back to ``w`` bit for bit. With ``negate``
+    the file holds costs: each weight is printed as ``WEIGHT_FMT % (-1.0 * w)``.
 
-    An overlay is first folded into fresh columns. Weights are then printed
-    one block of ``_BLOCK`` arcs at a time, never all at once, and each
-    string is parsed back, ``sign * float(text)``. The graph returned is the
-    one :func:`read_text` builds from the text, and what
-    :func:`write_companion` dumps: columns only, labelled by ``fst.symbols``
-    itself, with its finals in file order. A caller that wants only the
-    text pays for it too: the parse-back (about 0.03 s per 180k arcs), a
-    weights array of the graph's size and, when the graph has an overlay,
-    folded copies of its other columns.
+    The graph's overlay is first folded into its own columns, in place (see
+    :class:`Wfst`): its arcs do not change. Each weight is then printed
+    once, as its line is written.
 
     InvariantError, before anything is written, if the graph has no initial
     state, if that state or the last state has neither arcs nor a final
@@ -853,9 +843,11 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> Wfst:
     finals = fst.finals
     if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
-    offsets, targets, ilabels, olabels, weights = _folded(fst)
+    fst._fold()
+    columns = fst._columns
+    offsets = columns.offsets
     top = len(offsets) - 2
-    if offsets[top] == offsets[top + 1] and top not in finals and top not in targets:
+    if offsets[top] == offsets[top + 1] and top not in finals and top not in columns.targets:
         raise InvariantError(f"the last state, {top}, has no arcs, is not final and has "
                              "no arc into it; the file would not name it")
     named = offsets[-1] + len(finals)
@@ -863,49 +855,27 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> Wfst:
         raise InvariantError(f"the last state, {top}, is at or above twice the number of "
                              f"arcs and final states ({named}); the file would not read back")
     sign = -1.0 if negate else 1.0
-    mod, mul = WEIGHT_FMT.__mod__, sign.__mul__
     symbol = fst.symbols._lab2sym.__getitem__
-    views = [memoryview(column) for column in (targets, ilabels, olabels, weights)]
-    parsed = array("d", [0.0]) * len(weights)  # the read-back weights, in column order
-
-    def block(start: int, end: int) -> Iterator[tuple[int, str, str, str]]:
-        # The rows of column entries start..end. Each weight is printed once
-        # and its string parsed back into place.
-        target_view, ilabel_view, olabel_view, weight_view = (
-            view[start:end] for view in views)
-        if negate:  # 1.0 * w is w, bit for bit: only costs multiply
-            texts = list(map(mod, map(mul, weight_view)))
-            parsed[start:end] = array("d", map(mul, map(float, texts)))
-        else:
-            texts = list(map(mod, weight_view))
-            parsed[start:end] = array("d", map(float, texts))
-        return zip(target_view, map(symbol, ilabel_view), map(symbol, olabel_view), texts)
-
-    # File order is three runs of the columns: the initial state's entries,
-    # the states below it, the states above it. Each run is cut into blocks,
-    # and one row iterator runs through them all.
+    # File order is three runs of each column: the initial state's entries,
+    # the states below it, the states above it. Rows are printed as taken.
     first, after = offsets[initial], offsets[initial + 1]
-    runs = ((first, after), (0, first), (after, offsets[-1]))
-    rows = chain.from_iterable(block(at, min(at + _BLOCK, end)) for start, end in runs
-                               for at in range(start, end, _BLOCK))
-    read_finals: dict[int, float] = {}
+    targets, ilabels, olabels, weights = (
+        chain(view[first:after], view[:first], view[after:]) for view in map(
+            memoryview, (columns.targets, columns.ilabels, columns.olabels, columns.weights)))
+    if negate:  # 1.0 * w is w, bit for bit: only costs multiply
+        weights = map(sign.__mul__, weights)
+    rows = zip(targets, map(symbol, ilabels), map(symbol, olabels), weights)
     write = stream.write
     for state in chain((initial,), range(initial), range(initial + 1, top + 1)):
         try:
-            text = "".join(map(f"{state} %s %s %s %s\n".__mod__,
+            text = "".join(map(f"{state} %s %s %s {WEIGHT_FMT}\n".__mod__,
                                islice(rows, offsets[state + 1] - offsets[state])))
         except KeyError as exc:
             raise InvariantError(f"unknown label: {exc.args[0]}") from None
         final = finals.get(state)
         if final is not None:
-            final_text = mod(sign * final)
-            read_finals[state] = sign * float(final_text)
-            text += f"{state} {final_text}\n"
+            text += f"{state} {WEIGHT_FMT}\n" % (sign * final)
         write(text)
-    written = _from_columns(fst.symbols, offsets, targets, ilabels, olabels, parsed)
-    written.finals = read_finals
-    written.initial = initial
-    return written
 
 
 def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfst:
@@ -1069,19 +1039,18 @@ def _file_digest(path: str) -> bytes:
 def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False) -> None:
     """Write the companion of graph text file ``path`` to ``stream``.
 
-    ``fst`` is the graph :func:`write_text` returned when it wrote ``path``
-    with ``negate``: the graph :func:`read_text` builds from that text. This
-    dumps its columns (see the module docstring for the layout), and
-    :func:`load_graph` reads them back from ``path + COMPANION_SUFFIX``.
-    InvariantError if ``fst`` has an overlay or pending additions, which
-    no such graph has.
+    ``path`` holds ``fst`` as :func:`write_text` wrote it with ``negate``.
+    This folds the graph's overlay into its own columns, as that did (a
+    no-op once it has), and dumps them with the finals in file order (see
+    the module docstring for the layout): the graph :func:`read_text` builds
+    from that text, which :func:`load_graph` reads back from
+    ``path + COMPANION_SUFFIX``.
     """
-    fst._settle()
-    if fst._overlay:
-        raise InvariantError("a companion is written from the graph write_text returns, "
-                             "which has no overlay")
+    fst._fold()
     text_digest = _file_digest(path)
-    columns, finals = fst._columns, fst.finals
+    columns, finals, initial = fst._columns, fst.finals, fst.initial
+    # File order: the initial state first, then the others by id.
+    final_states = sorted(finals, key=lambda state: (state != initial, state))
     used = set(columns.ilabels)
     if columns.olabels != columns.ilabels:
         used.update(columns.olabels)
@@ -1089,10 +1058,11 @@ def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False
     names = "".join(fst.symbols.symbol(label) + "\n" for label in labels).encode()
     header = _HEADER.pack(_MAGIC, *_NATIVE, negate, len(columns.offsets) - 1,
                           len(columns.weights), len(finals), len(labels), len(names),
-                          fst.initial, text_digest)
+                          initial, text_digest)
     digest = _hash()
     for part in (header, columns.offsets, columns.targets, columns.ilabels, columns.olabels,
-                 columns.weights, array("i", finals), array("d", finals.values()),
+                 columns.weights, array("i", final_states),
+                 array("d", map(finals.__getitem__, final_states)),
                  array("i", labels), names):
         digest.update(part)
         stream.write(part)

@@ -104,7 +104,7 @@ class TestBuildG:
 
         def write(fst, stream, negate=False):
             assert [ref() for ref in models] == [None]
-            return write_text(fst, stream, negate=negate)
+            write_text(fst, stream, negate=negate)
 
         monkeypatch.setattr(gboost.cli, "parse_arpa", parse)
         monkeypatch.setattr(gboost.cli, "write_text", write)
@@ -175,7 +175,7 @@ class TestScore:
             score_text, _, echoed = line.partition("\t")
             assert echoed == sentence
             expected = oracle_score(telecom_model, sentence.split())
-            assert float(score_text) == pytest.approx(expected, abs=1e-6)
+            assert score_text == "%.9g" % expected  # 9 significant digits
 
     def test_no_path_sentence_prints_minus_inf(self, workdir, capsys):
         fst_path, syms_path = build(workdir)
@@ -258,7 +258,7 @@ class TestEnhanceCommand:
 
         def marked_write_text(*args, **kwargs):
             settles.append("write_text")
-            return real_write_text(*args, **kwargs)
+            real_write_text(*args, **kwargs)
 
         monkeypatch.setattr(gboost.cli, "write_text", marked_write_text)
         code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
@@ -269,6 +269,25 @@ class TestEnhanceCommand:
         added = [line for line in (workdir / "delta.txt").read_text().splitlines()
                  if line.startswith("+ ")]
         assert added and settles == ["write_text", len(added)]
+
+    @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
+    def test_enhancing_its_own_output_changes_nothing(self, workdir, weights):
+        """Idempotent through files: an empty second diff, and the first run's files."""
+        conv = ["--weights", weights]
+        fst_path, syms_path = build(workdir, conv)
+
+        def enhance_files(in_fst, in_syms, name):
+            assert run("enhance", "--in-fst", in_fst, "--in-syms", in_syms,
+                       "--pairs", workdir / "pairs.json", "--out-fst", workdir / f"{name}.fst",
+                       "--out-syms", workdir / f"{name}.syms",
+                       "--diff", workdir / f"{name}.diff", *conv) == 0
+            return {suffix: (workdir / (name + suffix)).read_bytes()
+                    for suffix in (".fst", ".syms", ".fst.bin", ".diff")}
+
+        once = enhance_files(fst_path, syms_path, "once")
+        twice = enhance_files(workdir / "once.fst", workdir / "once.syms", "twice")
+        assert once.pop(".diff") and twice.pop(".diff") == b""
+        assert twice == once
 
     def test_unknown_predictor_is_invariant_error(self, workdir, capsys):
         fst_path, syms_path = build(workdir)

@@ -9,7 +9,8 @@ import toylm
 from gboost.arpa import BOS, EOS, UNK, oracle_score, parse_arpa
 from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff
+from gboost.fst import (EPSILON, EPSILON_LABEL, Arc, FstDiff, Wfst, apply_diff, read_text,
+                        write_text)
 from gboost.graph import build_g, graph_score
 from oracles import add_arcs, arcs_matching, history_states, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
@@ -174,6 +175,28 @@ class TestGraphScore:
             sentence = rng.choices(["a", "b"], k=rng.randint(0, 5))
             assert graph_score(fst, sentence) == pytest.approx(
                 oracle_score(model, sentence), abs=1e-9)
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["logprob", "cost"])
+    def test_graph_read_from_its_text_scores_as_built(self, negate):
+        """Bit for bit as the graph build_g made, and within 1e-9 of the oracle.
+
+        Not equal to the oracle: the graph adds back-off weights folded into
+        its arcs, the oracle adds them per n-gram, and a different order of
+        additions can change the last bits of a sum, in memory as well.
+        """
+        words = [f"w{i}" for i in range(200)]
+        corpus = toylm.toy_corpus(words, 3000, seed=5)
+        model = parse(toylm.train_arpa(corpus, vocab=words, order=3))
+        built = build_g(model)
+        text = io.StringIO()
+        write_text(built, text, negate=negate)
+        read = read_text(io.StringIO(text.getvalue()), built.symbols, negate=negate)
+        rng = random.Random(9)
+        for sentence in corpus[:300] + [rng.choices(words, k=rng.randint(0, 9))
+                                        for _ in range(300)]:
+            got = graph_score(read, sentence)
+            assert got == graph_score(built, sentence), sentence
+            assert got == pytest.approx(oracle_score(model, sentence), abs=1e-9)
 
     def test_empty_sentence_takes_bos_eos_entry(self):
         unigrams = "-99\t<s>\t-0.15\n-0.5\ta\t-0.2\n-0.9\t</s>"

@@ -138,7 +138,8 @@ def test_stays_serial(graphs, tmp_path, count, min_bytes):
     assert len(out.splitlines()) == size // 6 + 1
 
 
-def test_fifo_stays_serial(graphs, tmp_path):
+def score_fifo(graphs, tmp_path, data):
+    """Exit code and stdout of one score run on ``data`` through a named pipe."""
     if not hasattr(os, "mkfifo"):
         pytest.skip("no named pipes on this platform")
     fifo = tmp_path / "fifo"
@@ -147,7 +148,7 @@ def test_fifo_stays_serial(graphs, tmp_path):
     if pid == 0:  # the writer
         try:
             with open(fifo, "wb") as pipe:
-                pipe.write(b"wo de\n" * 100)
+                pipe.write(data)
         finally:
             os._exit(0)
     try:
@@ -155,7 +156,13 @@ def test_fifo_stays_serial(graphs, tmp_path):
             code, out = score(graphs, "logprob", fifo)
     finally:
         os.waitpid(pid, 0)
-    assert code == 0 and forks == []
+    assert forks == []
+    return code, out
+
+
+def test_fifo_stays_serial(graphs, tmp_path):
+    code, out = score_fifo(graphs, tmp_path, b"wo de\n" * 100)
+    assert code == 0
     assert len(out.splitlines()) == 100
 
 
@@ -244,11 +251,37 @@ def test_parent_failure_kills_busy_workers(split_run, monkeypatch, capsys):
     assert code == 3 and len(err) == 1
 
 
+# The last line, "wo de wo de wo de", with its last word replaced by bytes
+# that are not UTF-8.
+BAD = "".join(LINES).encode()[:-3] + b"\xff\xfe\n"
+BAD_LINE_ERROR = ("gboost: input format error: line 30: --text is not UTF-8 at byte "
+                  f"offset {len(BAD) - 3}: invalid start byte")
+
+
 def test_bad_bytes_in_a_worker_range(split_run, capsys):
-    data = "".join(LINES).encode()
-    code, err, cuts = split_run(data[:-3] + b"\xff\xfe\n", capsys)
+    code, err, cuts = split_run(BAD, capsys)
+    assert code == 2 and cuts[2] < len(BAD) - 3
+    assert err == [BAD_LINE_ERROR]
+
+
+def test_bad_bytes_in_a_serial_run(graphs, tmp_path, capsys):
+    """The split run's message: the line, counted in \\n bytes, and the offset in the file."""
+    text_path = tmp_path / "s.txt"
+    text_path.write_bytes(BAD)
+    with cpus(1) as forks:
+        code, _ = score(graphs, "logprob", text_path, tmp_path / "scores.txt")
+    assert code == 2 and forks == []
+    assert capsys.readouterr().err.splitlines() == [BAD_LINE_ERROR]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]
+
+
+def test_bad_bytes_in_a_pipe(graphs, tmp_path, capsys):
+    """A text that cannot be read again is named by its byte offset alone."""
+    code, _ = score_fifo(graphs, tmp_path, b"wo de\n" * 3 + b"de \xff\n")
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("gboost: input format error: 'utf-8' codec")
+    assert capsys.readouterr().err.splitlines() == [
+        "gboost: input format error: --text is not UTF-8 at byte offset 21: "
+        "invalid start byte"]
 
 
 def test_worker_killed_by_a_signal(split_run, monkeypatch, capsys):
