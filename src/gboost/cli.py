@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 invariant
 violation (vocabulary mismatches, bad configs, broken graphs). Output
-files are written atomically: into a temp file beside the target, renamed
-onto it on success and removed on any failure. Graph and symbol files are
+files are written atomically: into a temp file beside the target, given
+the mode ``open`` would create it with under the umask, renamed onto the
+target on success and removed on any failure. Graph and symbol files are
 streamed into the temp file, never built whole in memory: a graph's text
 is formatted one state's lines at a time. ``build-g`` frees the parsed
 model before it writes the graph. The --weights flag (default from
@@ -12,7 +13,8 @@ cost-convention files, whose weights are negated on read and write.
 
 Graph files. ``build-g`` and ``enhance`` write three files per graph: the
 graph text ``--out-fst PATH``, its symbol table ``--out-syms``, and the
-binary companion ``PATH.bin`` (see :mod:`gboost.fst`). Text is the
+binary companion ``PATH.bin`` (see :mod:`gboost.fst`). ``enhance`` writes
+the new graph that enhancement derives from the one it reads. Text is the
 interchange format, and exact: its weights and those of ``--diff`` lines
 read back bit for bit (see ``gboost.fst.WEIGHT_FMT``); score lines print
 9 significant digits. The companion is derived data, safe to delete, that
@@ -124,12 +126,17 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """A handle on a temp file beside ``path``, renamed onto it on success.
 
-    Text mode writes UTF-8. If the body raises, the temp file is removed
-    and ``path`` is untouched.
+    Text mode writes UTF-8. The file gets the mode ``open(path, "w")`` would
+    create it with, not ``mkstemp``'s 0600. If the body raises, the temp
+    file is removed and ``path`` is untouched.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
+        # The umask can only be read by setting it, so it is set back at once.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
         os.replace(tmp, path)
@@ -191,8 +198,8 @@ def _load_graph(fst_path, syms_path, negate):
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
     # Streamed into the temp files: the text is never held whole in memory.
-    # write_text folds g's overlay into its own columns, which the exact
-    # text reads back to and the companion then dumps.
+    # write_text materializes g, whose columns the exact text reads back to
+    # and the companion then dumps.
     start = perf_counter()
     with _atomic_open(fst_path) as handle:
         write_text(g, handle, negate=negate)
@@ -259,7 +266,7 @@ def _cmd_enhance(args) -> int:
     _require_files(args.in_fst, args.in_syms, args.pairs)
     g = _load_graph(args.in_fst, args.in_syms, negate)
     config = load_pairs_config(Path(args.pairs).read_text(encoding="utf-8"))
-    _, delta = enhance(g, config)
+    g, delta = enhance(g, config)
     _write_graph(g, args.out_fst, args.out_syms, negate)
     if args.diff:
         _atomic_write(args.diff, format_diff(delta, g.symbols, negate))

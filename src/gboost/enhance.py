@@ -27,9 +27,8 @@ base, so that the count of candidates whose weight exceeds their
 predictor's (the overshoot warning) is exact at every theta.
 
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
-unmodified graph, then written: the raised arcs by
-:func:`~gboost.fst.apply_diff`, the added arcs straight into the graph's
-pending additions, as the tail of ``apply_diff`` would add them.
+unmodified graph, and the enhanced graph is built from it as
+:func:`~gboost.fst.apply_diff` builds one, as a new graph.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from operator import add, itemgetter, lt
 from typing import NamedTuple
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, _check_symbol, apply_diff
+from gboost.fst import (EPSILON, Arc, FstDiff, SymbolTable, Wfst, _check_symbol, _derived,
+                        _rewrite)
 
 log = logging.getLogger(__name__)
 
@@ -288,27 +288,29 @@ def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
 
 
 def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
-    """Apply similar-pair enhancement in place, returning (graph, diff).
+    """Apply similar-pair enhancement, returning (enhanced graph, diff).
 
     Per group, each target gains candidate arcs from the first
-    ``max_predictors`` predictors, one candidate per predictor arc in the
-    pre-enhancement graph. A slot (source state, destination state, word)
-    is created if absent, and raised to its best candidate's weight if that
-    is higher; it is never lowered, so repeating a run changes nothing.
-    Only target-word arcs are touched, and only once the whole diff exists
-    and every weight in it is known to be finite: a run that fails changes
-    neither the graph nor its symbol table.
+    ``max_predictors`` predictors, one candidate per predictor arc in
+    ``fst``. A slot (source state, destination state, word) is created if
+    absent, and raised to its best candidate's weight if that is higher; it
+    is never lowered, so repeating a run changes nothing. Only target-word
+    arcs are touched.
+
+    ``fst`` never changes, symbol table included, also when this raises.
+    The enhanced graph is a new one, built as :func:`~gboost.fst.apply_diff`
+    builds one: it shares ``fst``'s columns and tables, and, when the config
+    has new words, holds them in its own copy of the symbol table.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
-    the graph's :meth:`~gboost.fst.Wfst.memo`, which copies share, keyed by
-    the config without theta; so cells of a sweep that differ only in
-    theta plan once. The label scan behind a plan is memoized there too,
-    keyed by its labels, every predictor's and every known target's; so
-    plans that differ only in the predictor count share one scan. Applying
-    adds the new words to the graph's own symbol table, resolves each
-    target's label there, and adds theta to each slot's base. Logs one
-    INFO line per call, and a warning when some candidates exceed their
-    predictor's weight.
+    ``fst``'s :meth:`~gboost.fst.Wfst.memo`, keyed by the config without
+    theta; so cells of a sweep that differ only in theta plan once. The
+    label scan behind a plan is memoized there too, keyed by its labels,
+    every predictor's and every known target's; so plans that differ only
+    in the predictor count share one scan. Applying resolves each target's
+    label in the enhanced graph's table and adds theta to each slot's base.
+    Logs one INFO line per call, and a warning when some candidates exceed
+    their predictor's weight.
     """
     symbols = fst.symbols
     config.validate(symbols)
@@ -325,8 +327,8 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
         log.warning("%d candidate arcs exceed their predictor's weight "
                     "(log term plus theta is positive)", overshoot)
 
-    # Every weight to write, checked before the graph or its symbols change,
-    # in the order apply_diff would check them.
+    # Every weight to write, checked before any graph is made, in the order
+    # apply_diff would check them.
     raised = [(target, source, dest, before, weight)
               for target, source, dest, base, before in plan.raised
               if (weight := base + theta) > before]
@@ -337,22 +339,25 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     if bad is not None:
         raise InvariantError(f"arc weight must be finite, got {bad}")
 
-    for group in config.groups:
-        for target in group.targets:
-            if group.is_new(target) and target not in symbols:
-                symbols.add(target)
+    new_words = [target for group in config.groups for target in group.targets
+                 if group.is_new(target) and target not in symbols]
+    if new_words:
+        symbols = symbols.copy()
+        for word in new_words:
+            if word not in symbols:  # a word new to several groups
+                symbols.add(word)
     delta = FstDiff()
     for target, source, dest, before, weight in raised:
         label = symbols.label(target)
         delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
                                       Arc(source, dest, label, label, weight)))
-    apply_diff(fst, delta)
-    # The additions go straight to the graph's pending arcs, without the
-    # checks apply_diff makes on a delta: their states come from the
-    # graph's own arcs, their labels from its symbol table, and their
-    # weights were checked above. Built in C, with no bytecode step per
-    # arc: zip yields each arc's fields, and tuple.__new__ (Arc's
-    # constructor without its argument handling) makes the diff's arc.
+    rewritten = _rewrite(fst, (), delta.reweighted_arcs)
+    # The additions skip the checks apply_diff makes on a delta: their
+    # states come from the graph's own arcs, their labels from its symbol
+    # table, and their weights were checked above. Built in C, with no
+    # bytecode step per arc: zip yields each arc's fields, and
+    # tuple.__new__ (Arc's constructor without its argument handling) makes
+    # the diff's arc.
     sources: list[int] = []
     arcs: list[tuple[int, int, int, float]] = []
     for target, run_sources, dests, weights in added:
@@ -361,10 +366,8 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
         arcs += zip(dests, labels, labels, weights)
         delta.added_arcs += map(tuple.__new__, repeat(Arc),
                                 zip(run_sources, dests, labels, labels, weights))
-    if sources:
-        fst._add_pending(sources, arcs)
     log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,
              "reused" if reused else "built")
-    return fst, delta
+    return _derived(fst, symbols, rewritten, sources, arcs, dict(fst.finals)), delta

@@ -196,31 +196,27 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
           cases: Sequence[RankingCase]) -> dict[tuple[float, int], EvalReport | None]:
     """Grid of ranking reports over enhancement scale and predictor count.
 
-    Every cell re-enhances a private copy of the pristine baseline graph,
-    so cells are independent of each other and of evaluation order. A copy
-    (:meth:`~gboost.fst.Wfst.copy`) shares the baseline's arc columns,
-    every best-arc table built over them so far and its memo. The memo
-    holds the label scan and the enhancement plans, neither of which
-    depends on theta: the first cell scans the graph once for every
-    predictor count, cells with the same predictor count share one plan,
-    and the others only add theta and write their arcs (see
-    :mod:`gboost.enhance`). A cell's added arcs stay pending (see
-    :class:`~gboost.fst.Wfst`): ranking builds the tables of only the
-    states it visits, each written one the shared table plus the cell's
-    arcs there, and no arc is copied into an overlay list. A value repeated
-    in either list is swept once. A cell whose enhancement fails is
-    recorded as None.
+    Every cell ranks the graph that :func:`~gboost.enhance.enhance` derives
+    from ``fst``, which never changes, so cells are independent of each
+    other and of evaluation order. A derived graph shares ``fst``'s arc
+    columns and every best-arc table built over them so far (see
+    :class:`~gboost.fst.Wfst`). ``fst``'s memo holds the label scan and the
+    enhancement plans, neither of which depends on theta: the first cell
+    scans the graph once for every predictor count, cells with the same
+    predictor count share one plan, and the others only add theta (see
+    :mod:`gboost.enhance`). Ranking builds the tables of only the states it
+    visits, each edited one from the shared table plus the cell's arcs
+    there. A value repeated in either list is swept once. A cell whose
+    enhancement fails is recorded as None.
     """
     if not theta_list or not chnum_list:
         raise InvariantError("theta and predictor-count lists must be non-empty")
     grid: dict[tuple[float, int], EvalReport | None] = {}
     for theta in dict.fromkeys(theta_list):
         for chnum in dict.fromkeys(chnum_list):
-            cell_fst = fst.copy()
             cell_config = replace(config, theta=theta, max_predictors=chnum)
             try:
-                enhance(cell_fst, cell_config)
-                grid[(theta, chnum)] = run_ranking(cell_fst, cases)
+                grid[(theta, chnum)] = run_ranking(enhance(fst, cell_config)[0], cases)
             except GboostError:
                 grid[(theta, chnum)] = None
     return grid

@@ -9,16 +9,15 @@ Storage. A graph that :func:`read_text` or :func:`gboost.graph.build_g`
 builds holds its arcs in columns, grouped by source state (compressed
 sparse rows): per-state offsets into one stdlib ``array`` each of targets,
 input labels and output labels (C ``int``) and of weights (C ``double``).
-That is about 20 bytes per arc and no Python object per arc. Columns are
-never written once built, so every copy of a graph shares them, along with
-the best-arc tables built over them. A removal or reweight moves its state
-into the graph's overlay: a list of ``(target, ilabel, olabel, weight)``
-tuples that belongs to that graph alone and replaces the state's column
-arcs there. Added arcs first stay pending, sorted by source: a state's
-best-arc table takes them in when it is built, and every other reader of
-arcs first moves them all into the overlay. So a graph that is edited and
-then scored pays only for the states it scores. State ids and labels must
-fit the C ``int`` columns.
+That is about 20 bytes per arc and no Python object per arc. A graph's
+arcs never change once it is built. :func:`apply_diff` and
+:func:`gboost.enhance.enhance` return a new graph that shares the old
+one's columns and the best-arc tables built over them, and holds only its
+edits (see :class:`Wfst`). Scoring reads an edited state's arcs from its
+edits; every other reader first materializes the graph once, merging its
+edits into columns of its own. So a graph that is edited and then scored
+pays only for the states it scores. State ids and labels must fit the C
+``int`` columns.
 
 Companion file. Text is the interchange format, and exact (see
 ``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
@@ -39,9 +38,9 @@ delete. Layout (version 2), in this machine's byte order and item sizes:
   each ended by a newline;
 - the BLAKE2b-256 of everything before it.
 
-Both writers first fold the graph's overlay into its own columns, in
-place, so the companion dumps the columns the text was printed from, with
-the finals in file order: what :func:`read_text` builds from that text.
+Both writers first materialize the graph, so the companion dumps the
+columns the text was printed from, with the finals in file order: what
+:func:`read_text` builds from that text.
 The companion is used only when its size matches its header, its negate
 flag the reader's, the text still hashes to its stored digest, the payload
 to its own, every count, id and weight passes the checks :func:`read_text`
@@ -282,63 +281,47 @@ class Wfst:
 
     A graph is built once, over arc columns (see the module docstring), by
     :func:`read_text` or :func:`gboost.graph.build_g`, and keeps the state
-    count it was built with. After that its arcs change only through
-    :func:`apply_diff`. ``_overlay`` maps every state that was written to
-    its overlay list of arc tuples; the other states read their arcs from
-    the columns. ``_pending_sources`` and ``_pending_arcs`` hold the arcs
-    :func:`apply_diff` added and no reader has yet moved into the overlay:
-    their sources in ascending order and, beside them, their arc tuples,
-    in delta order within a state. A state's arcs are its overlay list, or
-    else its column arcs, followed by its pending arcs. The one rule:
-    columns are shared and never written, and every overlay list and
-    pending list belongs to exactly one graph.
+    count it was built with. Its arcs never change after that:
+    :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new graph
+    (``_derived``), which shares the columns of the graph it came from and
+    holds its own edits. ``_rewritten`` maps each state that a removal or
+    reweight changed to its arcs after them; ``_added_sources`` and
+    ``_added`` hold the added arcs: their sources in ascending order and,
+    beside them, their arc tuples, in delta order within a state. A state's
+    arcs are its rewritten list, or else its column arcs, followed by its
+    added arcs (``_state_arcs``). Every reader of arcs but :meth:`best_arcs`
+    first calls ``_materialize``, which merges the edits into columns of
+    this graph's own, once, and changes no arc.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
-    arc tuple, the first in arc order among equal weights. A column state's
-    table is built once beside the columns and shared by every copy.
-    ``_tables[s]`` is the table this graph last used for state ``s``, or
-    None, so that scoring finds a state's table with one list lookup. Its
-    length is the state count.
+    arc tuple, the first in arc order among equal weights. The table of a
+    state without edits is built once beside the columns and shared by
+    every graph over them. ``_tables[s]`` is the table this graph last used
+    for state ``s``, or None, so that scoring finds a state's table with one
+    list lookup. Its length is the state count.
 
     ``_memo`` holds the enhancement plans of :func:`gboost.enhance.enhance`
     and the label scans behind them, which are computed from the arcs alone
-    and costly to recompute. :meth:`copy` shares it, along with the columns
-    and their tables, and clones the overlay lists, so edits never reach
-    another graph. A freshly read graph has an empty overlay, and copying
-    it costs one list copy of its state count.
+    and costly to recompute. The arcs never change, so neither the tables
+    nor the memo are ever reset.
 
-    Every removal and reweight goes through ``_writable(state)``: it moves
-    the state into the overlay, resets the graph's table for the state and
-    drops the memo, for this graph only. Additions do the same through
-    ``_add_pending``, the tail of :func:`apply_diff` that
-    :func:`gboost.enhance.enhance` also calls, except that their arcs stay
-    pending. Every reader of arcs but :meth:`best_arcs` first calls
-    ``_settle``, which appends the pending arcs to their states' overlay
-    lists; so does ``_writable``. Code that edits arc lists must go through
-    ``_writable``. Writing a graph to a file first calls ``_fold``, which
-    moves the overlay into new columns of this graph's own, copies keeping
-    theirs, and changes no arc.
-
-    The graph is single-writer, and taking a copy, settling or folding
-    counts as a write of the original. Once enhancement is done it can be
-    read from many threads through :meth:`best_arcs` alone, or through any
-    reader once one call has settled its additions.
+    A graph is read-only once materialized: it can then be read from many
+    threads through any reader. Before that, only through :meth:`best_arcs`.
     """
 
     def __init__(self, symbols: SymbolTable | None = None):
         self.symbols = symbols if symbols is not None else SymbolTable()
         self._columns = _Columns(array("q", [0]), array("i"), array("i"), array("i"),
                                  array("d"))
-        # The overlay list of each written state.
-        self._overlay: dict[int, list[tuple[int, int, int, float]]] = {}
-        # Added arcs not yet in the overlay: ascending sources, arcs beside them.
-        self._pending_sources: list[int] = []
-        self._pending_arcs: list[tuple[int, int, int, float]] = []
+        # The edits: each rewritten state's arcs, and the added arcs by source.
+        self._rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
+        self._added_sources: list[int] = []
+        self._added: list[tuple[int, int, int, float]] = []
         # Per state: the best-arc table this graph last used, or None.
         self._tables: list[dict | None] = []
-        # Values computed from the arcs, shared with copies; None after a write.
-        self._memo: dict | None = None
+        # Values computed from the arcs.
+        self._memo: dict = {}
         self.initial: int | None = None
         self.finals: dict[int, float] = {}
 
@@ -359,148 +342,102 @@ class Wfst:
         self.initial = state
 
     def set_final(self, state: int, weight: float) -> None:
+        self._check_final(state, weight)
+        self.finals[state] = weight
+
+    def _check_final(self, state: int, weight: float) -> None:
         self._check_state(state)
         if not math.isfinite(weight):
             raise InvariantError(f"final weight must be finite, got {weight}")
-        self.finals[state] = weight
 
     def final_weight(self, state: int) -> float | None:
         return self.finals.get(state)
 
     # -- arcs -----------------------------------------------------------
 
-    def _writable(self, state: int) -> list:
-        # The only way to an arc list that may be edited. Settles the pending
-        # additions, checks the state, moves it into the overlay on its first
-        # write, resets its table and drops the memo.
-        self._settle()
-        arcs = self._overlay.get(state)
+    def _added_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+        # The arcs added to `state`, in delta order, found by bisect.
+        sources = self._added_sources
+        start = bisect_left(sources, state)
+        return self._added[start:bisect_right(sources, state, start)]
+
+    def _state_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+        # A new list of `state`'s arcs, read from its edits.
+        arcs = self._rewritten.get(state)
         if arcs is None:
-            if not 0 <= state < len(self._tables):  # _check_state, inline
-                raise InvariantError(f"unknown state id: {state}")
-            arcs = self._overlay[state] = self._columns.arcs(state)
-        self._tables[state] = None
-        self._memo = None
-        return arcs
+            arcs = self._columns.arcs(state)
+        return arcs + self._added_arcs(state)
 
-    def _settle(self) -> None:
-        # Appends each pending arc to its state's overlay list, one slice of
-        # the pending arcs per state, and leaves nothing pending. The tables
-        # stay: each is None or was built over these very arcs.
-        sources = self._pending_sources
-        if not sources:
-            return
-        arcs, overlay, columns = self._pending_arcs, self._overlay, self._columns
-        end, size = 0, len(sources)
-        while end < size:
-            state = sources[end]
-            start, end = end, bisect_right(sources, state, end)
-            listed = overlay.get(state)
-            if listed is None:
-                listed = overlay[state] = columns.arcs(state)
-            listed += arcs[start:end]
-        self._pending_sources, self._pending_arcs = [], []
-
-    def _fold(self) -> None:
-        # The inverse of _writable: settles, then moves every overlay list
-        # into new columns, in place of its state's column arcs. No arc
-        # changes, so the tables, which the new columns take, and the memo
-        # stay. Copies keep the old columns.
-        self._settle()
-        overlay = self._overlay
-        if not overlay:
+    def _materialize(self) -> None:
+        # Merges the edits into new columns, in one pass over the edited
+        # states, and drops them. No arc changes, so the tables, which the
+        # new columns take, and the memo stay. Other graphs keep the old
+        # columns.
+        sources = self._added_sources
+        if not sources and not self._rewritten:
             return
         columns = self._columns
         offsets = columns.offsets
-        sources = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
+        old = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
         counts = list(map(sub, islice(offsets, 1, None), offsets))
-        folded = [array(source.typecode) for source in sources]
+        merged = [array(column.typecode) for column in old]
         at = 0
-        for state in sorted(overlay):
-            arcs = overlay[state]
+        for state in sorted(self._rewritten.keys() | set(sources)):
+            arcs = self._state_arcs(state)
             counts[state] = len(arcs)
-            for column, source in zip(folded, sources):
+            for column, source in zip(merged, old):
                 column += source[at:offsets[state]]
-            for column, values in zip(folded, zip(*arcs)):
+            for column, values in zip(merged, zip(*arcs)):
                 column.extend(values)
             at = offsets[state + 1]
-        for column, source in zip(folded, sources):
+        for column, source in zip(merged, old):
             column += source[at:]
-        self._columns = _Columns(array("q", accumulate(counts, initial=0)), *folded)
+        self._columns = _Columns(array("q", accumulate(counts, initial=0)), *merged)
         self._columns.best = self._tables.copy()
-        self._overlay = {}
-
-    def _add_pending(self, sources: Sequence[int], arcs: list[tuple[int, int, int, float]]
-                     ) -> None:
-        # Adds arc i, already checked, to state sources[i], pending. Resets
-        # the sources' tables and drops the memo. One call's additions at
-        # most are pending: merging a second into the first would cost the
-        # first's size per call, so earlier ones are settled first. Sorted
-        # by source with a stable sort, so call order holds within a state.
-        self._settle()
-        tables = self._tables
-        for source in sources:
-            tables[source] = None
-        self._memo = None
-        order = sorted(range(len(sources)), key=sources.__getitem__)
-        self._pending_sources = list(map(sources.__getitem__, order))
-        self._pending_arcs = list(map(arcs.__getitem__, order))
+        self._rewritten, self._added_sources, self._added = {}, [], []
 
     def num_arcs(self, state: int | None = None) -> int:
-        self._settle()
+        self._materialize()
         offsets = self._columns.offsets
         if state is None:
-            return offsets[-1] + sum(len(arcs) - offsets[s + 1] + offsets[s]
-                                     for s, arcs in self._overlay.items())
-        arcs = self._overlay.get(state)
-        if arcs is None:
-            return offsets[state + 1] - offsets[state]
-        return len(arcs)
+            return offsets[-1]
+        return offsets[state + 1] - offsets[state]
 
     def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
-        """The (target, ilabel, olabel, weight) tuples of ``state``, in order.
+        """A new list of the (target, ilabel, olabel, weight) tuples of ``state``, in order.
 
-        Moves any pending additions into the overlay first. For a state
-        whose arcs are in the columns, a new list; for a written state,
-        this graph's live overlay list, whose editing bypasses the best-arc
-        table and the memo, so treat the result as read-only. ``state`` is
-        not range-checked: take it from :meth:`states` or from an arc target.
+        Materializes the graph first. ``state`` is not range-checked: take
+        it from :meth:`states` or from an arc target.
         """
-        self._settle()
-        arcs = self._overlay.get(state)
-        return self._columns.arcs(state) if arcs is None else arcs
+        self._materialize()
+        return self._columns.arcs(state)
 
     def best_arcs(self, state: int) -> dict[int, tuple[int, int, int, float]]:
         """The best-arc table of ``state``: input label -> arc tuple.
 
         Each label maps to its highest-weight arc, the first in arc order
-        among equal weights. Built on first use and kept until the state's
-        arcs change. A column state's table is built once and shared with
-        every copy. A state with pending additions and no overlay list gets
-        a copy of that shared table with its pending arcs, found by bisect,
-        folded in: a pending arc wins only if it weighs strictly more. Any
-        other written state's table is built from all its arcs. Moves no
-        pending arc into the overlay. Read-only, and unchecked like
-        :meth:`arcs`.
+        among equal weights. Built on first use and then kept. The table of
+        a state without edits is built once and shared by every graph over
+        the same columns. A state with added arcs only gets a copy of that
+        shared table with its added arcs, found by bisect, folded in: an
+        added arc wins only if it weighs strictly more. A rewritten state's
+        table is built from all its arcs. Materializes nothing. Read-only,
+        and unchecked like :meth:`arcs`.
         """
         table = self._tables[state]
         if table is None:
-            sources = self._pending_sources
-            start = bisect_left(sources, state)
-            end = bisect_right(sources, state, start)
-            pending = self._pending_arcs[start:end]
-            arcs = self._overlay.get(state)
-            if arcs is not None:
-                table = _best_table(chain(arcs, pending))
-            elif pending:
-                table = _best_table(pending, self._column_table(state).copy())
+            if state in self._rewritten:
+                table = _best_table(self._state_arcs(state))
             else:
+                added = self._added_arcs(state)
                 table = self._column_table(state)
+                if added:
+                    table = _best_table(added, table.copy())
             self._tables[state] = table
         return table
 
     def _column_table(self, state: int) -> dict[int, tuple[int, int, int, float]]:
-        # The shared best-arc table of a column state's arcs, built on first use.
+        # The shared best-arc table of a state's column arcs, built on first use.
         columns = self._columns
         table = columns.best[state]
         if table is None:
@@ -513,74 +450,44 @@ class Wfst:
         return table
 
     def memo(self) -> dict:
-        """Values computed from this graph's arcs, shared with its copies.
+        """Values computed from this graph's arcs.
 
         Each key names what its value was computed from besides the arcs.
-        A write empties this graph's memo and leaves its copies' alone.
-        :func:`gboost.enhance.enhance` keeps its plans and label scans here. Treat the
+        :func:`gboost.enhance.enhance` keeps its plans and label scans here.
+        A graph with the same arcs shares the memo: a :meth:`copy`, or what
+        :func:`apply_diff` returns for a diff that changes no arc. Treat the
         values as read-only.
         """
-        if self._memo is None:
-            self._memo = {}
         return self._memo
 
     def scan(self, labels: Iterable[int]) -> _Found:
         """Arcs whose input label is in ``labels``, grouped by that label.
 
         Each label maps to its ``(source, arc)`` pairs in state and arc
-        order, an empty list if it has none. One pass over the whole graph:
-        the column arcs of unwritten states, then the overlay lists, then
-        each label's pairs put in state order (a stable sort, so arc order
-        holds within a state). Moves any pending additions into the overlay
-        first.
+        order, an empty list if it has none. One pass over the columns,
+        once the graph is materialized.
         """
-        self._settle()
+        self._materialize()
         labels = frozenset(labels)
         found: _Found = {label: [] for label in labels}
-        overlay = self._overlay
         columns = self._columns
         offsets, targets, olabels, weights = (columns.offsets, columns.targets,
                                               columns.olabels, columns.weights)
         ilabels = columns.ilabels
         for pos in compress(count(), map(labels.__contains__, ilabels)):
-            state = bisect_right(offsets, pos) - 1
-            if state not in overlay:
-                ilabel = ilabels[pos]
-                found[ilabel].append(
-                    (state, (targets[pos], ilabel, olabels[pos], weights[pos])))
-        overlaid = False
-        for state, arcs in overlay.items():
-            for arc in arcs:
-                if arc[1] in labels:
-                    found[arc[1]].append((state, arc))
-                    overlaid = True
-        if overlaid:
-            for pairs in found.values():
-                pairs.sort(key=itemgetter(0))
+            ilabel = ilabels[pos]
+            found[ilabel].append((bisect_right(offsets, pos) - 1,
+                                  (targets[pos], ilabel, olabels[pos], weights[pos])))
         return found
 
     def copy(self) -> "Wfst":
-        """A copy with its own overlay lists, sharing the columns, tables and memo.
+        """The same arcs, finals and initial state, with its own symbol table.
 
-        Moves this graph's pending additions into its overlay first, and
-        leaves the copy none. The copy starts with every table built so far
-        beside the columns, by this graph or any other copy, and with this
-        graph's tables of its overlay states; so a copy finds the tables of
-        the states it never writes with one list lookup each.
+        Materializes this graph first. The copy shares its columns, every
+        best-arc table built beside them and its memo.
         """
-        self._settle()
-        new = Wfst.__new__(Wfst)
-        new.symbols = self.symbols.copy()
-        new._columns = self._columns
-        new._overlay = {state: arcs.copy() for state, arcs in self._overlay.items()}
-        new._pending_sources, new._pending_arcs = [], []
-        tables = new._tables = self._columns.best.copy()
-        for state in self._overlay:
-            tables[state] = self._tables[state]
-        new._memo = self.memo()
-        new.initial = self.initial
-        new.finals = dict(self.finals)
-        return new
+        self._materialize()
+        return _derived(self, self.symbols.copy(), {}, [], [], dict(self.finals))
 
 
 def _from_columns(symbols: SymbolTable, offsets: array, targets: array, ilabels: array,
@@ -593,6 +500,33 @@ def _from_columns(symbols: SymbolTable, offsets: array, targets: array, ilabels:
     fst = Wfst(symbols)
     fst._columns = _Columns(offsets, targets, ilabels, olabels, weights)
     fst._tables = [None] * (len(offsets) - 1)
+    return fst
+
+
+def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
+             sources: Sequence[int], arcs: list[tuple[int, int, int, float]],
+             finals: dict[int, float]) -> Wfst:
+    """A new graph: the arcs of ``base``, a graph without edits, with these edits.
+
+    ``rewritten`` maps states to their arcs after removals and reweights,
+    and added arc ``arcs[i]`` goes to state ``sources[i]``; all are checked.
+    The additions are sorted by source with a stable sort, so delta order
+    holds within a state. The new graph shares ``base``'s columns and every
+    table built beside them, and also its memo if it has no edits.
+    """
+    fst = Wfst.__new__(Wfst)
+    fst.symbols = symbols
+    fst._columns = base._columns
+    fst._rewritten = rewritten
+    order = sorted(range(len(sources)), key=sources.__getitem__)
+    fst._added_sources = list(map(sources.__getitem__, order))
+    fst._added = list(map(arcs.__getitem__, order))
+    tables = fst._tables = base._columns.best.copy()
+    for state in chain(rewritten, sources):
+        tables[state] = None
+    fst._memo = {} if rewritten or sources else base._memo
+    fst.initial = base.initial
+    fst.finals = finals
     return fst
 
 
@@ -652,10 +586,9 @@ def _appended(before: list, after: list) -> list | None:
 
 
 def _maybe_changed(before: Wfst, after: Wfst) -> list[int]:
-    # The states whose arcs may differ, in order: every state in either
-    # overlay, and every column state but those in runs with equal arc
-    # counts whose arcs compare equal, one slice per column for the run.
-    b_overlay, a_overlay = before._overlay, after._overlay
+    # The states whose arcs may differ, in order, of two materialized
+    # graphs: every state but those in runs with equal arc counts whose
+    # arcs compare equal, one slice per column for the run.
     b_offsets, *b_views = before._columns.views()
     a_offsets, *a_views = after._columns.views()
     changed: list[int] = []
@@ -668,8 +601,7 @@ def _maybe_changed(before: Wfst, after: Wfst) -> list[int]:
             changed.extend(range(first, stop))
 
     for state in before.states():
-        if (state not in b_overlay and state not in a_overlay and b_offsets[state + 1]
-                - b_offsets[state] == a_offsets[state + 1] - a_offsets[state]):
+        if b_offsets[state + 1] - b_offsets[state] == a_offsets[state + 1] - a_offsets[state]:
             if first is None:
                 first = state
             continue
@@ -690,7 +622,7 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     surplus arcs become additions or removals. A state whose arcs are only
     appended to, each under a new key, as :func:`gboost.enhance.enhance`
     appends them, skips the grouping: its new arcs are its additions.
-    Moves both graphs' pending additions into their overlays first.
+    Materializes both graphs first.
     """
     if before.symbols != after.symbols:
         raise InvariantError("graphs do not share a symbol table")
@@ -700,8 +632,8 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     if before.initial != after.initial:
         raise InvariantError("initial states do not correspond")
 
-    before._settle()
-    after._settle()
+    before._materialize()
+    after._materialize()
     out = FstDiff()
     for state in _maybe_changed(before, after):
         b_arcs, a_arcs = before.arcs(state), after.arcs(state)
@@ -739,31 +671,71 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
 
 
 def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
-    """Replay a diff onto ``fst`` in place (removals, reweights, additions).
+    """A new graph: ``fst`` with a diff replayed on it.
 
-    The one way to change a built graph's arcs; :func:`gboost.enhance.enhance`
-    writes through here too. Source and target states must exist, labels
-    must be non-negative, a reweight may change only the weight, and new
-    weights must be finite, else InvariantError. A reweight edits the last
-    arc equal to its old arc: the one whose weight enhancement reads for a
-    slot.
+    The one way to edit a built graph; :func:`gboost.enhance.enhance` builds
+    its graph the same way. ``fst`` never changes, also when this raises.
+    The removals come first, then the reweights, then the additions, each
+    in delta order, then the final changes. A reweight edits the last arc
+    equal to its old arc: the one whose weight enhancement reads for a
+    slot. Added arcs follow a state's arcs, in delta order.
 
-    Additions are checked in bulk, column by column. Only when a check
-    fails are they walked one by one, which raises the first error in
-    delta order. Accepted additions stay pending (see :class:`Wfst`): their
-    states' tables are reset and the memo is dropped, but no overlay list
-    is made until a reader other than :meth:`Wfst.best_arcs` asks for arcs,
-    or the next write comes. Additions still pending from an earlier call
-    move into the overlay first.
+    Source and target states must exist, labels must be non-negative, a
+    reweight may change only the weight, and new weights must be finite,
+    else InvariantError, raised before any graph is made: for the first
+    bad removal, else reweight, else addition, else final change. The
+    additions are checked in bulk, column by column, and scanned for the
+    first bad arc only when a check fails.
+
+    ``fst`` is materialized first (see :class:`Wfst`). The new graph shares
+    its columns, its tables and its symbol table, and holds the edits: an
+    edited state's table is built from them when the state is first scored.
     """
+    rewritten = _rewrite(fst, delta.removed_arcs, delta.reweighted_arcs)
+    sources: Sequence[int] = ()
+    arcs: list[tuple[int, int, int, float]] = []
+    if delta.added_arcs:
+        sources, targets, ilabels, olabels, weights = zip(*delta.added_arcs)
+        num_states = fst.num_states()
+        if (min(sources) < 0 or max(sources) >= num_states or min(targets) < 0
+                or max(targets) >= num_states or min(ilabels) < 0 or min(olabels) < 0
+                or not all(map(math.isfinite, weights))):
+            raise _first_bad_addition(delta.added_arcs, num_states)
+        arcs = list(zip(targets, ilabels, olabels, weights))
+    finals = dict(fst.finals)
+    for state, _, after_weight in delta.final_changes:
+        if after_weight is None:
+            finals.pop(state, None)
+        else:
+            fst._check_final(state, after_weight)
+            finals[state] = after_weight
+    return _derived(fst, fst.symbols, rewritten, sources, arcs, finals)
+
+
+def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, Arc]]
+             ) -> dict[int, list[tuple[int, int, int, float]]]:
+    # Materializes fst, then plays the removals and then the reweights, in
+    # order, on copies of their states' arcs, and returns those copies by
+    # state. The first bad entry raises.
+    fst._materialize()
+    rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
+
+    def arcs_of(state: int) -> list[tuple[int, int, int, float]]:
+        arcs = rewritten.get(state)
+        if arcs is None:
+            fst._check_state(state)
+            arcs = rewritten[state] = fst._columns.arcs(state)
+        return arcs
+
     # An Arc without its source is the tuple a state's arc list stores.
-    for arc in delta.removed_arcs:
+    for arc in removed:
+        arcs = arcs_of(arc.source)
         try:
-            fst._writable(arc.source).remove(arc[1:])
+            arcs.remove(arc[1:])
         except ValueError:
             raise InvariantError(f"cannot remove missing arc {arc}") from None
-    for old, new in delta.reweighted_arcs:
-        arcs = fst._writable(old.source)
+    for old, new in reweighted:
+        arcs = arcs_of(old.source)
         if old[:4] != new[:4]:
             raise InvariantError(f"a reweight may change only the weight: {old} -> {new}")
         if not math.isfinite(new.weight):
@@ -773,41 +745,21 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
         except ValueError:
             raise InvariantError(f"cannot reweight missing arc {old}") from None
         arcs[pos] = new[1:]
-    if delta.added_arcs:
-        sources, targets, ilabels, olabels, weights = zip(*delta.added_arcs)
-        num_states = fst.num_states()
-        if (min(sources) < 0 or max(sources) >= num_states or min(targets) < 0
-                or max(targets) >= num_states or min(ilabels) < 0 or min(olabels) < 0
-                or not all(map(math.isfinite, weights))):
-            _add_by_arc(fst, delta.added_arcs)  # raises the first error
-        else:
-            fst._add_pending(sources, list(zip(targets, ilabels, olabels, weights)))
-    for state, _, after_weight in delta.final_changes:
-        if after_weight is None:
-            fst.finals.pop(state, None)
-        else:
-            fst.set_final(state, after_weight)
-    return fst
+    return rewritten
 
 
-def _add_by_arc(fst: Wfst, added: list[Arc]) -> None:
-    # The additions checked one by one in delta order, then appended per
-    # source state, in order of first appearance, through one _writable
-    # call each. The first bad target, label or weight raises before any
-    # arc lands; a bad source raises once the sources before it have theirs.
-    num_states = fst.num_states()
-    isfinite = math.isfinite
-    by_source: dict[int, list[tuple[int, int, int, float]]] = {}
-    for source, target, ilabel, olabel, weight in added:
-        if not 0 <= target < num_states:
-            raise InvariantError(f"unknown state id: {target}")
-        if ilabel < 0 or olabel < 0:
-            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
-        if not isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
-        by_source.setdefault(source, []).append((target, ilabel, olabel, weight))
-    for source, arcs in by_source.items():
-        fst._writable(source).extend(arcs)
+def _first_bad_addition(added: list[Arc], num_states: int) -> InvariantError:
+    # The error for the first added arc, in delta order, with a bad state,
+    # label or weight.
+    for arc in added:
+        for state in arc[:2]:
+            if not 0 <= state < num_states:
+                return InvariantError(f"unknown state id: {state}")
+        if arc.ilabel < 0 or arc.olabel < 0:
+            return InvariantError(f"labels must be non-negative: {arc.ilabel}:{arc.olabel}")
+        if not math.isfinite(arc.weight):
+            return InvariantError(f"arc weight must be finite, got {arc.weight}")
+    raise AssertionError("no bad addition")  # the bulk check found one
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +778,8 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     which :func:`read_text` reads back to ``w`` bit for bit. With ``negate``
     the file holds costs: each weight is printed as ``WEIGHT_FMT % (-1.0 * w)``.
 
-    The graph's overlay is first folded into its own columns, in place (see
-    :class:`Wfst`): its arcs do not change. Each weight is then printed
-    once, as its line is written.
+    The graph is first materialized (see :class:`Wfst`). Each weight is
+    then printed once, as its line is written.
 
     InvariantError, before anything is written, if the graph has no initial
     state, if that state or the last state has neither arcs nor a final
@@ -843,7 +794,7 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     finals = fst.finals
     if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
-    fst._fold()
+    fst._materialize()
     columns = fst._columns
     offsets = columns.offsets
     top = len(offsets) - 2
@@ -1040,13 +991,12 @@ def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False
     """Write the companion of graph text file ``path`` to ``stream``.
 
     ``path`` holds ``fst`` as :func:`write_text` wrote it with ``negate``.
-    This folds the graph's overlay into its own columns, as that did (a
-    no-op once it has), and dumps them with the finals in file order (see
-    the module docstring for the layout): the graph :func:`read_text` builds
-    from that text, which :func:`load_graph` reads back from
-    ``path + COMPANION_SUFFIX``.
+    This materializes the graph, as that did (a no-op once it has), and
+    dumps its columns with the finals in file order (see the module
+    docstring for the layout): the graph :func:`read_text` builds from that
+    text, which :func:`load_graph` reads back from ``path + COMPANION_SUFFIX``.
     """
-    fst._fold()
+    fst._materialize()
     text_digest = _file_digest(path)
     columns, finals, initial = fst._columns, fst.finals, fst.initial
     # File order: the initial state first, then the others by id.

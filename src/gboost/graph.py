@@ -161,10 +161,9 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     looked up again for ``<eps>`` and back-off hops counted. Where several
     arcs share a label the table holds the highest-weighted one, the first
     in arc order among equal weights. Tables are built on a state's first
-    visit and reset whenever its arcs change, so scores always follow the
-    current arcs. A word is looked up in at most one state more than the
-    graph has; a back-off hop after that can only be part of an epsilon
-    cycle, and raises InvariantError.
+    visit and kept, as a graph's arcs never change. A word is looked up in
+    at most one state more than the graph has; a back-off hop after that
+    can only be part of an epsilon cycle, and raises InvariantError.
     """
     if fst.initial is None:
         raise InvariantError("graph has no initial state")

@@ -21,9 +21,9 @@ def make_fst(symbols, arcs, finals, initial=0, num_states=None):
     table = SymbolTable(symbols.split() if isinstance(symbols, str) else symbols)
     if num_states is None:
         num_states = 1 + max([initial] + [max(a[0], a[1]) for a in arcs] + list(finals))
-    fst = empty_graph(table, num_states)
-    add_arcs(fst, *[(src, dst, table.label(isym), table.label(osym), weight)
-                    for src, dst, isym, osym, weight in arcs])
+    fst = add_arcs(empty_graph(table, num_states),
+                   *[(src, dst, table.label(isym), table.label(osym), weight)
+                     for src, dst, isym, osym, weight in arcs])
     for state, weight in finals.items():
         fst.set_final(state, weight)
     fst.set_initial(initial)
@@ -57,7 +57,7 @@ def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0):
              for _ in range(max(0, n_arcs - (n_states - 1)))]
     arcs += [(rng.randrange(n_states), rng.randrange(n_states), 0, 0,
               round(rng.uniform(-3, -0.1), 6)) for _ in range(epsilon_arcs)]
-    add_arcs(fst, *arcs)
+    fst = add_arcs(fst, *arcs)
     for state in rng.sample(range(n_states), max(1, n_states // 10)):
         fst.set_final(state, round(rng.uniform(-2, 2), 6))
     fst.set_initial(0)
@@ -81,21 +81,6 @@ def scans(monkeypatch):
         return real_scan(fst, labels)
 
     monkeypatch.setattr(Wfst, "scan", counting_scan)
-    return log
-
-
-@pytest.fixture
-def settles(monkeypatch):
-    """Per call that moved pending additions into the overlay: how many it moved."""
-    log = []
-    real_settle = Wfst._settle
-
-    def counting_settle(fst):
-        if fst._pending_sources:
-            log.append(len(fst._pending_sources))
-        return real_settle(fst)
-
-    monkeypatch.setattr(Wfst, "_settle", counting_settle)
     return log
 
 

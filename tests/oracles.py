@@ -3,11 +3,11 @@
 Nothing here imports gboost internals beyond the public data they verify;
 the scoring logic is written separately on purpose (brute-force search,
 log10-space recursion over a freshly parsed ARPA file) so the two routes
-can disagree when the library is wrong. The one exception is
-:func:`empty_graph`: the library builds a graph only from a file or a
-model, so the tests start from an arc-less graph made with its private
-column constructor, and fill and edit it through
-:func:`gboost.fst.apply_diff`.
+can disagree when the library is wrong. The one exception is the graph
+makers, :func:`empty_graph` and :func:`graph_from_lists`: the library
+builds a graph only from a file or a model, so the tests start from
+graphs made with its private column constructor, and derive edited ones
+through :func:`gboost.fst.apply_diff`.
 
 :func:`path_weight` is the best-path (epsilon) reading of a back-off
 graph, where a back-off arc competes with a word arc even where the word
@@ -19,6 +19,7 @@ reference to pin where the two readings differ.
 import math
 from array import array
 from collections import Counter
+from itertools import accumulate
 from typing import Sequence
 
 from gboost.errors import FormatError, InvariantError
@@ -34,8 +35,24 @@ def empty_graph(symbols, num_states):
     return _from_columns(symbols, array("q", [0]) * (num_states + 1), *columns)
 
 
+def graph_from_lists(symbols, arc_lists):
+    """A graph whose state ``s`` has the arc tuples ``arc_lists[s]``, in order.
+
+    ``arc_lists`` may be any iterable of lists, one per state: the columns
+    are filled in one pass, so a large graph is never held as tuples whole.
+    No initial state and no finals. Nothing is checked.
+    """
+    columns = [array(code) for code in "iiid"]
+    counts = []
+    for arcs in arc_lists:
+        counts.append(len(arcs))
+        for column, values in zip(columns, zip(*arcs)):
+            column.extend(values)
+    return _from_columns(symbols, array("q", accumulate(counts, initial=0)), *columns)
+
+
 def add_arcs(fst, *arcs):
-    """Append ``(source, target, ilabel, olabel, weight)`` arcs through one apply_diff call."""
+    """``fst`` with ``(source, target, ilabel, olabel, weight)`` arcs appended: one apply_diff."""
     return apply_diff(fst, FstDiff(added_arcs=[Arc(*arc) for arc in arcs]))
 
 
@@ -334,26 +351,29 @@ def best_arcs_by_arc(fst, state):
 
 
 def apply_diff_by_arc(fst, delta):
-    """A valid diff replayed onto ``fst`` one edit at a time, straight into its overlay.
+    """A valid diff replayed one edit at a time on lists of ``fst``'s arcs: a new graph.
 
     Removals, reweights (each of the last equal arc), additions in delta
     order, then final changes: what :func:`gboost.fst.apply_diff` does to
-    the arcs, with every arc list edited through ``Wfst._writable``, so no
-    addition is ever pending. Returns ``fst``.
+    the arcs, on one plain list per state, built into fresh columns.
+    ``fst`` is left as it was; the new graph shares its symbol table.
     """
+    lists = [fst.arcs(state) for state in fst.states()]
     for arc in delta.removed_arcs:
-        fst._writable(arc.source).remove(arc[1:])
+        lists[arc.source].remove(arc[1:])
     for old, new in delta.reweighted_arcs:
-        arcs = fst._writable(old.source)
+        arcs = lists[old.source]
         arcs[len(arcs) - 1 - arcs[::-1].index(old[1:])] = new[1:]
     for arc in delta.added_arcs:
-        fst._writable(arc.source).append(arc[1:])
+        lists[arc.source].append(arc[1:])
+    out = graph_from_lists(fst.symbols, lists)
+    out.initial, out.finals = fst.initial, dict(fst.finals)
     for state, _, after in delta.final_changes:
         if after is None:
-            fst.finals.pop(state, None)
+            out.finals.pop(state, None)
         else:
-            fst.finals[state] = after
-    return fst
+            out.finals[state] = after
+    return out
 
 
 def graphs_equal(a, b):
@@ -424,8 +444,8 @@ def read_text_by_line(stream, symbols, negate=False):
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
             try:
-                add_arcs(fst, (src, dst, symbols.label(isym), symbols.label(osym),
-                               sign * weight))
+                fst = add_arcs(fst, (src, dst, symbols.label(isym), symbols.label(osym),
+                                     sign * weight))
             except InvariantError as exc:
                 raise FormatError(str(exc), line=lineno) from None
         else:

@@ -18,7 +18,7 @@ from gboost.errors import NoPathError
 from gboost.evaluate import run_ranking
 from gboost.fst import FstDiff, SymbolTable
 from gboost.graph import graph_score
-from oracles import add_arcs, compute_enhanced_weight, empty_graph, path_weight
+from oracles import add_arcs, compute_enhanced_weight, empty_graph, graph_from_lists, path_weight
 
 
 @contextlib.contextmanager
@@ -108,13 +108,13 @@ def test_c5_isolation_and_safety(telecom_graph, ool_config):
         fst = telecom_graph
         controls = toylm.toy_corpus(toylm.TELECOM_WORDS, 500, seed=41, max_len=7)
         before = [graph_score(fst, s) for s in controls]
-        _, delta = enhance(fst, ool_config)
-        target_labels = {fst.symbols.label(t)
+        enhanced, delta = enhance(fst, ool_config)
+        target_labels = {enhanced.symbols.label(t)
                          for g in ool_config.groups for t in g.targets}
         touched = {a.ilabel for a in delta.added_arcs}
         touched |= {a.ilabel for a, _ in delta.reweighted_arcs}
         assert touched <= target_labels  # control paths cannot cross the diff
-        after = [graph_score(fst, s) for s in controls]
+        after = [graph_score(enhanced, s) for s in controls]
         assert before == after  # bit-identical, not approximate
 
 
@@ -197,19 +197,19 @@ def test_c6_randomized_enhancer_properties():
             controls = [rng.choices(safe_vocab, k=rng.randint(1, 4)) for _ in range(2)]
             best_before = [path_weight(fst, [*s, "</s>"]) for s in sentences]
             greedy_before = [try_score(fst, s) for s in controls]
-            enhance(fst, config)
+            enhanced, _ = enhance(fst, config)
             for sentence, old in zip(sentences, best_before):
-                new = path_weight(fst, [*sentence, "</s>"])
+                new = path_weight(enhanced, [*sentence, "</s>"])
                 if old is not None:
                     assert new is not None and new >= old - 1e-12
             for sentence, old in zip(controls, greedy_before):
-                assert try_score(fst, sentence) == old
+                assert try_score(enhanced, sentence) == old
 
         rng = random.Random(60602)
         for _ in range(cases):  # idempotence
             fst = random_backoff_graph(rng, VOCAB)
             config = random_config(rng, VOCAB, fresh_token_stream())
-            enhance(fst, config)
+            fst, _ = enhance(fst, config)
             _, second = enhance(fst, config)
             assert second == FstDiff()
 
@@ -230,9 +230,7 @@ def test_c6_randomized_enhancer_properties():
             k = rng.randint(1, 3)
             slots = {}
             for chnum in (k, k + 1):
-                fst = base.copy()
-                _, delta = enhance(fst, dataclasses.replace(config,
-                                                            max_predictors=chnum))
+                fst, delta = enhance(base, dataclasses.replace(config, max_predictors=chnum))
                 slots[chnum] = {(a.source, a.target, fst.symbols.symbol(a.ilabel))
                                 for a in delta.added_arcs}
             assert slots[k] <= slots[k + 1]
@@ -255,9 +253,8 @@ def test_c7_directional_error_rate_trend(telecom_graph, ool_config, ool_cases):
 
         rates = []
         for theta in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            fst = base_fst.copy()
-            enhance(fst, dataclasses.replace(ool_config, theta=theta,
-                                             max_predictors=3))
+            fst, _ = enhance(base_fst, dataclasses.replace(ool_config, theta=theta,
+                                                           max_predictors=3))
             rates.append(run_ranking(fst, ool_cases).error_rate)
         assert all(a >= b for a, b in zip(rates, rates[1:])), rates
 
@@ -270,23 +267,24 @@ def synth_trigram_graph(num_words=10_000, seed=88):
     rng = random.Random(seed)
     vocab = [f"w{i:05d}" for i in range(num_words)]
     root, ctx1, ctx2, final = 0, list(range(1, 4_001)), list(range(4_001, 32_001)), 32_001
-    fst = empty_graph(SymbolTable(vocab), final + 1)
-    fst.set_final(final, 0.0)
-
-    # One apply_diff call per state, so that no more than a state's arcs
-    # are held twice.
     labels = list(range(1, num_words + 1))
-    add_arcs(fst, *[(root, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
-                    for label in labels])
-    for state in ctx1:
-        add_arcs(fst, *[(state, rng.choice(ctx2), label, label, rng.uniform(-9, -1))
-                        for label in rng.sample(labels, 120)],
-                 (state, root, 0, 0, rng.uniform(-2, -0.1)))
-    for state in ctx2:
-        add_arcs(fst, *[(state, rng.choice(ctx1), label, label, rng.uniform(-9, -1))
-                        for label in rng.sample(labels, 17)],
-                 (state, rng.choice(ctx1), 0, 0, rng.uniform(-2, -0.1)),
-                 (state, final, rng.choice(labels), rng.choice(labels), rng.uniform(-9, -1)))
+
+    def arc_lists():
+        # One state's arcs at a time, so no more than a state's arcs are
+        # ever held as tuples.
+        yield [(rng.choice(ctx1), label, label, rng.uniform(-9, -1)) for label in labels]
+        for _ in ctx1:
+            yield [(rng.choice(ctx2), label, label, rng.uniform(-9, -1))
+                   for label in rng.sample(labels, 120)] + [(root, 0, 0, rng.uniform(-2, -0.1))]
+        for _ in ctx2:
+            yield [(rng.choice(ctx1), label, label, rng.uniform(-9, -1))
+                   for label in rng.sample(labels, 17)] + [
+                (rng.choice(ctx1), 0, 0, rng.uniform(-2, -0.1)),
+                (final, rng.choice(labels), rng.choice(labels), rng.uniform(-9, -1))]
+        yield []  # the final state
+
+    fst = graph_from_lists(SymbolTable(vocab), arc_lists())
+    fst.set_final(final, 0.0)
     fst.set_initial(root)
     return fst, vocab
 

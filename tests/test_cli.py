@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import io
@@ -8,22 +9,26 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gboost.cli
 import gboost.evaluate
+import gboost.fst
 import oracles
 import toylm
 from gboost.arpa import oracle_score, parse_arpa
 from gboost.cli import WEIGHT_CONVENTIONS, UsageError, main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import SymbolTable, read_text, write_text
+from gboost.fst import SymbolTable, Wfst, read_text, write_text
 from gboost.graph import build_g
 
 PAIRS = {
@@ -252,15 +257,23 @@ class TestEnhanceCommand:
         added = [line for line in diff_lines if line.startswith("+ ")]
         assert all(line.split()[3] == "wifi" for line in added)
 
-    def test_added_arcs_settle_once_at_the_write(self, workdir, settles, monkeypatch):
+    def test_added_arcs_settle_once_at_the_write(self, workdir, monkeypatch):
+        """The enhanced graph is materialized once, by write_text, with every added arc."""
         fst_path, syms_path = build(workdir)
-        real_write_text = gboost.cli.write_text
+        merges = []
+        real_write_text, real_materialize = gboost.cli.write_text, Wfst._materialize
 
         def marked_write_text(*args, **kwargs):
-            settles.append("write_text")
+            merges.append("write_text")
             real_write_text(*args, **kwargs)
 
+        def counting_materialize(fst):
+            if fst._added_sources or fst._rewritten:
+                merges.append(len(fst._added_sources))
+            real_materialize(fst)
+
         monkeypatch.setattr(gboost.cli, "write_text", marked_write_text)
+        monkeypatch.setattr(Wfst, "_materialize", counting_materialize)
         code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
                    "--pairs", workdir / "pairs.json",
                    "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms",
@@ -268,7 +281,7 @@ class TestEnhanceCommand:
         assert code == 0
         added = [line for line in (workdir / "delta.txt").read_text().splitlines()
                  if line.startswith("+ ")]
-        assert added and settles == ["write_text", len(added)]
+        assert added and merges == ["write_text", len(added)]
 
     @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
     def test_enhancing_its_own_output_changes_nothing(self, workdir, weights):
@@ -357,9 +370,9 @@ class TestEnhanceCommand:
             symbols = SymbolTable.read(handle)
         with open(fst_path) as handle:
             g = read_text(handle, symbols)
-        enhance(g, load_pairs_config((workdir / "pairs.json").read_text()))
+        enhanced, _ = enhance(g, load_pairs_config((workdir / "pairs.json").read_text()))
         buf = io.StringIO()
-        write_text(g, buf)
+        write_text(enhanced, buf)
         assert (workdir / "g2.fst").read_text() == buf.getvalue()
 
 
@@ -838,3 +851,116 @@ class TestUsage:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "build-g" in proc.stdout
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_open_would_give(workdir, umask):
+    """Each command's output files have the mode of a file open(path, "w") creates."""
+    inputs = {path.name for path in workdir.iterdir()}
+    original = os.umask(umask)
+    try:
+        fst_path, syms_path = build(workdir)
+        (workdir / "s.txt").write_text("wo de\nwifi\n")
+        for argv in (
+                ["enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                 "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                 "--out-syms", workdir / "w2.syms", "--diff", workdir / "delta.txt"],
+                ["score", "--fst", fst_path, "--syms", syms_path, "--text", workdir / "s.txt",
+                 "--out", workdir / "scores.txt"],
+                ["eval", "--fst", fst_path, "--syms", syms_path, "--cases",
+                 workdir / "cases.json", "--pairs", workdir / "pairs.json", "--out",
+                 workdir / "eval"],
+                ["diff-fst", fst_path, workdir / "g2.fst", "--syms", workdir / "w2.syms",
+                 "--out", workdir / "fst.diff"]):
+            assert run(*argv) == 0, argv
+        with open(workdir / "reference", "w"):
+            pass
+    finally:
+        os.umask(original)
+    want = stat.S_IMODE((workdir / "reference").stat().st_mode)
+    assert want == 0o666 & ~umask
+    outputs = {path.relative_to(workdir).as_posix(): stat.S_IMODE(path.stat().st_mode)
+               for path in workdir.rglob("*")
+               if path.is_file() and path.name not in inputs | {"s.txt", "reference"}}
+    assert {"g.fst", "g.fst.bin", "w.syms", "g2.fst", "g2.fst.bin", "w2.syms", "delta.txt",
+            "scores.txt", "eval/grid.tsv", "fst.diff"} <= outputs.keys()
+    assert outputs == dict.fromkeys(outputs, want)
+
+
+# -- every command under byte-level fuzzing -------------------------------------
+#
+# One toy input at a time has a few of its bytes flipped, inserted or
+# deleted, and the command that reads it runs in this process. The graph
+# companion is fuzzed both raw and resealed, its trailing payload digest made
+# right again, so that its other checks are reached as well.
+
+FUZZ_OUT = ["OUT.fst", "OUT.syms", "OUT.diff", "OUT.txt", "OUT"]
+FUZZ_COMMANDS = {
+    "m.arpa": ["build-g", "--arpa", "m.arpa", "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"],
+    "g.fst": ["score", "--fst", "g.fst", "--syms", "w.syms", "--text", "s.txt",
+              "--out", "OUT.txt"],
+    "w.syms": ["enhance", "--in-fst", "g.fst", "--in-syms", "w.syms", "--pairs", "pairs.json",
+               "--out-fst", "OUT.fst", "--out-syms", "OUT.syms", "--diff", "OUT.diff"],
+    "pairs.json": ["enhance", "--in-fst", "g.fst", "--in-syms", "w.syms", "--pairs",
+                   "pairs.json", "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"],
+    "cases.json": ["eval", "--fst", "g.fst", "--syms", "w.syms", "--cases", "cases.json",
+                   "--pairs", "pairs.json", "--chnum-list", "1,2", "--out", "OUT"],
+    "g.fst.bin": ["diff-fst", "g.fst", "g.fst", "--syms", "w.syms", "--out", "OUT.diff"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, telecom_arpa):
+    """The bytes of every toy input, by file name: the graph built from the toy model."""
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "m.arpa").write_text(telecom_arpa)
+    (work / "pairs.json").write_text(json.dumps(PAIRS))
+    (work / "cases.json").write_text(json.dumps(CASES))
+    (work / "s.txt").write_text("wo chaxun liuliang\nwifi feiyong\n")
+    assert run("build-g", "--arpa", work / "m.arpa", "--out-fst", work / "g.fst",
+               "--out-syms", work / "w.syms") == 0
+    return {path.name: path.read_bytes() for path in work.iterdir()}
+
+
+def mutate(data, draw):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3), label="mutations")):
+        at = draw(st.integers(0, len(data)), label="offset")
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        if kind == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS) + ["g.fst.bin resealed"]), st.data())
+def test_mutated_inputs_end_in_a_documented_exit(fuzz_inputs, target, data):
+    """Exit 0, 2 or 3; a failure prints one stderr line, no traceback, and leaves no file."""
+    name, _, reseal = target.partition(" ")
+    damaged = mutate(fuzz_inputs[name], data.draw)
+    if reseal:
+        body = damaged[:-32]
+        damaged = body + gboost.fst._hash(body).digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for file_name, content in fuzz_inputs.items():
+            (work / file_name).write_bytes(damaged if file_name == name else content)
+        before = sorted(work.iterdir())
+        argv = [str(work / arg) if (work / arg).exists() or arg in FUZZ_OUT else arg
+                for arg in FUZZ_COMMANDS[name]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        files = sorted(path for path in work.rglob("*") if path.is_file())
+    assert code in (0, 2, 3), (target, code, err)
+    assert not any(path.name.startswith(".") for path in files), files  # no temp file
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("gboost: "), err
+        assert files == before

@@ -129,22 +129,21 @@ class TestCollectArcs:
 class TestEnhance:
     def test_adds_parallel_arc_for_existing_low_frequency_word(self, donor_graph):
         config = one_pair_config("a", "c", {"a": 95, "c": 5})
-        before = donor_graph.copy()
-        _, delta = enhance(donor_graph, config)
+        enhanced, delta = enhance(donor_graph, config)
         assert len(delta.added_arcs) == 1
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
         assert delta.final_changes == []
         arc = delta.added_arcs[0]
         assert (arc.source, arc.target) == (0, 1)
-        assert donor_graph.symbols.symbol(arc.ilabel) == "c"
+        assert enhanced.symbols.symbol(arc.ilabel) == "c"
         assert arc.weight == pytest.approx(0.5 + math.log(5 / 100), abs=1e-12)
         # everything else bit-identical
-        assert structural_diff(before, donor_graph).added_arcs == [arc]
+        assert structural_diff(donor_graph, enhanced).added_arcs == [arc]
 
     def test_new_word_gets_symbol_and_arc(self, donor_graph):
         config = one_pair_config("a", "nova", {"a": 95}, new=True, theta=-1.0)
-        _, delta = enhance(donor_graph, config)
-        assert "nova" in donor_graph.symbols
+        enhanced, delta = enhance(donor_graph, config)
+        assert "nova" in enhanced.symbols and "nova" not in donor_graph.symbols
         assert len(delta.added_arcs) == 1
         assert delta.added_arcs[0].weight == pytest.approx(0.5 - 1.0, abs=1e-12)
 
@@ -170,11 +169,10 @@ class TestEnhance:
         assert "nova" not in donor_graph.symbols
 
     def test_zero_groups_is_identity(self, donor_graph):
-        before = donor_graph.copy()
-        _, delta = enhance(donor_graph, EnhanceConfig(theta=0.0, max_predictors=1,
-                                                      groups=[]))
+        enhanced, delta = enhance(donor_graph, EnhanceConfig(theta=0.0, max_predictors=1,
+                                                             groups=[]))
         assert delta == FstDiff()
-        assert oracles.graphs_equal(before, donor_graph)
+        assert oracles.graphs_equal(donor_graph, enhanced)
 
     def test_shared_slot_takes_max_of_candidates(self, fst_factory):
         fst = fst_factory(
@@ -211,11 +209,10 @@ class TestEnhance:
             [(0, 1, "a", "a", -0.5), (0, 1, "c", "c", -0.1)],
             {1: 0.0},
         )
-        before = fst.copy()
         config = one_pair_config("a", "c", {"a": 90, "c": 10}, theta=-3.0)
-        _, delta = enhance(fst, config)
+        enhanced, delta = enhance(fst, config)
         assert delta == FstDiff()
-        assert oracles.graphs_equal(before, fst)
+        assert oracles.graphs_equal(fst, enhanced)
 
     def test_unknown_predictor_named_in_error(self, donor_graph):
         config = one_pair_config("ghost", "c", {"ghost": 5, "c": 5})
@@ -241,11 +238,11 @@ class TestEnhance:
     def test_new_marked_word_already_in_table_is_reused(self, donor_graph):
         # A rerun finds its own insertions; they are reused, not duplicated.
         config = one_pair_config("a", "nova", {"a": 95}, new=True)
-        enhance(donor_graph, config)
-        snapshot = donor_graph.copy()
-        _, second = enhance(donor_graph, config)
-        assert second == FstDiff()
-        assert oracles.graphs_equal(snapshot, donor_graph)
+        first, _ = enhance(donor_graph, config)
+        second, delta = enhance(first, config)
+        assert delta == FstDiff()
+        assert second.symbols is first.symbols  # nothing new to add
+        assert oracles.graphs_equal(first, second)
 
     def test_existing_target_missing_from_vocabulary_rejected(self, donor_graph):
         config = one_pair_config("a", "nova", {"a": 95, "nova": 3})
@@ -278,41 +275,38 @@ class TestEnhance:
 
     def test_non_target_arcs_untouched(self, telecom_graph, ool_config):
         fst = telecom_graph
-        before = fst.copy()
-        _, delta = enhance(fst, ool_config)
-        target_labels = {fst.symbols.label(t)
+        enhanced, delta = enhance(fst, ool_config)
+        target_labels = {enhanced.symbols.label(t)
                          for g in ool_config.groups for t in g.targets}
         for arc in delta.added_arcs:
             assert arc.ilabel in target_labels
         for old, new in delta.reweighted_arcs:
             assert old.ilabel in target_labels
-        for state in before.states():
-            before_rest = [a for a in before.arcs(state) if a[1] not in target_labels]
-            after_rest = [a for a in fst.arcs(state) if a[1] not in target_labels]
+        for state in fst.states():
+            before_rest = [a for a in fst.arcs(state) if a[1] not in target_labels]
+            after_rest = [a for a in enhanced.arcs(state) if a[1] not in target_labels]
             assert before_rest == after_rest
 
     def test_monotone_scores_on_fixture(self, telecom_graph, ool_config):
         fst = telecom_graph
         sentences = toylm.toy_corpus(toylm.TELECOM_WORDS, 80, seed=17, max_len=5)
         before_scores = [graph_score(fst, s) for s in sentences]
-        enhance(fst, ool_config)
+        enhanced, _ = enhance(fst, ool_config)
         for sentence, before in zip(sentences, before_scores):
-            assert graph_score(fst, sentence) >= before - 1e-12
+            assert graph_score(enhanced, sentence) >= before - 1e-12
 
     def test_idempotent(self, telecom_graph, ool_config):
-        fst = telecom_graph
-        enhance(fst, ool_config)
-        snapshot = fst.copy()
-        _, second = enhance(fst, ool_config)
-        assert second == FstDiff()
-        assert oracles.graphs_equal(snapshot, fst)
+        first, _ = enhance(telecom_graph, ool_config)
+        second, delta = enhance(first, ool_config)
+        assert delta == FstDiff()
+        assert oracles.graphs_equal(first, second)
 
     def test_returned_diff_matches_structural_diff(self, telecom_graph, ool_config):
         fst = telecom_graph
+        enhanced, delta = enhance(fst, ool_config)
         before = fst.copy()
-        _, delta = enhance(fst, ool_config)
-        before.symbols = fst.symbols.copy()  # new words extend the table
-        structural = structural_diff(before, fst)
+        before.symbols = enhanced.symbols.copy()  # new words extend the table
+        structural = structural_diff(before, enhanced)
         assert sorted(structural.added_arcs) == sorted(delta.added_arcs)
         assert sorted(structural.reweighted_arcs) == sorted(delta.reweighted_arcs)
         assert structural.removed_arcs == [] and structural.final_changes == []
@@ -323,8 +317,7 @@ class TestEnhance:
         base_fst = telecom_graph
         runs = {}
         for theta in (0.0, 2.0):
-            fst = base_fst.copy()
-            _, delta = enhance(fst, dataclasses.replace(ool_config, theta=theta))
+            _, delta = enhance(base_fst, dataclasses.replace(ool_config, theta=theta))
             runs[theta] = {(a.source, a.target, a.ilabel): a.weight
                            for a in delta.added_arcs}
         assert runs[0.0].keys() == runs[2.0].keys()
@@ -337,17 +330,15 @@ class TestEnhance:
         base_fst = telecom_graph
         slots = {}
         for chnum in (1, 2, 3):
-            fst = base_fst.copy()
-            _, delta = enhance(fst, dataclasses.replace(ool_config,
-                                                        max_predictors=chnum))
+            _, delta = enhance(base_fst, dataclasses.replace(ool_config,
+                                                             max_predictors=chnum))
             slots[chnum] = {(a.source, a.target, a.ilabel) for a in delta.added_arcs}
         assert slots[1] <= slots[2] <= slots[3]
 
     def test_final_weights_never_modified(self, telecom_graph, ool_config):
         fst = telecom_graph
-        finals_before = dict(fst.finals)
-        enhance(fst, ool_config)
-        assert fst.finals == finals_before
+        enhanced, _ = enhance(fst, ool_config)
+        assert enhanced.finals == fst.finals
 
 
 # -- plan and apply ------------------------------------------------------------
@@ -361,7 +352,7 @@ PLAN_SYMBOLS = ["y0", "y1", "y2", "y3", "x0", "x1"]
 
 
 def logged_enhance(fst, config):
-    """``enhance(fst, config)``'s diff, and the arguments of the INFO line it logs.
+    """``enhance(fst, config)``'s graph and diff, and the arguments of the INFO line it logs.
 
     They are theta, the predictor count, arcs added, arcs raised, the
     overshoot count and whether the plan was "built" or "reused".
@@ -374,12 +365,12 @@ def logged_enhance(fst, config):
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
-        _, delta = enhance(fst, config)
+        enhanced, delta = enhance(fst, config)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     [info] = [r for r in records if r.levelno == logging.INFO]
-    return delta, info.args
+    return enhanced, delta, info.args
 
 
 def bits(delta):
@@ -437,19 +428,18 @@ THETA = st.sampled_from([0.0, -0.0, 2.0, -4.0]) | st.floats(-8, 8)
 
 
 def check_cells(base, counts_a, counts_b, cells):
-    """Enhance sibling copies of ``base``, one per (theta, chnum) cell, against the reference.
+    """Enhance ``base`` once per (theta, chnum) cell, against the reference.
 
-    Each copy's arcs, in order, are the reference diff replayed one edit at
-    a time onto another copy.
+    Each enhanced graph's arcs, in order, are the reference diff replayed
+    one edit at a time.
     """
     planned = set()
     for theta, chnum in cells:
         config = plan_config(counts_a, counts_b, theta, chnum)
         expected, overshoot = oracles.enhance_by_candidate(base, config)
-        enhanced = base.copy()
-        delta, info = logged_enhance(enhanced, config)
+        enhanced, delta, info = logged_enhance(base, config)
         assert bits(delta) == bits(expected), (theta, chnum)
-        replayed = oracles.apply_diff_by_arc(base.copy(), expected)
+        replayed = oracles.apply_diff_by_arc(base, expected)
         assert [enhanced.arcs(s) for s in base.states()] == [
             replayed.arcs(s) for s in base.states()], (theta, chnum)
         assert info[1:5] == (chnum, len(expected.added_arcs),
@@ -480,30 +470,31 @@ class TestPlanAndApply:
         cells = [(theta, chnum) for theta in (-4.0, -0.0, 0.0, 0.5, 2.0, 6.0)
                  for chnum in (1, 2, 3)]
         check_cells(base, counts_a, counts_b, cells)
-        raised = enhance(base.copy(), plan_config(counts_a, counts_b, 2.0))[1]
+        raised = enhance(base, plan_config(counts_a, counts_b, 2.0))[1]
         assert {base.symbols.symbol(old.ilabel) for old, _ in raised.reweighted_arcs} \
             == {"x0", "x1"}
 
     def test_write_drops_the_plan(self):
+        """An edited graph is a new graph, with a memo of its own: it plans anew."""
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
-        assert logged_enhance(base.copy(), config)[1][5] == "built"
-        assert logged_enhance(base.copy(), config)[1][5] == "reused"
-        add_arcs(base, (4, 3, base.symbols.label("y2"), base.symbols.label("y2"), -0.25))
-        delta, info = logged_enhance(base.copy(), config)
+        assert logged_enhance(base, config)[2][5] == "built"
+        assert logged_enhance(base.copy(), config)[2][5] == "reused"  # a copy shares
+        y2, y3 = base.symbols.label("y2"), base.symbols.label("y3")
+        edited = add_arcs(base, (4, 3, y2, y2, -0.25))
+        _, delta, info = logged_enhance(edited, config)
         assert info[5] == "built"
-        assert bits(delta) == bits(oracles.enhance_by_candidate(base, config)[0])
+        assert bits(delta) == bits(oracles.enhance_by_candidate(edited, config)[0])
         assert any(arc.source == 4 for arc in delta.added_arcs)
-        written = base.copy()
-        add_arcs(written, (4, 2, base.symbols.label("y3"), base.symbols.label("y3"), -0.5))
-        assert logged_enhance(written, config)[1][5] == "built"
-        assert logged_enhance(base.copy(), config)[1][5] == "reused"
+        assert logged_enhance(add_arcs(edited, (4, 2, y3, y3, -0.5)), config)[2][5] == "built"
+        assert logged_enhance(edited, config)[2][5] == "reused"
+        assert logged_enhance(base, config)[2][5] == "reused"
 
     @pytest.mark.parametrize("change", ["count", "new word", "prefix", "order"])
     def test_config_change_builds_a_new_plan(self, change):
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2], max_predictors=2)
-        logged_enhance(base.copy(), config)
+        logged_enhance(base, config)
         group = config.groups[0]
         if change == "count":
             group.frequencies["y1"] += 1
@@ -513,27 +504,26 @@ class TestPlanAndApply:
             config.max_predictors = 3
         else:
             group.predictors[:2] = group.predictors[1::-1]
-        delta, info = logged_enhance(base.copy(), config)
+        _, delta, info = logged_enhance(base, config)
         assert info[5] == "built"
         assert bits(delta) == bits(oracles.enhance_by_candidate(base, config)[0])
 
     def test_new_word_labels_come_from_each_copys_table(self):
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
-        first = base.copy()
-        logged_enhance(first, config)
+        first = logged_enhance(base, config)[0]
         grown = grown_before(base, "zzz")
         expected = oracles.enhance_by_candidate(grown, config)[0]
-        delta, info = logged_enhance(grown, config)
+        enhanced, delta, info = logged_enhance(grown, config)
         assert info[5] == "reused"
-        nova = grown.symbols.label("nova")
+        nova = enhanced.symbols.label("nova")
         assert nova == first.symbols.label("nova") + 1
         assert nova in {arc.ilabel for arc in delta.added_arcs}
         assert bits(delta) == bits(expected)
         # A table that holds the new word already is planned anew.
         known = grown_before(base, "nova")
         expected = oracles.enhance_by_candidate(known, config)[0]
-        delta, info = logged_enhance(known, config)
+        _, delta, info = logged_enhance(known, config)
         assert info[5] == "built"
         assert bits(delta) == bits(expected)
 
@@ -541,8 +531,8 @@ class TestPlanAndApply:
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2], theta=2.0, max_predictors=3)
         with caplog.at_level(logging.INFO, logger="gboost.enhance"):
-            _, delta = enhance(base.copy(), config)
-            enhance(base.copy(), dataclasses.replace(config, theta=-4.0))
+            _, delta = enhance(base, config)
+            enhance(base, dataclasses.replace(config, theta=-4.0))
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
         assert lines[0] == (f"enhance: theta 2, 3 predictors: {len(delta.added_arcs)} "
                             f"arcs added, {len(delta.reweighted_arcs)} raised, "
@@ -636,6 +626,7 @@ def test_pairs_config_raises_only_gboost_errors(text):
         return
     fst = build_g(parse_arpa(io.StringIO(FUZZ_ARPA)))
     try:
-        enhance(fst, config)
+        enhanced, _ = enhance(fst, config)
     except GboostError:
-        pass
+        return
+    assert enhanced.num_states() == fst.num_states()

@@ -11,6 +11,7 @@ from gboost.enhance import enhance
 from gboost.errors import FormatError, GboostError, InvariantError
 from gboost.evaluate import (PROXY_NOTE, CaseResult, EvalReport, RankingCase, grid_tsv,
                              load_cases, run_ranking, sweep)
+from gboost.fst import Wfst
 from gboost.graph import build_g, graph_score
 from test_enhance import JSON_VALUES
 
@@ -109,8 +110,7 @@ class TestRunRanking:
         base_fst = telecom_graph
         previous = None
         for theta in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            fst = base_fst.copy()
-            enhance(fst, dataclasses.replace(ool_config, theta=theta))
+            fst, _ = enhance(base_fst, dataclasses.replace(ool_config, theta=theta))
             report = run_ranking(fst, ool_cases)
             scores = [r.reference_score for r in report.results]
             assert all(s is not None for s in scores)
@@ -133,8 +133,8 @@ class TestControlSetStability:
         fst = telecom_graph
         controls = toylm.toy_corpus(toylm.TELECOM_WORDS, 50, seed=23, max_len=6)
         before = [graph_score(fst, s) for s in controls]
-        enhance(fst, ool_config)
-        after = [graph_score(fst, s) for s in controls]
+        enhanced, _ = enhance(fst, ool_config)
+        after = [graph_score(enhanced, s) for s in controls]
         assert before == after  # exact float equality, not approx
 
 
@@ -152,26 +152,33 @@ class TestSweep:
                                            ool_cases):
         fst = telecom_graph
         grid = sweep(fst, ool_config, [1.0], [2], ool_cases)
-        direct_fst = fst.copy()
-        enhance(direct_fst, dataclasses.replace(ool_config, theta=1.0,
-                                                max_predictors=2))
+        direct_fst, _ = enhance(fst, dataclasses.replace(ool_config, theta=1.0,
+                                                         max_predictors=2))
         direct = run_ranking(direct_fst, ool_cases)
         assert grid[(1.0, 2)].to_json() == direct.to_json()
 
     def test_cells_share_one_scan_per_predictor_count(self, telecom_model, ool_config,
-                                                      ool_cases, scans, settles):
+                                                      ool_cases, scans, monkeypatch):
         thetas, chnums = [-4.0, -2.0, 0.0, 2.0], [1, 2, 3]
         fst = build_g(telecom_model)
+        materialized = []
+        materialize = Wfst._materialize
+
+        def counting_materialize(graph):
+            if graph._added_sources or graph._rewritten:
+                materialized.append(graph)
+            materialize(graph)
+
+        monkeypatch.setattr(Wfst, "_materialize", counting_materialize)
         grid = sweep(fst, ool_config, thetas, chnums, ool_cases)
         # Predictor prefixes nest: one scan, for every predictor, serves all counts.
         [labels] = scans
         assert labels >= {fst.symbols.label(word) for group in ool_config.groups
                           for word in group.predictors}
-        assert settles == []  # no cell moves an added arc into an overlay
+        assert materialized == []  # cells read their added arcs through the tables alone
         for (theta, chnum), report in grid.items():
-            fresh = build_g(telecom_model)
-            enhance(fresh, dataclasses.replace(ool_config, theta=theta,
-                                               max_predictors=chnum))
+            fresh, _ = enhance(build_g(telecom_model), dataclasses.replace(
+                ool_config, theta=theta, max_predictors=chnum))
             assert report.to_json() == run_ranking(fresh, ool_cases).to_json()
         assert len(grid) == 12
 

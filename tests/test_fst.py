@@ -19,7 +19,7 @@ import oracles
 import toylm
 from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
-from gboost.enhance import enhance
+from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
                         SymbolTable, _HEADER, _best_table, _hash, apply_diff, diff,
                         load_graph, read_text, write_companion, write_text)
@@ -106,25 +106,34 @@ class TestSymbolTable:
 
 class TestWfstBasics:
     def test_arcs_preserve_insertion_order(self):
-        fst = empty_graph(SymbolTable(["a", "b"]), 1)
-        add_arcs(fst, (0, 0, 2, 2, -1.0), (0, 0, 1, 1, -2.0))
+        fst = add_arcs(empty_graph(SymbolTable(["a", "b"]), 1),
+                       (0, 0, 2, 2, -1.0), (0, 0, 1, 1, -2.0))
         assert [ilabel for (_, ilabel, _, _) in fst.arcs(0)] == [2, 1]
 
     def test_arcs_matching_tracks_mutation(self):
         fst = empty_graph(SymbolTable(["a"]), 1)
+        added = add_arcs(fst, (0, 0, 1, 1, -1.0))
+        assert arcs_matching(added, 0, 1) == [(0, 1, 1, -1.0)]
         assert arcs_matching(fst, 0, 1) == []
-        add_arcs(fst, (0, 0, 1, 1, -1.0))
-        assert arcs_matching(fst, 0, 1) == [(0, 1, 1, -1.0)]
 
     def test_copy_is_independent(self):
-        fst = empty_graph(SymbolTable(["a"]), 1)
-        add_arcs(fst, (0, 0, 1, 1, -1.0))
+        fst = add_arcs(empty_graph(SymbolTable(["a"]), 1), (0, 0, 1, 1, -1.0))
         fst.set_initial(0)
         dup = fst.copy()
-        add_arcs(dup, (0, 0, 1, 1, -2.0))
         dup.symbols.add("b")
-        assert fst.num_arcs() == 1
-        assert "b" not in fst.symbols
+        dup.set_final(0, 0.0)
+        assert "b" not in fst.symbols and fst.finals == {}
+        assert dup.arcs(0) == fst.arcs(0) and dup.initial == 0
+
+    def test_scan_groups_matching_arcs_in_order(self, two_path_acceptor):
+        fst = two_path_acceptor
+        a, b, c = (fst.symbols.label(s) for s in "abc")
+        found = fst.scan([c, a])
+        assert found == {a: [(0, (1, a, fst.symbols.label("x"), 0.5))],
+                         c: [(1, (2, c, fst.symbols.label("z"), 2.5))]}
+        fst = add_arcs(fst, (0, 2, b, b, -1.0))
+        assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
+                                     (0, (2, b, b, -1.0))]}
 
 
 def text_of(fst):
@@ -149,93 +158,11 @@ def random_edit(fst, rng):
     return FstDiff(reweighted_arcs=[(old, new)])
 
 
-class TestCopyOnWrite:
-    def test_copies_stay_independent(self, random_graph_factory):
-        """Each graph sees its own edits only, through text, tables and scans.
-
-        A copy is taken after four edits and a copy of that copy after
-        eight; then all three graphs are edited in turn. After every edit
-        each graph must equal a fresh read of the base text with that
-        graph's own edits replayed. Every graph's tables and scan are read
-        after every edit, so a later write that skips the clone, the table
-        reset or the memo drop shows.
-        """
-        labels = {1, 2}
-        for seed in range(40):
-            rng = random.Random(seed)
-            base = random_graph_factory(seed, n_states=6, n_arcs=20, n_symbols=3)
-            base.set_final(base.initial, 0.0)  # stays writable when its arcs go
-            base_text, symbols = text_of(base), base.symbols
-            graphs = [read_text(io.StringIO(base_text), symbols)]
-            edits = [[]]
-            for step in range(30):
-                if step in (4, 8):
-                    graphs.append(graphs[-1].copy())
-                    edits.append(list(edits[-1]))
-                which = rng.randrange(len(graphs))
-                edit = random_edit(graphs[which], rng)
-                apply_diff(graphs[which], edit)
-                edits[which].append(edit)
-                for fst, log in zip(graphs, edits):
-                    reference = read_text(io.StringIO(base_text), symbols)
-                    for done in log:
-                        apply_diff(reference, done)
-                    assert text_of(fst) == text_of(reference), (seed, step)
-                    assert ([fst.best_arcs(s) for s in fst.states()]
-                            == [reference.best_arcs(s) for s in reference.states()])
-                    assert fst.scan(labels) == reference.scan(labels), (seed, step)
-                    assert fst.scan(labels) == oracles.scan_by_arc(fst, labels)
-
-    def test_writes_reach_no_sibling_and_tables_stay_shared(self, random_graph_factory):
-        """A copy's write stays in its own overlay; unwritten states share one table."""
-        source = random_graph_factory(3, n_states=8, n_arcs=30, n_symbols=3)
-        base = read_text(io.StringIO(text_of(source)), source.symbols)
-        written, untouched = [s for s in base.states() if base.num_arcs(s)][:2]
-        base_arcs = base.arcs(written)
-        left, right = base.copy(), base.copy()
-        # A table built through one copy serves the original and the sibling.
-        table, written_table = left.best_arcs(untouched), right.best_arcs(written)
-        assert right.best_arcs(untouched) is table and base.best_arcs(untouched) is table
-        assert base.best_arcs(written) is written_table
-        add_arcs(left, (written, 0, 1, 1, 9.0))
-        add_arcs(right, (written, 1, 2, 2, 8.0))
-        assert base.arcs(written) == base_arcs
-        assert left.arcs(written) == base_arcs + [(0, 1, 1, 9.0)]
-        assert right.arcs(written) == base_arcs + [(1, 2, 2, 8.0)]
-        assert base.best_arcs(written) is written_table
-        assert left.best_arcs(written)[1] == (0, 1, 1, 9.0)
-        # A copy of a written copy gets an equal overlay list of its own.
-        grand = left.copy()
-        assert grand.arcs(written) == left.arcs(written)
-        assert grand.arcs(written) is not left.arcs(written)
-        apply_diff(grand, FstDiff(removed_arcs=[Arc(written, 0, 1, 1, 9.0)]))
-        assert grand.arcs(written) == base_arcs
-        assert left.arcs(written)[-1] == (0, 1, 1, 9.0)
-        # The original's own writes reach no copy either.
-        add_arcs(base, (untouched, 2, 3, 3, 7.0))
-        assert all(g.arcs(untouched) == base.arcs(untouched)[:-1]
-                   for g in (left, right, grand))
-        assert base.best_arcs(untouched) is not table
-        for g in (left, right, grand):
-            assert g.best_arcs(untouched) is table
-
-    def test_scan_groups_matching_arcs_in_order(self, two_path_acceptor):
-        fst = two_path_acceptor
-        a, b, c = (fst.symbols.label(s) for s in "abc")
-        found = fst.scan([c, a])
-        assert found == {a: [(0, (1, a, fst.symbols.label("x"), 0.5))],
-                         c: [(1, (2, c, fst.symbols.label("z"), 2.5))]}
-        add_arcs(fst, (0, 2, b, b, -1.0))
-        assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
-                                     (0, (2, b, b, -1.0))]}
-
-
 class TestBestArcTables:
-    """A state's table: the shared column table plus its pending arcs, or a rebuild.
+    """A state's table: the shared column table plus its added arcs, or a rebuild.
 
-    Only a state with pending additions and no overlay list derives its
-    table; once its arcs are in the overlay (any read but best_arcs, or
-    the next write, moves them there) its table is rebuilt from them.
+    Only a state with added arcs alone derives its table; a rewritten
+    state (a removal or reweight) has its table rebuilt from its arcs.
     """
 
     # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
@@ -249,7 +176,7 @@ class TestBestArcTables:
         # edit name: (diffs applied in turn, whether each table is derived)
         "append": ([FstDiff(added_arcs=APPEND)], [True]),
         "append twice": ([FstDiff(added_arcs=APPEND[:2]), FstDiff(added_arcs=APPEND[2:])],
-                         [True, False]),
+                         [True, True]),
         "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False]),
         "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2, 2.0),
                                                 Arc(0, 2, 2, 2, 0.25))])], [False]),
@@ -257,7 +184,7 @@ class TestBestArcTables:
             (Arc(0, 1, 1, 1, 1.0), Arc(0, 1, 1, 1, 1.0))])], [False]),
         "remove, then append the same arc": (
             [FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)]),
-             FstDiff(added_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False, False]),
+             FstDiff(added_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False, True]),
         "append, then remove": ([FstDiff(added_arcs=APPEND),
                                  FstDiff(removed_arcs=[Arc(0, 2, 1, 1, 1.0)])],
                                 [True, False]),
@@ -281,35 +208,36 @@ class TestBestArcTables:
         base = read_text(io.StringIO(text_of(source)), source.symbols)
         shared = base.best_arcs(0)
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
-        fst, sibling = base.copy(), base.copy()
+        fst = base
         diffs, expected = self.EDITS[edit]
         derived.clear()
         for delta in diffs:
-            apply_diff(fst, delta)
+            fst = apply_diff(fst, delta)  # materializes the graph before it
             table = fst.best_arcs(0)
             assert table == _best_table(fst.arcs(0))
             assert table is not shared
         assert derived == expected
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
-        assert sibling.best_arcs(0) is shared and base.best_arcs(0) is shared
+        assert base.best_arcs(0) is shared and base.copy().best_arcs(0) is shared
 
     def test_tables_follow_random_edits(self, random_graph_factory):
+        """Each graph derived along two lines of edits, and each one it came from."""
         for seed in range(20):
             rng = random.Random(seed)
             source = random_graph_factory(seed, n_states=6, n_arcs=24, n_symbols=3)
             base = read_text(io.StringIO(text_of(source)), source.symbols)
-            graphs = [base.copy(), base.copy()]
+            lines, graphs = [base, base], [base]
             for step in range(25):
-                fst = rng.choice(graphs)
-                apply_diff(fst, random_edit(fst, rng))
-                for fst in graphs + [base]:
+                which = rng.randrange(2)
+                lines[which] = apply_diff(lines[which], random_edit(lines[which], rng))
+                graphs.append(lines[which])
+                for fst in graphs:
                     for state in fst.states():
                         assert (fst.best_arcs(state) == _best_table(fst.arcs(state))
                                 ), (seed, step, state)
 
-
 class TestPendingAdditions:
-    """Added arcs stay pending until a reader other than best_arcs asks for arcs."""
+    """Added arcs stay pending, read through the tables, until another reader materializes them."""
 
     # Labels a=1, b=2, c=3. State 0's column arcs: a at 1.0, then b at 0.5.
     ARCS = [(0, 1, "a", "a", 1.0), (0, 2, "b", "b", 0.5), (1, 2, "a", "a", 0.0)]
@@ -321,67 +249,64 @@ class TestPendingAdditions:
     def test_pending_tables_keep_the_tie_rule(self, fst_factory):
         base = self.base(fst_factory)
         shared = base.best_arcs(0)
-        fst, sibling = base.copy(), base.copy()
-        apply_diff(fst, FstDiff(added_arcs=[
+        fst = apply_diff(base, FstDiff(added_arcs=[
             Arc(0, 2, 1, 1, 1.0),   # ties the column arc on a: the column arc wins
             Arc(0, 1, 3, 3, 2.0),   # a label the state lacks
-            Arc(0, 2, 3, 3, 2.0),   # ties the pending arc before it: the first wins
+            Arc(0, 2, 3, 3, 2.0),   # ties the added arc before it: the first wins
             Arc(0, 2, 2, 2, 0.75),  # beats the column arc on b
         ]))
         table = fst.best_arcs(0)
-        assert fst._pending_sources == [0] * 4 and 0 not in fst._overlay
+        assert fst._added_sources == [0] * 4 and not fst._rewritten
         assert table == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.75), 3: (1, 3, 3, 2.0)}
         assert table[1] is shared[1]  # the column arc itself
-        assert fst.best_arcs(1) is base.best_arcs(1)  # an unwritten state shares
-        # The sibling never sees the edit, and the shared table is unchanged.
-        assert sibling.best_arcs(0) is shared
+        assert fst.best_arcs(1) is base.best_arcs(1)  # an unedited state shares
+        # The graph it came from never sees the edit, and the shared table is unchanged.
+        assert base.best_arcs(0) is shared
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.5)}
-        assert table == oracles.best_arcs_by_arc(fst, 0)  # settles
-        assert not fst._pending_sources and 0 in fst._overlay
-        assert fst.best_arcs(0) is table  # still valid once settled
+        assert table == oracles.best_arcs_by_arc(fst, 0)  # materializes
+        assert not fst._added_sources
+        assert fst.best_arcs(0) is table  # still valid once materialized
 
     def test_copies_start_with_the_shared_tables(self, fst_factory):
+        """Copies and derived graphs start with every table built beside the columns."""
         base = self.base(fst_factory)
         table = base.copy().best_arcs(1)  # built through a copy, beside the columns
-        assert base.copy()._tables[1] is table
-        written = base.copy()
-        apply_diff(written, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
+        assert base.copy()._tables[1] is table and base.best_arcs(1) is table
+        written = apply_diff(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
+        assert written._tables[1] is table and written._tables[0] is None
         own = written.best_arcs(0)
-        grand = written.copy()
-        assert grand._tables[0] is own and grand._tables[1] is table
-        apply_diff(grand, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
-        assert grand._tables[1] is None
+        grand = apply_diff(written, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
+        assert grand._tables[0] is own and grand._tables[1] is None
         assert grand.best_arcs(1)[2] == (0, 2, 2, 3.0)
-        assert written.best_arcs(1) is table
+        assert written.best_arcs(1) is table and base.best_arcs(0) is not own
 
     @pytest.mark.parametrize("added, message", [
         # A non-finite weight at arc 2 comes before a bad target at arc 4.
         ([Arc(1, 0, 1, 1, 0.5), Arc(0, 2, 2, 2, math.nan), Arc(1, 2, 3, 3, 0.0),
           Arc(0, 9, 1, 1, 0.0)], "arc weight must be finite, got nan"),
         ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2, -2, 0.0)], "labels must be non-negative: 2:-2"),
-        # A bad source raises once the sources before it have their arcs.
-        ([Arc(1, 0, 1, 1, 0.5), Arc(5, 0, 1, 1, 0.0), Arc(0, 0, 2, 2, 0.0)],
+        # A bad source is a bad arc like any other: the first one raises.
+        ([Arc(1, 0, 1, 1, 0.5), Arc(5, 0, 1, 1, 0.0), Arc(0, 9, 2, 2, 0.0)],
          "unknown state id: 5"),
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 9, 2, 2, 0.0), Arc(5, 0, 1, 1, 0.0)],
+         "unknown state id: 9"),
     ])
     def test_refused_additions_raise_the_first_error(self, fst_factory, added, message):
-        """A refused delta leaves what replaying it arc by arc leaves, and nothing pending."""
+        """A refused delta raises for its first bad arc and leaves its input as it was."""
         base = self.base(fst_factory)
-        pending = Arc(1, 1, 3, 3, -1.0)  # a pending addition from an earlier call
+        earlier = Arc(1, 1, 3, 3, -1.0)  # an addition the input holds as an edit
         removal = Arc(0, 1, 1, 1, 1.0)
-        fst = apply_diff(base.copy(), FstDiff(added_arcs=[pending]))
+        fst = apply_diff(base, FstDiff(added_arcs=[earlier]))
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
             apply_diff(fst, FstDiff(removed_arcs=[removal], added_arcs=added))
-        assert not fst._pending_sources and not fst._pending_arcs
-        expected = oracles.apply_diff_by_arc(base.copy(), FstDiff(
-            added_arcs=[pending], removed_arcs=[removal]))
-        if message.startswith("unknown state id"):
-            oracles.apply_diff_by_arc(expected, FstDiff(added_arcs=added[:1]))
+        expected = oracles.apply_diff_by_arc(base, FstDiff(added_arcs=[earlier]))
         assert text_of(fst) == text_of(expected)
         assert diff(fst, expected) == FstDiff()
 
 
-# Reads compared between a graph edited through apply_diff (additions
-# pending) and the same graph edited one arc at a time into its overlay.
+# Reads compared between a graph derived through apply_diff or enhance
+# (edits not yet materialized) and the same graph built from plain arc
+# lists edited one arc at a time.
 _READS = ("best_arcs", "arcs", "num_arcs", "scan", "diff", "write_text")
 _WEIGHTS = (-1.0, -0.5, 0.0, 0.5)
 
@@ -408,7 +333,8 @@ def _check_read(read, lazy, eager, base, data):
         labels = data.draw(st.sets(st.sampled_from(sorted(lazy.symbols._lab2sym))))
         assert lazy.scan(labels) == oracles.scan_by_arc(eager, labels)
     elif read == "diff":
-        assert diff(base, lazy) == diff(base, eager)
+        if lazy.symbols == base.symbols:  # else enhancement added words
+            assert diff(base, lazy) == diff(base, eager)
         assert diff(lazy, eager) == FstDiff()
     else:
         assert _text_or_error(lazy) == _text_or_error(eager)
@@ -431,9 +357,11 @@ def _draw_delta(data, eager):
     delta = FstDiff(added_arcs=added)
     written = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     for state, kind in zip(written, ("remove", "reweight")):
-        if not eager.arcs(state):
+        arcs = eager.arcs(state)
+        if not arcs:
             continue
-        old = Arc(state, *data.draw(st.sampled_from(eager.arcs(state))))
+        repeated = [arc for arc in arcs if arcs.count(arc) > 1]
+        old = Arc(state, *data.draw(st.sampled_from(repeated or arcs)))
         if kind == "remove":
             delta.removed_arcs.append(old)
         else:
@@ -446,38 +374,102 @@ def _draw_delta(data, eager):
     return delta
 
 
+def _draw_refused(data, eager):
+    """A delta apply_diff refuses: a valid one with one bad entry."""
+    delta = _draw_delta(data, eager)
+    n = eager.num_states()
+    bad = data.draw(st.sampled_from(("removal", "reweight", "addition", "final")))
+    if bad == "removal":
+        delta.removed_arcs.append(Arc(0, 0, 1, 1, 99.0))  # no arc weighs 99
+    elif bad == "reweight":
+        old = Arc(0, 0, 1, 1, 99.0)
+        delta.reweighted_arcs.append((old, old._replace(weight=math.nan)))
+    elif bad == "addition":
+        at = data.draw(st.integers(0, len(delta.added_arcs)))
+        delta.added_arcs.insert(at, Arc(0, n, 1, 1, 0.0))
+    else:
+        delta.final_changes.append((n, None, 0.0))
+    return delta
+
+
+def _draw_config(data, symbols):
+    """A valid one-group enhancement config over the words of ``symbols``."""
+    new_words = ["nova", "nova2"]  # new at first, then in the tables of the graphs enhanced
+    words = [word for word in symbols._sym2lab if word not in (EPSILON, *new_words)]
+    predictors = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=2,
+                                    unique=True), label="predictors")
+    others = [word for word in words if word not in predictors]
+    targets = data.draw(st.lists(st.sampled_from(others + new_words), min_size=1,
+                                 max_size=2, unique=True), label="targets")
+    counts = st.integers(1, 500)
+    return EnhanceConfig(
+        theta=data.draw(st.sampled_from((-2.0, 0.0, 1.5)), label="theta"),
+        max_predictors=data.draw(st.integers(1, 2), label="max_predictors"),
+        groups=[SimilarPairGroup(predictors=predictors, targets=targets,
+                                 frequencies={word: data.draw(counts)
+                                              for word in predictors + targets},
+                                 new_words=frozenset(new_words) & set(targets))])
+
+
+def _snapshot(fst):
+    """What a call must leave of its input: symbols, initial, finals, arcs and tables.
+
+    Taken without materializing the graph.
+    """
+    states = fst.states()
+    return (fst.symbols.copy(), fst.initial, dict(fst.finals),
+            [fst._state_arcs(state) for state in states],
+            [dict(fst.best_arcs(state)) for state in states])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(("random", "backoff")), st.integers(0, 2 ** 32), st.data())
 def test_lazy_edits_read_as_eager_ones(kind, seed, data):
-    """Edits, reads and copies in any order: every read equals the eager graph's.
+    """Edits, enhancements, reads and copies in any order: no call changes its input.
 
-    Pairs of graphs start as fresh reads of one text: one edited through
-    apply_diff, the other through oracles.apply_diff_by_arc. Each step
-    edits one pair, copies one pair (a sibling that never sees later
-    edits of the original), or reads every pair; two edits in a row leave
-    additions from both. All reads of all pairs end the run, best_arcs
-    first, so pending states are read before anything settles them.
+    Pairs of graphs start as fresh reads of one text. Each edit or
+    enhancement derives a new pair from a drawn one: one graph through
+    apply_diff or enhance, the other through oracles.apply_diff_by_arc
+    from the same diff. The old pair stays, and later steps read and edit
+    it too, so edits stack on edited graphs. After every apply_diff or
+    enhance call, refused ones included, its input equals a snapshot taken
+    before the call. All reads of all pairs end the run, best_arcs first,
+    so edited states are read before anything materializes them.
     """
     if kind == "random":
         source = random_graph(seed, n_states=6, n_arcs=14, n_symbols=3, epsilon_arcs=2)
     else:
         source = random_backoff_graph(random.Random(seed), VOCAB[:6])
+    if data.draw(st.booleans(), label="repeat an arc"):  # two equal arcs for a reweight
+        state = data.draw(st.sampled_from([s for s in source.states() if source.arcs(s)]))
+        source = add_arcs(source, (state, *data.draw(st.sampled_from(source.arcs(state)))))
     text, symbols = text_of(source), source.symbols
     base = read_text(io.StringIO(text), symbols)
     pairs = [(read_text(io.StringIO(text), symbols), read_text(io.StringIO(text), symbols))]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
-        step = data.draw(st.sampled_from(("edit", "edit", "copy", "read")))
+        step = data.draw(st.sampled_from(("edit", "edit", "enhance", "refused", "copy",
+                                          "read")))
         lazy, eager = data.draw(st.sampled_from(pairs))
+        before = _snapshot(lazy)
         if step == "edit":
             delta = _draw_delta(data, eager)
-            apply_diff(lazy, delta)
-            oracles.apply_diff_by_arc(eager, delta)
+            pairs.append((apply_diff(lazy, delta), oracles.apply_diff_by_arc(eager, delta)))
+        elif step == "enhance":
+            enhanced, delta = enhance(lazy, _draw_config(data, lazy.symbols))
+            replayed = oracles.apply_diff_by_arc(eager, delta)
+            replayed.symbols = enhanced.symbols
+            pairs.append((enhanced, replayed))
+        elif step == "refused":
+            with pytest.raises(InvariantError):
+                apply_diff(lazy, _draw_refused(data, eager))
         elif step == "copy":
             pairs.append((lazy.copy(), eager.copy()))
         else:
             read = data.draw(st.sampled_from(_READS))
             for lazy, eager in pairs:
                 _check_read(read, lazy, eager, base, data)
+            continue
+        assert _snapshot(lazy) == before, step
     for read in _READS:
         for lazy, eager in pairs:
             _check_read(read, lazy, eager, base, data)
@@ -570,26 +562,29 @@ def accepted_input(fst, rng, max_steps=40):
 
 
 def perturb(fst, rng):
-    """Copy a graph and apply a few random structural edits."""
-    out = fst.copy()
+    """A graph derived from ``fst`` by a few random structural edits."""
+    out = fst
     for _ in range(rng.randint(1, 6)):
         choice = rng.random()
         if choice < 0.35:
-            add_arcs(out, (rng.randrange(out.num_states()), rng.randrange(out.num_states()),
-                           rng.randint(1, 3), rng.randint(1, 3), round(rng.uniform(-4, 4), 6)))
-        elif choice < 0.6:
-            state = rng.randrange(out.num_states())
-            arcs = out._writable(state)
-            if arcs:
-                arcs.pop(rng.randrange(len(arcs)))
+            out = add_arcs(out, (rng.randrange(out.num_states()), rng.randrange(out.num_states()),
+                                 rng.randint(1, 3), rng.randint(1, 3),
+                                 round(rng.uniform(-4, 4), 6)))
         elif choice < 0.85:
             state = rng.randrange(out.num_states())
-            arcs = out._writable(state)
+            arcs = out.arcs(state)
             if arcs:
-                pos = rng.randrange(len(arcs))
-                arcs[pos] = arcs[pos][:3] + (round(rng.uniform(-4, 4), 6),)
+                old = Arc(state, *arcs[rng.randrange(len(arcs))])
+                if choice < 0.6:
+                    delta = FstDiff(removed_arcs=[old])
+                else:
+                    new = old._replace(weight=round(rng.uniform(-4, 4), 6))
+                    delta = FstDiff(reweighted_arcs=[(old, new)])
+                out = apply_diff(out, delta)
         else:
-            out.set_final(rng.randrange(out.num_states()), round(rng.uniform(-1, 1), 6))
+            state = rng.randrange(out.num_states())
+            out = apply_diff(out, FstDiff(final_changes=[
+                (state, out.final_weight(state), round(rng.uniform(-1, 1), 6))]))
     return out
 
 
@@ -599,9 +594,9 @@ class TestDiff:
         assert delta == FstDiff()
 
     def test_single_weight_perturbation(self, two_path_acceptor):
-        other = two_path_acceptor.copy()
-        arcs = other._writable(0)
-        arcs[0] = arcs[0][:3] + (0.5 + 1e-6,)
+        old = Arc(0, *two_path_acceptor.arcs(0)[0])
+        other = apply_diff(two_path_acceptor, FstDiff(reweighted_arcs=[
+            (old, old._replace(weight=0.5 + 1e-6))]))
         delta = diff(two_path_acceptor, other)
         assert delta.added_arcs == [] and delta.removed_arcs == []
         assert len(delta.reweighted_arcs) == 1
@@ -609,9 +604,8 @@ class TestDiff:
         assert before.weight == 0.5 and after.weight == 0.5 + 1e-6
 
     def test_added_arc_reported(self, two_path_acceptor):
-        other = two_path_acceptor.copy()
-        table = other.symbols
-        add_arcs(other, (0, 1, table.label("c"), table.label("c"), -2.0))
+        table = two_path_acceptor.symbols
+        other = add_arcs(two_path_acceptor, (0, 1, table.label("c"), table.label("c"), -2.0))
         delta = diff(two_path_acceptor, other)
         assert len(delta.added_arcs) == 1 and delta.added_arcs[0].weight == -2.0
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
@@ -636,7 +630,7 @@ class TestDiff:
     def test_apply_diff_rejects_malformed_entries(self, two_path_acceptor):
         fst = two_path_acceptor
         a, x, c = (fst.symbols.label(s) for s in "axc")
-        add_arcs(fst, (2, 0, c, c, 1.0))  # source -1 would name the last state
+        fst = add_arcs(fst, (2, 0, c, c, 1.0))  # source -1 would name the last state
         deltas = [
             FstDiff(removed_arcs=[Arc(7, 1, a, x, 0.5)]),
             FstDiff(removed_arcs=[Arc(-1, 0, c, c, 1.0)]),
@@ -651,7 +645,7 @@ class TestDiff:
         ]
         for delta in deltas:
             with pytest.raises(InvariantError):
-                apply_diff(fst.copy(), delta)
+                apply_diff(fst, delta)
 
     def test_replay_reproduces_target(self, random_graph_factory):
         rng = random.Random(4242)
@@ -659,7 +653,7 @@ class TestDiff:
             a = random_graph_factory(seed, n_states=12, n_arcs=60, n_symbols=3)
             b = perturb(a, rng)
             delta = diff(a, b)
-            replayed = apply_diff(a.copy(), delta)
+            replayed = apply_diff(a, delta)
             assert oracles.graphs_equal(replayed, b)
             assert diff(replayed, b) == FstDiff()
 
@@ -669,17 +663,17 @@ class TestDiff:
         b = perturb(a, rng)
         for _ in range(5):
             b = perturb(b, rng)
-        replayed = apply_diff(a.copy(), diff(a, b))
+        replayed = apply_diff(a, diff(a, b))
         assert oracles.graphs_equal(replayed, b)
 
     def test_diff_matches_grouping_reference(self, random_graph_factory):
         """The equal-list fast path changes no entry of the grouping diff.
 
-        Pairs: a graph and its edited copy (untouched lists shared), both
-        ways; a fresh read of the copy (equal lists, none shared); a plain
-        copy; a copy with one state's arcs reversed (unequal lists, equal
-        groups); fresh reads of both (columns compared run by run), both
-        ways; a fresh read and its edited copy (shared columns).
+        Pairs: a graph and one derived from it (shared columns), both ways;
+        a fresh read of the derived one (equal lists, no shared columns); a
+        plain copy; a graph with one state's arcs reversed (unequal lists,
+        equal groups); fresh reads of both (columns compared run by run),
+        both ways; a fresh read and one derived from it.
         """
         rng = random.Random(6174)
         for seed in range(40):
@@ -688,8 +682,9 @@ class TestDiff:
             b = perturb(a, rng)
             fresh_a = read_text(io.StringIO(text_of(a)), a.symbols)
             fresh_b = read_text(io.StringIO(text_of(b)), b.symbols)
-            reversed_a = a.copy()
-            reversed_a._writable(seed % 12).reverse()
+            state = seed % 12
+            arcs = [Arc(state, *arc) for arc in a.arcs(state)]
+            reversed_a = apply_diff(a, FstDiff(removed_arcs=arcs, added_arcs=arcs[::-1]))
             for before, after in ((a, b), (b, a), (a, fresh_b), (fresh_b, b),
                                   (a, a.copy()), (a, reversed_a), (fresh_a, fresh_b),
                                   (fresh_b, fresh_a), (fresh_a, perturb(fresh_a, rng))):
@@ -711,19 +706,28 @@ class TestDiff:
         before = two_path_acceptor
         label = before.symbols.label
         suffix = [Arc(state, t, label(i), label(o), w) for t, i, o, w in appended]
-        after = add_arcs(before.copy(), *suffix)
+        after = add_arcs(before, *suffix)
         delta = diff(before, after)
         assert delta == oracles.diff_by_groups(before, after)
         assert (delta == FstDiff(added_arcs=suffix)) == fast
+
+    def test_reweight_edits_the_last_equal_arc(self, two_path_acceptor):
+        a, x = (two_path_acceptor.symbols.label(s) for s in "ax")
+        twice = add_arcs(two_path_acceptor, (0, 1, a, x, 0.5))  # equals the state's first arc
+        old = Arc(0, 1, a, x, 0.5)
+        delta = FstDiff(reweighted_arcs=[(old, old._replace(weight=2.0))])
+        raised = apply_diff(twice, delta)
+        assert raised.arcs(0) == twice.arcs(0)[:-1] + [(1, a, x, 2.0)]
+        assert raised.arcs(0) == oracles.apply_diff_by_arc(twice, delta).arcs(0)
 
     def test_apply_diff_appends_additions_in_delta_order(self, two_path_acceptor):
         a, b, c = (two_path_acceptor.symbols.label(s) for s in "abc")
         added = [Arc(0, 2, a, a, -1.0), Arc(1, 0, b, b, -2.0), Arc(0, 1, c, c, -3.0),
                  Arc(1, 1, a, a, -4.0), Arc(0, 2, a, a, -1.0)]
-        by_arc = two_path_acceptor.copy()
+        by_arc = two_path_acceptor
         for arc in added:
-            apply_diff(by_arc, FstDiff(added_arcs=[arc]))
-        applied = apply_diff(two_path_acceptor.copy(), FstDiff(added_arcs=added))
+            by_arc = apply_diff(by_arc, FstDiff(added_arcs=[arc]))
+        applied = apply_diff(two_path_acceptor, FstDiff(added_arcs=added))
         assert text_of(applied) == text_of(by_arc)
 
     def test_empty_diff_iff_equal(self, random_graph_factory):
@@ -843,16 +847,16 @@ class TestTextFormat:
         fst = fst_factory("a", [(0, 1, "a", "a", -1.0)], {1: 0.0}, num_states=3)
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())
-        add_arcs(fst, (1, 2, 1, 1, 0.5))  # an arc into it names it in the file
+        fst = add_arcs(fst, (1, 2, 1, 1, 0.5))  # an arc into it names it in the file
         assert self.roundtrip(fst).num_states() == 3
 
     def test_last_state_named_only_by_a_live_arc(self):
         symbols = SymbolTable(["a"])
         fst = read_text(io.StringIO("0 1 a a -1\n1 2 a a -1\n1 0\n"), symbols)
-        apply_diff(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
+        fst = apply_diff(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())  # its column arc into 2 is gone
-        add_arcs(fst, (0, 2, 1, 1, -2.0))
+        fst = add_arcs(fst, (0, 2, 1, 1, -2.0))
         assert self.roundtrip(fst).arcs(0) == [(1, 1, 1, -1.0), (2, 1, 1, -2.0)]
 
     def test_reader_matches_line_by_line_reference(self, random_graph_factory):
@@ -865,7 +869,7 @@ class TestTextFormat:
                 target, ilabel, olabel, weight = rng.choice(fst.arcs(state))
                 if rng.random() < 0.5:
                     weight = round(rng.uniform(-5, 5), 6)
-                add_arcs(fst, (state, target, ilabel, olabel, weight))
+                fst = add_arcs(fst, (state, target, ilabel, olabel, weight))
             for negate in (False, True):
                 text = scrambled_text(fst, negate, rng)
                 got = read_text(io.StringIO(text), fst.symbols, negate=negate)
@@ -878,7 +882,7 @@ class TestTextFormat:
         rng = random.Random(8128)
         for seed in range(20):
             fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4)
-            add_arcs(fst, (3, 4, 1, 2, 0.0), (3, 4, 1, 2, -0.0))
+            fst = add_arcs(fst, (3, 4, 1, 2, 0.0), (3, 4, 1, 2, -0.0))
             fst.set_final(5, -0.0)
             fst.set_initial(seed % 19)  # a state with arcs, not always 0
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
@@ -963,8 +967,8 @@ def scrambled_text(fst, negate, rng):
 @given(st.lists(st.floats(min_value=-20, max_value=5), min_size=1, max_size=6),
        st.floats(min_value=-5, max_value=5))
 def test_chain_path_weight_matches_sum(weights, final_weight):
-    fst = empty_graph(SymbolTable(["a"]), len(weights) + 1)
-    add_arcs(fst, *[(i, i + 1, 1, 1, w) for i, w in enumerate(weights)])
+    fst = add_arcs(empty_graph(SymbolTable(["a"]), len(weights) + 1),
+                   *[(i, i + 1, 1, 1, w) for i, w in enumerate(weights)])
     fst.set_final(len(weights), final_weight)
     fst.set_initial(0)
     total = path_weight(fst, ["a"] * len(weights))
@@ -1039,7 +1043,7 @@ def graph_state(fst):
     return (fst.num_states(), fst.initial, fst.symbols,
             [(state, weight.hex()) for state, weight in fst.finals.items()],
             columns.offsets.tolist(), columns.targets.tolist(), columns.ilabels.tolist(),
-            columns.olabels.tolist(), columns.weights.tobytes(), fst._overlay)
+            columns.olabels.tolist(), columns.weights.tobytes(), fst._rewritten, fst._added)
 
 
 def save(fst, path, negate=False):
@@ -1087,11 +1091,10 @@ def odd_graph():
 
 
 def enhanced_graph(seed):
-    """A random back-off graph after enhancement: the arcs it added still pending."""
+    """A random back-off graph after enhancement, its edits not yet materialized."""
     rng = random.Random(seed)
     fst = random_backoff_graph(rng, VOCAB)
-    enhance(fst, random_config(rng, VOCAB, fresh_token_stream()))
-    return fst
+    return enhance(fst, random_config(rng, VOCAB, fresh_token_stream()))[0]
 
 
 _GRAPHS = {
@@ -1130,8 +1133,8 @@ def exact_contents(fst):
 @example("enhanced", 7, False)
 @example("enhanced", 7, True)
 def test_read_text_of_write_text_is_the_graph(kind, seed, negate):
-    """Bit for bit, an enhanced graph's pending arcs and overlay included."""
-    want = exact_contents(_GRAPHS[kind](seed))  # reading arcs settles: build another
+    """Bit for bit, an enhanced graph's edits included."""
+    want = exact_contents(_GRAPHS[kind](seed))  # reading arcs materializes: build another
     fst = _GRAPHS[kind](seed)
     buf = io.StringIO()
     assert write_text(fst, buf, negate=negate) is None
@@ -1143,9 +1146,9 @@ def test_read_text_of_write_text_is_the_graph(kind, seed, negate):
 
 
 def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
-    """Folded by write_text, or by write_companion alone: the re-read graph's bytes."""
+    """Materialized by write_text, or by write_companion alone: the re-read graph's bytes."""
     fst = enhanced_graph(7)
-    assert fst._pending_sources and fst._overlay
+    assert fst._added_sources
     for negate in (False, True):
         first, second = str(tmp_path / "first.fst"), str(tmp_path / "second.fst")
         save(fst, first, negate)
@@ -1154,7 +1157,7 @@ def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
         companion = Path(first + COMPANION_SUFFIX).read_bytes()
         assert companion == Path(second + COMPANION_SUFFIX).read_bytes()
         alone = io.BytesIO()
-        write_companion(enhanced_graph(7), first, alone, negate=negate)  # never folded
+        write_companion(enhanced_graph(7), first, alone, negate=negate)  # not materialized
         assert alone.getvalue() == companion
 
 
@@ -1172,11 +1175,11 @@ def test_write_text_refuses_what_read_text_refuses():
     sparse.set_final(1, 0.0)
     with pytest.raises(InvariantError, match=r"final states \(2\)"):
         write_text(sparse, buf)
-    add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4
+    sparse = add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4
     with pytest.raises(InvariantError, match=r"final states \(4\)"):
         write_text(sparse, buf)
     assert buf.getvalue() == ""
-    add_arcs(sparse, (1, 1, 1, 1, -3.0))  # five records: ids up to 9 read back
+    sparse = add_arcs(sparse, (1, 1, 1, 1, -3.0))  # five records: ids up to 9 read back
     write_text(sparse, buf)
     assert graph_state(sparse) == graph_state(read_text(io.StringIO(buf.getvalue()),
                                                         sparse.symbols))

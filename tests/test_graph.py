@@ -213,7 +213,7 @@ class TestGraphScore:
         a = fst.symbols.label("a")
         start = fst.initial
         better = arcs_matching(fst, start, a)[0][3] + 1.0
-        add_arcs(fst, (start, states[("a",)], a, a, better))
+        fst = add_arcs(fst, (start, states[("a",)], a, a, better))
         assert graph_score(fst, ["a"]) == pytest.approx(
             baseline + 1.0, abs=1e-12)
 
@@ -229,18 +229,18 @@ class TestGraphScore:
         a = fst.symbols.label("a")
         assert graph_score(fst, ["a"]) == -2.0 + -1.0
         assert graph_score(fst, []) == -0.5 + -3.0
-        add_arcs(fst, (0, 2, a, a, -1.0))  # a higher parallel arc
-        assert graph_score(fst, ["a"]) == -1.0 + -3.0
-        apply_diff(fst, FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, -2.0),
-                                                  Arc(0, 1, a, a, -0.5))]))
-        assert graph_score(fst, ["a"]) == -0.5 + -1.0
-        apply_diff(fst, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
-        assert graph_score(fst, ["a"]) == -1.0 + -3.0
-        dup = fst.copy()
-        assert graph_score(dup, ["a"]) == -1.0 + -3.0
-        add_arcs(dup, (0, 1, a, a, 0.0))
-        assert graph_score(dup, ["a"]) == 0.0 + -1.0
-        assert graph_score(fst, ["a"]) == -1.0 + -3.0
+        added = add_arcs(fst, (0, 2, a, a, -1.0))  # a higher parallel arc
+        assert graph_score(added, ["a"]) == -1.0 + -3.0
+        raised = apply_diff(added, FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, -2.0),
+                                                             Arc(0, 1, a, a, -0.5))]))
+        assert graph_score(raised, ["a"]) == -0.5 + -1.0
+        removed = apply_diff(raised, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
+        assert graph_score(removed, ["a"]) == -1.0 + -3.0
+        assert graph_score(add_arcs(removed, (0, 1, a, a, 0.0)), ["a"]) == 0.0 + -1.0
+        # Each graph it came from still scores its own arcs.
+        for graph, score in ((fst, -2.0 + -1.0), (added, -1.0 + -3.0), (raised, -0.5 + -1.0),
+                             (removed, -1.0 + -3.0)):
+            assert graph_score(graph, ["a"]) == score
 
     def test_equal_weight_arcs_resolve_to_first_inserted(self, fst_factory):
         ends = [(1, 3, EOS, EOS, -1.0), (2, 3, EOS, EOS, -2.0)]
@@ -262,10 +262,10 @@ class TestGraphScore:
                              if arc[1] not in (EPSILON_LABEL, fst.symbols.label(EOS))]
                 if word_arcs:
                     _, label, _, weight = rng.choice(word_arcs)
-                    add_arcs(fst, (state, rng.randrange(final), label, label, weight))
+                    fst = add_arcs(fst, (state, rng.randrange(final), label, label, weight))
             config = random_config(rng, VOCAB, fresh_token_stream())
             self._assert_greedy_scores(fst, rng, VOCAB)
-            enhance(fst, config)  # adds parallel target arcs
+            fst, _ = enhance(fst, config)  # adds parallel target arcs
             words = VOCAB + [t for g in config.groups for t in g.targets]
             self._assert_greedy_scores(fst, rng, words)
             parallel += sum(len(arcs_matching(fst, state, fst.symbols.label(word))) > 1
