@@ -190,10 +190,13 @@ def _number_list(text: str | None, flag: str, kind) -> list | None:
                          f"values, got {text!r}") from None
 
 
-def _load_graph(fst_path, syms_path, negate):
+def _read_symbols(syms_path) -> SymbolTable:
     with open(syms_path, encoding="utf-8") as handle:
-        symbols = SymbolTable.read(handle)
-    return load_graph(fst_path, symbols, negate=negate)
+        return SymbolTable.read(handle)
+
+
+def _load_graph(fst_path, syms_path, negate):
+    return load_graph(fst_path, _read_symbols(syms_path), negate=negate)
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
@@ -486,8 +489,9 @@ def _cmd_eval(args) -> int:
 def _cmd_diff_fst(args) -> int:
     negate = _negate(args)
     _require_files(args.fst_a, args.fst_b, args.syms)
-    before = _load_graph(args.fst_a, args.syms, negate)
-    after = _load_graph(args.fst_b, args.syms, negate)
+    symbols = _read_symbols(args.syms)  # one table: both graphs share it
+    before = load_graph(args.fst_a, symbols, negate=negate)
+    after = load_graph(args.fst_b, symbols, negate=negate)
     text = format_diff(diff(before, after), before.symbols, negate)
     if args.out:
         _atomic_write(args.out, text)

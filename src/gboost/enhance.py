@@ -297,10 +297,11 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     is never lowered, so repeating a run changes nothing. Only target-word
     arcs are touched.
 
-    ``fst`` never changes, symbol table included, also when this raises.
-    The enhanced graph is a new one, built as :func:`~gboost.fst.apply_diff`
-    builds one: it shares ``fst``'s columns and tables, and, when the config
-    has new words, holds them in its own copy of the symbol table.
+    ``fst`` never changes, also when this raises. The enhanced graph is a
+    new one, built as :func:`~gboost.fst.apply_diff` builds one: it shares
+    ``fst``'s columns and tables. It shares ``fst``'s symbol table too,
+    unless the config has words new to it: then it holds the table
+    :meth:`~gboost.fst.SymbolTable.extended` makes with them.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
     ``fst``'s :meth:`~gboost.fst.Wfst.memo`, keyed by the config without
@@ -342,10 +343,7 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     new_words = [target for group in config.groups for target in group.targets
                  if group.is_new(target) and target not in symbols]
     if new_words:
-        symbols = symbols.copy()
-        for word in new_words:
-            if word not in symbols:  # a word new to several groups
-                symbols.add(word)
+        symbols = symbols.extended(new_words)
     delta = FstDiff()
     for target, source, dest, before, weight in raised:
         label = symbols.label(target)
@@ -370,4 +368,4 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,
              "reused" if reused else "built")
-    return _derived(fst, symbols, rewritten, sources, arcs, dict(fst.finals)), delta
+    return _derived(fst, symbols, rewritten, sources, arcs, fst.finals), delta

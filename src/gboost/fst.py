@@ -5,19 +5,20 @@ and the weight of a path is the sum of its arc weights plus the final weight
 of the state where it ends.  Cost-style (negated) files are handled at I/O
 time only, via the ``negate`` flag of :func:`read_text` / :func:`write_text`.
 
-Storage. A graph that :func:`read_text` or :func:`gboost.graph.build_g`
-builds holds its arcs in columns, grouped by source state (compressed
-sparse rows): per-state offsets into one stdlib ``array`` each of targets,
-input labels and output labels (C ``int``) and of weights (C ``double``).
-That is about 20 bytes per arc and no Python object per arc. A graph's
-arcs never change once it is built. :func:`apply_diff` and
-:func:`gboost.enhance.enhance` return a new graph that shares the old
-one's columns and the best-arc tables built over them, and holds only its
-edits (see :class:`Wfst`). Scoring reads an edited state's arcs from its
-edits; every other reader first materializes the graph once, merging its
-edits into columns of its own. So a graph that is edited and then scored
-pays only for the states it scores. State ids and labels must fit the C
-``int`` columns.
+Storage. A graph holds its arcs in columns, grouped by source state
+(compressed sparse rows): per-state offsets into one stdlib ``array`` each
+of targets, input labels and output labels (C ``int``) and of weights (C
+``double``). That is about 20 bytes per arc and no Python object per arc.
+A graph is complete when it is made: :class:`Wfst`'s one constructor takes
+its symbol table, columns, initial state and finals, and nothing changes
+any of them afterwards. Symbol tables never change either, so graphs share
+them. :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new
+graph that shares the old one's columns and the best-arc tables built over
+them, and holds only its edits. Scoring reads an edited state's arcs from
+its edits; every other reader first materializes the graph once, merging
+its edits into columns of its own. So a graph that is edited and then
+scored pays only for the states it scores. State ids and labels must fit
+the C ``int`` columns.
 
 Companion file. Text is the interchange format, and exact (see
 ``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
@@ -63,7 +64,8 @@ from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
-from typing import BinaryIO, Iterable, NamedTuple, Sequence, TextIO
+from types import MappingProxyType
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
@@ -98,14 +100,24 @@ def _check_symbol(symbol: str) -> None:
 
 
 class SymbolTable:
-    """Bijective symbol <-> label map. Label 0 is reserved for ``<eps>``."""
+    """Bijective symbol <-> label map. Label 0 is reserved for ``<eps>``.
+
+    A table never changes once built, so graphs share it: a graph built
+    from a model holds the model's vocabulary, and a derived graph or a
+    :meth:`Wfst.copy` holds its source's table. ``SymbolTable(symbols)``
+    labels the symbols 1, 2, ... in order, and :meth:`read` takes the labels
+    a file gives; :meth:`extended` makes a larger table from this one.
+    Duplicate symbols or labels raise InvariantError, keeping the table
+    bijective, and so do a label outside ``0..ID_MAX`` and a symbol that is
+    empty or holds whitespace, which no symbol or graph file could hold.
+    """
 
     def __init__(self, symbols: Iterable[str] = ()):
         self._sym2lab: dict[str, int] = {EPSILON: EPSILON_LABEL}
         self._lab2sym: dict[int, str] = {EPSILON_LABEL: EPSILON}
         self._next = 1
         for sym in symbols:
-            self.add(sym)
+            self._add(sym)
 
     def __len__(self) -> int:
         return len(self._sym2lab)
@@ -114,18 +126,15 @@ class SymbolTable:
         return symbol in self._sym2lab
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, SymbolTable):
             return NotImplemented
         return self._sym2lab == other._sym2lab
 
-    def add(self, symbol: str, label: int | None = None) -> int:
-        """Add a new symbol, returning its label.
-
-        Labels are assigned sequentially unless given explicitly. Duplicate
-        symbols or labels raise, keeping the table bijective, and so do a
-        label outside ``0..ID_MAX`` and a symbol that is empty or holds
-        whitespace, which no symbol or graph file could hold.
-        """
+    def _add(self, symbol: str, label: int | None = None) -> int:
+        # Adds a new symbol while the table is built, returning its label:
+        # the given one, else the lowest free label.
         _check_symbol(symbol)
         if symbol in self._sym2lab:
             raise InvariantError(f"symbol already in table: {symbol!r}")
@@ -141,8 +150,9 @@ class SymbolTable:
         self._lab2sym[label] = symbol
         if label == self._next:
             # Every label below _next is taken. Keeping that true here lets a
-            # table read from a file with dense labels, and each copy of it,
-            # add a word without first walking past every label it holds.
+            # table read from a file with dense labels, and each table
+            # extended from it, add a word without first walking past every
+            # label it holds.
             self._next = label + 1
         return label
 
@@ -158,11 +168,19 @@ class SymbolTable:
         except KeyError:
             raise InvariantError(f"unknown label: {label}") from None
 
-    def copy(self) -> "SymbolTable":
+    def extended(self, words: Iterable[str]) -> "SymbolTable":
+        """A new table: this one plus each of ``words`` it lacks, in order.
+
+        Each new word takes the lowest free label. This table is unchanged,
+        also when a word raises.
+        """
         new = SymbolTable.__new__(SymbolTable)
         new._sym2lab = dict(self._sym2lab)
         new._lab2sym = dict(self._lab2sym)
         new._next = self._next
+        for word in words:
+            if word not in new._sym2lab:
+                new._add(word)
         return new
 
     def write(self, stream: TextIO) -> None:
@@ -194,7 +212,7 @@ class SymbolTable:
                 raise FormatError(f"'{EPSILON}'/0 may appear only as the first entry",
                                   line=lineno)
             try:
-                table.add(sym, lab)
+                table._add(sym, lab)
             except InvariantError as exc:
                 raise FormatError(str(exc), line=lineno) from None
         return table
@@ -279,19 +297,22 @@ def _best_table(arcs: Iterable[tuple[int, int, int, float]],
 class Wfst:
     """A weighted FST: dense integer states, each with an ordered arc sequence.
 
-    A graph is built once, over arc columns (see the module docstring), by
-    :func:`read_text` or :func:`gboost.graph.build_g`, and keeps the state
-    count it was built with. Its arcs never change after that:
-    :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new graph
-    (``_derived``), which shares the columns of the graph it came from and
-    holds its own edits. ``_rewritten`` maps each state that a removal or
-    reweight changed to its arcs after them; ``_added_sources`` and
-    ``_added`` hold the added arcs: their sources in ascending order and,
-    beside them, their arc tuples, in delta order within a state. A state's
-    arcs are its rewritten list, or else its column arcs, followed by its
-    added arcs (``_state_arcs``). Every reader of arcs but :meth:`best_arcs`
-    first calls ``_materialize``, which merges the edits into columns of
-    this graph's own, once, and changes no arc.
+    A graph is complete when it is made. The constructor takes its symbol
+    table, its arc columns (see the module docstring), its initial state
+    and its finals ``{state: weight}``; the state count is the columns'.
+    :func:`read_text`, :func:`load_graph` and :func:`gboost.graph.build_g`
+    build graphs with it, and nothing changes one afterwards: ``finals`` is
+    a read-only view, the symbol table never changes, and
+    :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new
+    graph (``_derived``), which shares the columns of the graph it came
+    from and holds its own edits. ``_rewritten`` maps each state that a
+    removal or reweight changed to its arcs after them; ``_added_sources``
+    and ``_added`` hold the added arcs: their sources in ascending order
+    and, beside them, their arc tuples, in delta order within a state. A
+    state's arcs are its rewritten list, or else its column arcs, followed
+    by its added arcs (``_state_arcs``). Every reader of arcs but
+    :meth:`best_arcs` first calls ``_materialize``, which merges the edits
+    into columns of this graph's own, once, and changes no arc.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
@@ -310,20 +331,32 @@ class Wfst:
     threads through any reader. Before that, only through :meth:`best_arcs`.
     """
 
-    def __init__(self, symbols: SymbolTable | None = None):
-        self.symbols = symbols if symbols is not None else SymbolTable()
-        self._columns = _Columns(array("q", [0]), array("i"), array("i"), array("i"),
-                                 array("d"))
+    def __init__(self, symbols: SymbolTable, columns: _Columns, initial: int,
+                 finals: Mapping[int, float]):
+        """A graph over ``columns``, as :class:`_Columns` holds them.
+
+        InvariantError unless ``initial`` and every final state are states
+        of the columns and every final weight is finite. The columns are
+        the caller's to check: targets below the state count, labels
+        non-negative, weights finite.
+        """
+        # Per state: the best-arc table this graph last used, or None.
+        self._tables: list[dict | None] = columns.best.copy()
+        self._check_state(initial)
+        for state, weight in finals.items():
+            self._check_state(state)
+            if not math.isfinite(weight):
+                raise InvariantError(f"final weight must be finite, got {weight}")
+        self.symbols = symbols
+        self._columns = columns
+        self.initial = initial
+        self.finals: Mapping[int, float] = MappingProxyType(dict(finals))
         # The edits: each rewritten state's arcs, and the added arcs by source.
         self._rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
         self._added_sources: list[int] = []
         self._added: list[tuple[int, int, int, float]] = []
-        # Per state: the best-arc table this graph last used, or None.
-        self._tables: list[dict | None] = []
         # Values computed from the arcs.
         self._memo: dict = {}
-        self.initial: int | None = None
-        self.finals: dict[int, float] = {}
 
     # -- states ---------------------------------------------------------
 
@@ -336,19 +369,6 @@ class Wfst:
     def _check_state(self, state: int) -> None:
         if not 0 <= state < len(self._tables):
             raise InvariantError(f"unknown state id: {state}")
-
-    def set_initial(self, state: int) -> None:
-        self._check_state(state)
-        self.initial = state
-
-    def set_final(self, state: int, weight: float) -> None:
-        self._check_final(state, weight)
-        self.finals[state] = weight
-
-    def _check_final(self, state: int, weight: float) -> None:
-        self._check_state(state)
-        if not math.isfinite(weight):
-            raise InvariantError(f"final weight must be finite, got {weight}")
 
     def final_weight(self, state: int) -> float | None:
         return self.finals.get(state)
@@ -481,31 +501,18 @@ class Wfst:
         return found
 
     def copy(self) -> "Wfst":
-        """The same arcs, finals and initial state, with its own symbol table.
+        """The same graph: its arcs, finals, initial state and symbol table.
 
         Materializes this graph first. The copy shares its columns, every
-        best-arc table built beside them and its memo.
+        best-arc table built beside them, its memo and its symbol table.
         """
         self._materialize()
-        return _derived(self, self.symbols.copy(), {}, [], [], dict(self.finals))
-
-
-def _from_columns(symbols: SymbolTable, offsets: array, targets: array, ilabels: array,
-                  olabels: array, weights: array) -> Wfst:
-    """A fresh graph over arc columns grouped by source, as :class:`_Columns` holds them.
-
-    The caller has checked every value: targets below the state count,
-    labels non-negative, weights finite.
-    """
-    fst = Wfst(symbols)
-    fst._columns = _Columns(offsets, targets, ilabels, olabels, weights)
-    fst._tables = [None] * (len(offsets) - 1)
-    return fst
+        return _derived(self, self.symbols, {}, [], [], self.finals)
 
 
 def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
              sources: Sequence[int], arcs: list[tuple[int, int, int, float]],
-             finals: dict[int, float]) -> Wfst:
+             finals: Mapping[int, float]) -> Wfst:
     """A new graph: the arcs of ``base``, a graph without edits, with these edits.
 
     ``rewritten`` maps states to their arcs after removals and reweights,
@@ -514,19 +521,16 @@ def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
     holds within a state. The new graph shares ``base``'s columns and every
     table built beside them, and also its memo if it has no edits.
     """
-    fst = Wfst.__new__(Wfst)
-    fst.symbols = symbols
-    fst._columns = base._columns
+    fst = Wfst(symbols, base._columns, base.initial, finals)
     fst._rewritten = rewritten
     order = sorted(range(len(sources)), key=sources.__getitem__)
     fst._added_sources = list(map(sources.__getitem__, order))
     fst._added = list(map(arcs.__getitem__, order))
-    tables = fst._tables = base._columns.best.copy()
+    tables = fst._tables
     for state in chain(rewritten, sources):
         tables[state] = None
-    fst._memo = {} if rewritten or sources else base._memo
-    fst.initial = base.initial
-    fst.finals = finals
+    if not (rewritten or sources):
+        fst._memo = base._memo
     return fst
 
 
@@ -681,34 +685,41 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     slot. Added arcs follow a state's arcs, in delta order.
 
     Source and target states must exist, labels must be non-negative, a
-    reweight may change only the weight, and new weights must be finite,
-    else InvariantError, raised before any graph is made: for the first
-    bad removal, else reweight, else addition, else final change. The
-    additions are checked in bulk, column by column, and scanned for the
-    first bad arc only when a check fails.
+    reweight may change only the weight, and new weights must be finite. A
+    final change ``(state, before, after)`` needs ``before`` to be the
+    state's final weight at that point of the replay, None when the state
+    is not final, as a removal needs its arc. Else InvariantError, raised
+    before any graph is made: for the first bad removal, else reweight,
+    else addition, else final change.
 
     ``fst`` is materialized first (see :class:`Wfst`). The new graph shares
     its columns, its tables and its symbol table, and holds the edits: an
     edited state's table is built from them when the state is first scored.
     """
     rewritten = _rewrite(fst, delta.removed_arcs, delta.reweighted_arcs)
-    sources: Sequence[int] = ()
+    sources: list[int] = []
     arcs: list[tuple[int, int, int, float]] = []
-    if delta.added_arcs:
-        sources, targets, ilabels, olabels, weights = zip(*delta.added_arcs)
-        num_states = fst.num_states()
-        if (min(sources) < 0 or max(sources) >= num_states or min(targets) < 0
-                or max(targets) >= num_states or min(ilabels) < 0 or min(olabels) < 0
-                or not all(map(math.isfinite, weights))):
-            raise _first_bad_addition(delta.added_arcs, num_states)
-        arcs = list(zip(targets, ilabels, olabels, weights))
+    for source, target, ilabel, olabel, weight in delta.added_arcs:
+        fst._check_state(source)
+        fst._check_state(target)
+        if ilabel < 0 or olabel < 0:
+            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
+        if not math.isfinite(weight):
+            raise InvariantError(f"arc weight must be finite, got {weight}")
+        sources.append(source)
+        arcs.append((target, ilabel, olabel, weight))
     finals = dict(fst.finals)
-    for state, _, after_weight in delta.final_changes:
-        if after_weight is None:
+    for state, before, after in delta.final_changes:
+        fst._check_state(state)
+        if finals.get(state) != before:
+            raise InvariantError(f"final change of state {state} expects final weight "
+                                 f"{before}, found {finals.get(state)}")
+        if after is None:
             finals.pop(state, None)
+        elif math.isfinite(after):
+            finals[state] = after
         else:
-            fst._check_final(state, after_weight)
-            finals[state] = after_weight
+            raise InvariantError(f"final weight must be finite, got {after}")
     return _derived(fst, fst.symbols, rewritten, sources, arcs, finals)
 
 
@@ -748,20 +759,6 @@ def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, 
     return rewritten
 
 
-def _first_bad_addition(added: list[Arc], num_states: int) -> InvariantError:
-    # The error for the first added arc, in delta order, with a bad state,
-    # label or weight.
-    for arc in added:
-        for state in arc[:2]:
-            if not 0 <= state < num_states:
-                return InvariantError(f"unknown state id: {state}")
-        if arc.ilabel < 0 or arc.olabel < 0:
-            return InvariantError(f"labels must be non-negative: {arc.ilabel}:{arc.olabel}")
-        if not math.isfinite(arc.weight):
-            return InvariantError(f"arc weight must be finite, got {arc.weight}")
-    raise AssertionError("no bad addition")  # the bulk check found one
-
-
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -781,16 +778,13 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     The graph is first materialized (see :class:`Wfst`). Each weight is
     then printed once, as its line is written.
 
-    InvariantError, before anything is written, if the graph has no initial
-    state, if that state or the last state has neither arcs nor a final
-    weight and, for the last, no arc into it either (the file would not
-    name it), or if the last state's id is at or above twice the number of
+    InvariantError, before anything is written, if the initial state or
+    the last state has neither arcs nor a final weight and, for the last,
+    no arc into it either (the file would not name it), or if the last state's id is at or above twice the number of
     arcs and final states, which :func:`read_text` refuses; and, while
     writing, if an arc carries a label the symbol table lacks.
     """
     initial = fst.initial
-    if initial is None:
-        raise InvariantError("graph has no initial state")
     finals = fst.finals
     if not fst.num_arcs(initial) and initial not in finals:
         raise InvariantError("initial state has no arcs and is not final; nothing to write")
@@ -946,11 +940,8 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     if len(pieces) > 1:
         targets, ilabels, olabels, weights = (
             _gather(column, pieces) for column in (targets, ilabels, olabels, weights))
-    fst = _from_columns(symbols, array("q", accumulate(counts, initial=0)),
-                        targets, ilabels, olabels, weights)
-    fst.finals = finals
-    fst.initial = initial
-    return fst
+    return Wfst(symbols, _Columns(array("q", accumulate(counts, initial=0)), targets, ilabels,
+                                  olabels, weights), initial, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,10 +1078,8 @@ def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> Wfst:
     symbol = symbols._lab2sym.get
     if any(symbol(label) != name for label, name in zip(labels, names)):
         raise _Fallback("symbols")
-    fst = _from_columns(symbols, offsets, targets, ilabels, olabels, weights)
-    fst.finals = dict(zip(final_states, final_weights))
-    fst.initial = initial
-    return fst
+    return Wfst(symbols, _Columns(offsets, targets, ilabels, olabels, weights), initial,
+                dict(zip(final_states, final_weights)))
 
 
 def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> Wfst:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from gboost.arpa import BOS, EOS, UNK, NGramModel
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON_LABEL, Wfst, _from_columns
+from gboost.fst import EPSILON_LABEL, Wfst, _Columns
 
 History = tuple[str, ...]
 
@@ -51,9 +51,8 @@ def build_g(model: NGramModel) -> Wfst:
     """Build the grammar graph for a parsed back-off model.
 
     The start state is ``fst.initial`` and the single final state is the
-    one key of ``fst.finals``. The graph's symbol table is a copy of the
-    model's vocabulary, so later mutation (new-word insertion) leaves the
-    model untouched.
+    one key of ``fst.finals``. The graph's symbol table is the model's
+    vocabulary itself: tables never change, so the two share it.
 
     States are numbered in the order of the model's contexts: the empty
     history first, then the contexts of each order's n-grams as they first
@@ -91,7 +90,7 @@ def build_g(model: NGramModel) -> Wfst:
     targets = array("i", [0]) * size
     labels = array("i", [0]) * size
     weights = array("d", [0.0]) * size
-    symbols = model.vocab.copy()
+    symbols = model.vocab
     label_of = symbols._sym2lab.get
     eos_label = symbols.label(EOS)
     for k in range(1, model.order + 1):
@@ -131,10 +130,8 @@ def build_g(model: NGramModel) -> Wfst:
         weights[slot] = weight
 
     # Word and back-off arcs are acceptor arcs: one label column serves both.
-    fst = _from_columns(symbols, offsets, targets, labels, labels, weights)
-    fst.set_final(final, 0.0)
-    fst.set_initial(hop((BOS,))[0])
-    return fst
+    return Wfst(symbols, _Columns(offsets, targets, labels, labels, weights), hop((BOS,))[0],
+                {final: 0.0})
 
 
 def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
@@ -161,12 +158,10 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     looked up again for ``<eps>`` and back-off hops counted. Where several
     arcs share a label the table holds the highest-weighted one, the first
     in arc order among equal weights. Tables are built on a state's first
-    visit and kept, as a graph's arcs never change. A word is looked up in
+    visit and kept, as a graph never changes once made. A word is looked up in
     at most one state more than the graph has; a back-off hop after that
     can only be part of an epsilon cycle, and raises InvariantError.
     """
-    if fst.initial is None:
-        raise InvariantError("graph has no initial state")
     symbols = fst.symbols
     label_of = symbols._sym2lab.get
     unk = label_of(UNK)  # None when the graph has no <unk>

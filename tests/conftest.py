@@ -21,13 +21,9 @@ def make_fst(symbols, arcs, finals, initial=0, num_states=None):
     table = SymbolTable(symbols.split() if isinstance(symbols, str) else symbols)
     if num_states is None:
         num_states = 1 + max([initial] + [max(a[0], a[1]) for a in arcs] + list(finals))
-    fst = add_arcs(empty_graph(table, num_states),
-                   *[(src, dst, table.label(isym), table.label(osym), weight)
-                     for src, dst, isym, osym, weight in arcs])
-    for state, weight in finals.items():
-        fst.set_final(state, weight)
-    fst.set_initial(initial)
-    return fst
+    return add_arcs(empty_graph(table, num_states, initial, finals),
+                    *[(src, dst, table.label(isym), table.label(osym), weight)
+                      for src, dst, isym, osym, weight in arcs])
 
 
 @pytest.fixture
@@ -46,10 +42,9 @@ def two_path_acceptor(fst_factory):
     )
 
 
-def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0):
+def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0, initial=0):
     """Seeded random graph with a chain backbone (no isolated states)."""
     rng = random.Random(seed)
-    fst = empty_graph(SymbolTable(f"sym{i}" for i in range(n_symbols)), n_states)
     arcs = [(s, s + 1, rng.randint(1, n_symbols), rng.randint(1, n_symbols),
              round(rng.uniform(-5, 5), 6)) for s in range(n_states - 1)]
     arcs += [(rng.randrange(n_states), rng.randrange(n_states), rng.randint(1, n_symbols),
@@ -57,11 +52,10 @@ def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0):
              for _ in range(max(0, n_arcs - (n_states - 1)))]
     arcs += [(rng.randrange(n_states), rng.randrange(n_states), 0, 0,
               round(rng.uniform(-3, -0.1), 6)) for _ in range(epsilon_arcs)]
-    fst = add_arcs(fst, *arcs)
-    for state in rng.sample(range(n_states), max(1, n_states // 10)):
-        fst.set_final(state, round(rng.uniform(-2, 2), 6))
-    fst.set_initial(0)
-    return fst
+    finals = {state: round(rng.uniform(-2, 2), 6)
+              for state in rng.sample(range(n_states), max(1, n_states // 10))}
+    table = SymbolTable(f"sym{i}" for i in range(n_symbols))
+    return add_arcs(empty_graph(table, n_states, initial, finals), *arcs)
 
 
 @pytest.fixture

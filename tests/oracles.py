@@ -6,8 +6,8 @@ log10-space recursion over a freshly parsed ARPA file) so the two routes
 can disagree when the library is wrong. The one exception is the graph
 makers, :func:`empty_graph` and :func:`graph_from_lists`: the library
 builds a graph only from a file or a model, so the tests start from
-graphs made with its private column constructor, and derive edited ones
-through :func:`gboost.fst.apply_diff`.
+graphs made with :class:`Wfst`'s constructor over columns they fill
+themselves, and derive edited ones through :func:`gboost.fst.apply_diff`.
 
 :func:`path_weight` is the best-path (epsilon) reading of a back-off
 graph, where a back-off arc competes with a word arc even where the word
@@ -23,24 +23,24 @@ from itertools import accumulate
 from typing import Sequence
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst, _from_columns, apply_diff
+from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst, _Columns, apply_diff
 
 BOS = "<s>"
 EOS = "</s>"
 
 
-def empty_graph(symbols, num_states):
-    """A graph of ``num_states`` states with no arcs, no finals and no initial state."""
-    columns = (array(code) for code in "iiid")
-    return _from_columns(symbols, array("q", [0]) * (num_states + 1), *columns)
+def empty_graph(symbols, num_states, initial=0, finals=None):
+    """A graph of ``num_states`` states with no arcs."""
+    return graph_from_lists(symbols, [[]] * num_states, initial, finals)
 
 
-def graph_from_lists(symbols, arc_lists):
+def graph_from_lists(symbols, arc_lists, initial=0, finals=None):
     """A graph whose state ``s`` has the arc tuples ``arc_lists[s]``, in order.
 
     ``arc_lists`` may be any iterable of lists, one per state: the columns
     are filled in one pass, so a large graph is never held as tuples whole.
-    No initial state and no finals. Nothing is checked.
+    ``finals`` maps states to final weights, none by default. The arcs are
+    not checked; the constructor checks ``initial`` and ``finals``.
     """
     columns = [array(code) for code in "iiid"]
     counts = []
@@ -48,7 +48,8 @@ def graph_from_lists(symbols, arc_lists):
         counts.append(len(arcs))
         for column, values in zip(columns, zip(*arcs)):
             column.extend(values)
-    return _from_columns(symbols, array("q", accumulate(counts, initial=0)), *columns)
+    return Wfst(symbols, _Columns(array("q", accumulate(counts, initial=0)), *columns),
+                initial, finals or {})
 
 
 def add_arcs(fst, *arcs):
@@ -172,8 +173,6 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
     graph this can exceed :func:`gboost.graph.graph_score`, which uses
     failure semantics.
     """
-    if fst.initial is None:
-        raise InvariantError("graph has no initial state")
     labels = _resolve_labels(fst, input_seq)
     frontier = _epsilon_closure(fst, {fst.initial: 0.0})
     for label in labels:
@@ -289,12 +288,10 @@ def enhance_by_candidate(fst, config):
     counting the candidates above their predictor's weight, and leaves
     ``fst`` untouched. The config must be valid.
     """
-    symbols = fst.symbols.copy()
-    for group in config.groups:
-        for target in group.targets:
-            if target in group.new_words and target not in symbols:
-                symbols.add(target)
-    target_labels = {symbols.label(t) for g in config.groups for t in g.targets}
+    label = extended_labels(fst.symbols, [target for group in config.groups
+                                          for target in group.targets
+                                          if target in group.new_words]).__getitem__
+    target_labels = {label(t) for g in config.groups for t in g.targets}
     existing = {}
     for state in fst.states():
         for dest, ilabel, olabel, weight in fst.arcs(state):
@@ -305,10 +302,10 @@ def enhance_by_candidate(fst, config):
     overshoot = 0
     for group in config.groups:
         for target in group.targets:
-            x = symbols.label(target)
+            x = label(target)
             f_x = None if target in group.new_words else group.frequencies[target]
             for predictor in group.predictors[:config.max_predictors]:
-                y, f_y = symbols.label(predictor), group.frequencies[predictor]
+                y, f_y = label(predictor), group.frequencies[predictor]
                 for state in fst.states():
                     for dest, ilabel, _, w_y in fst.arcs(state):
                         if ilabel != y:
@@ -328,6 +325,19 @@ def enhance_by_candidate(fst, config):
             delta.reweighted_arcs.append((Arc(state, dest, x, x, before),
                                           Arc(state, dest, x, x, weight)))
     return delta, overshoot
+
+
+def extended_labels(table, words):
+    """Symbol -> label of ``table`` with each of ``words`` it lacks added, in order.
+
+    Each new word takes the lowest label no symbol holds, as
+    :meth:`gboost.fst.SymbolTable.extended` labels it.
+    """
+    labels = dict(table._sym2lab)
+    for word in words:
+        if word not in labels:
+            labels[word] = min(set(range(len(labels) + 1)) - set(labels.values()))
+    return labels
 
 
 def scan_by_arc(fst, labels):
@@ -350,13 +360,14 @@ def best_arcs_by_arc(fst, state):
     return table
 
 
-def apply_diff_by_arc(fst, delta):
+def apply_diff_by_arc(fst, delta, symbols=None):
     """A valid diff replayed one edit at a time on lists of ``fst``'s arcs: a new graph.
 
     Removals, reweights (each of the last equal arc), additions in delta
     order, then final changes: what :func:`gboost.fst.apply_diff` does to
     the arcs, on one plain list per state, built into fresh columns.
-    ``fst`` is left as it was; the new graph shares its symbol table.
+    ``fst`` is left as it was. The new graph is labelled by ``symbols``,
+    ``fst``'s table by default.
     """
     lists = [fst.arcs(state) for state in fst.states()]
     for arc in delta.removed_arcs:
@@ -366,14 +377,14 @@ def apply_diff_by_arc(fst, delta):
         arcs[len(arcs) - 1 - arcs[::-1].index(old[1:])] = new[1:]
     for arc in delta.added_arcs:
         lists[arc.source].append(arc[1:])
-    out = graph_from_lists(fst.symbols, lists)
-    out.initial, out.finals = fst.initial, dict(fst.finals)
+    finals = dict(fst.finals)
     for state, _, after in delta.final_changes:
         if after is None:
-            out.finals.pop(state, None)
+            finals.pop(state, None)
         else:
-            out.finals[state] = after
-    return out
+            finals[state] = after
+    return graph_from_lists(fst.symbols if symbols is None else symbols, lists, fst.initial,
+                            finals)
 
 
 def graphs_equal(a, b):
@@ -399,7 +410,10 @@ def read_text_by_line(stream, symbols, negate=False):
     """Graph text read in two passes, one line and one apply_diff call at a time.
 
     The first pass takes the state count from the largest state id; the
-    second applies each line in file order, so the first bad line raises.
+    second applies each line in file order, an arc as an addition and a
+    final record as a final change, so the first bad line raises. The
+    graph is made at the first good record, with that record's state as
+    its initial state.
     """
     lines = list(stream)
     ids = [-1]
@@ -410,7 +424,6 @@ def read_text_by_line(stream, symbols, negate=False):
                 ids.append(int(text))
             except ValueError:  # the second pass rejects the line
                 pass
-    fst = empty_graph(symbols, max(ids) + 1)
     sign = -1.0 if negate else 1.0
 
     def state_id(text, lineno):
@@ -419,7 +432,7 @@ def read_text_by_line(stream, symbols, negate=False):
             raise FormatError(f"unknown state id: {state}", line=lineno)
         return state
 
-    first = True
+    fst = None
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
@@ -431,38 +444,35 @@ def read_text_by_line(stream, symbols, negate=False):
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
-            try:
-                fst.set_final(state, sign * weight)
-            except InvariantError as exc:
-                raise FormatError(str(exc), line=lineno) from None
         elif len(fields) == 5:
             src_text, dst_text, isym, osym, weight_text = fields
             try:
-                src = state_id(src_text, lineno)
+                state = state_id(src_text, lineno)
                 dst = state_id(dst_text, lineno)
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
-            try:
-                fst = add_arcs(fst, (src, dst, symbols.label(isym), symbols.label(osym),
-                                     sign * weight))
-            except InvariantError as exc:
-                raise FormatError(str(exc), line=lineno) from None
         else:
             raise FormatError(
                 f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)
-        if first:
-            fst.set_initial(int(fields[0]))
-            first = False
-    if first:
+        if fst is None:
+            fst = empty_graph(symbols, max(ids) + 1, initial=state)
+        try:
+            if len(fields) == 2:
+                delta = FstDiff(final_changes=[(state, fst.final_weight(state), sign * weight)])
+            else:
+                delta = FstDiff(added_arcs=[Arc(state, dst, symbols.label(isym),
+                                                symbols.label(osym), sign * weight)])
+            fst = apply_diff(fst, delta)
+        except InvariantError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+    if fst is None:
         raise FormatError("empty FST file")
     return fst
 
 
 def write_text_by_arc(fst, stream, negate=False):
     """Graph text written one line per arc, initial state first."""
-    if fst.initial is None:
-        raise InvariantError("graph has no initial state")
     sign = -1.0 if negate else 1.0
 
     def emit_state(state):

@@ -141,10 +141,8 @@ def random_backoff_graph(rng, vocab):
         if rng.random() < 0.5:
             arcs.append((state, final, eos, eos, rng.uniform(-6.0, -0.5)))
     arcs.append((root, final, eos, eos, rng.uniform(-6.0, -0.5)))
-    fst = add_arcs(empty_graph(table, final + 1), *arcs)
-    fst.set_final(final, 0.0)
-    fst.set_initial(rng.choice(states))
-    return fst
+    initial = rng.choice(states)
+    return add_arcs(empty_graph(table, final + 1, initial, {final: 0.0}), *arcs)
 
 
 def random_config(rng, vocab, fresh_tokens):
@@ -283,10 +281,7 @@ def synth_trigram_graph(num_words=10_000, seed=88):
                 (final, rng.choice(labels), rng.choice(labels), rng.uniform(-9, -1))]
         yield []  # the final state
 
-    fst = graph_from_lists(SymbolTable(vocab), arc_lists())
-    fst.set_final(final, 0.0)
-    fst.set_initial(root)
-    return fst, vocab
+    return graph_from_lists(SymbolTable(vocab), arc_lists(), root, {final: 0.0}), vocab
 
 
 def test_c8_enhancement_speed_at_scale():

@@ -139,10 +139,8 @@ class TestBuildG:
         def sparse(model):
             # Ten states, one arc 0 -> 9: state 9 is at or above twice the
             # record count.
-            fst = oracles.add_arcs(oracles.empty_graph(SymbolTable(["a"]), 10),
-                                   (0, 9, 1, 1, -1.0))
-            fst.set_initial(0)
-            return fst
+            return oracles.add_arcs(oracles.empty_graph(SymbolTable(["a"]), 10),
+                                    (0, 9, 1, 1, -1.0))
 
         monkeypatch.setattr(gboost.cli, "build_g", sparse)
         code = run("build-g", "--arpa", workdir / "m.arpa",

@@ -14,7 +14,7 @@ from gboost.enhance import (EnhanceConfig, SimilarPairGroup, _log_ratio, enhance
                             load_pairs_config)
 from gboost.errors import FormatError, GboostError, InvariantError
 from conftest import make_fst
-from gboost.fst import FstDiff, diff as structural_diff, read_text, write_text
+from gboost.fst import FstDiff, _derived, diff as structural_diff, read_text, write_text
 from gboost.graph import build_g, graph_score
 from oracles import add_arcs, compute_enhanced_weight
 
@@ -304,8 +304,7 @@ class TestEnhance:
     def test_returned_diff_matches_structural_diff(self, telecom_graph, ool_config):
         fst = telecom_graph
         enhanced, delta = enhance(fst, ool_config)
-        before = fst.copy()
-        before.symbols = enhanced.symbols.copy()  # new words extend the table
+        before = oracles.apply_diff_by_arc(fst, FstDiff(), enhanced.symbols)  # with the new words
         structural = structural_diff(before, enhanced)
         assert sorted(structural.added_arcs) == sorted(delta.added_arcs)
         assert sorted(structural.reweighted_arcs) == sorted(delta.reweighted_arcs)
@@ -449,10 +448,9 @@ def check_cells(base, counts_a, counts_b, cells):
 
 
 def grown_before(base, word):
-    """A copy of ``base`` whose symbol table gained ``word``."""
-    grown = base.copy()
-    grown.symbols.add(word)
-    return grown
+    """A copy of ``base``, its memo included, whose symbol table gained ``word``."""
+    copy = base.copy()
+    return _derived(copy, copy.symbols.extended([word]), {}, [], [], copy.finals)
 
 
 class TestPlanAndApply:

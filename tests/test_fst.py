@@ -21,8 +21,8 @@ from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
 from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
-                        SymbolTable, _HEADER, _best_table, _hash, apply_diff, diff,
-                        load_graph, read_text, write_companion, write_text)
+                        SymbolTable, Wfst, _Columns, _HEADER, _best_table, _hash, apply_diff,
+                        diff, load_graph, read_text, write_companion, write_text)
 from gboost.graph import build_g
 from conftest import random_graph
 from oracles import add_arcs, arcs_matching, empty_graph, path_weight
@@ -42,15 +42,12 @@ class TestSymbolTable:
         assert "a" in table and "zzz" not in table
 
     def test_duplicate_symbol_rejected(self):
-        table = SymbolTable(["a"])
-        with pytest.raises(InvariantError):
-            table.add("a")
+        with pytest.raises(InvariantError, match="symbol already in table: 'a'"):
+            SymbolTable(["a", "b", "a"])
 
     def test_duplicate_label_rejected(self):
-        table = SymbolTable()
-        table.add("a", label=7)
-        with pytest.raises(InvariantError):
-            table.add("b", label=7)
+        with pytest.raises(FormatError, match="line 3: label already in table: 7"):
+            SymbolTable.read(io.StringIO("<eps>\t0\na\t7\nb\t7\n"))
 
     def test_unknown_symbol_named_in_error(self):
         table = SymbolTable(["a"])
@@ -66,14 +63,15 @@ class TestSymbolTable:
         assert again == table
 
     def test_new_words_take_the_lowest_free_labels(self):
-        """Holes first, then past the top: the same in a read table and its copies."""
+        """Holes first, then past the top; words the table holds keep their labels."""
         table = SymbolTable.read(io.StringIO("<eps>\t0\na\t1\nb\t2\nc\t5\n"))
-        copy = table.copy()
-        assert [copy.add(w) for w in "wxyz"] == [3, 4, 6, 7]
-        assert [table.add(w) for w in "wx"] == [3, 4]
+        wider = table.extended(["w", "a", "x", "y", "w", "z"])
+        assert [wider.label(w) for w in "abcwxyz"] == [1, 2, 5, 3, 4, 6, 7]
+        assert [table.extended("wx").label(w) for w in "wx"] == [3, 4]
+        assert "w" not in table and len(table) == 4
         dense = SymbolTable.read(io.StringIO("<eps>\t0\na\t1\nb\t2\n"))
-        assert dense._next == 3  # a copy's first new word searches no taken label
-        assert dense.copy().add("w") == 3
+        assert dense._next == 3  # an extension's first new word searches no taken label
+        assert dense.extended(["w"]).label("w") == 3
 
     def test_read_requires_epsilon_first(self):
         with pytest.raises(FormatError, match="line 1"):
@@ -89,19 +87,48 @@ class TestSymbolTable:
     def test_label_beyond_the_columns_rejected_at_its_line(self):
         with pytest.raises(FormatError, match=f"line 3: labels must be in 0..{ID_MAX}"):
             SymbolTable.read(io.StringIO(f"<eps>\t0\na\t{ID_MAX}\nb\t{ID_MAX + 1}\n"))
-        with pytest.raises(InvariantError):
-            SymbolTable().add("a", ID_MAX + 1)
 
     def test_symbol_a_file_cannot_hold_rejected(self):
         table = SymbolTable(["a"])
         for bad in ("", "new word", " a", "a\t", "a\nb", "a\u00a0b"):
-            with pytest.raises(InvariantError, match="non-empty and hold no whitespace"):
-                table.add(bad)
-        assert table == SymbolTable(["a"])
+            for make in (lambda: SymbolTable(["b", bad]), lambda: table.extended(["b", bad])):
+                with pytest.raises(InvariantError, match="non-empty and hold no whitespace"):
+                    make()
+        assert table == SymbolTable(["a"]) and "b" not in table
+
+    def test_equal_tables(self):
+        table = SymbolTable(["a", "b"])
+        assert table == table and table == SymbolTable(["a", "b"])
+        assert table != SymbolTable(["b", "a"]) and table != table.extended(["c"])
+        assert table.extended([]) == table and table.extended([]) is not table
 
     def test_read_skips_leading_blank_lines(self):
         table = SymbolTable.read(io.StringIO("\n<eps>\t0\na\t1\n"))
         assert table == SymbolTable(["a"])
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_WORDS, unique=True), st.lists(st.integers(1, 12), unique=True),
+       st.booleans(), st.lists(_WORDS, max_size=8))
+def test_extended_labels_each_missing_word_with_the_lowest_free_label(words, labels, read,
+                                                                      more):
+    """Dense tables, and gapped ones read from text: the source stays as it was."""
+    if read:  # each word with a drawn label: gaps below, between and above
+        words = words[:len(labels)]
+        text = "".join(f"{word}\t{label}\n" for word, label in zip(words, labels))
+        table = SymbolTable.read(io.StringIO(f"<eps>\t0\n{text}"))
+    else:
+        table = SymbolTable(words)
+    before = (dict(table._sym2lab), dict(table._lab2sym), table._next)
+    wider = table.extended(more)
+    assert wider._sym2lab == oracles.extended_labels(table, more)
+    assert wider._lab2sym == {label: word for word, label in wider._sym2lab.items()}
+    assert (dict(table._sym2lab), dict(table._lab2sym), table._next) == before
+    assert wider.extended([]) == wider
+    assert (wider == table) == (set(more) <= set(words))
 
 
 class TestWfstBasics:
@@ -116,14 +143,35 @@ class TestWfstBasics:
         assert arcs_matching(added, 0, 1) == [(0, 1, 1, -1.0)]
         assert arcs_matching(fst, 0, 1) == []
 
-    def test_copy_is_independent(self):
-        fst = add_arcs(empty_graph(SymbolTable(["a"]), 1), (0, 0, 1, 1, -1.0))
-        fst.set_initial(0)
+    def test_copy_is_the_same_graph(self):
+        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {0: 0.5}), (0, 0, 1, 1, -1.0))
         dup = fst.copy()
-        dup.symbols.add("b")
-        dup.set_final(0, 0.0)
-        assert "b" not in fst.symbols and fst.finals == {}
-        assert dup.arcs(0) == fst.arcs(0) and dup.initial == 0
+        assert dup.symbols is fst.symbols and dup.memo() is fst.memo()
+        assert dup.arcs(0) == fst.arcs(0) == [(0, 1, 1, -1.0)]
+        assert dup.initial == 1 and dup.finals == {0: 0.5}
+
+    @pytest.mark.parametrize("initial, finals, message", [
+        (-1, {}, "unknown state id: -1"),
+        (3, {}, "unknown state id: 3"),
+        (0, {1: 0.0, 3: 0.0}, "unknown state id: 3"),
+        (0, {-1: 0.0}, "unknown state id: -1"),
+        (0, {1: 0.0, 2: math.inf}, "final weight must be finite, got inf"),
+        (0, {2: math.nan}, "final weight must be finite, got nan"),
+    ])
+    def test_constructor_checks_initial_and_finals(self, initial, finals, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            empty_graph(SymbolTable(["a"]), 3, initial, finals)
+
+    def test_a_graph_cannot_be_changed(self):
+        """Finals are a read-only view of the constructor's own dict."""
+        finals = {1: 0.0}
+        fst = empty_graph(SymbolTable(["a"]), 2, 0, finals)
+        finals[0] = 1.0
+        with pytest.raises(TypeError):
+            fst.finals[0] = 1.0
+        assert fst.finals == {1: 0.0}
+        derived = apply_diff(fst, FstDiff())
+        assert derived.symbols is fst.symbols and not hasattr(derived.symbols, "add")
 
     def test_scan_groups_matching_arcs_in_order(self, two_path_acceptor):
         fst = two_path_acceptor
@@ -388,7 +436,9 @@ def _draw_refused(data, eager):
         at = data.draw(st.integers(0, len(delta.added_arcs)))
         delta.added_arcs.insert(at, Arc(0, n, 1, 1, 0.0))
     else:
-        delta.final_changes.append((n, None, 0.0))
+        state = data.draw(st.integers(0, n), label="final state")
+        delta.final_changes.append((state, None, 0.0) if state == n
+                                   else (state, 99.0, None))  # no final weighs 99
     return delta
 
 
@@ -417,7 +467,7 @@ def _snapshot(fst):
     Taken without materializing the graph.
     """
     states = fst.states()
-    return (fst.symbols.copy(), fst.initial, dict(fst.finals),
+    return (fst.symbols, dict(fst.symbols._sym2lab), fst.initial, dict(fst.finals),
             [fst._state_arcs(state) for state in states],
             [dict(fst.best_arcs(state)) for state in states])
 
@@ -456,9 +506,7 @@ def test_lazy_edits_read_as_eager_ones(kind, seed, data):
             pairs.append((apply_diff(lazy, delta), oracles.apply_diff_by_arc(eager, delta)))
         elif step == "enhance":
             enhanced, delta = enhance(lazy, _draw_config(data, lazy.symbols))
-            replayed = oracles.apply_diff_by_arc(eager, delta)
-            replayed.symbols = enhanced.symbols
-            pairs.append((enhanced, replayed))
+            pairs.append((enhanced, oracles.apply_diff_by_arc(eager, delta, enhanced.symbols)))
         elif step == "refused":
             with pytest.raises(InvariantError):
                 apply_diff(lazy, _draw_refused(data, eager))
@@ -611,8 +659,7 @@ class TestDiff:
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
 
     def test_final_change_reported(self, two_path_acceptor):
-        other = two_path_acceptor.copy()
-        other.set_final(1, 0.0)
+        other = apply_diff(two_path_acceptor, FstDiff(final_changes=[(1, None, 0.0)]))
         delta = diff(two_path_acceptor, other)
         assert delta.final_changes == [(1, None, 0.0)]
 
@@ -642,10 +689,44 @@ class TestDiff:
             FstDiff(added_arcs=[Arc(0, 1, a, -1, 0.5)]),
             *(FstDiff(added_arcs=[Arc(0, 1, a, x, bad)])
               for bad in (math.inf, -math.inf, math.nan)),
+            FstDiff(final_changes=[(999, 3.5, None)]),  # no such state
+            FstDiff(final_changes=[(2, 5.0, None)]),  # state 2's final weight is 3.5
+            FstDiff(final_changes=[(2, None, 1.0)]),
+            FstDiff(final_changes=[(1, 0.0, None)]),  # state 1 is not final
+            FstDiff(final_changes=[(1, None, math.inf)]),
         ]
+        text = text_of(fst)
         for delta in deltas:
             with pytest.raises(InvariantError):
                 apply_diff(fst, delta)
+        assert text_of(fst) == text
+
+    @pytest.mark.parametrize("changes, message", [
+        ([(999, 0.0, None)], "unknown state id: 999"),
+        ([(1, 5.0, None)], "final change of state 1 expects final weight 5.0, found 0.0"),
+        ([(0, 0.0, 1.0)], "final change of state 0 expects final weight 0.0, found None"),
+        # A change sees the changes before it in the delta.
+        ([(1, 0.0, 2.0), (1, 0.0, None)],
+         "final change of state 1 expects final weight 0.0, found 2.0"),
+        ([(1, 0.0, None), (1, 0.0, 3.0)],
+         "final change of state 1 expects final weight 0.0, found None"),
+        ([(0, None, 1.0), (1, 0.0, -math.inf)], "final weight must be finite, got -inf"),
+    ])
+    def test_apply_diff_refuses_final_changes_that_do_not_fit(self, fst_factory, changes,
+                                                              message):
+        fst = fst_factory("a c", [(0, 1, "a", "a", 0.5)], {1: 0.0})
+        # Final changes come last: a bad addition before them raises first.
+        with pytest.raises(InvariantError, match="^unknown state id: 7$"):
+            apply_diff(fst, FstDiff(added_arcs=[Arc(0, 7, 1, 1, 0.0)], final_changes=changes))
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            apply_diff(fst, FstDiff(final_changes=changes))
+        assert fst.finals == {1: 0.0} and text_of(fst) == "0 1 a a 0.5\n1 0\n"
+
+    def test_apply_diff_replays_final_changes_in_order(self, fst_factory):
+        fst = fst_factory("a c", [(0, 1, "a", "a", 0.5)], {1: 0.0})
+        changes = [(1, 0.0, 2.0), (1, 2.0, None), (0, None, -0.5), (1, None, 1.5)]
+        changed = apply_diff(fst, FstDiff(final_changes=changes))
+        assert changed.finals == {0: -0.5, 1: 1.5} and fst.finals == {1: 0.0}
 
     def test_replay_reproduces_target(self, random_graph_factory):
         rng = random.Random(4242)
@@ -815,9 +896,9 @@ class TestTextFormat:
     def test_state_ids_are_bounded_by_the_record_count(self, monkeypatch):
         symbols = SymbolTable(["a"])
         allocated = []
-        real = gboost.fst._from_columns
-        monkeypatch.setattr(gboost.fst, "_from_columns", lambda table, offsets, *columns: real(
-            table, allocated.append(len(offsets) - 1) or offsets, *columns))
+        real = gboost.fst._Columns
+        monkeypatch.setattr(gboost.fst, "_Columns", lambda offsets, *columns: real(
+            allocated.append(len(offsets) - 1) or offsets, *columns))
         with pytest.raises(FormatError, match="line 1: state id 1000000000"):
             read_text(io.StringIO("0 1000000000 a a -1\n"), symbols)
         # Above what a column holds: rejected at its line, not at the end.
@@ -881,10 +962,10 @@ class TestTextFormat:
     def test_writer_matches_per_arc_reference(self, random_graph_factory):
         rng = random.Random(8128)
         for seed in range(20):
-            fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4)
-            fst = add_arcs(fst, (3, 4, 1, 2, 0.0), (3, 4, 1, 2, -0.0))
-            fst.set_final(5, -0.0)
-            fst.set_initial(seed % 19)  # a state with arcs, not always 0
+            fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4,
+                                       initial=seed % 19)  # a state with arcs, not always 0
+            fst = apply_diff(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 2, 0.0), Arc(3, 4, 1, 2, -0.0)],
+                                          final_changes=[(5, fst.final_weight(5), -0.0)]))
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
             for graph in (fst, perturb(fst, rng), read, perturb(read, rng)):
                 for negate in (False, True):
@@ -967,10 +1048,9 @@ def scrambled_text(fst, negate, rng):
 @given(st.lists(st.floats(min_value=-20, max_value=5), min_size=1, max_size=6),
        st.floats(min_value=-5, max_value=5))
 def test_chain_path_weight_matches_sum(weights, final_weight):
-    fst = add_arcs(empty_graph(SymbolTable(["a"]), len(weights) + 1),
+    fst = add_arcs(empty_graph(SymbolTable(["a"]), len(weights) + 1, 0,
+                               {len(weights): final_weight}),
                    *[(i, i + 1, 1, 1, w) for i, w in enumerate(weights)])
-    fst.set_final(len(weights), final_weight)
-    fst.set_initial(0)
     total = path_weight(fst, ["a"] * len(weights))
     assert total == pytest.approx(sum(weights) + final_weight, abs=1e-12)
 
@@ -1081,13 +1161,9 @@ def odd_graph():
     """-0.0 weights, three final states, initial state 2, one label on several
     arcs, and an output label that is no arc's input label."""
     table = SymbolTable(["a", "b", "c"])
-    fst = add_arcs(empty_graph(table, 4), (2, 0, 1, 1, -0.0), (2, 1, 1, 2, 0.1),
-                   (2, 3, 1, 1, -1 / 3), (0, 3, 2, 3, 1e-300), (1, 1, 0, 0, -0.0),
-                   (3, 0, 2, 1, 2.0000000001))
-    for state, weight in ((3, -0.0), (0, 0.7), (2, 1 / 7)):
-        fst.set_final(state, weight)
-    fst.set_initial(2)
-    return fst
+    return add_arcs(empty_graph(table, 4, 2, {3: -0.0, 0: 0.7, 2: 1 / 7}),
+                    (2, 0, 1, 1, -0.0), (2, 1, 1, 2, 0.1), (2, 3, 1, 1, -1 / 3),
+                    (0, 3, 2, 3, 1e-300), (1, 1, 0, 0, -0.0), (3, 0, 2, 1, 2.0000000001))
 
 
 def enhanced_graph(seed):
@@ -1166,13 +1242,12 @@ def test_write_text_refuses_what_read_text_refuses():
     # read_text bounds state ids by twice the number of arcs and final
     # states.
     sparse = add_arcs(empty_graph(SymbolTable(["a"]), 9), (0, 8, 1, 1, -1.0))
-    sparse.set_initial(0)
     buf = io.StringIO()
     with pytest.raises(InvariantError, match="last state, 8, is at or above twice the "
                                              r"number of arcs and final states \(1\)"):
         write_text(sparse, buf)
     assert buf.getvalue() == ""  # refused before a byte is written
-    sparse.set_final(1, 0.0)
+    sparse = apply_diff(sparse, FstDiff(final_changes=[(1, None, 0.0)]))
     with pytest.raises(InvariantError, match=r"final states \(2\)"):
         write_text(sparse, buf)
     sparse = add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4
@@ -1189,8 +1264,7 @@ def test_companion_serves_a_larger_symbol_table(tmp_path):
     fst = odd_graph()
     path = str(tmp_path / "g.fst")
     save(fst, path)
-    larger = fst.symbols.copy()
-    larger.add("d")
+    larger = fst.symbols.extended(["d"])
     got, source = load(path, larger)
     assert source == "companion"
     assert graph_state(got) == graph_state(parsed(path, larger))
@@ -1225,10 +1299,9 @@ def test_companion_of_a_text_read_text_rejects_is_not_used(tmp_path):
     # read_text bounds state ids by the record count, so its text is written
     # by the reference writer and its companion, with correct digests, from
     # the columns themselves. Only the loader's state bound turns it away.
-    sparse = gboost.fst._from_columns(SymbolTable(["a"]), array("q", [0] + [1] * 10),
-                                      array("i", [9]), array("i", [1]), array("i", [1]),
-                                      array("d", [-1.0]))
-    sparse.initial = 0
+    sparse = Wfst(SymbolTable(["a"]), _Columns(array("q", [0] + [1] * 10), array("i", [9]),
+                                               array("i", [1]), array("i", [1]),
+                                               array("d", [-1.0])), 0, {})
     with open(path, "w") as handle:
         oracles.write_text_by_arc(sparse, handle)
     with open(path + COMPANION_SUFFIX, "wb") as handle:
