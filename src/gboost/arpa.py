@@ -71,9 +71,10 @@ def parse_arpa(stream: TextIO) -> NGramModel:
     Enforces: the \\data\\ header declares each order 1..N once (checked
     before any per-order work, so a huge declared order costs nothing),
     its counts match section contents, every k-gram's (k-1)-word history
-    has its own entry, log probabilities are finite and <= 0 (the unused
-    <s> unigram may be -inf), back-off weights are finite, <s> is never
-    predicted, </s> has a unigram entry and never appears as context.
+    has its own entry and its predicted word a unigram, log probabilities
+    are finite and <= 0 (the unused <s> unigram may be -inf), back-off
+    weights are finite, <s> is never predicted, </s> has a unigram entry
+    and never appears as context.
 
     Each distinct word is one ``str`` object, shared by every n-gram key
     that names it and by the vocabulary: a large model names each word in
@@ -168,7 +169,8 @@ def parse_arpa(stream: TextIO) -> NGramModel:
                 f"\\data\\ declares {declared} {k}-grams but section has {got}")
 
     table_list = [tables.get(k, {}) for k in range(1, order + 1)]
-    if (EOS,) not in table_list[0]:  # every sentence ends with it
+    unigrams = table_list[0]
+    if (EOS,) not in unigrams:  # every sentence ends with it
         raise FormatError(f"the model has no {EOS} unigram")
     for k in range(2, order + 1):
         lower = table_list[k - 2]
@@ -177,8 +179,11 @@ def parse_arpa(stream: TextIO) -> NGramModel:
                 raise FormatError(
                     f"{k}-gram {' '.join(words)!r} has no {k - 1}-gram entry "
                     f"for its history {' '.join(words[:-1])!r}")
+            if words[-1:] not in unigrams:
+                raise FormatError(f"{k}-gram {' '.join(words)!r} predicts "
+                                  f"{words[-1]!r}, which has no unigram entry")
 
-    vocab = SymbolTable(word for (word,) in table_list[0])
+    vocab = SymbolTable(word for (word,) in unigrams)
     return NGramModel(order=order, tables=table_list, vocab=vocab)
 
 

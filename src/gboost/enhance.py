@@ -299,13 +299,15 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
 
     ``fst`` never changes, also when this raises. The enhanced graph is a
     new one, built as :func:`~gboost.fst.apply_diff` builds one: it shares
-    ``fst``'s columns and tables. It shares ``fst``'s symbol table too,
-    unless the config has words new to it: then it holds the table
+    ``fst``'s columns and tables, and its added arcs are the diff's
+    ``Arc`` objects. It shares ``fst``'s symbol table too, unless the
+    config has words new to it: then it holds the table
     :meth:`~gboost.fst.SymbolTable.extended` makes with them.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
-    ``fst``'s :meth:`~gboost.fst.Wfst.memo`, keyed by the config without
-    theta; so cells of a sweep that differ only in theta plan once. The
+    ``fst``'s :meth:`~gboost.fst.Wfst.memo`, beside its columns, keyed by
+    the config without theta; so cells of a sweep that differ only in
+    theta plan once, and so does every graph over the same columns. The
     label scan behind a plan is memoized there too, keyed by its labels,
     every predictor's and every known target's; so plans that differ only
     in the predictor count share one scan. Applying resolves each target's
@@ -355,17 +357,13 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     # table, and their weights were checked above. Built in C, with no
     # bytecode step per arc: zip yields each arc's fields, and
     # tuple.__new__ (Arc's constructor without its argument handling) makes
-    # the diff's arc.
-    sources: list[int] = []
-    arcs: list[tuple[int, int, int, float]] = []
-    for target, run_sources, dests, weights in added:
+    # the diff's arc, which the enhanced graph holds too.
+    for target, sources, dests, weights in added:
         labels = repeat(symbols.label(target))
-        sources += run_sources
-        arcs += zip(dests, labels, labels, weights)
         delta.added_arcs += map(tuple.__new__, repeat(Arc),
-                                zip(run_sources, dests, labels, labels, weights))
+                                zip(sources, dests, labels, labels, weights))
     log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,
              "reused" if reused else "built")
-    return _derived(fst, symbols, rewritten, sources, arcs, fst.finals), delta
+    return _derived(fst, symbols, rewritten, delta.added_arcs, fst.finals), delta

@@ -199,11 +199,11 @@ def sweep(fst: Wfst, config: EnhanceConfig, theta_list: Sequence[float],
     Every cell ranks the graph that :func:`~gboost.enhance.enhance` derives
     from ``fst``, which never changes, so cells are independent of each
     other and of evaluation order. A derived graph shares ``fst``'s arc
-    columns and every best-arc table built over them so far (see
-    :class:`~gboost.fst.Wfst`). ``fst``'s memo holds the label scan and the
-    enhancement plans, neither of which depends on theta: the first cell
-    scans the graph once for every predictor count, cells with the same
-    predictor count share one plan, and the others only add theta (see
+    columns and all kept beside them (see :class:`~gboost.fst.Wfst`): the
+    best-arc tables, and a memo of the label scan and the enhancement
+    plans, neither of which depends on theta. The first cell scans the
+    graph once for every predictor count, cells with the same predictor
+    count share one plan, and the others only add theta (see
     :mod:`gboost.enhance`). Ranking builds the tables of only the states it
     visits, each edited one from the shared table plus the cell's arcs
     there. A value repeated in either list is swept once. A cell whose

@@ -12,9 +12,11 @@ of targets, input labels and output labels (C ``int``) and of weights (C
 A graph is complete when it is made: :class:`Wfst`'s one constructor takes
 its symbol table, columns, initial state and finals, and nothing changes
 any of them afterwards. Symbol tables never change either, so graphs share
-them. :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new
-graph that shares the old one's columns and the best-arc tables built over
-them, and holds only its edits. Scoring reads an edited state's arcs from
+them. What is computed from arcs (best-arc tables, the enhancement memo)
+lives beside their columns. :func:`apply_diff` and
+:func:`gboost.enhance.enhance` return a new graph that shares the old
+one's columns and holds only its edits: rewritten states, and the very
+``Arc`` objects its diff adds. Scoring reads an edited state's arcs from
 its edits; every other reader first materializes the graph once, merging
 its edits into columns of its own. So a graph that is edited and then
 scored pays only for the states it scores. State ids and labels must fit
@@ -61,11 +63,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
-from operator import itemgetter, le, sub
+from operator import attrgetter, itemgetter, le, sub
 from struct import Struct
 from time import perf_counter
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
@@ -103,10 +105,10 @@ class SymbolTable:
     """Bijective symbol <-> label map. Label 0 is reserved for ``<eps>``.
 
     A table never changes once built, so graphs share it: a graph built
-    from a model holds the model's vocabulary, and a derived graph or a
-    :meth:`Wfst.copy` holds its source's table. ``SymbolTable(symbols)``
-    labels the symbols 1, 2, ... in order, and :meth:`read` takes the labels
-    a file gives; :meth:`extended` makes a larger table from this one.
+    from a model holds the model's vocabulary, and a derived graph holds its
+    source's table. ``SymbolTable(symbols)`` labels the symbols 1, 2, ...
+    in order, and :meth:`read` takes the labels a file gives;
+    :meth:`extended` makes a larger table from this one.
     Duplicate symbols or labels raise InvariantError, keeping the table
     bijective, and so do a label outside ``0..ID_MAX`` and a symbol that is
     empty or holds whitespace, which no symbol or graph file could hold.
@@ -241,19 +243,22 @@ class FstDiff:
 
 # scan() results: input label -> (source state, arc tuple) pairs.
 _Found = dict[int, list[tuple[int, tuple[int, int, int, float]]]]
+_source = itemgetter(0)  # the source state of an Arc
 
 
 class _Columns:
     """A built graph's arcs, grouped by source state: CSR over stdlib arrays.
 
     State ``s`` owns entries ``offsets[s]`` up to ``offsets[s + 1]`` of
-    the four arc columns, in arc order. ``best[s]`` is the best-arc table
-    of those arcs, None until first asked for. Neither the columns nor the
-    tables ever change, so all copies of a graph share them: a sweep's
-    cells, say, which write the same states over and over.
+    the four arc columns, in arc order. Beside them is what is computed
+    from these arcs alone: ``best[s]``, the best-arc table of ``s``'s arcs,
+    None until first asked for, and ``memo`` (see :meth:`Wfst.memo`).
+    Neither the columns nor these values ever change once set, so every
+    graph over the columns shares them: a sweep's cells, say, which derive
+    graphs from one graph over and over.
     """
 
-    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best")
+    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best", "memo")
 
     def __init__(self, offsets: array, targets: array, ilabels: array, olabels: array,
                  weights: array):
@@ -263,6 +268,7 @@ class _Columns:
         self.olabels = olabels
         self.weights = weights
         self.best: list[dict | None] = [None] * (len(offsets) - 1)
+        self.memo: dict = {}
 
     def slices(self, state: int) -> tuple[array, array, array, array]:
         """Targets, input labels, output labels and weights of ``state``'s arcs."""
@@ -301,18 +307,19 @@ class Wfst:
     table, its arc columns (see the module docstring), its initial state
     and its finals ``{state: weight}``; the state count is the columns'.
     :func:`read_text`, :func:`load_graph` and :func:`gboost.graph.build_g`
-    build graphs with it, and nothing changes one afterwards: ``finals`` is
-    a read-only view, the symbol table never changes, and
-    :func:`apply_diff` and :func:`gboost.enhance.enhance` return a new
-    graph (``_derived``), which shares the columns of the graph it came
-    from and holds its own edits. ``_rewritten`` maps each state that a
-    removal or reweight changed to its arcs after them; ``_added_sources``
-    and ``_added`` hold the added arcs: their sources in ascending order
-    and, beside them, their arc tuples, in delta order within a state. A
-    state's arcs are its rewritten list, or else its column arcs, followed
-    by its added arcs (``_state_arcs``). Every reader of arcs but
-    :meth:`best_arcs` first calls ``_materialize``, which merges the edits
-    into columns of this graph's own, once, and changes no arc.
+    build graphs with it, and nothing changes one afterwards: ``symbols``,
+    ``initial`` and ``finals`` (a read-only view) cannot be set, the symbol
+    table never changes, and :func:`apply_diff` and
+    :func:`gboost.enhance.enhance` return a new graph (``_derived``). It
+    shares ``_columns`` with the graph it came from until it materializes,
+    and holds its own edits: ``_rewritten`` maps each state that a removal
+    or reweight changed to its arcs after them, and ``_added`` holds the
+    diff's added ``Arc`` objects themselves, sorted by source, in delta
+    order within a state. A state's arcs are its rewritten list, or else
+    its column arcs, followed by its added arcs without their source
+    (``_state_arcs``). Every reader of arcs but :meth:`best_arcs` first
+    calls ``_materialize``, which merges the edits into columns of this
+    graph's own, once, and changes no arc.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
@@ -320,12 +327,8 @@ class Wfst:
     state without edits is built once beside the columns and shared by
     every graph over them. ``_tables[s]`` is the table this graph last used
     for state ``s``, or None, so that scoring finds a state's table with one
-    list lookup. Its length is the state count.
-
-    ``_memo`` holds the enhancement plans of :func:`gboost.enhance.enhance`
-    and the label scans behind them, which are computed from the arcs alone
-    and costly to recompute. The arcs never change, so neither the tables
-    nor the memo are ever reset.
+    list lookup. Its length is the state count. The arcs never change, so
+    no table, and no value in the :meth:`memo`, is ever reset.
 
     A graph is read-only once materialized: it can then be read from many
     threads through any reader. Before that, only through :meth:`best_arcs`.
@@ -347,16 +350,17 @@ class Wfst:
             self._check_state(state)
             if not math.isfinite(weight):
                 raise InvariantError(f"final weight must be finite, got {weight}")
-        self.symbols = symbols
+        self._symbols = symbols
         self._columns = columns
-        self.initial = initial
-        self.finals: Mapping[int, float] = MappingProxyType(dict(finals))
+        self._initial = initial
+        self._finals: Mapping[int, float] = MappingProxyType(dict(finals))
         # The edits: each rewritten state's arcs, and the added arcs by source.
         self._rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
-        self._added_sources: list[int] = []
-        self._added: list[tuple[int, int, int, float]] = []
-        # Values computed from the arcs.
-        self._memo: dict = {}
+        self._added: list[Arc] = []
+
+    symbols = property(attrgetter("_symbols"))
+    initial = property(attrgetter("_initial"))
+    finals = property(attrgetter("_finals"))
 
     # -- states ---------------------------------------------------------
 
@@ -371,15 +375,15 @@ class Wfst:
             raise InvariantError(f"unknown state id: {state}")
 
     def final_weight(self, state: int) -> float | None:
-        return self.finals.get(state)
+        return self._finals.get(state)
 
     # -- arcs -----------------------------------------------------------
 
     def _added_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
         # The arcs added to `state`, in delta order, found by bisect.
-        sources = self._added_sources
-        start = bisect_left(sources, state)
-        return self._added[start:bisect_right(sources, state, start)]
+        added = self._added
+        start = bisect_left(added, state, key=_source)
+        return [arc[1:] for arc in added[start:bisect_right(added, state, start, key=_source)]]
 
     def _state_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
         # A new list of `state`'s arcs, read from its edits.
@@ -390,11 +394,11 @@ class Wfst:
 
     def _materialize(self) -> None:
         # Merges the edits into new columns, in one pass over the edited
-        # states, and drops them. No arc changes, so the tables, which the
-        # new columns take, and the memo stay. Other graphs keep the old
+        # states, and drops them. No arc changes, so the new columns take
+        # this graph's tables. Their memo starts empty: the old columns'
+        # values were computed from other arcs. Other graphs keep the old
         # columns.
-        sources = self._added_sources
-        if not sources and not self._rewritten:
+        if not self._added and not self._rewritten:
             return
         columns = self._columns
         offsets = columns.offsets
@@ -402,7 +406,7 @@ class Wfst:
         counts = list(map(sub, islice(offsets, 1, None), offsets))
         merged = [array(column.typecode) for column in old]
         at = 0
-        for state in sorted(self._rewritten.keys() | set(sources)):
+        for state in sorted(self._rewritten.keys() | set(map(_source, self._added))):
             arcs = self._state_arcs(state)
             counts[state] = len(arcs)
             for column, source in zip(merged, old):
@@ -414,7 +418,7 @@ class Wfst:
             column += source[at:]
         self._columns = _Columns(array("q", accumulate(counts, initial=0)), *merged)
         self._columns.best = self._tables.copy()
-        self._rewritten, self._added_sources, self._added = {}, [], []
+        self._rewritten, self._added = {}, []
 
     def num_arcs(self, state: int | None = None) -> int:
         self._materialize()
@@ -470,15 +474,17 @@ class Wfst:
         return table
 
     def memo(self) -> dict:
-        """Values computed from this graph's arcs.
+        """Values computed from this graph's arcs, kept beside its columns.
 
         Each key names what its value was computed from besides the arcs.
         :func:`gboost.enhance.enhance` keeps its plans and label scans here.
-        A graph with the same arcs shares the memo: a :meth:`copy`, or what
-        :func:`apply_diff` returns for a diff that changes no arc. Treat the
-        values as read-only.
+        Materializes the graph first, so a graph with edits never sees the
+        values of the graph it came from; every graph over the same columns
+        shares the memo, such as one derived by a diff that changes no arc.
+        Treat the values as read-only.
         """
-        return self._memo
+        self._materialize()
+        return self._columns.memo
 
     def scan(self, labels: Iterable[int]) -> _Found:
         """Arcs whose input label is in ``labels``, grouped by that label.
@@ -501,36 +507,26 @@ class Wfst:
         return found
 
     def copy(self) -> "Wfst":
-        """The same graph: its arcs, finals, initial state and symbol table.
-
-        Materializes this graph first. The copy shares its columns, every
-        best-arc table built beside them, its memo and its symbol table.
-        """
-        self._materialize()
-        return _derived(self, self.symbols, {}, [], [], self.finals)
+        """This graph itself: a graph never changes, so it is its own copy."""
+        return self
 
 
 def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
-             sources: Sequence[int], arcs: list[tuple[int, int, int, float]],
-             finals: Mapping[int, float]) -> Wfst:
+             added: Iterable[Arc], finals: Mapping[int, float]) -> Wfst:
     """A new graph: the arcs of ``base``, a graph without edits, with these edits.
 
     ``rewritten`` maps states to their arcs after removals and reweights,
-    and added arc ``arcs[i]`` goes to state ``sources[i]``; all are checked.
-    The additions are sorted by source with a stable sort, so delta order
-    holds within a state. The new graph shares ``base``'s columns and every
-    table built beside them, and also its memo if it has no edits.
+    and ``added`` is a diff's added arcs; all are checked. The new graph
+    holds those ``Arc`` objects themselves, in a stable sort by source, so
+    delta order holds within a state. It shares ``base``'s columns, and
+    with them every table and memo value computed from them.
     """
     fst = Wfst(symbols, base._columns, base.initial, finals)
     fst._rewritten = rewritten
-    order = sorted(range(len(sources)), key=sources.__getitem__)
-    fst._added_sources = list(map(sources.__getitem__, order))
-    fst._added = list(map(arcs.__getitem__, order))
+    fst._added = sorted(added, key=_source)
     tables = fst._tables
-    for state in chain(rewritten, sources):
+    for state in chain(rewritten, map(_source, fst._added)):
         tables[state] = None
-    if not (rewritten or sources):
-        fst._memo = base._memo
     return fst
 
 
@@ -684,8 +680,8 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     equal to its old arc: the one whose weight enhancement reads for a
     slot. Added arcs follow a state's arcs, in delta order.
 
-    Source and target states must exist, labels must be non-negative, a
-    reweight may change only the weight, and new weights must be finite. A
+    Source and target states must exist, labels must be in ``0..ID_MAX``,
+    a reweight may change only the weight, and new weights must be finite. A
     final change ``(state, before, after)`` needs ``before`` to be the
     state's final weight at that point of the replay, None when the state
     is not final, as a removal needs its arc. Else InvariantError, raised
@@ -693,21 +689,20 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     else addition, else final change.
 
     ``fst`` is materialized first (see :class:`Wfst`). The new graph shares
-    its columns, its tables and its symbol table, and holds the edits: an
-    edited state's table is built from them when the state is first scored.
+    its columns, its tables and its symbol table, and holds the edits, the
+    delta's added ``Arc`` objects among them: an edited state's table is
+    built from them when the state is first scored.
     """
     rewritten = _rewrite(fst, delta.removed_arcs, delta.reweighted_arcs)
-    sources: list[int] = []
-    arcs: list[tuple[int, int, int, float]] = []
     for source, target, ilabel, olabel, weight in delta.added_arcs:
         fst._check_state(source)
         fst._check_state(target)
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
+        if ilabel > ID_MAX or olabel > ID_MAX:
+            raise InvariantError(f"labels must be at most {ID_MAX}: {ilabel}:{olabel}")
         if not math.isfinite(weight):
             raise InvariantError(f"arc weight must be finite, got {weight}")
-        sources.append(source)
-        arcs.append((target, ilabel, olabel, weight))
     finals = dict(fst.finals)
     for state, before, after in delta.final_changes:
         fst._check_state(state)
@@ -720,7 +715,7 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
             finals[state] = after
         else:
             raise InvariantError(f"final weight must be finite, got {after}")
-    return _derived(fst, fst.symbols, rewritten, sources, arcs, finals)
+    return _derived(fst, fst.symbols, rewritten, delta.added_arcs, finals)
 
 
 def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, Arc]]

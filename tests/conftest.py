@@ -112,13 +112,8 @@ def telecom_model(telecom_arpa):
 
 
 @pytest.fixture(scope="session")
-def _telecom_compiled(telecom_model):
-    return build_g(telecom_model)
-
-
-@pytest.fixture
-def telecom_graph(_telecom_compiled):
-    return _telecom_compiled.copy()
+def telecom_graph(telecom_model):
+    return build_g(telecom_model)  # one graph for the session: a graph never changes
 
 
 # -- out-of-language fixture: English-like tokens in the host-word graph ----

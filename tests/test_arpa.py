@@ -87,6 +87,12 @@ class TestParse:
         with pytest.raises(FormatError, match="history"):
             parse(bad.replace("\t b ", "\tb "))
 
+    def test_predicted_word_without_unigram_rejected(self):
+        unigrams = {BOS: ("-99", "-0.5"), "a": ("-0.5", None), EOS: ("-0.9", None)}
+        with pytest.raises(FormatError, match=r"2-gram 'a b' predicts 'b', which has no "
+                                              "unigram entry"):
+            parse(mini_arpa(unigrams, {("a", "b"): "-0.3"}))
+
     def test_malformed_line_reports_position(self):
         text = UNIGRAM_ONLY.replace(f"{LOG10_E_INV}\tb", "not-a-number\tb")
         with pytest.raises(FormatError, match="line 7"):

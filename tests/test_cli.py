@@ -31,6 +31,8 @@ from gboost.errors import FormatError, InvariantError
 from gboost.fst import SymbolTable, Wfst, read_text, write_text
 from gboost.graph import build_g
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
 PAIRS = {
     "theta": 0.5,
     "max_predictors": 2,
@@ -266,8 +268,8 @@ class TestEnhanceCommand:
             real_write_text(*args, **kwargs)
 
         def counting_materialize(fst):
-            if fst._added_sources or fst._rewritten:
-                merges.append(len(fst._added_sources))
+            if fst._added or fst._rewritten:
+                merges.append(len(fst._added))
             real_materialize(fst)
 
         monkeypatch.setattr(gboost.cli, "write_text", marked_write_text)
@@ -618,6 +620,27 @@ class TestDiffFst:
         out = capsys.readouterr().out
         assert out and all(line.startswith("+ ") for line in out.splitlines())
 
+    @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
+    def test_removed_arcs_and_final_changes_are_listed(self, tmp_path, capsys, weights):
+        """The toy graph with final state 0, against it with an arc gone and 89's final changed."""
+        conv = ["--weights", weights]
+        code = run("build-g", "--arpa", DEMOS / "toy.arpa", "--out-fst", tmp_path / "g.fst",
+                   "--out-syms", tmp_path / "w.syms", *conv)
+        assert code == 0
+        lines = (tmp_path / "g.fst").read_text().splitlines(keepends=True)
+        arc, = (line for line in lines if line.startswith("1 14 kaitong kaitong "))
+        final = lines.index("89 0\n" if weights == "logprob" else "89 -0\n")
+        (tmp_path / "before.fst").write_text("".join(lines) + "0 -0.5\n")
+        lines[final] = "89 1.5\n"
+        lines.remove(arc)
+        (tmp_path / "after.fst").write_text("".join(lines))
+        code = run("diff-fst", tmp_path / "before.fst", tmp_path / "after.fst",
+                   "--syms", tmp_path / "w.syms", *conv)
+        assert code == 0
+        sign = "-" if weights == "logprob" else ""
+        assert capsys.readouterr().out == (f"- 1 14 kaitong kaitong {sign}3.5755508409750605\n"
+                                           "f 0 -\nf 89 1.5\n")
+
 
 class TestWeightConventions:
     def test_cost_files_negate_weights(self, workdir):
@@ -747,10 +770,12 @@ class TestMalformedInputs:
         (b"<eps>\t0\nwo\xff\t1\n", SCORE + ["--fst", "FST", "--syms", "BAD",
                                            "--out", "OUT.txt"]),
         ("\\data\\\nngram 1=2\n\n\\1-grams:\n-99\t<s>\n-0.5\two\n\n\\end\\\n", BUILD),
+        ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.5\n-0.5\ta\n"
+         "-0.9\t</s>\n\n\\2-grams:\n-0.3\ta b\n\n\\end\\\n", BUILD),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
             "symbols", "symbols-label-beyond-int", "pairs", "pairs-word-with-space",
             "pairs-empty-word", "cases", "arpa-not-utf8", "sentences-not-utf8",
-            "symbols-not-utf8", "arpa-without-eos"])
+            "symbols-not-utf8", "arpa-without-eos", "arpa-predicted-word-without-unigram"])
     def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
         fst_path, syms_path = build(workdir)
         (workdir / "bad").write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -14,7 +14,8 @@ from gboost.enhance import (EnhanceConfig, SimilarPairGroup, _log_ratio, enhance
                             load_pairs_config)
 from gboost.errors import FormatError, GboostError, InvariantError
 from conftest import make_fst
-from gboost.fst import FstDiff, _derived, diff as structural_diff, read_text, write_text
+from gboost.fst import (FstDiff, _derived, apply_diff, diff as structural_diff, read_text,
+                        write_text)
 from gboost.graph import build_g, graph_score
 from oracles import add_arcs, compute_enhanced_weight
 
@@ -37,15 +38,14 @@ def one_pair_config(predictor, target, frequencies=None, new=False, theta=0.0,
     return EnhanceConfig(theta=theta, max_predictors=max_predictors, groups=[group])
 
 
+# One arc for the frequent word "a"; "c" is in the vocabulary but has no
+# arcs yet.
+DONOR = ("a b c", [(0, 1, "a", "a", 0.5), (1, 2, "b", "b", -0.7)], {2: 0.0})
+
+
 @pytest.fixture
 def donor_graph(fst_factory):
-    # One arc for the frequent word "a"; "c" is in the vocabulary but has
-    # no arcs yet.
-    return fst_factory(
-        "a b c",
-        [(0, 1, "a", "a", 0.5), (1, 2, "b", "b", -0.7)],
-        {2: 0.0},
-    )
+    return fst_factory(*DONOR)
 
 
 class TestComputeEnhancedWeight:
@@ -149,9 +149,8 @@ class TestEnhance:
 
     def test_failed_enhance_leaves_graph_untouched(self, fst_factory):
         """Every weight is checked before the raise on c and the new word are written."""
-        fst = fst_factory("a c", [(0, 1, "a", "a", -1.0), (0, 1, "c", "c", -50.0),
-                                  (1, 2, "a", "a", 1e308)], {2: 0.0})
-        before = fst.copy()
+        arcs = [(0, 1, "a", "a", -1.0), (0, 1, "c", "c", -50.0), (1, 2, "a", "a", 1e308)]
+        fst, before = fst_factory("a c", arcs, {2: 0.0}), fst_factory("a c", arcs, {2: 0.0})
         group = SimilarPairGroup(predictors=["a"], targets=["c", "nova"],
                                  frequencies={"a": 5, "c": 5}, new_words=frozenset(["nova"]))
         config = EnhanceConfig(theta=1e308, max_predictors=1, groups=[group])
@@ -224,16 +223,16 @@ class TestEnhance:
         ("a", "<eps>", False, "target"),
         ("a", "<eps>", True, "target"),
     ])
-    def test_epsilon_is_neither_predictor_nor_target(self, donor_graph, predictor,
-                                                     target, new, role):
+    def test_epsilon_is_neither_predictor_nor_target(self, fst_factory, donor_graph,
+                                                     predictor, target, new, role):
         # <eps> labels back-off arcs: as a predictor it would copy them as
         # target-word arcs, as a target it would add label-0 arcs.
         config = one_pair_config(predictor, target, {"a": 95, "c": 5, "<eps>": 50},
                                  new=new)
-        before = donor_graph.copy()
+        before = fst_factory(*DONOR)  # the same graph, built apart
         with pytest.raises(InvariantError, match=f"'<eps>'.* {role}"):
             enhance(donor_graph, config)
-        assert oracles.graphs_equal(before, donor_graph)
+        assert oracles.graphs_equal(before, donor_graph) and before.symbols == donor_graph.symbols
 
     def test_new_marked_word_already_in_table_is_reused(self, donor_graph):
         # A rerun finds its own insertions; they are reused, not duplicated.
@@ -448,9 +447,8 @@ def check_cells(base, counts_a, counts_b, cells):
 
 
 def grown_before(base, word):
-    """A copy of ``base``, its memo included, whose symbol table gained ``word``."""
-    copy = base.copy()
-    return _derived(copy, copy.symbols.extended([word]), {}, [], [], copy.finals)
+    """``base``'s arcs, and so its memo, under a symbol table that gained ``word``."""
+    return _derived(base, base.symbols.extended([word]), {}, [], base.finals)
 
 
 class TestPlanAndApply:
@@ -472,12 +470,21 @@ class TestPlanAndApply:
         assert {base.symbols.symbol(old.ilabel) for old, _ in raised.reweighted_arcs} \
             == {"x0", "x1"}
 
+    def test_the_graph_holds_the_diffs_added_arcs(self):
+        """The enhanced graph's added arcs are its diff's Arc objects, by source."""
+        base = plan_graph(RAISE_ARCS)
+        enhanced, delta = enhance(base, plan_config([9, 8, 7, 6], [5, 4, 3, 2]))
+        assert len({arc.source for arc in delta.added_arcs}) > 1
+        by_source = sorted(delta.added_arcs, key=lambda arc: arc.source)
+        assert list(map(id, enhanced._added)) == list(map(id, by_source))
+
     def test_write_drops_the_plan(self):
         """An edited graph is a new graph, with a memo of its own: it plans anew."""
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
         assert logged_enhance(base, config)[2][5] == "built"
-        assert logged_enhance(base.copy(), config)[2][5] == "reused"  # a copy shares
+        twin = apply_diff(base, FstDiff())  # another graph over the same columns
+        assert twin is not base and logged_enhance(twin, config)[2][5] == "reused"
         y2, y3 = base.symbols.label("y2"), base.symbols.label("y3")
         edited = add_arcs(base, (4, 3, y2, y2, -0.25))
         _, delta, info = logged_enhance(edited, config)

@@ -165,7 +165,7 @@ class TestSweep:
         materialize = Wfst._materialize
 
         def counting_materialize(graph):
-            if graph._added_sources or graph._rewritten:
+            if graph._added or graph._rewritten:
                 materialized.append(graph)
             materialize(graph)
 

@@ -145,10 +145,17 @@ class TestWfstBasics:
 
     def test_copy_is_the_same_graph(self):
         fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {0: 0.5}), (0, 0, 1, 1, -1.0))
-        dup = fst.copy()
-        assert dup.symbols is fst.symbols and dup.memo() is fst.memo()
-        assert dup.arcs(0) == fst.arcs(0) == [(0, 1, 1, -1.0)]
-        assert dup.initial == 1 and dup.finals == {0: 0.5}
+        assert fst.copy() is fst
+
+    @pytest.mark.parametrize("name, value", [("symbols", SymbolTable()), ("initial", 99),
+                                             ("finals", {1: math.inf})])
+    def test_symbols_initial_and_finals_are_read_only(self, name, value):
+        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 0, {1: 0.5}), (0, 1, 1, 1, -1.0))
+        symbols = fst.symbols
+        with pytest.raises(AttributeError):
+            setattr(fst, name, value)
+        assert fst.symbols is symbols and fst.initial == 0 and fst.finals == {1: 0.5}
+        assert text_of(fst) == "0 1 a a -1\n1 0.5\n"
 
     @pytest.mark.parametrize("initial, finals, message", [
         (-1, {}, "unknown state id: -1"),
@@ -266,7 +273,8 @@ class TestBestArcTables:
             assert table is not shared
         assert derived == expected
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
-        assert base.best_arcs(0) is shared and base.copy().best_arcs(0) is shared
+        assert base.best_arcs(0) is shared
+        assert apply_diff(base, FstDiff()).best_arcs(0) is shared  # no edit: the same table
 
     def test_tables_follow_random_edits(self, random_graph_factory):
         """Each graph derived along two lines of edits, and each one it came from."""
@@ -297,14 +305,15 @@ class TestPendingAdditions:
     def test_pending_tables_keep_the_tie_rule(self, fst_factory):
         base = self.base(fst_factory)
         shared = base.best_arcs(0)
-        fst = apply_diff(base, FstDiff(added_arcs=[
+        added = [
             Arc(0, 2, 1, 1, 1.0),   # ties the column arc on a: the column arc wins
             Arc(0, 1, 3, 3, 2.0),   # a label the state lacks
             Arc(0, 2, 3, 3, 2.0),   # ties the added arc before it: the first wins
             Arc(0, 2, 2, 2, 0.75),  # beats the column arc on b
-        ]))
+        ]
+        fst = apply_diff(base, FstDiff(added_arcs=added))
         table = fst.best_arcs(0)
-        assert fst._added_sources == [0] * 4 and not fst._rewritten
+        assert list(map(id, fst._added)) == list(map(id, added)) and not fst._rewritten
         assert table == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.75), 3: (1, 3, 3, 2.0)}
         assert table[1] is shared[1]  # the column arc itself
         assert fst.best_arcs(1) is base.best_arcs(1)  # an unedited state shares
@@ -312,14 +321,14 @@ class TestPendingAdditions:
         assert base.best_arcs(0) is shared
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.5)}
         assert table == oracles.best_arcs_by_arc(fst, 0)  # materializes
-        assert not fst._added_sources
+        assert not fst._added
         assert fst.best_arcs(0) is table  # still valid once materialized
 
     def test_copies_start_with_the_shared_tables(self, fst_factory):
-        """Copies and derived graphs start with every table built beside the columns."""
+        """Derived graphs, with edits or none, start with every table built beside the columns."""
         base = self.base(fst_factory)
-        table = base.copy().best_arcs(1)  # built through a copy, beside the columns
-        assert base.copy()._tables[1] is table and base.best_arcs(1) is table
+        table = apply_diff(base, FstDiff()).best_arcs(1)  # built through a twin, beside the columns
+        assert apply_diff(base, FstDiff())._tables[1] is table and base.best_arcs(1) is table
         written = apply_diff(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
         assert written._tables[1] is table and written._tables[0] is None
         own = written.best_arcs(0)
@@ -338,6 +347,10 @@ class TestPendingAdditions:
          "unknown state id: 5"),
         ([Arc(1, 0, 1, 1, 0.5), Arc(0, 9, 2, 2, 0.0), Arc(5, 0, 1, 1, 0.0)],
          "unknown state id: 9"),
+        # A label the int columns cannot hold, before a bad target.
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2 ** 40, 2 ** 40, 0.0), Arc(0, 9, 1, 1, 0.0)],
+         f"labels must be at most {ID_MAX}: {2 ** 40}:{2 ** 40}"),
+        ([Arc(0, 1, 1, ID_MAX + 1, 0.0)], f"labels must be at most {ID_MAX}: 1:{ID_MAX + 1}"),
     ])
     def test_refused_additions_raise_the_first_error(self, fst_factory, added, message):
         """A refused delta raises for its first bad arc and leaves its input as it was."""
@@ -434,7 +447,9 @@ def _draw_refused(data, eager):
         delta.reweighted_arcs.append((old, old._replace(weight=math.nan)))
     elif bad == "addition":
         at = data.draw(st.integers(0, len(delta.added_arcs)))
-        delta.added_arcs.insert(at, Arc(0, n, 1, 1, 0.0))
+        refused = data.draw(st.sampled_from((Arc(0, n, 1, 1, 0.0),  # no state n
+                                             Arc(0, 0, 1, ID_MAX + 1, 0.0))))
+        delta.added_arcs.insert(at, refused)
     else:
         state = data.draw(st.integers(0, n), label="final state")
         delta.final_changes.append((state, None, 0.0) if state == n
@@ -475,12 +490,13 @@ def _snapshot(fst):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(("random", "backoff")), st.integers(0, 2 ** 32), st.data())
 def test_lazy_edits_read_as_eager_ones(kind, seed, data):
-    """Edits, enhancements, reads and copies in any order: no call changes its input.
+    """Edits, enhancements and reads in any order: no call changes its input.
 
     Pairs of graphs start as fresh reads of one text. Each edit or
     enhancement derives a new pair from a drawn one: one graph through
     apply_diff or enhance, the other through oracles.apply_diff_by_arc
-    from the same diff. The old pair stays, and later steps read and edit
+    from the same diff; an unedited pair derives through an empty diff,
+    over the same columns, tables and memo. The old pair stays, and later steps read and edit
     it too, so edits stack on edited graphs. After every apply_diff or
     enhance call, refused ones included, its input equals a snapshot taken
     before the call. All reads of all pairs end the run, best_arcs first,
@@ -497,7 +513,7 @@ def test_lazy_edits_read_as_eager_ones(kind, seed, data):
     base = read_text(io.StringIO(text), symbols)
     pairs = [(read_text(io.StringIO(text), symbols), read_text(io.StringIO(text), symbols))]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
-        step = data.draw(st.sampled_from(("edit", "edit", "enhance", "refused", "copy",
+        step = data.draw(st.sampled_from(("edit", "edit", "enhance", "refused", "unedited",
                                           "read")))
         lazy, eager = data.draw(st.sampled_from(pairs))
         before = _snapshot(lazy)
@@ -510,8 +526,8 @@ def test_lazy_edits_read_as_eager_ones(kind, seed, data):
         elif step == "refused":
             with pytest.raises(InvariantError):
                 apply_diff(lazy, _draw_refused(data, eager))
-        elif step == "copy":
-            pairs.append((lazy.copy(), eager.copy()))
+        elif step == "unedited":  # a new graph over the same columns, tables and memo
+            pairs.append((apply_diff(lazy, FstDiff()), oracles.apply_diff_by_arc(eager, FstDiff())))
         else:
             read = data.draw(st.sampled_from(_READS))
             for lazy, eager in pairs:
@@ -638,8 +654,9 @@ def perturb(fst, rng):
 
 class TestDiff:
     def test_identical_graphs_yield_empty_diff(self, two_path_acceptor):
-        delta = diff(two_path_acceptor, two_path_acceptor.copy())
-        assert delta == FstDiff()
+        fresh = read_text(io.StringIO(text_of(two_path_acceptor)), two_path_acceptor.symbols)
+        for other in (two_path_acceptor, apply_diff(two_path_acceptor, FstDiff()), fresh):
+            assert diff(two_path_acceptor, other) == FstDiff()
 
     def test_single_weight_perturbation(self, two_path_acceptor):
         old = Arc(0, *two_path_acceptor.arcs(0)[0])
@@ -674,6 +691,23 @@ class TestDiff:
         with pytest.raises(InvariantError, match="state count"):
             diff(two_path_acceptor, other)
 
+    def test_initial_state_mismatch_rejected(self, fst_factory):
+        fst = fst_factory("a", [(0, 1, "a", "a", 0.5), (1, 0, "a", "a", 0.5)], {1: 0.0})
+        other = read_text(io.StringIO("1 0 a a 0.5\n0 1 a a 0.5\n1 0\n"), fst.symbols)
+        assert other.initial == 1
+        with pytest.raises(InvariantError, match="^initial states do not correspond$"):
+            diff(fst, other)
+
+    def test_apply_diff_refuses_a_reweight_of_a_missing_arc(self, two_path_acceptor):
+        fst = two_path_acceptor
+        old = Arc(0, *fst.arcs(0)[0])
+        missing = old._replace(weight=old.weight + 1.0)
+        text = text_of(fst)
+        with pytest.raises(InvariantError,
+                           match=f"^{re.escape(f'cannot reweight missing arc {missing}')}$"):
+            apply_diff(fst, FstDiff(reweighted_arcs=[(old, old), (missing, old)]))
+        assert text_of(fst) == text
+
     def test_apply_diff_rejects_malformed_entries(self, two_path_acceptor):
         fst = two_path_acceptor
         a, x, c = (fst.symbols.label(s) for s in "axc")
@@ -687,6 +721,7 @@ class TestDiff:
             FstDiff(added_arcs=[Arc(0, 7, a, x, 0.5)]),
             FstDiff(added_arcs=[Arc(0, 1, -1, x, 0.5)]),
             FstDiff(added_arcs=[Arc(0, 1, a, -1, 0.5)]),
+            FstDiff(added_arcs=[Arc(0, 1, a, ID_MAX + 1, 0.5)]),
             *(FstDiff(added_arcs=[Arc(0, 1, a, x, bad)])
               for bad in (math.inf, -math.inf, math.nan)),
             FstDiff(final_changes=[(999, 3.5, None)]),  # no such state
@@ -751,8 +786,8 @@ class TestDiff:
         """The equal-list fast path changes no entry of the grouping diff.
 
         Pairs: a graph and one derived from it (shared columns), both ways;
-        a fresh read of the derived one (equal lists, no shared columns); a
-        plain copy; a graph with one state's arcs reversed (unequal lists,
+        a fresh read of the derived one (equal lists, no shared columns); one
+        derived with no edit; a graph with one state's arcs reversed (unequal lists,
         equal groups); fresh reads of both (columns compared run by run),
         both ways; a fresh read and one derived from it.
         """
@@ -767,7 +802,8 @@ class TestDiff:
             arcs = [Arc(state, *arc) for arc in a.arcs(state)]
             reversed_a = apply_diff(a, FstDiff(removed_arcs=arcs, added_arcs=arcs[::-1]))
             for before, after in ((a, b), (b, a), (a, fresh_b), (fresh_b, b),
-                                  (a, a.copy()), (a, reversed_a), (fresh_a, fresh_b),
+                                  (a, apply_diff(a, FstDiff())), (a, reversed_a),
+                                  (fresh_a, fresh_b),
                                   (fresh_b, fresh_a), (fresh_a, perturb(fresh_a, rng))):
                 assert diff(before, after) == oracles.diff_by_groups(before, after), seed
 
@@ -813,7 +849,7 @@ class TestDiff:
 
     def test_empty_diff_iff_equal(self, random_graph_factory):
         a = random_graph_factory(5, n_states=10, n_arcs=40, n_symbols=3)
-        assert diff(a, a.copy()) == FstDiff()
+        assert diff(a, read_text(io.StringIO(text_of(a)), a.symbols)) == FstDiff()
         b = perturb(a, random.Random(1))
         assert (diff(a, b) == FstDiff()) == oracles.graphs_equal(a, b)
 
@@ -1224,7 +1260,7 @@ def test_read_text_of_write_text_is_the_graph(kind, seed, negate):
 def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
     """Materialized by write_text, or by write_companion alone: the re-read graph's bytes."""
     fst = enhanced_graph(7)
-    assert fst._added_sources
+    assert fst._added
     for negate in (False, True):
         first, second = str(tmp_path / "first.fst"), str(tmp_path / "second.fst")
         save(fst, first, negate)
@@ -1235,6 +1271,16 @@ def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
         alone = io.BytesIO()
         write_companion(enhanced_graph(7), first, alone, negate=negate)  # not materialized
         assert alone.getvalue() == companion
+
+
+def test_write_text_refuses_an_initial_state_without_arcs_or_final_weight():
+    fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {1: 0.5}), (0, 1, 1, 1, -1.0))
+    fst = apply_diff(fst, FstDiff(final_changes=[(1, 0.5, None)]))
+    buf = io.StringIO()
+    with pytest.raises(InvariantError, match="^initial state has no arcs and is not final; "
+                                             "nothing to write$"):
+        write_text(fst, buf)
+    assert buf.getvalue() == ""
 
 
 def test_write_text_refuses_what_read_text_refuses():
