@@ -6,25 +6,33 @@ files are written atomically: into a temp file beside the target, given
 the mode ``open`` would create it with under the umask, renamed onto the
 target on success and removed on any failure. Graph and symbol files are
 streamed into the temp file, never built whole in memory: a graph's text
-is formatted one state's lines at a time. ``build-g`` frees the parsed
-model before it writes the graph. The --weights flag (default from
-$GBOOST_WEIGHTS) selects between log-probability files and
+is formatted one state's lines at a time, or copied in blocks. ``build-g``
+frees the parsed model before it writes the graph. The --weights flag
+(default from $GBOOST_WEIGHTS) selects between log-probability files and
 cost-convention files, whose weights are negated on read and write.
 
 Graph files. ``build-g`` and ``enhance`` write three files per graph: the
 graph text ``--out-fst PATH``, its symbol table ``--out-syms``, and the
 binary companion ``PATH.bin`` (see :mod:`gboost.fst`). ``enhance`` writes
-the new graph that enhancement derives from the one it reads. Text is the
-interchange format, and exact: its weights and those of ``--diff`` lines
-read back bit for bit (see ``gboost.fst.WEIGHT_FMT``); score lines print
-9 significant digits. The companion is derived data, safe to delete, that
-lets a later command skip the text parse. ``enhance``, ``score``,
-``eval`` and ``diff-fst`` load a graph from its companion when it matches
-the text, the --weights convention and the symbol table they read, and
-parse the text otherwise, with the same errors and exit codes either
-way. With -v, each graph load and write logs one line: the file, where
-the graph came from, its state and arc counts and the seconds taken; a
-write also splits its seconds into text, symbols and companion.
+the new graph that enhancement derives from the one it reads. When the
+enhancement raises no arc, and so only adds arcs, and --in-fst is a
+regular file, not a pipe, the new text is the bytes of --in-fst, copied
+as they are, then a newline if they do not end with one, then one line
+per added arc in --diff order: the old arcs are not printed again. The
+copy must hash to the digest of the text the graph was loaded from; a
+file changed in between exits 3 and writes nothing. Otherwise the whole
+graph is printed. Text is the interchange format, and exact: its weights
+and those of ``--diff`` lines read back bit for bit (see
+``gboost.fst.WEIGHT_FMT``); score lines print 9 significant digits. The
+companion is derived data, safe to delete, that lets a later command
+skip the text parse. ``enhance``, ``score``, ``eval`` and ``diff-fst``
+load a graph from its companion when it matches the text, the --weights
+convention and the symbol table they read, and parse the text otherwise,
+with the same errors and exit codes either way. With -v, each graph load
+and write logs one line: the file, where the graph came from, its state
+and arc counts and the seconds taken; a write also splits its seconds
+into text, symbols and companion, and says when the text was copied and
+how many lines were appended.
 
 Text files are read and written as UTF-8, whatever the locale: a file
 that is not UTF-8 exits 2. ``score`` reads its --text in binary, cuts it
@@ -85,8 +93,9 @@ from gboost.arpa import parse_arpa
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, GboostError, NoPathError
 from gboost.evaluate import PROXY_NOTE, grid_tsv, load_cases, run_ranking, sweep
-from gboost.fst import (COMPANION_SUFFIX, FstDiff, SymbolTable, WEIGHT_FMT, Wfst, diff,
-                        load_graph, write_companion, write_text)
+from gboost.fst import (COMPANION_SUFFIX, Arc, FstDiff, SymbolTable, WEIGHT_FMT, Wfst,
+                        append_text, diff, format_arc, load_graph, write_companion,
+                        write_text)
 from gboost.graph import build_g, graph_score
 
 log = logging.getLogger(__name__)
@@ -195,17 +204,27 @@ def _read_symbols(syms_path) -> SymbolTable:
         return SymbolTable.read(handle)
 
 
-def _load_graph(fst_path, syms_path, negate):
+def _load_graph(fst_path, syms_path, negate) -> tuple[Wfst, bytes]:
     return load_graph(fst_path, _read_symbols(syms_path), negate=negate)
 
 
-def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
+def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool,
+                 source: tuple[str, bytes, list[Arc]] | None = None) -> None:
     # Streamed into the temp files: the text is never held whole in memory.
-    # write_text materializes g, whose columns the exact text reads back to
-    # and the companion then dumps.
+    # The text is write_text's, or, given a source (the text file g was
+    # derived from, its digest and the arcs the derivation added), that
+    # file's bytes plus the added arcs' lines. The companion dumps g's
+    # materialized columns, which the text reads back to either way.
     start = perf_counter()
-    with _atomic_open(fst_path) as handle:
-        write_text(g, handle, negate=negate)
+    if source is None:
+        with _atomic_open(fst_path) as handle:
+            write_text(g, handle, negate=negate)
+        how = ""
+    else:
+        in_path, digest, arcs = source
+        with _atomic_open(fst_path, "wb") as handle:
+            append_text(in_path, digest, arcs, g.symbols, handle, negate=negate)
+        how = f": {in_path} copied plus {len(arcs)} lines appended"
     text_done = perf_counter()
     with _atomic_open(syms_path) as handle:
         g.symbols.write(handle)
@@ -214,8 +233,8 @@ def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool) -> None:
         write_companion(g, fst_path, handle, negate=negate)
     end = perf_counter()
     log.info("wrote %s and its companion: %d states, %d arcs in %.3f s "
-             "(text %.3f s, symbols %.3f s, companion %.3f s)", fst_path,
-             g.num_states(), g.num_arcs(), end - start, text_done - start,
+             "(text %.3f s%s, symbols %.3f s, companion %.3f s)", fst_path,
+             g.num_states(), g.num_arcs(), end - start, text_done - start, how,
              symbols_done - text_done, end - symbols_done)
 
 
@@ -227,21 +246,15 @@ def format_diff(delta: FstDiff, symbols: SymbolTable,
     ``f`` changed final weight ('-' marks absent).
     """
     sign = -1.0 if negate else 1.0
-    fmt = WEIGHT_FMT
-
-    def arc_line(arc):
-        return (f"{arc.source} {arc.target} {symbols.symbol(arc.ilabel)} "
-                f"{symbols.symbol(arc.olabel)} {fmt % (sign * arc.weight)}")
-
     lines = []
     for arc in delta.added_arcs:
-        lines.append("+ " + arc_line(arc))
+        lines.append("+ " + format_arc(arc, symbols, negate))
     for arc in delta.removed_arcs:
-        lines.append("- " + arc_line(arc))
+        lines.append("- " + format_arc(arc, symbols, negate))
     for _, after in delta.reweighted_arcs:
-        lines.append("~ " + arc_line(after))
+        lines.append("~ " + format_arc(after, symbols, negate))
     for state, _, after_weight in delta.final_changes:
-        rendered = "-" if after_weight is None else fmt % (sign * after_weight)
+        rendered = "-" if after_weight is None else WEIGHT_FMT % (sign * after_weight)
         lines.append(f"f {state} {rendered}")
     return "".join(line + "\n" for line in lines)
 
@@ -267,10 +280,16 @@ def _cmd_build_g(args) -> int:
 def _cmd_enhance(args) -> int:
     negate = _negate(args)
     _require_files(args.in_fst, args.in_syms, args.pairs)
-    g = _load_graph(args.in_fst, args.in_syms, negate)
+    g, digest = _load_graph(args.in_fst, args.in_syms, negate)
     config = load_pairs_config(Path(args.pairs).read_text(encoding="utf-8"))
     g, delta = enhance(g, config)
-    _write_graph(g, args.out_fst, args.out_syms, negate)
+    # A graph that only gains arcs is its input's text plus their lines,
+    # if that text can be read a second time: a regular file, not a pipe.
+    # Only a full rewrite can express a raised arc or a changed final.
+    changed = delta.removed_arcs or delta.reweighted_arcs or delta.final_changes
+    copy = not changed and os.path.isfile(args.in_fst)
+    _write_graph(g, args.out_fst, args.out_syms, negate,
+                 (args.in_fst, digest, delta.added_arcs) if copy else None)
     if args.diff:
         _atomic_write(args.diff, format_diff(delta, g.symbols, negate))
     return EXIT_OK
@@ -427,7 +446,7 @@ def _score_split(g: Wfst, path: str, text: BinaryIO, cuts: list[int], out: TextI
 def _cmd_score(args) -> int:
     negate = _negate(args)
     _require_files(args.fst, args.syms, args.text)
-    g = _load_graph(args.fst, args.syms, negate)
+    g, _ = _load_graph(args.fst, args.syms, negate)
     sign = -1.0 if negate else 1.0
     # Streamed line by line into the output's temp file, or to stdout.
     with open(args.text, "rb") as text, \
@@ -462,7 +481,7 @@ def _cmd_eval(args) -> int:
                              f"both print as {theta:g}")
     if chnum_list and min(chnum_list) < 1:
         raise UsageError(f"--chnum-list values must be at least 1, got {args.chnum_list!r}")
-    g = _load_graph(args.fst, args.syms, negate)
+    g, _ = _load_graph(args.fst, args.syms, negate)
     cases = load_cases(Path(args.cases).read_text(encoding="utf-8"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -490,8 +509,8 @@ def _cmd_diff_fst(args) -> int:
     negate = _negate(args)
     _require_files(args.fst_a, args.fst_b, args.syms)
     symbols = _read_symbols(args.syms)  # one table: both graphs share it
-    before = load_graph(args.fst_a, symbols, negate=negate)
-    after = load_graph(args.fst_b, symbols, negate=negate)
+    before, _ = load_graph(args.fst_a, symbols, negate=negate)
+    after, _ = load_graph(args.fst_b, symbols, negate=negate)
     text = format_diff(diff(before, after), before.symbols, negate)
     if args.out:
         _atomic_write(args.out, text)

@@ -3,7 +3,8 @@
 Weights are natural-log probabilities throughout: larger means more likely,
 and the weight of a path is the sum of its arc weights plus the final weight
 of the state where it ends.  Cost-style (negated) files are handled at I/O
-time only, via the ``negate`` flag of :func:`read_text` / :func:`write_text`.
+time only, via the ``negate`` flag of :func:`read_text`, :func:`write_text`
+and :func:`append_text`.
 
 Storage. A graph holds its arcs in columns, grouped by source state
 (compressed sparse rows): per-state offsets into one stdlib ``array`` each
@@ -36,14 +37,18 @@ delete. Layout (version 2), in this machine's byte order and item sizes:
   file;
 - the offsets (``q``, states + 1), then the targets, input labels and
   output labels (``i``, one per arc) and the weights (``d``);
-- the final states (``i``) and their weights (``d``), in file order;
+- the final states (``i``) and their weights (``d``), the initial state
+  first, then by id;
 - the labels the arcs use (``i``, ascending), then their symbols, UTF-8,
   each ended by a newline;
 - the BLAKE2b-256 of everything before it.
 
-Both writers first materialize the graph, so the companion dumps the
-columns the text was printed from, with the finals in file order: what
-:func:`read_text` builds from that text.
+The companion dumps the columns of the materialized graph, with the
+finals in :func:`read_text`'s order: what :func:`read_text` builds from
+the text beside it. That text is either printed by :func:`write_text`, or
+made by :func:`append_text` when a graph only gains arcs: a copy of the
+text the graph was derived from, plus one line per added arc, which
+:func:`read_text` appends to its state's arcs as the graph holds them.
 The companion is used only when its size matches its header, its negate
 flag the reader's, the text still hashes to its stored digest, the payload
 to its own, every count, id and weight passes the checks :func:`read_text`
@@ -55,6 +60,7 @@ other companion, version 1 included, or none, means the text is parsed.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import os
@@ -371,8 +377,8 @@ class Wfst:
         return range(len(self._tables))
 
     def _check_state(self, state: int) -> None:
-        if not 0 <= state < len(self._tables):
-            raise InvariantError(f"unknown state id: {state}")
+        if not (isinstance(state, int) and 0 <= state < len(self._tables)):
+            raise InvariantError(f"unknown state id: {state!r}")
 
     def final_weight(self, state: int) -> float | None:
         return self._finals.get(state)
@@ -394,25 +400,39 @@ class Wfst:
 
     def _materialize(self) -> None:
         # Merges the edits into new columns, in one pass over the edited
-        # states, and drops them. No arc changes, so the new columns take
-        # this graph's tables. Their memo starts empty: the old columns'
-        # values were computed from other arcs. Other graphs keep the old
-        # columns.
+        # states, and drops them. The added arcs' columns are built once;
+        # a state that only gains arcs takes two slices per column, its
+        # column arcs and its added arcs. No arc changes, so the new columns
+        # take this graph's tables. Their memo starts empty: the old
+        # columns' values were computed from other arcs. Other graphs keep
+        # the old columns.
         if not self._added and not self._rewritten:
             return
         columns = self._columns
         offsets = columns.offsets
         old = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
+        added = self._added
+        sources = list(map(_source, added))
+        extra = [array(column.typecode, map(itemgetter(field), added))
+                 for field, column in enumerate(old, start=1)]
         counts = list(map(sub, islice(offsets, 1, None), offsets))
         merged = [array(column.typecode) for column in old]
-        at = 0
-        for state in sorted(self._rewritten.keys() | set(map(_source, self._added))):
-            arcs = self._state_arcs(state)
-            counts[state] = len(arcs)
-            for column, source in zip(merged, old):
-                column += source[at:offsets[state]]
-            for column, values in zip(merged, zip(*arcs)):
-                column.extend(values)
+        at = first = 0
+        for state in sorted(self._rewritten.keys() | set(sources)):
+            first = bisect_left(sources, state, first)
+            last = bisect_right(sources, state, first)
+            arcs = self._rewritten.get(state)
+            if arcs is None:
+                end = offsets[state + 1]
+                counts[state] += last - first
+            else:
+                end = offsets[state]
+                counts[state] = len(arcs) + last - first
+            for field, (column, source, new) in enumerate(zip(merged, old, extra)):
+                column += source[at:end]
+                if arcs:
+                    column.extend(map(itemgetter(field), arcs))
+                column += new[first:last]
             at = offsets[state + 1]
         for column, source in zip(merged, old):
             column += source[at:]
@@ -680,8 +700,9 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     equal to its old arc: the one whose weight enhancement reads for a
     slot. Added arcs follow a state's arcs, in delta order.
 
-    Source and target states must exist, labels must be in ``0..ID_MAX``,
-    a reweight may change only the weight, and new weights must be finite. A
+    Source and target states must be ``int`` ids of states that exist,
+    labels ``int`` values in ``0..ID_MAX``, a reweight may change only the
+    weight, and new weights must be finite ``int`` or ``float`` values. A
     final change ``(state, before, after)`` needs ``before`` to be the
     state's final weight at that point of the replay, None when the state
     is not final, as a removal needs its arc. Else InvariantError, raised
@@ -697,12 +718,13 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
     for source, target, ilabel, olabel, weight in delta.added_arcs:
         fst._check_state(source)
         fst._check_state(target)
+        if not (isinstance(ilabel, int) and isinstance(olabel, int)):
+            raise InvariantError(f"labels must be integers: {ilabel!r}:{olabel!r}")
         if ilabel < 0 or olabel < 0:
             raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
         if ilabel > ID_MAX or olabel > ID_MAX:
             raise InvariantError(f"labels must be at most {ID_MAX}: {ilabel}:{olabel}")
-        if not math.isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
+        _check_weight(weight, "arc")
     finals = dict(fst.finals)
     for state, before, after in delta.final_changes:
         fst._check_state(state)
@@ -711,11 +733,18 @@ def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
                                  f"{before}, found {finals.get(state)}")
         if after is None:
             finals.pop(state, None)
-        elif math.isfinite(after):
-            finals[state] = after
         else:
-            raise InvariantError(f"final weight must be finite, got {after}")
+            _check_weight(after, "final")
+            finals[state] = after
     return _derived(fst, fst.symbols, rewritten, delta.added_arcs, finals)
+
+
+def _check_weight(weight: float, kind: str) -> None:
+    # A weight a diff brings must be a finite number: a column holds a C double.
+    if not isinstance(weight, (int, float)):
+        raise InvariantError(f"{kind} weight must be a number, got {weight!r}")
+    if not math.isfinite(weight):
+        raise InvariantError(f"{kind} weight must be finite, got {weight}")
 
 
 def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, Arc]]
@@ -742,10 +771,9 @@ def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, 
             raise InvariantError(f"cannot remove missing arc {arc}") from None
     for old, new in reweighted:
         arcs = arcs_of(old.source)
-        if old[:4] != new[:4]:
+        if old[:4] != new[:4] or not all(isinstance(field, int) for field in new[:4]):
             raise InvariantError(f"a reweight may change only the weight: {old} -> {new}")
-        if not math.isfinite(new.weight):
-            raise InvariantError(f"arc weight must be finite, got {new.weight}")
+        _check_weight(new.weight, "arc")
         try:
             pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
         except ValueError:
@@ -818,6 +846,44 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
         write(text)
 
 
+def format_arc(arc: Arc, symbols: SymbolTable, negate: bool = False) -> str:
+    """``arc``'s line in graph text, as :func:`write_text` prints it, without its newline.
+
+    ``src dst isym osym weight``, with symbols from ``symbols``;
+    InvariantError for a label it lacks.
+    """
+    weight = -1.0 * arc.weight if negate else arc.weight
+    return (f"{arc.source} {arc.target} {symbols.symbol(arc.ilabel)} "
+            f"{symbols.symbol(arc.olabel)} {WEIGHT_FMT % weight}")
+
+
+def append_text(path: str, digest: bytes, arcs: Iterable[Arc], symbols: SymbolTable,
+                stream: BinaryIO, negate: bool = False) -> None:
+    """Write the bytes of graph text file ``path``, then one line per arc, to ``stream``.
+
+    ``digest`` is what :func:`load_graph` returned for ``path``. The bytes
+    are copied in blocks, never held whole, and hashed on the way:
+    InvariantError if they do not hash to ``digest``, so the copy is the
+    text the graph was read from. Then a newline if the copy does not end
+    with one, and each arc's :func:`format_arc` line, in order. Since
+    :func:`read_text` keeps a state's arcs in file order across blocks,
+    the result reads back as that graph with ``arcs`` added after its
+    states' arcs, in order, as :func:`apply_diff` adds them.
+    """
+    copied = _hash()
+    last = b"\n"
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            copied.update(block)
+            stream.write(block)
+            last = block[-1:]
+    if copied.digest() != digest:
+        raise InvariantError(f"{path} changed after the graph was read from it")
+    if last != b"\n":
+        stream.write(b"\n")
+    stream.write("".join(format_arc(arc, symbols, negate) + "\n" for arc in arcs).encode())
+
+
 def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfst:
     """Read a graph written by :func:`write_text`, labelled by ``symbols``.
 
@@ -825,8 +891,10 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     arc is ``src dst isym osym weight`` and a final state ``state weight``.
     The first record's first field names the initial state. Each state's
     arcs keep their order in the file, even when split over several blocks;
-    a state's last final record wins. With ``negate`` the file holds costs
-    and every weight is negated on the way in.
+    a state's last final record wins. The finals come in the order
+    :func:`write_text` writes them, whatever the file's: the initial state
+    first, then by id. With ``negate`` the file holds costs and every
+    weight is negated on the way in.
 
     State ids are dense: the graph gets every state from 0 up to the
     largest id named. An arc names two states and a final state one, so an
@@ -936,7 +1004,13 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
         targets, ilabels, olabels, weights = (
             _gather(column, pieces) for column in (targets, ilabels, olabels, weights))
     return Wfst(symbols, _Columns(array("q", accumulate(counts, initial=0)), targets, ilabels,
-                                  olabels, weights), initial, finals)
+                                  olabels, weights),
+                initial, {state: finals[state] for state in _final_order(finals, initial)})
+
+
+def _final_order(finals: Iterable[int], initial: int) -> list[int]:
+    # The final states in the order write_text writes them: the initial one first.
+    return sorted(finals, key=lambda state: (state != initial, state))
 
 
 # ---------------------------------------------------------------------------
@@ -976,17 +1050,18 @@ def _file_digest(path: str) -> bytes:
 def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False) -> None:
     """Write the companion of graph text file ``path`` to ``stream``.
 
-    ``path`` holds ``fst`` as :func:`write_text` wrote it with ``negate``.
-    This materializes the graph, as that did (a no-op once it has), and
-    dumps its columns with the finals in file order (see the module
-    docstring for the layout): the graph :func:`read_text` builds from that
-    text, which :func:`load_graph` reads back from ``path + COMPANION_SUFFIX``.
+    ``path`` holds ``fst`` with ``negate``: as :func:`write_text` wrote it,
+    or as :func:`append_text` made it from the text of the graph ``fst``
+    was derived from. This materializes the graph (a no-op once it has) and
+    dumps its columns with the finals in :func:`read_text`'s order (see
+    the module docstring for the layout): the graph :func:`read_text`
+    builds from that text, which :func:`load_graph` reads back from
+    ``path + COMPANION_SUFFIX``.
     """
     fst._materialize()
     text_digest = _file_digest(path)
     columns, finals, initial = fst._columns, fst.finals, fst.initial
-    # File order: the initial state first, then the others by id.
-    final_states = sorted(finals, key=lambda state: (state != initial, state))
+    final_states = _final_order(finals, initial)
     used = set(columns.ilabels)
     if columns.olabels != columns.ilabels:
         used.update(columns.olabels)
@@ -1005,8 +1080,9 @@ def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False
     stream.write(digest.digest())
 
 
-def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> Wfst:
-    # The graph in the companion of `path`, or _Fallback with the reason.
+def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> tuple[Wfst, bytes]:
+    # The graph in the companion of `path` and the digest of the text it
+    # was checked against, or _Fallback with the reason.
     try:
         handle = open(path + COMPANION_SUFFIX, "rb")
     except FileNotFoundError:
@@ -1074,26 +1150,48 @@ def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> Wfst:
     if any(symbol(label) != name for label, name in zip(labels, names)):
         raise _Fallback("symbols")
     return Wfst(symbols, _Columns(offsets, targets, ilabels, olabels, weights), initial,
-                dict(zip(final_states, final_weights)))
+                dict(zip(final_states, final_weights))), text_digest
 
 
-def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> Wfst:
+class _HashingReader(io.RawIOBase):
+    # A binary file's bytes, hashed as they are read through this reader.
+
+    def __init__(self, raw: BinaryIO):
+        self._raw = raw
+        self.hash = _hash()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._raw.readinto(buffer)
+        self.hash.update(memoryview(buffer)[:size])
+        return size
+
+
+def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> tuple[Wfst, bytes]:
     """Read the graph in text file ``path``, labelled by ``symbols``.
 
     From its companion, ``path + COMPANION_SUFFIX``, when that is valid for
     this text, convention and symbol table (see the module docstring);
     otherwise with :func:`read_text`, which raises as it does for any bad
-    text. Logs one INFO line: where the graph came from, and why not from
-    the companion.
+    text. Returns the graph and the BLAKE2b-256 of the text it came from:
+    the digest the companion was checked against, or one taken as the text
+    was parsed, with no second read. :func:`append_text` checks a copy of
+    the text against it. Logs one INFO line: where the graph came from, and
+    why not from the companion.
     """
     start = perf_counter()
     try:
-        fst = _read_companion(path, symbols, negate)
+        fst, digest = _read_companion(path, symbols, negate)
         source = "companion"
     except _Fallback as reason:
-        with open(path, encoding="utf-8") as handle:
-            fst = read_text(handle, symbols, negate=negate)
+        with open(path, "rb", buffering=0) as raw:
+            hashed = _HashingReader(raw)
+            with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as handle:
+                fst = read_text(handle, symbols, negate=negate)
+        digest = hashed.hash.digest()
         source = f"text (companion {reason})"
     log.info("read %s from %s: %d states, %d arcs in %.3f s", path, source,
              fst.num_states(), fst.num_arcs(), perf_counter() - start)
-    return fst
+    return fst, digest

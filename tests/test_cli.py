@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from pathlib import Path
 
@@ -258,21 +259,27 @@ class TestEnhanceCommand:
         assert all(line.split()[3] == "wifi" for line in added)
 
     def test_added_arcs_settle_once_at_the_write(self, workdir, monkeypatch):
-        """The enhanced graph is materialized once, by write_text, with every added arc."""
+        """The input text is copied, never printed; the graph is materialized once, by
+        write_companion, with every added arc."""
         fst_path, syms_path = build(workdir)
         merges = []
-        real_write_text, real_materialize = gboost.cli.write_text, Wfst._materialize
+        real = {name: getattr(gboost.cli, name)
+                for name in ("write_text", "append_text", "write_companion")}
+        real_materialize = Wfst._materialize
 
-        def marked_write_text(*args, **kwargs):
-            merges.append("write_text")
-            real_write_text(*args, **kwargs)
+        def marked(name):
+            def call(*args, **kwargs):
+                merges.append(name)
+                real[name](*args, **kwargs)
+            return call
 
         def counting_materialize(fst):
             if fst._added or fst._rewritten:
                 merges.append(len(fst._added))
             real_materialize(fst)
 
-        monkeypatch.setattr(gboost.cli, "write_text", marked_write_text)
+        for name in real:
+            monkeypatch.setattr(gboost.cli, name, marked(name))
         monkeypatch.setattr(Wfst, "_materialize", counting_materialize)
         code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
                    "--pairs", workdir / "pairs.json",
@@ -281,7 +288,7 @@ class TestEnhanceCommand:
         assert code == 0
         added = [line for line in (workdir / "delta.txt").read_text().splitlines()
                  if line.startswith("+ ")]
-        assert added and merges == ["write_text", len(added)]
+        assert added and merges == ["append_text", "write_companion", len(added)]
 
     @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
     def test_enhancing_its_own_output_changes_nothing(self, workdir, weights):
@@ -359,33 +366,169 @@ class TestEnhanceCommand:
             assert code == 2, text
 
     def test_file_pipeline_matches_in_memory(self, workdir):
-        fst_path, syms_path = build(workdir)
-        run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
-            "--pairs", workdir / "pairs.json",
-            "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms")
-        # same steps in memory, starting from the same serialized baseline
-        from gboost.fst import SymbolTable
+        """Under either convention, the output is the input's bytes plus one line per
+        added arc, the --diff's ``+`` lines, and reads back as the graph enhanced in
+        memory."""
+        for weights in WEIGHT_CONVENTIONS:
+            conv = ["--weights", weights]
+            fst_path, syms_path = build(workdir, conv)
+            assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                       "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                       "--out-syms", workdir / "w2.syms", "--diff", workdir / "delta.txt",
+                       *conv) == 0
+            # The same steps in memory, from the same serialized baseline.
+            enhanced, delta = enhanced_in_memory(workdir, fst_path, syms_path, weights)
+            assert delta.added_arcs and not delta.reweighted_arcs
+            lines = added_lines(delta, enhanced.symbols, weights)
+            assert (workdir / "g2.fst").read_bytes() == fst_path.read_bytes() + lines.encode()
+            assert (workdir / "delta.txt").read_text() == "".join(
+                "+ " + line for line in lines.splitlines(keepends=True))
+            assert text_of_file(workdir / "g2.fst", enhanced.symbols, weights) == \
+                text_of_graph(enhanced, weights)
 
-        with open(syms_path) as handle:
-            symbols = SymbolTable.read(handle)
-        with open(fst_path) as handle:
-            g = read_text(handle, symbols)
-        enhanced, _ = enhance(g, load_pairs_config((workdir / "pairs.json").read_text()))
-        buf = io.StringIO()
-        write_text(enhanced, buf)
-        assert (workdir / "g2.fst").read_text() == buf.getvalue()
+    @pytest.mark.parametrize("layout", ["no-final-newline", "crlf", "blank-lines", "tabs"])
+    def test_input_layout_is_copied_verbatim(self, workdir, layout):
+        """Any layout read_text takes is copied byte for byte, and the output, and the
+        companion written beside it, read back as the enhanced graph."""
+        fst_path, syms_path = build(workdir)
+        (workdir / "g.fst.bin").unlink()
+        text = fst_path.read_bytes()
+        text = {"no-final-newline": text.rstrip(b"\n"),
+                "crlf": text.replace(b"\n", b"\r\n"),
+                "blank-lines": text.replace(b"\n", b"\n\n  \n", 3) + b"\t\n",
+                "tabs": text.replace(b" ", b"\t")}[layout]
+        fst_path.write_bytes(text)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                   "--out-syms", workdir / "w2.syms") == 0
+        enhanced, delta = enhanced_in_memory(workdir, fst_path, syms_path, "logprob")
+        newline = b"" if text.endswith(b"\n") else b"\n"
+        lines = added_lines(delta, enhanced.symbols, "logprob").encode()
+        assert (workdir / "g2.fst").read_bytes() == text + newline + lines
+        assert text_of_file(workdir / "g2.fst", enhanced.symbols, "logprob") == \
+            text_of_graph(enhanced, "logprob")
+        companion, digest = gboost.fst._read_companion(str(workdir / "g2.fst"),
+                                                       enhanced.symbols, False)
+        with open(workdir / "g2.fst", encoding="utf-8") as handle:
+            parsed = read_text(handle, enhanced.symbols)
+        assert digest == gboost.fst._hash(text + newline + lines).digest()
+        assert graph_contents(companion) == graph_contents(parsed)
+
+    @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
+    def test_a_raised_arc_prints_the_whole_graph(self, workdir, weights):
+        """A run that raises an arc writes what write_text writes of the enhanced graph."""
+        conv = ["--weights", weights]
+        fst_path, syms_path = build(workdir, conv)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "once.fst",
+                   "--out-syms", workdir / "once.syms", *conv) == 0
+        # A larger theta raises every arc the first run added.
+        (workdir / "raise.json").write_text(json.dumps(dict(PAIRS, theta=2.0)))
+        assert run("enhance", "--in-fst", workdir / "once.fst", "--in-syms",
+                   workdir / "once.syms", "--pairs", workdir / "raise.json",
+                   "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms",
+                   *conv) == 0
+        enhanced, delta = enhanced_in_memory(workdir, workdir / "once.fst",
+                                             workdir / "once.syms", weights, "raise.json")
+        assert delta.reweighted_arcs and not delta.added_arcs
+        assert (workdir / "g2.fst").read_text() == text_of_graph(enhanced, weights)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_input_prints_the_whole_graph(self, workdir):
+        """A text that cannot be read a second time is not copied: the graph is printed."""
+        fst_path, syms_path = build(workdir)
+        pipe = workdir / "pipe.fst"
+        os.mkfifo(pipe)
+        done = threading.Event()
+        # A second open of the pipe would wait for a writer forever: after
+        # 30 s, one that writes nothing ends the wait, and the run fails.
+        threads = [threading.Thread(target=pipe.write_bytes, args=(fst_path.read_bytes(),)),
+                   threading.Thread(target=lambda: done.wait(30) or pipe.write_bytes(b""))]
+        for thread in threads:
+            thread.daemon = True
+            thread.start()
+        try:
+            code = run("enhance", "--in-fst", pipe, "--in-syms", syms_path,
+                       "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                       "--out-syms", workdir / "w2.syms")
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert code == 0 and not any(thread.is_alive() for thread in threads)
+        enhanced, delta = enhanced_in_memory(workdir, fst_path, syms_path, "logprob")
+        assert delta.added_arcs and not delta.reweighted_arcs
+        assert (workdir / "g2.fst").read_text() == text_of_graph(enhanced, "logprob")
+
+    def test_a_text_edited_after_the_load_exits_3_and_writes_nothing(self, workdir,
+                                                                     monkeypatch, capsys):
+        fst_path, syms_path = build(workdir)
+        real_enhance = gboost.cli.enhance
+
+        def editing_enhance(fst, config):
+            with open(fst_path, "a") as handle:
+                handle.write("\n")  # the same graph, in other bytes
+            return real_enhance(fst, config)
+
+        monkeypatch.setattr(gboost.cli, "enhance", editing_enhance)
+        before = sorted(workdir.iterdir())
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                   "--out-syms", workdir / "w2.syms", "--diff", workdir / "delta.txt") == 3
+        assert "changed after the graph was read" in capsys.readouterr().err
+        assert sorted(workdir.iterdir()) == before
+
+
+def enhanced_in_memory(workdir, fst_path, syms_path, weights, pairs="pairs.json"):
+    """The enhanced graph and diff of read_text's graph of a file, computed in memory."""
+    with open(syms_path, encoding="utf-8") as handle:
+        symbols = SymbolTable.read(handle)
+    with open(fst_path, encoding="utf-8") as handle:
+        g = read_text(handle, symbols, negate=weights == "cost")
+    return enhance(g, load_pairs_config((workdir / pairs).read_text()))
+
+
+def added_lines(delta, symbols, weights):
+    """Graph text lines of a diff's added arcs, formatted here, apart from gboost."""
+    sign = -1.0 if weights == "cost" else 1.0
+    return "".join(f"{a.source} {a.target} {symbols.symbol(a.ilabel)} "
+                   f"{symbols.symbol(a.olabel)} {'%.17g' % (sign * a.weight)}\n"
+                   for a in delta.added_arcs)
+
+
+def text_of_graph(fst, weights):
+    buf = io.StringIO()
+    write_text(fst, buf, negate=weights == "cost")
+    return buf.getvalue()
+
+
+def text_of_file(path, symbols, weights):
+    """write_text's text of the graph read_text reads from a file."""
+    with open(path, encoding="utf-8") as handle:
+        return text_of_graph(read_text(handle, symbols, negate=weights == "cost"), weights)
+
+
+def graph_contents(fst):
+    """A loaded graph's columns, initial state and finals, in order, weights bit for bit."""
+    columns = fst._columns
+    return (columns.offsets.tolist(), columns.targets.tolist(), columns.ilabels.tolist(),
+            columns.olabels.tolist(), columns.weights.tobytes(), fst.initial,
+            [(state, weight.hex()) for state, weight in fst.finals.items()])
 
 
 class TestCompanion:
     SENTENCES = "wo chaxun liuliang\nwifi feiyong\nhuafei de taocan\n\nshouji wifi\n"
 
     def outputs(self, workdir, conv):
-        """score, a 2x2 eval sweep and diff-fst: their output files, by name."""
+        """enhance, score, a 2x2 eval sweep and diff-fst: their output files, by name."""
         out = workdir / "out"
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
         fst, syms = workdir / "g.fst", workdir / "w.syms"
         for argv in (
+                ["enhance", "--in-fst", fst, "--in-syms", syms, "--pairs", workdir / "pairs.json",
+                 "--out-fst", out / "enh.fst", "--out-syms", out / "enh.syms",
+                 "--diff", out / "enh.diff"],
                 ["score", "--fst", fst, "--syms", syms, "--text", workdir / "s.txt",
                  "--out", out / "scores.txt"],
                 ["eval", "--fst", fst, "--syms", syms, "--cases", workdir / "cases.json",
@@ -405,7 +548,8 @@ class TestCompanion:
 
     @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
     def test_outputs_do_not_depend_on_the_companion(self, workdir, caplog, weights):
-        """Present, deleted or stale, a companion changes no output byte."""
+        """Present, deleted or stale, a companion changes no output byte: not even
+        enhance's, whose text copies its input's."""
         caplog.set_level(logging.INFO, logger="gboost.fst")
         conv = ["--weights", weights]
         fst_path, syms_path = build(workdir, conv)
@@ -415,11 +559,12 @@ class TestCompanion:
                    "--out-syms", workdir / "enh.syms", *conv) == 0
         caplog.clear()
         present = self.outputs(workdir, conv)
-        assert self.sources(caplog) == ["companion"] * 4
+        assert {"enh.fst", "enh.syms", "enh.fst.bin", "enh.diff"} <= present.keys()
+        assert self.sources(caplog) == ["companion"] * 5
         for name in ("g.fst.bin", "enh.fst.bin"):
             (workdir / name).unlink()
         assert self.outputs(workdir, conv) == present
-        assert self.sources(caplog) == ["text (companion missing)"] * 4
+        assert self.sources(caplog) == ["text (companion missing)"] * 5
 
         # Rewrite the base graph and its companion, then edit the text in
         # place: every arc out of the start state loses 0.5.
@@ -434,10 +579,10 @@ class TestCompanion:
         fst_path.write_text("\n".join(lines) + "\n")
         caplog.clear()
         stale = self.outputs(workdir, conv)
-        assert self.sources(caplog) == ["text (companion stale)"] * 3 + [
+        assert self.sources(caplog) == ["text (companion stale)"] * 4 + [
             "text (companion missing)"]
-        assert stale["scores.txt"] != present["scores.txt"]
-        assert stale["fst.diff"] != present["fst.diff"]
+        for name in ("enh.fst", "enh.fst.bin", "scores.txt", "fst.diff"):
+            assert stale[name] != present[name], name
         (workdir / "g.fst.bin").unlink()
         assert self.outputs(workdir, conv) == stale
 
@@ -471,6 +616,7 @@ class TestCompanion:
             f"read {enh} from companion: {enhanced}",
             f"read {g} from text (companion missing): {base}",
         ]
+        added = int(enhanced.split()[2]) - int(base.split()[2])
         assert len(lines) == len(expected)
         seconds = r"(\d+\.\d{3}) s"
         for line, start in zip(lines, expected):
@@ -478,8 +624,11 @@ class TestCompanion:
             if line.startswith("read "):
                 assert re.search(f" in {seconds}$", line), line
                 continue
-            # A write splits its seconds into text, symbols and companion.
-            match = re.search(f" in {seconds} \\(text {seconds}, symbols {seconds}, "
+            # A write splits its seconds into text, symbols and companion,
+            # and says when enhance copied its input's text.
+            copied = (f": {re.escape(g)} copied plus {added} lines appended"
+                      if line.startswith(f"wrote {enh} ") else "")
+            match = re.search(f" in {seconds} \\(text {seconds}{copied}, symbols {seconds}, "
                               f"companion {seconds}\\)$", line)
             assert match, line
             total, *parts = map(float, match.groups())

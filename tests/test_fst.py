@@ -21,8 +21,8 @@ from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
 from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
-                        SymbolTable, Wfst, _Columns, _HEADER, _best_table, _hash, apply_diff,
-                        diff, load_graph, read_text, write_companion, write_text)
+                        SymbolTable, Wfst, _Columns, _HEADER, _best_table, _hash, append_text,
+                        apply_diff, diff, load_graph, read_text, write_companion, write_text)
 from gboost.graph import build_g
 from conftest import random_graph
 from oracles import add_arcs, arcs_matching, empty_graph, path_weight
@@ -351,6 +351,10 @@ class TestPendingAdditions:
         ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2 ** 40, 2 ** 40, 0.0), Arc(0, 9, 1, 1, 0.0)],
          f"labels must be at most {ID_MAX}: {2 ** 40}:{2 ** 40}"),
         ([Arc(0, 1, 1, ID_MAX + 1, 0.0)], f"labels must be at most {ID_MAX}: 1:{ID_MAX + 1}"),
+        # A float label before a bad weight; a weight that is no number before a bad target.
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 1.0, 1, "w")], "labels must be integers: 1.0:1"),
+        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 1, 1, "w"), Arc(0, 9, 1, 1, 0.0)],
+         "arc weight must be a number, got 'w'"),
     ])
     def test_refused_additions_raise_the_first_error(self, fst_factory, added, message):
         """A refused delta raises for its first bad arc and leaves its input as it was."""
@@ -729,6 +733,15 @@ class TestDiff:
             FstDiff(final_changes=[(2, None, 1.0)]),
             FstDiff(final_changes=[(1, 0.0, None)]),  # state 1 is not final
             FstDiff(final_changes=[(1, None, math.inf)]),
+            # A state or label that is not an int, a weight that is not a number.
+            FstDiff(added_arcs=[Arc(0, 1.5, a, x, 0.0)]),
+            FstDiff(added_arcs=[Arc(0, 1, 1.0 * a, x, 0.0)]),
+            FstDiff(added_arcs=[Arc(0, 1, a, 1.0 * x, 0.0)]),
+            FstDiff(added_arcs=[Arc(0.0, 1, a, x, 0.0)]),
+            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1.0, a, x, 0.7))]),
+            FstDiff(added_arcs=[Arc(0, 1, a, x, "0.5")]),
+            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1, a, x, "0.7"))]),
+            FstDiff(final_changes=[(2, 3.5, "1.0")]),
         ]
         text = text_of(fst)
         for delta in deltas:
@@ -1171,7 +1184,11 @@ def save(fst, path, negate=False):
 
 
 def load(path, symbols, negate=False):
-    """load_graph's graph and the source its log line names."""
+    """load_graph's graph and the source its log line names.
+
+    The digest it returns must be the BLAKE2b-256 of the text's bytes, from
+    either source.
+    """
     logger = logging.getLogger("gboost.fst")
     records = []
     handler = logging.Handler()
@@ -1180,11 +1197,12 @@ def load(path, symbols, negate=False):
     level = logger.level
     logger.setLevel(logging.INFO)
     try:
-        fst = load_graph(path, symbols, negate=negate)
+        fst, digest = load_graph(path, symbols, negate=negate)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     [record] = records
+    assert digest == _hash(Path(path).read_bytes()).digest()
     return fst, record.getMessage().split(" from ", 1)[1].rsplit(": ", 1)[0]
 
 
@@ -1229,6 +1247,49 @@ def test_companion_loads_what_read_text_reads(kind, seed, negate):
         got, source = load(path, fst.symbols, negate)
         assert source == "companion"
         assert graph_state(got) == graph_state(parsed(path, fst.symbols, negate))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GRAPHS)), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@example("odd", 0, False, False)
+@example("odd", 1, True, True)
+def test_appended_text_is_the_copy_plus_the_arcs_and_its_companion_loads_it(kind, seed,
+                                                                            negate, crlf):
+    """append_text: the input's bytes, a newline if they lack one, then a line per arc.
+
+    The input is laid out unlike write_text (blank lines, tabs, split
+    blocks, finals in any order, maybe no final newline), with LF or CRLF
+    endings. The result reads back as the loaded graph with the arcs
+    added, and the companion of the grown graph loads what read_text reads.
+    """
+    fst = _GRAPHS[kind](seed)
+    rng = random.Random(seed)
+    text = scrambled_text(fst, negate, rng).encode()
+    if crlf:
+        text = text.replace(b"\n", b"\r\n")
+    labels = sorted(fst.symbols._lab2sym)
+    n = fst.num_states()
+    added = [Arc(rng.randrange(n), rng.randrange(n), rng.choice(labels), rng.choice(labels),
+                 rng.choice([-0.0, rng.uniform(-9, 9)])) for _ in range(rng.randint(0, 12))]
+    sign = -1.0 if negate else 1.0
+    symbol = fst.symbols.symbol
+    lines = "".join(f"{a.source} {a.target} {symbol(a.ilabel)} {symbol(a.olabel)} "
+                    f"{WEIGHT_FMT % (sign * a.weight)}\n" for a in added).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "g.fst"), os.path.join(tmp, "grown.fst")
+        Path(path).write_bytes(text)
+        base, source = load(path, fst.symbols, negate)
+        assert source == "text (companion missing)"
+        grown = apply_diff(base, FstDiff(added_arcs=added))
+        with open(out, "wb") as handle:
+            append_text(path, _hash(text).digest(), added, fst.symbols, handle, negate)
+        assert Path(out).read_bytes() == text + b"\n" * (not text.endswith(b"\n")) + lines
+        with open(out + COMPANION_SUFFIX, "wb") as handle:
+            write_companion(grown, out, handle, negate)
+        got, source = load(out, fst.symbols, negate)
+        assert source == "companion"
+        assert graph_state(got) == graph_state(parsed(out, fst.symbols, negate))
+        assert exact_contents(got) == exact_contents(grown)
 
 
 def exact_contents(fst):
