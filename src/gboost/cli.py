@@ -41,7 +41,8 @@ into lines at ``\\n`` bytes, decodes each line and scores each piece
 number, counted in ``\\n`` bytes, and the offset of its bad byte in the
 file. When --text is a regular file of at least
 twice ``_PARALLEL_MIN_BYTES`` bytes, and this process can fork, runs no
-other thread and may use more than one CPU, ``score`` splits it into byte
+other thread (a graph load joins the thread that hashes its text before
+it returns) and may use more than one CPU, ``score`` splits it into byte
 ranges that start just after a ``\\n`` byte, one per CPU but at least
 ``_PARALLEL_MIN_BYTES`` long. It scores the first range itself and forks a
 worker for each of the others; each worker scores its range into an
@@ -93,9 +94,9 @@ from gboost.arpa import parse_arpa
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, GboostError, NoPathError
 from gboost.evaluate import PROXY_NOTE, grid_tsv, load_cases, run_ranking, sweep
-from gboost.fst import (COMPANION_SUFFIX, Arc, FstDiff, SymbolTable, WEIGHT_FMT, Wfst,
-                        append_text, diff, format_arc, load_graph, write_companion,
-                        write_text)
+from gboost.fst import (COMPANION_SUFFIX, FstDiff, SymbolTable, WEIGHT_FMT, Wfst,
+                        _file_digest, append_text, diff, format_arc, load_graph,
+                        write_companion, write_text)
 from gboost.graph import build_g, graph_score
 
 log = logging.getLogger(__name__)
@@ -209,28 +210,30 @@ def _load_graph(fst_path, syms_path, negate) -> tuple[Wfst, bytes]:
 
 
 def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool,
-                 source: tuple[str, bytes, list[Arc]] | None = None) -> None:
+                 source: tuple[str, bytes, list[str]] | None = None) -> None:
     # Streamed into the temp files: the text is never held whole in memory.
     # The text is write_text's, or, given a source (the text file g was
-    # derived from, its digest and the arcs the derivation added), that
-    # file's bytes plus the added arcs' lines. The companion dumps g's
-    # materialized columns, which the text reads back to either way.
+    # derived from, its digest and the lines of the arcs the derivation
+    # added), that file's bytes plus those lines. The companion dumps g's
+    # materialized columns, which the text reads back to either way, with
+    # the text's digest: append_text's, or the written file's.
     start = perf_counter()
     if source is None:
         with _atomic_open(fst_path) as handle:
             write_text(g, handle, negate=negate)
+        text_digest = _file_digest(fst_path)
         how = ""
     else:
-        in_path, digest, arcs = source
+        in_path, digest, lines = source
         with _atomic_open(fst_path, "wb") as handle:
-            append_text(in_path, digest, arcs, g.symbols, handle, negate=negate)
-        how = f": {in_path} copied plus {len(arcs)} lines appended"
+            text_digest = append_text(in_path, digest, lines, handle)
+        how = f": {in_path} copied plus {len(lines)} lines appended"
     text_done = perf_counter()
     with _atomic_open(syms_path) as handle:
         g.symbols.write(handle)
     symbols_done = perf_counter()
     with _atomic_open(fst_path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(g, fst_path, handle, negate=negate)
+        write_companion(g, text_digest, handle, negate=negate)
     end = perf_counter()
     log.info("wrote %s and its companion: %d states, %d arcs in %.3f s "
              "(text %.3f s%s, symbols %.3f s, companion %.3f s)", fst_path,
@@ -287,11 +290,17 @@ def _cmd_enhance(args) -> int:
     # if that text can be read a second time: a regular file, not a pipe.
     # Only a full rewrite can express a raised arc or a changed final.
     changed = delta.removed_arcs or delta.reweighted_arcs or delta.final_changes
-    copy = not changed and os.path.isfile(args.in_fst)
-    _write_graph(g, args.out_fst, args.out_syms, negate,
-                 (args.in_fst, digest, delta.added_arcs) if copy else None)
+    lines = None
+    if not changed and os.path.isfile(args.in_fst):
+        lines = [format_arc(arc, g.symbols, negate) + "\n" for arc in delta.added_arcs]
+        _write_graph(g, args.out_fst, args.out_syms, negate, (args.in_fst, digest, lines))
+    else:
+        _write_graph(g, args.out_fst, args.out_syms, negate)
     if args.diff:
-        _atomic_write(args.diff, format_diff(delta, g.symbols, negate))
+        # Each added arc is formatted once: a diff that only adds arcs is
+        # their appended lines, each after "+ ", as format_diff prints it.
+        _atomic_write(args.diff, format_diff(delta, g.symbols, negate) if lines is None
+                      else "".join("+ " + line for line in lines))
     return EXIT_OK
 
 
@@ -339,11 +348,12 @@ def _split_points(text: BinaryIO) -> list[int]:
     """Byte offsets that cut ``text`` into ranges, one per scoring process.
 
     ``[0, size]``, one range, unless ``text`` is a regular file, this
-    process can fork, runs no other thread and may use more than one CPU,
-    and the file holds ``_PARALLEL_MIN_BYTES`` bytes for each of at least
-    two processes. Otherwise one cut per extra process, each just after a
-    ``\\n`` byte, and no empty range: never more processes than CPUs. Leaves
-    ``text`` at offset 0.
+    process can fork, runs no other thread (the graph load has joined its
+    helper) and may use more than one CPU, and the file holds
+    ``_PARALLEL_MIN_BYTES`` bytes for each of at least two processes.
+    Otherwise one cut per extra process, each just after a ``\\n`` byte,
+    and no empty range: never more processes than CPUs. Leaves ``text`` at
+    offset 0.
     """
     info = os.fstat(text.fileno())
     size = info.st_size

@@ -52,10 +52,18 @@ text the graph was derived from, plus one line per added arc, which
 The companion is used only when its size matches its header, its negate
 flag the reader's, the text still hashes to its stored digest, the payload
 to its own, every count, id and weight passes the checks :func:`read_text`
-makes, and every label the arcs use names the same symbol in the reader's
-table (a larger table qualifies). The key is the content, not the path or
-a timestamp: a text edited in place never reads back as the old graph. Any
+makes, its symbols are UTF-8, every label the arcs use is in its label
+list, and each of those names the same symbol in the reader's table (a
+larger table qualifies). The key is the content, not the path or a
+timestamp: a text edited in place never reads back as the old graph. Any
 other companion, version 1 included, or none, means the text is parsed.
+Once the size and negate flag pass, :func:`load_graph` hashes the text on
+a helper thread, in blocks of at most 1 MiB, while it reads and checks the
+payload; it joins that thread before it returns or raises, so no thread of
+its own outlives a load. The reason a companion is not used is the first
+failing check in this order, whichever of the two threads finds its
+failure first: size, negate flag, text digest (``stale``), payload
+digest, ranges, UTF-8, labels, symbols.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -857,31 +866,36 @@ def format_arc(arc: Arc, symbols: SymbolTable, negate: bool = False) -> str:
             f"{symbols.symbol(arc.olabel)} {WEIGHT_FMT % weight}")
 
 
-def append_text(path: str, digest: bytes, arcs: Iterable[Arc], symbols: SymbolTable,
-                stream: BinaryIO, negate: bool = False) -> None:
-    """Write the bytes of graph text file ``path``, then one line per arc, to ``stream``.
+def append_text(path: str, digest: bytes, lines: Iterable[str], stream: BinaryIO) -> bytes:
+    """Write the bytes of graph text file ``path``, then ``lines``, to ``stream``.
 
     ``digest`` is what :func:`load_graph` returned for ``path``. The bytes
     are copied in blocks, never held whole, and hashed on the way:
     InvariantError if they do not hash to ``digest``, so the copy is the
     text the graph was read from. Then a newline if the copy does not end
-    with one, and each arc's :func:`format_arc` line, in order. Since
-    :func:`read_text` keeps a state's arcs in file order across blocks,
-    the result reads back as that graph with ``arcs`` added after its
-    states' arcs, in order, as :func:`apply_diff` adds them.
+    with one, and the lines, each ended by a newline: the :func:`format_arc`
+    line of each arc added to that graph, in order. Since :func:`read_text`
+    keeps a state's arcs in file order across blocks, the result reads back
+    as that graph with the arcs added after its states' arcs, in order, as
+    :func:`apply_diff` adds them. Returns the BLAKE2b-256 of all it wrote,
+    the copy's hash carried on over the rest: the digest
+    :func:`write_companion` stores.
     """
-    copied = _hash()
+    written = _hash()
     last = b"\n"
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
-            copied.update(block)
+            written.update(block)
             stream.write(block)
             last = block[-1:]
-    if copied.digest() != digest:
+    if written.digest() != digest:
         raise InvariantError(f"{path} changed after the graph was read from it")
+    tail = "".join(lines).encode()
     if last != b"\n":
-        stream.write(b"\n")
-    stream.write("".join(format_arc(arc, symbols, negate) + "\n" for arc in arcs).encode())
+        tail = b"\n" + tail
+    written.update(tail)
+    stream.write(tail)
+    return written.digest()
 
 
 def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfst:
@@ -1038,28 +1052,63 @@ class _Fallback(Exception):
     pass
 
 
+# The most bytes a text digest reads at once. The interpreter's BLAKE2b
+# hashes without holding the GIL, so a thread hashing 1 MiB blocks takes
+# the GIL back a few times per text, not once per 64 KiB.
+_BLOCK = 1 << 20
+
+
 def _file_digest(path: str) -> bytes:
-    # Hashed by blocks, so the text is never held whole in memory.
+    # Hashed by blocks into one reused buffer: the text is never held whole.
     digest = _hash()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
+    block = bytearray(_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
     return digest.digest()
 
 
-def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False) -> None:
-    """Write the companion of graph text file ``path`` to ``stream``.
+class _TextDigest(threading.Thread):
+    # _file_digest(path), taken on a thread of its own that starts at once.
+    # result() joins the thread, then returns the digest or raises what
+    # _file_digest raised.
 
-    ``path`` holds ``fst`` with ``negate``: as :func:`write_text` wrote it,
-    or as :func:`append_text` made it from the text of the graph ``fst``
-    was derived from. This materializes the graph (a no-op once it has) and
-    dumps its columns with the finals in :func:`read_text`'s order (see
-    the module docstring for the layout): the graph :func:`read_text`
-    builds from that text, which :func:`load_graph` reads back from
-    ``path + COMPANION_SUFFIX``.
+    def __init__(self, path: str):
+        super().__init__(name="gboost text digest")
+        self._path = path
+        self._digest: bytes | None = None
+        self._error: Exception | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._digest = _file_digest(self._path)
+        except Exception as exc:  # raised again by result(), on the joining thread
+            self._error = exc
+
+    def result(self) -> bytes:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._digest
+
+
+def write_companion(fst: Wfst, text_digest: bytes, stream: BinaryIO,
+                    negate: bool = False) -> None:
+    """Write the companion of a graph text file to ``stream``.
+
+    ``text_digest`` is the BLAKE2b-256 of the text file, which holds
+    ``fst`` with ``negate``: as :func:`write_text` wrote it, or as
+    :func:`append_text` made it from the text of the graph ``fst`` was
+    derived from (it returns this digest). This materializes the graph (a
+    no-op once it has) and dumps its columns with the finals in
+    :func:`read_text`'s order (see the module docstring for the layout):
+    the graph :func:`read_text` builds from that text, which
+    :func:`load_graph` reads back from the text's path plus
+    ``COMPANION_SUFFIX``.
     """
     fst._materialize()
-    text_digest = _file_digest(path)
     columns, finals, initial = fst._columns, fst.finals, fst.initial
     final_states = _final_order(finals, initial)
     used = set(columns.ilabels)
@@ -1080,9 +1129,20 @@ def write_companion(fst: Wfst, path: str, stream: BinaryIO, negate: bool = False
     stream.write(digest.digest())
 
 
+def _parts(states: int, arcs: int, finals: int, pairs: int) -> tuple[tuple[str, int], ...]:
+    # The arrays after a companion's header: (typecode, item count) each.
+    return (("q", states + 1), ("i", arcs), ("i", arcs), ("i", arcs), ("d", arcs),
+            ("i", finals), ("d", finals), ("i", pairs))
+
+
 def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> tuple[Wfst, bytes]:
     # The graph in the companion of `path` and the digest of the text it
-    # was checked against, or _Fallback with the reason.
+    # was checked against, or _Fallback with the reason. Once the size and
+    # convention checks pass, the text hashes on a helper thread while this
+    # one reads and checks the payload (_read_payload); the helper is joined
+    # before this returns or raises, and what it raised ends as a corrupt
+    # companion. The reason is the first failing check in this order: size,
+    # convention, stale, then the payload's own.
     try:
         handle = open(path + COMPANION_SUFFIX, "rb")
     except FileNotFoundError:
@@ -1092,48 +1152,82 @@ def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> tuple[Wfst
             header = handle.read(_HEADER.size)
             if len(header) < _HEADER.size:
                 raise _Fallback("corrupt: shorter than its header")
-            (magic, *native, negated, states, arcs, finals, pairs, names_size, initial,
+            (magic, *native, negated, states, arcs, finals, pairs, names_size, _,
              text_digest) = _HEADER.unpack(header)
             if magic != _MAGIC:
                 raise _Fallback("corrupt: not a graph companion")
             if tuple(native) != _NATIVE:
                 raise _Fallback("corrupt: byte order or item sizes differ from this machine's")
             # Sized against the file before anything is allocated.
-            parts = (("q", states + 1), ("i", arcs), ("i", arcs), ("i", arcs), ("d", arcs),
-                     ("i", finals), ("d", finals), ("i", pairs))
             size = (_HEADER.size + names_size + _DIGEST_SIZE
-                    + sum(array(code).itemsize * n for code, n in parts))
+                    + sum(array(code).itemsize * n
+                          for code, n in _parts(states, arcs, finals, pairs)))
             if (min(states, arcs, finals, pairs, names_size) < 0
                     or os.fstat(handle.fileno()).st_size != size):
                 raise _Fallback("corrupt: its size does not match its header")
             if negated != negate:
                 raise _Fallback("convention")
-            if _file_digest(path) != text_digest:
-                raise _Fallback("stale")
-            digest = _hash(header)
-            columns = []
-            for code, n in parts:
-                column = array(code)
-                column.fromfile(handle, n)
-                digest.update(column)
-                columns.append(column)
-            names = handle.read(names_size)
-            digest.update(names)
-            if handle.read() != digest.digest():
-                raise _Fallback("corrupt: payload digest mismatch")
+            text = _TextDigest(path)
+            failure = None
+            try:
+                fst = _read_payload(handle, header, symbols)
+            except _Fallback as exc:
+                failure = exc
+            finally:
+                text.join()
+            digest = text.result()
     except (OSError, EOFError) as exc:
         raise _Fallback(f"corrupt: {exc}") from None
+    if digest != text_digest:
+        raise _Fallback("stale")
+    if failure is not None:
+        raise failure
+    return fst, text_digest
+
+
+def _below(column: array, bound: int) -> bool:
+    # Whether every item of an "i" column is in 0..bound-1, for a bound of
+    # at most ID_MAX + 1: read unsigned, a negative item is at least that.
+    return not column or max(memoryview(column).cast("B").cast("I")) < bound
+
+
+def _finite(column: array) -> bool:
+    # Whether every item of a "d" column is finite. A sum of finite items
+    # is finite unless it overflows, and a non-finite item makes the sum
+    # non-finite too; only a sum that is not finite needs each item checked.
+    return math.isfinite(sum(column)) or all(map(math.isfinite, column))
+
+
+def _read_payload(handle: BinaryIO, header: bytes, symbols: SymbolTable) -> Wfst:
+    # The graph in the payload that follows a companion's `header`, read
+    # from `handle` and checked like outside input, or _Fallback with the
+    # first reason in this order: payload digest, ranges, UTF-8, labels,
+    # symbols.
+    *_, states, arcs, finals, pairs, names_size, initial, _ = _HEADER.unpack(header)
+    digest = _hash(header)
+    columns = []
+    try:
+        for code, n in _parts(states, arcs, finals, pairs):
+            column = array(code)
+            column.fromfile(handle, n)
+            digest.update(column)
+            columns.append(column)
+        names = handle.read(names_size)
+        digest.update(names)
+        sealed = handle.read() == digest.digest()
+    except (OSError, EOFError) as exc:
+        raise _Fallback(f"corrupt: {exc}") from None
+    if not sealed:
+        raise _Fallback("corrupt: payload digest mismatch")
     offsets, targets, ilabels, olabels, weights, final_states, final_weights, labels = columns
     # Checked like outside input: read_text's own bounds, every id in
     # range, every weight finite and every label listed.
-    isfinite = math.isfinite
     if not (0 < states <= min(ID_MAX + 1, 2 * (arcs + finals)) and 0 <= initial < states
             and offsets[0] == 0 and offsets[-1] == arcs
             and all(map(le, offsets, islice(offsets, 1, None)))
-            and (not arcs or 0 <= min(targets) and max(targets) < states)
-            and (not finals or 0 <= min(final_states) and max(final_states) < states)
+            and _below(targets, states) and _below(final_states, states)
             and len(set(final_states)) == finals
-            and all(map(isfinite, weights)) and all(map(isfinite, final_weights))):
+            and _finite(weights) and _finite(final_weights)):
         raise _Fallback("corrupt: a count, state id or weight is out of range")
     try:
         names = names.decode().split("\n")
@@ -1146,11 +1240,10 @@ def _read_companion(path: str, symbols: SymbolTable, negate: bool) -> tuple[Wfst
         used.update(olabels)
     if names.pop() or len(names) != pairs or not used <= set(labels):
         raise _Fallback("corrupt: an arc label is not in its label list")
-    symbol = symbols._lab2sym.get
-    if any(symbol(label) != name for label, name in zip(labels, names)):
+    if list(map(symbols._lab2sym.get, labels)) != names:
         raise _Fallback("symbols")
     return Wfst(symbols, _Columns(offsets, targets, ilabels, olabels, weights), initial,
-                dict(zip(final_states, final_weights))), text_digest
+                dict(zip(final_states, final_weights)))
 
 
 class _HashingReader(io.RawIOBase):
@@ -1179,7 +1272,12 @@ def load_graph(path: str, symbols: SymbolTable, negate: bool = False) -> tuple[W
     the digest the companion was checked against, or one taken as the text
     was parsed, with no second read. :func:`append_text` checks a copy of
     the text against it. Logs one INFO line: where the graph came from, and
-    why not from the companion.
+    why not from the companion: the first failing check, in the module
+    docstring's order. The text's digest for the companion check is taken
+    on a helper thread while the payload is checked; the thread is joined
+    before this returns or raises, so a caller that forks next, as
+    ``score`` does, runs no other thread. An error on that thread, reading
+    the text say, turns the companion away as corrupt.
     """
     start = perf_counter()
     try:

@@ -1,6 +1,7 @@
 import importlib
 import io
 import random
+import threading
 
 import pytest
 
@@ -24,6 +25,16 @@ def make_fst(symbols, arcs, finals, initial=0, num_states=None):
     return add_arcs(empty_graph(table, num_states, initial, finals),
                     *[(src, dst, table.label(isym), table.label(osym), weight)
                       for src, dst, isym, osym, weight in arcs])
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fails a test that leaves more threads alive than it started with."""
+    threads = threading.active_count()
+    yield
+    if threading.active_count() > threads:
+        pytest.fail(f"{threading.active_count() - threads} more thread(s) alive after "
+                    f"the test than before: {threading.enumerate()}")
 
 
 @pytest.fixture

@@ -270,7 +270,7 @@ class TestEnhanceCommand:
         def marked(name):
             def call(*args, **kwargs):
                 merges.append(name)
-                real[name](*args, **kwargs)
+                return real[name](*args, **kwargs)
             return call
 
         def counting_materialize(fst):
@@ -289,6 +289,30 @@ class TestEnhanceCommand:
         added = [line for line in (workdir / "delta.txt").read_text().splitlines()
                  if line.startswith("+ ")]
         assert added and merges == ["append_text", "write_companion", len(added)]
+
+    @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
+    def test_each_added_arc_is_formatted_once(self, workdir, monkeypatch, weights):
+        """Appended to the text and listed in --diff, from one format_arc call per arc."""
+        conv = ["--weights", weights]
+        fst_path, syms_path = build(workdir, conv)
+        formatted = []
+        real_format_arc = gboost.cli.format_arc
+
+        def counting_format_arc(arc, *args, **kwargs):
+            formatted.append(arc)
+            return real_format_arc(arc, *args, **kwargs)
+
+        monkeypatch.setattr(gboost.cli, "format_arc", counting_format_arc)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "g2.fst",
+                   "--out-syms", workdir / "w2.syms", "--diff", workdir / "delta.txt",
+                   *conv) == 0
+        enhanced, delta = enhanced_in_memory(workdir, fst_path, syms_path, weights)
+        assert delta.added_arcs and formatted == delta.added_arcs
+        lines = added_lines(delta, enhanced.symbols, weights)
+        assert (workdir / "g2.fst").read_bytes() == fst_path.read_bytes() + lines.encode()
+        assert (workdir / "delta.txt").read_text() == "".join(
+            "+ " + line for line in lines.splitlines(keepends=True))
 
     @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
     def test_enhancing_its_own_output_changes_nothing(self, workdir, weights):
@@ -585,6 +609,50 @@ class TestCompanion:
             assert stale[name] != present[name], name
         (workdir / "g.fst.bin").unlink()
         assert self.outputs(workdir, conv) == stale
+
+    def test_the_companion_holds_the_digest_of_the_written_text(self, workdir, caplog):
+        """Printed by write_text or copied by append_text, the text's digest is the
+        file's, and the next load takes the companion."""
+        caplog.set_level(logging.INFO, logger="gboost.fst")
+        fst_path, syms_path = build(workdir)
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", workdir / "copied.fst",
+                   "--out-syms", workdir / "copied.syms") == 0
+        # A larger theta raises every arc the first run added: a printed graph.
+        (workdir / "raise.json").write_text(json.dumps(dict(PAIRS, theta=2.0)))
+        assert run("enhance", "--in-fst", workdir / "copied.fst", "--in-syms",
+                   workdir / "copied.syms", "--pairs", workdir / "raise.json",
+                   "--out-fst", workdir / "printed.fst", "--out-syms",
+                   workdir / "printed.syms") == 0
+        for name in ("g", "copied", "printed"):
+            path = str(workdir / f"{name}.fst")
+            syms = syms_path if name == "g" else workdir / f"{name}.syms"
+            header = Path(path + gboost.fst.COMPANION_SUFFIX).read_bytes()
+            assert gboost.fst._HEADER.unpack_from(header)[-1] == gboost.fst._file_digest(path)
+            caplog.clear()
+            gboost.cli._load_graph(path, syms, False)
+            assert self.sources(caplog) == ["companion"]
+
+    def test_a_text_digest_that_raises_falls_back_to_the_text(self, workdir, caplog,
+                                                              monkeypatch):
+        """An error hashing the text, on the loader's helper thread, turns the companion
+        away as corrupt: the text is parsed, with the same output and exit code."""
+        caplog.set_level(logging.INFO, logger="gboost.fst")
+        fst_path, syms_path = build(workdir)
+        (workdir / "s.txt").write_text(self.SENTENCES)
+        argv = ["score", "--fst", fst_path, "--syms", syms_path, "--text", workdir / "s.txt"]
+        assert run(*argv, "--out", workdir / "want.txt") == 0
+        assert self.sources(caplog) == ["companion"]
+
+        def unreadable(path):
+            raise OSError("the text cannot be read")
+
+        monkeypatch.setattr(gboost.fst, "_file_digest", unreadable)
+        threads = threading.active_count()
+        assert run(*argv, "--out", workdir / "got.txt") == 0
+        assert threading.active_count() == threads
+        assert self.sources(caplog) == ["text (companion corrupt: the text cannot be read)"]
+        assert (workdir / "got.txt").read_bytes() == (workdir / "want.txt").read_bytes()
 
     def test_each_graph_load_and_write_logs_one_line(self, workdir, caplog):
         caplog.set_level(logging.INFO, logger="gboost")

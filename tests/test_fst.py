@@ -7,6 +7,8 @@ import random
 import re
 import struct
 import tempfile
+import threading
+import time
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -22,7 +24,8 @@ from gboost.errors import FormatError, InvariantError
 from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
                         SymbolTable, Wfst, _Columns, _HEADER, _best_table, _hash, append_text,
-                        apply_diff, diff, load_graph, read_text, write_companion, write_text)
+                        apply_diff, diff, format_arc, load_graph, read_text, write_companion,
+                        write_text)
 from gboost.graph import build_g
 from conftest import random_graph
 from oracles import add_arcs, arcs_matching, empty_graph, path_weight
@@ -1180,7 +1183,7 @@ def save(fst, path, negate=False):
     with open(path, "w") as handle:
         write_text(fst, handle, negate=negate)
     with open(path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(fst, path, handle, negate=negate)
+        write_companion(fst, gboost.fst._file_digest(path), handle, negate=negate)
 
 
 def load(path, symbols, negate=False):
@@ -1282,10 +1285,13 @@ def test_appended_text_is_the_copy_plus_the_arcs_and_its_companion_loads_it(kind
         assert source == "text (companion missing)"
         grown = apply_diff(base, FstDiff(added_arcs=added))
         with open(out, "wb") as handle:
-            append_text(path, _hash(text).digest(), added, fst.symbols, handle, negate)
+            written = append_text(path, _hash(text).digest(),
+                                  [format_arc(arc, fst.symbols, negate) + "\n" for arc in added],
+                                  handle)
         assert Path(out).read_bytes() == text + b"\n" * (not text.endswith(b"\n")) + lines
+        assert written == _hash(Path(out).read_bytes()).digest()
         with open(out + COMPANION_SUFFIX, "wb") as handle:
-            write_companion(grown, out, handle, negate)
+            write_companion(grown, written, handle, negate)
         got, source = load(out, fst.symbols, negate)
         assert source == "companion"
         assert graph_state(got) == graph_state(parsed(out, fst.symbols, negate))
@@ -1330,7 +1336,8 @@ def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
         companion = Path(first + COMPANION_SUFFIX).read_bytes()
         assert companion == Path(second + COMPANION_SUFFIX).read_bytes()
         alone = io.BytesIO()
-        write_companion(enhanced_graph(7), first, alone, negate=negate)  # not materialized
+        write_companion(enhanced_graph(7), gboost.fst._file_digest(first), alone,
+                        negate=negate)  # not materialized
         assert alone.getvalue() == companion
 
 
@@ -1386,10 +1393,7 @@ def test_companion_not_used_falls_back_to_the_text(tmp_path, reason):
     if reason == "missing":
         os.remove(path + COMPANION_SUFFIX)
     elif reason == "stale":  # the same graph, one weight printed another way
-        text = Path(path).read_text()
-        assert "2 0 a a -0\n" in text
-        with open(path, "w") as handle:
-            handle.write(text.replace("2 0 a a -0\n", "2 0 a a -0.0\n"))
+        stale(path)
     elif reason == "convention":
         negate = True
     else:
@@ -1412,7 +1416,7 @@ def test_companion_of_a_text_read_text_rejects_is_not_used(tmp_path):
     with open(path, "w") as handle:
         oracles.write_text_by_arc(sparse, handle)
     with open(path + COMPANION_SUFFIX, "wb") as handle:
-        write_companion(sparse, path, handle)
+        write_companion(sparse, gboost.fst._file_digest(path), handle)
     with pytest.raises(FormatError, match="state id 9 is at or above twice"):
         load_graph(path, SymbolTable(["a"]))
     fst = odd_graph()
@@ -1465,9 +1469,11 @@ _BROKEN = {
     "offsets-start-above-zero": (lambda d: put(d, "offsets", 0, "q", 1), _RANGE),
     "offsets-decrease": (lambda d: put(d, "offsets", 1, "q", 5), _RANGE),
     "offsets-end-short": (lambda d: put(d, "offsets", 4, "q", 5), _RANGE),
-    "target-out-of-range": (lambda d: put(d, "targets", 0, "i", 4), _RANGE),
+    "target-out-of-range": (lambda d: put(d, "targets", 0, "i", 4), _RANGE),  # the state count
     "target-negative": (lambda d: put(d, "targets", 2, "i", -1), _RANGE),
     "nan-weight": (lambda d: put(d, "weights", 3, "d", math.nan), _RANGE),
+    "infinite-weight": (lambda d: put(d, "weights", 0, "d", math.inf), _RANGE),
+    "final-state-negative": (lambda d: put(d, "final_states", 1, "i", -1), _RANGE),
     "infinite-final-weight": (lambda d: put(d, "final_weights", 1, "d", -math.inf), _RANGE),
     "final-state-out-of-range": (lambda d: put(d, "final_states", 0, "i", 4), _RANGE),
     "final-state-twice": (lambda d: put(d, "final_states", 0, "i", 0), _RANGE),
@@ -1494,6 +1500,135 @@ def test_resealed_broken_companion_falls_back(tmp_path, name):
     Path(path + COMPANION_SUFFIX).write_bytes(sealed(data))
     got, source = load(path, fst.symbols)
     assert source.startswith("text (companion corrupt: ") and reason in source
+    assert graph_state(got) == graph_state(parsed(path, fst.symbols))
+
+
+def test_a_sum_of_weights_that_overflows_still_loads(tmp_path):
+    """Every weight finite but their sum not: the companion is used."""
+    fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 0, {1: 0.0}),
+                   (0, 1, 1, 1, 1e308), (0, 1, 1, 1, 1e308), (1, 0, 1, 1, -1e308))
+    path = str(tmp_path / "g.fst")
+    for negate in (False, True):
+        save(fst, path, negate)
+        got, source = load(path, fst.symbols, negate)
+        assert source == "companion"
+        assert graph_state(got) == graph_state(parsed(path, fst.symbols, negate))
+
+
+_C_INTS = st.integers(-ID_MAX - 1, ID_MAX)
+_C_DOUBLES = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_C_INTS, max_size=6), st.integers(1, ID_MAX + 1),
+       st.lists(_C_DOUBLES, max_size=6))
+@example([-1], 4, [math.nan])
+@example([4], 4, [1e308, 1e308])
+@example([ID_MAX], ID_MAX + 1, [math.inf, -math.inf])
+def test_the_companion_range_checks_are_the_per_item_ones(ids, bound, weights):
+    """One max over the ids read unsigned, one sum over the weights: the same verdicts."""
+    assert gboost.fst._below(array("i", ids), bound) == all(0 <= i < bound for i in ids)
+    assert gboost.fst._finite(array("d", weights)) == all(map(math.isfinite, weights))
+
+
+def stale(path):
+    """Edit the text at ``path``, an odd_graph's, so it prints the same graph another way."""
+    text = Path(path).read_text()
+    assert "2 0 a a -0\n" in text
+    Path(path).write_text(text.replace("2 0 a a -0\n", "2 0 a a -0.0\n"))
+
+
+def unsealed(data):
+    """A payload byte flipped, its digest left as it was."""
+    data[sections(data)["weights"][0]] ^= 1
+    return data
+
+
+def unknown_symbol(path):
+    """Append an arc line with a symbol the table lacks to the text at ``path``."""
+    with open(path, "a") as handle:
+        handle.write("0 1 zz zz 1\n")
+
+
+# How each case damages a saved odd_graph and its companion, and the source
+# load_graph then names, None where load_graph raises. A damage returns the
+# companion's new bytes, or None to delete it; the helpers it calls change
+# their argument in place and return None.
+_LOADS = {
+    "companion": (lambda path, data: data, "companion"),
+    "missing": (lambda path, data: None, "text (companion missing)"),
+    "short": (lambda path, data: data[:10],
+              "text (companion corrupt: shorter than its header)"),
+    "magic": (lambda path, data: _BROKEN["magic"][0](data) or data,
+              "text (companion corrupt: not a graph companion)"),
+    "size": (lambda path, data: data + b"\0",
+             "text (companion corrupt: its size does not match its header)"),
+    "stale": (lambda path, data: stale(path) or data, "text (companion stale)"),
+    "payload": (lambda path, data: unsealed(data),
+                "text (companion corrupt: payload digest mismatch)"),
+    "range": (lambda path, data: sealed(_BROKEN["nan-weight"][0](data) or data),
+              f"text (companion corrupt: {_RANGE})"),
+    "utf8": (lambda path, data: sealed(_BROKEN["symbols-not-utf8"][0](data) or data),
+             "text (companion corrupt: its symbols are not UTF-8)"),
+    "labels": (lambda path, data: sealed(_BROKEN["label-not-listed"][0](data) or data),
+               f"text (companion corrupt: {_LABELS})"),
+    "bad-text": (lambda path, data: unknown_symbol(path) or data, None),
+}
+
+
+@pytest.mark.parametrize("case", [*_LOADS, "convention", "symbols", "helper-raises"])
+def test_load_graph_joins_its_helper_thread(tmp_path, monkeypatch, case):
+    """Whether the companion is used, turned away for any reason, or the load raises,
+    no thread the load started is left alive, and the source is the one named."""
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    symbols, negate = fst.symbols, False
+    companion = Path(path + COMPANION_SUFFIX)
+    if case in _LOADS:
+        damage, want = _LOADS[case]
+        data = damage(path, bytearray(companion.read_bytes()))
+        if data is None:
+            companion.unlink()
+        else:
+            companion.write_bytes(data)
+    elif case == "convention":
+        negate, want = True, "text (companion convention)"
+    elif case == "symbols":
+        symbols, want = SymbolTable(["b", "a", "c"]), "text (companion symbols)"
+    else:
+        want = "text (companion corrupt: the text cannot be read)"
+
+    def digest(path, real=gboost.fst._file_digest):
+        if case == "helper-raises":
+            raise OSError("the text cannot be read")
+        time.sleep(0.02)  # outlasts the payload checks: a load that does not join shows
+        return real(path)
+
+    monkeypatch.setattr(gboost.fst, "_file_digest", digest)
+    threads = threading.active_count()
+    if want is None:
+        with pytest.raises(FormatError, match="unknown symbol: 'zz'"):
+            load_graph(path, symbols, negate=negate)
+    else:
+        got, source = load(path, symbols, negate)
+        assert source == want
+        assert graph_state(got) == graph_state(parsed(path, symbols, negate))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("damage", ["payload", "range"])
+def test_a_stale_companion_with_a_corrupt_payload_is_stale(tmp_path, damage):
+    """The text is hashed beside the payload checks, and still decides first."""
+    fst = odd_graph()
+    path = str(tmp_path / "g.fst")
+    save(fst, path)
+    companion = Path(path + COMPANION_SUFFIX)
+    companion.write_bytes(_LOADS[damage][0](path, bytearray(companion.read_bytes())))
+    assert load(path, fst.symbols)[1] == _LOADS[damage][1]
+    stale(path)
+    got, source = load(path, fst.symbols)
+    assert source == "text (companion stale)"
     assert graph_state(got) == graph_state(parsed(path, fst.symbols))
 
 

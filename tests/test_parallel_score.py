@@ -5,6 +5,7 @@ down, so that a few bytes of text make several ranges.
 """
 
 import io
+import logging
 import os
 import signal
 import sys
@@ -121,6 +122,20 @@ def test_cuts_fall_just_after_newlines(tmp_path):
     assert cuts == sorted(set(cuts))
     assert all(data[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
     assert len(cuts) == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_a_companion_load_leaves_score_free_to_split(graphs, tmp_path, caplog):
+    """The load joins the thread that hashed its text: score may fork right after it."""
+    caplog.set_level(logging.INFO, logger="gboost.fst")
+    fst, syms = graphs["logprob"]
+    gboost.cli._load_graph(str(fst), str(syms), False)
+    assert [record.getMessage().split(" from ", 1)[1].startswith("companion:")
+            for record in caplog.records] == [True]
+    text_path = tmp_path / "s.txt"
+    text_path.write_text("wo de\n" * (2 * gboost.cli._PARALLEL_MIN_BYTES // 6 + 1))
+    assert len(cut_points(text_path)) > 2
 
 
 @pytest.mark.parametrize("count, min_bytes", [(1, 1), (4, None)],

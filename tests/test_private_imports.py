@@ -16,6 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gboost"
 
 # (importing module, imported module, name)
 ALLOWED = {
+    ("cli", "fst", "_file_digest"),
     ("enhance", "fst", "_check_symbol"),
     ("enhance", "fst", "_derived"),
     ("enhance", "fst", "_rewrite"),
