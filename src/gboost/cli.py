@@ -288,10 +288,9 @@ def _cmd_enhance(args) -> int:
     g, delta = enhance(g, config)
     # A graph that only gains arcs is its input's text plus their lines,
     # if that text can be read a second time: a regular file, not a pipe.
-    # Only a full rewrite can express a raised arc or a changed final.
-    changed = delta.removed_arcs or delta.reweighted_arcs or delta.final_changes
+    # Only a full rewrite can express a raised arc.
     lines = None
-    if not changed and os.path.isfile(args.in_fst):
+    if not delta.reweighted_arcs and os.path.isfile(args.in_fst):
         lines = [format_arc(arc, g.symbols, negate) + "\n" for arc in delta.added_arcs]
         _write_graph(g, args.out_fst, args.out_syms, negate, (args.in_fst, digest, lines))
     else:

@@ -27,8 +27,9 @@ base, so that the count of candidates whose weight exceeds their
 predictor's (the overshoot warning) is exact at every theta.
 
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
-unmodified graph, and the enhanced graph is built from it as
-:func:`~gboost.fst.apply_diff` builds one, as a new graph.
+unmodified graph, of added and raised arcs only. The enhanced graph is a
+new graph that holds that diff's edits: each state with a raised arc
+rewritten, and the added arcs after each state's own.
 """
 
 from __future__ import annotations
@@ -298,11 +299,11 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     arcs are touched.
 
     ``fst`` never changes, also when this raises. The enhanced graph is a
-    new one, built as :func:`~gboost.fst.apply_diff` builds one: it shares
-    ``fst``'s columns and tables, and its added arcs are the diff's
-    ``Arc`` objects. It shares ``fst``'s symbol table too, unless the
-    config has words new to it: then it holds the table
-    :meth:`~gboost.fst.SymbolTable.extended` makes with them.
+    new one: it shares ``fst``'s columns and tables, a raised arc is
+    rewritten in its state's arcs where it stands, and its added arcs are
+    the diff's ``Arc`` objects, after each state's own. It shares ``fst``'s
+    symbol table too, unless the config has words new to it: then it holds
+    the table :meth:`~gboost.fst.SymbolTable.extended` makes with them.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
     ``fst``'s :meth:`~gboost.fst.Wfst.memo`, beside its columns, keyed by
@@ -330,8 +331,8 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
         log.warning("%d candidate arcs exceed their predictor's weight "
                     "(log term plus theta is positive)", overshoot)
 
-    # Every weight to write, checked before any graph is made, in the order
-    # apply_diff would check them.
+    # Every weight to write, checked before any graph is made: the raised
+    # ones, then the added ones, in plan order.
     raised = [(target, source, dest, before, weight)
               for target, source, dest, base, before in plan.raised
               if (weight := base + theta) > before]
@@ -351,13 +352,13 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
         label = symbols.label(target)
         delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
                                       Arc(source, dest, label, label, weight)))
-    rewritten = _rewrite(fst, (), delta.reweighted_arcs)
-    # The additions skip the checks apply_diff makes on a delta: their
-    # states come from the graph's own arcs, their labels from its symbol
-    # table, and their weights were checked above. Built in C, with no
-    # bytecode step per arc: zip yields each arc's fields, and
-    # tuple.__new__ (Arc's constructor without its argument handling) makes
-    # the diff's arc, which the enhanced graph holds too.
+    rewritten = _rewrite(fst, delta.reweighted_arcs)
+    # The edits need no other check: their states come from the graph's
+    # own arcs, their labels from its symbol table, and their weights were
+    # checked above. The additions are built in C, with no bytecode step
+    # per arc: zip yields each arc's fields, and tuple.__new__ (Arc's
+    # constructor without its argument handling) makes the diff's arc,
+    # which the enhanced graph holds too.
     for target, sources, dests, weights in added:
         labels = repeat(symbols.label(target))
         delta.added_arcs += map(tuple.__new__, repeat(Arc),

@@ -14,14 +14,14 @@ A graph is complete when it is made: :class:`Wfst`'s one constructor takes
 its symbol table, columns, initial state and finals, and nothing changes
 any of them afterwards. Symbol tables never change either, so graphs share
 them. What is computed from arcs (best-arc tables, the enhancement memo)
-lives beside their columns. :func:`apply_diff` and
-:func:`gboost.enhance.enhance` return a new graph that shares the old
-one's columns and holds only its edits: rewritten states, and the very
-``Arc`` objects its diff adds. Scoring reads an edited state's arcs from
-its edits; every other reader first materializes the graph once, merging
-its edits into columns of its own. So a graph that is edited and then
-scored pays only for the states it scores. State ids and labels must fit
-the C ``int`` columns.
+lives beside their columns. :func:`gboost.enhance.enhance`, the one way
+to derive a graph from another, returns a new graph that shares the old
+one's columns and holds only its edits: the states whose arcs it raised,
+rewritten, and the very ``Arc`` objects its diff adds. Scoring reads an
+edited state's arcs from its edits; every other reader first materializes
+the graph once, merging its edits into columns of its own. So a graph
+that is edited and then scored pays only for the states it scores. State
+ids and labels must fit the C ``int`` columns.
 
 Companion file. Text is the interchange format, and exact (see
 ``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
@@ -324,17 +324,16 @@ class Wfst:
     :func:`read_text`, :func:`load_graph` and :func:`gboost.graph.build_g`
     build graphs with it, and nothing changes one afterwards: ``symbols``,
     ``initial`` and ``finals`` (a read-only view) cannot be set, the symbol
-    table never changes, and :func:`apply_diff` and
-    :func:`gboost.enhance.enhance` return a new graph (``_derived``). It
-    shares ``_columns`` with the graph it came from until it materializes,
-    and holds its own edits: ``_rewritten`` maps each state that a removal
-    or reweight changed to its arcs after them, and ``_added`` holds the
-    diff's added ``Arc`` objects themselves, sorted by source, in delta
-    order within a state. A state's arcs are its rewritten list, or else
-    its column arcs, followed by its added arcs without their source
-    (``_state_arcs``). Every reader of arcs but :meth:`best_arcs` first
-    calls ``_materialize``, which merges the edits into columns of this
-    graph's own, once, and changes no arc.
+    table never changes, and :func:`gboost.enhance.enhance` returns a new
+    graph (``_derived``). It shares ``_columns`` with the graph it came
+    from until it materializes, and holds its own edits: ``_rewritten``
+    maps each state whose arcs were rewritten, by a raise say, to its arcs
+    after that, and ``_added`` holds the diff's added ``Arc`` objects
+    themselves, sorted by source, in delta order within a state. A state's
+    arcs are its rewritten list, or else its column arcs, followed by its
+    added arcs without their source (``_state_arcs``). Every reader of
+    arcs but :meth:`best_arcs` first calls ``_materialize``, which merges
+    the edits into columns of this graph's own, once, and changes no arc.
 
     Each state has a best-arc table, ``{ilabel: arc}``, built on first use
     by :meth:`best_arcs`: for each input label it holds the highest-weight
@@ -544,8 +543,10 @@ def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
              added: Iterable[Arc], finals: Mapping[int, float]) -> Wfst:
     """A new graph: the arcs of ``base``, a graph without edits, with these edits.
 
-    ``rewritten`` maps states to their arcs after removals and reweights,
-    and ``added`` is a diff's added arcs; all are checked. The new graph
+    ``rewritten`` maps states to their new arc lists, and ``added`` is a
+    diff's added arcs. Neither is checked here: the caller takes their
+    states and labels from ``base``'s own arcs and table and checks their
+    weights, as :func:`gboost.enhance.enhance` does. The new graph
     holds those ``Arc`` objects themselves, in a stable sort by source, so
     delta order holds within a state. It shares ``base``'s columns, and
     with them every table and memo value computed from them.
@@ -699,90 +700,19 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     return out
 
 
-def apply_diff(fst: Wfst, delta: FstDiff) -> Wfst:
-    """A new graph: ``fst`` with a diff replayed on it.
-
-    The one way to edit a built graph; :func:`gboost.enhance.enhance` builds
-    its graph the same way. ``fst`` never changes, also when this raises.
-    The removals come first, then the reweights, then the additions, each
-    in delta order, then the final changes. A reweight edits the last arc
-    equal to its old arc: the one whose weight enhancement reads for a
-    slot. Added arcs follow a state's arcs, in delta order.
-
-    Source and target states must be ``int`` ids of states that exist,
-    labels ``int`` values in ``0..ID_MAX``, a reweight may change only the
-    weight, and new weights must be finite ``int`` or ``float`` values. A
-    final change ``(state, before, after)`` needs ``before`` to be the
-    state's final weight at that point of the replay, None when the state
-    is not final, as a removal needs its arc. Else InvariantError, raised
-    before any graph is made: for the first bad removal, else reweight,
-    else addition, else final change.
-
-    ``fst`` is materialized first (see :class:`Wfst`). The new graph shares
-    its columns, its tables and its symbol table, and holds the edits, the
-    delta's added ``Arc`` objects among them: an edited state's table is
-    built from them when the state is first scored.
-    """
-    rewritten = _rewrite(fst, delta.removed_arcs, delta.reweighted_arcs)
-    for source, target, ilabel, olabel, weight in delta.added_arcs:
-        fst._check_state(source)
-        fst._check_state(target)
-        if not (isinstance(ilabel, int) and isinstance(olabel, int)):
-            raise InvariantError(f"labels must be integers: {ilabel!r}:{olabel!r}")
-        if ilabel < 0 or olabel < 0:
-            raise InvariantError(f"labels must be non-negative: {ilabel}:{olabel}")
-        if ilabel > ID_MAX or olabel > ID_MAX:
-            raise InvariantError(f"labels must be at most {ID_MAX}: {ilabel}:{olabel}")
-        _check_weight(weight, "arc")
-    finals = dict(fst.finals)
-    for state, before, after in delta.final_changes:
-        fst._check_state(state)
-        if finals.get(state) != before:
-            raise InvariantError(f"final change of state {state} expects final weight "
-                                 f"{before}, found {finals.get(state)}")
-        if after is None:
-            finals.pop(state, None)
-        else:
-            _check_weight(after, "final")
-            finals[state] = after
-    return _derived(fst, fst.symbols, rewritten, delta.added_arcs, finals)
-
-
-def _check_weight(weight: float, kind: str) -> None:
-    # A weight a diff brings must be a finite number: a column holds a C double.
-    if not isinstance(weight, (int, float)):
-        raise InvariantError(f"{kind} weight must be a number, got {weight!r}")
-    if not math.isfinite(weight):
-        raise InvariantError(f"{kind} weight must be finite, got {weight}")
-
-
-def _rewrite(fst: Wfst, removed: Iterable[Arc], reweighted: Iterable[tuple[Arc, Arc]]
+def _rewrite(fst: Wfst, reweighted: Iterable[tuple[Arc, Arc]]
              ) -> dict[int, list[tuple[int, int, int, float]]]:
-    # Materializes fst, then plays the removals and then the reweights, in
-    # order, on copies of their states' arcs, and returns those copies by
-    # state. The first bad entry raises.
+    # Materializes fst, then plays the reweights, in order, on copies of
+    # their states' arcs, and returns those copies by state. A reweight
+    # edits the last arc equal to its old arc: the one whose weight
+    # enhancement reads for a slot.
     fst._materialize()
     rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
-
-    def arcs_of(state: int) -> list[tuple[int, int, int, float]]:
-        arcs = rewritten.get(state)
-        if arcs is None:
-            fst._check_state(state)
-            arcs = rewritten[state] = fst._columns.arcs(state)
-        return arcs
-
     # An Arc without its source is the tuple a state's arc list stores.
-    for arc in removed:
-        arcs = arcs_of(arc.source)
-        try:
-            arcs.remove(arc[1:])
-        except ValueError:
-            raise InvariantError(f"cannot remove missing arc {arc}") from None
     for old, new in reweighted:
-        arcs = arcs_of(old.source)
-        if old[:4] != new[:4] or not all(isinstance(field, int) for field in new[:4]):
-            raise InvariantError(f"a reweight may change only the weight: {old} -> {new}")
-        _check_weight(new.weight, "arc")
+        arcs = rewritten.get(old.source)
+        if arcs is None:
+            arcs = rewritten[old.source] = fst._columns.arcs(old.source)
         try:
             pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
         except ValueError:
@@ -877,9 +807,9 @@ def append_text(path: str, digest: bytes, lines: Iterable[str], stream: BinaryIO
     line of each arc added to that graph, in order. Since :func:`read_text`
     keeps a state's arcs in file order across blocks, the result reads back
     as that graph with the arcs added after its states' arcs, in order, as
-    :func:`apply_diff` adds them. Returns the BLAKE2b-256 of all it wrote,
-    the copy's hash carried on over the rest: the digest
-    :func:`write_companion` stores.
+    the graph :func:`gboost.enhance.enhance` returns holds them. Returns
+    the BLAKE2b-256 of all it wrote, the copy's hash carried on over the
+    rest: the digest :func:`write_companion` stores.
     """
     written = _hash()
     last = b"\n"

@@ -11,20 +11,21 @@ from gboost.enhance import EnhanceConfig, SimilarPairGroup
 from gboost.evaluate import RankingCase
 from gboost.fst import SymbolTable, Wfst
 from gboost.graph import build_g
-from oracles import add_arcs, empty_graph
+from oracles import add_arcs, empty_graph, graph_from_lists
 
 
 def make_fst(symbols, arcs, finals, initial=0, num_states=None):
-    """Build a graph from (src, dst, isym, osym, weight) tuples, in one apply_diff call.
+    """Build a graph from (src, dst, isym, osym, weight) tuples, each state's arcs in order.
 
     ``num_states`` defaults to one more than the largest state named.
     """
     table = SymbolTable(symbols.split() if isinstance(symbols, str) else symbols)
     if num_states is None:
         num_states = 1 + max([initial] + [max(a[0], a[1]) for a in arcs] + list(finals))
-    return add_arcs(empty_graph(table, num_states, initial, finals),
-                    *[(src, dst, table.label(isym), table.label(osym), weight)
-                      for src, dst, isym, osym, weight in arcs])
+    lists = [[] for _ in range(num_states)]
+    for src, dst, isym, osym, weight in arcs:
+        lists[src].append((dst, table.label(isym), table.label(osym), weight))
+    return graph_from_lists(table, lists, initial, finals)
 
 
 @pytest.fixture(autouse=True)

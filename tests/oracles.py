@@ -7,7 +7,8 @@ can disagree when the library is wrong. The one exception is the graph
 makers, :func:`empty_graph` and :func:`graph_from_lists`: the library
 builds a graph only from a file or a model, so the tests start from
 graphs made with :class:`Wfst`'s constructor over columns they fill
-themselves, and derive edited ones through :func:`gboost.fst.apply_diff`.
+themselves, and derive edited ones by replaying a diff on plain arc lists
+(:func:`apply_diff_by_arc`).
 
 :func:`path_weight` is the best-path (epsilon) reading of a back-off
 graph, where a back-off arc competes with a word arc even where the word
@@ -23,7 +24,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst, _Columns, apply_diff
+from gboost.fst import EPSILON_LABEL, Arc, FstDiff, WEIGHT_FMT, Wfst, _Columns
 
 BOS = "<s>"
 EOS = "</s>"
@@ -53,8 +54,8 @@ def graph_from_lists(symbols, arc_lists, initial=0, finals=None):
 
 
 def add_arcs(fst, *arcs):
-    """``fst`` with ``(source, target, ilabel, olabel, weight)`` arcs appended: one apply_diff."""
-    return apply_diff(fst, FstDiff(added_arcs=[Arc(*arc) for arc in arcs]))
+    """A new graph: ``fst`` with ``(source, target, ilabel, olabel, weight)`` arcs appended."""
+    return apply_diff_by_arc(fst, FstDiff(added_arcs=[Arc(*arc) for arc in arcs]))
 
 
 def enumerate_path_weights(fst, labels, max_epsilon_run=20):
@@ -129,6 +130,35 @@ def arcs_matching(fst: Wfst, state: int, ilabel: int) -> list[tuple[int, int, in
     if not 0 <= state < fst.num_states():
         raise InvariantError(f"unknown state id: {state}")
     return [arc for arc in fst.arcs(state) if arc[1] == ilabel]
+
+
+def failure_mass(fst: Wfst, state: int) -> float:
+    """The one-step probability mass of ``state`` under failure semantics.
+
+    The sum over every word label w of P(w | state), stepping with
+    :func:`arcs_matching`. P(w | state) is the exp of the weight of
+    ``state``'s best arc reading w if it has one; else the exp of its best
+    back-off arc's weight times P(w | back-off state); else 0. A back-off
+    graph compiled from a normalized model has mass 1 at every non-final
+    state. Written apart from :func:`gboost.graph.graph_score`, which
+    scores whole sentences through best-arc tables.
+    """
+    total = 0.0
+    for word in fst.symbols._lab2sym:
+        if word == EPSILON_LABEL:
+            continue
+        at, weight = state, 0.0
+        while True:
+            arcs = arcs_matching(fst, at, word)
+            if arcs:
+                total += math.exp(weight + max(arc[3] for arc in arcs))
+                break
+            backoffs = arcs_matching(fst, at, EPSILON_LABEL)
+            if not backoffs:
+                break
+            target, _, _, backoff = max(backoffs, key=lambda arc: arc[3])
+            at, weight = target, weight + backoff
+    return total
 
 
 def _resolve_labels(fst: Wfst, input_seq: Sequence[str | int]) -> list[int]:
@@ -363,11 +393,13 @@ def best_arcs_by_arc(fst, state):
 def apply_diff_by_arc(fst, delta, symbols=None):
     """A valid diff replayed one edit at a time on lists of ``fst``'s arcs: a new graph.
 
-    Removals, reweights (each of the last equal arc), additions in delta
-    order, then final changes: what :func:`gboost.fst.apply_diff` does to
-    the arcs, on one plain list per state, built into fresh columns.
-    ``fst`` is left as it was. The new graph is labelled by ``symbols``,
-    ``fst``'s table by default.
+    Removals, reweights (each of the last equal arc, the one whose weight
+    enhancement reads for a slot), additions after each state's arcs in
+    delta order, then final changes, on one plain list per state, built
+    into fresh columns with :func:`graph_from_lists`. The inverse of
+    :func:`gboost.fst.diff`, and what :func:`gboost.enhance.enhance`'s
+    graph holds. ``fst`` is left as it was. The new graph is labelled by
+    ``symbols``, ``fst``'s table by default.
     """
     lists = [fst.arcs(state) for state in fst.states()]
     for arc in delta.removed_arcs:
@@ -407,13 +439,13 @@ def graphs_equal(a, b):
 
 
 def read_text_by_line(stream, symbols, negate=False):
-    """Graph text read in two passes, one line and one apply_diff call at a time.
+    """Graph text read in two passes, one line at a time.
 
-    The first pass takes the state count from the largest state id; the
-    second applies each line in file order, an arc as an addition and a
-    final record as a final change, so the first bad line raises. The
-    graph is made at the first good record, with that record's state as
-    its initial state.
+    The first pass takes the state count from the largest state id. The
+    second checks each line in file order, with :func:`gboost.fst.read_text`'s
+    messages, so the first bad line raises; then it appends an arc to its
+    source's list, or sets a state's final weight. The first record's
+    state is the initial state, and the graph is built from the lists.
     """
     lines = list(stream)
     ids = [-1]
@@ -432,12 +464,20 @@ def read_text_by_line(stream, symbols, negate=False):
             raise FormatError(f"unknown state id: {state}", line=lineno)
         return state
 
-    fst = None
+    def label(symbol, lineno):
+        if symbol not in symbols:
+            raise FormatError(f"unknown symbol: {symbol!r}", line=lineno)
+        return symbols.label(symbol)
+
+    arcs = [[] for _ in range(max(ids) + 1)]
+    finals = {}
+    initial = None
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) == 2:
+            kind = "final"
             state_text, weight_text = fields
             try:
                 state = state_id(state_text, lineno)
@@ -445,6 +485,7 @@ def read_text_by_line(stream, symbols, negate=False):
             except ValueError:
                 raise FormatError(f"bad final line: {line.strip()!r}", line=lineno) from None
         elif len(fields) == 5:
+            kind = "arc"
             src_text, dst_text, isym, osym, weight_text = fields
             try:
                 state = state_id(src_text, lineno)
@@ -452,23 +493,22 @@ def read_text_by_line(stream, symbols, negate=False):
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
+            ilabel, olabel = label(isym, lineno), label(osym, lineno)
         else:
             raise FormatError(
                 f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)
-        if fst is None:
-            fst = empty_graph(symbols, max(ids) + 1, initial=state)
-        try:
-            if len(fields) == 2:
-                delta = FstDiff(final_changes=[(state, fst.final_weight(state), sign * weight)])
-            else:
-                delta = FstDiff(added_arcs=[Arc(state, dst, symbols.label(isym),
-                                                symbols.label(osym), sign * weight)])
-            fst = apply_diff(fst, delta)
-        except InvariantError as exc:
-            raise FormatError(str(exc), line=lineno) from None
-    if fst is None:
+        weight *= sign
+        if not math.isfinite(weight):
+            raise FormatError(f"{kind} weight must be finite, got {weight}", line=lineno)
+        if initial is None:
+            initial = state
+        if kind == "final":
+            finals[state] = weight
+        else:
+            arcs[state].append((dst, ilabel, olabel, weight))
+    if initial is None:
         raise FormatError("empty FST file")
-    return fst
+    return graph_from_lists(symbols, arcs, initial, finals)
 
 
 def write_text_by_arc(fst, stream, negate=False):

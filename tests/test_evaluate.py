@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import toylm
 from gboost.arpa import parse_arpa
-from gboost.enhance import enhance
+from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.errors import FormatError, GboostError, InvariantError
 from gboost.evaluate import (PROXY_NOTE, CaseResult, EvalReport, RankingCase, grid_tsv,
                              load_cases, run_ranking, sweep)
@@ -129,13 +129,34 @@ class TestRunRanking:
 
 class TestControlSetStability:
     def test_untouched_sentences_score_bit_identically(self, telecom_graph,
-                                                       ool_config):
-        fst = telecom_graph
-        controls = toylm.toy_corpus(toylm.TELECOM_WORDS, 50, seed=23, max_len=6)
-        before = [graph_score(fst, s) for s in controls]
-        enhanced, _ = enhance(fst, ool_config)
-        after = [graph_score(enhanced, s) for s in controls]
-        assert before == after  # exact float equality, not approx
+                                                       telecom_frequencies, ool_config):
+        """A sentence naming no target word scores the same in every cell of a sweep.
+
+        It reads no arc that enhancement adds or raises, so a sweep could
+        score such sentences once for all its cells. One config adds new
+        words. The other raises existing arcs: it runs on a graph it has
+        already boosted at a lower theta, so each of its cells raises the
+        arcs that run added.
+        """
+        existing = EnhanceConfig(theta=-8.0, max_predictors=3, groups=[SimilarPairGroup(
+            predictors=["wo", "de", "shouji"], targets=["quxiao", "kaitong"],
+            frequencies=telecom_frequencies)])
+        boosted, _ = enhance(telecom_graph, existing)
+        for base, config in ((telecom_graph, ool_config), (boosted, existing)):
+            targets = {target for group in config.groups for target in group.targets}
+            words = [word for word in toylm.TELECOM_WORDS if word not in targets]
+            controls = toylm.toy_corpus(words, 500, seed=23, max_len=6)
+            before = [graph_score(base, sentence).hex() for sentence in controls]
+            for theta in (-4.0, -2.0, 0.0, 2.0):
+                for chnum in (1, 2, 3):
+                    enhanced, delta = enhance(base, dataclasses.replace(
+                        config, theta=theta, max_predictors=chnum))
+                    if config is existing:
+                        assert delta.reweighted_arcs and not delta.added_arcs
+                    else:
+                        assert delta.added_arcs
+                    after = [graph_score(enhanced, sentence).hex() for sentence in controls]
+                    assert after == before, (theta, chnum)  # bit for bit, not approx
 
 
 class TestSweep:

@@ -23,8 +23,8 @@ from gboost.arpa import parse_arpa
 from gboost.errors import FormatError, InvariantError
 from gboost.enhance import EnhanceConfig, SimilarPairGroup, enhance
 from gboost.fst import (COMPANION_SUFFIX, EPSILON, ID_MAX, WEIGHT_FMT, Arc, FstDiff,
-                        SymbolTable, Wfst, _Columns, _HEADER, _best_table, _hash, append_text,
-                        apply_diff, diff, format_arc, load_graph, read_text, write_companion,
+                        SymbolTable, Wfst, _Columns, _HEADER, _best_table, _derived, _hash,
+                        append_text, diff, format_arc, load_graph, read_text, write_companion,
                         write_text)
 from gboost.graph import build_g
 from conftest import random_graph
@@ -180,7 +180,7 @@ class TestWfstBasics:
         with pytest.raises(TypeError):
             fst.finals[0] = 1.0
         assert fst.finals == {1: 0.0}
-        derived = apply_diff(fst, FstDiff())
+        derived = derive(fst, FstDiff())
         assert derived.symbols is fst.symbols and not hasattr(derived.symbols, "add")
 
     def test_scan_groups_matching_arcs_in_order(self, two_path_acceptor):
@@ -198,6 +198,25 @@ def text_of(fst):
     buf = io.StringIO()
     write_text(fst, buf)
     return buf.getvalue()
+
+
+def derive(fst, delta):
+    """``fst`` with ``delta``'s edits held as edits, as enhancement's graph holds them.
+
+    The graph :func:`oracles.apply_diff_by_arc` builds, made by ``_derived``
+    over ``fst``'s columns: each state a removal or reweight touches
+    rewritten, and the added ``Arc`` objects themselves. With an empty
+    diff, a twin: another graph over ``fst``'s columns, tables and memo.
+    Materializes ``fst`` first, which a derived graph's base must be.
+    """
+    fst._materialize()
+    replayed = oracles.apply_diff_by_arc(fst, FstDiff(
+        removed_arcs=delta.removed_arcs, reweighted_arcs=delta.reweighted_arcs,
+        final_changes=delta.final_changes))
+    touched = ({arc.source for arc in delta.removed_arcs}
+               | {old.source for old, _ in delta.reweighted_arcs})
+    return _derived(fst, fst.symbols, {state: replayed.arcs(state) for state in touched},
+                    delta.added_arcs, replayed.finals)
 
 
 def random_edit(fst, rng):
@@ -270,14 +289,14 @@ class TestBestArcTables:
         diffs, expected = self.EDITS[edit]
         derived.clear()
         for delta in diffs:
-            fst = apply_diff(fst, delta)  # materializes the graph before it
+            fst = derive(fst, delta)  # materializes the graph before it
             table = fst.best_arcs(0)
             assert table == _best_table(fst.arcs(0))
             assert table is not shared
         assert derived == expected
         assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
         assert base.best_arcs(0) is shared
-        assert apply_diff(base, FstDiff()).best_arcs(0) is shared  # no edit: the same table
+        assert derive(base, FstDiff()).best_arcs(0) is shared  # no edit: the same table
 
     def test_tables_follow_random_edits(self, random_graph_factory):
         """Each graph derived along two lines of edits, and each one it came from."""
@@ -288,7 +307,7 @@ class TestBestArcTables:
             lines, graphs = [base, base], [base]
             for step in range(25):
                 which = rng.randrange(2)
-                lines[which] = apply_diff(lines[which], random_edit(lines[which], rng))
+                lines[which] = derive(lines[which], random_edit(lines[which], rng))
                 graphs.append(lines[which])
                 for fst in graphs:
                     for state in fst.states():
@@ -314,7 +333,7 @@ class TestPendingAdditions:
             Arc(0, 2, 3, 3, 2.0),   # ties the added arc before it: the first wins
             Arc(0, 2, 2, 2, 0.75),  # beats the column arc on b
         ]
-        fst = apply_diff(base, FstDiff(added_arcs=added))
+        fst = _derived(base, base.symbols, {}, added, base.finals)
         table = fst.best_arcs(0)
         assert list(map(id, fst._added)) == list(map(id, added)) and not fst._rewritten
         assert table == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.75), 3: (1, 3, 3, 2.0)}
@@ -330,49 +349,18 @@ class TestPendingAdditions:
     def test_copies_start_with_the_shared_tables(self, fst_factory):
         """Derived graphs, with edits or none, start with every table built beside the columns."""
         base = self.base(fst_factory)
-        table = apply_diff(base, FstDiff()).best_arcs(1)  # built through a twin, beside the columns
-        assert apply_diff(base, FstDiff())._tables[1] is table and base.best_arcs(1) is table
-        written = apply_diff(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
+        table = derive(base, FstDiff()).best_arcs(1)  # built through a twin, beside the columns
+        assert derive(base, FstDiff())._tables[1] is table and base.best_arcs(1) is table
+        written = derive(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
         assert written._tables[1] is table and written._tables[0] is None
         own = written.best_arcs(0)
-        grand = apply_diff(written, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
+        grand = derive(written, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
         assert grand._tables[0] is own and grand._tables[1] is None
         assert grand.best_arcs(1)[2] == (0, 2, 2, 3.0)
         assert written.best_arcs(1) is table and base.best_arcs(0) is not own
 
-    @pytest.mark.parametrize("added, message", [
-        # A non-finite weight at arc 2 comes before a bad target at arc 4.
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 2, 2, 2, math.nan), Arc(1, 2, 3, 3, 0.0),
-          Arc(0, 9, 1, 1, 0.0)], "arc weight must be finite, got nan"),
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2, -2, 0.0)], "labels must be non-negative: 2:-2"),
-        # A bad source is a bad arc like any other: the first one raises.
-        ([Arc(1, 0, 1, 1, 0.5), Arc(5, 0, 1, 1, 0.0), Arc(0, 9, 2, 2, 0.0)],
-         "unknown state id: 5"),
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 9, 2, 2, 0.0), Arc(5, 0, 1, 1, 0.0)],
-         "unknown state id: 9"),
-        # A label the int columns cannot hold, before a bad target.
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 2 ** 40, 2 ** 40, 0.0), Arc(0, 9, 1, 1, 0.0)],
-         f"labels must be at most {ID_MAX}: {2 ** 40}:{2 ** 40}"),
-        ([Arc(0, 1, 1, ID_MAX + 1, 0.0)], f"labels must be at most {ID_MAX}: 1:{ID_MAX + 1}"),
-        # A float label before a bad weight; a weight that is no number before a bad target.
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 1.0, 1, "w")], "labels must be integers: 1.0:1"),
-        ([Arc(1, 0, 1, 1, 0.5), Arc(0, 1, 1, 1, "w"), Arc(0, 9, 1, 1, 0.0)],
-         "arc weight must be a number, got 'w'"),
-    ])
-    def test_refused_additions_raise_the_first_error(self, fst_factory, added, message):
-        """A refused delta raises for its first bad arc and leaves its input as it was."""
-        base = self.base(fst_factory)
-        earlier = Arc(1, 1, 3, 3, -1.0)  # an addition the input holds as an edit
-        removal = Arc(0, 1, 1, 1, 1.0)
-        fst = apply_diff(base, FstDiff(added_arcs=[earlier]))
-        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-            apply_diff(fst, FstDiff(removed_arcs=[removal], added_arcs=added))
-        expected = oracles.apply_diff_by_arc(base, FstDiff(added_arcs=[earlier]))
-        assert text_of(fst) == text_of(expected)
-        assert diff(fst, expected) == FstDiff()
 
-
-# Reads compared between a graph derived through apply_diff or enhance
+# Reads compared between a graph derived through _derived or enhance
 # (edits not yet materialized) and the same graph built from plain arc
 # lists edited one arc at a time.
 _READS = ("best_arcs", "arcs", "num_arcs", "scan", "diff", "write_text")
@@ -442,28 +430,6 @@ def _draw_delta(data, eager):
     return delta
 
 
-def _draw_refused(data, eager):
-    """A delta apply_diff refuses: a valid one with one bad entry."""
-    delta = _draw_delta(data, eager)
-    n = eager.num_states()
-    bad = data.draw(st.sampled_from(("removal", "reweight", "addition", "final")))
-    if bad == "removal":
-        delta.removed_arcs.append(Arc(0, 0, 1, 1, 99.0))  # no arc weighs 99
-    elif bad == "reweight":
-        old = Arc(0, 0, 1, 1, 99.0)
-        delta.reweighted_arcs.append((old, old._replace(weight=math.nan)))
-    elif bad == "addition":
-        at = data.draw(st.integers(0, len(delta.added_arcs)))
-        refused = data.draw(st.sampled_from((Arc(0, n, 1, 1, 0.0),  # no state n
-                                             Arc(0, 0, 1, ID_MAX + 1, 0.0))))
-        delta.added_arcs.insert(at, refused)
-    else:
-        state = data.draw(st.integers(0, n), label="final state")
-        delta.final_changes.append((state, None, 0.0) if state == n
-                                   else (state, 99.0, None))  # no final weighs 99
-    return delta
-
-
 def _draw_config(data, symbols):
     """A valid one-group enhancement config over the words of ``symbols``."""
     new_words = ["nova", "nova2"]  # new at first, then in the tables of the graphs enhanced
@@ -501,13 +467,13 @@ def test_lazy_edits_read_as_eager_ones(kind, seed, data):
 
     Pairs of graphs start as fresh reads of one text. Each edit or
     enhancement derives a new pair from a drawn one: one graph through
-    apply_diff or enhance, the other through oracles.apply_diff_by_arc
-    from the same diff; an unedited pair derives through an empty diff,
-    over the same columns, tables and memo. The old pair stays, and later steps read and edit
-    it too, so edits stack on edited graphs. After every apply_diff or
-    enhance call, refused ones included, its input equals a snapshot taken
-    before the call. All reads of all pairs end the run, best_arcs first,
-    so edited states are read before anything materializes them.
+    _derived (see derive) or enhance, the other through
+    oracles.apply_diff_by_arc from the same diff; an unedited pair derives
+    through a twin, over the same columns, tables and memo. The old pair
+    stays, and later steps read and edit it too, so edits stack on edited
+    graphs. After every edit or enhance call, its input equals a snapshot
+    taken before the call. All reads of all pairs end the run, best_arcs
+    first, so edited states are read before anything materializes them.
     """
     if kind == "random":
         source = random_graph(seed, n_states=6, n_arcs=14, n_symbols=3, epsilon_arcs=2)
@@ -520,21 +486,17 @@ def test_lazy_edits_read_as_eager_ones(kind, seed, data):
     base = read_text(io.StringIO(text), symbols)
     pairs = [(read_text(io.StringIO(text), symbols), read_text(io.StringIO(text), symbols))]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
-        step = data.draw(st.sampled_from(("edit", "edit", "enhance", "refused", "unedited",
-                                          "read")))
+        step = data.draw(st.sampled_from(("edit", "edit", "enhance", "unedited", "read")))
         lazy, eager = data.draw(st.sampled_from(pairs))
         before = _snapshot(lazy)
         if step == "edit":
             delta = _draw_delta(data, eager)
-            pairs.append((apply_diff(lazy, delta), oracles.apply_diff_by_arc(eager, delta)))
+            pairs.append((derive(lazy, delta), oracles.apply_diff_by_arc(eager, delta)))
         elif step == "enhance":
             enhanced, delta = enhance(lazy, _draw_config(data, lazy.symbols))
             pairs.append((enhanced, oracles.apply_diff_by_arc(eager, delta, enhanced.symbols)))
-        elif step == "refused":
-            with pytest.raises(InvariantError):
-                apply_diff(lazy, _draw_refused(data, eager))
         elif step == "unedited":  # a new graph over the same columns, tables and memo
-            pairs.append((apply_diff(lazy, FstDiff()), oracles.apply_diff_by_arc(eager, FstDiff())))
+            pairs.append((derive(lazy, FstDiff()), oracles.apply_diff_by_arc(eager, FstDiff())))
         else:
             read = data.draw(st.sampled_from(_READS))
             for lazy, eager in pairs:
@@ -651,10 +613,10 @@ def perturb(fst, rng):
                 else:
                     new = old._replace(weight=round(rng.uniform(-4, 4), 6))
                     delta = FstDiff(reweighted_arcs=[(old, new)])
-                out = apply_diff(out, delta)
+                out = derive(out, delta)
         else:
             state = rng.randrange(out.num_states())
-            out = apply_diff(out, FstDiff(final_changes=[
+            out = derive(out, FstDiff(final_changes=[
                 (state, out.final_weight(state), round(rng.uniform(-1, 1), 6))]))
     return out
 
@@ -662,12 +624,12 @@ def perturb(fst, rng):
 class TestDiff:
     def test_identical_graphs_yield_empty_diff(self, two_path_acceptor):
         fresh = read_text(io.StringIO(text_of(two_path_acceptor)), two_path_acceptor.symbols)
-        for other in (two_path_acceptor, apply_diff(two_path_acceptor, FstDiff()), fresh):
+        for other in (two_path_acceptor, derive(two_path_acceptor, FstDiff()), fresh):
             assert diff(two_path_acceptor, other) == FstDiff()
 
     def test_single_weight_perturbation(self, two_path_acceptor):
         old = Arc(0, *two_path_acceptor.arcs(0)[0])
-        other = apply_diff(two_path_acceptor, FstDiff(reweighted_arcs=[
+        other = oracles.apply_diff_by_arc(two_path_acceptor, FstDiff(reweighted_arcs=[
             (old, old._replace(weight=0.5 + 1e-6))]))
         delta = diff(two_path_acceptor, other)
         assert delta.added_arcs == [] and delta.removed_arcs == []
@@ -683,7 +645,8 @@ class TestDiff:
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
 
     def test_final_change_reported(self, two_path_acceptor):
-        other = apply_diff(two_path_acceptor, FstDiff(final_changes=[(1, None, 0.0)]))
+        other = oracles.apply_diff_by_arc(two_path_acceptor,
+                                          FstDiff(final_changes=[(1, None, 0.0)]))
         delta = diff(two_path_acceptor, other)
         assert delta.final_changes == [(1, None, 0.0)]
 
@@ -705,87 +668,13 @@ class TestDiff:
         with pytest.raises(InvariantError, match="^initial states do not correspond$"):
             diff(fst, other)
 
-    def test_apply_diff_refuses_a_reweight_of_a_missing_arc(self, two_path_acceptor):
-        fst = two_path_acceptor
-        old = Arc(0, *fst.arcs(0)[0])
-        missing = old._replace(weight=old.weight + 1.0)
-        text = text_of(fst)
-        with pytest.raises(InvariantError,
-                           match=f"^{re.escape(f'cannot reweight missing arc {missing}')}$"):
-            apply_diff(fst, FstDiff(reweighted_arcs=[(old, old), (missing, old)]))
-        assert text_of(fst) == text
-
-    def test_apply_diff_rejects_malformed_entries(self, two_path_acceptor):
-        fst = two_path_acceptor
-        a, x, c = (fst.symbols.label(s) for s in "axc")
-        fst = add_arcs(fst, (2, 0, c, c, 1.0))  # source -1 would name the last state
-        deltas = [
-            FstDiff(removed_arcs=[Arc(7, 1, a, x, 0.5)]),
-            FstDiff(removed_arcs=[Arc(-1, 0, c, c, 1.0)]),
-            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1, a, x, math.nan))]),
-            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 2, a, x, 0.5))]),
-            FstDiff(added_arcs=[Arc(7, 1, a, x, 0.5)]),
-            FstDiff(added_arcs=[Arc(0, 7, a, x, 0.5)]),
-            FstDiff(added_arcs=[Arc(0, 1, -1, x, 0.5)]),
-            FstDiff(added_arcs=[Arc(0, 1, a, -1, 0.5)]),
-            FstDiff(added_arcs=[Arc(0, 1, a, ID_MAX + 1, 0.5)]),
-            *(FstDiff(added_arcs=[Arc(0, 1, a, x, bad)])
-              for bad in (math.inf, -math.inf, math.nan)),
-            FstDiff(final_changes=[(999, 3.5, None)]),  # no such state
-            FstDiff(final_changes=[(2, 5.0, None)]),  # state 2's final weight is 3.5
-            FstDiff(final_changes=[(2, None, 1.0)]),
-            FstDiff(final_changes=[(1, 0.0, None)]),  # state 1 is not final
-            FstDiff(final_changes=[(1, None, math.inf)]),
-            # A state or label that is not an int, a weight that is not a number.
-            FstDiff(added_arcs=[Arc(0, 1.5, a, x, 0.0)]),
-            FstDiff(added_arcs=[Arc(0, 1, 1.0 * a, x, 0.0)]),
-            FstDiff(added_arcs=[Arc(0, 1, a, 1.0 * x, 0.0)]),
-            FstDiff(added_arcs=[Arc(0.0, 1, a, x, 0.0)]),
-            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1.0, a, x, 0.7))]),
-            FstDiff(added_arcs=[Arc(0, 1, a, x, "0.5")]),
-            FstDiff(reweighted_arcs=[(Arc(0, 1, a, x, 0.5), Arc(0, 1, a, x, "0.7"))]),
-            FstDiff(final_changes=[(2, 3.5, "1.0")]),
-        ]
-        text = text_of(fst)
-        for delta in deltas:
-            with pytest.raises(InvariantError):
-                apply_diff(fst, delta)
-        assert text_of(fst) == text
-
-    @pytest.mark.parametrize("changes, message", [
-        ([(999, 0.0, None)], "unknown state id: 999"),
-        ([(1, 5.0, None)], "final change of state 1 expects final weight 5.0, found 0.0"),
-        ([(0, 0.0, 1.0)], "final change of state 0 expects final weight 0.0, found None"),
-        # A change sees the changes before it in the delta.
-        ([(1, 0.0, 2.0), (1, 0.0, None)],
-         "final change of state 1 expects final weight 0.0, found 2.0"),
-        ([(1, 0.0, None), (1, 0.0, 3.0)],
-         "final change of state 1 expects final weight 0.0, found None"),
-        ([(0, None, 1.0), (1, 0.0, -math.inf)], "final weight must be finite, got -inf"),
-    ])
-    def test_apply_diff_refuses_final_changes_that_do_not_fit(self, fst_factory, changes,
-                                                              message):
-        fst = fst_factory("a c", [(0, 1, "a", "a", 0.5)], {1: 0.0})
-        # Final changes come last: a bad addition before them raises first.
-        with pytest.raises(InvariantError, match="^unknown state id: 7$"):
-            apply_diff(fst, FstDiff(added_arcs=[Arc(0, 7, 1, 1, 0.0)], final_changes=changes))
-        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-            apply_diff(fst, FstDiff(final_changes=changes))
-        assert fst.finals == {1: 0.0} and text_of(fst) == "0 1 a a 0.5\n1 0\n"
-
-    def test_apply_diff_replays_final_changes_in_order(self, fst_factory):
-        fst = fst_factory("a c", [(0, 1, "a", "a", 0.5)], {1: 0.0})
-        changes = [(1, 0.0, 2.0), (1, 2.0, None), (0, None, -0.5), (1, None, 1.5)]
-        changed = apply_diff(fst, FstDiff(final_changes=changes))
-        assert changed.finals == {0: -0.5, 1: 1.5} and fst.finals == {1: 0.0}
-
     def test_replay_reproduces_target(self, random_graph_factory):
         rng = random.Random(4242)
         for seed in range(40):
             a = random_graph_factory(seed, n_states=12, n_arcs=60, n_symbols=3)
             b = perturb(a, rng)
             delta = diff(a, b)
-            replayed = apply_diff(a, delta)
+            replayed = oracles.apply_diff_by_arc(a, delta)
             assert oracles.graphs_equal(replayed, b)
             assert diff(replayed, b) == FstDiff()
 
@@ -795,7 +684,7 @@ class TestDiff:
         b = perturb(a, rng)
         for _ in range(5):
             b = perturb(b, rng)
-        replayed = apply_diff(a, diff(a, b))
+        replayed = oracles.apply_diff_by_arc(a, diff(a, b))
         assert oracles.graphs_equal(replayed, b)
 
     def test_diff_matches_grouping_reference(self, random_graph_factory):
@@ -816,9 +705,10 @@ class TestDiff:
             fresh_b = read_text(io.StringIO(text_of(b)), b.symbols)
             state = seed % 12
             arcs = [Arc(state, *arc) for arc in a.arcs(state)]
-            reversed_a = apply_diff(a, FstDiff(removed_arcs=arcs, added_arcs=arcs[::-1]))
+            reversed_a = oracles.apply_diff_by_arc(a, FstDiff(removed_arcs=arcs,
+                                                              added_arcs=arcs[::-1]))
             for before, after in ((a, b), (b, a), (a, fresh_b), (fresh_b, b),
-                                  (a, apply_diff(a, FstDiff())), (a, reversed_a),
+                                  (a, derive(a, FstDiff())), (a, reversed_a),
                                   (fresh_a, fresh_b),
                                   (fresh_b, fresh_a), (fresh_a, perturb(fresh_a, rng))):
                 assert diff(before, after) == oracles.diff_by_groups(before, after), seed
@@ -844,23 +734,27 @@ class TestDiff:
         assert delta == oracles.diff_by_groups(before, after)
         assert (delta == FstDiff(added_arcs=suffix)) == fast
 
-    def test_reweight_edits_the_last_equal_arc(self, two_path_acceptor):
-        a, x = (two_path_acceptor.symbols.label(s) for s in "ax")
-        twice = add_arcs(two_path_acceptor, (0, 1, a, x, 0.5))  # equals the state's first arc
-        old = Arc(0, 1, a, x, 0.5)
-        delta = FstDiff(reweighted_arcs=[(old, old._replace(weight=2.0))])
-        raised = apply_diff(twice, delta)
-        assert raised.arcs(0) == twice.arcs(0)[:-1] + [(1, a, x, 2.0)]
+    def test_reweight_edits_the_last_equal_arc(self, fst_factory):
+        """Enhancement raises a slot's last parallel arc, the one whose weight it reads."""
+        twice = fst_factory("a p z", [(0, 1, "a", "a", 0.5), (0, 1, "p", "p", 1.0),
+                                      (0, 1, "a", "a", 0.5), (1, 2, "z", "z", 0.0)], {2: 0.0})
+        a = twice.symbols.label("a")
+        config = EnhanceConfig(theta=1.0, max_predictors=1, groups=[SimilarPairGroup(
+            predictors=["p"], targets=["a"], frequencies={"p": 1, "a": 1})])
+        raised, delta = enhance(twice, config)
+        weight = 1.0 + math.log(0.5) + 1.0
+        assert delta == FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, 0.5), Arc(0, 1, a, a, weight))])
+        assert raised.arcs(0) == twice.arcs(0)[:-1] + [(1, a, a, weight)]
         assert raised.arcs(0) == oracles.apply_diff_by_arc(twice, delta).arcs(0)
 
-    def test_apply_diff_appends_additions_in_delta_order(self, two_path_acceptor):
+    def test_derived_graph_appends_additions_in_delta_order(self, two_path_acceptor):
         a, b, c = (two_path_acceptor.symbols.label(s) for s in "abc")
         added = [Arc(0, 2, a, a, -1.0), Arc(1, 0, b, b, -2.0), Arc(0, 1, c, c, -3.0),
                  Arc(1, 1, a, a, -4.0), Arc(0, 2, a, a, -1.0)]
         by_arc = two_path_acceptor
         for arc in added:
-            by_arc = apply_diff(by_arc, FstDiff(added_arcs=[arc]))
-        applied = apply_diff(two_path_acceptor, FstDiff(added_arcs=added))
+            by_arc = add_arcs(by_arc, arc)
+        applied = derive(two_path_acceptor, FstDiff(added_arcs=added))
         assert text_of(applied) == text_of(by_arc)
 
     def test_empty_diff_iff_equal(self, random_graph_factory):
@@ -986,7 +880,7 @@ class TestTextFormat:
     def test_last_state_named_only_by_a_live_arc(self):
         symbols = SymbolTable(["a"])
         fst = read_text(io.StringIO("0 1 a a -1\n1 2 a a -1\n1 0\n"), symbols)
-        fst = apply_diff(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
+        fst = derive(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())  # its column arc into 2 is gone
         fst = add_arcs(fst, (0, 2, 1, 1, -2.0))
@@ -1016,8 +910,8 @@ class TestTextFormat:
         for seed in range(20):
             fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4,
                                        initial=seed % 19)  # a state with arcs, not always 0
-            fst = apply_diff(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 2, 0.0), Arc(3, 4, 1, 2, -0.0)],
-                                          final_changes=[(5, fst.final_weight(5), -0.0)]))
+            fst = derive(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 2, 0.0), Arc(3, 4, 1, 2, -0.0)],
+                                      final_changes=[(5, fst.final_weight(5), -0.0)]))
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
             for graph in (fst, perturb(fst, rng), read, perturb(read, rng)):
                 for negate in (False, True):
@@ -1283,7 +1177,7 @@ def test_appended_text_is_the_copy_plus_the_arcs_and_its_companion_loads_it(kind
         Path(path).write_bytes(text)
         base, source = load(path, fst.symbols, negate)
         assert source == "text (companion missing)"
-        grown = apply_diff(base, FstDiff(added_arcs=added))
+        grown = derive(base, FstDiff(added_arcs=added))
         with open(out, "wb") as handle:
             written = append_text(path, _hash(text).digest(),
                                   [format_arc(arc, fst.symbols, negate) + "\n" for arc in added],
@@ -1343,7 +1237,7 @@ def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
 
 def test_write_text_refuses_an_initial_state_without_arcs_or_final_weight():
     fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {1: 0.5}), (0, 1, 1, 1, -1.0))
-    fst = apply_diff(fst, FstDiff(final_changes=[(1, 0.5, None)]))
+    fst = oracles.apply_diff_by_arc(fst, FstDiff(final_changes=[(1, 0.5, None)]))
     buf = io.StringIO()
     with pytest.raises(InvariantError, match="^initial state has no arcs and is not final; "
                                              "nothing to write$"):
@@ -1361,7 +1255,7 @@ def test_write_text_refuses_what_read_text_refuses():
                                              r"number of arcs and final states \(1\)"):
         write_text(sparse, buf)
     assert buf.getvalue() == ""  # refused before a byte is written
-    sparse = apply_diff(sparse, FstDiff(final_changes=[(1, None, 0.0)]))
+    sparse = oracles.apply_diff_by_arc(sparse, FstDiff(final_changes=[(1, None, 0.0)]))
     with pytest.raises(InvariantError, match=r"final states \(2\)"):
         write_text(sparse, buf)
     sparse = add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4

@@ -9,9 +9,9 @@ import toylm
 from gboost.arpa import BOS, EOS, UNK, oracle_score, parse_arpa
 from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, apply_diff, read_text, write_text
+from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, read_text, write_text
 from gboost.graph import build_g, graph_score
-from oracles import add_arcs, arcs_matching, history_states, path_weight
+from oracles import add_arcs, apply_diff_by_arc, arcs_matching, history_states, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
 
 LN10 = math.log(10.0)
@@ -231,10 +231,10 @@ class TestGraphScore:
         assert graph_score(fst, []) == -0.5 + -3.0
         added = add_arcs(fst, (0, 2, a, a, -1.0))  # a higher parallel arc
         assert graph_score(added, ["a"]) == -1.0 + -3.0
-        raised = apply_diff(added, FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, -2.0),
-                                                             Arc(0, 1, a, a, -0.5))]))
+        raised = apply_diff_by_arc(added, FstDiff(reweighted_arcs=[
+            (Arc(0, 1, a, a, -2.0), Arc(0, 1, a, a, -0.5))]))
         assert graph_score(raised, ["a"]) == -0.5 + -1.0
-        removed = apply_diff(raised, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
+        removed = apply_diff_by_arc(raised, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
         assert graph_score(removed, ["a"]) == -1.0 + -3.0
         assert graph_score(add_arcs(removed, (0, 1, a, a, 0.0)), ["a"]) == 0.0 + -1.0
         # Each graph it came from still scores its own arcs.
@@ -423,3 +423,33 @@ class TestGraphScore:
         folded = model.logprob(("a", "b", "c")) + (-0.22 * LN10)
         assert weight == pytest.approx(folded, abs=1e-12)
         assert target == states[("c",)]
+
+
+class TestBackoffMass:
+    """Before boosting, each state's words sum to one under failure semantics.
+
+    The estimator in ``toylm`` normalizes every history, and its ARPA text
+    keeps 7 significant digits, so the mass is 1 within 1e-6.
+    """
+
+    @staticmethod
+    def worst(fst):
+        return max(abs(oracles.failure_mass(fst, state) - 1.0)
+                   for state in fst.states() if state not in fst.finals)
+
+    def test_telecom_fixture(self, telecom_graph):
+        assert telecom_graph.num_states() == 90
+        assert self.worst(telecom_graph) < 1e-6
+
+    def test_order_four_model(self):
+        corpus = toylm.toy_corpus(toylm.TELECOM_WORDS[:-1], 2000, seed=11)
+        fst = build_g(parse(toylm.train_arpa(corpus, vocab=toylm.TELECOM_WORDS, order=4)))
+        assert fst.num_states() > 600
+        assert self.worst(fst) < 1e-6
+
+    def test_boosting_adds_mass(self, telecom_graph, ool_config):
+        """The oracle sees what the boost adds: it does not read 1 whatever the graph."""
+        enhanced, _ = enhance(telecom_graph, ool_config)
+        rises = [oracles.failure_mass(enhanced, state) - oracles.failure_mass(telecom_graph, state)
+                 for state in telecom_graph.states() if state not in telecom_graph.finals]
+        assert min(rises) > -1e-12 and max(rises) > 1e-3
