@@ -43,6 +43,7 @@ for sentence in sentences:
 
 buf = io.StringIO()
 write_text(fst, buf)
-print("\nfirst lines of the serialized graph (src dst isym osym weight):")
+print("\nfirst lines of the serialized graph (src dst word word weight: "
+      "G is an acceptor, so each arc prints its word twice):")
 for line in buf.getvalue().splitlines()[:5]:
     print("   ", line)

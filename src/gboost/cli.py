@@ -23,7 +23,10 @@ copy must hash to the digest of the text the graph was loaded from; a
 file changed in between exits 3 and writes nothing. Otherwise the whole
 graph is printed. Text is the interchange format, and exact: its weights
 and those of ``--diff`` lines read back bit for bit (see
-``gboost.fst.WEIGHT_FMT``); score lines print 9 significant digits. The
+``gboost.fst.WEIGHT_FMT``); score lines print 9 significant digits. A
+graph is an acceptor, so its text lines and the arc lines of ``--diff``
+and ``diff-fst`` print each arc's label twice, as input and output
+symbol; a graph text whose arc has two different symbols exits 2. The
 companion is derived data, safe to delete, that lets a later command
 skip the text parse. ``enhance``, ``score``, ``eval`` and ``diff-fst``
 load a graph from its companion when it matches the text, the --weights

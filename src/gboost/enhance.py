@@ -249,9 +249,9 @@ def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
         found = memo[("scan", labels)] = fst.scan(labels)
     # The weight of each existing target slot (source, destination, word);
     # the last of parallel arcs wins.
-    existing = {(source, arc[0], label): arc[3]
+    existing = {(source, dest, label): weight
                 for label in target_labels
-                for source, arc in found[label] if arc[2] == label}
+                for source, (dest, _, weight) in found[label]}
 
     # The best base per slot, in order of first candidate.
     best: dict[tuple[int, int, str], float] = {}
@@ -262,7 +262,7 @@ def _plan(fst: Wfst, config: EnhanceConfig) -> _Plan:
             f_x = None if group.is_new(target) else group.frequencies[target]
             for predictor in group.predictors[:prefix]:
                 log_ratio = _log_ratio(f_x, group.frequencies[predictor])
-                for source, (dest, _, _, w_y) in found[symbols.label(predictor)]:
+                for source, (dest, _, w_y) in found[symbols.label(predictor)]:
                     base = w_y + log_ratio
                     weights.append(w_y)
                     bases.append(base)
@@ -350,8 +350,8 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     delta = FstDiff()
     for target, source, dest, before, weight in raised:
         label = symbols.label(target)
-        delta.reweighted_arcs.append((Arc(source, dest, label, label, before),
-                                      Arc(source, dest, label, label, weight)))
+        delta.reweighted_arcs.append((Arc(source, dest, label, before),
+                                      Arc(source, dest, label, weight)))
     rewritten = _rewrite(fst, delta.reweighted_arcs)
     # The edits need no other check: their states come from the graph's
     # own arcs, their labels from its symbol table, and their weights were
@@ -360,9 +360,8 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     # constructor without its argument handling) makes the diff's arc,
     # which the enhanced graph holds too.
     for target, sources, dests, weights in added:
-        labels = repeat(symbols.label(target))
         delta.added_arcs += map(tuple.__new__, repeat(Arc),
-                                zip(sources, dests, labels, labels, weights))
+                                zip(sources, dests, repeat(symbols.label(target)), weights))
     log.info("enhance: theta %g, %d predictors: %d arcs added, %d raised, "
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,

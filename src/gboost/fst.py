@@ -1,4 +1,4 @@
-"""Weighted FSTs stored as shared arc columns, with text I/O and structural diffing.
+"""Weighted acceptors stored as shared arc columns, with text I/O and structural diffing.
 
 Weights are natural-log probabilities throughout: larger means more likely,
 and the weight of a path is the sum of its arc weights plus the final weight
@@ -6,37 +6,40 @@ of the state where it ends.  Cost-style (negated) files are handled at I/O
 time only, via the ``negate`` flag of :func:`read_text`, :func:`write_text`
 and :func:`append_text`.
 
-Storage. A graph holds its arcs in columns, grouped by source state
-(compressed sparse rows): per-state offsets into one stdlib ``array`` each
-of targets, input labels and output labels (C ``int``) and of weights (C
-``double``). That is about 20 bytes per arc and no Python object per arc.
-A graph is complete when it is made: :class:`Wfst`'s one constructor takes
-its symbol table, columns, initial state and finals, and nothing changes
-any of them afterwards. Symbol tables never change either, so graphs share
-them. What is computed from arcs (best-arc tables, the enhancement memo)
-lives beside their columns. :func:`gboost.enhance.enhance`, the one way
-to derive a graph from another, returns a new graph that shares the old
-one's columns and holds only its edits: the states whose arcs it raised,
-rewritten, and the very ``Arc`` objects its diff adds. Scoring reads an
-edited state's arcs from its edits; every other reader first materializes
-the graph once, merging its edits into columns of its own. So a graph
-that is edited and then scored pays only for the states it scores. State
-ids and labels must fit the C ``int`` columns.
+Storage. Every graph is an acceptor: an arc carries one label, which it
+reads and writes alike (Mohri, Pereira and Riley 2002, "Weighted
+finite-state transducers in speech recognition"). A graph holds its arcs
+in columns, grouped by source state (compressed sparse rows): per-state
+offsets into one stdlib ``array`` each of targets and labels (C ``int``)
+and of weights (C ``double``). That is about 16 bytes per arc and no
+Python object per arc. A graph is complete when it is made:
+:class:`Wfst`'s one constructor takes its symbol table, columns, initial
+state and finals, and nothing changes any of them afterwards. Symbol
+tables never change either, so graphs share them. What is computed from
+arcs (best-arc tables, the enhancement memo) lives beside their columns.
+:func:`gboost.enhance.enhance`, the one way to derive a graph from
+another, returns a new graph that shares the old one's columns and holds
+only its edits: the states whose arcs it raised, rewritten, and the very
+``Arc`` objects its diff adds. Scoring reads an edited state's arcs from
+its edits; every other reader first materializes the graph once, merging
+its edits into columns of its own. So a graph that is edited and then
+scored pays only for the states it scores. State ids and labels must
+fit the C ``int`` columns.
 
 Companion file. Text is the interchange format, and exact (see
 ``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
 :func:`write_companion` writes, beside a graph's text file ``PATH``, a
 binary copy ``PATH.bin`` of the graph written there, which
 :func:`load_graph` loads in a few array reads. It is derived data, safe to
-delete. Layout (version 2), in this machine's byte order and item sizes:
+delete. Layout (version 3), in this machine's byte order and item sizes:
 
-- header (``_HEADER``, little-endian): magic ``gboostG\\x02``; byte order
+- header (``_HEADER``, little-endian): magic ``gboostG\\x03``; byte order
   (1 little-endian) and the item sizes of ``q``, ``i`` and ``d`` arrays;
-  the negate flag; the counts of states, arcs, final states, label pairs
+  the negate flag; the counts of states, arcs, final states, labels
   and symbol-text bytes; the initial state; the BLAKE2b-256 of the text
   file;
-- the offsets (``q``, states + 1), then the targets, input labels and
-  output labels (``i``, one per arc) and the weights (``d``);
+- the offsets (``q``, states + 1), then the targets and labels (``i``,
+  one per arc) and the weights (``d``);
 - the final states (``i``) and their weights (``d``), the initial state
   first, then by id;
 - the labels the arcs use (``i``, ascending), then their symbols, UTF-8,
@@ -56,14 +59,14 @@ makes, its symbols are UTF-8, every label the arcs use is in its label
 list, and each of those names the same symbol in the reader's table (a
 larger table qualifies). The key is the content, not the path or a
 timestamp: a text edited in place never reads back as the old graph. Any
-other companion, version 1 included, or none, means the text is parsed.
-Once the size and negate flag pass, :func:`load_graph` hashes the text on
-a helper thread, in blocks of at most 1 MiB, while it reads and checks the
-payload; it joins that thread before it returns or raises, so no thread of
-its own outlives a load. The reason a companion is not used is the first
-failing check in this order, whichever of the two threads finds its
-failure first: size, negate flag, text digest (``stale``), payload
-digest, ranges, UTF-8, labels, symbols.
+other companion, versions 1 and 2 included, or none, means the text is
+parsed. Once the size and negate flag pass, :func:`load_graph` hashes the
+text on a helper thread, in blocks of at most 1 MiB, while it reads and
+checks the payload; it joins that thread before it returns or raises, so
+no thread of its own outlives a load. The reason a companion is not used
+is the first failing check in this order, whichever of the two threads
+finds its failure first: size, negate flag, text digest (``stale``),
+payload digest, ranges, UTF-8, labels, symbols.
 """
 
 from __future__ import annotations
@@ -236,10 +239,11 @@ class SymbolTable:
 
 
 class Arc(NamedTuple):
+    """One arc of an acceptor: its label is read and written alike."""
+
     source: int
     target: int
-    ilabel: int
-    olabel: int
+    label: int
     weight: float
 
 
@@ -256,8 +260,10 @@ class FstDiff:
     final_changes: list[tuple[int, float | None, float | None]] = field(default_factory=list)
 
 
-# scan() results: input label -> (source state, arc tuple) pairs.
-_Found = dict[int, list[tuple[int, tuple[int, int, int, float]]]]
+# An arc as a state's arc list holds it: (target, label, weight).
+_ArcTuple = tuple[int, int, float]
+# scan() results: label -> (source state, arc tuple) pairs.
+_Found = dict[int, list[tuple[int, _ArcTuple]]]
 _source = itemgetter(0)  # the source state of an Arc
 
 
@@ -265,58 +271,55 @@ class _Columns:
     """A built graph's arcs, grouped by source state: CSR over stdlib arrays.
 
     State ``s`` owns entries ``offsets[s]`` up to ``offsets[s + 1]`` of
-    the four arc columns, in arc order. Beside them is what is computed
-    from these arcs alone: ``best[s]``, the best-arc table of ``s``'s arcs,
-    None until first asked for, and ``memo`` (see :meth:`Wfst.memo`).
+    the three arc columns, targets, labels and weights, in arc order.
+    Beside them is what is computed from these arcs alone: ``best[s]``, the
+    best-arc table of ``s``'s arcs, None until first asked for, and
+    ``memo`` (see :meth:`Wfst.memo`).
     Neither the columns nor these values ever change once set, so every
     graph over the columns shares them: a sweep's cells, say, which derive
     graphs from one graph over and over.
     """
 
-    __slots__ = ("offsets", "targets", "ilabels", "olabels", "weights", "best", "memo")
+    __slots__ = ("offsets", "targets", "labels", "weights", "best", "memo")
 
-    def __init__(self, offsets: array, targets: array, ilabels: array, olabels: array,
-                 weights: array):
+    def __init__(self, offsets: array, targets: array, labels: array, weights: array):
         self.offsets = offsets
         self.targets = targets
-        self.ilabels = ilabels
-        self.olabels = olabels
+        self.labels = labels
         self.weights = weights
         self.best: list[dict | None] = [None] * (len(offsets) - 1)
         self.memo: dict = {}
 
-    def slices(self, state: int) -> tuple[array, array, array, array]:
-        """Targets, input labels, output labels and weights of ``state``'s arcs."""
+    def slices(self, state: int) -> tuple[array, array, array]:
+        """Targets, labels and weights of ``state``'s arcs."""
         start, end = self.offsets[state], self.offsets[state + 1]
-        return (self.targets[start:end], self.ilabels[start:end],
-                self.olabels[start:end], self.weights[start:end])
+        return self.targets[start:end], self.labels[start:end], self.weights[start:end]
 
-    def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+    def arcs(self, state: int) -> list[_ArcTuple]:
         """A new list of ``state``'s arc tuples."""
         return list(zip(*self.slices(state)))
 
-    def views(self) -> tuple[array, memoryview, memoryview, memoryview, memoryview]:
+    def views(self) -> tuple[array, memoryview, memoryview, memoryview]:
         """The offsets, then a view of each arc column, which slices without copying."""
-        return (self.offsets, memoryview(self.targets), memoryview(self.ilabels),
-                memoryview(self.olabels), memoryview(self.weights))
+        return (self.offsets, memoryview(self.targets), memoryview(self.labels),
+                memoryview(self.weights))
 
 
-def _best_table(arcs: Iterable[tuple[int, int, int, float]],
-                table: dict[int, tuple[int, int, int, float]] | None = None
-                ) -> dict[int, tuple[int, int, int, float]]:
+def _best_table(arcs: Iterable[_ArcTuple], table: dict[int, _ArcTuple] | None = None
+                ) -> dict[int, _ArcTuple]:
     # Folds `arcs`, in order, into `table` (a new one if None): an arc
     # replaces the held arc of its label only if it weighs strictly more.
     if table is None:
         table = {}
     for arc in arcs:
         held = table.get(arc[1])
-        if held is None or arc[3] > held[3]:
+        if held is None or arc[2] > held[2]:
             table[arc[1]] = arc
     return table
 
 
 class Wfst:
-    """A weighted FST: dense integer states, each with an ordered arc sequence.
+    """A weighted acceptor: dense integer states, each with an ordered arc sequence.
 
     A graph is complete when it is made. The constructor takes its symbol
     table, its arc columns (see the module docstring), its initial state
@@ -335,8 +338,8 @@ class Wfst:
     arcs but :meth:`best_arcs` first calls ``_materialize``, which merges
     the edits into columns of this graph's own, once, and changes no arc.
 
-    Each state has a best-arc table, ``{ilabel: arc}``, built on first use
-    by :meth:`best_arcs`: for each input label it holds the highest-weight
+    Each state has a best-arc table, ``{label: arc}``, built on first use
+    by :meth:`best_arcs`: for each label it holds the highest-weight
     arc tuple, the first in arc order among equal weights. The table of a
     state without edits is built once beside the columns and shared by
     every graph over them. ``_tables[s]`` is the table this graph last used
@@ -369,7 +372,7 @@ class Wfst:
         self._initial = initial
         self._finals: Mapping[int, float] = MappingProxyType(dict(finals))
         # The edits: each rewritten state's arcs, and the added arcs by source.
-        self._rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
+        self._rewritten: dict[int, list[_ArcTuple]] = {}
         self._added: list[Arc] = []
 
     symbols = property(attrgetter("_symbols"))
@@ -393,13 +396,13 @@ class Wfst:
 
     # -- arcs -----------------------------------------------------------
 
-    def _added_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+    def _added_arcs(self, state: int) -> list[_ArcTuple]:
         # The arcs added to `state`, in delta order, found by bisect.
         added = self._added
         start = bisect_left(added, state, key=_source)
         return [arc[1:] for arc in added[start:bisect_right(added, state, start, key=_source)]]
 
-    def _state_arcs(self, state: int) -> list[tuple[int, int, int, float]]:
+    def _state_arcs(self, state: int) -> list[_ArcTuple]:
         # A new list of `state`'s arcs, read from its edits.
         arcs = self._rewritten.get(state)
         if arcs is None:
@@ -418,7 +421,7 @@ class Wfst:
             return
         columns = self._columns
         offsets = columns.offsets
-        old = (columns.targets, columns.ilabels, columns.olabels, columns.weights)
+        old = (columns.targets, columns.labels, columns.weights)
         added = self._added
         sources = list(map(_source, added))
         extra = [array(column.typecode, map(itemgetter(field), added))
@@ -455,8 +458,8 @@ class Wfst:
             return offsets[-1]
         return offsets[state + 1] - offsets[state]
 
-    def arcs(self, state: int) -> list[tuple[int, int, int, float]]:
-        """A new list of the (target, ilabel, olabel, weight) tuples of ``state``, in order.
+    def arcs(self, state: int) -> list[_ArcTuple]:
+        """A new list of the (target, label, weight) tuples of ``state``, in order.
 
         Materializes the graph first. ``state`` is not range-checked: take
         it from :meth:`states` or from an arc target.
@@ -464,8 +467,8 @@ class Wfst:
         self._materialize()
         return self._columns.arcs(state)
 
-    def best_arcs(self, state: int) -> dict[int, tuple[int, int, int, float]]:
-        """The best-arc table of ``state``: input label -> arc tuple.
+    def best_arcs(self, state: int) -> dict[int, _ArcTuple]:
+        """The best-arc table of ``state``: label -> (target, label, weight) arc tuple.
 
         Each label maps to its highest-weight arc, the first in arc order
         among equal weights. Built on first use and then kept. The table of
@@ -488,15 +491,15 @@ class Wfst:
             self._tables[state] = table
         return table
 
-    def _column_table(self, state: int) -> dict[int, tuple[int, int, int, float]]:
+    def _column_table(self, state: int) -> dict[int, _ArcTuple]:
         # The shared best-arc table of a state's column arcs, built on first use.
         columns = self._columns
         table = columns.best[state]
         if table is None:
             slices = columns.slices(state)
-            ilabels = slices[1]
-            table = dict(zip(ilabels, zip(*slices)))
-            if len(table) < len(ilabels):  # a label on several arcs: pick per label
+            labels = slices[1]
+            table = dict(zip(labels, zip(*slices)))
+            if len(table) < len(labels):  # a label on several arcs: pick per label
                 table = _best_table(zip(*slices))
             columns.best[state] = table
         return table
@@ -515,23 +518,22 @@ class Wfst:
         return self._columns.memo
 
     def scan(self, labels: Iterable[int]) -> _Found:
-        """Arcs whose input label is in ``labels``, grouped by that label.
+        """Arcs whose label is in ``labels``, grouped by that label.
 
-        Each label maps to its ``(source, arc)`` pairs in state and arc
-        order, an empty list if it has none. One pass over the columns,
-        once the graph is materialized.
+        Each label maps to its ``(source, (target, label, weight))`` pairs
+        in state and arc order, an empty list if it has none. One pass over
+        the columns, once the graph is materialized.
         """
         self._materialize()
         labels = frozenset(labels)
         found: _Found = {label: [] for label in labels}
         columns = self._columns
-        offsets, targets, olabels, weights = (columns.offsets, columns.targets,
-                                              columns.olabels, columns.weights)
-        ilabels = columns.ilabels
-        for pos in compress(count(), map(labels.__contains__, ilabels)):
-            ilabel = ilabels[pos]
-            found[ilabel].append((bisect_right(offsets, pos) - 1,
-                                  (targets[pos], ilabel, olabels[pos], weights[pos])))
+        offsets, targets, weights = columns.offsets, columns.targets, columns.weights
+        column = columns.labels
+        for pos in compress(count(), map(labels.__contains__, column)):
+            label = column[pos]
+            found[label].append((bisect_right(offsets, pos) - 1,
+                                 (targets[pos], label, weights[pos])))
         return found
 
     def copy(self) -> "Wfst":
@@ -560,21 +562,20 @@ def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
     return fst
 
 
-# One arc as read_text packs it: target, ilabel, olabel (C int) and weight
-# (C double). Packing a record costs a third of four array appends.
-_ARC = Struct("iiid")
+# One arc as read_text packs it, 16 bytes: target, label (C int) and
+# weight (C double).
+_ARC = Struct("iid")
 
 
-def _unpack(records: bytearray) -> tuple[array, array, array, array]:
-    # The target, ilabel, olabel and weight columns of packed _ARC records:
-    # strided views, each copied out in one pass. A record's double is its
-    # last, aligned, field.
+def _unpack(records: bytearray) -> tuple[array, array, array]:
+    # The target, label and weight columns of packed _ARC records: strided
+    # views, each copied out in one pass. A record's double is its last,
+    # aligned, field.
     ints, doubles = (memoryview(records).cast(code) for code in "id")
     int_stride, double_stride = _ARC.size // ints.itemsize, _ARC.size // doubles.itemsize
-    targets, ilabels, olabels = (array("i", ints[field::int_stride].tobytes())
-                                 for field in range(3))
+    targets, labels = (array("i", ints[field::int_stride].tobytes()) for field in range(2))
     weights = array("d", doubles[double_stride - 1::double_stride].tobytes())
-    return targets, ilabels, olabels, weights
+    return targets, labels, weights
 
 
 def _gather(column: array, pieces: list[list[int]]) -> array:
@@ -589,20 +590,19 @@ def _gather(column: array, pieces: list[list[int]]) -> array:
 # Structural diff
 
 
-_arc_key = itemgetter(0, 1, 2)  # (target, ilabel, olabel) of an arc tuple
+_arc_key = itemgetter(0, 1)  # (target, label) of an arc tuple
 
 
-def _arc_groups(arcs: list[tuple[int, int, int, float]]
-                ) -> dict[tuple[int, int, int], list[float]]:
-    groups: dict[tuple[int, int, int], list[float]] = {}
-    for (t, i, o, w) in arcs:
-        groups.setdefault((t, i, o), []).append(w)
+def _arc_groups(arcs: list[_ArcTuple]) -> dict[tuple[int, int], list[float]]:
+    groups: dict[tuple[int, int], list[float]] = {}
+    for (t, label, w) in arcs:
+        groups.setdefault((t, label), []).append(w)
     return groups
 
 
 def _appended(before: list, after: list) -> list | None:
     # The arcs `after` appends to `before`, if it is `before` plus a suffix
-    # whose (target, ilabel, olabel) keys are pairwise distinct and absent
+    # whose (target, label) keys are pairwise distinct and absent
     # from `before`: then grouping would report exactly the suffix, in
     # order, as additions. None for any other change.
     size = len(before)
@@ -648,7 +648,7 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     """Exact arc-for-arc delta turning ``before`` into ``after``.
 
     Both graphs must share a symbol table and have the same state count.
-    Arcs agreeing on (target, ilabel, olabel) are matched by sorted weight;
+    Arcs agreeing on (target, label) are matched by sorted weight;
     surplus arcs become additions or removals. A state whose arcs are only
     appended to, each under a new key, as :func:`gboost.enhance.enhance`
     appends them, skips the grouping: its new arcs are its additions.
@@ -678,18 +678,18 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
         keys = list(b_groups)
         keys += [k for k in a_groups if k not in b_groups]
         for key in keys:
-            t, i, o = key
+            t, label = key
             b_weights = sorted(b_groups.get(key, ()))
             a_weights = sorted(a_groups.get(key, ()))
             shared = min(len(b_weights), len(a_weights))
             for bw, aw in zip(b_weights, a_weights):
                 if bw != aw:
                     out.reweighted_arcs.append(
-                        (Arc(state, t, i, o, bw), Arc(state, t, i, o, aw)))
+                        (Arc(state, t, label, bw), Arc(state, t, label, aw)))
             for w in b_weights[shared:]:
-                out.removed_arcs.append(Arc(state, t, i, o, w))
+                out.removed_arcs.append(Arc(state, t, label, w))
             for w in a_weights[shared:]:
-                out.added_arcs.append(Arc(state, t, i, o, w))
+                out.added_arcs.append(Arc(state, t, label, w))
 
     if before.finals != after.finals:
         for state in before.states():
@@ -700,14 +700,13 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
     return out
 
 
-def _rewrite(fst: Wfst, reweighted: Iterable[tuple[Arc, Arc]]
-             ) -> dict[int, list[tuple[int, int, int, float]]]:
+def _rewrite(fst: Wfst, reweighted: Iterable[tuple[Arc, Arc]]) -> dict[int, list[_ArcTuple]]:
     # Materializes fst, then plays the reweights, in order, on copies of
     # their states' arcs, and returns those copies by state. A reweight
     # edits the last arc equal to its old arc: the one whose weight
     # enhancement reads for a slot.
     fst._materialize()
-    rewritten: dict[int, list[tuple[int, int, int, float]]] = {}
+    rewritten: dict[int, list[_ArcTuple]] = {}
     # An Arc without its source is the tuple a state's arc list stores.
     for old, new in reweighted:
         arcs = rewritten.get(old.source)
@@ -729,8 +728,9 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
     """Write ``fst`` as text.
 
     One record per line, fields separated by spaces: an arc is ``src dst
-    isym osym weight`` and a final state ``state weight``, with symbols from
-    ``fst.symbols``. The initial state's records come first, so
+    sym sym weight``, its label's symbol printed twice, as input and output
+    symbol of an acceptor arc, and a final state ``state weight``, with
+    symbols from ``fst.symbols``. The initial state's records come first, so
     :func:`read_text` finds it on line 1; then every other state in id
     order, each with its arcs in list order and then its final weight, if it
     has one. Weights print as ``WEIGHT_FMT % w``, 17 significant digits,
@@ -742,9 +742,10 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
 
     InvariantError, before anything is written, if the initial state or
     the last state has neither arcs nor a final weight and, for the last,
-    no arc into it either (the file would not name it), or if the last state's id is at or above twice the number of
-    arcs and final states, which :func:`read_text` refuses; and, while
-    writing, if an arc carries a label the symbol table lacks.
+    no arc into it either (the file would not name it), or if the last
+    state's id is at or above twice the number of arcs and final states,
+    which :func:`read_text` refuses; and, while writing, if an arc carries
+    a label the symbol table lacks.
     """
     initial = fst.initial
     finals = fst.finals
@@ -762,20 +763,20 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
         raise InvariantError(f"the last state, {top}, is at or above twice the number of "
                              f"arcs and final states ({named}); the file would not read back")
     sign = -1.0 if negate else 1.0
-    symbol = fst.symbols._lab2sym.__getitem__
+    doubled = {label: f"{sym} {sym}" for label, sym in fst.symbols._lab2sym.items()}
     # File order is three runs of each column: the initial state's entries,
     # the states below it, the states above it. Rows are printed as taken.
     first, after = offsets[initial], offsets[initial + 1]
-    targets, ilabels, olabels, weights = (
-        chain(view[first:after], view[:first], view[after:]) for view in map(
-            memoryview, (columns.targets, columns.ilabels, columns.olabels, columns.weights)))
+    targets, labels, weights = (
+        chain(view[first:after], view[:first], view[after:])
+        for view in map(memoryview, (columns.targets, columns.labels, columns.weights)))
     if negate:  # 1.0 * w is w, bit for bit: only costs multiply
         weights = map(sign.__mul__, weights)
-    rows = zip(targets, map(symbol, ilabels), map(symbol, olabels), weights)
+    rows = zip(targets, map(doubled.__getitem__, labels), weights)
     write = stream.write
     for state in chain((initial,), range(initial), range(initial + 1, top + 1)):
         try:
-            text = "".join(map(f"{state} %s %s %s {WEIGHT_FMT}\n".__mod__,
+            text = "".join(map(f"{state} %s %s {WEIGHT_FMT}\n".__mod__,
                                islice(rows, offsets[state + 1] - offsets[state])))
         except KeyError as exc:
             raise InvariantError(f"unknown label: {exc.args[0]}") from None
@@ -788,12 +789,12 @@ def write_text(fst: Wfst, stream: TextIO, negate: bool = False) -> None:
 def format_arc(arc: Arc, symbols: SymbolTable, negate: bool = False) -> str:
     """``arc``'s line in graph text, as :func:`write_text` prints it, without its newline.
 
-    ``src dst isym osym weight``, with symbols from ``symbols``;
-    InvariantError for a label it lacks.
+    ``src dst sym sym weight``, the label's symbol from ``symbols`` printed
+    twice; InvariantError for a label it lacks.
     """
     weight = -1.0 * arc.weight if negate else arc.weight
-    return (f"{arc.source} {arc.target} {symbols.symbol(arc.ilabel)} "
-            f"{symbols.symbol(arc.olabel)} {WEIGHT_FMT % weight}")
+    sym = symbols.symbol(arc.label)
+    return f"{arc.source} {arc.target} {sym} {sym} {WEIGHT_FMT % weight}"
 
 
 def append_text(path: str, digest: bytes, lines: Iterable[str], stream: BinaryIO) -> bytes:
@@ -832,13 +833,15 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     """Read a graph written by :func:`write_text`, labelled by ``symbols``.
 
     One record per non-blank line, fields separated by any whitespace: an
-    arc is ``src dst isym osym weight`` and a final state ``state weight``.
-    The first record's first field names the initial state. Each state's
-    arcs keep their order in the file, even when split over several blocks;
-    a state's last final record wins. The finals come in the order
-    :func:`write_text` writes them, whatever the file's: the initial state
-    first, then by id. With ``negate`` the file holds costs and every
-    weight is negated on the way in.
+    arc is ``src dst sym sym weight``, as :func:`write_text` prints it,
+    and a final state ``state weight``. The graph is an acceptor, so an
+    arc's two symbols must be the same. The first record's first field
+    names the initial state. Each state's arcs keep their order in the
+    file, even when split over several blocks; a state's last final record
+    wins. The finals come in the order :func:`write_text` writes them,
+    whatever the file's: the initial state first, then by id. With
+    ``negate`` the file holds costs and every weight is negated on the way
+    in.
 
     State ids are dense: the graph gets every state from 0 up to the
     largest id named. An arc names two states and a final state one, so an
@@ -849,7 +852,8 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
 
     Every malformed record is a FormatError at its line: a wrong field
     count, a bad number, a negative state id or one above ``ID_MAX``, an
-    unknown symbol (named in the message) or a non-finite weight.
+    arc whose output symbol differs from its input symbol (both named in
+    the message), an unknown symbol (named) or a non-finite weight.
 
     Each arc is packed into a byte record as it is read. At the end the
     records are split into the columns, and each run of arc lines from one
@@ -891,20 +895,20 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
                     runs.append((source, arcs))
                     if initial is None:
                         initial = source
-                _, target_text, isym, osym, weight_text = fields
+                _, target_text, sym, osym, weight_text = fields
                 target = int(target_text)
                 if not 0 <= target <= top:
                     new_top(target, lineno)
                 weight = sign * float(weight_text)
-                ilabel = label_of(isym)
-                if ilabel is None:
-                    raise FormatError(f"unknown symbol: {isym!r}", line=lineno)
-                olabel = ilabel if osym == isym else label_of(osym)
-                if olabel is None:
-                    raise FormatError(f"unknown symbol: {osym!r}", line=lineno)
+                if osym != sym:
+                    raise FormatError(f"not an acceptor arc: output symbol {osym!r} differs "
+                                      f"from input symbol {sym!r}", line=lineno)
+                label = label_of(sym)
+                if label is None:
+                    raise FormatError(f"unknown symbol: {sym!r}", line=lineno)
                 if not isfinite(weight):
                     raise FormatError(f"arc weight must be finite, got {weight}", line=lineno)
-                records += pack(target, ilabel, olabel, weight)
+                records += pack(target, label, weight)
                 arcs += 1
             elif count == 2:
                 state = int(fields[0])
@@ -929,7 +933,7 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
     if top >= 2 * named:
         raise FormatError(f"state id {top} is at or above twice the number of arcs and "
                           f"final states ({named})", line=top_line)
-    targets, ilabels, olabels, weights = _unpack(records)
+    targets, labels, weights = _unpack(records)
     del records
     # Gather each source's runs, in file order, as its state's arcs.
     ends = [start for _, start in runs[1:]]
@@ -945,10 +949,10 @@ def read_text(stream: TextIO, symbols: SymbolTable, negate: bool = False) -> Wfs
         else:
             pieces.append([start, end])
     if len(pieces) > 1:
-        targets, ilabels, olabels, weights = (
-            _gather(column, pieces) for column in (targets, ilabels, olabels, weights))
-    return Wfst(symbols, _Columns(array("q", accumulate(counts, initial=0)), targets, ilabels,
-                                  olabels, weights),
+        targets, labels, weights = (
+            _gather(column, pieces) for column in (targets, labels, weights))
+    return Wfst(symbols, _Columns(array("q", accumulate(counts, initial=0)), targets, labels,
+                                  weights),
                 initial, {state: finals[state] for state in _final_order(finals, initial)})
 
 
@@ -963,10 +967,10 @@ def _final_order(finals: Iterable[int], initial: int) -> list[int]:
 COMPANION_SUFFIX = ".bin"
 
 # magic; byte order (1 little-endian, 0 big-endian), item sizes of the "q",
-# "i" and "d" arrays, negate flag; counts of states, arcs, finals, label
-# pairs and symbol-text bytes; initial state; BLAKE2b-256 of the text file.
+# "i" and "d" arrays, negate flag; counts of states, arcs, finals, listed
+# labels and symbol-text bytes; initial state; BLAKE2b-256 of the text file.
 _HEADER = Struct("<8s5B3x6q32s")
-_MAGIC = b"gboostG\x02"
+_MAGIC = b"gboostG\x03"
 _NATIVE = (sys.byteorder == "little", array("q").itemsize, array("i").itemsize,
            array("d").itemsize)
 _DIGEST_SIZE = 32
@@ -1041,17 +1045,14 @@ def write_companion(fst: Wfst, text_digest: bytes, stream: BinaryIO,
     fst._materialize()
     columns, finals, initial = fst._columns, fst.finals, fst.initial
     final_states = _final_order(finals, initial)
-    used = set(columns.ilabels)
-    if columns.olabels != columns.ilabels:
-        used.update(columns.olabels)
-    labels = sorted(used)
+    labels = sorted(set(columns.labels))
     names = "".join(fst.symbols.symbol(label) + "\n" for label in labels).encode()
     header = _HEADER.pack(_MAGIC, *_NATIVE, negate, len(columns.offsets) - 1,
                           len(columns.weights), len(finals), len(labels), len(names),
                           initial, text_digest)
     digest = _hash()
-    for part in (header, columns.offsets, columns.targets, columns.ilabels, columns.olabels,
-                 columns.weights, array("i", final_states),
+    for part in (header, columns.offsets, columns.targets, columns.labels, columns.weights,
+                 array("i", final_states),
                  array("d", map(finals.__getitem__, final_states)),
                  array("i", labels), names):
         digest.update(part)
@@ -1061,7 +1062,7 @@ def write_companion(fst: Wfst, text_digest: bytes, stream: BinaryIO,
 
 def _parts(states: int, arcs: int, finals: int, pairs: int) -> tuple[tuple[str, int], ...]:
     # The arrays after a companion's header: (typecode, item count) each.
-    return (("q", states + 1), ("i", arcs), ("i", arcs), ("i", arcs), ("d", arcs),
+    return (("q", states + 1), ("i", arcs), ("i", arcs), ("d", arcs),
             ("i", finals), ("d", finals), ("i", pairs))
 
 
@@ -1149,7 +1150,7 @@ def _read_payload(handle: BinaryIO, header: bytes, symbols: SymbolTable) -> Wfst
         raise _Fallback(f"corrupt: {exc}") from None
     if not sealed:
         raise _Fallback("corrupt: payload digest mismatch")
-    offsets, targets, ilabels, olabels, weights, final_states, final_weights, labels = columns
+    offsets, targets, arc_labels, weights, final_states, final_weights, labels = columns
     # Checked like outside input: read_text's own bounds, every id in
     # range, every weight finite and every label listed.
     if not (0 < states <= min(ID_MAX + 1, 2 * (arcs + finals)) and 0 <= initial < states
@@ -1163,16 +1164,11 @@ def _read_payload(handle: BinaryIO, header: bytes, symbols: SymbolTable) -> Wfst
         names = names.decode().split("\n")
     except UnicodeDecodeError:
         raise _Fallback("corrupt: its symbols are not UTF-8") from None
-    used = set(ilabels)
-    if olabels == ilabels:  # an acceptor's, as build_g makes it: one column serves both
-        olabels = ilabels
-    else:
-        used.update(olabels)
-    if names.pop() or len(names) != pairs or not used <= set(labels):
+    if names.pop() or len(names) != pairs or not set(arc_labels) <= set(labels):
         raise _Fallback("corrupt: an arc label is not in its label list")
     if list(map(symbols._lab2sym.get, labels)) != names:
         raise _Fallback("symbols")
-    return Wfst(symbols, _Columns(offsets, targets, ilabels, olabels, weights), initial,
+    return Wfst(symbols, _Columns(offsets, targets, arc_labels, weights), initial,
                 dict(zip(final_states, final_weights)))
 
 

@@ -129,9 +129,7 @@ def build_g(model: NGramModel) -> Wfst:
         labels[slot] = EPSILON_LABEL
         weights[slot] = weight
 
-    # Word and back-off arcs are acceptor arcs: one label column serves both.
-    return Wfst(symbols, _Columns(offsets, targets, labels, labels, weights), hop((BOS,))[0],
-                {final: 0.0})
+    return Wfst(symbols, _Columns(offsets, targets, labels, weights), hop((BOS,))[0], {final: 0.0})
 
 
 def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
@@ -200,7 +198,7 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
                 word = symbols.symbol(word_label)
                 raise NoPathError(f"word {word!r} at position {position} is unreachable",
                                   word=word, position=position)
-            state, _, _, weight = arc
+            state, _, weight = arc
             total += weight
             hops += 1
             if hops == max_backoffs:
@@ -209,7 +207,7 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
             if table is None:
                 table = fst.best_arcs(state)
             arc = table.get(word_label)
-        state, _, _, weight = arc
+        state, _, weight = arc
         total += weight
 
     if early_end is not None:

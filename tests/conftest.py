@@ -15,7 +15,7 @@ from oracles import add_arcs, empty_graph, graph_from_lists
 
 
 def make_fst(symbols, arcs, finals, initial=0, num_states=None):
-    """Build a graph from (src, dst, isym, osym, weight) tuples, each state's arcs in order.
+    """Build a graph from (src, dst, sym, weight) tuples, each state's arcs in order.
 
     ``num_states`` defaults to one more than the largest state named.
     """
@@ -23,8 +23,8 @@ def make_fst(symbols, arcs, finals, initial=0, num_states=None):
     if num_states is None:
         num_states = 1 + max([initial] + [max(a[0], a[1]) for a in arcs] + list(finals))
     lists = [[] for _ in range(num_states)]
-    for src, dst, isym, osym, weight in arcs:
-        lists[src].append((dst, table.label(isym), table.label(osym), weight))
+    for src, dst, sym, weight in arcs:
+        lists[src].append((dst, table.label(sym), weight))
     return graph_from_lists(table, lists, initial, finals)
 
 
@@ -47,22 +47,17 @@ def fst_factory():
 def two_path_acceptor(fst_factory):
     # Three states, two transitions out of the start, one weighted final.
     # Accepting "ac" totals 0.5 + 2.5 + 3.5 = 6.5.
-    return fst_factory(
-        "a b c x y z",
-        [(0, 1, "a", "x", 0.5), (0, 1, "b", "y", 1.5), (1, 2, "c", "z", 2.5)],
-        {2: 3.5},
-    )
+    return fst_factory("a b c", [(0, 1, "a", 0.5), (0, 1, "b", 1.5), (1, 2, "c", 2.5)], {2: 3.5})
 
 
 def random_graph(seed, n_states=50, n_arcs=200, n_symbols=8, epsilon_arcs=0, initial=0):
     """Seeded random graph with a chain backbone (no isolated states)."""
     rng = random.Random(seed)
-    arcs = [(s, s + 1, rng.randint(1, n_symbols), rng.randint(1, n_symbols),
-             round(rng.uniform(-5, 5), 6)) for s in range(n_states - 1)]
+    arcs = [(s, s + 1, rng.randint(1, n_symbols), round(rng.uniform(-5, 5), 6))
+            for s in range(n_states - 1)]
     arcs += [(rng.randrange(n_states), rng.randrange(n_states), rng.randint(1, n_symbols),
-              rng.randint(1, n_symbols), round(rng.uniform(-5, 5), 6))
-             for _ in range(max(0, n_arcs - (n_states - 1)))]
-    arcs += [(rng.randrange(n_states), rng.randrange(n_states), 0, 0,
+              round(rng.uniform(-5, 5), 6)) for _ in range(max(0, n_arcs - (n_states - 1)))]
+    arcs += [(rng.randrange(n_states), rng.randrange(n_states), 0,
               round(rng.uniform(-3, -0.1), 6)) for _ in range(epsilon_arcs)]
     finals = {state: round(rng.uniform(-2, 2), 6)
               for state in rng.sample(range(n_states), max(1, n_states // 10))}

@@ -43,7 +43,7 @@ def graph_from_lists(symbols, arc_lists, initial=0, finals=None):
     ``finals`` maps states to final weights, none by default. The arcs are
     not checked; the constructor checks ``initial`` and ``finals``.
     """
-    columns = [array(code) for code in "iiid"]
+    columns = [array(code) for code in "iid"]
     counts = []
     for arcs in arc_lists:
         counts.append(len(arcs))
@@ -54,7 +54,7 @@ def graph_from_lists(symbols, arc_lists, initial=0, finals=None):
 
 
 def add_arcs(fst, *arcs):
-    """A new graph: ``fst`` with ``(source, target, ilabel, olabel, weight)`` arcs appended."""
+    """A new graph: ``fst`` with ``(source, target, label, weight)`` arcs appended."""
     return apply_diff_by_arc(fst, FstDiff(added_arcs=[Arc(*arc) for arc in arcs]))
 
 
@@ -71,11 +71,11 @@ def enumerate_path_weights(fst, labels, max_epsilon_run=20):
             final = fst.final_weight(state)
             if final is not None:
                 totals.append(acc + final)
-        for target, ilabel, _, weight in fst.arcs(state):
-            if ilabel == 0:
+        for target, label, weight in fst.arcs(state):
+            if label == 0:
                 if eps_run < max_epsilon_run:
                     walk(target, pos, eps_run + 1, acc + weight)
-            elif pos < len(labels) and ilabel == labels[pos]:
+            elif pos < len(labels) and label == labels[pos]:
                 walk(target, pos + 1, 0, acc + weight)
 
     walk(fst.initial, 0, 0, 0.0)
@@ -100,7 +100,7 @@ def greedy_score(fst, sentence, max_backoffs=20):
     def first_best(state, label):
         found = None
         for arc in fst.arcs(state):
-            if arc[1] == label and (found is None or arc[3] > found[3]):
+            if arc[1] == label and (found is None or arc[2] > found[2]):
                 found = arc
         return found
 
@@ -114,10 +114,10 @@ def greedy_score(fst, sentence, max_backoffs=20):
             arc = first_best(state, 0)
             if arc is None:
                 return None
-            state, total = arc[0], total + arc[3]
+            state, total = arc[0], total + arc[2]
         else:
             return None
-        state, total = arc[0], total + arc[3]
+        state, total = arc[0], total + arc[2]
     final = fst.final_weight(state)
     return None if final is None else total + final
 
@@ -125,11 +125,11 @@ def greedy_score(fst, sentence, max_backoffs=20):
 # -- best-path (epsilon) semantics ------------------------------------------
 
 
-def arcs_matching(fst: Wfst, state: int, ilabel: int) -> list[tuple[int, int, int, float]]:
-    """Arcs of ``state`` (as in :meth:`Wfst.arcs`) whose input label is ``ilabel``."""
+def arcs_matching(fst: Wfst, state: int, label: int) -> list[tuple[int, int, float]]:
+    """Arcs of ``state`` (as in :meth:`Wfst.arcs`) whose label is ``label``."""
     if not 0 <= state < fst.num_states():
         raise InvariantError(f"unknown state id: {state}")
-    return [arc for arc in fst.arcs(state) if arc[1] == ilabel]
+    return [arc for arc in fst.arcs(state) if arc[1] == label]
 
 
 def failure_mass(fst: Wfst, state: int) -> float:
@@ -151,12 +151,12 @@ def failure_mass(fst: Wfst, state: int) -> float:
         while True:
             arcs = arcs_matching(fst, at, word)
             if arcs:
-                total += math.exp(weight + max(arc[3] for arc in arcs))
+                total += math.exp(weight + max(arc[2] for arc in arcs))
                 break
             backoffs = arcs_matching(fst, at, EPSILON_LABEL)
             if not backoffs:
                 break
-            target, _, _, backoff = max(backoffs, key=lambda arc: arc[3])
+            target, _, backoff = max(backoffs, key=lambda arc: arc[2])
             at, weight = target, weight + backoff
     return total
 
@@ -181,7 +181,7 @@ def _epsilon_closure(fst: Wfst, frontier: dict[int, float]) -> dict[int, float]:
         changed = False
         for state in list(frontier):
             base = frontier[state]
-            for target, _, _, weight in arcs_matching(fst, state, EPSILON_LABEL):
+            for target, _, weight in arcs_matching(fst, state, EPSILON_LABEL):
                 cand = base + weight
                 if cand > frontier.get(target, -math.inf):
                     frontier[target] = cand
@@ -208,7 +208,7 @@ def path_weight(fst: Wfst, input_seq: Sequence[str | int]) -> float | None:
     for label in labels:
         advanced: dict[int, float] = {}
         for state, weight in frontier.items():
-            for target, _, _, arc_weight in arcs_matching(fst, state, label):
+            for target, _, arc_weight in arcs_matching(fst, state, label):
                 cand = weight + arc_weight
                 if cand > advanced.get(target, -math.inf):
                     advanced[target] = cand
@@ -324,9 +324,9 @@ def enhance_by_candidate(fst, config):
     target_labels = {label(t) for g in config.groups for t in g.targets}
     existing = {}
     for state in fst.states():
-        for dest, ilabel, olabel, weight in fst.arcs(state):
-            if ilabel in target_labels and olabel == ilabel:
-                existing[(state, dest, ilabel)] = weight
+        for dest, arc_label, weight in fst.arcs(state):
+            if arc_label in target_labels:
+                existing[(state, dest, arc_label)] = weight
 
     best = {}
     overshoot = 0
@@ -337,8 +337,8 @@ def enhance_by_candidate(fst, config):
             for predictor in group.predictors[:config.max_predictors]:
                 y, f_y = label(predictor), group.frequencies[predictor]
                 for state in fst.states():
-                    for dest, ilabel, _, w_y in fst.arcs(state):
-                        if ilabel != y:
+                    for dest, arc_label, w_y in fst.arcs(state):
+                        if arc_label != y:
                             continue
                         weight = compute_enhanced_weight(w_y, f_x, f_y, config.theta)
                         overshoot += weight > w_y
@@ -350,10 +350,10 @@ def enhance_by_candidate(fst, config):
     for (state, dest, x), weight in best.items():
         before = existing.get((state, dest, x))
         if before is None:
-            delta.added_arcs.append(Arc(state, dest, x, x, weight))
+            delta.added_arcs.append(Arc(state, dest, x, weight))
         elif weight > before:
-            delta.reweighted_arcs.append((Arc(state, dest, x, x, before),
-                                          Arc(state, dest, x, x, weight)))
+            delta.reweighted_arcs.append((Arc(state, dest, x, before),
+                                          Arc(state, dest, x, weight)))
     return delta, overshoot
 
 
@@ -381,11 +381,11 @@ def scan_by_arc(fst, labels):
 
 
 def best_arcs_by_arc(fst, state):
-    """What :meth:`Wfst.best_arcs` returns: per input label, the first highest-weight arc."""
+    """What :meth:`Wfst.best_arcs` returns: per label, the first highest-weight arc."""
     table = {}
     for arc in fst.arcs(state):
         held = table.get(arc[1])
-        if held is None or arc[3] > held[3]:
+        if held is None or arc[2] > held[2]:
             table[arc[1]] = arc
     return table
 
@@ -493,7 +493,10 @@ def read_text_by_line(stream, symbols, negate=False):
                 weight = float(weight_text)
             except ValueError:
                 raise FormatError(f"bad arc line: {line.strip()!r}", line=lineno) from None
-            ilabel, olabel = label(isym, lineno), label(osym, lineno)
+            if osym != isym:
+                raise FormatError(f"not an acceptor arc: output symbol {osym!r} differs "
+                                  f"from input symbol {isym!r}", line=lineno)
+            arc_label = label(isym, lineno)
         else:
             raise FormatError(
                 f"expected 2 or 5 fields, got {len(fields)}: {line.strip()!r}", line=lineno)
@@ -505,7 +508,7 @@ def read_text_by_line(stream, symbols, negate=False):
         if kind == "final":
             finals[state] = weight
         else:
-            arcs[state].append((dst, ilabel, olabel, weight))
+            arcs[state].append((dst, arc_label, weight))
     if initial is None:
         raise FormatError("empty FST file")
     return graph_from_lists(symbols, arcs, initial, finals)
@@ -517,8 +520,8 @@ def write_text_by_arc(fst, stream, negate=False):
 
     def emit_state(state):
         sym = fst.symbols.symbol
-        for (t, i, o, w) in fst.arcs(state):
-            stream.write(f"{state} {t} {sym(i)} {sym(o)} {WEIGHT_FMT % (sign * w)}\n")
+        for (t, label, w) in fst.arcs(state):
+            stream.write(f"{state} {t} {sym(label)} {sym(label)} {WEIGHT_FMT % (sign * w)}\n")
         final = fst.final_weight(state)
         if final is not None:
             stream.write(f"{state} {WEIGHT_FMT % (sign * final)}\n")
@@ -532,7 +535,7 @@ def write_text_by_arc(fst, stream, negate=False):
 
 
 def diff_by_groups(before, after):
-    """Arc delta from grouping every state's arcs by (target, ilabel, olabel).
+    """Arc delta from grouping every state's arcs by (target, label).
 
     Within a group, weights are matched in sorted order; surplus weights
     become additions or removals.
@@ -547,8 +550,8 @@ def diff_by_groups(before, after):
 
     def groups(fst, state):
         out = {}
-        for (t, i, o, w) in fst.arcs(state):
-            out.setdefault((t, i, o), []).append(w)
+        for (t, label, w) in fst.arcs(state):
+            out.setdefault((t, label), []).append(w)
         return out
 
     out = FstDiff()
@@ -558,18 +561,16 @@ def diff_by_groups(before, after):
         keys = list(b_groups)
         keys += [k for k in a_groups if k not in b_groups]
         for key in keys:
-            t, i, o = key
             b_weights = sorted(b_groups.get(key, ()))
             a_weights = sorted(a_groups.get(key, ()))
             shared = min(len(b_weights), len(a_weights))
             for bw, aw in zip(b_weights, a_weights):
                 if bw != aw:
-                    out.reweighted_arcs.append(
-                        (Arc(state, t, i, o, bw), Arc(state, t, i, o, aw)))
+                    out.reweighted_arcs.append((Arc(state, *key, bw), Arc(state, *key, aw)))
             for w in b_weights[shared:]:
-                out.removed_arcs.append(Arc(state, t, i, o, w))
+                out.removed_arcs.append(Arc(state, *key, w))
             for w in a_weights[shared:]:
-                out.added_arcs.append(Arc(state, t, i, o, w))
+                out.added_arcs.append(Arc(state, *key, w))
 
     for state in before.states():
         bw = before.final_weight(state)

@@ -86,7 +86,7 @@ def test_c4_parallel_arc_replay(fst_factory):
     with criterion(4, "single donor arc replay"):
         fst = fst_factory(
             "a b c",
-            [(0, 1, "a", "a", 0.5), (1, 2, "b", "b", -0.7)],
+            [(0, 1, "a", 0.5), (1, 2, "b", -0.7)],
             {2: 0.0},
         )
         group = SimilarPairGroup(predictors=["a"], targets=["c"],
@@ -99,7 +99,7 @@ def test_c4_parallel_arc_replay(fst_factory):
         assert delta.final_changes == []
         arc = delta.added_arcs[0]
         assert (arc.source, arc.target) == (0, 1)
-        assert fst.symbols.symbol(arc.ilabel) == "c"
+        assert fst.symbols.symbol(arc.label) == "c"
         assert abs(arc.weight - (0.5 + math.log(5 / 100))) <= 1e-9
 
 
@@ -111,8 +111,8 @@ def test_c5_isolation_and_safety(telecom_graph, ool_config):
         enhanced, delta = enhance(fst, ool_config)
         target_labels = {enhanced.symbols.label(t)
                          for g in ool_config.groups for t in g.targets}
-        touched = {a.ilabel for a in delta.added_arcs}
-        touched |= {a.ilabel for a, _ in delta.reweighted_arcs}
+        touched = {a.label for a in delta.added_arcs}
+        touched |= {a.label for a, _ in delta.reweighted_arcs}
         assert touched <= target_labels  # control paths cannot cross the diff
         after = [graph_score(enhanced, s) for s in controls]
         assert before == after  # bit-identical, not approximate
@@ -131,16 +131,15 @@ def random_backoff_graph(rng, vocab):
 
     arcs = []
     for word in vocab:
-        arcs.append((root, rng.choice(states), table.label(word), table.label(word),
-                     rng.uniform(-6.0, -0.5)))
+        arcs.append((root, rng.choice(states), table.label(word), rng.uniform(-6.0, -0.5)))
     for state in contexts:
         for word in rng.sample(vocab, rng.randint(1, len(vocab) - 1)):
             arcs.append((state, rng.choice(states), table.label(word),
-                         table.label(word), rng.uniform(-6.0, -0.5)))
-        arcs.append((state, root, 0, 0, rng.uniform(-3.0, -0.1)))
+                         rng.uniform(-6.0, -0.5)))
+        arcs.append((state, root, 0, rng.uniform(-3.0, -0.1)))
         if rng.random() < 0.5:
-            arcs.append((state, final, eos, eos, rng.uniform(-6.0, -0.5)))
-    arcs.append((root, final, eos, eos, rng.uniform(-6.0, -0.5)))
+            arcs.append((state, final, eos, rng.uniform(-6.0, -0.5)))
+    arcs.append((root, final, eos, rng.uniform(-6.0, -0.5)))
     initial = rng.choice(states)
     return add_arcs(empty_graph(table, final + 1, initial, {final: 0.0}), *arcs)
 
@@ -229,7 +228,7 @@ def test_c6_randomized_enhancer_properties():
             slots = {}
             for chnum in (k, k + 1):
                 fst, delta = enhance(base, dataclasses.replace(config, max_predictors=chnum))
-                slots[chnum] = {(a.source, a.target, fst.symbols.symbol(a.ilabel))
+                slots[chnum] = {(a.source, a.target, fst.symbols.symbol(a.label))
                                 for a in delta.added_arcs}
             assert slots[k] <= slots[k + 1]
 

@@ -126,7 +126,7 @@ class TestBuildG:
             fst = build_g(model)
             last = fst.num_states() - 1
             # An arc with a label the table lacks.
-            return oracles.add_arcs(fst, (last, 0, 10_000, 10_000, -1.0))
+            return oracles.add_arcs(fst, (last, 0, 10_000, -1.0))
 
         monkeypatch.setattr(gboost.cli, "build_g", broken)
         code = run("build-g", "--arpa", workdir / "m.arpa",
@@ -143,7 +143,7 @@ class TestBuildG:
             # Ten states, one arc 0 -> 9: state 9 is at or above twice the
             # record count.
             return oracles.add_arcs(oracles.empty_graph(SymbolTable(["a"]), 10),
-                                    (0, 9, 1, 1, -1.0))
+                                    (0, 9, 1, -1.0))
 
         monkeypatch.setattr(gboost.cli, "build_g", sparse)
         code = run("build-g", "--arpa", workdir / "m.arpa",
@@ -515,8 +515,8 @@ def enhanced_in_memory(workdir, fst_path, syms_path, weights, pairs="pairs.json"
 def added_lines(delta, symbols, weights):
     """Graph text lines of a diff's added arcs, formatted here, apart from gboost."""
     sign = -1.0 if weights == "cost" else 1.0
-    return "".join(f"{a.source} {a.target} {symbols.symbol(a.ilabel)} "
-                   f"{symbols.symbol(a.olabel)} {'%.17g' % (sign * a.weight)}\n"
+    return "".join(f"{a.source} {a.target} {symbols.symbol(a.label)} "
+                   f"{symbols.symbol(a.label)} {'%.17g' % (sign * a.weight)}\n"
                    for a in delta.added_arcs)
 
 
@@ -535,8 +535,8 @@ def text_of_file(path, symbols, weights):
 def graph_contents(fst):
     """A loaded graph's columns, initial state and finals, in order, weights bit for bit."""
     columns = fst._columns
-    return (columns.offsets.tolist(), columns.targets.tolist(), columns.ilabels.tolist(),
-            columns.olabels.tolist(), columns.weights.tobytes(), fst.initial,
+    return (columns.offsets.tolist(), columns.targets.tolist(), columns.labels.tolist(),
+            columns.weights.tobytes(), fst.initial,
             [(state, weight.hex()) for state, weight in fst.finals.items()])
 
 
@@ -653,6 +653,29 @@ class TestCompanion:
         assert threading.active_count() == threads
         assert self.sources(caplog) == ["text (companion corrupt: the text cannot be read)"]
         assert (workdir / "got.txt").read_bytes() == (workdir / "want.txt").read_bytes()
+
+    def test_a_version_2_companion_gives_way_to_version_3(self, workdir, caplog):
+        """A version-2 companion (it had an output-label column) is not used: the
+        graph loads from its text, enhance writes a version-3 companion, and the
+        next load reads that."""
+        caplog.set_level(logging.INFO, logger="gboost.fst")
+        fst_path, syms_path = build(workdir)
+        companion = workdir / "g.fst.bin"
+        data = bytearray(companion.read_bytes())
+        assert data[:8] == b"gboostG\x03"
+        data[:8] = b"gboostG\x02"
+        companion.write_bytes(data)
+        out = workdir / "enh.fst"
+        caplog.clear()
+        assert run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
+                   "--pairs", workdir / "pairs.json", "--out-fst", out,
+                   "--out-syms", workdir / "enh.syms") == 0
+        assert self.sources(caplog) == ["text (companion corrupt: not a graph companion)"]
+        assert (workdir / "enh.fst.bin").read_bytes()[:8] == b"gboostG\x03"
+        (workdir / "s.txt").write_text(self.SENTENCES)
+        assert run("score", "--fst", out, "--syms", workdir / "enh.syms",
+                   "--text", workdir / "s.txt", "--out", workdir / "scores.txt") == 0
+        assert self.sources(caplog) == ["companion"]
 
     def test_each_graph_load_and_write_logs_one_line(self, workdir, caplog):
         caplog.set_level(logging.INFO, logger="gboost")
@@ -1006,6 +1029,25 @@ class TestMalformedInputs:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("gboost: input format error:")
         assert "Traceback" not in err
+        assert not any(workdir.glob("*out*"))  # nor a temp file beside an output
+
+    @pytest.mark.parametrize("command", ["score", "enhance"])
+    def test_an_arc_with_two_symbols_exits_two(self, workdir, capsys, command):
+        """A graph is an acceptor: an arc line whose symbols differ is refused at its line."""
+        fst_path, syms_path = build(workdir)
+        first, *rest = fst_path.read_text().splitlines(keepends=True)
+        bad = workdir / "bad.fst"
+        bad.write_text(first + "0 1 wo de -1\n" + "".join(rest))
+        (workdir / "sents.txt").write_text("wo de\n")
+        argv = {"score": ["score", "--fst", bad, "--syms", syms_path,
+                          "--text", workdir / "sents.txt", "--out", workdir / "out.txt"],
+                "enhance": ["enhance", "--in-fst", bad, "--in-syms", syms_path,
+                            "--pairs", workdir / "pairs.json", "--out-fst", workdir / "out.fst",
+                            "--out-syms", workdir / "out.syms", "--diff", workdir / "out.diff"]}
+        assert run(*argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err == ("gboost: input format error: line 2: not an acceptor arc: output "
+                       "symbol 'de' differs from input symbol 'wo'\n")
         assert not any(workdir.glob("*out*"))  # nor a temp file beside an output
 
 

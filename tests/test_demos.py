@@ -9,9 +9,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 def test_build_and_score_matches_oracle(capsys):
     runpy.run_path(str(DEMOS / "build_and_score.py"), run_name="__main__")
-    deltas = re.findall(r"delta (\S+)", capsys.readouterr().out)
+    out = capsys.readouterr().out
+    deltas = re.findall(r"delta (\S+)", out)
     assert len(deltas) == 4
     assert all(float(delta) == 0.0 for delta in deltas)
+    # The text dump: every arc line prints its word twice, as an acceptor's.
+    dump = out.split("first lines of the serialized graph")[1].splitlines()[1:]
+    arcs = [line.split() for line in dump if len(line.split()) != 2]
+    assert arcs
+    assert all(len(fields) == 5 and fields[2] == fields[3] for fields in arcs)
 
 
 def test_boost_new_word_scores_a_new_word_and_rises_with_theta(capsys):

@@ -39,7 +39,7 @@ def one_pair_config(predictor, target, frequencies=None, new=False, theta=0.0,
 
 # One arc for the frequent word "a"; "c" is in the vocabulary but has no
 # arcs yet.
-DONOR = ("a b c", [(0, 1, "a", "a", 0.5), (1, 2, "b", "b", -0.7)], {2: 0.0})
+DONOR = ("a b c", [(0, 1, "a", 0.5), (1, 2, "b", -0.7)], {2: 0.0})
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ class TestCollectArcs:
     def test_order_is_state_then_arc_index(self, fst_factory):
         fst = fst_factory(
             "a b",
-            [(1, 0, "a", "a", -1.0), (0, 1, "b", "b", -2.0), (0, 0, "a", "a", -3.0)],
+            [(1, 0, "a", -1.0), (0, 1, "b", -2.0), (0, 0, "a", -3.0)],
             {1: 0.0},
         )
         _, delta = enhance(fst, one_pair_config("a", "nova", {"a": 9}, new=True))
@@ -121,7 +121,7 @@ class TestCollectArcs:
         for word in ("liuliang", "wo", "huafei"):
             label = fst.symbols.label(word)
             found = sum(1 for state in fst.states()
-                        for (_, ilabel, _, _) in fst.arcs(state) if ilabel == label)
+                        for (_, arc_label, _) in fst.arcs(state) if arc_label == label)
             assert found == oracles.count_ngrams_ending_in(telecom_arpa, word)
 
 
@@ -134,7 +134,7 @@ class TestEnhance:
         assert delta.final_changes == []
         arc = delta.added_arcs[0]
         assert (arc.source, arc.target) == (0, 1)
-        assert enhanced.symbols.symbol(arc.ilabel) == "c"
+        assert enhanced.symbols.symbol(arc.label) == "c"
         assert arc.weight == pytest.approx(0.5 + math.log(5 / 100), abs=1e-12)
         # everything else bit-identical
         assert structural_diff(donor_graph, enhanced).added_arcs == [arc]
@@ -148,7 +148,7 @@ class TestEnhance:
 
     def test_failed_enhance_leaves_graph_untouched(self, fst_factory):
         """Every weight is checked before the raise on c and the new word are written."""
-        arcs = [(0, 1, "a", "a", -1.0), (0, 1, "c", "c", -50.0), (1, 2, "a", "a", 1e308)]
+        arcs = [(0, 1, "a", -1.0), (0, 1, "c", -50.0), (1, 2, "a", 1e308)]
         fst, before = fst_factory("a c", arcs, {2: 0.0}), fst_factory("a c", arcs, {2: 0.0})
         group = SimilarPairGroup(predictors=["a"], targets=["c", "nova"],
                                  frequencies={"a": 5, "c": 5}, new_words=frozenset(["nova"]))
@@ -175,7 +175,7 @@ class TestEnhance:
     def test_shared_slot_takes_max_of_candidates(self, fst_factory):
         fst = fst_factory(
             "y1 y2 x",
-            [(0, 1, "y1", "y1", -0.2), (0, 1, "y2", "y2", -0.9)],
+            [(0, 1, "y1", -0.2), (0, 1, "y2", -0.9)],
             {1: 0.0},
         )
         freq = {"y1": 50, "y2": 200, "x": 10}
@@ -189,7 +189,7 @@ class TestEnhance:
     def test_existing_arc_raised_to_candidate(self, fst_factory):
         fst = fst_factory(
             "a c",
-            [(0, 1, "a", "a", -0.5), (0, 1, "c", "c", -6.0)],
+            [(0, 1, "a", -0.5), (0, 1, "c", -6.0)],
             {1: 0.0},
         )
         config = one_pair_config("a", "c", {"a": 90, "c": 10})
@@ -204,7 +204,7 @@ class TestEnhance:
     def test_existing_arc_never_lowered(self, fst_factory):
         fst = fst_factory(
             "a c",
-            [(0, 1, "a", "a", -0.5), (0, 1, "c", "c", -0.1)],
+            [(0, 1, "a", -0.5), (0, 1, "c", -0.1)],
             {1: 0.0},
         )
         config = one_pair_config("a", "c", {"a": 90, "c": 10}, theta=-3.0)
@@ -277,9 +277,9 @@ class TestEnhance:
         target_labels = {enhanced.symbols.label(t)
                          for g in ool_config.groups for t in g.targets}
         for arc in delta.added_arcs:
-            assert arc.ilabel in target_labels
+            assert arc.label in target_labels
         for old, new in delta.reweighted_arcs:
-            assert old.ilabel in target_labels
+            assert old.label in target_labels
         for state in fst.states():
             before_rest = [a for a in fst.arcs(state) if a[1] not in target_labels]
             after_rest = [a for a in enhanced.arcs(state) if a[1] not in target_labels]
@@ -315,7 +315,7 @@ class TestEnhance:
         runs = {}
         for theta in (0.0, 2.0):
             _, delta = enhance(base_fst, dataclasses.replace(ool_config, theta=theta))
-            runs[theta] = {(a.source, a.target, a.ilabel): a.weight
+            runs[theta] = {(a.source, a.target, a.label): a.weight
                            for a in delta.added_arcs}
         assert runs[0.0].keys() == runs[2.0].keys()
         for key, weight in runs[0.0].items():
@@ -329,7 +329,7 @@ class TestEnhance:
         for chnum in (1, 2, 3):
             _, delta = enhance(base_fst, dataclasses.replace(ool_config,
                                                              max_predictors=chnum))
-            slots[chnum] = {(a.source, a.target, a.ilabel) for a in delta.added_arcs}
+            slots[chnum] = {(a.source, a.target, a.label) for a in delta.added_arcs}
         assert slots[1] <= slots[2] <= slots[3]
 
     def test_final_weights_never_modified(self, telecom_graph, ool_config):
@@ -373,7 +373,7 @@ def logged_enhance(fst, config):
 def bits(delta):
     """A diff's arcs with each weight as its exact hex string: -0.0 differs from 0.0."""
     def arc(a):
-        return (*a[:4], a.weight.hex())
+        return (*a[:3], a.weight.hex())
     return ([arc(a) for a in delta.added_arcs],
             [(arc(old), arc(new)) for old, new in delta.reweighted_arcs],
             delta.removed_arcs, delta.final_changes)
@@ -403,23 +403,22 @@ def plan_config(counts_a, counts_b, theta=0.0, max_predictors=3):
 
 
 # Parallel predictor and target arcs in several slots, a tie between two
-# predictors in one slot, a target arc with another output label, and
-# weights at which theta near zero decides raises.
+# predictors in one slot, a target's arc in a slot where only another
+# target's candidates land, and weights at which theta near zero decides
+# raises.
 RAISE_ARCS = [
-    (0, 1, "y0", "y0", -1.0), (0, 1, "x0", "x0", -3.0), (0, 1, "y1", "y1", -1.0),
-    (0, 2, "y3", "y3", -0.5), (0, 2, "x1", "x1", -1.2), (0, 2, "x1", "x1", -4.0),
-    (1, 2, "y2", "y2", 0.0), (1, 2, "x0", "x1", -0.1), (1, 3, "y1", "y1", -2.0),
-    (2, 3, "x0", "x0", 0.25), (2, 3, "y0", "y0", 0.25), (3, 4, "y3", "y3", -0.75),
-    (3, 4, "y1", "y1", -0.75), (3, 0, "<eps>", "<eps>", -0.3),
+    (0, 1, "y0", -1.0), (0, 1, "x0", -3.0), (0, 1, "y1", -1.0),
+    (0, 2, "y3", -0.5), (0, 2, "x1", -1.2), (0, 2, "x1", -4.0),
+    (1, 2, "y2", 0.0), (1, 2, "x1", -0.1), (1, 3, "y1", -2.0),
+    (2, 3, "x0", 0.25), (2, 3, "y0", 0.25), (3, 4, "y3", -0.75),
+    (3, 4, "y1", -0.75), (3, 0, "<eps>", -0.3),
 ]
 
 ARCS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                          st.sampled_from(PLAN_SYMBOLS + ["<eps>"]), st.booleans(),
+                          st.sampled_from(PLAN_SYMBOLS + ["<eps>"]),
                           st.sampled_from([-2.0, -1.0, -0.5, 0.0, -0.0, 0.75])
                           | st.floats(-6, 6)),
-                max_size=25).map(lambda arcs: [
-                    (s, d, w, w if same else "y0", weight)
-                    for s, d, w, same, weight in arcs])
+                max_size=25)
 COUNTS = st.lists(st.integers(1, 2000), min_size=4, max_size=4)
 THETA = st.sampled_from([0.0, -0.0, 2.0, -4.0]) | st.floats(-8, 8)
 
@@ -466,7 +465,7 @@ class TestPlanAndApply:
                  for chnum in (1, 2, 3)]
         check_cells(base, counts_a, counts_b, cells)
         raised = enhance(base, plan_config(counts_a, counts_b, 2.0))[1]
-        assert {base.symbols.symbol(old.ilabel) for old, _ in raised.reweighted_arcs} \
+        assert {base.symbols.symbol(old.label) for old, _ in raised.reweighted_arcs} \
             == {"x0", "x1"}
 
     def test_the_graph_holds_the_diffs_added_arcs(self):
@@ -485,12 +484,12 @@ class TestPlanAndApply:
         twin = _derived(base, base.symbols, {}, (), base.finals)  # over the same columns
         assert twin is not base and logged_enhance(twin, config)[2][5] == "reused"
         y2, y3 = base.symbols.label("y2"), base.symbols.label("y3")
-        edited = add_arcs(base, (4, 3, y2, y2, -0.25))
+        edited = add_arcs(base, (4, 3, y2, -0.25))
         _, delta, info = logged_enhance(edited, config)
         assert info[5] == "built"
         assert bits(delta) == bits(oracles.enhance_by_candidate(edited, config)[0])
         assert any(arc.source == 4 for arc in delta.added_arcs)
-        assert logged_enhance(add_arcs(edited, (4, 2, y3, y3, -0.5)), config)[2][5] == "built"
+        assert logged_enhance(add_arcs(edited, (4, 2, y3, -0.5)), config)[2][5] == "built"
         assert logged_enhance(edited, config)[2][5] == "reused"
         assert logged_enhance(base, config)[2][5] == "reused"
 
@@ -522,7 +521,7 @@ class TestPlanAndApply:
         assert info[5] == "reused"
         nova = enhanced.symbols.label("nova")
         assert nova == first.symbols.label("nova") + 1
-        assert nova in {arc.ilabel for arc in delta.added_arcs}
+        assert nova in {arc.label for arc in delta.added_arcs}
         assert bits(delta) == bits(expected)
         # A table that holds the new word already is planned anew.
         known = grown_before(base, "nova")

@@ -137,23 +137,23 @@ def test_extended_labels_each_missing_word_with_the_lowest_free_label(words, lab
 class TestWfstBasics:
     def test_arcs_preserve_insertion_order(self):
         fst = add_arcs(empty_graph(SymbolTable(["a", "b"]), 1),
-                       (0, 0, 2, 2, -1.0), (0, 0, 1, 1, -2.0))
-        assert [ilabel for (_, ilabel, _, _) in fst.arcs(0)] == [2, 1]
+                       (0, 0, 2, -1.0), (0, 0, 1, -2.0))
+        assert [label for (_, label, _) in fst.arcs(0)] == [2, 1]
 
     def test_arcs_matching_tracks_mutation(self):
         fst = empty_graph(SymbolTable(["a"]), 1)
-        added = add_arcs(fst, (0, 0, 1, 1, -1.0))
-        assert arcs_matching(added, 0, 1) == [(0, 1, 1, -1.0)]
+        added = add_arcs(fst, (0, 0, 1, -1.0))
+        assert arcs_matching(added, 0, 1) == [(0, 1, -1.0)]
         assert arcs_matching(fst, 0, 1) == []
 
     def test_copy_is_the_same_graph(self):
-        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {0: 0.5}), (0, 0, 1, 1, -1.0))
+        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {0: 0.5}), (0, 0, 1, -1.0))
         assert fst.copy() is fst
 
     @pytest.mark.parametrize("name, value", [("symbols", SymbolTable()), ("initial", 99),
                                              ("finals", {1: math.inf})])
     def test_symbols_initial_and_finals_are_read_only(self, name, value):
-        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 0, {1: 0.5}), (0, 1, 1, 1, -1.0))
+        fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 0, {1: 0.5}), (0, 1, 1, -1.0))
         symbols = fst.symbols
         with pytest.raises(AttributeError):
             setattr(fst, name, value)
@@ -187,11 +187,9 @@ class TestWfstBasics:
         fst = two_path_acceptor
         a, b, c = (fst.symbols.label(s) for s in "abc")
         found = fst.scan([c, a])
-        assert found == {a: [(0, (1, a, fst.symbols.label("x"), 0.5))],
-                         c: [(1, (2, c, fst.symbols.label("z"), 2.5))]}
-        fst = add_arcs(fst, (0, 2, b, b, -1.0))
-        assert fst.scan({b}) == {b: [(0, (1, b, fst.symbols.label("y"), 1.5)),
-                                     (0, (2, b, b, -1.0))]}
+        assert found == {a: [(0, (1, a, 0.5))], c: [(1, (2, c, 2.5))]}
+        fst = add_arcs(fst, (0, 2, b, -1.0))
+        assert fst.scan({b}) == {b: [(0, (1, b, 1.5)), (0, (2, b, -1.0))]}
 
 
 def text_of(fst):
@@ -222,7 +220,7 @@ def derive(fst, delta):
 def random_edit(fst, rng):
     """One random arc edit of ``fst``, as a one-entry diff."""
     n = fst.num_states()
-    new_arc = Arc(rng.randrange(n), rng.randrange(n), rng.randint(1, 3), rng.randint(1, 3),
+    new_arc = Arc(rng.randrange(n), rng.randrange(n), rng.randint(1, 3),
                   round(rng.uniform(-4, 4), 6))
     state = rng.randrange(n)
     choice = rng.random()
@@ -244,26 +242,26 @@ class TestBestArcTables:
 
     # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
     # a label on two arcs with different weights (b).
-    ARCS = [(0, 1, "a", "a", 1.0), (0, 2, "a", "a", 1.0), (0, 1, "b", "b", 0.5),
-            (0, 2, "b", "b", 2.0), (0, 3, "c", "c", -1.0), (1, 3, "a", "a", 0.0),
-            (2, 3, "b", "b", 0.0)]
-    APPEND = [Arc(0, 3, 1, 1, 1.0), Arc(0, 3, 2, 2, 2.5), Arc(0, 1, 3, 3, -1.0),
-              Arc(0, 2, 0, 0, -0.5), Arc(0, 1, 0, 0, -0.5)]
+    ARCS = [(0, 1, "a", 1.0), (0, 2, "a", 1.0), (0, 1, "b", 0.5),
+            (0, 2, "b", 2.0), (0, 3, "c", -1.0), (1, 3, "a", 0.0),
+            (2, 3, "b", 0.0)]
+    APPEND = [Arc(0, 3, 1, 1.0), Arc(0, 3, 2, 2.5), Arc(0, 1, 3, -1.0),
+              Arc(0, 2, 0, -0.5), Arc(0, 1, 0, -0.5)]
     EDITS = {
         # edit name: (diffs applied in turn, whether each table is derived)
         "append": ([FstDiff(added_arcs=APPEND)], [True]),
         "append twice": ([FstDiff(added_arcs=APPEND[:2]), FstDiff(added_arcs=APPEND[2:])],
                          [True, True]),
-        "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False]),
-        "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2, 2.0),
-                                                Arc(0, 2, 2, 2, 0.25))])], [False]),
+        "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1.0)])], [False]),
+        "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2.0),
+                                                Arc(0, 2, 2, 0.25))])], [False]),
         "reweight to the same weight": ([FstDiff(reweighted_arcs=[
-            (Arc(0, 1, 1, 1, 1.0), Arc(0, 1, 1, 1, 1.0))])], [False]),
+            (Arc(0, 1, 1, 1.0), Arc(0, 1, 1, 1.0))])], [False]),
         "remove, then append the same arc": (
-            [FstDiff(removed_arcs=[Arc(0, 1, 1, 1, 1.0)]),
-             FstDiff(added_arcs=[Arc(0, 1, 1, 1, 1.0)])], [False, True]),
+            [FstDiff(removed_arcs=[Arc(0, 1, 1, 1.0)]),
+             FstDiff(added_arcs=[Arc(0, 1, 1, 1.0)])], [False, True]),
         "append, then remove": ([FstDiff(added_arcs=APPEND),
-                                 FstDiff(removed_arcs=[Arc(0, 2, 1, 1, 1.0)])],
+                                 FstDiff(removed_arcs=[Arc(0, 2, 1, 1.0)])],
                                 [True, False]),
     }
 
@@ -284,7 +282,7 @@ class TestBestArcTables:
         source = fst_factory("a b c", self.ARCS, {3: 0.0})
         base = read_text(io.StringIO(text_of(source)), source.symbols)
         shared = base.best_arcs(0)
-        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
+        assert shared == {1: (1, 1, 1.0), 2: (2, 2, 2.0), 3: (3, 3, -1.0)}
         fst = base
         diffs, expected = self.EDITS[edit]
         derived.clear()
@@ -294,7 +292,7 @@ class TestBestArcTables:
             assert table == _best_table(fst.arcs(0))
             assert table is not shared
         assert derived == expected
-        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 2.0), 3: (3, 3, 3, -1.0)}
+        assert shared == {1: (1, 1, 1.0), 2: (2, 2, 2.0), 3: (3, 3, -1.0)}
         assert base.best_arcs(0) is shared
         assert derive(base, FstDiff()).best_arcs(0) is shared  # no edit: the same table
 
@@ -318,7 +316,7 @@ class TestPendingAdditions:
     """Added arcs stay pending, read through the tables, until another reader materializes them."""
 
     # Labels a=1, b=2, c=3. State 0's column arcs: a at 1.0, then b at 0.5.
-    ARCS = [(0, 1, "a", "a", 1.0), (0, 2, "b", "b", 0.5), (1, 2, "a", "a", 0.0)]
+    ARCS = [(0, 1, "a", 1.0), (0, 2, "b", 0.5), (1, 2, "a", 0.0)]
 
     def base(self, fst_factory):
         source = fst_factory("a b c", self.ARCS, {2: 0.0})
@@ -328,20 +326,20 @@ class TestPendingAdditions:
         base = self.base(fst_factory)
         shared = base.best_arcs(0)
         added = [
-            Arc(0, 2, 1, 1, 1.0),   # ties the column arc on a: the column arc wins
-            Arc(0, 1, 3, 3, 2.0),   # a label the state lacks
-            Arc(0, 2, 3, 3, 2.0),   # ties the added arc before it: the first wins
-            Arc(0, 2, 2, 2, 0.75),  # beats the column arc on b
+            Arc(0, 2, 1, 1.0),   # ties the column arc on a: the column arc wins
+            Arc(0, 1, 3, 2.0),   # a label the state lacks
+            Arc(0, 2, 3, 2.0),   # ties the added arc before it: the first wins
+            Arc(0, 2, 2, 0.75),  # beats the column arc on b
         ]
         fst = _derived(base, base.symbols, {}, added, base.finals)
         table = fst.best_arcs(0)
         assert list(map(id, fst._added)) == list(map(id, added)) and not fst._rewritten
-        assert table == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.75), 3: (1, 3, 3, 2.0)}
+        assert table == {1: (1, 1, 1.0), 2: (2, 2, 0.75), 3: (1, 3, 2.0)}
         assert table[1] is shared[1]  # the column arc itself
         assert fst.best_arcs(1) is base.best_arcs(1)  # an unedited state shares
         # The graph it came from never sees the edit, and the shared table is unchanged.
         assert base.best_arcs(0) is shared
-        assert shared == {1: (1, 1, 1, 1.0), 2: (2, 2, 2, 0.5)}
+        assert shared == {1: (1, 1, 1.0), 2: (2, 2, 0.5)}
         assert table == oracles.best_arcs_by_arc(fst, 0)  # materializes
         assert not fst._added
         assert fst.best_arcs(0) is table  # still valid once materialized
@@ -351,12 +349,12 @@ class TestPendingAdditions:
         base = self.base(fst_factory)
         table = derive(base, FstDiff()).best_arcs(1)  # built through a twin, beside the columns
         assert derive(base, FstDiff())._tables[1] is table and base.best_arcs(1) is table
-        written = derive(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 2, 0.5)]))
+        written = derive(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 0.5)]))
         assert written._tables[1] is table and written._tables[0] is None
         own = written.best_arcs(0)
-        grand = derive(written, FstDiff(added_arcs=[Arc(1, 0, 2, 2, 3.0)]))
+        grand = derive(written, FstDiff(added_arcs=[Arc(1, 0, 2, 3.0)]))
         assert grand._tables[0] is own and grand._tables[1] is None
-        assert grand.best_arcs(1)[2] == (0, 2, 2, 3.0)
+        assert grand.best_arcs(1)[2] == (0, 2, 3.0)
         assert written.best_arcs(1) is table and base.best_arcs(0) is not own
 
 
@@ -405,11 +403,11 @@ def _draw_delta(data, eager):
         source, target = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         own = eager.arcs(source)
         if own and data.draw(st.booleans(), label="tie an arc the state has"):
-            _, label, olabel, weight = data.draw(st.sampled_from(own))
+            _, label, weight = data.draw(st.sampled_from(own))
         else:
-            label, olabel = (data.draw(st.sampled_from(labels)) for _ in "io")
+            label = data.draw(st.sampled_from(labels))
             weight = data.draw(st.sampled_from(_WEIGHTS))
-        added.append(Arc(source, target, label, olabel, weight))
+        added.append(Arc(source, target, label, weight))
     delta = FstDiff(added_arcs=added)
     written = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     for state, kind in zip(written, ("remove", "reweight")):
@@ -522,7 +520,7 @@ class TestPathWeight:
     def test_parallel_arcs_resolve_to_max(self, fst_factory):
         fst = fst_factory(
             "a b",
-            [(0, 1, "a", "a", -1.0), (0, 1, "a", "a", -2.0), (1, 2, "b", "b", 0.0)],
+            [(0, 1, "a", -1.0), (0, 1, "a", -2.0), (1, 2, "b", 0.0)],
             {2: 0.0},
         )
         assert path_weight(fst, ["a", "b"]) == -1.0
@@ -541,7 +539,7 @@ class TestPathWeight:
     def test_epsilon_arcs_bridge_input(self, fst_factory):
         fst = fst_factory(
             "a",
-            [(0, 1, "<eps>", "<eps>", -0.5), (1, 2, "a", "a", -1.0)],
+            [(0, 1, "<eps>", -0.5), (1, 2, "a", -1.0)],
             {2: 0.0},
         )
         assert path_weight(fst, ["a"]) == pytest.approx(-1.5, abs=1e-12)
@@ -549,8 +547,8 @@ class TestPathWeight:
     def test_positive_epsilon_cycle_detected(self, fst_factory):
         fst = fst_factory(
             "a",
-            [(0, 1, "<eps>", "<eps>", 1.0), (1, 0, "<eps>", "<eps>", 1.0),
-             (0, 2, "a", "a", 0.0)],
+            [(0, 1, "<eps>", 1.0), (1, 0, "<eps>", 1.0),
+             (0, 2, "a", 0.0)],
             {2: 0.0},
         )
         with pytest.raises(InvariantError, match="cycle"):
@@ -563,7 +561,12 @@ class TestPathWeight:
                                        epsilon_arcs=3)
             for _ in range(10):
                 labels = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
-                expected = oracles.best_path_weight(fst, labels)
+                # random_graph's epsilon weights are negative, so no best path
+                # repeats a state within a run of epsilon arcs: six, one fewer
+                # than the states, reach every best path. The default cut of 20
+                # takes seconds on seeds 21 and 28, whose epsilon self-loops
+                # the enumeration would walk 20 times at each visit.
+                expected = oracles.best_path_weight(fst, labels, max_epsilon_run=6)
                 got = path_weight(fst, labels)
                 if expected is None:
                     assert got is None
@@ -572,7 +575,7 @@ class TestPathWeight:
 
     def test_unique_path_weight_is_plain_sum(self, fst_factory):
         weights = [-0.125, -3.25, 0.75]
-        arcs = [(i, i + 1, "a", "a", w) for i, w in enumerate(weights)]
+        arcs = [(i, i + 1, "a", w) for i, w in enumerate(weights)]
         fst = fst_factory("a", arcs, {3: -1.5})
         expected = sum(weights) + -1.5
         assert abs(path_weight(fst, ["a", "a", "a"]) - expected) < 1e-12
@@ -588,9 +591,9 @@ def accepted_input(fst, rng, max_steps=40):
             arcs = fst.arcs(state)
             if not arcs:
                 break
-            target, ilabel, _, _ = rng.choice(arcs)
-            if ilabel != 0:
-                labels.append(ilabel)
+            target, label, _ = rng.choice(arcs)
+            if label != 0:
+                labels.append(label)
             state = target
 
 
@@ -601,8 +604,7 @@ def perturb(fst, rng):
         choice = rng.random()
         if choice < 0.35:
             out = add_arcs(out, (rng.randrange(out.num_states()), rng.randrange(out.num_states()),
-                                 rng.randint(1, 3), rng.randint(1, 3),
-                                 round(rng.uniform(-4, 4), 6)))
+                                 rng.randint(1, 3), round(rng.uniform(-4, 4), 6)))
         elif choice < 0.85:
             state = rng.randrange(out.num_states())
             arcs = out.arcs(state)
@@ -639,7 +641,7 @@ class TestDiff:
 
     def test_added_arc_reported(self, two_path_acceptor):
         table = two_path_acceptor.symbols
-        other = add_arcs(two_path_acceptor, (0, 1, table.label("c"), table.label("c"), -2.0))
+        other = add_arcs(two_path_acceptor, (0, 1, table.label("c"), -2.0))
         delta = diff(two_path_acceptor, other)
         assert len(delta.added_arcs) == 1 and delta.added_arcs[0].weight == -2.0
         assert delta.removed_arcs == [] and delta.reweighted_arcs == []
@@ -651,18 +653,18 @@ class TestDiff:
         assert delta.final_changes == [(1, None, 0.0)]
 
     def test_mismatched_symbol_tables_rejected(self, two_path_acceptor, fst_factory):
-        other = fst_factory("a", [(0, 1, "a", "a", 0.5)], {1: 0.0})
+        other = fst_factory("a", [(0, 1, "a", 0.5)], {1: 0.0})
         with pytest.raises(InvariantError, match="symbol table"):
             diff(two_path_acceptor, other)
 
     def test_state_count_mismatch_rejected(self, two_path_acceptor, fst_factory):
-        other = fst_factory("a b c x y z", [(0, 1, "a", "x", 0.5), (0, 1, "b", "y", 1.5),
-                                            (1, 2, "c", "z", 2.5)], {2: 3.5}, num_states=4)
+        other = fst_factory("a b c", [(0, 1, "a", 0.5), (0, 1, "b", 1.5), (1, 2, "c", 2.5)],
+                            {2: 3.5}, num_states=4)
         with pytest.raises(InvariantError, match="state count"):
             diff(two_path_acceptor, other)
 
     def test_initial_state_mismatch_rejected(self, fst_factory):
-        fst = fst_factory("a", [(0, 1, "a", "a", 0.5), (1, 0, "a", "a", 0.5)], {1: 0.0})
+        fst = fst_factory("a", [(0, 1, "a", 0.5), (1, 0, "a", 0.5)], {1: 0.0})
         other = read_text(io.StringIO("1 0 a a 0.5\n0 1 a a 0.5\n1 0\n"), fst.symbols)
         assert other.initial == 1
         with pytest.raises(InvariantError, match="^initial states do not correspond$"):
@@ -714,10 +716,10 @@ class TestDiff:
                 assert diff(before, after) == oracles.diff_by_groups(before, after), seed
 
     @pytest.mark.parametrize("state, appended, fast", [
-        (0, [(2, "c", "c", -1.0), (1, "c", "c", -2.0)], True),  # new, distinct keys
-        (2, [(0, "a", "a", 1.0)], True),  # appended to an empty list
-        (0, [(2, "c", "c", -1.0), (2, "c", "c", -3.0)], False),  # repeated key
-        (0, [(1, "a", "x", -2.0)], False),  # key already in before
+        (0, [(2, "c", -1.0), (1, "c", -2.0)], True),  # new, distinct keys
+        (2, [(0, "a", 1.0)], True),  # appended to an empty list
+        (0, [(2, "c", -1.0), (2, "c", -3.0)], False),  # repeated key
+        (0, [(1, "a", -2.0)], False),  # key already in before
     ])
     def test_appended_arcs_match_grouping_reference(self, two_path_acceptor, state,
                                                     appended, fast):
@@ -728,7 +730,7 @@ class TestDiff:
         """
         before = two_path_acceptor
         label = before.symbols.label
-        suffix = [Arc(state, t, label(i), label(o), w) for t, i, o, w in appended]
+        suffix = [Arc(state, t, label(sym), w) for t, sym, w in appended]
         after = add_arcs(before, *suffix)
         delta = diff(before, after)
         assert delta == oracles.diff_by_groups(before, after)
@@ -736,21 +738,21 @@ class TestDiff:
 
     def test_reweight_edits_the_last_equal_arc(self, fst_factory):
         """Enhancement raises a slot's last parallel arc, the one whose weight it reads."""
-        twice = fst_factory("a p z", [(0, 1, "a", "a", 0.5), (0, 1, "p", "p", 1.0),
-                                      (0, 1, "a", "a", 0.5), (1, 2, "z", "z", 0.0)], {2: 0.0})
+        twice = fst_factory("a p z", [(0, 1, "a", 0.5), (0, 1, "p", 1.0),
+                                      (0, 1, "a", 0.5), (1, 2, "z", 0.0)], {2: 0.0})
         a = twice.symbols.label("a")
         config = EnhanceConfig(theta=1.0, max_predictors=1, groups=[SimilarPairGroup(
             predictors=["p"], targets=["a"], frequencies={"p": 1, "a": 1})])
         raised, delta = enhance(twice, config)
         weight = 1.0 + math.log(0.5) + 1.0
-        assert delta == FstDiff(reweighted_arcs=[(Arc(0, 1, a, a, 0.5), Arc(0, 1, a, a, weight))])
-        assert raised.arcs(0) == twice.arcs(0)[:-1] + [(1, a, a, weight)]
+        assert delta == FstDiff(reweighted_arcs=[(Arc(0, 1, a, 0.5), Arc(0, 1, a, weight))])
+        assert raised.arcs(0) == twice.arcs(0)[:-1] + [(1, a, weight)]
         assert raised.arcs(0) == oracles.apply_diff_by_arc(twice, delta).arcs(0)
 
     def test_derived_graph_appends_additions_in_delta_order(self, two_path_acceptor):
         a, b, c = (two_path_acceptor.symbols.label(s) for s in "abc")
-        added = [Arc(0, 2, a, a, -1.0), Arc(1, 0, b, b, -2.0), Arc(0, 1, c, c, -3.0),
-                 Arc(1, 1, a, a, -4.0), Arc(0, 2, a, a, -1.0)]
+        added = [Arc(0, 2, a, -1.0), Arc(1, 0, b, -2.0), Arc(0, 1, c, -3.0),
+                 Arc(1, 1, a, -4.0), Arc(0, 2, a, -1.0)]
         by_arc = two_path_acceptor
         for arc in added:
             by_arc = add_arcs(by_arc, arc)
@@ -784,7 +786,7 @@ class TestTextFormat:
         assert buf.getvalue() == "0 0\n"
 
     def test_initial_state_recovered_from_first_line(self, fst_factory):
-        fst = fst_factory("a", [(1, 0, "a", "a", -1.0)], {0: 0.0}, initial=1)
+        fst = fst_factory("a", [(1, 0, "a", -1.0)], {0: 0.0}, initial=1)
         again = self.roundtrip(fst)
         assert again.initial == 1
 
@@ -822,7 +824,7 @@ class TestTextFormat:
         assert diff(two_path_acceptor, again) == FstDiff()
 
     def test_malformed_line_reports_line_number(self, two_path_acceptor):
-        text = "0 1 a x 0.5\n0 1 b\n"
+        text = "0 1 a a 0.5\n0 1 b\n"
         with pytest.raises(FormatError, match="line 2"):
             read_text(io.StringIO(text), two_path_acceptor.symbols)
 
@@ -830,6 +832,14 @@ class TestTextFormat:
         text = "0 1 nope nope 0.5\n"
         with pytest.raises(FormatError, match="line 1.*nope"):
             read_text(io.StringIO(text), two_path_acceptor.symbols)
+
+    def test_an_arc_with_two_symbols_is_refused_at_its_line(self, two_path_acceptor):
+        """A graph is an acceptor: both symbols of an arc line are its one label."""
+        text = "0 1 a a 0.5\n0 1 a b -1\n1 0\n"
+        message = "line 2: not an acceptor arc: output symbol 'b' differs from input symbol 'a'"
+        for read in (read_text, oracles.read_text_by_line):
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                read(io.StringIO(text), two_path_acceptor.symbols)
 
     def test_negative_state_id_rejected(self, two_path_acceptor):
         with pytest.raises(FormatError, match="state id"):
@@ -855,7 +865,7 @@ class TestTextFormat:
         assert allocated == []
         gappy = read_text(io.StringIO("0 3 a a -1\n3 0\n"), symbols)
         assert allocated == [4] and gappy.num_states() == 4
-        assert gappy.arcs(0) == [(3, 1, 1, -1.0)] and gappy.finals == {3: 0.0}
+        assert gappy.arcs(0) == [(3, 1, -1.0)] and gappy.finals == {3: 0.0}
 
     def test_one_state_id_in_two_spellings(self):
         symbols = SymbolTable(["a"])
@@ -863,7 +873,7 @@ class TestTextFormat:
         text = "\n".join(chain + ["0299 300 a a -2", "0300 0 a a -3", "300 0.5"]) + "\n"
         fst = read_text(io.StringIO(text), symbols)
         assert fst.num_states() == 301
-        assert fst.arcs(299) == [(300, 1, 1, -2.0)] and fst.arcs(300) == [(0, 1, 1, -3.0)]
+        assert fst.arcs(299) == [(300, 1, -2.0)] and fst.arcs(300) == [(0, 1, -3.0)]
         assert fst.finals == {300: 0.5}
         written = text_of(fst)
         assert "299 300 a a -2\n300 0 a a -3\n300 0.5\n" in written
@@ -871,20 +881,20 @@ class TestTextFormat:
 
     def test_last_state_without_a_record_rejected(self, fst_factory):
         # State 2: no arcs, not final, no arc into it.
-        fst = fst_factory("a", [(0, 1, "a", "a", -1.0)], {1: 0.0}, num_states=3)
+        fst = fst_factory("a", [(0, 1, "a", -1.0)], {1: 0.0}, num_states=3)
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())
-        fst = add_arcs(fst, (1, 2, 1, 1, 0.5))  # an arc into it names it in the file
+        fst = add_arcs(fst, (1, 2, 1, 0.5))  # an arc into it names it in the file
         assert self.roundtrip(fst).num_states() == 3
 
     def test_last_state_named_only_by_a_live_arc(self):
         symbols = SymbolTable(["a"])
         fst = read_text(io.StringIO("0 1 a a -1\n1 2 a a -1\n1 0\n"), symbols)
-        fst = derive(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, 1, -1.0)]))
+        fst = derive(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, -1.0)]))
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())  # its column arc into 2 is gone
-        fst = add_arcs(fst, (0, 2, 1, 1, -2.0))
-        assert self.roundtrip(fst).arcs(0) == [(1, 1, 1, -1.0), (2, 1, 1, -2.0)]
+        fst = add_arcs(fst, (0, 2, 1, -2.0))
+        assert self.roundtrip(fst).arcs(0) == [(1, 1, -1.0), (2, 1, -2.0)]
 
     def test_reader_matches_line_by_line_reference(self, random_graph_factory):
         rng = random.Random(5150)
@@ -892,11 +902,11 @@ class TestTextFormat:
             fst = random_graph_factory(seed, n_states=15, n_arcs=60, n_symbols=4,
                                        epsilon_arcs=5)
             for _ in range(6):  # parallel arcs, some exact duplicates
-                state = rng.randrange(15)
-                target, ilabel, olabel, weight = rng.choice(fst.arcs(state))
+                state = rng.randrange(14)  # each has its chain arc; state 14 may have none
+                target, label, weight = rng.choice(fst.arcs(state))
                 if rng.random() < 0.5:
                     weight = round(rng.uniform(-5, 5), 6)
-                fst = add_arcs(fst, (state, target, ilabel, olabel, weight))
+                fst = add_arcs(fst, (state, target, label, weight))
             for negate in (False, True):
                 text = scrambled_text(fst, negate, rng)
                 got = read_text(io.StringIO(text), fst.symbols, negate=negate)
@@ -910,7 +920,7 @@ class TestTextFormat:
         for seed in range(20):
             fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4,
                                        initial=seed % 19)  # a state with arcs, not always 0
-            fst = derive(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 2, 0.0), Arc(3, 4, 1, 2, -0.0)],
+            fst = derive(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 0.0), Arc(3, 4, 1, -0.0)],
                                       final_changes=[(5, fst.final_weight(5), -0.0)]))
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
             for graph in (fst, perturb(fst, rng), read, perturb(read, rng)):
@@ -972,7 +982,8 @@ def scrambled_text(fst, negate, rng):
     rng.shuffle(others)
     blocks, tails = [], []
     for state in [fst.initial] + others:
-        records = [[state, t, sym(i), sym(o), weight(w)] for t, i, o, w in fst.arcs(state)]
+        records = [[state, t, sym(label), sym(label), weight(w)]
+                   for t, label, w in fst.arcs(state)]
         if state in fst.finals:
             records.insert(rng.randint(0, len(records)), [state, weight(fst.finals[state])])
         if len(records) > 2 and state != fst.initial and rng.random() < 0.3:
@@ -996,7 +1007,7 @@ def scrambled_text(fst, negate, rng):
 def test_chain_path_weight_matches_sum(weights, final_weight):
     fst = add_arcs(empty_graph(SymbolTable(["a"]), len(weights) + 1, 0,
                                {len(weights): final_weight}),
-                   *[(i, i + 1, 1, 1, w) for i, w in enumerate(weights)])
+                   *[(i, i + 1, 1, w) for i, w in enumerate(weights)])
     total = path_weight(fst, ["a"] * len(weights))
     assert total == pytest.approx(sum(weights) + final_weight, abs=1e-12)
 
@@ -1006,7 +1017,11 @@ def test_chain_path_weight_matches_sum(weights, final_weight):
 _ID = st.sampled_from(["0", "1", "2", "3", "01", "-1", "x", ""])
 _SYMBOL = st.sampled_from(["a", "b", "<eps>", "zz"])
 _WEIGHT = st.sampled_from(["-0.5", "-0", "2.5e-3", "1_0", "1e999", "nan", "-inf", "w"])
-_RECORD = st.one_of(st.tuples(_ID, _ID, _SYMBOL, _SYMBOL, _WEIGHT), st.tuples(_ID, _WEIGHT),
+# Arc records print their symbol twice, as an acceptor's, or two symbols
+# that may differ, which both readers refuse.
+_RECORD = st.one_of(st.builds(lambda src, dst, sym, w: (src, dst, sym, sym, w),
+                              _ID, _ID, _SYMBOL, _WEIGHT),
+                    st.tuples(_ID, _ID, _SYMBOL, _SYMBOL, _WEIGHT), st.tuples(_ID, _WEIGHT),
                     st.lists(st.one_of(_ID, _SYMBOL, _WEIGHT), max_size=6))
 _LINE = st.builds(lambda fields, sep: sep.join(fields),
                   _RECORD, st.sampled_from([" ", "\t", "  "]))
@@ -1015,10 +1030,11 @@ _LINE = st.builds(lambda fields, sep: sep.join(fields),
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_LINE, max_size=10).map("\n".join))
 @example("0 1 a b nan")
-@example("0\t1  a b 1e999\n1 0")
+@example("0\t1  a a 1e999\n1 0")
 @example("0 1 a a -0.5\n1 -inf")
+@example("0 1 zz zz -1")
 @example("0 1 a zz -1")
-@example("2 0 b a -1\n0 1 a a 1_0\n0 3")
+@example("2 0 b b -1\n0 1 a a 1_0\n0 3")
 @example("2 -0.5\n2 -0.5")  # one final state: its file names no other state
 def test_reader_agrees_with_reference_or_rejects(text):
     """Same graph, or the same FormatError, as the line-by-line reader.
@@ -1068,8 +1084,8 @@ def graph_state(fst):
     columns = fst._columns
     return (fst.num_states(), fst.initial, fst.symbols,
             [(state, weight.hex()) for state, weight in fst.finals.items()],
-            columns.offsets.tolist(), columns.targets.tolist(), columns.ilabels.tolist(),
-            columns.olabels.tolist(), columns.weights.tobytes(), fst._rewritten, fst._added)
+            columns.offsets.tolist(), columns.targets.tolist(), columns.labels.tolist(),
+            columns.weights.tobytes(), fst._rewritten, fst._added)
 
 
 def save(fst, path, negate=False):
@@ -1110,11 +1126,11 @@ def parsed(path, symbols, negate=False):
 
 def odd_graph():
     """-0.0 weights, three final states, initial state 2, one label on several
-    arcs, and an output label that is no arc's input label."""
+    arcs, and an epsilon arc."""
     table = SymbolTable(["a", "b", "c"])
     return add_arcs(empty_graph(table, 4, 2, {3: -0.0, 0: 0.7, 2: 1 / 7}),
-                    (2, 0, 1, 1, -0.0), (2, 1, 1, 2, 0.1), (2, 3, 1, 1, -1 / 3),
-                    (0, 3, 2, 3, 1e-300), (1, 1, 0, 0, -0.0), (3, 0, 2, 1, 2.0000000001))
+                    (2, 0, 1, -0.0), (2, 1, 1, 0.1), (2, 3, 1, -1 / 3),
+                    (0, 3, 2, 1e-300), (1, 1, 0, -0.0), (3, 0, 3, 2.0000000001))
 
 
 def enhanced_graph(seed):
@@ -1166,11 +1182,11 @@ def test_appended_text_is_the_copy_plus_the_arcs_and_its_companion_loads_it(kind
         text = text.replace(b"\n", b"\r\n")
     labels = sorted(fst.symbols._lab2sym)
     n = fst.num_states()
-    added = [Arc(rng.randrange(n), rng.randrange(n), rng.choice(labels), rng.choice(labels),
+    added = [Arc(rng.randrange(n), rng.randrange(n), rng.choice(labels),
                  rng.choice([-0.0, rng.uniform(-9, 9)])) for _ in range(rng.randint(0, 12))]
     sign = -1.0 if negate else 1.0
     symbol = fst.symbols.symbol
-    lines = "".join(f"{a.source} {a.target} {symbol(a.ilabel)} {symbol(a.olabel)} "
+    lines = "".join(f"{a.source} {a.target} {symbol(a.label)} {symbol(a.label)} "
                     f"{WEIGHT_FMT % (sign * a.weight)}\n" for a in added).encode()
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "g.fst"), os.path.join(tmp, "grown.fst")
@@ -1195,7 +1211,7 @@ def test_appended_text_is_the_copy_plus_the_arcs_and_its_companion_loads_it(kind
 def exact_contents(fst):
     """States, initial, symbols, arcs in order and finals, each weight as ``float.hex``."""
     return (fst.num_states(), fst.initial, fst.symbols,
-            [[(*arc[:3], arc[3].hex()) for arc in fst.arcs(state)] for state in fst.states()],
+            [[(*arc[:2], arc[2].hex()) for arc in fst.arcs(state)] for state in fst.states()],
             sorted((state, weight.hex()) for state, weight in fst.finals.items()))
 
 
@@ -1236,7 +1252,7 @@ def test_companion_of_an_enhanced_graph_is_that_of_its_text(tmp_path):
 
 
 def test_write_text_refuses_an_initial_state_without_arcs_or_final_weight():
-    fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {1: 0.5}), (0, 1, 1, 1, -1.0))
+    fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 1, {1: 0.5}), (0, 1, 1, -1.0))
     fst = oracles.apply_diff_by_arc(fst, FstDiff(final_changes=[(1, 0.5, None)]))
     buf = io.StringIO()
     with pytest.raises(InvariantError, match="^initial state has no arcs and is not final; "
@@ -1249,7 +1265,7 @@ def test_write_text_refuses_what_read_text_refuses():
     # Nine states and one arc 0 -> 8: the file would name state 8, but
     # read_text bounds state ids by twice the number of arcs and final
     # states.
-    sparse = add_arcs(empty_graph(SymbolTable(["a"]), 9), (0, 8, 1, 1, -1.0))
+    sparse = add_arcs(empty_graph(SymbolTable(["a"]), 9), (0, 8, 1, -1.0))
     buf = io.StringIO()
     with pytest.raises(InvariantError, match="last state, 8, is at or above twice the "
                                              r"number of arcs and final states \(1\)"):
@@ -1258,11 +1274,11 @@ def test_write_text_refuses_what_read_text_refuses():
     sparse = oracles.apply_diff_by_arc(sparse, FstDiff(final_changes=[(1, None, 0.0)]))
     with pytest.raises(InvariantError, match=r"final states \(2\)"):
         write_text(sparse, buf)
-    sparse = add_arcs(sparse, (0, 1, 1, 1, -1.0), (1, 0, 1, 1, -2.0))  # at the bound: 8 = 2 * 4
+    sparse = add_arcs(sparse, (0, 1, 1, -1.0), (1, 0, 1, -2.0))  # at the bound: 8 = 2 * 4
     with pytest.raises(InvariantError, match=r"final states \(4\)"):
         write_text(sparse, buf)
     assert buf.getvalue() == ""
-    sparse = add_arcs(sparse, (1, 1, 1, 1, -3.0))  # five records: ids up to 9 read back
+    sparse = add_arcs(sparse, (1, 1, 1, -3.0))  # five records: ids up to 9 read back
     write_text(sparse, buf)
     assert graph_state(sparse) == graph_state(read_text(io.StringIO(buf.getvalue()),
                                                         sparse.symbols))
@@ -1305,8 +1321,7 @@ def test_companion_of_a_text_read_text_rejects_is_not_used(tmp_path):
     # by the reference writer and its companion, with correct digests, from
     # the columns themselves. Only the loader's state bound turns it away.
     sparse = Wfst(SymbolTable(["a"]), _Columns(array("q", [0] + [1] * 10), array("i", [9]),
-                                               array("i", [1]), array("i", [1]),
-                                               array("d", [-1.0])), 0, {})
+                                               array("i", [1]), array("d", [-1.0])), 0, {})
     with open(path, "w") as handle:
         oracles.write_text_by_arc(sparse, handle)
     with open(path + COMPANION_SUFFIX, "wb") as handle:
@@ -1328,7 +1343,7 @@ def sections(data):
     fields = _HEADER.unpack_from(data)
     states, arcs, finals, pairs, names = fields[6:11]
     sizes = [("header", _HEADER.size), ("offsets", 8 * (states + 1)), ("targets", 4 * arcs),
-             ("ilabels", 4 * arcs), ("olabels", 4 * arcs), ("weights", 8 * arcs),
+             ("arc_labels", 4 * arcs), ("weights", 8 * arcs),
              ("final_states", 4 * finals), ("final_weights", 8 * finals),
              ("labels", 4 * pairs), ("names", names)]
     out, at = {}, 0
@@ -1372,13 +1387,15 @@ _BROKEN = {
     "final-state-out-of-range": (lambda d: put(d, "final_states", 0, "i", 4), _RANGE),
     "final-state-twice": (lambda d: put(d, "final_states", 0, "i", 0), _RANGE),
     "initial-out-of-range": (lambda d: set_header(d, initial=4), _RANGE),
-    "label-not-listed": (lambda d: put(d, "ilabels", 0, "i", 7), _LABELS),
+    "label-not-listed": (lambda d: put(d, "arc_labels", 0, "i", 7), _LABELS),
     "label-list-short": (lambda d: put(d, "names", 0, "B", ord("\n")), _LABELS),
     "symbols-not-utf8": (lambda d: put(d, "names", 0, "B", 0xff), "symbols are not UTF-8"),
     "wrong-item-size": (lambda d: set_header(d, i_size=8), "item sizes differ"),
     "wrong-byte-order": (lambda d: set_header(d, little=1 - d[8]), "byte order"),
-    # The retired version 1: its companions are not used either.
+    # The retired versions 1 and 2 (version 2 had an output-label column):
+    # their companions are not used either.
     "magic": (lambda d: set_header(d, magic=b"gboostG\x01"), "not a graph companion"),
+    "magic-version-2": (lambda d: set_header(d, magic=b"gboostG\x02"), "not a graph companion"),
 }
 
 
@@ -1400,7 +1417,7 @@ def test_resealed_broken_companion_falls_back(tmp_path, name):
 def test_a_sum_of_weights_that_overflows_still_loads(tmp_path):
     """Every weight finite but their sum not: the companion is used."""
     fst = add_arcs(empty_graph(SymbolTable(["a"]), 2, 0, {1: 0.0}),
-                   (0, 1, 1, 1, 1e308), (0, 1, 1, 1, 1e308), (1, 0, 1, 1, -1e308))
+                   (0, 1, 1, 1e308), (0, 1, 1, 1e308), (1, 0, 1, -1e308))
     path = str(tmp_path / "g.fst")
     for negate in (False, True):
         save(fst, path, negate)

@@ -93,8 +93,8 @@ class TestBuildG:
         assert fst.num_states() == 2  # root plus final
         assert fst.initial == states[()]
         assert fst.num_arcs() == 4  # a, b, c, plus </s>; nothing for <s>
-        assert all(ilabel != EPSILON_LABEL
-                   for state in fst.states() for (_, ilabel, _, _) in fst.arcs(state))
+        assert all(label != EPSILON_LABEL
+                   for state in fst.states() for (_, label, _) in fst.arcs(state))
         assert list(fst.finals.values()) == [0.0]
 
     def test_bigram_state_count(self):
@@ -115,7 +115,7 @@ class TestBuildG:
         model = parse(SMALL_BIGRAM)
         fst, states = build_g(model), history_states(model)
         a = fst.symbols.label("a")
-        ((target, _, _, weight),) = arcs_matching(fst, states[(BOS,)], a)
+        ((target, _, weight),) = arcs_matching(fst, states[(BOS,)], a)
         assert weight == model.logprob((BOS, "a"))
         assert target == states[("a",)]
 
@@ -125,8 +125,8 @@ class TestBuildG:
         eos = fst.symbols.label(EOS)
         (final,) = fst.finals
         for state in fst.states():
-            for target, ilabel, _, _ in fst.arcs(state):
-                if ilabel == eos:
+            for target, label, _ in fst.arcs(state):
+                if label == eos:
                     assert target == final
         assert not fst.arcs(final)
 
@@ -144,11 +144,11 @@ class TestBuildG:
         fst = telecom_graph
         for state in fst.states():
             seen = set()
-            for (_, ilabel, _, _) in fst.arcs(state):
-                if ilabel == EPSILON_LABEL:
+            for (_, label, _) in fst.arcs(state):
+                if label == EPSILON_LABEL:
                     continue
-                assert ilabel not in seen
-                seen.add(ilabel)
+                assert label not in seen
+                seen.add(label)
 
     def test_graph_shares_the_model_vocabulary(self, telecom_model, ool_config):
         fst = build_g(telecom_model)
@@ -212,8 +212,8 @@ class TestGraphScore:
         baseline = graph_score(fst, ["a"])
         a = fst.symbols.label("a")
         start = fst.initial
-        better = arcs_matching(fst, start, a)[0][3] + 1.0
-        fst = add_arcs(fst, (start, states[("a",)], a, a, better))
+        better = arcs_matching(fst, start, a)[0][2] + 1.0
+        fst = add_arcs(fst, (start, states[("a",)], a, better))
         assert graph_score(fst, ["a"]) == pytest.approx(
             baseline + 1.0, abs=1e-12)
 
@@ -222,29 +222,29 @@ class TestGraphScore:
         # with </s>, at -1.0 from state 1 and -3.0 from state 2.
         fst = fst_factory(
             ["a", EOS],
-            [(0, 1, "a", "a", -2.0), (0, 2, EPSILON, EPSILON, -0.5),
-             (1, 3, EOS, EOS, -1.0), (2, 3, EOS, EOS, -3.0)],
+            [(0, 1, "a", -2.0), (0, 2, EPSILON, -0.5),
+             (1, 3, EOS, -1.0), (2, 3, EOS, -3.0)],
             {3: 0.0},
         )
         a = fst.symbols.label("a")
         assert graph_score(fst, ["a"]) == -2.0 + -1.0
         assert graph_score(fst, []) == -0.5 + -3.0
-        added = add_arcs(fst, (0, 2, a, a, -1.0))  # a higher parallel arc
+        added = add_arcs(fst, (0, 2, a, -1.0))  # a higher parallel arc
         assert graph_score(added, ["a"]) == -1.0 + -3.0
         raised = apply_diff_by_arc(added, FstDiff(reweighted_arcs=[
-            (Arc(0, 1, a, a, -2.0), Arc(0, 1, a, a, -0.5))]))
+            (Arc(0, 1, a, -2.0), Arc(0, 1, a, -0.5))]))
         assert graph_score(raised, ["a"]) == -0.5 + -1.0
-        removed = apply_diff_by_arc(raised, FstDiff(removed_arcs=[Arc(0, 1, a, a, -0.5)]))
+        removed = apply_diff_by_arc(raised, FstDiff(removed_arcs=[Arc(0, 1, a, -0.5)]))
         assert graph_score(removed, ["a"]) == -1.0 + -3.0
-        assert graph_score(add_arcs(removed, (0, 1, a, a, 0.0)), ["a"]) == 0.0 + -1.0
+        assert graph_score(add_arcs(removed, (0, 1, a, 0.0)), ["a"]) == 0.0 + -1.0
         # Each graph it came from still scores its own arcs.
         for graph, score in ((fst, -2.0 + -1.0), (added, -1.0 + -3.0), (raised, -0.5 + -1.0),
                              (removed, -1.0 + -3.0)):
             assert graph_score(graph, ["a"]) == score
 
     def test_equal_weight_arcs_resolve_to_first_inserted(self, fst_factory):
-        ends = [(1, 3, EOS, EOS, -1.0), (2, 3, EOS, EOS, -2.0)]
-        to_1, to_2 = (0, 1, "a", "a", -1.0), (0, 2, "a", "a", -1.0)
+        ends = [(1, 3, EOS, -1.0), (2, 3, EOS, -2.0)]
+        to_1, to_2 = (0, 1, "a", -1.0), (0, 2, "a", -1.0)
         first_1 = fst_factory(["a", EOS], [to_1, to_2, *ends], {3: 0.0})
         first_2 = fst_factory(["a", EOS], [to_2, to_1, *ends], {3: 0.0})
         assert graph_score(first_1, ["a"]) == -1.0 + -1.0
@@ -261,8 +261,8 @@ class TestGraphScore:
                 word_arcs = [arc for arc in fst.arcs(state)
                              if arc[1] not in (EPSILON_LABEL, fst.symbols.label(EOS))]
                 if word_arcs:
-                    _, label, _, weight = rng.choice(word_arcs)
-                    fst = add_arcs(fst, (state, rng.randrange(final), label, label, weight))
+                    _, label, weight = rng.choice(word_arcs)
+                    fst = add_arcs(fst, (state, rng.randrange(final), label, weight))
             config = random_config(rng, VOCAB, fresh_token_stream())
             self._assert_greedy_scores(fst, rng, VOCAB)
             fst, _ = enhance(fst, config)  # adds parallel target arcs
@@ -287,19 +287,19 @@ class TestGraphScore:
         # to the root (state 1) and taking the root's arc.
         fst = fst_factory(
             ["a", EOS],
-            [(0, 1, "a", "a", -5.0), (0, 1, EPSILON, EPSILON, -0.5),
-             (1, 1, "a", "a", -1.0), (1, 2, EOS, EOS, -2.0)],
+            [(0, 1, "a", -5.0), (0, 1, EPSILON, -0.5),
+             (1, 1, "a", -1.0), (1, 2, EOS, -2.0)],
             {2: 0.0},
         )
         assert graph_score(fst, ["a"]) == -5.0 + -2.0  # failure: the word arc
         assert path_weight(fst, ["a", EOS]) == -0.5 + -1.0 + -2.0  # best path
 
     def test_broken_graphs_raise_invariant_errors(self, fst_factory):
-        cycle = fst_factory(["a", EOS], [(0, 1, EPSILON, EPSILON, -0.5),
-                                         (1, 0, EPSILON, EPSILON, -0.5)], {})
+        cycle = fst_factory(["a", EOS], [(0, 1, EPSILON, -0.5),
+                                         (1, 0, EPSILON, -0.5)], {})
         with pytest.raises(InvariantError, match="epsilon cycle"):
             graph_score(cycle, ["a"])
-        dead_end = fst_factory([EOS], [(0, 1, EOS, EOS, -1.0)], {2: 0.0})
+        dead_end = fst_factory([EOS], [(0, 1, EOS, -1.0)], {2: 0.0})
         with pytest.raises(InvariantError, match="non-final"):
             graph_score(dead_end, [])
 
@@ -307,21 +307,21 @@ class TestGraphScore:
         # The word is only at the last state: each word backs off through
         # every other state, the longest chain without a cycle.
         n = 30
-        chain = [(s, s + 1, EPSILON, EPSILON, -0.125 * (s + 1)) for s in range(n - 1)]
-        fst = fst_factory(["a", EOS], chain + [(n - 1, 0, "a", "a", -1.5),
-                                               (n - 1, n - 1, EOS, EOS, -0.5)],
+        chain = [(s, s + 1, EPSILON, -0.125 * (s + 1)) for s in range(n - 1)]
+        fst = fst_factory(["a", EOS], chain + [(n - 1, 0, "a", -1.5),
+                                               (n - 1, n - 1, EOS, -0.5)],
                           {n - 1: -0.25})
-        backoffs = sum(arc[4] for arc in chain)  # eighths: every sum here is exact
+        backoffs = sum(arc[3] for arc in chain)  # eighths: every sum here is exact
         expected = backoffs + -1.5 + backoffs + -0.5 + -0.25
         assert graph_score(fst, ["a"]) == expected
         assert oracles.greedy_score(fst, ["a"], max_backoffs=n) == expected
 
     def test_epsilon_cycle_raises_after_every_state_is_tried(self, fst_factory):
         """The word is looked up in one state more than the graph has, then the cycle raises."""
-        fst = fst_factory(["a", "b", EOS], [(0, 1, "b", "b", -1.0),
-                                            (0, 2, EPSILON, EPSILON, -0.5),
-                                            (2, 3, EPSILON, EPSILON, -0.5),
-                                            (3, 2, EPSILON, EPSILON, -0.5)], {1: 0.0})
+        fst = fst_factory(["a", "b", EOS], [(0, 1, "b", -1.0),
+                                            (0, 2, EPSILON, -0.5),
+                                            (2, 3, EPSILON, -0.5),
+                                            (3, 2, EPSILON, -0.5)], {1: 0.0})
         visits = []
         best_arcs = fst.best_arcs
 
@@ -419,7 +419,7 @@ class TestGraphScore:
         model = parse(SUFFIX_GAP)
         fst, states = build_g(model), history_states(model)
         c = fst.symbols.label("c")
-        ((target, _, _, weight),) = arcs_matching(fst, states[("a", "b")], c)
+        ((target, _, weight),) = arcs_matching(fst, states[("a", "b")], c)
         folded = model.logprob(("a", "b", "c")) + (-0.22 * LN10)
         assert weight == pytest.approx(folded, abs=1e-12)
         assert target == states[("c",)]

@@ -36,7 +36,7 @@ def test_every_traced_name_resolves():
 
 
 def test_enhance_returns_the_pair_the_tracer_counts():
-    fst = make_fst("a c", [(0, 1, "a", "a", 0.5)], {1: 0.0})
+    fst = make_fst("a c", [(0, 1, "a", 0.5)], {1: 0.0})
     config = EnhanceConfig(theta=0.0, max_predictors=1, groups=[SimilarPairGroup(
         predictors=["a"], targets=["c"], frequencies={"a": 95, "c": 5})])
     result = enhance(fst, config)
