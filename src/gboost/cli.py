@@ -35,7 +35,9 @@ with the same errors and exit codes either way. With -v, each graph load
 and write logs one line: the file, where the graph came from, its state
 and arc counts and the seconds taken; a write also splits its seconds
 into text, symbols and companion, and says when the text was copied and
-how many lines were appended.
+how many lines were appended. -v sets the root logger's level for one
+command and restores it on every exit path, so each ``main`` call in a
+process logs at its own -v.
 
 Text files are read and written as UTF-8, whatever the locale: a file
 that is not UTF-8 exits 2. ``score`` reads its --text in binary, cuts it
@@ -595,8 +597,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     level = logging.WARNING if args.verbose == 0 else \
         logging.INFO if args.verbose == 1 else logging.DEBUG
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="gboost: %(levelname)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, format="gboost: %(levelname)s: %(message)s")
+    root = logging.getLogger()
+    level_was = root.level
+    root.setLevel(level)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -609,6 +613,7 @@ def main(argv=None) -> int:
         print(line, file=sys.stderr)
         return code
     finally:
+        root.setLevel(level_was)
         if gc_was_enabled:
             gc.enable()
 

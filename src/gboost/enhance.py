@@ -27,9 +27,10 @@ base, so that the count of candidates whose weight exceeds their
 predictor's (the overshoot warning) is exact at every theta.
 
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
-unmodified graph, of added and raised arcs only. The enhanced graph is a
-new graph that holds that diff's edits: each state with a raised arc
-rewritten, and the added arcs after each state's own.
+unmodified graph, of added and raised arcs only, and the enhanced graph is
+built from that diff alone: a new graph over the unmodified graph's
+columns and finals, with each state that has a raised arc rewritten and
+the added arcs after each state's own.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from itertools import chain, filterfalse, repeat
 from operator import add, itemgetter, lt
 from typing import NamedTuple
 
+from gboost.arpa import BOS, EOS
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import (EPSILON, Arc, FstDiff, SymbolTable, Wfst, _check_symbol, _derived,
-                        _rewrite)
+from gboost.fst import EPSILON, Arc, FstDiff, SymbolTable, Wfst, _check_symbol, _derived
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +69,12 @@ class SimilarPairGroup:
             raise InvariantError("similar-pair group has no target words")
         # <eps> labels the back-off arcs: as a predictor it would copy them
         # as word arcs, as a target it would add label-0 arcs beside them.
+        # The sentence markers are no words either: a </s> arc must end in
+        # a final state, and no sentence reads <s>.
         for role, words in (("predictor", self.predictors), ("target", self.targets)):
-            if EPSILON in words:
-                raise InvariantError(f"{EPSILON!r} is not a word and cannot be a {role}")
+            for marker in (EPSILON, BOS, EOS):
+                if marker in words:
+                    raise InvariantError(f"{marker!r} is not a word and cannot be a {role}")
         for word in self.predictors:
             if word not in symbols:
                 raise InvariantError(f"predictor word not in vocabulary: {word!r}")
@@ -129,7 +133,7 @@ def load_pairs_config(text: str) -> EnhanceConfig:
     """Parse the similar-pairs JSON config."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise FormatError(f"pairs config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("pairs config must be a JSON object")
@@ -352,7 +356,6 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
         label = symbols.label(target)
         delta.reweighted_arcs.append((Arc(source, dest, label, before),
                                       Arc(source, dest, label, weight)))
-    rewritten = _rewrite(fst, delta.reweighted_arcs)
     # The edits need no other check: their states come from the graph's
     # own arcs, their labels from its symbol table, and their weights were
     # checked above. The additions are built in C, with no bytecode step
@@ -366,4 +369,4 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
              "%d candidates overshoot; plan %s", theta, config.max_predictors,
              len(delta.added_arcs), len(delta.reweighted_arcs), overshoot,
              "reused" if reused else "built")
-    return _derived(fst, symbols, rewritten, delta.added_arcs, fst.finals), delta
+    return _derived(fst, symbols, delta), delta

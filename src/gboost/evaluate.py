@@ -135,7 +135,7 @@ def load_cases(text: str) -> list[RankingCase]:
     """Parse the cases JSON file (a list of reference/focus/competitors objects)."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise FormatError(f"cases file is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise FormatError("cases file must be a JSON list")

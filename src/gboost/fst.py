@@ -330,13 +330,14 @@ class Wfst:
     table never changes, and :func:`gboost.enhance.enhance` returns a new
     graph (``_derived``). It shares ``_columns`` with the graph it came
     from until it materializes, and holds its own edits: ``_rewritten``
-    maps each state whose arcs were rewritten, by a raise say, to its arcs
-    after that, and ``_added`` holds the diff's added ``Arc`` objects
-    themselves, sorted by source, in delta order within a state. A state's
-    arcs are its rewritten list, or else its column arcs, followed by its
-    added arcs without their source (``_state_arcs``). Every reader of
-    arcs but :meth:`best_arcs` first calls ``_materialize``, which merges
-    the edits into columns of this graph's own, once, and changes no arc.
+    maps each state whose arcs were rewritten, by a reweight, to its arcs
+    after that, as many as before, and ``_added`` holds the diff's added
+    ``Arc`` objects themselves, sorted by source, in delta order within a
+    state. A state's arcs are its rewritten list, or else its column arcs,
+    followed by its added arcs without their source (``_state_arcs``).
+    Every reader of arcs but :meth:`best_arcs` first calls
+    ``_materialize``, which merges the edits into columns of this graph's
+    own, once, and changes no arc.
 
     Each state has a best-arc table, ``{label: arc}``, built on first use
     by :meth:`best_arcs`: for each label it holds the highest-weight
@@ -432,13 +433,9 @@ class Wfst:
         for state in sorted(self._rewritten.keys() | set(sources)):
             first = bisect_left(sources, state, first)
             last = bisect_right(sources, state, first)
+            counts[state] += last - first  # a rewritten state keeps its arc count
             arcs = self._rewritten.get(state)
-            if arcs is None:
-                end = offsets[state + 1]
-                counts[state] += last - first
-            else:
-                end = offsets[state]
-                counts[state] = len(arcs) + last - first
+            end = offsets[state + 1] if arcs is None else offsets[state]
             for field, (column, source, new) in enumerate(zip(merged, old, extra)):
                 column += source[at:end]
                 if arcs:
@@ -541,21 +538,33 @@ class Wfst:
         return self
 
 
-def _derived(base: Wfst, symbols: SymbolTable, rewritten: dict[int, list],
-             added: Iterable[Arc], finals: Mapping[int, float]) -> Wfst:
-    """A new graph: the arcs of ``base``, a graph without edits, with these edits.
+def _derived(base: Wfst, symbols: SymbolTable, delta: FstDiff) -> Wfst:
+    """A new graph, labelled by ``symbols``: ``base`` with an enhancement diff's edits.
 
-    ``rewritten`` maps states to their new arc lists, and ``added`` is a
-    diff's added arcs. Neither is checked here: the caller takes their
-    states and labels from ``base``'s own arcs and table and checks their
-    weights, as :func:`gboost.enhance.enhance` does. The new graph
-    holds those ``Arc`` objects themselves, in a stable sort by source, so
-    delta order holds within a state. It shares ``base``'s columns, and
-    with them every table and memo value computed from them.
+    Materializes ``base`` (a no-op without edits), then plays ``delta``'s
+    reweights, in order, on copies of their states' arcs: each edits the
+    last arc equal to its old arc, the one whose weight enhancement reads
+    for a slot. The new graph holds ``delta``'s added ``Arc`` objects
+    themselves, in a stable sort by source, so delta order holds within a
+    state, and ``base``'s finals; nothing else of the diff is read, and only
+    the reweights' old arcs are checked: the caller checks the rest, as
+    :func:`gboost.enhance.enhance` does. The new graph shares ``base``'s
+    columns, and with them every table and memo value computed from them.
     """
-    fst = Wfst(symbols, base._columns, base.initial, finals)
-    fst._rewritten = rewritten
-    fst._added = sorted(added, key=_source)
+    base._materialize()
+    fst = Wfst(symbols, base._columns, base.initial, base.finals)
+    rewritten = fst._rewritten
+    # An Arc without its source is the tuple a state's arc list stores.
+    for old, new in delta.reweighted_arcs:
+        arcs = rewritten.get(old.source)
+        if arcs is None:
+            arcs = rewritten[old.source] = base._columns.arcs(old.source)
+        try:
+            pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
+        except ValueError:
+            raise InvariantError(f"cannot reweight missing arc {old}") from None
+        arcs[pos] = new[1:]
+    fst._added = sorted(delta.added_arcs, key=_source)
     tables = fst._tables
     for state in chain(rewritten, map(_source, fst._added)):
         tables[state] = None
@@ -698,26 +707,6 @@ def diff(before: Wfst, after: Wfst) -> FstDiff:
             if bw != aw:
                 out.final_changes.append((state, bw, aw))
     return out
-
-
-def _rewrite(fst: Wfst, reweighted: Iterable[tuple[Arc, Arc]]) -> dict[int, list[_ArcTuple]]:
-    # Materializes fst, then plays the reweights, in order, on copies of
-    # their states' arcs, and returns those copies by state. A reweight
-    # edits the last arc equal to its old arc: the one whose weight
-    # enhancement reads for a slot.
-    fst._materialize()
-    rewritten: dict[int, list[_ArcTuple]] = {}
-    # An Arc without its source is the tuple a state's arc list stores.
-    for old, new in reweighted:
-        arcs = rewritten.get(old.source)
-        if arcs is None:
-            arcs = rewritten[old.source] = fst._columns.arcs(old.source)
-        try:
-            pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
-        except ValueError:
-            raise InvariantError(f"cannot reweight missing arc {old}") from None
-        arcs[pos] = new[1:]
-    return rewritten
 
 
 # ---------------------------------------------------------------------------

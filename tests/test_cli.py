@@ -346,19 +346,24 @@ class TestEnhanceCommand:
         assert "nosuchword" in capsys.readouterr().err
         assert not (workdir / "g2.fst").exists()
 
-    @pytest.mark.parametrize("role", ["predictor", "target"])
-    def test_epsilon_in_pairs_is_invariant_error(self, workdir, capsys, role):
+    # Ids: the role, then the word unless it is <eps>.
+    @pytest.mark.parametrize("role, word", [
+        (role, word) for word in ("<eps>", "<s>", "</s>") for role in ("predictor", "target")
+    ], ids=["predictor", "target", "predictor-<s>", "target-<s>", "predictor-</s>",
+            "target-</s>"])
+    def test_epsilon_in_pairs_is_invariant_error(self, workdir, capsys, role, word):
+        """Neither <eps> nor a sentence marker is a word: none takes a role."""
         fst_path, syms_path = build(workdir)
         group = {"predictors": ["liuliang"], "targets": ["wifi"],
-                 "frequencies": {"liuliang": 54, "<eps>": 10}, "new_words": ["wifi"]}
-        group[role + "s"] = ["<eps>"]
+                 "frequencies": {"liuliang": 54, word: 10}, "new_words": ["wifi"]}
+        group[role + "s"] = [word]
         (workdir / "bad.json").write_text(json.dumps(dict(PAIRS, groups=[group])))
         code = run("enhance", "--in-fst", fst_path, "--in-syms", syms_path,
                    "--pairs", workdir / "bad.json",
                    "--out-fst", workdir / "g2.fst", "--out-syms", workdir / "w2.syms")
         assert code == 3
         err = capsys.readouterr().err
-        assert "'<eps>'" in err and role in err
+        assert repr(word) in err and role in err
         assert not (workdir / "g2.fst").exists()
 
     def test_malformed_pairs_json_is_format_error(self, workdir):
@@ -1012,10 +1017,14 @@ class TestMalformedInputs:
         ("\\data\\\nngram 1=2\n\n\\1-grams:\n-99\t<s>\n-0.5\two\n\n\\end\\\n", BUILD),
         ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.5\n-0.5\ta\n"
          "-0.9\t</s>\n\n\\2-grams:\n-0.3\ta b\n\n\\end\\\n", BUILD),
+        ("[" * 200000, ENHANCE),
+        ("[" * 200000,
+         ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
             "symbols", "symbols-label-beyond-int", "pairs", "pairs-word-with-space",
             "pairs-empty-word", "cases", "arpa-not-utf8", "sentences-not-utf8",
-            "symbols-not-utf8", "arpa-without-eos", "arpa-predicted-word-without-unigram"])
+            "symbols-not-utf8", "arpa-without-eos", "arpa-predicted-word-without-unigram",
+            "pairs-nested-too-deep", "cases-nested-too-deep"])
     def test_one_error_line_and_exit_two(self, workdir, capsys, text, argv):
         fst_path, syms_path = build(workdir)
         (workdir / "bad").write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -1115,6 +1124,33 @@ class TestCollectorPause:
         for command, small, large in ((score, 50, 500), (evaluate, 2, 20)):
             garbage(command(small))  # warm: lazy imports and caches
             assert garbage(command(small)) == garbage(command(large)), command.__name__
+
+
+def test_each_call_logs_at_its_own_verbosity(monkeypatch, caplog):
+    """-v applies to the call it is given, before or after a quiet one, in one process.
+
+    Each call, failing or not, leaves the root logger's level as it found it.
+    """
+    def command(args):
+        logging.getLogger("gboost.probe").info("ran")
+        if args.text == "fail":
+            raise FormatError("f")
+        return 0
+
+    monkeypatch.setattr(gboost.cli, "_cmd_score", command)
+    root = logging.getLogger()
+    level = root.level
+    try:
+        for verbose, text in ((False, "t.txt"), (True, "t.txt"), (False, "t.txt"),
+                              (True, "fail"), (False, "fail")):
+            caplog.clear()
+            main(["-v"] * verbose + ["score", "--fst", "g.fst", "--syms", "g.syms",
+                                     "--text", text])
+            ran = [r.getMessage() for r in caplog.records if r.name == "gboost.probe"]
+            assert ran == (["ran"] if verbose else []), (verbose, text)
+            assert root.level == level
+    finally:
+        root.setLevel(level)
 
 
 class TestUsage:

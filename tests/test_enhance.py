@@ -221,15 +221,22 @@ class TestEnhance:
         ("<eps>", "c", False, "predictor"),
         ("a", "<eps>", False, "target"),
         ("a", "<eps>", True, "target"),
+        ("<s>", "c", False, "predictor"),
+        ("a", "<s>", False, "target"),
+        ("a", "<s>", True, "target"),
+        ("</s>", "c", False, "predictor"),
+        ("a", "</s>", False, "target"),
+        ("a", "</s>", True, "target"),
     ])
     def test_epsilon_is_neither_predictor_nor_target(self, fst_factory, donor_graph,
                                                      predictor, target, new, role):
         # <eps> labels back-off arcs: as a predictor it would copy them as
-        # target-word arcs, as a target it would add label-0 arcs.
-        config = one_pair_config(predictor, target, {"a": 95, "c": 5, "<eps>": 50},
-                                 new=new)
+        # target-word arcs, as a target it would add label-0 arcs. A </s>
+        # arc must end in a final state, and no sentence reads <s>.
+        word = predictor if role == "predictor" else target
+        config = one_pair_config(predictor, target, {"a": 95, "c": 5, word: 50}, new=new)
         before = fst_factory(*DONOR)  # the same graph, built apart
-        with pytest.raises(InvariantError, match=f"'<eps>'.* {role}"):
+        with pytest.raises(InvariantError, match=f"'{word}'.* {role}"):
             enhance(donor_graph, config)
         assert oracles.graphs_equal(before, donor_graph) and before.symbols == donor_graph.symbols
 
@@ -446,7 +453,7 @@ def check_cells(base, counts_a, counts_b, cells):
 
 def grown_before(base, word):
     """``base``'s arcs, and so its memo, under a symbol table that gained ``word``."""
-    return _derived(base, base.symbols.extended([word]), {}, [], base.finals)
+    return _derived(base, base.symbols.extended([word]), FstDiff())
 
 
 class TestPlanAndApply:
@@ -481,7 +488,7 @@ class TestPlanAndApply:
         base = plan_graph(RAISE_ARCS)
         config = plan_config([9, 8, 7, 6], [5, 4, 3, 2])
         assert logged_enhance(base, config)[2][5] == "built"
-        twin = _derived(base, base.symbols, {}, (), base.finals)  # over the same columns
+        twin = _derived(base, base.symbols, FstDiff())  # over the same columns
         assert twin is not base and logged_enhance(twin, config)[2][5] == "reused"
         y2, y3 = base.symbols.label("y2"), base.symbols.label("y3")
         edited = add_arcs(base, (4, 3, y2, -0.25))
@@ -622,6 +629,7 @@ def near_valid_pairs(draw):
 @example(json.dumps(VALID_PAIRS))
 @example(json.dumps(dict(VALID_PAIRS, groups=[dict(
     VALID_PAIRS["groups"][0], frequencies={"a": 95, "b": 10**330, "c": 5})])))
+@example("[" * 200000)  # nested too deep for the parser
 def test_pairs_config_raises_only_gboost_errors(text):
     try:
         config = load_pairs_config(text)

@@ -333,6 +333,7 @@ def near_valid_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.text(max_size=60), JSON_VALUES.map(json.dumps), near_valid_cases()))
 @example(json.dumps([VALID_CASE]))
+@example("[" * 200000)  # nested too deep for the parser
 def test_cases_file_raises_only_gboost_errors(text):
     try:
         cases = load_cases(text)

@@ -199,26 +199,16 @@ def text_of(fst):
 
 
 def derive(fst, delta):
-    """``fst`` with ``delta``'s edits held as edits, as enhancement's graph holds them.
+    """``fst`` with an enhancement diff's edits held as edits, as enhancement's graph holds them.
 
-    The graph :func:`oracles.apply_diff_by_arc` builds, made by ``_derived``
-    over ``fst``'s columns: each state a removal or reweight touches
-    rewritten, and the added ``Arc`` objects themselves. With an empty
-    diff, a twin: another graph over ``fst``'s columns, tables and memo.
-    Materializes ``fst`` first, which a derived graph's base must be.
+    ``delta`` holds additions and reweights only. With an empty diff, a
+    twin: another graph over ``fst``'s columns, tables and memo.
     """
-    fst._materialize()
-    replayed = oracles.apply_diff_by_arc(fst, FstDiff(
-        removed_arcs=delta.removed_arcs, reweighted_arcs=delta.reweighted_arcs,
-        final_changes=delta.final_changes))
-    touched = ({arc.source for arc in delta.removed_arcs}
-               | {old.source for old, _ in delta.reweighted_arcs})
-    return _derived(fst, fst.symbols, {state: replayed.arcs(state) for state in touched},
-                    delta.added_arcs, replayed.finals)
+    return _derived(fst, fst.symbols, delta)
 
 
 def random_edit(fst, rng):
-    """One random arc edit of ``fst``, as a one-entry diff."""
+    """One random arc addition or reweight of ``fst``, as a one-entry diff."""
     n = fst.num_states()
     new_arc = Arc(rng.randrange(n), rng.randrange(n), rng.randint(1, 3),
                   round(rng.uniform(-4, 4), 6))
@@ -227,8 +217,6 @@ def random_edit(fst, rng):
     if choice < 0.5 or not fst.arcs(state):
         return FstDiff(added_arcs=[new_arc])
     old = Arc(state, *rng.choice(fst.arcs(state)))
-    if choice < 0.75:
-        return FstDiff(removed_arcs=[old])
     new = old._replace(weight=round(rng.uniform(-4, 4), 6))
     return FstDiff(reweighted_arcs=[(old, new)])
 
@@ -237,7 +225,7 @@ class TestBestArcTables:
     """A state's table: the shared column table plus its added arcs, or a rebuild.
 
     Only a state with added arcs alone derives its table; a rewritten
-    state (a removal or reweight) has its table rebuilt from its arcs.
+    state (a reweight) has its table rebuilt from its arcs.
     """
 
     # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
@@ -252,17 +240,19 @@ class TestBestArcTables:
         "append": ([FstDiff(added_arcs=APPEND)], [True]),
         "append twice": ([FstDiff(added_arcs=APPEND[:2]), FstDiff(added_arcs=APPEND[2:])],
                          [True, True]),
-        "remove": ([FstDiff(removed_arcs=[Arc(0, 1, 1, 1.0)])], [False]),
+        "lower": ([FstDiff(reweighted_arcs=[(Arc(0, 1, 1, 1.0), Arc(0, 1, 1, -1.0))])],
+                  [False]),
         "reweight": ([FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 2.0),
                                                 Arc(0, 2, 2, 0.25))])], [False]),
         "reweight to the same weight": ([FstDiff(reweighted_arcs=[
             (Arc(0, 1, 1, 1.0), Arc(0, 1, 1, 1.0))])], [False]),
-        "remove, then append the same arc": (
-            [FstDiff(removed_arcs=[Arc(0, 1, 1, 1.0)]),
+        "lower, then append the same arc": (
+            [FstDiff(reweighted_arcs=[(Arc(0, 1, 1, 1.0), Arc(0, 1, 1, -1.0))]),
              FstDiff(added_arcs=[Arc(0, 1, 1, 1.0)])], [False, True]),
-        "append, then remove": ([FstDiff(added_arcs=APPEND),
-                                 FstDiff(removed_arcs=[Arc(0, 2, 1, 1.0)])],
-                                [True, False]),
+        "append, then lower": ([FstDiff(added_arcs=APPEND),
+                                FstDiff(reweighted_arcs=[(Arc(0, 2, 1, 1.0),
+                                                          Arc(0, 2, 1, -1.0))])],
+                               [True, False]),
     }
 
     @pytest.fixture
@@ -331,7 +321,7 @@ class TestPendingAdditions:
             Arc(0, 2, 3, 2.0),   # ties the added arc before it: the first wins
             Arc(0, 2, 2, 0.75),  # beats the column arc on b
         ]
-        fst = _derived(base, base.symbols, {}, added, base.finals)
+        fst = _derived(base, base.symbols, FstDiff(added_arcs=added))
         table = fst.best_arcs(0)
         assert list(map(id, fst._added)) == list(map(id, added)) and not fst._rewritten
         assert table == {1: (1, 1, 1.0), 2: (2, 2, 0.75), 3: (1, 3, 2.0)}
@@ -349,7 +339,8 @@ class TestPendingAdditions:
         base = self.base(fst_factory)
         table = derive(base, FstDiff()).best_arcs(1)  # built through a twin, beside the columns
         assert derive(base, FstDiff())._tables[1] is table and base.best_arcs(1) is table
-        written = derive(base, FstDiff(removed_arcs=[Arc(0, 2, 2, 0.5)]))
+        written = derive(base, FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 0.5),
+                                                         Arc(0, 2, 2, 0.25))]))
         assert written._tables[1] is table and written._tables[0] is None
         own = written.best_arcs(0)
         grand = derive(written, FstDiff(added_arcs=[Arc(1, 0, 2, 3.0)]))
@@ -395,7 +386,7 @@ def _check_read(read, lazy, eager, base, data):
 
 
 def _draw_delta(data, eager):
-    """A valid delta for ``eager``: additions, a removal, a reweight, a final change."""
+    """A valid delta for ``eager`` of the kinds a derived graph holds: additions, reweights."""
     n = eager.num_states()
     labels = sorted(eager.symbols._lab2sym)
     added = []
@@ -410,28 +401,22 @@ def _draw_delta(data, eager):
         added.append(Arc(source, target, label, weight))
     delta = FstDiff(added_arcs=added)
     written = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
-    for state, kind in zip(written, ("remove", "reweight")):
+    for state in written:
         arcs = eager.arcs(state)
         if not arcs:
             continue
         repeated = [arc for arc in arcs if arcs.count(arc) > 1]
         old = Arc(state, *data.draw(st.sampled_from(repeated or arcs)))
-        if kind == "remove":
-            delta.removed_arcs.append(old)
-        else:
-            new = old._replace(weight=data.draw(st.sampled_from(_WEIGHTS)))
-            delta.reweighted_arcs.append((old, new))
-    if data.draw(st.booleans(), label="final change"):
-        state = data.draw(st.integers(0, n - 1))
-        after = data.draw(st.sampled_from((None, *_WEIGHTS)))
-        delta.final_changes.append((state, eager.finals.get(state), after))
+        new = old._replace(weight=data.draw(st.sampled_from(_WEIGHTS)))
+        delta.reweighted_arcs.append((old, new))
     return delta
 
 
 def _draw_config(data, symbols):
     """A valid one-group enhancement config over the words of ``symbols``."""
     new_words = ["nova", "nova2"]  # new at first, then in the tables of the graphs enhanced
-    words = [word for word in symbols._sym2lab if word not in (EPSILON, *new_words)]
+    words = [word for word in symbols._sym2lab
+             if word not in (EPSILON, oracles.BOS, oracles.EOS, *new_words)]
     predictors = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=2,
                                     unique=True), label="predictors")
     others = [word for word in words if word not in predictors]
@@ -598,7 +583,11 @@ def accepted_input(fst, rng, max_steps=40):
 
 
 def perturb(fst, rng):
-    """A graph derived from ``fst`` by a few random structural edits."""
+    """A graph made from ``fst`` by a few random structural edits.
+
+    Reweights are held as edits (``derive``); additions, removals and
+    final changes are replayed on plain arc lists.
+    """
     out = fst
     for _ in range(rng.randint(1, 6)):
         choice = rng.random()
@@ -611,14 +600,13 @@ def perturb(fst, rng):
             if arcs:
                 old = Arc(state, *arcs[rng.randrange(len(arcs))])
                 if choice < 0.6:
-                    delta = FstDiff(removed_arcs=[old])
+                    out = oracles.apply_diff_by_arc(out, FstDiff(removed_arcs=[old]))
                 else:
                     new = old._replace(weight=round(rng.uniform(-4, 4), 6))
-                    delta = FstDiff(reweighted_arcs=[(old, new)])
-                out = derive(out, delta)
+                    out = derive(out, FstDiff(reweighted_arcs=[(old, new)]))
         else:
             state = rng.randrange(out.num_states())
-            out = derive(out, FstDiff(final_changes=[
+            out = oracles.apply_diff_by_arc(out, FstDiff(final_changes=[
                 (state, out.final_weight(state), round(rng.uniform(-1, 1), 6))]))
     return out
 
@@ -692,11 +680,12 @@ class TestDiff:
     def test_diff_matches_grouping_reference(self, random_graph_factory):
         """The equal-list fast path changes no entry of the grouping diff.
 
-        Pairs: a graph and one derived from it (shared columns), both ways;
-        a fresh read of the derived one (equal lists, no shared columns); one
-        derived with no edit; a graph with one state's arcs reversed (unequal lists,
-        equal groups); fresh reads of both (columns compared run by run),
-        both ways; a fresh read and one derived from it.
+        Pairs: a graph and one perturbed from it (see perturb), both ways;
+        a fresh read of the perturbed one (equal lists, no shared columns);
+        one derived with no edit (shared columns); a graph with one state's
+        arcs reversed (unequal lists, equal groups); fresh reads of both
+        (columns compared run by run), both ways; a fresh read and one
+        perturbed from it.
         """
         rng = random.Random(6174)
         for seed in range(40):
@@ -890,7 +879,7 @@ class TestTextFormat:
     def test_last_state_named_only_by_a_live_arc(self):
         symbols = SymbolTable(["a"])
         fst = read_text(io.StringIO("0 1 a a -1\n1 2 a a -1\n1 0\n"), symbols)
-        fst = derive(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, -1.0)]))
+        fst = oracles.apply_diff_by_arc(fst, FstDiff(removed_arcs=[Arc(1, 2, 1, -1.0)]))
         with pytest.raises(InvariantError, match="last state, 2"):
             write_text(fst, io.StringIO())  # its column arc into 2 is gone
         fst = add_arcs(fst, (0, 2, 1, -2.0))
@@ -920,8 +909,9 @@ class TestTextFormat:
         for seed in range(20):
             fst = random_graph_factory(seed, n_states=20, n_arcs=80, epsilon_arcs=4,
                                        initial=seed % 19)  # a state with arcs, not always 0
-            fst = derive(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 0.0), Arc(3, 4, 1, -0.0)],
-                                      final_changes=[(5, fst.final_weight(5), -0.0)]))
+            fst = oracles.apply_diff_by_arc(fst, FstDiff(
+                final_changes=[(5, fst.final_weight(5), -0.0)]))
+            fst = derive(fst, FstDiff(added_arcs=[Arc(3, 4, 1, 0.0), Arc(3, 4, 1, -0.0)]))
             read = read_text(io.StringIO(text_of(fst)), fst.symbols)
             for graph in (fst, perturb(fst, rng), read, perturb(read, rng)):
                 for negate in (False, True):

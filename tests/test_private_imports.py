@@ -19,7 +19,6 @@ ALLOWED = {
     ("cli", "fst", "_file_digest"),
     ("enhance", "fst", "_check_symbol"),
     ("enhance", "fst", "_derived"),
-    ("enhance", "fst", "_rewrite"),
     ("evaluate", "enhance", "_word_list"),
     ("graph", "fst", "_Columns"),
 }
