@@ -221,12 +221,15 @@ def _write_graph(g: Wfst, fst_path: str, syms_path: str, negate: bool,
     # derived from, its digest and the lines of the arcs the derivation
     # added), that file's bytes plus those lines. The companion dumps g's
     # materialized columns, which the text reads back to either way, with
-    # the text's digest: append_text's, or the written file's.
+    # the digest of the bytes written: append_text's, or the temp file's,
+    # taken before the rename, so that a text another writer puts at
+    # fst_path afterwards never gets this companion's digest.
     start = perf_counter()
     if source is None:
         with _atomic_open(fst_path) as handle:
             write_text(g, handle, negate=negate)
-        text_digest = _file_digest(fst_path)
+            handle.flush()
+            text_digest = _file_digest(handle.fileno())
         how = ""
     else:
         in_path, digest, lines = source

@@ -28,9 +28,9 @@ predictor's (the overshoot warning) is exact at every theta.
 
 The enhancement is computed as an :class:`~gboost.fst.FstDiff` against the
 unmodified graph, of added and raised arcs only, and the enhanced graph is
-built from that diff alone: a new graph over the unmodified graph's
-columns and finals, with each state that has a raised arc rewritten and
-the added arcs after each state's own.
+built from that diff alone: a new graph with the unmodified graph's finals,
+over its columns, or over a copy of their weight column with the raises
+written in, and with the added arcs after each state's own.
 """
 
 from __future__ import annotations
@@ -303,11 +303,12 @@ def enhance(fst: Wfst, config: EnhanceConfig) -> tuple[Wfst, FstDiff]:
     arcs are touched.
 
     ``fst`` never changes, also when this raises. The enhanced graph is a
-    new one: it shares ``fst``'s columns and tables, a raised arc is
-    rewritten in its state's arcs where it stands, and its added arcs are
-    the diff's ``Arc`` objects, after each state's own. It shares ``fst``'s
-    symbol table too, unless the config has words new to it: then it holds
-    the table :meth:`~gboost.fst.SymbolTable.extended` makes with them.
+    new one: it shares ``fst``'s columns and tables, or, if some arc is
+    raised, all but the weight column, whose copy holds each raise where
+    its arc stands; its added arcs are the diff's ``Arc`` objects, after
+    each state's own. It shares ``fst``'s symbol table too, unless the
+    config has words new to it: then it holds the table
+    :meth:`~gboost.fst.SymbolTable.extended` makes with them.
 
     Plan, then apply. The plan (see the module docstring) is memoized in
     ``fst``'s :meth:`~gboost.fst.Wfst.memo`, beside its columns, keyed by

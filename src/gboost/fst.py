@@ -18,13 +18,13 @@ state and finals, and nothing changes any of them afterwards. Symbol
 tables never change either, so graphs share them. What is computed from
 arcs (best-arc tables, the enhancement memo) lives beside their columns.
 :func:`gboost.enhance.enhance`, the one way to derive a graph from
-another, returns a new graph that shares the old one's columns and holds
-only its edits: the states whose arcs it raised, rewritten, and the very
-``Arc`` objects its diff adds. Scoring reads an edited state's arcs from
-its edits; every other reader first materializes the graph once, merging
-its edits into columns of its own. So a graph that is edited and then
-scored pays only for the states it scores. State ids and labels must
-fit the C ``int`` columns.
+another, returns a new graph over the old one's columns, or, when it
+raises arcs, over a copy of their weight column with the raises written
+in, and holds only the very ``Arc`` objects its diff adds, pending.
+Scoring reads a state's added arcs from there; every other reader first
+materializes the graph once, merging them into columns of its own. So a
+graph that gains arcs and is then scored pays only for the states it
+scores. State ids and labels must fit the C ``int`` columns.
 
 Companion file. Text is the interchange format, and exact (see
 ``WEIGHT_FMT``); parsing it is the largest cost of reading a graph.
@@ -89,13 +89,10 @@ from typing import BinaryIO, Iterable, Mapping, NamedTuple, TextIO
 
 from gboost.errors import FormatError, InvariantError
 
-try:
-    # The interpreter's own BLAKE2b, which hashes about three times as fast
-    # as its SHA-256; hashlib loads OpenSSL, which adds 3.5 MB to a
-    # command's resident memory.
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# The interpreter's own BLAKE2b, which hashes about three times as fast as
+# its SHA-256. hashlib.blake2b is this very function, but importing hashlib
+# loads OpenSSL, which adds 3.5 MB to a command's resident memory.
+from _blake2 import blake2b
 
 log = logging.getLogger(__name__)
 
@@ -328,21 +325,18 @@ class Wfst:
     build graphs with it, and nothing changes one afterwards: ``symbols``,
     ``initial`` and ``finals`` (a read-only view) cannot be set, the symbol
     table never changes, and :func:`gboost.enhance.enhance` returns a new
-    graph (``_derived``). It shares ``_columns`` with the graph it came
-    from until it materializes, and holds its own edits: ``_rewritten``
-    maps each state whose arcs were rewritten, by a reweight, to its arcs
-    after that, as many as before, and ``_added`` holds the diff's added
+    graph (``_derived``) whose ``_columns`` hold its arcs as the diff left
+    them, raises included, and whose ``_added`` holds the diff's added
     ``Arc`` objects themselves, sorted by source, in delta order within a
-    state. A state's arcs are its rewritten list, or else its column arcs,
-    followed by its added arcs without their source (``_state_arcs``).
-    Every reader of arcs but :meth:`best_arcs` first calls
-    ``_materialize``, which merges the edits into columns of this graph's
-    own, once, and changes no arc.
+    state: its only pending edits. A state's arcs are its column arcs
+    followed by its added arcs without their source. Every reader of arcs
+    but :meth:`best_arcs` first calls ``_materialize``, which merges the
+    added arcs into columns of this graph's own, once, and changes no arc.
 
     Each state has a best-arc table, ``{label: arc}``, built on first use
     by :meth:`best_arcs`: for each label it holds the highest-weight
     arc tuple, the first in arc order among equal weights. The table of a
-    state without edits is built once beside the columns and shared by
+    state without added arcs is built once beside the columns and shared by
     every graph over them. ``_tables[s]`` is the table this graph last used
     for state ``s``, or None, so that scoring finds a state's table with one
     list lookup. Its length is the state count. The arcs never change, so
@@ -372,9 +366,7 @@ class Wfst:
         self._columns = columns
         self._initial = initial
         self._finals: Mapping[int, float] = MappingProxyType(dict(finals))
-        # The edits: each rewritten state's arcs, and the added arcs by source.
-        self._rewritten: dict[int, list[_ArcTuple]] = {}
-        self._added: list[Arc] = []
+        self._added: list[Arc] = []  # the pending added arcs, by source
 
     symbols = property(attrgetter("_symbols"))
     initial = property(attrgetter("_initial"))
@@ -403,50 +395,39 @@ class Wfst:
         start = bisect_left(added, state, key=_source)
         return [arc[1:] for arc in added[start:bisect_right(added, state, start, key=_source)]]
 
-    def _state_arcs(self, state: int) -> list[_ArcTuple]:
-        # A new list of `state`'s arcs, read from its edits.
-        arcs = self._rewritten.get(state)
-        if arcs is None:
-            arcs = self._columns.arcs(state)
-        return arcs + self._added_arcs(state)
-
     def _materialize(self) -> None:
-        # Merges the edits into new columns, in one pass over the edited
+        # Merges the added arcs into new columns, in one pass over their
         # states, and drops them. The added arcs' columns are built once;
-        # a state that only gains arcs takes two slices per column, its
-        # column arcs and its added arcs. No arc changes, so the new columns
-        # take this graph's tables. Their memo starts empty: the old
-        # columns' values were computed from other arcs. Other graphs keep
-        # the old columns.
-        if not self._added and not self._rewritten:
+        # a state with added arcs takes two slices per column, its column
+        # arcs and its added arcs. No arc changes, so the new columns take
+        # this graph's tables. Their memo starts empty: the old columns'
+        # values were computed from other arcs. Other graphs keep the old
+        # columns.
+        added = self._added
+        if not added:
             return
         columns = self._columns
         offsets = columns.offsets
         old = (columns.targets, columns.labels, columns.weights)
-        added = self._added
         sources = list(map(_source, added))
         extra = [array(column.typecode, map(itemgetter(field), added))
                  for field, column in enumerate(old, start=1)]
         counts = list(map(sub, islice(offsets, 1, None), offsets))
         merged = [array(column.typecode) for column in old]
-        at = first = 0
-        for state in sorted(self._rewritten.keys() | set(sources)):
-            first = bisect_left(sources, state, first)
-            last = bisect_right(sources, state, first)
-            counts[state] += last - first  # a rewritten state keeps its arc count
-            arcs = self._rewritten.get(state)
-            end = offsets[state + 1] if arcs is None else offsets[state]
-            for field, (column, source, new) in enumerate(zip(merged, old, extra)):
+        at = last = 0
+        for state in dict.fromkeys(sources):  # each source once, ascending
+            first, last = last, bisect_right(sources, state, last)
+            counts[state] += last - first
+            end = offsets[state + 1]
+            for column, source, new in zip(merged, old, extra):
                 column += source[at:end]
-                if arcs:
-                    column.extend(map(itemgetter(field), arcs))
                 column += new[first:last]
-            at = offsets[state + 1]
+            at = end
         for column, source in zip(merged, old):
             column += source[at:]
         self._columns = _Columns(array("q", accumulate(counts, initial=0)), *merged)
         self._columns.best = self._tables.copy()
-        self._rewritten, self._added = {}, []
+        self._added = []
 
     def num_arcs(self, state: int | None = None) -> int:
         self._materialize()
@@ -469,22 +450,18 @@ class Wfst:
 
         Each label maps to its highest-weight arc, the first in arc order
         among equal weights. Built on first use and then kept. The table of
-        a state without edits is built once and shared by every graph over
-        the same columns. A state with added arcs only gets a copy of that
+        a state's column arcs is built once and shared by every graph over
+        the same columns. A state with added arcs gets a copy of that
         shared table with its added arcs, found by bisect, folded in: an
-        added arc wins only if it weighs strictly more. A rewritten state's
-        table is built from all its arcs. Materializes nothing. Read-only,
-        and unchecked like :meth:`arcs`.
+        added arc wins only if it weighs strictly more. Materializes
+        nothing. Read-only, and unchecked like :meth:`arcs`.
         """
         table = self._tables[state]
         if table is None:
-            if state in self._rewritten:
-                table = _best_table(self._state_arcs(state))
-            else:
-                added = self._added_arcs(state)
-                table = self._column_table(state)
-                if added:
-                    table = _best_table(added, table.copy())
+            added = self._added_arcs(state)
+            table = self._column_table(state)
+            if added:
+                table = _best_table(added, table.copy())
             self._tables[state] = table
         return table
 
@@ -506,9 +483,10 @@ class Wfst:
 
         Each key names what its value was computed from besides the arcs.
         :func:`gboost.enhance.enhance` keeps its plans and label scans here.
-        Materializes the graph first, so a graph with edits never sees the
-        values of the graph it came from; every graph over the same columns
-        shares the memo, such as one derived by a diff that changes no arc.
+        Materializes the graph first, and a graph with raised arcs has
+        columns of its own, so a graph with edits never sees the values of
+        the graph it came from; every graph over the same columns shares
+        the memo, such as one derived by a diff that changes no arc.
         Treat the values as read-only.
         """
         self._materialize()
@@ -541,32 +519,45 @@ class Wfst:
 def _derived(base: Wfst, symbols: SymbolTable, delta: FstDiff) -> Wfst:
     """A new graph, labelled by ``symbols``: ``base`` with an enhancement diff's edits.
 
-    Materializes ``base`` (a no-op without edits), then plays ``delta``'s
-    reweights, in order, on copies of their states' arcs: each edits the
-    last arc equal to its old arc, the one whose weight enhancement reads
-    for a slot. The new graph holds ``delta``'s added ``Arc`` objects
-    themselves, in a stable sort by source, so delta order holds within a
-    state, and ``base``'s finals; nothing else of the diff is read, and only
-    the reweights' old arcs are checked: the caller checks the rest, as
-    :func:`gboost.enhance.enhance` does. The new graph shares ``base``'s
-    columns, and with them every table and memo value computed from them.
+    Materializes ``base`` (a no-op without added arcs). Without reweights,
+    the new graph shares ``base``'s columns, and with them every table and
+    memo value computed from them. Otherwise ``delta``'s reweights are
+    played, in order, into a copy of the weight column: each sets the
+    weight of the last arc of its state equal to its old arc, the one whose
+    weight enhancement reads for a slot. The new columns share the other
+    three arrays, and a copy of ``base``'s tables, the reweighted states'
+    reset; their memo starts empty. The new graph holds ``delta``'s added
+    ``Arc`` objects themselves, pending, in a stable sort by source, so
+    delta order holds within a state, and ``base``'s finals. Nothing else
+    of the diff is read, and only the reweights' old arcs are checked
+    (InvariantError, ``base`` unchanged, for a missing one): the caller
+    checks the rest, as :func:`gboost.enhance.enhance` does.
     """
     base._materialize()
-    fst = Wfst(symbols, base._columns, base.initial, base.finals)
-    rewritten = fst._rewritten
-    # An Arc without its source is the tuple a state's arc list stores.
-    for old, new in delta.reweighted_arcs:
-        arcs = rewritten.get(old.source)
-        if arcs is None:
-            arcs = rewritten[old.source] = base._columns.arcs(old.source)
-        try:
-            pos = len(arcs) - 1 - arcs[::-1].index(old[1:])
-        except ValueError:
-            raise InvariantError(f"cannot reweight missing arc {old}") from None
-        arcs[pos] = new[1:]
+    columns = base._columns
+    if delta.reweighted_arcs:
+        weights = array("d", columns.weights)
+        best = columns.best.copy()
+        arcs: dict[int, list[_ArcTuple]] = {}  # each reweighted state's arcs, as edited
+        # An Arc without its source is the tuple a state's arc list holds.
+        for old, new in delta.reweighted_arcs:
+            state = old.source
+            state_arcs = arcs.get(state)
+            if state_arcs is None:
+                state_arcs = arcs[state] = columns.arcs(state)
+            try:
+                pos = len(state_arcs) - 1 - state_arcs[::-1].index(old[1:])
+            except ValueError:
+                raise InvariantError(f"cannot reweight missing arc {old}") from None
+            state_arcs[pos] = (old.target, old.label, new.weight)
+            weights[columns.offsets[state] + pos] = new.weight
+            best[state] = None
+        columns = _Columns(columns.offsets, columns.targets, columns.labels, weights)
+        columns.best = best
+    fst = Wfst(symbols, columns, base.initial, base.finals)
     fst._added = sorted(delta.added_arcs, key=_source)
     tables = fst._tables
-    for state in chain(rewritten, map(_source, fst._added)):
+    for state in map(_source, fst._added):
         tables[state] = None
     return fst
 
@@ -981,12 +972,15 @@ class _Fallback(Exception):
 _BLOCK = 1 << 20
 
 
-def _file_digest(path: str) -> bytes:
-    # Hashed by blocks into one reused buffer: the text is never held whole.
+def _file_digest(file: str | int) -> bytes:
+    # The digest of a file named by its path, or of the whole file behind
+    # an open descriptor, read from offset 0 and left open. Hashed by
+    # blocks into one reused buffer: the text is never held whole.
     digest = _hash()
     block = bytearray(_BLOCK)
     view = memoryview(block)
-    with open(path, "rb", buffering=0) as handle:
+    with open(file, "rb", buffering=0, closefd=not isinstance(file, int)) as handle:
+        handle.seek(0)
         while size := handle.readinto(block):
             digest.update(view[:size])
     return digest.digest()

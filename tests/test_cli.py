@@ -29,7 +29,7 @@ from gboost.arpa import oracle_score, parse_arpa
 from gboost.cli import WEIGHT_CONVENTIONS, UsageError, main
 from gboost.enhance import enhance, load_pairs_config
 from gboost.errors import FormatError, InvariantError
-from gboost.fst import SymbolTable, Wfst, read_text, write_text
+from gboost.fst import SymbolTable, Wfst, load_graph, read_text, write_text
 from gboost.graph import build_g
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -274,7 +274,7 @@ class TestEnhanceCommand:
             return call
 
         def counting_materialize(fst):
-            if fst._added or fst._rewritten:
+            if fst._added:
                 merges.append(len(fst._added))
             real_materialize(fst)
 
@@ -574,6 +574,34 @@ class TestCompanion:
                    for r in caplog.records if r.getMessage().startswith("read ")]
         caplog.clear()
         return sources
+
+    def test_a_text_put_in_place_after_the_rename_reads_as_stale(self, workdir, caplog,
+                                                                   monkeypatch):
+        """The companion holds the digest of the bytes build-g wrote, not of whatever
+        the path holds once they are renamed onto it: another writer's text that lands
+        there just after the rename is read from the text, not served as build-g's graph."""
+        fst_path = workdir / "g.fst"
+        real_replace = os.replace
+
+        def replace_then_overwrite(source, target):
+            real_replace(source, target)
+            if Path(target) == fst_path:  # another text lands on the graph file at once
+                first, *rest = fst_path.read_text().splitlines(keepends=True)
+                fields = first.split()
+                fields[-1] = "-7"
+                fst_path.write_text(" ".join(fields) + "\n" + "".join(rest))
+
+        monkeypatch.setattr(os, "replace", replace_then_overwrite)
+        _, syms_path = build(workdir)
+        monkeypatch.setattr(os, "replace", real_replace)
+        symbols = SymbolTable.read(io.StringIO(syms_path.read_text()))
+        caplog.set_level(logging.INFO, logger="gboost.fst")
+        loaded, _ = load_graph(str(fst_path), symbols)
+        assert self.sources(caplog) == ["text (companion stale)"]
+        with open(fst_path, encoding="utf-8") as handle:
+            parsed = read_text(handle, symbols)
+        assert graph_contents(loaded) == graph_contents(parsed)
+        assert -7.0 in parsed._columns.weights
 
     @pytest.mark.parametrize("weights", WEIGHT_CONVENTIONS)
     def test_outputs_do_not_depend_on_the_companion(self, workdir, caplog, weights):
@@ -987,6 +1015,11 @@ class TestEncoding:
         assert self.run_all(workdir, workdir / "ascii", ascii_env) == expected
 
 
+def pairs_json(group, **config):
+    """PAIRS as JSON text, its one group updated by ``group`` and its own keys by ``config``."""
+    return json.dumps(dict(PAIRS, groups=[dict(PAIRS["groups"][0], **group)], **config))
+
+
 class TestMalformedInputs:
     # Each command line reads one malformed file, BAD; the other names are
     # good inputs from the workdir.
@@ -1038,6 +1071,36 @@ class TestMalformedInputs:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("gboost: input format error:")
         assert "Traceback" not in err
+        assert not any(workdir.glob("*out*"))  # nor a temp file beside an output
+
+    # A bigram model whose <s> unigram, on line 6, has the back-off field %s.
+    ARPA_BACKOFF = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t%s\n"
+                    "-0.5\ta\n-0.9\t</s>\n\n\\2-grams:\n-0.3\t<s> a\n\n\\end\\\n")
+
+    @pytest.mark.parametrize("text, argv, code, fault", [
+        (ARPA_BACKOFF % "abc", BUILD, 2, "line 6: bad back-off weight in '-99\\t<s>\\tabc'"),
+        (ARPA_BACKOFF % "inf", BUILD, 2, "line 6: non-finite back-off for '<s>'"),
+        (ARPA_BACKOFF % "nan", BUILD, 2, "line 6: non-finite back-off for '<s>'"),
+        (pairs_json({"predictors": []}), ENHANCE, 3,
+         "similar-pair group has no predictor words"),
+        (pairs_json({"targets": []}), ENHANCE, 3, "similar-pair group has no target words"),
+        (pairs_json({}, max_predictors=0), ENHANCE, 3, "max_predictors must be >= 1, got 0"),
+        (pairs_json({}, theta=10 ** 400), ENHANCE, 2,
+         "pairs config 'theta' is out of range: 1000"),
+    ], ids=["arpa-backoff-not-a-number", "arpa-backoff-inf", "arpa-backoff-nan",
+            "pairs-no-predictors", "pairs-no-targets", "pairs-max-predictors-zero",
+            "pairs-theta-400-digits"])
+    def test_one_error_line_names_the_fault(self, workdir, capsys, text, argv, code, fault):
+        """Bad input exits 2 and a broken invariant 3, each with one line naming the fault."""
+        fst_path, syms_path = build(workdir)
+        (workdir / "bad").write_text(text)
+        names = {"BAD": workdir / "bad", "FST": fst_path, "SYMS": syms_path,
+                 "OUT.fst": workdir / "out.fst", "OUT.syms": workdir / "out.syms"}
+        assert run(*[names.get(arg, arg) for arg in argv]) == code
+        err = capsys.readouterr().err
+        kind = "input format error" if code == 2 else "error"
+        assert len(err.splitlines()) == 1 and err.startswith(f"gboost: {kind}: ")
+        assert fault in err
         assert not any(workdir.glob("*out*"))  # nor a temp file beside an output
 
     @pytest.mark.parametrize("command", ["score", "enhance"])
@@ -1169,6 +1232,18 @@ class TestUsage:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "build-g" in proc.stdout
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    """The companion digests use the interpreter's own BLAKE2b: hashlib, which loads
+    OpenSSL and its 3.5 MB, is never imported."""
+    src = str(Path(gboost.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = "import sys, gboost.cli; print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])

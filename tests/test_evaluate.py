@@ -186,7 +186,7 @@ class TestSweep:
         materialize = Wfst._materialize
 
         def counting_materialize(graph):
-            if graph._added or graph._rewritten:
+            if graph._added:
                 materialized.append(graph)
             materialize(graph)
 

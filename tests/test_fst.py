@@ -57,6 +57,11 @@ class TestSymbolTable:
         with pytest.raises(InvariantError, match="bogus"):
             table.label("bogus")
 
+    def test_unknown_label_named_in_error(self):
+        table = SymbolTable(["a"])
+        with pytest.raises(InvariantError, match="unknown label: 2"):
+            table.symbol(2)
+
     def test_file_roundtrip(self):
         table = SymbolTable(["a", "b", "c"])
         buf = io.StringIO()
@@ -224,8 +229,9 @@ def random_edit(fst, rng):
 class TestBestArcTables:
     """A state's table: the shared column table plus its added arcs, or a rebuild.
 
-    Only a state with added arcs alone derives its table; a rewritten
-    state (a reweight) has its table rebuilt from its arcs.
+    Only a state with added arcs derives its table from the column table.
+    A reweighted state's table is rebuilt from the copied weight column
+    that its graph's columns hold.
     """
 
     # Labels a=1, b=2, c=3. State 0 holds ties on a (two arcs at 1.0) and
@@ -323,7 +329,8 @@ class TestPendingAdditions:
         ]
         fst = _derived(base, base.symbols, FstDiff(added_arcs=added))
         table = fst.best_arcs(0)
-        assert list(map(id, fst._added)) == list(map(id, added)) and not fst._rewritten
+        assert list(map(id, fst._added)) == list(map(id, added))
+        assert fst._columns is base._columns
         assert table == {1: (1, 1, 1.0), 2: (2, 2, 0.75), 3: (1, 3, 2.0)}
         assert table[1] is shared[1]  # the column arc itself
         assert fst.best_arcs(1) is base.best_arcs(1)  # an unedited state shares
@@ -347,6 +354,46 @@ class TestPendingAdditions:
         assert grand._tables[0] is own and grand._tables[1] is None
         assert grand.best_arcs(1)[2] == (0, 2, 3.0)
         assert written.best_arcs(1) is table and base.best_arcs(0) is not own
+
+    def test_a_raise_copies_the_weight_column_alone(self, fst_factory):
+        """An add-only graph shares its base's columns. A raising one writes its raises
+        into a copied weight column, shares the other three arrays, has its own memo,
+        and starts with the base's tables but for the states it reweighted."""
+        base = self.base(fst_factory)
+        shared = base._columns
+        tables = [base.best_arcs(state) for state in base.states()]
+        weights = shared.weights.tobytes()
+        assert derive(base, FstDiff(added_arcs=[Arc(1, 0, 2, 3.0)]))._columns is shared
+        raised = derive(base, FstDiff(reweighted_arcs=[(Arc(0, 2, 2, 0.5),
+                                                        Arc(0, 2, 2, 0.75))]))
+        own = raised._columns
+        assert own is not shared and own.weights is not shared.weights
+        assert all(mine is theirs for mine, theirs in zip(
+            (own.offsets, own.targets, own.labels), (shared.offsets, shared.targets,
+                                                     shared.labels)))
+        assert own.weights.tolist() == [1.0, 0.75, 0.0]
+        assert shared.weights.tobytes() == weights
+        assert raised._tables[0] is None and own.best[0] is None
+        assert all(raised._tables[state] is tables[state] for state in (1, 2))
+        assert raised.best_arcs(0) == {1: (1, 1, 1.0), 2: (2, 2, 0.75)}
+        assert own.best[0] is raised.best_arcs(0) and shared.best[0] is tables[0]
+        assert base.best_arcs(0) is tables[0] and tables[0][2] == (2, 2, 0.5)
+        assert raised.memo() is own.memo and raised.memo() is not base.memo()
+
+    @pytest.mark.parametrize("reweights", [
+        [(Arc(0, 2, 3, 0.5), Arc(0, 2, 3, 0.75))],  # no arc of that label
+        # The first reweight moves the arc the second names.
+        [(Arc(0, 2, 2, 0.5), Arc(0, 2, 2, 0.75)), (Arc(0, 2, 2, 0.5), Arc(0, 2, 2, 1.0))],
+    ], ids=["absent", "moved-by-an-earlier-reweight"])
+    def test_a_reweight_of_a_missing_arc_leaves_the_base_alone(self, fst_factory, reweights):
+        base = self.base(fst_factory)
+        columns = base._columns
+        before, weights = _snapshot(base), columns.weights.tobytes()
+        delta = FstDiff(added_arcs=[Arc(1, 0, 2, 3.0)], reweighted_arcs=reweights)
+        with pytest.raises(InvariantError, match=r"cannot reweight missing arc Arc\(source=0"):
+            derive(base, delta)
+        assert base._columns is columns and columns.weights.tobytes() == weights
+        assert _snapshot(base) == before
 
 
 # Reads compared between a graph derived through _derived or enhance
@@ -439,7 +486,7 @@ def _snapshot(fst):
     """
     states = fst.states()
     return (fst.symbols, dict(fst.symbols._sym2lab), fst.initial, dict(fst.finals),
-            [fst._state_arcs(state) for state in states],
+            [fst._columns.arcs(state) + fst._added_arcs(state) for state in states],
             [dict(fst.best_arcs(state)) for state in states])
 
 
@@ -1075,7 +1122,7 @@ def graph_state(fst):
     return (fst.num_states(), fst.initial, fst.symbols,
             [(state, weight.hex()) for state, weight in fst.finals.items()],
             columns.offsets.tolist(), columns.targets.tolist(), columns.labels.tolist(),
-            columns.weights.tobytes(), fst._rewritten, fst._added)
+            columns.weights.tobytes(), fst._added)
 
 
 def save(fst, path, negate=False):
