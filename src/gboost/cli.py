@@ -50,12 +50,15 @@ other thread (a graph load joins the thread that hashes its text before
 it returns) and may use more than one CPU, ``score`` splits it into byte
 ranges that start just after a ``\\n`` byte, one per CPU but at least
 ``_PARALLEL_MIN_BYTES`` long. It scores the first range itself and forks a
-worker for each of the others; each worker scores its range into an
-unlinked temp file, which this process then appends to the output in
-order. The output is the serial output byte for byte. The first failing
-range in file order sets the error and exit code, no worker outlives the
-command, and the output file is still written whole or not at all. A
-worker's memory is its own process's, outside this process's
+worker for each of the others, which scores its range into an unlinked
+temp file and exits 0, or else exits non-zero. This process then appends
+the ranges in order: a worker's file, or the range scored here if its
+worker did not exit 0. So the output is the serial output byte for byte, a
+failure is the serial run's, from the first failing range in file order,
+and a worker that failed otherwise, killed say, costs one WARNING line
+with its range and exit status once its range has scored here. No worker
+outlives the command, and the output file is still written whole or not at
+all. A worker's memory is its own process's, outside this process's
 ``ru_maxrss``: ``RUSAGE_CHILDREN`` holds it. Standard input, a pipe, an
 empty or short text, or a single CPU scores in this process alone. With
 -v, a split run logs one line: the file, the process count, its size and
@@ -89,7 +92,6 @@ import stat
 import sys
 import tempfile
 import threading
-import traceback
 from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from time import perf_counter
@@ -121,8 +123,6 @@ SCORE_FMT = "%.9g"
 # On the benchmark's seed-1801 inputs with two CPUs, one worker broke even
 # on a 64 KB text and saved 11-13% of the command on 128 KB.
 _PARALLEL_MIN_BYTES = 32 * 1024
-# The exit code of a score worker that met an exception main would raise.
-_WORKER_CRASHED = 70
 
 
 class UsageError(Exception):
@@ -167,8 +167,6 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 def _failure(exc: BaseException) -> tuple[int, str] | None:
     """The exit code and error line a command ends with on ``exc``, or None to raise it."""
-    if isinstance(exc, _WorkerFailed):
-        return exc.code, exc.line
     if isinstance(exc, UsageError):
         return EXIT_USAGE, f"gboost: error: {exc}"
     if isinstance(exc, (FormatError, UnicodeDecodeError)):
@@ -379,46 +377,28 @@ def _split_points(text: BinaryIO) -> list[int]:
     return cuts + [size]
 
 
-class _WorkerFailed(Exception):
-    """A score worker's failure, already rendered as its exit code and error line."""
-
-    def __init__(self, code: int, line: str):
-        super().__init__(line)
-        self.code = code
-        self.line = line
-
-
 def _score_worker(g: Wfst, path: str, start: int, end: int, spool: IO[bytes],
                   sign: float) -> NoReturn:
-    # A forked child: scores bytes [start, end) of `path` into `spool`, or
-    # replaces what it wrote with its error line, and exits with the code
-    # main would return. Only through os._exit, so it runs none of the
+    # A forked child: scores bytes [start, end) of `path` into `spool` and
+    # exits 0, or else 1. Only through os._exit, so it runs none of the
     # parent's cleanup and flushes none of its inherited buffers.
-    code = _WORKER_CRASHED
     try:
-        try:
-            with open(path, "rb") as text, \
-                    open(spool.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                text.seek(start)
-                _score_lines(g, text, start, end, out, sign)
-            code = EXIT_OK
-        except BaseException as exc:
-            failure = _failure(exc)
-            code, line = failure if failure is not None else (
-                _WORKER_CRASHED, "".join(traceback.format_exception(exc)))
-            os.ftruncate(spool.fileno(), 0)
-            os.pwrite(spool.fileno(), line.encode("utf-8", "backslashreplace"), 0)
+        with open(path, "rb") as text, \
+                open(spool.fileno(), "w", encoding="utf-8", closefd=False) as out:
+            text.seek(start)
+            _score_lines(g, text, start, end, out, sign)
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def _score_split(g: Wfst, path: str, text: BinaryIO, cuts: list[int], out: TextIO,
                  sign: float) -> None:
     # One forked worker per range after the first, each into its own
-    # unlinked temp file; this process scores the first range, then appends
-    # the workers' files in order. The first failing range in file order
-    # raises. Every worker is killed, if still running, and reaped on every
-    # exit path.
+    # unlinked temp file. This process scores the first range, then appends
+    # the others in order: a worker's file if it exited 0, or else the range
+    # scored here, raising as a serial run would. Every worker is killed, if
+    # still running, and reaped on every exit path.
     workers: list[tuple[int, IO[bytes]]] = []
     running: set[int] = set()
     try:
@@ -437,17 +417,17 @@ def _score_split(g: Wfst, path: str, text: BinaryIO, cuts: list[int], out: TextI
         for (pid, spool), start, end in zip(workers, cuts[1:], cuts[2:]):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.discard(pid)
-            spool.seek(0)
-            if code < 0:
-                raise ChildProcessError(f"score worker for bytes {start}-{end} of {path} "
-                                        f"was killed by signal {-code}")
-            if code == _WORKER_CRASHED:
-                raise RuntimeError(f"score worker for bytes {start}-{end} of {path} "
-                                   f"failed:\n{spool.read().decode('utf-8')}")
-            if code != EXIT_OK:
-                raise _WorkerFailed(code, spool.read().decode("utf-8"))
-            with open(spool.fileno(), encoding="utf-8", newline="", closefd=False) as scores:
-                shutil.copyfileobj(scores, out)
+            if code == 0:
+                spool.seek(0)
+                with open(spool.fileno(), encoding="utf-8", newline="",
+                          closefd=False) as scores:
+                    shutil.copyfileobj(scores, out)
+            else:
+                text.seek(start)
+                _score_lines(g, text, start, end, out, sign)
+                log.warning("score worker for bytes %d-%d of %s %s; this process scored "
+                            "its range", start, end, path,
+                            f"was killed by signal {-code}" if code < 0 else f"exited {code}")
     finally:
         # A worker reaped just before an interrupt may still be listed.
         for pid in running:

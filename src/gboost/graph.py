@@ -109,7 +109,8 @@ def build_g(model: NGramModel) -> Wfst:
                     raise InvariantError(f"unknown symbol: {word!r}")
                 weight = entry.logprob + fold
             if not isfinite(weight):
-                raise InvariantError(f"arc weight must be finite, got {weight}")
+                raise InvariantError(f"weight of the arc for n-gram {' '.join(words)!r} "
+                                     f"must be finite, got {weight}")
             state = states[words[:-1]]
             slot = free[state]
             free[state] = slot + 1
@@ -123,7 +124,8 @@ def build_g(model: NGramModel) -> Wfst:
         dest, fold = hop(history[1:])
         weight = model.backoff(history) + fold
         if not isfinite(weight):
-            raise InvariantError(f"arc weight must be finite, got {weight}")
+            raise InvariantError(f"weight of the back-off arc of history "
+                                 f"{' '.join(history)!r} must be finite, got {weight}")
         slot = free[state]
         targets[slot] = dest
         labels[slot] = EPSILON_LABEL

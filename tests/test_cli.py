@@ -1077,6 +1077,18 @@ class TestMalformedInputs:
     ARPA_BACKOFF = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t%s\n"
                     "-0.5\ta\n-0.9\t</s>\n\n\\2-grams:\n-0.3\t<s> a\n\n\\end\\\n")
 
+    # Trigram models whose values are each finite but sum to -inf in one
+    # compiled arc: the arc of "a b c", whose skipped history "b c" adds its
+    # back-off, and the back-off arc of "a b", whose skipped history "b"
+    # adds its own.
+    ARPA_TRIGRAM = ("\\data\\\nngram 1=5\nngram 2=%d\nngram 3=1\n\n\\1-grams:\n-99\t<s>\n"
+                    "-0.5\ta\n%s\n-0.5\tc\n-0.9\t</s>\n\n\\2-grams:\n%s\n\n\\3-grams:\n"
+                    "%s\ta b c\n\n\\end\\\n")
+    ARPA_WORD_ARC_OVERFLOW = ARPA_TRIGRAM % (2, "-0.5\tb", "-0.3\ta b\n-0.3\tb c\t-7e307",
+                                             "-7e307")
+    ARPA_BACKOFF_ARC_OVERFLOW = ARPA_TRIGRAM % (1, "-0.5\tb\t-7e307", "-0.3\ta b\t-7e307",
+                                                "-0.3")
+
     @pytest.mark.parametrize("text, argv, code, fault", [
         (ARPA_BACKOFF % "abc", BUILD, 2, "line 6: bad back-off weight in '-99\\t<s>\\tabc'"),
         (ARPA_BACKOFF % "inf", BUILD, 2, "line 6: non-finite back-off for '<s>'"),
@@ -1087,9 +1099,16 @@ class TestMalformedInputs:
         (pairs_json({}, max_predictors=0), ENHANCE, 3, "max_predictors must be >= 1, got 0"),
         (pairs_json({}, theta=10 ** 400), ENHANCE, 2,
          "pairs config 'theta' is out of range: 1000"),
+        ('{"theta": 0, "max_predictors": 1, "groups": [1]}', ENHANCE, 2,
+         "group 0 must be a JSON object"),
+        (ARPA_WORD_ARC_OVERFLOW, BUILD, 3,
+         "weight of the arc for n-gram 'a b c' must be finite, got -inf"),
+        (ARPA_BACKOFF_ARC_OVERFLOW, BUILD, 3,
+         "weight of the back-off arc of history 'a b' must be finite, got -inf"),
     ], ids=["arpa-backoff-not-a-number", "arpa-backoff-inf", "arpa-backoff-nan",
             "pairs-no-predictors", "pairs-no-targets", "pairs-max-predictors-zero",
-            "pairs-theta-400-digits"])
+            "pairs-theta-400-digits", "pairs-group-not-an-object",
+            "arpa-word-arc-overflows", "arpa-back-off-arc-overflows"])
     def test_one_error_line_names_the_fault(self, workdir, capsys, text, argv, code, fault):
         """Bad input exits 2 and a broken invariant 3, each with one line naming the fault."""
         fst_path, syms_path = build(workdir)

@@ -160,6 +160,14 @@ class TestEnhance:
         config.theta = 0.0  # the graph is as it was, so the run still works
         assert len(enhance(fst, config)[1].reweighted_arcs) == 1
 
+    def test_infinite_theta_built_in_code_is_refused(self, donor_graph, fst_factory):
+        """load_pairs_config refuses theta inf in a file; enhance refuses it in code too."""
+        config = one_pair_config("a", "nova", {"a": 95}, new=True, theta=math.inf)
+        with pytest.raises(InvariantError, match="^theta must be finite, got inf$"):
+            enhance(donor_graph, config)
+        assert "nova" not in donor_graph.symbols
+        assert structural_diff(fst_factory(*DONOR), donor_graph) == FstDiff()
+
     def test_new_word_no_file_can_hold_rejected_before_any_is_added(self, donor_graph):
         config = one_pair_config("a", ["nova", "new word"], {"a": 95}, new=True)
         with pytest.raises(InvariantError, match="'new word'"):

@@ -110,6 +110,9 @@ class TestSymbolTable:
         assert table != SymbolTable(["b", "a"]) and table != table.extended(["c"])
         assert table.extended([]) == table and table.extended([]) is not table
 
+    def test_a_table_never_equals_another_type(self):
+        assert (SymbolTable(["a"]) == "a") is False and SymbolTable(["a"]) != "a"
+
     def test_read_skips_leading_blank_lines(self):
         table = SymbolTable.read(io.StringIO("\n<eps>\t0\na\t1\n"))
         assert table == SymbolTable(["a"])

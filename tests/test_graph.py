@@ -6,10 +6,11 @@ import pytest
 
 import oracles
 import toylm
-from gboost.arpa import BOS, EOS, UNK, oracle_score, parse_arpa
+from gboost.arpa import BOS, EOS, UNK, NGram, NGramModel, oracle_score, parse_arpa
 from gboost.enhance import enhance
 from gboost.errors import InvariantError, NoPathError
-from gboost.fst import EPSILON, EPSILON_LABEL, Arc, FstDiff, read_text, write_text
+from gboost.fst import (EPSILON, EPSILON_LABEL, Arc, FstDiff, SymbolTable, read_text,
+                        write_text)
 from gboost.graph import build_g, graph_score
 from oracles import add_arcs, apply_diff_by_arc, arcs_matching, history_states, path_weight
 from test_acceptance import VOCAB, fresh_token_stream, random_backoff_graph, random_config
@@ -155,6 +156,17 @@ class TestBuildG:
         assert fst.symbols is telecom_model.vocab
         enhanced, _ = enhance(fst, ool_config)  # new words: an extended table
         assert "wifi" in enhanced.symbols and "wifi" not in telecom_model.vocab
+
+    @pytest.mark.parametrize("bigrams, vocab, match", [
+        ({("a", BOS): NGram(-0.3, None)}, [BOS, "a", EOS], "^<s> may appear only as context"),
+        ({(BOS, "a"): NGram(-0.3, None)}, [BOS, EOS], "^unknown symbol: 'a'$"),
+    ], ids=["bigram-predicts-bos", "predicted-word-not-in-vocabulary"])
+    def test_a_hand_built_model_the_parser_refuses_is_refused(self, bigrams, vocab, match):
+        unigrams = {(BOS,): NGram(-99.0, -0.5), ("a",): NGram(-0.5, None),
+                    (EOS,): NGram(-0.9, None)}
+        model = NGramModel(order=2, tables=[unigrams, bigrams], vocab=SymbolTable(vocab))
+        with pytest.raises(InvariantError, match=match):
+            build_g(model)
 
 
 class TestGraphScore:

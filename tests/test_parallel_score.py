@@ -4,6 +4,7 @@ The split is forced by patching the CPU count and ``_PARALLEL_MIN_BYTES``
 down, so that a few bytes of text make several ranges.
 """
 
+import errno
 import io
 import logging
 import os
@@ -11,6 +12,7 @@ import signal
 import sys
 import tempfile
 import time
+import traceback
 from contextlib import contextmanager
 
 import pytest
@@ -190,6 +192,7 @@ LINES = [f"{' '.join(['wo', 'de'] * (i % 3 + 1))}\n" for i in range(30)]
 def split_run(graphs, tmp_path, monkeypatch):
     """Runs score on ``data`` split three ways: (exit code or exception, stderr lines, cuts).
 
+    The scores go to ``scores.txt`` in ``tmp_path``, written only on success.
     Temp files go to a directory of their own, checked empty afterwards.
     """
     spool_dir = tmp_path / "tmp"
@@ -197,17 +200,18 @@ def split_run(graphs, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
     text_path = tmp_path / "s.txt"
 
-    def run(data, capsys):
+    def run(data, capsys, forks_made=2):
         text_path.write_bytes(data)
         fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         with cpus(3, 8) as forks:
             cuts = cut_points(text_path)
             try:
                 code, _ = score(graphs, "logprob", text_path, tmp_path / "scores.txt")
-            except RuntimeError as exc:  # main raises what it has no exit code for
+            except Exception as exc:  # main raises what it has no exit code for
                 code = exc
-        assert len(cuts) == 4 and len(forks) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt", "tmp"]
+        assert len(cuts) == 4 and len(forks) == forks_made
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["s.txt", "scores.txt", "tmp"] if code == 0 else ["s.txt", "tmp"])
         assert list(spool_dir.iterdir()) == []
         if fds is not None:
             assert set(os.listdir("/proc/self/fd")) == fds
@@ -216,6 +220,19 @@ def split_run(graphs, tmp_path, monkeypatch):
         return code, capsys.readouterr().err.splitlines(), cuts
 
     return run
+
+
+def serial_run(graphs, tmp_path, data):
+    """Exit code or exception, and output, of score on ``data`` in one process."""
+    text_path = tmp_path / "serial.txt"
+    text_path.write_bytes(data)
+    with cpus(1) as forks:
+        try:
+            result = score(graphs, "logprob", text_path, tmp_path / "serial-scores.txt")
+        except Exception as exc:
+            result = exc, None
+    assert forks == []
+    return result
 
 
 def failing_at(monkeypatch, in_parent, action):
@@ -231,19 +248,45 @@ def failing_at(monkeypatch, in_parent, action):
     monkeypatch.setattr(gboost.cli, "graph_score", graph_score)
 
 
+def failing_on(monkeypatch, action):
+    """Makes graph_score run ``action(words)`` first, in every process."""
+    real = gboost.cli.graph_score
+
+    def graph_score(g, words):
+        action(words)
+        return real(g, words)
+
+    monkeypatch.setattr(gboost.cli, "graph_score", graph_score)
+
+
 def invariant_error(words):
     raise InvariantError(f"broken at {' '.join(words)!r}")
 
 
-@pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
-def test_invariant_error_in_a_range(split_run, monkeypatch, capsys, in_parent):
-    failing_at(monkeypatch, in_parent, invariant_error)
-    code, err, cuts = split_run("".join(LINES).encode(), capsys)
+def marked(lines):
+    """LINES with each given "wo de" line turned, first "de wo", then "de de": the
+    same bytes long, so split at the same cuts."""
+    data = list(LINES)
+    for line, sentence in zip(lines, ["de wo\n", "de de\n", "de de\n"]):
+        assert data[line] == "wo de\n"
+        data[line] = sentence
+    return "".join(data).encode()
+
+
+def offset(line):
+    return len("".join(LINES[:line]).encode())
+
+
+@pytest.mark.parametrize("lines", [[3, 15, 24], [15, 24]], ids=["parent", "worker"])
+def test_invariant_error_in_a_range(split_run, monkeypatch, capsys, lines):
+    """Sentences starting with "de" fail in each range given, in whichever process
+    scores them: the first in file order sets the serial run's error."""
+    failing_on(monkeypatch, lambda words: words[:1] == ["de"] and invariant_error(words))
+    code, err, cuts = split_run(marked(lines), capsys)
+    assert [next(k for k, cut in enumerate(cuts[1:]) if offset(line) < cut)
+            for line in lines] == [0, 1, 2][-len(lines):]
     assert code == 3
-    # The first failing range in file order: the first, or the first worker's.
-    first = 0 if in_parent else cuts[1]
-    failed = "".join(LINES).encode()[first:].split(b"\n", 1)[0].decode()
-    assert err == [f"gboost: error: broken at {failed!r}"]
+    assert err == ["gboost: error: broken at 'de wo'"]
 
 
 def test_parent_failure_kills_busy_workers(split_run, monkeypatch, capsys):
@@ -299,22 +342,60 @@ def test_bad_bytes_in_a_pipe(graphs, tmp_path, capsys):
         "invalid start byte"]
 
 
-def test_worker_killed_by_a_signal(split_run, monkeypatch, capsys):
+def test_worker_killed_by_a_signal(split_run, graphs, tmp_path, monkeypatch, capsys,
+                                   caplog):
+    """Each killed worker's range is scored by this process: the run succeeds with the
+    serial bytes and one warning per worker."""
     failing_at(monkeypatch, False, lambda words: os.kill(os.getpid(), signal.SIGKILL))
-    code, err, cuts = split_run("".join(LINES).encode(), capsys)
-    assert code == 1
-    assert len(err) == 1
-    assert err[0].startswith(f"gboost: error: score worker for bytes {cuts[1]}-{cuts[2]} ")
-    assert err[0].endswith(f"was killed by signal {int(signal.SIGKILL)}")
+    data = "".join(LINES).encode()
+    code, err, cuts = split_run(data, capsys)
+    assert code == 0 and err == []
+    assert serial_run(graphs, tmp_path, data) == (0, (tmp_path / "scores.txt").read_bytes())
+    path = tmp_path / "s.txt"
+    assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
+        ("WARNING", f"score worker for bytes {start}-{end} of {path} was killed by signal "
+                    f"{int(signal.SIGKILL)}; this process scored its range")
+        for start, end in zip(cuts[1:], cuts[2:])]
 
 
-def test_unexpected_worker_error_raises_with_its_traceback(split_run, monkeypatch, capsys):
+def test_unexpected_worker_error_raises_with_its_traceback(split_run, graphs, tmp_path,
+                                                          monkeypatch, capsys, caplog):
+    """A bug met in a worker's range is raised by this process, as in a serial run."""
     def crash(words):
-        raise ZeroDivisionError("worker bug")
+        if words[:1] == ["de"]:
+            raise ZeroDivisionError(f"bug at {' '.join(words)!r}")
 
-    failing_at(monkeypatch, False, crash)
-    raised, err, cuts = split_run("".join(LINES).encode(), capsys)
-    assert isinstance(raised, RuntimeError) and err == []
-    message = str(raised)
-    assert message.startswith(f"score worker for bytes {cuts[1]}-{cuts[2]} ")
-    assert "Traceback" in message and message.endswith("ZeroDivisionError: worker bug\n")
+    failing_on(monkeypatch, crash)
+    data = marked([24])
+    raised, err, cuts = split_run(data, capsys)
+    assert cuts[2] < offset(24)
+    assert isinstance(raised, ZeroDivisionError) and str(raised) == "bug at 'de wo'"
+    assert err == [] and caplog.records == []
+    # Raised while this process scored the range itself.
+    assert "_score_split" in [frame.name for frame in traceback.extract_tb(raised.__traceback__)]
+    serial, _ = serial_run(graphs, tmp_path, data)
+    assert type(serial) is ZeroDivisionError and str(serial) == str(raised)
+
+
+def test_a_failed_fork_leaves_nothing(split_run, monkeypatch, capsys):
+    """The second fork fails: the first worker is killed and reaped, both spools
+    closed, and the run exits 1 with one error line."""
+    real_fork = os.fork
+    spools = []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def fork():
+        if len(spools) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    def temporary_file(*args, **kwargs):
+        spools.append(real_temporary_file(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    code, err, _ = split_run("".join(LINES).encode(), capsys, forks_made=1)
+    assert code == 1
+    assert err == [f"gboost: error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
