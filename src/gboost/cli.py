@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_weights(p):
         p.add_argument("--weights", default=os.environ.get("GBOOST_WEIGHTS", "logprob"),
-                       help="weight convention of FST files: logprob (default) or cost")
+                       help="weight convention of FST files: logprob or cost (default: "
+                            "$GBOOST_WEIGHTS, else logprob)")
 
     p = sub.add_parser("build-g", help="compile an ARPA model into a grammar graph")
     p.add_argument("--arpa", required=True)

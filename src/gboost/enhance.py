@@ -14,6 +14,14 @@ as parallel arcs when the target has no arc in that slot, and otherwise
 raise the existing arc's weight to the maximum of old and new. Epsilon
 (back-off) arcs carry no word and never participate.
 
+Never lowering an arc does not mean never lowering a word. Graphs score
+with failure semantics (:func:`gboost.graph.graph_score`): a state's arc
+for a word is always taken when it has one. So an arc added for word w at
+state s replaces w's back-off path from s, the back-off weights plus the
+first arc for w below, even where that path weighed more; there the boost
+makes w less likely after s. An added arc is never taken where another
+arc for w at s weighs more, or as much and comes first.
+
 Enhancement runs in two steps. The plan does not depend on theta: for
 each slot (source, destination, target word), in order of its first
 candidate, it holds the slot's base, the largest ``w_predictor + ln(...)``
@@ -122,6 +130,24 @@ class EnhanceConfig:
                 + ", ".join(sorted(both)))
 
 
+def _load_json(text: str, what: str):
+    """``text`` parsed as JSON, else FormatError naming ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _record(value, what: str, *keys: str) -> tuple:
+    """The values of ``keys`` in the JSON object ``value``, else FormatError naming ``what``."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in value:
+            raise FormatError(f"{what} is missing key {key!r}")
+    return tuple(value[key] for key in keys)
+
+
 def _word_list(value, what: str) -> list[str]:
     """``value`` if it is a JSON list of strings, else FormatError naming ``what``."""
     if not isinstance(value, list) or not all(type(w) is str for w in value):
@@ -131,17 +157,9 @@ def _word_list(value, what: str) -> list[str]:
 
 def load_pairs_config(text: str) -> EnhanceConfig:
     """Parse the similar-pairs JSON config."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
-        raise FormatError(f"pairs config is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise FormatError("pairs config must be a JSON object")
-    try:
-        theta, max_predictors = data["theta"], data["max_predictors"]
-        raw_groups = data["groups"]
-    except KeyError as exc:
-        raise FormatError(f"pairs config is missing key {exc}") from None
+    data = _load_json(text, "pairs config")
+    theta, max_predictors, raw_groups = _record(data, "pairs config", "theta",
+                                                "max_predictors", "groups")
     # Exact type checks: JSON true and false load as bool, a subclass of int.
     if type(theta) not in (int, float):
         raise FormatError(f"pairs config 'theta' must be a number, got {theta!r}")
@@ -158,12 +176,7 @@ def load_pairs_config(text: str) -> EnhanceConfig:
         raise FormatError("pairs config 'groups' must be a list")
     groups = []
     for i, raw in enumerate(raw_groups):
-        if not isinstance(raw, dict):
-            raise FormatError(f"group {i} must be a JSON object")
-        try:
-            predictors, targets = raw["predictors"], raw["targets"]
-        except KeyError as exc:
-            raise FormatError(f"group {i} is missing key {exc}") from None
+        predictors, targets = _record(raw, f"group {i}", "predictors", "targets")
         new_words = raw.get("new_words", [])
         frequencies = raw.get("frequencies", {})
         for key, value in (("predictors", predictors), ("targets", targets),
@@ -173,8 +186,7 @@ def load_pairs_config(text: str) -> EnhanceConfig:
                     _check_symbol(word)  # else the output files could not hold it
                 except InvariantError as exc:
                     raise FormatError(f"group {i} '{key}': {exc}") from None
-        if not isinstance(frequencies, dict):
-            raise FormatError(f"group {i} 'frequencies' must be a JSON object")
+        _record(frequencies, f"group {i} 'frequencies'")
         for word, count in frequencies.items():
             if type(count) is not int:
                 raise FormatError(f"group {i} count of {word!r} must be an integer, "
@@ -186,17 +198,11 @@ def load_pairs_config(text: str) -> EnhanceConfig:
 
 
 def _log_ratio(f_x: int | None, f_y: int) -> float:
-    # ln(f_x / (f_x + f_y)), the frequency term of the candidate weight.
-    # A new word (f_x None) gets -0.0: adding it leaves every float as it
-    # is, -0.0 included, so its candidates come out as w_y + theta exactly.
-    if f_y <= 0:
-        raise InvariantError(f"predictor frequency must be positive, got {f_y}")
+    # ln(f_x / (f_x + f_y)), of counts that config.validate found positive. A
+    # new word (f_x None) gets -0.0: adding it leaves every float as it is,
+    # -0.0 included, so its candidates come out as w_y + theta exactly.
     if f_x is None:
         return -0.0
-    if f_x <= 0:
-        raise InvariantError(
-            f"target frequency must be positive, got {f_x}; a zero-count word must "
-            "be declared new or given a pseudo-count")
     ratio = f_x / (f_x + f_y)
     if not ratio:  # only a count beyond float range can push it to zero
         raise InvariantError("frequency ratio underflows: predictor count too large "

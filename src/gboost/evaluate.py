@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Sequence
 
-from gboost.enhance import EnhanceConfig, _word_list, enhance
+from gboost.enhance import EnhanceConfig, _load_json, _record, _word_list, enhance
 from gboost.errors import FormatError, GboostError, InvariantError, NoPathError
 from gboost.fst import Wfst
 from gboost.graph import graph_score
@@ -133,21 +133,13 @@ def _json_list(lines: list[str], indent: int) -> str:
 
 def load_cases(text: str) -> list[RankingCase]:
     """Parse the cases JSON file (a list of reference/focus/competitors objects)."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
-        raise FormatError(f"cases file is not valid JSON: {exc}") from None
+    data = _load_json(text, "cases file")
     if not isinstance(data, list):
         raise FormatError("cases file must be a JSON list")
     cases = []
     for i, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise FormatError(f"case {i} must be a JSON object")
-        try:
-            reference, focus = raw["reference"], raw["focus"]
-            competitors = raw["competitors"]
-        except KeyError as exc:
-            raise FormatError(f"case {i} is missing key {exc}") from None
+        reference, focus, competitors = _record(raw, f"case {i}", "reference", "focus",
+                                                "competitors")
         if not isinstance(focus, list) or not all(type(x) is int for x in focus):
             raise FormatError(f"case {i} 'focus' must be a list of integers, got {focus!r}")
         if not isinstance(competitors, list):

@@ -142,7 +142,10 @@ def graph_score(fst: Wfst, sentence: Sequence[str]) -> float:
     arc followed, its weight added, and the word retried. This is the
     back-off recursion of the ARPA model, and the only back-off semantics
     the library scores with. The sentence is implicitly closed with </s>
-    and the final weight added.
+    and the final weight added. So an arc :func:`gboost.enhance.enhance`
+    adds for a word at a state is taken there, unless another arc there for
+    the word weighs more, or as much and comes first; and it replaces the
+    word's back-off path from that state even where that path weighed more.
 
     A word missing from the symbol table, or the word ``<eps>``, scores as
     ``<unk>`` when the graph has that symbol, as

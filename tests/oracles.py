@@ -132,33 +132,65 @@ def arcs_matching(fst: Wfst, state: int, label: int) -> list[tuple[int, int, flo
     return [arc for arc in fst.arcs(state) if arc[1] == label]
 
 
+def failure_weight(fst: Wfst, state: int, label: int) -> float | None:
+    """The one-step weight of ``label`` at ``state`` under failure semantics.
+
+    The weight of ``state``'s best arc reading ``label`` if it has one;
+    else its best back-off arc's weight plus the same from that arc's
+    target; None where no arc and no back-off is left. Steps with
+    :func:`arcs_matching`.
+    """
+    at, weight = state, 0.0
+    while True:
+        arcs = arcs_matching(fst, at, label)
+        if arcs:
+            return weight + max(arc[2] for arc in arcs)
+        backoffs = arcs_matching(fst, at, EPSILON_LABEL)
+        if not backoffs:
+            return None
+        target, _, backoff = max(backoffs, key=lambda arc: arc[2])
+        at, weight = target, weight + backoff
+
+
 def failure_mass(fst: Wfst, state: int) -> float:
     """The one-step probability mass of ``state`` under failure semantics.
 
-    The sum over every word label w of P(w | state), stepping with
-    :func:`arcs_matching`. P(w | state) is the exp of the weight of
-    ``state``'s best arc reading w if it has one; else the exp of its best
-    back-off arc's weight times P(w | back-off state); else 0. A back-off
-    graph compiled from a normalized model has mass 1 at every non-final
-    state. Written apart from :func:`gboost.graph.graph_score`, which
-    scores whole sentences through best-arc tables.
+    The sum over every word label w of P(w | state), the exp of
+    :func:`failure_weight`, or 0 where it is None. A back-off graph
+    compiled from a normalized model has mass 1 at every non-final state.
+    Written apart from :func:`gboost.graph.graph_score`, which scores whole
+    sentences through best-arc tables.
     """
-    total = 0.0
-    for word in fst.symbols._lab2sym:
-        if word == EPSILON_LABEL:
+    weights = (failure_weight(fst, state, label) for label in fst.symbols._lab2sym
+               if label != EPSILON_LABEL)
+    return sum(math.exp(weight) for weight in weights if weight is not None)
+
+
+ADDED_ARC_CLASSES = ("shadowed", "new word", "above", "below")
+
+
+def added_arc_classes(base: Wfst, enhanced: Wfst, added: Sequence[Arc]) -> list[str]:
+    """The class of each arc of ``added``, which ``enhanced`` holds beyond ``base``.
+
+    ``shadowed`` where failure semantics takes another arc for the arc's
+    word at its source state in ``enhanced``: one that weighs more, or as
+    much and comes first in arc order. Else ``new word`` where ``base`` has
+    no failure path for the word from that state; else ``above`` where the
+    arc weighs at least that path's :func:`failure_weight` in ``base``, and
+    ``below`` where it weighs less, so that the boost makes the word less
+    likely after that state. Steps with :func:`arcs_matching`, apart from
+    :func:`gboost.graph.graph_score` and the best-arc tables.
+    """
+    classes = []
+    for arc in added:
+        # max keeps the first of equal weights, as the tables do.
+        taken = max(arcs_matching(enhanced, arc.source, arc.label), key=lambda a: a[2])
+        if taken != tuple(arc[1:]):
+            classes.append("shadowed")
             continue
-        at, weight = state, 0.0
-        while True:
-            arcs = arcs_matching(fst, at, word)
-            if arcs:
-                total += math.exp(weight + max(arc[2] for arc in arcs))
-                break
-            backoffs = arcs_matching(fst, at, EPSILON_LABEL)
-            if not backoffs:
-                break
-            target, _, backoff = max(backoffs, key=lambda arc: arc[2])
-            at, weight = target, weight + backoff
-    return total
+        old = failure_weight(base, arc.source, arc.label)
+        classes.append("new word" if old is None else "above" if arc.weight >= old else "below")
+    return classes
 
 
 def _resolve_labels(fst: Wfst, input_seq: Sequence[str | int]) -> list[int]:

@@ -191,6 +191,33 @@ class TestOracleScore:
         got = conditional_logprob(model, ("a",), "b")
         assert got == pytest.approx((-0.2 + -0.6) * math.log(10), abs=1e-12)
 
+    # Branches oracle_score never reaches: it takes no back-off of an empty
+    # or top-order history, passes no history longer than order - 1, and
+    # refuses a word without a unigram before it scores.
+    BIGRAM = mini_arpa({BOS: ("-99", "-0.4"), "a": ("-0.5", "-0.2"), "b": ("-0.6", None),
+                        EOS: ("-0.9", None)},
+                       {(BOS, "a"): "-0.3", ("a", "b"): "-0.25", ("b", EOS): "-0.35"})
+
+    def test_backoff_of_empty_or_top_order_history_is_zero(self):
+        model = parse(self.BIGRAM)
+        # A back-off on a top-order entry, which the parser refuses, is never read.
+        model.tables[1][("a", "b")] = model.tables[1][("a", "b")]._replace(backoff=-0.7)
+        assert model.backoff(()) == 0.0
+        assert model.backoff(("a", "b")) == 0.0
+        assert model.backoff(("a",)) == pytest.approx(-0.2 * math.log(10), abs=1e-12)
+
+    def test_history_longer_than_the_order_is_trimmed(self):
+        model = parse(self.BIGRAM)
+        expected = conditional_logprob(model, ("a",), "b")
+        assert expected == model.logprob(("a", "b"))
+        assert conditional_logprob(model, ("b", "a"), "b") == expected
+        assert conditional_logprob(model, (BOS, "b", "b", "a"), "b") == expected
+
+    def test_word_without_unigram_is_an_invariant_error(self):
+        model = parse(self.BIGRAM)
+        with pytest.raises(InvariantError, match="^no unigram entry for 'x'$"):
+            conditional_logprob(model, ("a",), "x")
+
     def test_matches_independent_recursion(self, telecom_arpa, telecom_model):
         rng = random.Random(21)
         for _ in range(50):

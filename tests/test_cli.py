@@ -951,6 +951,16 @@ class TestWeightConventions:
         first_weight = float(cost_fst.read_text().splitlines()[0].split()[4])
         assert first_weight > 0  # log probabilities came out negated
 
+    def test_help_names_the_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("GBOOST_WEIGHTS", "cost")
+        with pytest.raises(SystemExit) as info:
+            main(["build-g", "-h"])
+        assert info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+        assert ("--weights WEIGHTS weight convention of FST files: logprob or cost "
+                "(default: $GBOOST_WEIGHTS, else logprob)") in help_text
+        assert "logprob (default)" not in help_text
+
     def test_bad_env_value_is_usage_error(self, workdir, monkeypatch, capsys):
         monkeypatch.setenv("GBOOST_WEIGHTS", "bogus")
         code = run("build-g", "--arpa", workdir / "m.arpa",
@@ -1027,6 +1037,7 @@ class TestMalformedInputs:
     SCORE = ["score", "--text", "TEXT"]
     ENHANCE = ["enhance", "--in-fst", "FST", "--in-syms", "SYMS", "--pairs", "BAD",
                "--out-fst", "OUT.fst", "--out-syms", "OUT.syms"]
+    EVAL = ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]
     PAIRS = ('{"theta": 0, "max_predictors": 1, "groups": [{"predictors": ["wo"], '
              '"targets": [%s], "new_words": [%s], "frequencies": {"wo": 5}}]}')
 
@@ -1040,8 +1051,7 @@ class TestMalformedInputs:
         ('{"theta": "high", "max_predictors": 1, "groups": []}', ENHANCE),
         (PAIRS % ('"new word"', '"new word"'), ENHANCE),
         (PAIRS % ('""', '""'), ENHANCE),
-        ('[{"reference": "wo", "focus": [0], "competitors": []}]',
-         ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
+        ('[{"reference": "wo", "focus": [0], "competitors": []}]', EVAL),
         (b"\\data\\\n\xff\n", BUILD),
         (b"wo de\n\xff\xfe\n", SCORE[:2] + ["BAD", "--fst", "FST", "--syms", "SYMS",
                                           "--out", "OUT.txt"]),
@@ -1051,8 +1061,7 @@ class TestMalformedInputs:
         ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.5\n-0.5\ta\n"
          "-0.9\t</s>\n\n\\2-grams:\n-0.3\ta b\n\n\\end\\\n", BUILD),
         ("[" * 200000, ENHANCE),
-        ("[" * 200000,
-         ["eval", "--fst", "FST", "--syms", "SYMS", "--cases", "BAD", "--out", "OUT"]),
+        ("[" * 200000, EVAL),
     ], ids=["arpa-order-zero", "arpa-order-huge", "arpa-order-20-digits", "fst-text",
             "symbols", "symbols-label-beyond-int", "pairs", "pairs-word-with-space",
             "pairs-empty-word", "cases", "arpa-not-utf8", "sentences-not-utf8",
@@ -1105,16 +1114,32 @@ class TestMalformedInputs:
          "weight of the arc for n-gram 'a b c' must be finite, got -inf"),
         (ARPA_BACKOFF_ARC_OVERFLOW, BUILD, 3,
          "weight of the back-off arc of history 'a b' must be finite, got -inf"),
+        ('{"theta": 0, "max_predictors": 1}', ENHANCE, 2,
+         "pairs config is missing key 'groups'"),
+        ('{"theta": 0, "max_predictors": 1, "groups": [{"predictors": ["wo"]}]}', ENHANCE, 2,
+         "group 0 is missing key 'targets'"),
+        (pairs_json({"frequencies": [54, 41]}), ENHANCE, 2,
+         "group 0 'frequencies' must be a JSON object"),
+        ('[{"reference": ["wo"], "focus": [0]}]', EVAL, 2,
+         "case 0 is missing key 'competitors'"),
+        # A count of 1 against 10**400: the ratio 1 / (1 + 10**400) rounds to 0.0.
+        (pairs_json({"targets": ["shouji"], "new_words": [],
+                     "frequencies": {"liuliang": 10 ** 400, "taocan": 41, "shouji": 1}}),
+         ENHANCE, 3,
+         "frequency ratio underflows: predictor count too large against the target's"),
     ], ids=["arpa-backoff-not-a-number", "arpa-backoff-inf", "arpa-backoff-nan",
             "pairs-no-predictors", "pairs-no-targets", "pairs-max-predictors-zero",
             "pairs-theta-400-digits", "pairs-group-not-an-object",
-            "arpa-word-arc-overflows", "arpa-back-off-arc-overflows"])
+            "arpa-word-arc-overflows", "arpa-back-off-arc-overflows", "pairs-missing-key",
+            "pairs-group-missing-key", "pairs-frequencies-not-an-object",
+            "cases-case-missing-key", "pairs-count-ratio-underflows"])
     def test_one_error_line_names_the_fault(self, workdir, capsys, text, argv, code, fault):
         """Bad input exits 2 and a broken invariant 3, each with one line naming the fault."""
         fst_path, syms_path = build(workdir)
         (workdir / "bad").write_text(text)
         names = {"BAD": workdir / "bad", "FST": fst_path, "SYMS": syms_path,
-                 "OUT.fst": workdir / "out.fst", "OUT.syms": workdir / "out.syms"}
+                 "OUT": workdir / "out", "OUT.fst": workdir / "out.fst",
+                 "OUT.syms": workdir / "out.syms"}
         assert run(*[names.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         kind = "input format error" if code == 2 else "error"

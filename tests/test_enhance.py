@@ -61,13 +61,14 @@ class TestComputeEnhancedWeight:
         assert got == pytest.approx(-2.1931472, abs=1e-7)
         assert got == pytest.approx(-1.5 + math.log(0.5), abs=1e-12)
 
-    def test_zero_count_target_rejected(self):
-        with pytest.raises(InvariantError, match="declared new"):
-            _log_ratio(0, 10)
+    # enhance validates every count before the plan takes a log ratio of it.
+    def test_zero_count_target_rejected(self, donor_graph):
+        with pytest.raises(InvariantError, match="pseudo-count"):
+            enhance(donor_graph, one_pair_config("a", "c", {"a": 10, "c": 0}))
 
-    def test_non_positive_predictor_count_rejected(self):
-        with pytest.raises(InvariantError, match="predictor frequency"):
-            _log_ratio(5, 0)
+    def test_non_positive_predictor_count_rejected(self, donor_graph):
+        with pytest.raises(InvariantError, match="needs a positive frequency"):
+            enhance(donor_graph, one_pair_config("a", "c", {"a": 0, "c": 5}))
 
     @given(w_y=st.floats(-20, 0), f_y=st.integers(1, 10**6), theta=st.floats(-4, 4),
            f_hi=st.integers(2, 10**6), gap=st.integers(1, 10**5))
@@ -351,6 +352,74 @@ class TestEnhance:
         fst = telecom_graph
         enhanced, _ = enhance(fst, ool_config)
         assert enhanced.finals == fst.finals
+
+
+# -- what an added arc does under failure semantics -------------------------------
+#
+# An added arc for word w at state s is always taken there unless another arc
+# for w at s wins, and then it replaces w's back-off path from s: the boost
+# lowers w after s where that path weighed more. oracles.added_arc_classes
+# sorts each added arc by what it does.
+
+# State 0 is the unigram state and 2 the final one; state 1, the history
+# "a", has an arc for the predictor p and backs off to 0 for w.
+LOWERING = ("a p w </s>", [(0, 1, "a", -1.0), (0, 0, "p", -2.0), (0, 0, "w", -3.0),
+                           (0, 2, "</s>", -1.5), (1, 0, "p", -4.0), (1, 0, "<eps>", -0.5)],
+            {2: 0.0})
+
+
+@st.composite
+def backoff_graphs_and_configs(draw):
+    """A graph compiled from a random toy model, and a one-group config over its words."""
+    words = toylm.TELECOM_WORDS
+    # The last word stays out of the corpus, so that no history exhausts
+    # the lower-order mass the estimator backs off to.
+    corpus = toylm.toy_corpus(words[:-1], draw(st.integers(5, 40)),
+                              seed=draw(st.integers(0, 9999)), max_len=6)
+    arpa = toylm.train_arpa(corpus, vocab=words, order=draw(st.integers(2, 3)))
+    fst = build_g(parse_arpa(io.StringIO(arpa)))
+    shuffled = draw(st.permutations(words))
+    predictors = shuffled[:draw(st.integers(1, 3))]
+    targets = shuffled[len(predictors):len(predictors) + draw(st.integers(1, 2))]
+    new_words = ["nova"] if draw(st.booleans()) else []
+    counts = st.integers(1, 1000)
+    group = SimilarPairGroup(predictors=predictors, targets=targets + new_words,
+                             frequencies={w: draw(counts) for w in predictors + targets},
+                             new_words=frozenset(new_words))
+    theta = draw(st.sampled_from([-4.0, -2.0, 0.0, 2.0]) | st.floats(-6, 6))
+    return fst, EnhanceConfig(theta=theta, max_predictors=draw(st.integers(1, 3)),
+                              groups=[group])
+
+
+class TestAddedArcClasses:
+    def test_a_boost_can_lower_a_word(self, fst_factory):
+        base = fst_factory(*LOWERING)
+        config = one_pair_config("p", "w", {"p": 99, "w": 1})
+        enhanced, delta = enhance(base, config)
+        # p's arc at state 0 lends w less than w's own arc there: no raise.
+        assert delta.reweighted_arcs == []
+        [lent] = delta.added_arcs
+        assert (lent.source, lent.target) == (1, 0)
+        old_path = -0.5 + -3.0  # state 1's back-off, then w's arc at state 0
+        assert lent.weight == -4.0 + math.log(1 / 100) < old_path
+        assert oracles.added_arc_classes(base, enhanced, [lent]) == ["below"]
+        before = graph_score(base, ["a", "w"])
+        after = graph_score(enhanced, ["a", "w"])
+        assert after - before == lent.weight - old_path < 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(backoff_graphs_and_configs())
+    def test_classes_partition_the_added_arcs(self, drawn):
+        base, config = drawn
+        enhanced, delta = enhance(base, config)
+        classes = oracles.added_arc_classes(base, enhanced, delta.added_arcs)
+        assert len(classes) == len(delta.added_arcs)
+        assert set(classes) <= set(oracles.ADDED_ARC_CLASSES)
+        for arc, kind in zip(delta.added_arcs, classes):
+            taken = enhanced.best_arcs(arc.source)[arc.label]
+            assert (kind == "shadowed") == (taken != tuple(arc[1:]))
+            if kind != "shadowed":  # then the arc is its word's one-step weight there
+                assert oracles.failure_weight(enhanced, arc.source, arc.label) == arc.weight
 
 
 # -- plan and apply ------------------------------------------------------------

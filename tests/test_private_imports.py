@@ -19,6 +19,8 @@ ALLOWED = {
     ("cli", "fst", "_file_digest"),
     ("enhance", "fst", "_check_symbol"),
     ("enhance", "fst", "_derived"),
+    ("evaluate", "enhance", "_load_json"),
+    ("evaluate", "enhance", "_record"),
     ("evaluate", "enhance", "_word_list"),
     ("graph", "fst", "_Columns"),
 }
